@@ -40,7 +40,6 @@ from .envelope import (
     BlockSpec,
     CountingOracleReport,
     DominationResult,
-    EnvelopeFunction,
     F_pi_eval,
     RatioMeasure,
     check_admissible,
@@ -71,7 +70,6 @@ from .torus import (
     TorusInterval,
     TorusPoint,
     interval_contains_interval,
-    interval_length,
     intervals_disjoint,
     mul_mod1,
     preimage_intervals,

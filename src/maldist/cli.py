@@ -34,7 +34,7 @@ from .doubling import (
 from .empirical import CellPartition, MeasureVector, checkpoint_scan, scan_to_csv
 from .envelope import (
     BlockSpec,
-    EnvelopeFunction,
+    F_pi_eval,
     RatioMeasure,
     check_admissible,
     envelope_dominates,
@@ -286,12 +286,12 @@ def _cmd_envelope(args) -> int:
         raise CliError("--grid: need at least 2 points")
     digits = _int(opts, "digits", 12)
     pi = pi_measure(spec, blocks)
-    env = EnvelopeFunction(pi)
-    table = env.table([Fraction(i, grid - 1) for i in range(grid)])
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["t", "F", "t_exact", "F_exact"])
-    for t, v in table:
+    for i in range(grid):
+        t = Fraction(i, grid - 1)
+        v = F_pi_eval(pi, t)
         writer.writerow(
             [decimal_str(t, digits), decimal_str(v, digits),
              format_rational(t), format_rational(v)]
@@ -315,9 +315,7 @@ def _cmd_envelope(args) -> int:
         mu = MeasureVector(tuple(_rational_list(_require(opts, "mu"), "mu")))
         lam = MeasureVector(tuple(_rational_list(_require(opts, "lam"), "lam")))
         tol = _rational(opts, "tol", "0/1")
-        verdict = envelope_dominates(
-            mu, lam, pi, tol=tol, workers=_int(opts, "workers", 1), seed=_seed(opts)
-        )
+        verdict = envelope_dominates(mu, lam, pi, tol=tol)
         cert = certs.envelope_certificate(mu, lam, pi, verdict, tol)
         result["certificate"] = cert
         if not certs.certificate_ok(cert):
@@ -534,8 +532,8 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = sub("envelope", "ratio measure, envelope table and domination verdict")
-    for name in ("spec", "blocks", "grid", "mu", "lam", "tol", "workers",
-                 "digits", "seed", "out", "table-out"):
+    for name in ("spec", "blocks", "grid", "mu", "lam", "tol", "digits",
+                 "seed", "out", "table-out"):
         _add_option(p, "envelope", name)
 
     p = sub("subspace", "greedy extension toward a target measure")

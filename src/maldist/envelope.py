@@ -10,26 +10,28 @@ discrete probability measure on [0, 1]; its envelope function
 
 caps every achievable limit measure of such subsequences of a well-distributed
 sequence: mu(A) <= F(lambda(A)) for all Borel A.  Because F is concave, the
-binding checks are on unions of partition cells, not single cells; the
-exhaustive union check walks all 2^s - 1 of them.  `counting_oracle` verifies
-the same bound from scratch at finite horizons by splitting the raw count
-block by block.
+binding checks are on unions of partition cells, not single cells.  The same
+concavity makes the union check exact in polynomial time: among unions of a
+set of cells, one violates F + tol iff a prefix of those cells in decreasing
+mu/lambda order does, so `envelope_dominates` decides all 2^s - 1 unions with
+at most s(s + 3)/2 checks.  `counting_oracle` verifies the same bound from
+scratch at finite horizons by splitting the raw count block by block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .empirical import CellPartition, MeasureVector
 from .exact import format_rational, parse_rational
-from .rng import SplitMix64
 
 __all__ = [
     "BlockSpec",
     "RatioMeasure",
-    "EnvelopeFunction",
     "AdmissibilityReport",
     "check_admissible",
     "pi_measure",
@@ -42,8 +44,6 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-EXHAUSTIVE_UNION_CAP = 25
 
 
 class BlockSpec:
@@ -145,9 +145,18 @@ class BlockSpec:
 @dataclass(frozen=True)
 class RatioMeasure:
     """Finite discrete probability measure on [0, 1]: sorted distinct atom
-    locations with positive weights summing to exactly 1."""
+    locations with positive weights summing to exactly 1.
+
+    Construction also stores, for F_pi_eval, the atom locations, the weight
+    of the first i atoms (`_mass_upto[i]`) and the sum of weight/location
+    over the atoms from i on (`_harmonic_from[i]`).  A 0-atom adds nothing
+    to the latter: F(t) reads it only past the atoms <= t, and t >= 0.
+    """
 
     atoms: tuple[tuple[Fraction, Fraction], ...]
+    _locations: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    _mass_upto: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    _harmonic_from: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         atoms = tuple((Fraction(q), Fraction(w)) for q, w in self.atoms)
@@ -158,8 +167,13 @@ class RatioMeasure:
             raise ValueError("atom weights must be positive")
         if any(a >= b for (a, _), (b, _) in zip(atoms, atoms[1:])):
             raise ValueError("atom locations must be sorted and distinct")
-        if sum(w for _, w in atoms) != 1:
+        mass_upto = tuple(accumulate((w for _, w in atoms), initial=_ZERO))
+        if mass_upto[-1] != 1:
             raise ValueError("atom weights must sum to exactly 1")
+        harmonic = accumulate((w / q if q else _ZERO for q, w in reversed(atoms)), initial=_ZERO)
+        object.__setattr__(self, "_locations", tuple(q for q, _ in atoms))
+        object.__setattr__(self, "_mass_upto", mass_upto)
+        object.__setattr__(self, "_harmonic_from", tuple(harmonic)[::-1])
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Fraction, Fraction]]) -> "RatioMeasure":
@@ -223,26 +237,8 @@ def F_pi_eval(pi: RatioMeasure, t0: Fraction) -> Fraction:
     t0 = Fraction(t0)
     if not 0 <= t0 <= 1:
         raise ValueError("argument must lie in [0, 1]")
-    return pi.mass_leq(t0) + t0 * pi.harmonic_tail(t0)
-
-
-class EnvelopeFunction:
-    """Callable envelope with a cache of exact evaluations."""
-
-    def __init__(self, pi: RatioMeasure):
-        self.pi = pi
-        self._cache: dict[Fraction, Fraction] = {}
-
-    def __call__(self, t0: Fraction) -> Fraction:
-        t0 = Fraction(t0)
-        got = self._cache.get(t0)
-        if got is None:
-            got = F_pi_eval(self.pi, t0)
-            self._cache[t0] = got
-        return got
-
-    def table(self, grid: Sequence[Fraction]) -> list[tuple[Fraction, Fraction]]:
-        return [(Fraction(t), self(t)) for t in grid]
+    i = bisect_right(pi._locations, t0)
+    return pi._mass_upto[i] + t0 * pi._harmonic_from[i]
 
 
 @dataclass(frozen=True)
@@ -302,34 +298,45 @@ class DominationResult:
     union_mass: Fraction | None = None
     bound: Fraction | None = None
     unions_checked: int = 0
-    exhaustive: bool = True
 
 
 def _dfs_first_violation(
-    mu_masses: Sequence[Fraction],
-    lam_masses: Sequence[Fraction],
-    envelope: EnvelopeFunction,
-    tol: Fraction,
-    first_cell_lo: int,
-    first_cell_hi: int,
-) -> tuple[tuple[int, ...] | None, Fraction | None, Fraction | None, int]:
-    """Pre-order walk of the subset tree (lexicographic order on the sorted
-    index tuples); returns the first violating union, its masses, and the
-    number of unions visited."""
-    s = len(mu_masses)
+    mu: Sequence[Fraction], lam: Sequence[Fraction], pi: RatioMeasure, tol: Fraction
+) -> DominationResult:
+    """First violating union in lexicographic order of the sorted index
+    tuples (the pre-order of the subset tree), found by descending only into
+    subtrees that the density-order prefixes show to hold a violation."""
+    s = len(mu)
+    order = sorted(range(s), key=lambda i: (lam[i] != 0, -mu[i] / lam[i] if lam[i] else 0, i))
     checked = 0
-    stack: list[tuple[tuple[int, ...], Fraction, Fraction]] = []
-    for first in range(first_cell_hi - 1, first_cell_lo - 1, -1):
-        stack.append(((first,), mu_masses[first], lam_masses[first]))
-    while stack:
-        cells, mu_val, lam_val = stack.pop()
+
+    def violation_below(last: int, mu_val: Fraction, lam_val: Fraction) -> bool:
+        # The node (mu_val, lam_val) itself satisfies the bound; some union of
+        # the cells after `last` joined to it violates iff a prefix does.
+        nonlocal checked
+        for i in order:
+            if i > last:
+                mu_val, lam_val = mu_val + mu[i], lam_val + lam[i]
+                checked += 1
+                if mu_val > F_pi_eval(pi, lam_val) + tol:
+                    return True
+        return False
+
+    if not violation_below(-1, _ZERO, _ZERO):
+        return DominationResult(True, unions_checked=checked)
+    # Each candidate child j is tried once: a child that holds no violation
+    # is skipped for good, and descending into j continues with j + 1.
+    cells: tuple[int, ...] = ()
+    mu_val = lam_val = _ZERO
+    for j in range(s):
+        mu_j, lam_j = mu_val + mu[j], lam_val + lam[j]
         checked += 1
-        if mu_val > envelope(lam_val) + tol:
-            return cells, mu_val, envelope(lam_val), checked
-        last = cells[-1]
-        for nxt in range(s - 1, last, -1):
-            stack.append((cells + (nxt,), mu_val + mu_masses[nxt], lam_val + lam_masses[nxt]))
-    return None, None, None, checked
+        bound = F_pi_eval(pi, lam_j)
+        if mu_j > bound + tol:
+            return DominationResult(False, cells + (j,), mu_j, bound, checked)
+        if violation_below(j, mu_j, lam_j):
+            cells, mu_val, lam_val = cells + (j,), mu_j, lam_j
+    raise AssertionError("the prefixes showed a violation the descent did not reach")
 
 
 def envelope_dominates(
@@ -338,79 +345,38 @@ def envelope_dominates(
     pi: RatioMeasure,
     partition: CellPartition | None = None,
     tol: Fraction = _ZERO,
-    mode: str = "exhaustive",
-    workers: int = 1,
-    sample_count: int = 4096,
-    seed: int = 0,
 ) -> DominationResult:
-    """Check mu(A) <= F(lambda(A)) + tol for unions A of partition cells.
+    """Check mu(A) <= F(lambda(A)) + tol for every union A of partition cells
+    and report the first violation in lexicographic order of the sorted
+    index tuples, with its masses and the number of unions checked.
 
-    mode "cellwise" checks single cells only (a fast necessary pre-filter,
-    strictly weaker than the union check because F is concave); "exhaustive"
-    walks all 2^s - 1 unions in lexicographic order and reports the first
-    violation.  Above EXHAUSTIVE_UNION_CAP cells the exhaustive walk is
-    refused and a seeded random sample of unions is drawn instead (reported
-    as non-exhaustive).  `workers` > 1 splits the walk by leading cell and
-    merges deterministically (earliest violation in the same order wins).
+    The check is exact without visiting all 2^s - 1 unions.  Fix a node C
+    of the subset tree (the root is the empty union) and order the cells
+    after its last index by decreasing mu_i/lambda_i, zero-lambda cells
+    first, ties by index.  For every union S of those cells the point
+    (lambda(S), mu(S)) lies on or under the polygon through the points
+    (lambda(P), mu(P)) of the prefixes P of that order: the
+    fractional-knapsack bound (Dantzig 1957).  Because F is concave, the
+    region on or under F + tol is convex.  So if C and every C + P satisfy
+    the bound, that region holds the polygon shifted by C, and with it every
+    C + S.  Hence C's subtree holds a violation iff C or one of its at most
+    s prefixes does, and no breakpoint of F needs a check of its own.
+
+    The walk checks the root's prefixes (s checks settle an ok verdict).
+    Otherwise it descends to the first child that violates or whose
+    prefixes show a violation below it, which gives the first violation of
+    the full pre-order walk.  Each cell is tried as a child at most once, at
+    a cost of at most s - j checks for cell j, so at most s(s + 3)/2 unions
+    are checked, within (s + 1)^3.  A negative tol is refused: the empty
+    root could then lie above F + tol, and the argument needs it on or under.
     """
     s = mu.size
     if lam.size != s or (partition is not None and partition.size != s):
         raise ValueError("mu, lambda and partition disagree on the cell count")
     tol = Fraction(tol)
-    envelope = EnvelopeFunction(pi)
-
-    if mode == "cellwise":
-        for i in range(s):
-            bound = envelope(lam.masses[i])
-            if mu.masses[i] > bound + tol:
-                return DominationResult(False, (i,), mu.masses[i], bound, i + 1)
-        return DominationResult(True, unions_checked=s)
-    if mode != "exhaustive":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    if s > EXHAUSTIVE_UNION_CAP:
-        rng = SplitMix64(seed)
-        checked = 0
-        for _ in range(sample_count):
-            cells: tuple[int, ...] = ()
-            while not cells:
-                cells = tuple(i for i in range(s) if rng.next_u64() & 1)
-            mu_val = mu.mass(cells)
-            bound = envelope(lam.mass(cells))
-            checked += 1
-            if mu_val > bound + tol:
-                return DominationResult(False, cells, mu_val, bound, checked, exhaustive=False)
-        return DominationResult(True, unions_checked=checked, exhaustive=False)
-
-    if workers > 1:
-        return _dominates_parallel(mu, lam, pi, tol, workers)
-    cells, mu_val, bound, checked = _dfs_first_violation(
-        mu.masses, lam.masses, envelope, tol, 0, s
-    )
-    if cells is not None:
-        return DominationResult(False, cells, mu_val, bound, checked)
-    return DominationResult(True, unions_checked=checked)
-
-
-def _subtree_task(args):
-    mu_masses, lam_masses, pi, tol, lo, hi = args
-    return _dfs_first_violation(mu_masses, lam_masses, EnvelopeFunction(pi), tol, lo, hi)
-
-
-def _dominates_parallel(mu, lam, pi, tol, workers) -> DominationResult:
-    from concurrent.futures import ProcessPoolExecutor
-
-    s = mu.size
-    tasks = [(mu.masses, lam.masses, pi, tol, first, first + 1) for first in range(s)]
-    checked = 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # Subtrees rooted at cell 0, 1, ... preserve the global lexicographic
-        # order, so the first violating subtree (in root order) wins.
-        for cells, mu_val, bound, n in pool.map(_subtree_task, tasks):
-            checked += n
-            if cells is not None:
-                return DominationResult(False, cells, mu_val, bound, checked)
-    return DominationResult(True, unions_checked=checked)
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
+    return _dfs_first_violation(mu.masses, lam.masses, pi, tol)
 
 
 @dataclass(frozen=True)

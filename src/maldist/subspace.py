@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cache
+from math import comb, lcm
 from typing import Callable, Sequence
 
 from .empirical import CellPartition, MeasureVector
@@ -41,15 +42,13 @@ _ZERO = Fraction(0)
 PointSource = Callable[[int], Fraction]
 
 
-def _as_source(x: PointSource | Sequence[Fraction]) -> PointSource:
-    if callable(x):
-        return x
-    seq = x
-
-    def source(n: int) -> Fraction:
-        return seq[n - 1]
-
-    return source
+def _cell_lookup(
+    x: PointSource | Sequence[Fraction], partition: CellPartition
+) -> Callable[[int], int]:
+    """Memoized cell of the point x_n, for x a function of n >= 1 or the
+    sequence x_1, x_2, ..."""
+    source = x if callable(x) else (lambda n: x[n - 1])
+    return cache(lambda n: partition.cell_index(source(n)))
 
 
 def validate_membership(
@@ -237,7 +236,6 @@ def greedy_extension(
     |deviation| < eps and the prefix mass has washed out to below eps/(3s),
     or gives a partial result once `max_blocks` is exhausted.
     """
-    source = _as_source(x)
     s = partition.size
     if lam.size != s or target.mu.size != s:
         raise ValueError("partition, lambda and target sizes disagree")
@@ -248,15 +246,7 @@ def greedy_extension(
                 f"target exceeds the envelope on cells {verdict.violation}: "
                 f"{verdict.union_mass} > {verdict.bound}"
             )
-    cell_cache: dict[int, int] = {}
-
-    def cell_of(n: int) -> int:
-        got = cell_cache.get(n)
-        if got is None:
-            got = partition.cell_index(source(n))
-            cell_cache[n] = got
-        return got
-
+    cell_of = _cell_lookup(x, partition)
     j0_val, counts = _prefix_state(prefix, spec, cell_of, s, j0)
     chosen = list(prefix)
     mu = target.mu.masses
@@ -379,17 +369,8 @@ def brute_force_extension(
     their smallest available indices.  The admissible-extension count
     prod C(b_j, m_j) must stay within `limit`.
     """
-    source = _as_source(x)
     s = partition.size
-    cell_cache: dict[int, int] = {}
-
-    def cell_of(n: int) -> int:
-        got = cell_cache.get(n)
-        if got is None:
-            got = partition.cell_index(source(n))
-            cell_cache[n] = got
-        return got
-
+    cell_of = _cell_lookup(x, partition)
     j0_val, base_counts = _prefix_state(prefix, spec, cell_of, s, j0)
     if j1 < j0_val:
         raise ValueError("j1 must not precede the prefix blocks")
@@ -400,9 +381,7 @@ def brute_force_extension(
             raise ValueError(f"search space exceeds limit {limit}")
     total = spec.M(j1)
     mu = target.mu.masses
-    den = 1
-    for f in mu:
-        den = den * f.denominator // _gcd(den, f.denominator)
+    den = lcm(*(f.denominator for f in mu))
     p_scaled = [int(f * den) for f in mu]  # mu_i * den, exact integers
 
     # Per block: available indices per cell and the distinct cell-count
@@ -462,12 +441,6 @@ def brute_force_extension(
         sorted_dev_tuple=tuple(sorted(devs, reverse=True)),
         leaves=leaves,
     )
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _count_vectors(avail: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
@@ -541,9 +514,8 @@ def exchange_facts(
     Y-index strictly improves the (total deviation, sorted tuple) objective,
     which is exactly the optimality the minimizer must have.
     """
-    source = _as_source(x)
     s = partition.size
-    cell_of = lambda n: partition.cell_index(source(n))
+    cell_of = _cell_lookup(x, partition)
     chosen_set = set(indices)
     total = sum(1 for n in indices if n <= spec.a(j_end))
     counts = [0] * s

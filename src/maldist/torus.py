@@ -19,7 +19,6 @@ __all__ = [
     "TorusInterval",
     "mul_mod1",
     "preimage_intervals",
-    "interval_length",
     "intervals_disjoint",
     "interval_contains_interval",
 ]
@@ -115,10 +114,6 @@ def mul_mod1(n: int, alpha: Fraction) -> Fraction:
     if n < 1:
         raise ValueError("multiplier must be a positive integer")
     return mod1(n * Fraction(alpha))
-
-
-def interval_length(interval: TorusInterval) -> Fraction:
-    return interval.length
 
 
 def preimage_intervals(n: int, target: TorusInterval) -> list[TorusInterval]:

@@ -350,17 +350,6 @@ def test_cli_witness_mode_aliases(tmp_path):
     assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
 
 
-def test_cli_envelope_workers(tmp_path):
-    res = run_cli(
-        "envelope", "--spec", '{"b": [2, 2, 2], "m": [1, 1, 1]}', "--blocks", "3",
-        "--mu", "1/3,1/3,1/3", "--lam", "1/3,1/3,1/3", "--workers", "2",
-        "--out", str(tmp_path / "env.json"),
-    )
-    assert res.returncode == 0, res.stderr
-    payload = json.loads((tmp_path / "env.json").read_text())
-    assert payload["certificate"]["claims"][0]["verdict"] is True
-
-
 def test_cli_subspace_explicit_pi(tmp_path):
     res = run_cli(
         "subspace", "--spec", '{"b": "linear:1", "m": "halfceil"}',

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from maldist.empirical import CellPartition, MeasureVector
 from maldist.envelope import (
     BlockSpec,
-    EnvelopeFunction,
     F_pi_eval,
     RatioMeasure,
     check_admissible,
@@ -132,9 +132,8 @@ def test_atom_merge_preserves_envelope():
 @given(seed=st.integers(min_value=0, max_value=2**32))
 def test_envelope_properties_random(seed):
     pi = random_ratio_measure(SplitMix64(seed))
-    env = EnvelopeFunction(pi)
     grid = [F(i, 20) for i in range(21)]
-    values = [env(t) for t in grid]
+    values = [F_pi_eval(pi, t) for t in grid]
     assert values[0] == pi.mass_at_zero()
     assert values[-1] == 1
     for t, v in zip(grid, values):
@@ -143,6 +142,18 @@ def test_envelope_properties_random(seed):
         assert a <= b
     for i in range(1, len(grid) - 1):
         assert 2 * values[i] >= values[i - 1] + values[i + 1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32))
+def test_F_pi_eval_matches_reference_sums(seed):
+    # The prefix/suffix-sum evaluation against the plain sums over all atoms.
+    rng = SplitMix64(seed)
+    pi = random_ratio_measure(rng)
+    points = [F(0), F(1)] + [q for q, _ in pi.atoms]
+    points += [rng.fraction(1000, closed_top=True) for _ in range(10)]
+    for t in points:
+        assert F_pi_eval(pi, t) == pi.mass_leq(t) + t * pi.harmonic_tail(t)
 
 
 def test_envelope_uniform_convergence_bound():
@@ -207,7 +218,7 @@ def test_union_check_strictly_stronger_than_cellwise():
     partition = CellPartition((F(0), F(1, 4), F(1, 2), F(1)))
     lam = partition.lebesgue_masses()
     mu = MeasureVector((F(5, 8), F(3, 8), F(0)))
-    assert envelope_dominates(mu, lam, pi, partition, mode="cellwise").ok
+    assert all(m <= F_pi_eval(pi, l) for m, l in zip(mu.masses, lam.masses))
     res = envelope_dominates(mu, lam, pi, partition)
     assert not res.ok
     assert res.violation == (0, 1)
@@ -222,21 +233,11 @@ def test_lambda_always_dominated():
         assert envelope_dominates(lam, lam, pi, partition).ok
 
 
-def test_parallel_matches_sequential():
-    pi = RatioMeasure.from_pairs([(F(1, 4), F(1, 2)), (F(1), F(1, 2))])
-    partition = CellPartition((F(0), F(1, 4), F(1, 2), F(1)))
-    lam = partition.lebesgue_masses()
-    mu = MeasureVector((F(5, 8), F(3, 8), F(0)))
-    seq = envelope_dominates(mu, lam, pi, partition)
-    par = envelope_dominates(mu, lam, pi, partition, workers=2)
-    assert (seq.ok, seq.violation) == (par.ok, par.violation)
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32))
 def test_cellwise_prefilter_never_stricter(seed):
-    # cellwise is a necessary condition: any cellwise failure must also fail
-    # exhaustively, and an exhaustive pass implies a cellwise pass.
+    # Single cells are unions too: any single-cell failure must also fail
+    # the union check, and a union pass implies every cell passes.
     rng = SplitMix64(seed)
     pi = random_ratio_measure(rng)
     partition = CellPartition.uniform(4)
@@ -245,20 +246,81 @@ def test_cellwise_prefilter_never_stricter(seed):
     if sum(weights) == 0:
         weights[0] = 1
     mu = MeasureVector(tuple(F(w, sum(weights)) for w in weights))
-    cellwise = envelope_dominates(mu, lam, pi, partition, mode="cellwise")
-    exhaustive = envelope_dominates(mu, lam, pi, partition)
-    if not cellwise.ok:
-        assert not exhaustive.ok
-    if exhaustive.ok:
-        assert cellwise.ok
+    cellwise_ok = all(m <= F_pi_eval(pi, l) for m, l in zip(mu.masses, lam.masses))
+    union = envelope_dominates(mu, lam, pi, partition)
+    if not cellwise_ok:
+        assert not union.ok
+    if union.ok:
+        assert cellwise_ok
 
 
-def test_randomized_fallback_above_cap():
+def test_thirty_cells_decided_by_root_prefixes():
+    # mu = lambda lies on F(t) = t: the root's 30 density-order prefixes all
+    # pass, which settles every one of the 2^30 - 1 unions.
     partition = CellPartition.uniform(30)
     lam = partition.lebesgue_masses()
-    res = envelope_dominates(lam, lam, RatioMeasure.point_mass(F(1)), partition, sample_count=200)
+    res = envelope_dominates(lam, lam, RatioMeasure.point_mass(F(1)), partition)
     assert res.ok
-    assert not res.exhaustive
+    assert res.unions_checked == 30
+
+
+def test_dominates_rejects_negative_tol():
+    with pytest.raises(ValueError):
+        envelope_dominates(UNIFORM2, UNIFORM2, RatioMeasure.point_mass(F(1)), tol=F(-1, 10))
+
+
+def first_violation_by_enumeration(mu, lam, pi, tol):
+    """Lexicographically first of all 2^s - 1 unions that violates F + tol,
+    with F from the plain atom sums."""
+    found = []
+    for size in range(1, len(mu) + 1):
+        for cells in combinations(range(len(mu)), size):
+            union_mass = sum((mu[i] for i in cells), F(0))
+            t = sum((lam[i] for i in cells), F(0))
+            bound = pi.mass_leq(t) + t * pi.harmonic_tail(t)
+            if union_mass > bound + tol:
+                found.append((cells, union_mass, bound))
+    return min(found, default=None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32))
+def test_union_walk_matches_enumeration(seed):
+    # Small integer weights give zero-lambda cells and equal densities.
+    rng = SplitMix64(seed)
+    s = rng.randint(1, 10)
+    lam_w = [rng.randint(0, 3) for _ in range(s)]
+    mu_w = [rng.randint(0, 4) for _ in range(s)]
+    if sum(lam_w) == 0:
+        lam_w[0] = 1
+    if sum(mu_w) == 0:
+        mu_w[-1] = 1
+    mu = MeasureVector(tuple(F(w, sum(mu_w)) for w in mu_w))
+    lam = MeasureVector(tuple(F(w, sum(lam_w)) for w in lam_w))
+    pi = random_ratio_measure(rng)
+    tol = (F(0), F(1, 50), F(1, 10), F(1, 3))[rng.randint(0, 3)]
+    res = envelope_dominates(mu, lam, pi, tol=tol)
+    want = first_violation_by_enumeration(mu.masses, lam.masses, pi, tol)
+    if want is None:
+        assert (res.ok, res.violation, res.union_mass, res.bound) == (True, None, None, None)
+    else:
+        assert (res.ok, res.violation, res.union_mass, res.bound) == (False, *want)
+    assert res.unions_checked <= s * (s + 3) // 2  # within (s + 1)^3
+
+
+def test_deep_violation_at_sixty_cells_within_cubic_bound():
+    # F(t) = t.  Cells 0..29 carry 1/1200 less mu than lambda, cells 30..59
+    # 1/1200 more; with tol = 1/200 the first violating union takes the 30
+    # surplus cells and the first 23 deficit cells (excess 7/1200 > 6/1200).
+    s = 60
+    lam = MeasureVector(tuple(F(1, s) for _ in range(s)))
+    d = F(1, 20 * s)
+    mu = MeasureVector(tuple(F(1, s) + (d if i >= 30 else -d) for i in range(s)))
+    res = envelope_dominates(mu, lam, RatioMeasure.point_mass(F(1)), tol=F(1, 200))
+    assert not res.ok
+    assert res.violation == tuple(range(23)) + tuple(range(30, 60))
+    assert res.union_mass - res.bound == F(7, 1200)
+    assert res.unions_checked <= s * (s + 3) // 2  # within (s + 1)^3
 
 
 # --- counting oracle -------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from maldist.torus import (
     TorusInterval,
     interval_contains_interval,
-    interval_length,
     intervals_disjoint,
     mul_mod1,
     preimage_intervals,
@@ -59,9 +58,9 @@ def test_preimage_three():
 
 
 def test_interval_length_examples():
-    assert interval_length(TorusInterval(F(1, 4), F(3, 4))) == F(1, 2)
-    assert interval_length(TorusInterval(F(4, 5), F(1, 10), wraps=True)) == F(3, 10)
-    assert interval_length(TorusInterval(F(1, 3), F(1, 2))) == F(1, 6)
+    assert TorusInterval(F(1, 4), F(3, 4)).length == F(1, 2)
+    assert TorusInterval(F(4, 5), F(1, 10), wraps=True).length == F(3, 10)
+    assert TorusInterval(F(1, 3), F(1, 2)).length == F(1, 6)
 
 
 def test_wrapping_membership_includes_zero():
