@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .doubling import BinaryPoint, OrbitHitReport, WindowDensity, invariance_defect
+from .doubling import BinaryPoint, OrbitHitReport, WindowDensity
 from .empirical import CellPartition, MeasureVector, star_discrepancy
 from .envelope import DominationResult, RatioMeasure, envelope_dominates
 from .exact import binary_digits, format_rational, mod1, parse_rational
@@ -262,8 +262,8 @@ def avoidance_certificate(result: AvoidanceResult, discrepancy_floor: Fraction |
     ]
     margins = {}
     if discrepancy_floor is not None:
-        points = [mod1(n * result.alpha) for n in result.indices]
-        disc = star_discrepancy(points)
+        p, q = result.alpha.numerator, result.alpha.denominator
+        disc = star_discrepancy([Fraction(n * p % q, q) for n in result.indices])
         claims.append(
             {
                 "id": "star-discrepancy-floor",
@@ -551,7 +551,12 @@ def _verify_avoid(cert: dict):
     if len(indices) != int(inp["horizon"]):
         yield "horizon does not match prefix + gaps"
         return
-    hits = sum(1 for n in indices[len(prefix) :] if mod1(n * alpha) < eps)
+    # n*alpha mod 1 = (n*p mod q)/q, and r/q < eps iff
+    # r * eps.denominator < eps.numerator * q.
+    p, q = alpha.numerator, alpha.denominator
+    hits = sum(
+        1 for n in indices[len(prefix) :] if n * p % q * eps.denominator < eps.numerator * q
+    )
     for claim in cert["claims"]:
         cid, kind = claim["id"], claim["kind"]
         if kind == "gaps-in-one-two":
@@ -564,8 +569,7 @@ def _verify_avoid(cert: dict):
             if hits != int(claim["hits"]) or (hits == 0) != bool(claim["verdict"]):
                 yield f"{cid}: recomputed hits {hits} != stated {claim['hits']}"
         elif kind == "star-discrepancy-at-least":
-            points = [mod1(n * alpha) for n in indices]
-            disc = star_discrepancy(points)
+            disc = star_discrepancy([Fraction(n * p % q, q) for n in indices])
             floor = parse_rational(claim["floor"])
             if _fr(disc) != claim["value"] or (disc >= floor) != bool(claim["verdict"]):
                 yield f"{cid}: recomputed discrepancy {_fr(disc)} != stated {claim['value']}"
@@ -620,21 +624,20 @@ def _verify_fivesixth(cert: dict):
     if not 0 < alpha < Fraction(1, 16):
         yield "alpha outside (0, 1/16)"
         return
-    # Independent recount via modular arithmetic on (2^k + 1) * alpha.
+    # Independent recount via modular arithmetic on (2^k + 1) * alpha = s/q:
+    # s/q lies in I' = (1/2 - alpha/3, 3/4 + alpha/3) iff 6s > 3q - 2p and
+    # 12s < 9q + 4p, and a hit is in I- iff (s - p) mod q <= q/2.
     p, q = alpha.numerator, alpha.denominator
-    left = Fraction(1, 2) - alpha / 3
-    right = Fraction(3, 4) + alpha / 3
     hits = minus = plus = 0
     minus_flags = []
     plus_flags = []
     for k in range(1, horizon + 1):
-        value = Fraction(((pow(2, k, q) + 1) * p) % q, q)
-        hit = left < value < right
+        s = (pow(2, k, q) + 1) * p % q
+        hit = 6 * s > 3 * q - 2 * p and 12 * s < 9 * q + 4 * p
         in_minus = in_plus = False
         if hit:
             hits += 1
-            shifted = mod1(value - alpha)
-            in_minus = shifted <= Fraction(1, 2)
+            in_minus = 2 * ((s - p) % q) <= q
             in_plus = not in_minus
             minus += in_minus
             plus += in_plus
@@ -674,23 +677,35 @@ def _verify_invariance(cert: dict):
     alpha = parse_rational(inp["alpha"])
     steps = int(inp["steps"])
     partition = CellPartition(tuple(parse_rational(t) for t in inp["cuts"]))
+    if not partition.is_dyadic():
+        yield "invariance-defect: partition cut points must be dyadic rationals"
+        return
+    if steps < 1:
+        yield "invariance-defect: steps must be positive"
+        return
+    # Recount along the residues r = 2^k p mod q of the orbit: each point r/q
+    # counts +1 in its cell and -1 in the cell of its image 2r/q mod 1.
     v = mod1(alpha)
-    points = []
+    r, q = v.numerator, v.denominator
+    counts = [0] * partition.size
     for _ in range(steps):
-        v = mod1(2 * v)
-        points.append(v)
-    defect = invariance_defect(points, partition)
+        r = 2 * r % q
+        counts[partition.cell_of(r, q)] += 1
+        counts[partition.cell_of(2 * r % q, q)] -= 1
+    defect = Fraction(max(abs(c) for c in counts), steps)
     for claim in cert["claims"]:
         cid, kind = claim["id"], claim["kind"]
-        if kind == "invariance-defect-equals":
-            if _fr(defect) != claim["defect"]:
-                yield f"{cid}: recomputed defect {_fr(defect)} != stated {claim['defect']}"
-        elif kind == "defect-at-most":
+        if kind not in ("invariance-defect-equals", "defect-at-most"):
+            yield f"{cid}: unknown claim kind {kind!r}"
+            continue
+        if _fr(defect) != claim["defect"]:
+            yield f"{cid}: recomputed defect {_fr(defect)} != stated {claim['defect']}"
+        if kind == "defect-at-most":
             bound = parse_rational(claim["bound"])
+            if bound != Fraction(2, steps):
+                yield f"{cid}: bound is not 2/steps"
             if (defect <= bound) != bool(claim["verdict"]):
                 yield f"{cid}: verdict mismatch"
-        else:
-            yield f"{cid}: unknown claim kind {kind!r}"
 
 
 def _verify_envelope(cert: dict):

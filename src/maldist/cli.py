@@ -40,7 +40,7 @@ from .envelope import (
     envelope_dominates,
     pi_measure,
 )
-from .exact import RationalParseError, decimal_str, format_rational, mod1, parse_rational
+from .exact import RationalParseError, decimal_str, format_rational, parse_rational
 from .rng import ALGORITHM
 from .subspace import ExtensionTarget, greedy_extension
 from .torus import TorusInterval
@@ -266,7 +266,8 @@ def _points_source(opts: dict, count: int) -> list[Fraction]:
     kind = opts.get("x-kind", "rotation")
     if kind == "rotation":
         alpha = _rational(opts, "x-alpha")
-        return [mod1(n * alpha) for n in range(1, count + 1)]
+        p, q = alpha.numerator, alpha.denominator
+        return [Fraction(n * p % q, q) for n in range(1, count + 1)]
     if kind == "doubling":
         alpha = _rational(opts, "x-alpha")
         return doubling_orbit(alpha, count)

@@ -83,20 +83,22 @@ class BinaryPoint:
 def doubling_orbit(alpha: Fraction | BinaryPoint, steps: int) -> list[Fraction]:
     """T^k(alpha) for k = 1..steps, exact.
 
-    Rationals iterate by modular doubling (any horizon); digit strings
-    iterate by shifts and, unless exact, must keep steps < their length.
+    Rationals p/q iterate by modular doubling r -> 2r mod q (any horizon);
+    a digit string is the dyadic rational it denotes and, unless exact, must
+    keep steps < its length.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if isinstance(alpha, BinaryPoint):
         if not alpha.exact and steps >= len(alpha.digits):
             raise ValueError("digit string too short for the requested orbit")
-        return [alpha.shift(k).value for k in range(1, steps + 1)]
+        alpha = alpha.value
     v = mod1(Fraction(alpha))
+    r, q = v.numerator, v.denominator
     out = []
     for _ in range(steps):
-        v = mod1(2 * v)
-        out.append(v)
+        r = 2 * r % q
+        out.append(Fraction(r, q))
     return out
 
 
@@ -129,14 +131,12 @@ def invariance_defect(points: list[Fraction], partition: CellPartition) -> Fract
         raise ValueError("empty orbit segment")
     if not partition.is_dyadic():
         raise ValueError("partition cut points must be dyadic rationals")
-    n = len(points)
-    s = partition.size
-    counts = [0] * s
-    pre_counts = [0] * s
+    counts = [0] * partition.size
     for p in points:
-        counts[partition.cell_index(p)] += 1
-        pre_counts[partition.cell_index(mod1(2 * Fraction(p)))] += 1
-    return max(abs(Fraction(counts[i] - pre_counts[i], n)) for i in range(s))
+        r, q = p.numerator, p.denominator
+        counts[partition.cell_of(r, q)] += 1
+        counts[partition.cell_of(2 * r % q, q)] -= 1
+    return Fraction(max(abs(c) for c in counts), len(points))
 
 
 @dataclass(frozen=True)
@@ -170,20 +170,21 @@ def five_sixth_check(alpha: Fraction, horizon: int) -> OrbitHitReport:
         raise ValueError("alpha must lie in (0, 1/16)")
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    left = _HALF - 4 * alpha / 3
-    mid = _HALF
-    right = Fraction(3, 4) - 2 * alpha / 3
-    wide = TorusInterval(_HALF - alpha / 3, Fraction(3, 4) + alpha / 3)
+    # With alpha = p/q and v = 2^k alpha = r/q, the intervals in integers:
+    # I-: 6r > 3q - 8p and 2r <= q; I+: 2r > q and 12r < 9q - 8p;
+    # I' holds s = (r + p) mod q iff 6s > 3q - 2p and 12s < 9q + 4p.
+    p, q = alpha.numerator, alpha.denominator
     minus_flags = []
     plus_flags = []
     hits = 0
-    v = alpha
+    r = p
     for k in range(1, horizon + 1):
-        v = mod1(2 * v)  # v = 2^k alpha
-        shifted = mod1(v + alpha)  # (2^k + 1) alpha
-        in_minus = left < v <= mid
-        in_plus = mid < v < right
-        if wide.contains(shifted) != (in_minus or in_plus):
+        r = 2 * r % q
+        shifted = (r + p) % q
+        in_minus = 6 * r > 3 * q - 8 * p and 2 * r <= q
+        in_plus = 2 * r > q and 12 * r < 9 * q - 8 * p
+        in_wide = 6 * shifted > 3 * q - 2 * p and 12 * shifted < 9 * q + 4 * p
+        if in_wide != (in_minus or in_plus):
             raise AssertionError("shifted-orbit identity failed")  # unreachable
         minus_flags.append(in_minus)
         plus_flags.append(in_plus)
@@ -243,14 +244,23 @@ def zero_block_density(
     alpha = point.value
     if not target.contains(alpha):
         raise ValueError("the point itself must lie in the target arc")
+    # alpha = N/2^L, and 2^k alpha mod 1 = (N << k mod 2^L)/2^L (0 once
+    # k >= L), so (2^k + 1) alpha mod 1 = s/2^L with the integer s below;
+    # s/2^L > a iff s > floor(a*2^L), and s/2^L < b iff s < ceil(b*2^L).
+    length = len(point.digits)
+    scale = 1 << length
+    num = alpha.numerator * (scale // alpha.denominator)
+    lo = target.left.numerator * scale // target.left.denominator
+    hi = -(-target.right.numerator * scale // target.right.denominator)
     out = []
     hits = 0
     k = 0
     for end in windows:
         while k < end:
             k += 1
-            shifted = mod1(point.shift(k).value + alpha)
-            if target.contains(shifted):
+            s = ((num << k) + num) & (scale - 1) if k < length else num
+            inside = (s > lo or s < hi) if target.wraps else lo < s < hi
+            if inside:
                 hits += 1
         out.append(WindowDensity(window_end=end, hits=hits, density=Fraction(hits, end)))
     return out

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .exact import decimal_str, format_rational
@@ -59,9 +61,15 @@ class ApproxPoint:
 
 @dataclass(frozen=True)
 class CellPartition:
-    """Partition of [0, 1) into cells [t_{i-1}, t_i) by exact rational cuts."""
+    """Partition of [0, 1) into cells [t_{i-1}, t_i) by exact rational cuts.
+
+    The cuts are also held as integer numerators over their lcm, so a lookup
+    is one `bisect` on integers, with no Fraction built or compared.
+    """
 
     cuts: tuple[Fraction, ...]
+    _den: int = field(init=False, repr=False, compare=False)
+    _scaled_cuts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cuts = tuple(Fraction(t) for t in self.cuts)
@@ -70,6 +78,11 @@ class CellPartition:
             raise ValueError("cuts must run from 0 to 1")
         if any(a >= b for a, b in zip(cuts, cuts[1:])):
             raise ValueError("cuts must be strictly increasing")
+        den = lcm(*(t.denominator for t in cuts))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(
+            self, "_scaled_cuts", tuple(t.numerator * (den // t.denominator) for t in cuts)
+        )
 
     @property
     def size(self) -> int:
@@ -91,25 +104,24 @@ class CellPartition:
         """
         if isinstance(point, ApproxPoint):
             lo, hi = point.value - point.radius, point.value + point.radius
-            i = self._locate(lo)
+            i = self.cell_of(lo.numerator, lo.denominator)
             if hi >= self.cuts[i + 1]:
                 raise CellStraddleError(
                     f"point {point.value}±{point.radius} straddles cut {self.cuts[i + 1]}"
                 )
             return i
-        return self._locate(Fraction(point))
+        x = point if isinstance(point, Fraction) else Fraction(point)
+        return self.cell_of(x.numerator, x.denominator)
 
-    def _locate(self, x: Fraction) -> int:
-        if not 0 <= x < 1:
+    def cell_of(self, num: int, den: int) -> int:
+        """Index of the cell holding num/den (den > 0, need not be reduced).
+
+        Exact: t_i = c_i/D with integer c_i, so t_i <= num/den iff
+        c_i <= floor(num*D/den).
+        """
+        if not 0 <= num < den:
             raise ValueError("points must lie in [0, 1)")
-        lo, hi = 0, self.size - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.cuts[mid] <= x:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        return bisect_right(self._scaled_cuts, num * self._den // den) - 1
 
     def cell_bounds(self, i: int) -> tuple[Fraction, Fraction]:
         return self.cuts[i], self.cuts[i + 1]
@@ -238,23 +250,26 @@ def star_discrepancy(points: Sequence[Fraction]) -> Fraction:
     """Exact D*_N = sup_t |#{n: x_n < t}/N - t| over t in (0, 1].
 
     The sup is attained (in the limit) at one of the 2N empirical-CDF
-    breakpoints, so a sweep over the sorted sample is exact.
+    breakpoints, so a sweep over the sorted sample is exact.  The sweep runs
+    on the integer numerators r over the lcm q of the denominators: with
+    x = r/q, i/N - x = (i*q - r*N)/(N*q).
     """
     n = len(points)
     if n == 0:
         raise ValueError("star discrepancy of an empty list is undefined")
-    xs = sorted(Fraction(p) for p in points)
-    if not (0 <= xs[0] and xs[-1] < 1):
+    q = lcm(*(p.denominator for p in points))
+    rs = sorted(p.numerator * (q // p.denominator) for p in points)
+    if not (0 <= rs[0] and rs[-1] < q):
         raise ValueError("points must lie in [0, 1)")
-    best = _ZERO
-    for i, x in enumerate(xs, start=1):
-        hi = Fraction(i, n) - x
-        lo = x - Fraction(i - 1, n)
+    best = 0
+    for i, r in enumerate(rs, start=1):
+        hi = i * q - r * n
+        lo = r * n - (i - 1) * q
         if hi > best:
             best = hi
         if lo > best:
             best = lo
-    return best
+    return Fraction(best, n * q)
 
 
 @dataclass(frozen=True)

@@ -500,25 +500,27 @@ def avoidance_sequence(
     if len(idx) > horizon:
         raise ValueError("prefix longer than the requested horizon")
 
-    def avoided(v: Fraction) -> bool:
-        return v < eps  # [0, eps)
+    # The orbit runs on residues: n*alpha mod 1 = (n*p mod q)/q, and r/q lies
+    # in [0, eps) iff r * eps.denominator < eps.numerator * q.
+    p, q = alpha.numerator, alpha.denominator
+    e_den, e_bound = eps.denominator, eps.numerator * q
 
     prefix_length = len(idx)
-    value = mod1(idx[-1] * alpha)
+    value = idx[-1] * p % q
     while len(idx) < horizon:
         n = idx[-1]
-        step1 = mod1(value + alpha)
-        if not avoided(step1):
+        step1 = (value + p) % q
+        if not step1 * e_den < e_bound:
             idx.append(n + 1)
             value = step1
         else:
-            step2 = mod1(step1 + alpha)
-            if avoided(step2):
+            step2 = (step1 + p) % q
+            if step2 * e_den < e_bound:
                 raise AssertionError("disjointness failed along the run")
             idx.append(n + 2)
             value = step2
     # Independent verification of the construction's claims.
-    hits = sum(1 for n in idx[prefix_length:] if mod1(n * alpha) < eps)
+    hits = sum(1 for n in idx[prefix_length:] if n * p % q * e_den < e_bound)
     if hits:
         raise AssertionError("avoidance failed: orbit entered the interval")
     gaps = tuple(b - a for a, b in zip(idx, idx[1:]))

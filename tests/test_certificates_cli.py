@@ -6,6 +6,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import maldist
 from maldist import certificates as certs
@@ -17,6 +19,7 @@ from maldist.doubling import (
 )
 from maldist.empirical import CellPartition, MeasureVector
 from maldist.envelope import RatioMeasure, envelope_dominates
+from maldist.exact import format_rational
 from maldist.torus import TorusInterval
 from maldist.witness import (
     HistogramTarget,
@@ -195,6 +198,37 @@ def _tamper(cert):
 def test_every_kind_detects_tampering(kind, cert):
     edited = _tamper(cert)
     assert not certs.verify_certificate(edited).ok, kind
+
+
+denominators = st.one_of(
+    st.integers(min_value=17, max_value=5000),
+    st.integers(min_value=5, max_value=12).map(lambda j: 1 << j),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=10**6), denominators, st.integers(1, 120),
+       st.integers(1, 5))
+def test_invariance_verifier_recounts_the_defect(p, q, steps, level):
+    alpha = F(p % q, q)
+    partition = CellPartition.dyadic(level)
+    defect = invariance_defect(doubling_orbit(alpha, steps), partition)
+    cert = certs.invariance_certificate(alpha, steps, partition, defect)
+    assert certs.verify_certificate(cert).ok
+    # One count more or less in the stated defect is caught.
+    cert["claims"][0]["defect"] = format_rational(abs(defect - F(1, steps)))
+    assert not certs.verify_certificate(cert).ok
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=10**6), denominators, st.integers(1, 200))
+def test_fivesixth_verifier_recounts_the_hits(p, q, horizon):
+    alpha = F(p % ((q - 1) // 16) + 1, q)
+    cert = certs.fivesixth_certificate(five_sixth_check(alpha, horizon), alpha)
+    assert certs.verify_certificate(cert).ok
+    cert["claims"][0]["minus_hits"] += 1
+    cert["claims"][0]["plus_hits"] -= 1
+    assert not certs.verify_certificate(cert).ok
 
 
 # --- CLI ---------------------------------------------------------------------
@@ -397,3 +431,40 @@ def test_cli_env_seed_echoed(tmp_path):
 def test_cli_unknown_flag_exits_two():
     res = run_cli("witness", "--mode", "avoid", "--no-such-flag", "1")
     assert res.returncode == 2
+
+
+def _non_dyadic_cuts(cert):
+    cert["inputs"]["cuts"] = ["0/1", "1/3", "1/1"]
+
+
+def _claimed_defect(claim_id):
+    def edit(cert):
+        for claim in cert["claims"]:
+            if claim["id"] == claim_id:
+                claim["defect"] = "1/2"
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit,claim_id",
+    [
+        (_non_dyadic_cuts, "invariance-defect"),
+        (_claimed_defect("invariance-defect"), "invariance-defect"),
+        (_claimed_defect("defect-bound"), "defect-bound"),
+    ],
+    ids=["non-dyadic-cuts", "defect-equals", "defect-bound"],
+)
+def test_cli_verify_rejects_bad_invariance_certificate(tmp_path, edit, claim_id):
+    out = tmp_path / "inv.json"
+    res = run_cli(
+        "doubling", "--mode", "invariance", "--alpha", "1/17", "--steps", "12",
+        "--out", str(out),
+    )
+    assert res.returncode == 0, res.stderr
+    cert = json.loads(out.read_text())
+    edit(cert)
+    out.write_text(json.dumps(cert))
+    check = run_cli("verify", str(out))
+    assert check.returncode == 1
+    failures = json.loads(check.stdout)["failures"]
+    assert any(f.startswith(f"{claim_id}: ") for f in failures), failures

@@ -1,9 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from maldist.doubling import (
     BinaryPoint,
+    OrbitHitReport,
     doubling_orbit,
     doubling_period,
     five_sixth_check,
@@ -134,3 +137,135 @@ def test_zero_block_density_custom_target():
     wide = TorusInterval(F(1, 4), F(7, 8))
     densities = zero_block_density(point, [4], target=wide)
     assert densities[0].density >= F(1, 2)
+
+
+# --- integer kernels against the plain-Fraction code they replaced ----------
+
+
+def reference_doubling_orbit(alpha, steps):
+    if isinstance(alpha, BinaryPoint):
+        return [alpha.shift(k).value for k in range(1, steps + 1)]
+    v = mod1(F(alpha))
+    out = []
+    for _ in range(steps):
+        v = mod1(2 * v)
+        out.append(v)
+    return out
+
+
+def reference_invariance_defect(points, partition):
+    n, s = len(points), partition.size
+    counts, pre_counts = [0] * s, [0] * s
+    for p in points:
+        counts[partition.cell_index(p)] += 1
+        pre_counts[partition.cell_index(mod1(2 * F(p)))] += 1
+    return max(abs(F(counts[i] - pre_counts[i], n)) for i in range(s))
+
+
+def reference_five_sixth_check(alpha, horizon):
+    left = F(1, 2) - 4 * alpha / 3
+    right = F(3, 4) - 2 * alpha / 3
+    wide = TorusInterval(F(1, 2) - alpha / 3, F(3, 4) + alpha / 3)
+    minus_flags, plus_flags = [], []
+    v = alpha
+    for _ in range(horizon):
+        v = mod1(2 * v)
+        in_minus = left < v <= F(1, 2)
+        in_plus = F(1, 2) < v < right
+        assert wide.contains(mod1(v + alpha)) == (in_minus or in_plus)
+        minus_flags.append(in_minus)
+        plus_flags.append(in_plus)
+    hits = sum(m or p for m, p in zip(minus_flags, plus_flags))
+    spacing_ok = True
+    for k in range(horizon):
+        if minus_flags[k]:
+            if k + 1 < horizon and minus_flags[k + 1]:
+                spacing_ok = False
+            if k + 2 < horizon and minus_flags[k + 2]:
+                spacing_ok = False
+        if plus_flags[k] and k + 1 < horizon and plus_flags[k + 1]:
+            spacing_ok = False
+    density = F(hits, horizon)
+    bound = F(5, 6) + F(3, horizon)
+    return OrbitHitReport(
+        horizon=horizon,
+        hits=hits,
+        density=density,
+        minus_hits=sum(minus_flags),
+        plus_hits=sum(plus_flags),
+        density_bound=bound,
+        bound_ok=density <= bound,
+        spacing_ok=spacing_ok,
+    )
+
+
+def reference_zero_block_hits(point, windows, target):
+    alpha = point.value
+    out, hits, k = [], 0, 0
+    for end in windows:
+        while k < end:
+            k += 1
+            if target.contains(mod1(point.shift(k).value + alpha)):
+                hits += 1
+        out.append(hits)
+    return out
+
+
+rationals = st.builds(
+    lambda q, r: F(r % q, q),
+    st.integers(min_value=1, max_value=5000),
+    st.integers(min_value=0, max_value=10**6),
+)
+bit_strings = st.lists(st.sampled_from((0, 1)), min_size=1, max_size=48).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rationals, bit_strings, st.booleans(), st.integers(min_value=0, max_value=60))
+def test_doubling_orbit_matches_fraction_reference(alpha, digits, exact, steps):
+    assert doubling_orbit(alpha, steps) == reference_doubling_orbit(alpha, steps)
+    point = BinaryPoint(digits, exact=exact)
+    if exact or steps < len(digits):
+        assert doubling_orbit(point, steps) == reference_doubling_orbit(point, steps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rationals, st.integers(min_value=1, max_value=80), st.data())
+def test_invariance_defect_matches_fraction_reference(alpha, steps, data):
+    inner = data.draw(
+        st.sets(
+            st.builds(F, st.integers(min_value=1, max_value=63), st.just(64)), max_size=10
+        )
+    )
+    partition = CellPartition((F(0), *sorted(inner), F(1)))
+    orbit = doubling_orbit(alpha, steps)
+    assert invariance_defect(orbit, partition) == reference_invariance_defect(orbit, partition)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=400),
+    st.integers(min_value=17, max_value=20000),
+    st.integers(min_value=1, max_value=300),
+)
+def test_five_sixth_check_matches_fraction_reference(p, q, horizon):
+    alpha = F(p, q)
+    assume(alpha < F(1, 16))
+    assert five_sixth_check(alpha, horizon) == reference_five_sixth_check(alpha, horizon)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bit_strings, st.booleans(), rationals, rationals, st.booleans(), st.data())
+def test_zero_block_density_matches_fraction_reference(digits, exact, a, b, wraps, data):
+    lo, hi = min(a, b), max(a, b)
+    assume(lo != hi and (lo > 0 or not wraps))
+    target = TorusInterval(hi, lo, wraps=True) if wraps else TorusInterval(lo, hi)
+    point = BinaryPoint(digits, exact=exact)
+    assume(target.contains(point.value))
+    limit = 2 * len(digits) + 2 if exact else len(digits) - 1
+    assume(limit >= 1)
+    windows = sorted(
+        data.draw(st.sets(st.integers(min_value=1, max_value=limit), min_size=1, max_size=5))
+    )
+    got = zero_block_density(point, windows, target=target)
+    assert [w.hits for w in got] == reference_zero_block_hits(point, windows, target)
+    assert [w.window_end for w in got] == windows

@@ -216,3 +216,88 @@ def test_scan_csv_shape():
     assert lines[0] == "N,freq_0,freq_1,freq_0_exact,freq_1_exact"
     assert lines[1] == "2,0.500,0.500,1/2,1/2"
     assert lines[2] == "4,0.500,0.500,1/2,1/2"
+
+
+# --- integer kernels against the plain-Fraction code they replaced ----------
+
+
+def reference_cell_index(cuts, x):
+    """Bisection over the Fraction cuts, as CellPartition located points
+    before its integer lookup."""
+    if not 0 <= x < 1:
+        raise ValueError("points must lie in [0, 1)")
+    lo, hi = 0, len(cuts) - 2
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if cuts[mid] <= x:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def reference_star_discrepancy(points):
+    """Sweep over the sorted Fraction sample, as star_discrepancy ran before
+    its integer sweep."""
+    n = len(points)
+    xs = sorted(F(p) for p in points)
+    if not (0 <= xs[0] and xs[-1] < 1):
+        raise ValueError("points must lie in [0, 1)")
+    best = F(0)
+    for i, x in enumerate(xs, start=1):
+        best = max(best, F(i, n) - x, x - F(i - 1, n))
+    return best
+
+
+unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=97).filter(
+    lambda x: x < 1
+)
+
+
+@st.composite
+def mixed_cuts(draw):
+    inner = draw(st.sets(unit_fractions.filter(lambda t: t > 0), max_size=12))
+    return (F(0), *sorted(inner), F(1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_cuts(), st.data())
+def test_cell_lookup_matches_fraction_bisection(cuts, data):
+    partition = CellPartition(cuts)
+    near_cuts = [t for c in cuts[1:] for t in (c - F(1, 10**6), c) if t < 1]
+    points = data.draw(
+        st.lists(st.one_of(st.sampled_from(near_cuts), unit_fractions), min_size=1, max_size=20)
+    )
+    scale = data.draw(st.integers(min_value=1, max_value=9))
+    for x in points:
+        want = reference_cell_index(cuts, x)
+        assert partition.cell_index(x) == want
+        # Unreduced r/q locates the same cell.
+        assert partition.cell_of(x.numerator * scale, x.denominator * scale) == want
+
+
+def test_cell_index_error_paths_unchanged():
+    partition = CellPartition((F(0), F(1, 4), F(2, 3), F(1)))
+    for bad in (F(-1, 3), F(1)):
+        with pytest.raises(ValueError) as info:
+            partition.cell_index(bad)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "points must lie in [0, 1)"
+    with pytest.raises(CellStraddleError) as info:
+        partition.cell_index(ApproxPoint(F(1, 4), F(1, 100)))
+    assert str(info.value) == "point 1/4±1/100 straddles cut 1/4"
+    with pytest.raises(ValueError, match=r"^points must lie in \[0, 1\)$"):
+        star_discrepancy([F(1, 2), F(1)])
+    with pytest.raises(ValueError, match=r"^points must lie in \[0, 1\)$"):
+        star_discrepancy([F(-1, 3), F(1, 2)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(unit_fractions, min_size=1, max_size=40),
+    st.integers(min_value=0, max_value=5),
+    st.booleans(),
+)
+def test_star_discrepancy_matches_fraction_sweep(points, repeats, with_zero):
+    points = points + points[:repeats] + ([F(0)] if with_zero else [])
+    assert star_discrepancy(points) == reference_star_discrepancy(points)

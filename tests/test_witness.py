@@ -1,12 +1,15 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from maldist.doubling import zero_block_density
 from maldist.empirical import star_discrepancy
 from maldist.exact import mod1
 from maldist.torus import TorusInterval, mul_mod1
 from maldist.witness import (
+    AvoidanceResult,
     HistogramTarget,
     MixingConfig,
     MixingConfigError,
@@ -206,3 +209,49 @@ def test_zero_block_rejects_value_escape():
     # (the lone set digit sits at position 10, beyond the 9-digit horizon).
     with pytest.raises(ValueError):
         zero_block_alpha(F(1, 2) + F(1, 1024), (3,))
+
+
+def reference_avoidance_sequence(alpha, eps, prefix, horizon):
+    """The gap-{1,2} run on Fractions, as avoidance_sequence built it before
+    its residue loop (input checks left out)."""
+    alpha = mod1(F(alpha))
+    idx = list(prefix)
+    value = mod1(idx[-1] * alpha)
+    while len(idx) < horizon:
+        step1 = mod1(value + alpha)
+        if not step1 < eps:
+            idx.append(idx[-1] + 1)
+            value = step1
+        else:
+            value = mod1(step1 + alpha)
+            assert not value < eps
+            idx.append(idx[-1] + 2)
+    hits = sum(1 for n in idx[len(prefix) :] if mod1(n * alpha) < eps)
+    return AvoidanceResult(
+        alpha=alpha,
+        eps=eps,
+        indices=tuple(idx),
+        gaps=tuple(b - a for a, b in zip(idx, idx[1:])),
+        prefix_length=len(prefix),
+        hits_after_prefix=hits,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=2, max_value=5000),
+    st.fractions(min_value=0, max_value=F(1, 2), max_denominator=300),
+    st.lists(st.sampled_from((1, 2)), max_size=6),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=400),
+)
+def test_avoidance_matches_fraction_reference(p, q, eps, prefix_gaps, first, extra):
+    alpha = F(p, q)
+    assume(eps > 0 and mod1(alpha) >= eps and mod1(alpha) + eps <= 1)
+    prefix = [first]
+    for g in prefix_gaps:
+        prefix.append(prefix[-1] + g)
+    horizon = len(prefix) + extra
+    got = avoidance_sequence(alpha, eps, prefix=prefix, horizon=horizon)
+    assert got == reference_avoidance_sequence(alpha, eps, prefix, horizon)
