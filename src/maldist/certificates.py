@@ -592,8 +592,8 @@ def _verify_zeroblock(cert: dict):
             want[pos - 1] = 0
     if want != digits:
         yield "digit string does not match base with zeroed blocks"
-    value = Fraction(int("".join(str(d) for d in digits), 2), 1 << length)
-    point = BinaryPoint(tuple(digits), exact=True)
+    text = "".join(str(d) for d in digits)
+    value = Fraction(int(text, 2), 1 << length)
     for claim in cert["claims"]:
         cid, kind = claim["id"], claim["kind"]
         if kind == "point-in-interval":
@@ -608,7 +608,10 @@ def _verify_zeroblock(cert: dict):
             end = int(claim["end"])
             hits = 0
             for k in range(1, end + 1):
-                shifted = mod1(point.shift(k).value + value)
+                # 2^k * value mod 1 is the digit string after its first k
+                # digits; it is 0 once k >= L, as the expansion is exact.
+                tail = text[k:]
+                shifted = mod1(Fraction(int(tail or "0", 2), 1 << len(tail)) + value)
                 if Fraction(1, 2) < shifted < Fraction(3, 4):
                     hits += 1
             if hits != int(claim["hits"]) or _fr(Fraction(hits, end)) != claim["density"]:

@@ -165,12 +165,7 @@ def _seed(opts: dict) -> int:
 
 
 def _write_json(obj: dict, path: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -585,15 +580,15 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Integers in inputs, outputs and certificates may run past the default
+    # limit on int<->str conversion digits (Python >= 3.10.7).  The limit stays
+    # lifted after main returns, so that a caller in the same process can
+    # read the JSON main wrote.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"maldist {args.command}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except RationalParseError as exc:
-        print(f"maldist {args.command}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, IndexError) as exc:
+    except (CliError, ValueError, IndexError) as exc:
         print(f"maldist {args.command}: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

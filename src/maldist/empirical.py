@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Sequence
 
-from .exact import decimal_str, format_rational
+from .exact import decimal_str, format_rational, is_dyadic
 
 __all__ = [
     "CellStraddleError",
@@ -130,7 +130,7 @@ class CellPartition:
         return MeasureVector(tuple(b - a for a, b in zip(self.cuts, self.cuts[1:])))
 
     def is_dyadic(self) -> bool:
-        return all((t.denominator & (t.denominator - 1)) == 0 for t in self.cuts)
+        return all(is_dyadic(t) for t in self.cuts)
 
 
 @dataclass(frozen=True)

@@ -138,7 +138,6 @@ class BlockTrace:
     chosen: tuple[int, ...]
     cumulative: int
     deviations: tuple[Fraction, ...]
-    y_cells: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -152,15 +151,12 @@ class ExtensionResult:
     trace: tuple[BlockTrace, ...]
 
 
-def deviation_gap_cells(
-    deviations: Sequence[Fraction], eps: Fraction, fallback_positive: bool
-) -> tuple[int, ...]:
+def deviation_gap_cells(deviations: Sequence[Fraction], eps: Fraction) -> tuple[int, ...]:
     """High-deviation cell set: cells above the first sorted-deviation gap
     exceeding eps/s^2 (with the gap's top value also above eps/s^2).
 
-    With `fallback_positive`, a missing gap falls back to all cells of
-    positive deviation (the steering rule); otherwise the result is empty,
-    meaning no exchange obligation is in force.
+    Empty when there is no such gap, meaning no exchange obligation is in
+    force.
     """
     s = len(deviations)
     thresh = Fraction(eps) / (s * s)
@@ -169,8 +165,6 @@ def deviation_gap_cells(
         top, nxt = deviations[order[r]], deviations[order[r + 1]]
         if top - nxt > thresh and top > thresh:
             return tuple(sorted(order[: r + 1]))
-    if fallback_positive:
-        return tuple(i for i in range(s) if deviations[i] > 0)
     return ()
 
 
@@ -179,17 +173,13 @@ def _prefix_state(
     spec: BlockSpec,
     cell_of: Callable[[int], int],
     s: int,
-    j0: int | None,
 ) -> tuple[int, list[int]]:
+    """Blocks 1..j0 the prefix covers (j0 is the block of its last index),
+    and its per-cell counts."""
     idx = list(prefix)
     if any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValueError("prefix must be strictly increasing")
-    if j0 is None:
-        j0 = 0
-        while idx and spec.a(j0 + 1) <= idx[-1]:
-            j0 += 1
-    if idx and idx[-1] > spec.a(j0):
-        raise ValueError("prefix reaches beyond its covered blocks")
+    j0 = spec.block_of(idx[-1]) if idx else 0
     if len(idx) != spec.M(j0):
         raise ValueError(f"prefix must cover blocks 1..{j0} exactly")
     if validate_membership(idx, spec, blocks=j0) is False:
@@ -200,6 +190,16 @@ def _prefix_state(
     return j0, counts
 
 
+def _cell_buckets(
+    spec: BlockSpec, j: int, cell_of: Callable[[int], int], s: int
+) -> list[list[int]]:
+    """The indices of block j by cell, each list ascending."""
+    buckets: list[list[int]] = [[] for _ in range(s)]
+    for n in spec.block_range(j):
+        buckets[cell_of(n)].append(n)
+    return buckets
+
+
 def greedy_extension(
     prefix: Sequence[int],
     spec: BlockSpec,
@@ -207,29 +207,31 @@ def greedy_extension(
     partition: CellPartition,
     lam: MeasureVector,
     target: ExtensionTarget,
-    j0: int | None = None,
     max_blocks: int = 512,
     fixed_blocks: int | None = None,
-    validate_target: bool = True,
 ) -> ExtensionResult:
     """Extend a valid prefix block by block toward the target measure.
 
-    Indices are picked one at a time.  Each pick recomputes the steering
-    deviations, takes the high-deviation cell set Y from them (gap rule,
-    falling back to the positive-deviation cells), and prefers candidates in
-    Y while Y still has unmet deficit, then the largest remaining cell
-    deficit, ties by smallest index.  At the asymptotic scale the design
-    mirrors (per-block mass vanishing relative to the total) this per-pick
-    refresh coincides with recomputing Y once per block; at finite scale it
-    is what keeps a block from overshooting its own steering set.
+    The target must lie under the envelope bound (ValueError otherwise).
+    Indices are picked one at a time: of the free indices in the cells with
+    the largest remaining deficit, the smallest.  This is the design's
+    steering rule with its high-deviation cell set Y recomputed at every
+    pick: prefer Y (the gap rule of `deviation_gap_cells`, falling back to
+    the positive-deviation cells) while Y has unmet deficit, then the
+    largest deficit.  Y is a top segment of the deficit order with no tie
+    across its border, so the two rules pick the same cell and Y need not be
+    formed.  At the asymptotic scale the design mirrors (per-block mass
+    vanishing relative to the total) recomputing Y per pick coincides with
+    recomputing it once per block; at finite scale it is what keeps a block
+    from overshooting its own steering set.
 
     Steering measures deviations against the sample size where the result
     will be judged: the end of the current block on an open horizon, or the
-    end of block j0 + fixed_blocks when the horizon is fixed.  A fixed
-    horizon also discounts picks that later blocks will force regardless
-    (blocks whose other-cell supply cannot absorb their multiplicity), since
-    chasing mass that arrives anyway gives away accuracy the remaining
-    blocks cannot return.
+    end of the prefix's blocks plus `fixed_blocks` when the horizon is
+    fixed.  A fixed horizon also discounts picks that later blocks will
+    force regardless (blocks whose other-cell supply cannot absorb their
+    multiplicity), since chasing mass that arrives anyway gives away
+    accuracy the remaining blocks cannot return.
 
     With `fixed_blocks` the extension runs exactly that many blocks past the
     prefix; otherwise it stops at the first block boundary where every
@@ -239,20 +241,23 @@ def greedy_extension(
     s = partition.size
     if lam.size != s or target.mu.size != s:
         raise ValueError("partition, lambda and target sizes disagree")
-    if validate_target:
-        verdict = envelope_dominates(target.mu, lam, target.pi, partition)
-        if not verdict.ok:
-            raise ValueError(
-                f"target exceeds the envelope on cells {verdict.violation}: "
-                f"{verdict.union_mass} > {verdict.bound}"
-            )
+    verdict = envelope_dominates(target.mu, lam, target.pi, partition)
+    if not verdict.ok:
+        raise ValueError(
+            f"target exceeds the envelope on cells {verdict.violation}: "
+            f"{verdict.union_mass} > {verdict.bound}"
+        )
     cell_of = _cell_lookup(x, partition)
-    j0_val, counts = _prefix_state(prefix, spec, cell_of, s, j0)
+    j0, counts = _prefix_state(prefix, spec, cell_of, s)
     chosen = list(prefix)
     mu = target.mu.masses
     eps = target.eps
+    # Deficits are held as integers over den; every pick of cell c lowers
+    # deficit[c] by den.
+    den = lcm(*(f.denominator for f in mu))
+    mu_scaled = [int(f * den) for f in mu]
     trace: list[BlockTrace] = []
-    prefix_mass = spec.M(j0_val)
+    prefix_mass = spec.M(j0)
 
     def deviations(total: int) -> tuple[Fraction, ...]:
         if total == 0:
@@ -260,65 +265,44 @@ def greedy_extension(
         return tuple(mu[i] - Fraction(counts[i], total) for i in range(s))
 
     achieved = False
-    j = j0_val
+    j = j0
     blocks_budget = fixed_blocks if fixed_blocks is not None else max_blocks
-    final_total = spec.M(j0_val + fixed_blocks) if fixed_blocks is not None else None
+    final_total = spec.M(j0 + fixed_blocks) if fixed_blocks is not None else None
     forced_after: dict[int, list[int]] = {}
     if fixed_blocks is not None:
         # forced_after[j][i]: picks of cell i that blocks after j will force
         # because their other cells cannot absorb the block multiplicity.
-        last = j0_val + fixed_blocks
+        last = j0 + fixed_blocks
         suffix = [0] * s
         forced_after[last] = list(suffix)
-        for jj in range(last, j0_val, -1):
-            avail = [0] * s
-            for n in spec.block_range(jj):
-                avail[cell_of(n)] += 1
+        for jj in range(last, j0, -1):
+            avail = [len(b) for b in _cell_buckets(spec, jj, cell_of, s)]
             m_jj = spec.m(jj)
             total_avail = sum(avail)
             for i in range(s):
                 suffix[i] += max(0, m_jj - (total_avail - avail[i]))
             forced_after[jj - 1] = list(suffix)
-    while j - j0_val < blocks_budget:
+    while j - j0 < blocks_budget:
         j += 1
         m_j = spec.m(j)
         steer_total = final_total if final_total is not None else len(chosen) + m_j
         future = forced_after.get(j, [0] * s)
-        deficit = [mu[i] * steer_total - counts[i] - future[i] for i in range(s)]
-        y_entry = deviation_gap_cells(
-            tuple(d / steer_total for d in deficit) if steer_total else tuple(mu),
-            eps,
-            fallback_positive=True,
-        )
-        pool = sorted(spec.block_range(j))
+        deficit = [mu_scaled[i] * steer_total - (counts[i] + future[i]) * den for i in range(s)]
+        # Per-cell free indices, smallest on top: within a cell the smallest
+        # free index always wins, so a pick compares cells, not indices.
+        free = _cell_buckets(spec, j, cell_of, s)
+        for stack in free:
+            stack.reverse()
         picked: list[int] = []
         for _ in range(m_j):
-            devs = tuple(d / steer_total for d in deficit) if steer_total else tuple(mu)
-            y_set = set(deviation_gap_cells(devs, eps, fallback_positive=True))
-            best = None
-            best_key = None
-            for n in pool:
-                c = cell_of(n)
-                key = (0 if (c in y_set and deficit[c] > 0) else 1, -deficit[c], n)
-                if best_key is None or key < best_key:
-                    best, best_key = n, key
-            picked.append(best)
-            pool.remove(best)
-            c = cell_of(best)
+            c = min((c for c in range(s) if free[c]), key=lambda c: (-deficit[c], free[c][-1]))
+            picked.append(free[c].pop())
             counts[c] += 1
-            deficit[c] -= 1
+            deficit[c] -= den
         picked.sort()
         chosen.extend(picked)
         devs_after = deviations(len(chosen))
-        trace.append(
-            BlockTrace(
-                block=j,
-                chosen=tuple(picked),
-                cumulative=len(chosen),
-                deviations=devs_after,
-                y_cells=y_entry,
-            )
-        )
+        trace.append(BlockTrace(j, tuple(picked), len(chosen), devs_after))
         if fixed_blocks is None:
             washout = (
                 prefix_mass == 0
@@ -357,7 +341,6 @@ def brute_force_extension(
     partition: CellPartition,
     target: ExtensionTarget,
     j1: int,
-    j0: int | None = None,
     limit: int = 10**7,
 ) -> BruteForceResult:
     """Exact minimizer of the final total absolute deviation over all
@@ -371,11 +354,11 @@ def brute_force_extension(
     """
     s = partition.size
     cell_of = _cell_lookup(x, partition)
-    j0_val, base_counts = _prefix_state(prefix, spec, cell_of, s, j0)
-    if j1 < j0_val:
+    j0, base_counts = _prefix_state(prefix, spec, cell_of, s)
+    if j1 < j0:
         raise ValueError("j1 must not precede the prefix blocks")
     space = 1
-    for j in range(j0_val + 1, j1 + 1):
+    for j in range(j0 + 1, j1 + 1):
         space *= comb(spec.b(j), spec.m(j))
         if space > limit:
             raise ValueError(f"search space exceeds limit {limit}")
@@ -388,10 +371,8 @@ def brute_force_extension(
     # allocations (k_0..k_{s-1}) with sum m_j, k_i <= avail_i.
     block_opts: list[list[tuple[int, ...]]] = []
     block_avail: list[list[list[int]]] = []
-    for j in range(j0_val + 1, j1 + 1):
-        avail: list[list[int]] = [[] for _ in range(s)]
-        for n in spec.block_range(j):
-            avail[cell_of(n)].append(n)
+    for j in range(j0 + 1, j1 + 1):
+        avail = _cell_buckets(spec, j, cell_of, s)
         block_avail.append(avail)
         block_opts.append(_count_vectors(tuple(len(a) for a in avail), spec.m(j)))
 
@@ -524,7 +505,7 @@ def exchange_facts(
             counts[cell_of(n)] += 1
     mu = target.mu.masses
     devs = [mu[i] - Fraction(counts[i], total) for i in range(s)]
-    y_cells = deviation_gap_cells(devs, target.eps, fallback_positive=False)
+    y_cells = deviation_gap_cells(devs, target.eps)
     if not y_cells:
         return ExchangeFactsReport(y_cells=(), applicable=False, blocks=())
     y_set = set(y_cells)

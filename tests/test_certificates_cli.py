@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import maldist
@@ -19,7 +19,7 @@ from maldist.doubling import (
 )
 from maldist.empirical import CellPartition, MeasureVector
 from maldist.envelope import RatioMeasure, envelope_dominates
-from maldist.exact import format_rational
+from maldist.exact import format_rational, mod1
 from maldist.torus import TorusInterval
 from maldist.witness import (
     HistogramTarget,
@@ -231,6 +231,38 @@ def test_fivesixth_verifier_recounts_the_hits(p, q, horizon):
     assert not certs.verify_certificate(cert).ok
 
 
+def shift_window_hits(point, end):
+    """Hits of (1/2, 3/4) by 2^k x + x mod 1 for k = 1..end, each shift
+    rebuilt from the digits by BinaryPoint.shift."""
+    shifted = (mod1(point.shift(k).value + point.value) for k in range(1, end + 1))
+    return sum(1 for v in shifted if F(1, 2) < v < F(3, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.fractions(F(1, 2), F(3, 4)).filter(lambda b: F(1, 2) < b < F(3, 4)),
+    st.lists(st.integers(3, 7), min_size=1, max_size=3, unique=True),
+    st.data(),
+)
+def test_zeroblock_verifier_recounts_window_hits(base, starts, data):
+    try:
+        point = zero_block_alpha(base, starts)
+    except ValueError:
+        assume(False)
+    # Windows past L count the shifts that have consumed every digit.
+    ends = data.draw(st.lists(st.integers(1, len(point.digits) + 12), min_size=1, max_size=4))
+    cert = certs.zeroblock_certificate(point, base, starts)
+    for end in ends:
+        hits = shift_window_hits(point, end)
+        cert["claims"].append({
+            "id": f"window-{end}", "kind": "window-density", "end": end,
+            "hits": hits, "density": format_rational(F(hits, end)), "verdict": True,
+        })
+    assert certs.verify_certificate(cert).ok
+    cert["claims"][-1]["hits"] += 1
+    assert not certs.verify_certificate(cert).ok
+
+
 # --- CLI ---------------------------------------------------------------------
 
 
@@ -382,6 +414,39 @@ def test_cli_witness_mode_aliases(tmp_path):
     )
     assert a.returncode == b.returncode == 0
     assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+
+
+# 12^(64^2) has about 4400 decimal digits, past Python's default limit of
+# 4300 on int<->str conversion.
+OVER_DIGIT_LIMIT = (
+    "witness", "--mode", "salat3", "--n-kind", "squarepow:12", "--weights", "3,1",
+    "--eta", "1/10", "--base", "8",
+)
+
+
+def test_cli_integers_past_the_digit_limit(tmp_path):
+    out = tmp_path / "cert.json"
+    res = run_cli(*OVER_DIGIT_LIMIT, "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    check = run_cli("verify", str(out))
+    assert check.returncode == 0, check.stdout
+    assert json.loads(check.stdout)["ok"] is True
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_main_leaves_digit_limit_lifted_for_its_caller(tmp_path):
+    from maldist.cli import main
+
+    out = tmp_path / "cert.json"
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        assert main([*OVER_DIGIT_LIMIT, "--out", str(out)]) == 0
+        # The caller reads the certificate main wrote, huge integers included.
+        cert = json.loads(out.read_text())
+        assert certs.verify_certificate(cert).ok
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_cli_subspace_explicit_pi(tmp_path):

@@ -2,11 +2,15 @@ from fractions import Fraction as F
 from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from maldist.empirical import CellPartition, MeasureVector
 from maldist.envelope import BlockSpec, RatioMeasure, pi_measure
 from maldist.rng import SplitMix64
 from maldist.subspace import (
+    BlockTrace,
+    ExtensionResult,
     ExtensionTarget,
     brute_force_extension,
     exchange_facts,
@@ -139,6 +143,19 @@ def test_greedy_respects_prefix():
     assert all(n % 2 == 1 for n in result.indices[2:])
 
 
+def test_greedy_accepts_prefix_ending_inside_its_block():
+    # [1, 3] covers block 1 = {1, .., 4} although 3 is not the block's end.
+    spec = BlockSpec(lambda j: 4, lambda j: 2)
+    target = ExtensionTarget(
+        mu=MeasureVector((F(1), F(0))), eps=F(1, 10), pi=RatioMeasure.point_mass(F(1, 2))
+    )
+    result = greedy_extension(
+        [1, 3], spec, alternating, HALVES, UNIFORM2, target, fixed_blocks=2
+    )
+    assert result.indices == (1, 3, 5, 7, 9, 11)
+    assert [entry.block for entry in result.trace] == [2, 3]
+
+
 def test_greedy_budget_exhaustion_reports_partial():
     spec = BlockSpec(lambda j: 2, lambda j: 1)
     # Unreachable target: both cells wanted at 1/2 but x only ever in cell 0.
@@ -150,6 +167,141 @@ def test_greedy_budget_exhaustion_reports_partial():
     )
     assert not result.achieved
     assert result.blocks == 6
+
+
+def pool_scan_greedy(prefix, j0, spec, x, partition, target, max_blocks, fixed_blocks):
+    """Reference greedy with Fraction deficits: each pick recomputes the gap
+    set Y and scans every free index of the block for the least key
+    (not (in Y with deficit > 0), -deficit, index)."""
+    s = partition.size
+    counts = [0] * s
+    for n in prefix:
+        counts[partition.cell_index(x(n))] += 1
+    chosen = list(prefix)
+    mu = target.mu.masses
+    eps = target.eps
+    trace = []
+    prefix_mass = spec.M(j0)
+
+    def deviations(total):
+        if total == 0:
+            return tuple(mu)
+        return tuple(mu[i] - F(counts[i], total) for i in range(s))
+
+    def gap_set(devs):
+        thresh = eps / (s * s)
+        order = sorted(range(s), key=lambda i: (-devs[i], i))
+        for r in range(s - 1):
+            top, nxt = devs[order[r]], devs[order[r + 1]]
+            if top - nxt > thresh and top > thresh:
+                return set(order[: r + 1])
+        return {i for i in range(s) if devs[i] > 0}
+
+    achieved = False
+    j = j0
+    budget = fixed_blocks if fixed_blocks is not None else max_blocks
+    final_total = spec.M(j0 + fixed_blocks) if fixed_blocks is not None else None
+    forced_after = {}
+    if fixed_blocks is not None:
+        last = j0 + fixed_blocks
+        suffix = [0] * s
+        forced_after[last] = list(suffix)
+        for jj in range(last, j0, -1):
+            avail = [0] * s
+            for n in spec.block_range(jj):
+                avail[partition.cell_index(x(n))] += 1
+            for i in range(s):
+                suffix[i] += max(0, spec.m(jj) - (sum(avail) - avail[i]))
+            forced_after[jj - 1] = list(suffix)
+    while j - j0 < budget:
+        j += 1
+        m_j = spec.m(j)
+        steer_total = final_total if final_total is not None else len(chosen) + m_j
+        future = forced_after.get(j, [0] * s)
+        deficit = [mu[i] * steer_total - counts[i] - future[i] for i in range(s)]
+        pool = sorted(spec.block_range(j))
+        picked = []
+        for _ in range(m_j):
+            y_set = gap_set(tuple(d / steer_total for d in deficit))
+            best = best_key = None
+            for n in pool:
+                c = partition.cell_index(x(n))
+                key = (0 if (c in y_set and deficit[c] > 0) else 1, -deficit[c], n)
+                if best_key is None or key < best_key:
+                    best, best_key = n, key
+            picked.append(best)
+            pool.remove(best)
+            c = partition.cell_index(x(best))
+            counts[c] += 1
+            deficit[c] -= 1
+        picked.sort()
+        chosen.extend(picked)
+        devs_after = deviations(len(chosen))
+        trace.append(BlockTrace(j, tuple(picked), len(chosen), devs_after))
+        if fixed_blocks is None:
+            washout = prefix_mass == 0 or F(prefix_mass, len(chosen)) < eps / (3 * s)
+            if washout and max(abs(d) for d in devs_after) < eps:
+                achieved = True
+                break
+    final = deviations(len(chosen))
+    if fixed_blocks is not None:
+        achieved = max(abs(d) for d in final) < eps
+    return ExtensionResult(
+        indices=tuple(chosen),
+        blocks=j,
+        deviations=final,
+        total_abs_dev=sum(abs(d) for d in final),
+        max_abs_dev=max(abs(d) for d in final),
+        achieved=achieved,
+        trace=tuple(trace),
+    )
+
+
+@st.composite
+def greedy_cases(draw):
+    s = draw(st.integers(1, 5))
+    den = draw(st.integers(max(s, 2), 24))
+    cuts = tuple(sorted(draw(st.sets(st.integers(1, den - 1), min_size=s - 1, max_size=s - 1))))
+    # Point levels over 96: a narrow range leaves cells without points.
+    levels = tuple(draw(st.lists(st.integers(0, 95), min_size=1, max_size=30)))
+    j0 = draw(st.integers(0, 3))
+    budget = draw(st.integers(1, 6))
+    block = st.integers(1, 6).flatmap(lambda b: st.tuples(st.just(b), st.integers(0, b)))
+    blocks = tuple(draw(st.lists(block, min_size=j0 + budget, max_size=j0 + budget)))
+    weights = tuple(draw(st.lists(st.integers(0, 5), min_size=s, max_size=s)))
+    eps = draw(st.sampled_from([F(1, 100), F(1, 20), F(1, 10), F(1, 3)]))
+    fixed = draw(st.booleans())
+    seed = draw(st.integers(0, 2**16))
+    return den, cuts, levels, j0, budget, blocks, weights, eps, fixed, seed
+
+
+# Unreachable targets: every point lies in cell 0, the target wants cell 1.
+@example((2, (1,), (10,), 0, 4, ((3, 1),) * 4, (0, 1), F(1, 100), False, 0))
+@example((2, (1,), (10,), 1, 3, ((3, 2),) * 4, (1, 1), F(1, 100), True, 0))
+# Block 2 forces a cell-0 pick, so block 1 must take its cell-1 index.
+@example((2, (1,), (10, 60, 10), 0, 2, ((2, 1), (1, 1)), (1, 1), F(1, 100), True, 0))
+@given(greedy_cases())
+def test_greedy_matches_pool_scan_reference(case):
+    den, cuts, levels, j0, budget, blocks, weights, eps, fixed, seed = case
+    partition = CellPartition((F(0),) + tuple(F(k, den) for k in cuts) + (F(1),))
+    lam = partition.lebesgue_masses()
+    spec = BlockSpec([b for b, _ in blocks], [m for _, m in blocks])
+    if sum(weights) == 0:
+        weights = (1,) + weights[1:]
+    mu = MeasureVector(tuple(F(w, sum(weights)) for w in weights))
+    # F(t) = 1 from the smallest cell length on, so every target is admissible.
+    target = ExtensionTarget(mu=mu, eps=eps, pi=RatioMeasure.point_mass(min(lam.masses)))
+    x = lambda n: F(levels[(n - 1) % len(levels)], 96)
+    prefix = sample_uniform(spec, j0, seed) if j0 else ()
+    # The prefix covers the blocks through that of its last index.
+    j0 = spec.block_of(prefix[-1]) if prefix else 0
+    kwargs = {"fixed_blocks": budget} if fixed else {"max_blocks": budget}
+    result = greedy_extension(prefix, spec, x, partition, lam, target, **kwargs)
+    want = pool_scan_greedy(
+        prefix, j0, spec, x, partition, target,
+        max_blocks=budget, fixed_blocks=budget if fixed else None,
+    )
+    assert result == want
 
 
 # --- brute force and exchange facts -----------------------------------------
