@@ -68,7 +68,6 @@ from .subspace import (
 )
 from .torus import (
     TorusInterval,
-    TorusPoint,
     interval_contains_interval,
     intervals_disjoint,
     mul_mod1,

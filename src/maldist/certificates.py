@@ -54,9 +54,6 @@ class VerificationResult:
     ok: bool
     failures: tuple[str, ...]
 
-    def first_failure(self) -> str | None:
-        return self.failures[0] if self.failures else None
-
 
 def certificate_ok(cert: dict) -> bool:
     """True iff every claim in the certificate carries verdict true."""

@@ -1,13 +1,16 @@
 """Command-line front end: reproducible experiments with exact outputs.
 
-Subcommands: envelope, subspace, witness, doubling, scan, verify.  Options
-may also come from a key=value config file (--config); an explicit flag wins
-over the file, unknown keys are rejected, and every rational is parsed
-exactly ("p/q" or decimal string).  Outputs are JSON certificates (stable key
-order) and CSV tables; identical configuration and seed reproduce identical
-bytes.  The default seed is 0, overridable through the MALDIST_SEED
-environment variable or --seed.  All randomness comes from the SplitMix64
-stream named in the output.
+Subcommands: envelope, subspace, witness, doubling, scan, verify.  Each is
+declared once, in the `_SUBCOMMANDS` table: its help text, its option names
+and its handler.  Options may also come from a key=value config file
+(--config) whose keys are exactly the subcommand's flags; an explicit flag
+wins over the file, unknown keys are rejected, and every rational is parsed
+exactly ("p/q" or decimal string).  The parser is built on the first `main`
+call and reused for the rest of the process.  Outputs are JSON certificates
+(stable key order) and CSV tables; identical configuration and seed
+reproduce identical bytes.  The default seed is 0, overridable through the
+MALDIST_SEED environment variable or --seed.  All randomness comes from the
+SplitMix64 stream named in the output.
 
 Exit codes: 0 success, 1 a certificate claim failed (or verification found a
 mismatch), 2 usage error.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -67,19 +71,13 @@ class CliError(Exception):
 # option plumbing: flags + config file, flag wins, unknown keys rejected
 
 
-_SUBCOMMAND_KEYS: dict[str, set[str]] = {}
-
-
-def _add_option(parser: argparse.ArgumentParser, sub: str, name: str, **kwargs):
-    _SUBCOMMAND_KEYS.setdefault(sub, set()).add(name)
-    parser.add_argument(f"--{name}", default=None, **kwargs)
-
-
-def _merge_config(args: argparse.Namespace, sub: str) -> dict[str, str]:
+def _merge_config(args: argparse.Namespace, keys: tuple[str, ...]) -> dict[str, str]:
+    sub = args.command
     values: dict[str, str] = {}
     if args.config:
         try:
-            text = open(args.config, "r", encoding="utf-8").read()
+            with open(args.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
         except OSError as exc:
             raise CliError(f"cannot read config file: {exc}")
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -90,13 +88,16 @@ def _merge_config(args: argparse.Namespace, sub: str) -> dict[str, str]:
                 raise CliError(f"{args.config}:{lineno}: expected key = value")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key not in _SUBCOMMAND_KEYS[sub]:
+            if key not in keys:
                 raise CliError(f"{args.config}:{lineno}: unknown key {key!r} for {sub!r}")
             values[key] = val
-    for key in _SUBCOMMAND_KEYS[sub]:
+    for key in keys:
         flag_val = getattr(args, key.replace("-", "_"))
         if flag_val is not None:
             values[key] = flag_val
+    # verify's positional path is the weakest source of --certificate.
+    if sub == "verify" and args.certificate_path and "certificate" not in values:
+        values["certificate"] = args.certificate_path
     return values
 
 
@@ -273,8 +274,7 @@ def _points_source(opts: dict, count: int) -> list[Fraction]:
 # subcommands
 
 
-def _cmd_envelope(args) -> int:
-    opts = _merge_config(args, "envelope")
+def _cmd_envelope(opts: dict) -> int:
     spec = _block_spec(opts)
     blocks = _int(opts, "blocks")
     grid = _int(opts, "grid", 101)
@@ -320,8 +320,7 @@ def _cmd_envelope(args) -> int:
     return exit_code
 
 
-def _cmd_subspace(args) -> int:
-    opts = _merge_config(args, "subspace")
+def _cmd_subspace(opts: dict) -> int:
     spec = _block_spec(opts)
     cuts = _rational_list(_require(opts, "cuts"), "cuts")
     partition = CellPartition(tuple(cuts))
@@ -371,8 +370,7 @@ def _cmd_subspace(args) -> int:
     return 0
 
 
-def _cmd_witness(args) -> int:
-    opts = _merge_config(args, "witness")
+def _cmd_witness(opts: dict) -> int:
     mode = _require(opts, "mode")
     if mode == "mixing":
         eps = _rational(opts, "eps")
@@ -429,8 +427,7 @@ def _cmd_witness(args) -> int:
     return 0 if certs.certificate_ok(cert) else CLAIM_ERROR
 
 
-def _cmd_doubling(args) -> int:
-    opts = _merge_config(args, "doubling")
+def _cmd_doubling(opts: dict) -> int:
     mode = _require(opts, "mode")
     if mode == "orbit":
         alpha = _rational(opts, "alpha")
@@ -477,8 +474,7 @@ def _cmd_doubling(args) -> int:
     return 0 if certs.certificate_ok(cert) else CLAIM_ERROR
 
 
-def _cmd_scan(args) -> int:
-    opts = _merge_config(args, "scan")
+def _cmd_scan(opts: dict) -> int:
     checkpoints = _int_list(_require(opts, "checkpoints"), "checkpoints")
     if "cuts" in opts:
         partition = CellPartition(tuple(_rational_list(opts["cuts"], "cuts")))
@@ -490,10 +486,7 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    opts = _merge_config(args, "verify")
-    if getattr(args, "certificate_path", None) and "certificate" not in opts:
-        opts["certificate"] = args.certificate_path
+def _cmd_verify(opts: dict) -> int:
     path = _require(opts, "certificate")
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -512,82 +505,81 @@ def _cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the subcommand table: name -> (help text, option names, handler).  Each
+# option name is both a flag --<name> and a config key; the handler receives
+# the merged options.  Dict order is the order of `maldist --help`.
 
 
+_SUBCOMMANDS = {
+    "envelope": (
+        "ratio measure, envelope table and domination verdict",
+        ("spec", "blocks", "grid", "mu", "lam", "tol", "digits", "seed", "out",
+         "table-out"),
+        _cmd_envelope,
+    ),
+    "subspace": (
+        "greedy extension toward a target measure",
+        ("spec", "cuts", "mu", "eps", "pi", "pi-blocks", "blocks", "prefix",
+         "x-kind", "x-alpha", "seed", "out", "trace-out"),
+        _cmd_subspace,
+    ),
+    "witness": (
+        "explicit irregularity witnesses (mixing|salat2|salat3|avoid|zeroblock; "
+        "hitfreq/histogram alias the middle two)",
+        ("mode", "n", "n-kind", "eps", "delta", "start", "targets", "interval",
+         "ratio", "count", "plan-u", "plan-c", "plan-repeats", "weights", "eta",
+         "base", "alpha", "horizon", "prefix", "discrepancy-floor", "starts",
+         "seed", "out"),
+        _cmd_witness,
+    ),
+    "doubling": (
+        "doubling-map orbits and hit reports (orbit|invariance|fivesixth|zeroblock)",
+        ("mode", "alpha", "steps", "level", "horizon", "base", "starts", "windows",
+         "digits", "seed", "out"),
+        _cmd_doubling,
+    ),
+    "scan": (
+        "checkpoint scan of a point sequence as CSV",
+        ("x-kind", "x-alpha", "cuts", "cells", "checkpoints", "digits", "seed", "out"),
+        _cmd_scan,
+    ),
+    "verify": (
+        "re-check a certificate from its echoed inputs",
+        ("certificate", "seed", "out"),
+        _cmd_verify,
+    ),
+}
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maldist",
         description="Exact witnesses and envelope bounds for irregular distribution mod 1.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    def sub(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, (help_text, keys, _) in _SUBCOMMANDS.items():
         p = subs.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="key=value option file (flags win)")
-        _SUBCOMMAND_KEYS.setdefault(name, set())
-        return p
-
-    p = sub("envelope", "ratio measure, envelope table and domination verdict")
-    for name in ("spec", "blocks", "grid", "mu", "lam", "tol", "digits",
-                 "seed", "out", "table-out"):
-        _add_option(p, "envelope", name)
-
-    p = sub("subspace", "greedy extension toward a target measure")
-    for name in ("spec", "cuts", "mu", "eps", "pi", "pi-blocks", "blocks",
-                 "prefix", "x-kind", "x-alpha", "seed", "out", "trace-out"):
-        _add_option(p, "subspace", name)
-
-    p = sub(
-        "witness",
-        "explicit irregularity witnesses (mixing|salat2|salat3|avoid|zeroblock; "
-        "hitfreq/histogram alias the middle two)",
-    )
-    for name in ("mode", "n", "n-kind", "eps", "delta", "start", "targets",
-                 "interval", "ratio", "count", "plan-u", "plan-c", "plan-repeats",
-                 "weights", "eta", "base", "alpha", "horizon", "prefix",
-                 "discrepancy-floor", "starts", "seed", "out"):
-        _add_option(p, "witness", name)
-
-    p = sub("doubling", "doubling-map orbits and hit reports (orbit|invariance|fivesixth|zeroblock)")
-    for name in ("mode", "alpha", "steps", "level", "horizon", "base", "starts",
-                 "windows", "digits", "seed", "out"):
-        _add_option(p, "doubling", name)
-
-    p = sub("scan", "checkpoint scan of a point sequence as CSV")
-    for name in ("x-kind", "x-alpha", "cuts", "cells", "checkpoints", "digits",
-                 "seed", "out"):
-        _add_option(p, "scan", name)
-
-    p = sub("verify", "re-check a certificate from its echoed inputs")
-    p.add_argument("certificate_path", nargs="?", default=None,
-                   help="certificate JSON file (alternative to --certificate)")
-    for name in ("certificate", "seed", "out"):
-        _add_option(p, "verify", name)
-
+        if name == "verify":
+            p.add_argument("certificate_path", nargs="?", default=None,
+                           help="certificate JSON file (alternative to --certificate)")
+        for key in keys:
+            p.add_argument(f"--{key}", default=None)
     return parser
 
 
-_COMMANDS = {
-    "envelope": _cmd_envelope,
-    "subspace": _cmd_subspace,
-    "witness": _cmd_witness,
-    "doubling": _cmd_doubling,
-    "scan": _cmd_scan,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     # Integers in inputs, outputs and certificates may run past the default
     # limit on int<->str conversion digits (Python >= 3.10.7).  The limit stays
     # lifted after main returns, so that a caller in the same process can
     # read the JSON main wrote.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
+    _, keys, handler = _SUBCOMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        return handler(_merge_config(args, keys))
     except (CliError, ValueError, IndexError) as exc:
         print(f"maldist {args.command}: {exc}", file=sys.stderr)
         return USAGE_ERROR

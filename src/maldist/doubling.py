@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import binary_digits, mod1
+from .exact import mod1
 from .empirical import CellPartition
 from .torus import TorusInterval
 
@@ -69,15 +69,6 @@ class BinaryPoint:
             return BinaryPoint((0,), exact=True)
         rest = self.digits[k:]
         return BinaryPoint(rest, exact=self.exact)
-
-    @classmethod
-    def from_fraction(cls, value: Fraction, length: int) -> "BinaryPoint":
-        """First `length` digits of value in [0, 1); exact iff the value is a
-        dyadic rational fully captured by that many digits."""
-        value = Fraction(value)
-        digits = binary_digits(value, length)
-        exact = (value * (1 << length)).denominator == 1
-        return cls(digits, exact=exact)
 
 
 def doubling_orbit(alpha: Fraction | BinaryPoint, steps: int) -> list[Fraction]:

@@ -154,13 +154,6 @@ class MeasureVector:
     def mass(self, cells: Iterable[int]) -> Fraction:
         return sum((self.masses[i] for i in cells), _ZERO)
 
-    def tv_distance(self, other: "MeasureVector") -> Fraction:
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        return sum(
-            (abs(a - b) for a, b in zip(self.masses, other.masses)), _ZERO
-        ) / 2
-
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:

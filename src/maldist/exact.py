@@ -102,19 +102,17 @@ def mod1(value: Fraction) -> Fraction:
 def binary_digits(value: Fraction, length: int) -> tuple[int, ...]:
     """First `length` binary digits a_1..a_L of value in [0, 1), exact.
 
-    Digits beyond the denominator's 2-adic depth are computed from the exact
-    rational, so periodic expansions are handled correctly.
+    For value = p/q the digits are the L-bit binary expansion of
+    floor(p * 2^L / q), one integer division, so periodic expansions are
+    handled exactly.
     """
     x = Fraction(value)
     if not 0 <= x < 1:
         raise ValueError("binary_digits requires a value in [0, 1)")
-    out = []
-    for _ in range(length):
-        x *= 2
-        d = x.numerator // x.denominator
-        out.append(d)
-        x -= d
-    return tuple(out)
+    if length <= 0:
+        return ()
+    bits = (x.numerator << length) // x.denominator
+    return tuple(map(int, format(bits, f"0{length}b")))
 
 
 def is_dyadic(value: Fraction) -> bool:

@@ -15,16 +15,12 @@ from fractions import Fraction
 from .exact import format_rational, mod1, parse_rational
 
 __all__ = [
-    "TorusPoint",
     "TorusInterval",
     "mul_mod1",
     "preimage_intervals",
     "intervals_disjoint",
     "interval_contains_interval",
 ]
-
-# A torus point is an exact rational in [0, 1); no wrapper class is needed.
-TorusPoint = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

@@ -1,0 +1,100 @@
+"""The subcommand table in `maldist.cli`: one parser per process, options that
+do not leak from one `main` call to the next, config keys that are exactly a
+subcommand's flags, and the README's documented commands."""
+
+import json
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from maldist import cli
+
+from tests.test_certificates_cli import cli_env
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+AVOID = ["witness", "--mode", "avoid", "--alpha", "5/17", "--eps", "1/5"]
+
+
+@pytest.fixture(autouse=True)
+def no_env_seed(monkeypatch):
+    monkeypatch.delenv("MALDIST_SEED", raising=False)
+
+
+def test_parser_not_built_at_import():
+    code = "import maldist.cli as c; print(c._build_parser.cache_info().misses)"
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env()
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "0"
+
+
+def test_parser_built_once_per_process(tmp_path):
+    cli._build_parser.cache_clear()
+    assert cli.main([*AVOID, "--horizon", "20", "--out", str(tmp_path / "a.json")]) == 0
+    assert cli.main(["verify", str(tmp_path / "a.json"), "--out", str(tmp_path / "v.json")]) == 0
+    assert cli.main(["scan", "--x-alpha", "1/3", "--checkpoints", "3",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_no_options_leak_between_calls(tmp_path):
+    config = tmp_path / "run.conf"
+    config.write_text("seed = 7\nhorizon = 30\n")
+    first, second, third = (tmp_path / f"{n}.json" for n in ("a", "b", "c"))
+    assert cli.main([*AVOID, "--horizon", "50", "--seed", "5", "--out", str(first)]) == 0
+    assert cli.main([*AVOID, "--horizon", "50", "--out", str(second)]) == 0
+    assert json.loads(first.read_text())["rng"]["seed"] == 5
+    assert json.loads(second.read_text())["rng"]["seed"] == 0
+    assert cli.main([*AVOID, "--config", str(config), "--out", str(first)]) == 0
+    assert cli.main([*AVOID, "--out", str(third)]) == 0
+    from_config = json.loads(first.read_text())
+    assert (from_config["rng"]["seed"], from_config["inputs"]["horizon"]) == (7, 30)
+    plain = json.loads(third.read_text())
+    assert (plain["rng"]["seed"], plain["inputs"]["horizon"]) == (0, 10_000)
+
+
+@pytest.mark.parametrize("sub", list(cli._SUBCOMMANDS))
+def test_every_flag_is_a_config_key(tmp_path, sub):
+    keys = cli._SUBCOMMANDS[sub][1]
+    parser = cli._build_parser()
+    for key in keys:
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key} = zz\n")
+        args = parser.parse_args([sub, "--config", str(config)])
+        assert cli._merge_config(args, keys) == {key: "zz"}
+
+
+@pytest.mark.parametrize("sub", list(cli._SUBCOMMANDS))
+def test_another_subcommands_key_rejected(tmp_path, capsys, sub):
+    keys = cli._SUBCOMMANDS[sub][1]
+    foreign = min({k for _, ks, _ in cli._SUBCOMMANDS.values() for k in ks} - set(keys))
+    config = tmp_path / "run.conf"
+    config.write_text(f"{foreign} = 1\n")
+    assert cli.main([sub, "--config", str(config)]) == cli.USAGE_ERROR
+    assert capsys.readouterr().err == (
+        f"maldist {sub}: {config}:1: unknown key {foreign!r} for {sub!r}\n"
+    )
+
+
+def readme_commands() -> list[list[str]]:
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("maldist "):
+            commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_exit_zero(tmp_path, monkeypatch, capsys):
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == set(cli._SUBCOMMANDS)
+    monkeypatch.chdir(tmp_path)
+    # In order: `verify cert.json` reads the certificate salat2 writes.
+    for argv in commands:
+        assert cli.main(argv) == 0, (argv, capsys.readouterr().err)

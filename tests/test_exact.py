@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maldist.exact import (
@@ -63,6 +63,34 @@ def test_binary_digits_periodic():
     assert binary_digits(F(5, 8), 5) == (1, 0, 1, 0, 0)
     with pytest.raises(ValueError):
         binary_digits(F(3, 2), 4)
+    with pytest.raises(ValueError):
+        binary_digits(F(-1, 3), 4)
+    assert binary_digits(F(1, 3), 0) == ()
+    assert binary_digits(F(0), 0) == ()
+
+
+def doubling_digits(value, length):
+    """Reference: double a Fraction `length` times, taking the integer parts."""
+    x = F(value)
+    out = []
+    for _ in range(length):
+        x *= 2
+        d = x.numerator // x.denominator
+        out.append(d)
+        x -= d
+    return tuple(out)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(min_value=1, max_value=10**40).flatmap(
+        lambda q: st.tuples(st.integers(min_value=0, max_value=q - 1), st.just(q))
+    ),
+    st.integers(min_value=-2, max_value=400),
+)
+def test_binary_digits_match_repeated_doubling(pq, length):
+    value = F(*pq)
+    assert binary_digits(value, length) == doubling_digits(value, length)
 
 
 def test_is_dyadic():
