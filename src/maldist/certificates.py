@@ -422,11 +422,15 @@ def verify_certificate(cert: dict) -> VerificationResult:
 def _check_point_claim(claim: dict):
     alpha = parse_rational(claim["alpha"])
     n = int(claim["multiplier"])
+    if n < 1:
+        raise ValueError("multiplier must be a positive integer")
     interval = TorusInterval.from_json(claim["interval"])
-    value = mul_mod1(n, alpha)
+    q = alpha.denominator
+    r = n * alpha.numerator % q
+    value = Fraction(r, q)
     if _fr(value) != claim["value"]:
         yield f"{claim['id']}: recomputed value {_fr(value)} != stated {claim['value']}"
-    verdict = interval.contains(value)
+    verdict = interval.contains_residue(r, q)
     if verdict != bool(claim["verdict"]):
         yield f"{claim['id']}: recomputed verdict {verdict} != stated {claim['verdict']}"
 
@@ -462,8 +466,11 @@ def _verify_mixing(cert: dict):
     # Cross-checks tying the echo together.
     if not start.contains(alpha):
         yield "alpha outside the start interval"
+    p, q = alpha.numerator, alpha.denominator
     for k, (n_k, target) in enumerate(zip(multipliers, targets), start=1):
-        if not target.contains(mul_mod1(n_k, alpha)):
+        if n_k < 1:
+            raise ValueError("multiplier must be a positive integer")
+        if not target.contains_residue(n_k * p % q, q):
             yield f"containment-{k}: alpha fails the target"
 
 
@@ -477,12 +484,20 @@ def _verify_hitfreq(cert: dict):
     u, c = int(plan["u"]), int(plan["c"])
     eps = interval.length
     horizon = len(multipliers)
+    if any(n < 1 for n in multipliers):
+        raise ValueError("multiplier must be a positive integer")
     for j in range(horizon - 1):
-        if Fraction(multipliers[j + 1], multipliers[j]) < ratio:
+        if multipliers[j + 1] * ratio.denominator < ratio.numerator * multipliers[j]:
             yield f"growth fails at step {j + 1}"
-    count = sum(
-        1 for j in range(1, horizon + 1) if interval.contains(mul_mod1(multipliers[j - 1], alpha))
-    )
+    # Recount on residues r = n*p mod q, chained through n/n_prev when the
+    # previous multiplier divides n (a small factor for geometric growth).
+    p, q = alpha.numerator, alpha.denominator
+    prev, r, count = 1, p, 0
+    for n in multipliers:
+        factor, rem = divmod(n, prev)
+        r = n * p % q if rem else factor * r % q
+        prev = n
+        count += interval.contains_residue(r, q)
     for claim in cert["claims"]:
         cid = claim["id"]
         kind = claim["kind"]
@@ -520,10 +535,18 @@ def _verify_histogram(cert: dict):
     ell = len(weights)
     total = sum(weights)
     horizon = len(multipliers)
+    if any(n < 1 for n in multipliers):
+        raise ValueError("multiplier must be a positive integer")
+    # Cell of n*alpha mod 1 = r/q is r*ell // q, with the residues r chained
+    # as in _verify_hitfreq.
+    p, q = alpha.numerator, alpha.denominator
+    prev, r = 1, p
     counts = [0] * ell
     for n in multipliers:
-        v = mul_mod1(n, alpha)
-        counts[int(v * ell)] += 1
+        factor, rem = divmod(n, prev)
+        r = n * p % q if rem else factor * r % q
+        prev = n
+        counts[r * ell // q] += 1
     for claim in cert["claims"]:
         if claim["kind"] != "cell-frequency-within":
             yield f"{claim['id']}: unknown claim kind"
@@ -590,7 +613,8 @@ def _verify_zeroblock(cert: dict):
     if want != digits:
         yield "digit string does not match base with zeroed blocks"
     text = "".join(str(d) for d in digits)
-    value = Fraction(int(text, 2), 1 << length)
+    num, scale = int(text, 2), 1 << length
+    value = Fraction(num, scale)
     for claim in cert["claims"]:
         cid, kind = claim["id"], claim["kind"]
         if kind == "point-in-interval":
@@ -606,10 +630,13 @@ def _verify_zeroblock(cert: dict):
             hits = 0
             for k in range(1, end + 1):
                 # 2^k * value mod 1 is the digit string after its first k
-                # digits; it is 0 once k >= L, as the expansion is exact.
-                tail = text[k:]
-                shifted = mod1(Fraction(int(tail or "0", 2), 1 << len(tail)) + value)
-                if Fraction(1, 2) < shifted < Fraction(3, 4):
+                # digits (0 once k >= L, as the expansion is exact), so
+                # (2^k + 1) * value mod 1 = s/2^L with s below; it lies in
+                # (1/2, 3/4) iff 2s > 2^L and 4s < 3 * 2^L.
+                s = (int(text[k:] or "0", 2) << k) + num
+                if s >= scale:
+                    s -= scale
+                if 2 * s > scale and 4 * s < 3 * scale:
                     hits += 1
             if hits != int(claim["hits"]) or _fr(Fraction(hits, end)) != claim["density"]:
                 yield f"{cid}: recomputed hits {hits} != stated {claim['hits']}"

@@ -52,10 +52,7 @@ class BinaryPoint:
 
     @property
     def value(self) -> Fraction:
-        num = 0
-        for d in self.digits:
-            num = (num << 1) | d
-        return Fraction(num, 1 << len(self.digits))
+        return Fraction(int("".join(map(str, self.digits)), 2), 1 << len(self.digits))
 
     def shift(self, k: int) -> "BinaryPoint":
         """Digits of 2^k * value mod 1 (drop the first k digits)."""

@@ -65,9 +65,14 @@ class TorusInterval:
     def contains(self, x: Fraction) -> bool:
         """Exact membership of a point in [0, 1)."""
         x = Fraction(x)
-        if self.wraps:
-            return x > self.left or x < self.right
-        return self.left < x < self.right
+        return self.contains_residue(x.numerator, x.denominator)
+
+    def contains_residue(self, r: int, q: int) -> bool:
+        """Exact membership of the point r/q (q > 0) by cross-multiplication,
+        without reducing r/q: for huge q no gcd is run."""
+        above = self.left.numerator * q < r * self.left.denominator
+        below = r * self.right.denominator < self.right.numerator * q
+        return (above or below) if self.wraps else (above and below)
 
     def midpoint(self) -> Fraction:
         """Arc midpoint, reduced to [0, 1)."""
@@ -109,7 +114,8 @@ def mul_mod1(n: int, alpha: Fraction) -> Fraction:
     """Fractional part of n*alpha, exact.  Requires n >= 1."""
     if n < 1:
         raise ValueError("multiplier must be a positive integer")
-    return mod1(n * Fraction(alpha))
+    alpha = Fraction(alpha)
+    return Fraction(n * alpha.numerator % alpha.denominator, alpha.denominator)
 
 
 def preimage_intervals(n: int, target: TorusInterval) -> list[TorusInterval]:

@@ -18,15 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .doubling import BinaryPoint
 from .exact import binary_digits, mod1
-from .torus import (
-    TorusInterval,
-    interval_contains_interval,
-    mul_mod1,
-)
+from .torus import TorusInterval
 
 __all__ = [
     "MixingConfigError",
@@ -94,10 +91,11 @@ class MixingConfig:
         if self.start.wraps:
             raise MixingConfigError(0, "start interval must not wrap")
         n = self.multipliers
-        if n and n[0] * self.delta <= 2:
+        if n and n[0] * self.delta.numerator <= 2 * self.delta.denominator:
             raise MixingConfigError(1, f"n_1={n[0]} must exceed 2/delta={2 / self.delta}")
+        e_num, e_den = self.eps.numerator, self.eps.denominator
         for k in range(len(n) - 1):
-            if n[k + 1] * self.eps <= 2 * n[k]:
+            if n[k + 1] * e_num <= 2 * n[k] * e_den:
                 raise MixingConfigError(
                     k + 2,
                     f"n_{k + 2}={n[k + 1]} must exceed (2/eps) n_{k + 1}={2 * n[k] / self.eps}",
@@ -111,11 +109,33 @@ class MixingConfig:
 
 @dataclass(frozen=True)
 class MixingChain:
-    """Nested intervals I_0 (the start) down to I_K, and alpha = midpoint of I_K."""
+    """Nested intervals I_0 (the start) down to I_K, and alpha = midpoint of I_K.
+
+    Interval k >= 1 is the piece of the preimage of target k (trimmed to
+    length eps) in the cell [j_k/n_k, (j_k + 1)/n_k]; `cells` holds j_1..j_K.
+    """
 
     config: MixingConfig
-    intervals: tuple[TorusInterval, ...]
+    cells: tuple[int, ...]
     alpha: Fraction
+
+    @cached_property
+    def intervals(self) -> tuple[TorusInterval, ...]:
+        cfg = self.config
+        chain = [cfg.start]
+        for n_k, target, j in zip(cfg.multipliers, cfg.targets, self.cells):
+            a = target.left
+            chain.append(TorusInterval(Fraction(a + j, n_k), Fraction(a + cfg.eps + j, n_k)))
+        return tuple(chain)
+
+
+def _ends(left: Fraction, eps: Fraction, j: int) -> tuple[int, int, int, int]:
+    """(lo, lo_den, hi, hi_den) with interval k = (lo/(lo_den*n_k),
+    hi/(hi_den*n_k)) = ((a + j)/n_k, (a + eps + j)/n_k) for a = left: the
+    denominators are small, and the numerators no larger than n_k times them."""
+    lo, lo_den = left.numerator + j * left.denominator, left.denominator
+    hi_den = lo_den * eps.denominator
+    return lo, lo_den, lo * eps.denominator + eps.numerator * lo_den, hi_den
 
 
 def mixing_chain(config: MixingConfig) -> MixingChain:
@@ -124,61 +144,99 @@ def mixing_chain(config: MixingConfig) -> MixingChain:
 
     The returned alpha (midpoint of the last interval) therefore satisfies
     alpha in start and n_k * alpha mod 1 in target_k for every k; all
-    containments are re-verified through mul_mod1 before returning.
+    containments are re-verified before returning.
+
+    The chain runs on integers: interval k's ends are numerators over
+    lo_den * n_k and hi_den * n_k (see `_ends`; the start has n_0 = 1).
+    When n_{k-1} divides n_k, the next cell comes from the small ratio
+    n_k / n_{k-1}, at a cost linear in the bits of n_k.
     """
     config.validate()
     eps = config.eps
-    chain = [config.start]
-    current = config.start
+    start = config.start
+    lo, lo_den = start.left.numerator, start.left.denominator
+    hi, hi_den = start.right.numerator, start.right.denominator
+    prev = 1
+    cells = []
     for k, (n_k, target) in enumerate(zip(config.multipliers, config.targets), start=1):
-        # Trim the target to its leading sub-interval of length exactly eps.
-        a = target.left
-        trimmed = TorusInterval(a, a + eps)
-        lo, hi = current.left, current.right
-        # A full closed cell [j/n, (j+1)/n] fits strictly inside (lo, hi)
-        # because hi - lo > 2/n_k; take the smallest such j.
-        j = (lo * n_k).numerator // (lo * n_k).denominator + 1
-        if not (lo < Fraction(j, n_k) and Fraction(j + 1, n_k) < hi):
+        # Interval k-1 over n_k is (lo*scale/(lo_den*n_k), hi*scale/(hi_den*n_k)),
+        # with scale = n_k/prev when prev divides n_k.  A full closed cell
+        # [j/n_k, (j+1)/n_k] fits strictly inside it because its length
+        # exceeds 2/n_k; take the smallest such j.
+        scale, rem = divmod(n_k, prev)
+        if rem:
+            scale, lo_den, hi_den = n_k, lo_den * prev, hi_den * prev
+        lo_scaled = lo * scale
+        j = lo_scaled // lo_den + 1
+        if not (lo_scaled < j * lo_den and (j + 1) * hi_den < hi * scale):
             raise MixingConfigError(k, "internal: no full preimage cell fits")
-        nxt = TorusInterval(
-            Fraction(a + j, n_k),
-            Fraction(a + eps + j, n_k),
-        )
-        chain.append(nxt)
-        current = nxt
-    alpha = current.midpoint()
-    _verify_chain(config, chain, alpha)
-    return MixingChain(config=config, intervals=tuple(chain), alpha=alpha)
+        cells.append(j)
+        # Trim the target to its leading sub-interval of length exactly eps.
+        lo, lo_den, hi, hi_den = _ends(target.left, eps, j)
+        prev = n_k
+    alpha = Fraction(lo * hi_den + hi * lo_den, 2 * lo_den * hi_den * prev)
+    _verify_chain(config, cells, alpha)
+    return MixingChain(config=config, cells=tuple(cells), alpha=alpha)
 
 
-def _verify_chain(
-    config: MixingConfig, chain: Sequence[TorusInterval], alpha: Fraction
-) -> None:
+def _verify_chain(config: MixingConfig, cells: Sequence[int], alpha: Fraction) -> None:
+    """Re-check the chain by cross-multiplication: alpha in the start, and for
+    every k the length eps/n_k, nesting in interval k-1, n_k * alpha mod 1 in
+    target k, and the whole interval k mapping into target k.
+
+    n_k * alpha mod 1 = r_k/q runs on chained residues: when n_{k-1} divides
+    n_k, r_k = (n_k/n_{k-1}) * r_{k-1} mod q, else r_k = n_k * p mod q.
+    """
     eps = config.eps
-    if not config.start.contains(alpha):
+    p, q = alpha.numerator, alpha.denominator
+    if not config.start.contains_residue(p, q):
         raise AssertionError("alpha escaped the start interval")
-    for k, (n_k, target) in enumerate(zip(config.multipliers, config.targets), start=1):
-        got = chain[k]
-        if got.length != eps / n_k:
+    left, right = config.start.left, config.start.right
+    outer = (left.numerator, left.denominator, right.numerator, right.denominator)
+    prev, r = 1, p
+    for k, (n_k, target, j) in enumerate(
+        zip(config.multipliers, config.targets, cells), start=1
+    ):
+        lo, lo_den, hi, hi_den = _ends(target.left, eps, j)
+        if (hi * lo_den - lo * hi_den) * eps.denominator != eps.numerator * lo_den * hi_den:
             raise AssertionError(f"interval {k} has wrong length")
-        if not interval_contains_interval(chain[k - 1], got):
+        ratio, rem = divmod(n_k, prev)
+        r = n_k * p % q if rem else ratio * r % q
+        # Interval k-1 over n_k: its numerators times n_k/prev = up/down.
+        up, down = (n_k, prev) if rem else (ratio, 1)
+        o_lo, o_lo_den, o_hi, o_hi_den = outer
+        if not (
+            o_lo * lo_den * up <= lo * o_lo_den * down
+            and hi * o_hi_den * down <= o_hi * hi_den * up
+        ):
             raise AssertionError(f"interval {k} not nested in its predecessor")
-        value = mul_mod1(n_k, alpha)
-        if not target.contains(value):
-            raise AssertionError(f"containment {k} fails: {value} outside target")
-        # The whole interval must map into the target, not just alpha.
-        if not _interval_maps_into(n_k, got, target):
+        if not target.contains_residue(r, q):
+            raise AssertionError(f"containment {k} fails: {Fraction(r, q)} outside target")
+        # The whole interval must map into the target, not just alpha:
+        # n_k * interval k = (lo/lo_den, hi/hi_den), shifted down by the
+        # integer part w of its left end.
+        w = lo // lo_den
+        ta, tb = target.left, target.right
+        if not (
+            (lo - w * lo_den) * ta.denominator >= ta.numerator * lo_den
+            and (hi - w * hi_den) * tb.denominator <= tb.numerator * hi_den
+        ):
             raise AssertionError(f"interval {k} is not inside the preimage of target {k}")
+        outer, prev = (lo, lo_den, hi, hi_den), n_k
 
 
-def _interval_maps_into(n: int, interval: TorusInterval, target: TorusInterval) -> bool:
-    """True iff multiplication by n carries the whole open interval into the
-    open target; works for arbitrarily large n (no preimage enumeration)."""
-    lo, hi = interval.lifted()
-    scaled_lo, scaled_hi = n * lo, n * hi
-    j = scaled_lo.numerator // scaled_lo.denominator
-    ta, tb = target.lifted()
-    return scaled_lo - j >= ta and scaled_hi - j <= tb
+def _residues(multipliers: Sequence[int], alpha: Fraction):
+    """n * p mod q for each multiplier n and alpha = p/q, in order.  When the
+    previous multiplier divides n, the residue is (n/n_prev) * r_prev mod q,
+    which for a small ratio costs time linear in the bits of q; otherwise it
+    is one product and one modulo."""
+    p, q = alpha.numerator, alpha.denominator
+    prev, r = 1, p
+    for n in multipliers:
+        ratio, rem = divmod(n, prev)
+        r = n * p % q if rem else ratio * r % q
+        prev = n
+        yield r
 
 
 @dataclass(frozen=True)
@@ -274,8 +332,10 @@ def hit_frequency_witness(
         raise ValueError("target interval must not wrap")
     if not eps < 1 / ratio:
         raise ValueError("interval length must be below 1/ratio")
+    if any(v < 1 for v in n):
+        raise ValueError("multiplier must be a positive integer")
     for j in range(len(n) - 1):
-        if not Fraction(n[j + 1], n[j]) >= ratio:
+        if n[j + 1] * ratio.denominator < ratio.numerator * n[j]:
             raise ValueError(f"growth fails at step {j + 1}: {n[j + 1]}/{n[j]} < {ratio}")
     if plan is None:
         plan = auto_plan(ratio, eps)
@@ -302,7 +362,8 @@ def hit_frequency_witness(
     )
     chain = mixing_chain(config)
     alpha = chain.alpha
-    hits = sum(1 for j in range(1, horizon + 1) if interval.contains(mul_mod1(n[j - 1], alpha)))
+    q = alpha.denominator
+    hits = sum(1 for r in _residues(n[:horizon], alpha) if interval.contains_residue(r, q))
     freq = Fraction(hits, horizon)
     threshold = Fraction(1, 2 * c)
     if not freq > threshold:
@@ -434,10 +495,13 @@ def histogram_witness(
     )
     chain = mixing_chain(config)
     alpha = chain.alpha
+    # The chain's hypotheses covered the steered multipliers, not the first base.
+    if any(v < 1 for v in n[:base]):
+        raise ValueError("multiplier must be a positive integer")
+    q = alpha.denominator
     counts = [0] * ell
-    for j in range(1, horizon + 1):
-        v = mul_mod1(n[j - 1], alpha)
-        counts[min(int(v * ell), ell - 1)] += 1
+    for r in _residues(n[:horizon], alpha):
+        counts[r * ell // q] += 1
     freqs = tuple(Fraction(cnt, horizon) for cnt in counts)
     devs = tuple(
         freqs[i] - Fraction(target.weights[i], e_total) for i in range(ell)

@@ -1,0 +1,401 @@
+"""Differential tests of the integer witness kernels against test-local copies
+of the Fraction code they replaced: the nested-interval chain, the orbit
+recounts of the hit-frequency and histogram witnesses, the recounts of the
+hitfreq, histogram and zero-block verifiers, and `BinaryPoint.value`.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
+
+from maldist import certificates as certs
+from maldist.doubling import BinaryPoint
+from maldist.exact import format_rational, mod1
+from maldist.torus import TorusInterval, interval_contains_interval
+from maldist.witness import (
+    HistogramTarget,
+    MixingConfig,
+    MixingConfigError,
+    _verify_chain,
+    histogram_witness,
+    hit_frequency_witness,
+    mixing_chain,
+)
+
+# --- Fraction references ------------------------------------------------------
+
+
+def fraction_mul_mod1(n, alpha):
+    return mod1(n * F(alpha))
+
+
+def fraction_contains(interval, x):
+    if interval.wraps:
+        return x > interval.left or x < interval.right
+    return interval.left < x < interval.right
+
+
+def fraction_validate(cfg):
+    if not 0 < cfg.eps < 1 or not 0 < cfg.delta < 1:
+        raise MixingConfigError(0, "eps and delta must lie in (0, 1)")
+    if len(cfg.targets) != len(cfg.multipliers):
+        raise MixingConfigError(0, "need one target interval per multiplier")
+    if cfg.start.length < cfg.delta:
+        raise MixingConfigError(0, f"start interval shorter than delta={cfg.delta}")
+    if cfg.start.wraps:
+        raise MixingConfigError(0, "start interval must not wrap")
+    n = cfg.multipliers
+    if n and n[0] * cfg.delta <= 2:
+        raise MixingConfigError(1, f"n_1={n[0]} must exceed 2/delta={2 / cfg.delta}")
+    for k in range(len(n) - 1):
+        if n[k + 1] * cfg.eps <= 2 * n[k]:
+            raise MixingConfigError(
+                k + 2,
+                f"n_{k + 2}={n[k + 1]} must exceed (2/eps) n_{k + 1}={2 * n[k] / cfg.eps}",
+            )
+    for k, t in enumerate(cfg.targets, start=1):
+        if t.wraps:
+            raise MixingConfigError(k, "target intervals must not wrap")
+        if t.length < cfg.eps:
+            raise MixingConfigError(k, f"target {k} shorter than eps={cfg.eps}")
+
+
+def fraction_maps_into(n, interval, target):
+    lo, hi = interval.lifted()
+    scaled_lo, scaled_hi = n * lo, n * hi
+    j = scaled_lo.numerator // scaled_lo.denominator
+    ta, tb = target.lifted()
+    return scaled_lo - j >= ta and scaled_hi - j <= tb
+
+
+def fraction_chain(cfg):
+    """(alpha, intervals) of the chain, built and checked on Fractions."""
+    fraction_validate(cfg)
+    eps = cfg.eps
+    chain = [cfg.start]
+    current = cfg.start
+    for k, (n_k, target) in enumerate(zip(cfg.multipliers, cfg.targets), start=1):
+        a = target.left
+        lo, hi = current.left, current.right
+        j = (lo * n_k).numerator // (lo * n_k).denominator + 1
+        if not (lo < F(j, n_k) and F(j + 1, n_k) < hi):
+            raise MixingConfigError(k, "internal: no full preimage cell fits")
+        current = TorusInterval(F(a + j, n_k), F(a + eps + j, n_k))
+        chain.append(current)
+    alpha = current.midpoint()
+    assert fraction_contains(cfg.start, alpha)
+    for k, (n_k, target) in enumerate(zip(cfg.multipliers, cfg.targets), start=1):
+        assert chain[k].length == eps / n_k
+        assert interval_contains_interval(chain[k - 1], chain[k])
+        assert fraction_contains(target, fraction_mul_mod1(n_k, alpha))
+        assert fraction_maps_into(n_k, chain[k], target)
+    return alpha, tuple(chain)
+
+
+def fraction_hits(multipliers, alpha, interval):
+    return sum(1 for n in multipliers if fraction_contains(interval, fraction_mul_mod1(n, alpha)))
+
+
+def fraction_cell_counts(multipliers, alpha, ell):
+    counts = [0] * ell
+    for n in multipliers:
+        counts[min(int(fraction_mul_mod1(n, alpha) * ell), ell - 1)] += 1
+    return counts
+
+
+def fraction_window_hits(digits, end):
+    text = "".join(str(d) for d in digits)
+    value = F(int(text, 2), 1 << len(text))
+    hits = 0
+    for k in range(1, end + 1):
+        tail = text[k:]
+        shifted = mod1(F(int(tail or "0", 2), 1 << len(tail)) + value)
+        if F(1, 2) < shifted < F(3, 4):
+            hits += 1
+    return hits
+
+
+def bitwise_value(digits):
+    num = 0
+    for d in digits:
+        num = (num << 1) | d
+    return F(num, 1 << len(digits))
+
+
+# --- strategies ---------------------------------------------------------------
+
+
+@st.composite
+def unit_intervals(draw, min_length=F(0)):
+    """Non-wrapping (left, right) on a small grid; endpoints 0 and 1 included."""
+    den = draw(st.integers(1, 24))
+    lo = draw(st.integers(0, den - 1))
+    hi = draw(st.integers(lo + 1, den))
+    left, right = F(lo, den), F(hi, den)
+    if right - left < min_length:
+        left, right = (F(0), min_length) if draw(st.booleans()) else (1 - min_length, F(1))
+    return TorusInterval(left, right)
+
+
+def grow(draw, n, factor):
+    """Next multiplier above factor * n: an exact multiple of n, or not."""
+    if draw(st.booleans()):
+        return n * (factor.numerator // factor.denominator + 1 + draw(st.integers(0, 3)))
+    return n * factor.numerator // factor.denominator + 1 + draw(st.integers(0, n))
+
+
+@st.composite
+def chain_configs(draw):
+    eps = F(draw(st.integers(1, 3)), draw(st.integers(4, 20)))
+    start = draw(unit_intervals())
+    delta = start.length * F(draw(st.integers(1, 4)), 4)
+    if delta >= 1:
+        delta = F(1, 2)
+    steps = draw(st.integers(0, 6))
+    # Sometimes one hypothesis fails on purpose (at the start or at a step).
+    bad = draw(st.integers(0, 3 * steps + 2))
+    n = (2 / delta).numerator // (2 / delta).denominator + 1 + draw(st.integers(0, 5))
+    n *= 10 ** draw(st.sampled_from([0, 0, 3, 40]))
+    multipliers = []
+    for k in range(1, steps + 1):
+        if k == bad:
+            n = max(1, n // 2)
+        multipliers.append(n)
+        n = grow(draw, n, 2 / eps)
+    targets = []
+    for _ in range(steps):
+        # Length exactly eps, or longer, with ends on 0 and 1 as well.
+        length = min(F(1), eps * F(draw(st.sampled_from([4, 4, 5, 8])), 4))
+        left = draw(st.sampled_from([F(0), F(1) - length, F(draw(st.integers(0, 30)), 31)]))
+        targets.append(TorusInterval(min(left, 1 - length), min(left, 1 - length) + length))
+    return MixingConfig(tuple(multipliers), eps, delta, start, tuple(targets))
+
+
+def mixed_multipliers(draw, size):
+    """Positive multipliers in which some ratios are integers and some not."""
+    out = [draw(st.integers(1, 50))]
+    for _ in range(size - 1):
+        if draw(st.booleans()):
+            out.append(out[-1] * draw(st.integers(1, 6)))
+        else:
+            out.append(draw(st.integers(1, 10**draw(st.sampled_from([3, 30])))))
+    return out
+
+
+# --- the chain ------------------------------------------------------------------
+
+
+def outcome(build):
+    try:
+        return build()
+    except MixingConfigError as exc:
+        return ("error", exc.index, str(exc))
+
+
+def boundary_config(multipliers):
+    target = TorusInterval(F(1, 3), F(1, 2))
+    return MixingConfig(multipliers, F(1, 10), F(1, 2), TorusInterval(F(0), F(1, 2)), (target,) * 2)
+
+
+@given(chain_configs())
+# Growth hypotheses met with equality, which they must refuse.
+@example(boundary_config((4, 81)))
+@example(boundary_config((5, 100)))
+@example(
+    MixingConfig(
+        (7, 7 * 21 + 3, (7 * 21 + 3) * 21 + 5),
+        F(1, 10),
+        F(1, 2),
+        TorusInterval(F(0), F(1, 2)),
+        (
+            TorusInterval(F(0), F(1, 10)),
+            TorusInterval(F(9, 10), F(1)),
+            TorusInterval(F(1, 3), F(1, 2)),
+        ),
+    )
+)
+def test_mixing_chain_matches_fraction_reference(config):
+    def integer():
+        chain = mixing_chain(config)
+        return chain.alpha, chain.intervals
+
+    assert outcome(integer) == outcome(lambda: fraction_chain(config))
+
+
+def eps_chain(nonint=False):
+    eps = F(1, 8)
+    target = TorusInterval(F(1, 4), F(3, 8))
+    n = [5, 5 * 17, 5 * 17 * 17 + (3 if nonint else 0), 5 * 17 * 17 * 17 * 17]
+    config = MixingConfig(tuple(n), eps, F(1, 2), TorusInterval(F(0), F(1, 2)), (target,) * 4)
+    return config, mixing_chain(config)
+
+
+@pytest.mark.parametrize("nonint", [False, True])
+def test_verify_chain_rejects_a_cell_off_the_nesting(nonint):
+    config, chain = eps_chain(nonint)
+    # Any cell keeps the length and maps into the target, and alpha still
+    # lands in the target; only the nesting breaks.
+    cells = list(chain.cells)
+    cells[1] += 5
+    with pytest.raises(AssertionError, match="interval 2 not nested"):
+        _verify_chain(config, cells, chain.alpha)
+
+
+@pytest.mark.parametrize("nonint", [False, True])
+def test_verify_chain_rejects_an_interval_not_mapping_into_its_target(nonint):
+    config, chain = eps_chain(nonint)
+    # The last target shrinks to (a, a + 3 eps/4): alpha's image a + eps/2
+    # still lies in it, but the image of the whole last interval does not.
+    a = config.targets[-1].left
+    short = TorusInterval(a, a + config.eps * F(3, 4))
+    shrunk = MixingConfig(
+        config.multipliers, config.eps, config.delta, config.start, config.targets[:-1] + (short,)
+    )
+    with pytest.raises(AssertionError, match="interval 4 is not inside the preimage"):
+        _verify_chain(shrunk, chain.cells, chain.alpha)
+
+
+def test_verify_chain_rejects_alpha_outside_a_target():
+    config, chain = eps_chain()
+    # The right end of the last interval maps onto the target's right end.
+    with pytest.raises(AssertionError, match="containment 4 fails"):
+        _verify_chain(config, chain.cells, chain.intervals[-1].right)
+    with pytest.raises(AssertionError, match="escaped the start"):
+        _verify_chain(config, chain.cells, F(3, 4))
+
+
+# --- witness recounts -------------------------------------------------------------
+
+
+@given(st.integers(2, 9), st.booleans(), st.data())
+def test_hit_frequency_count_matches_fraction_reference(b, explicit, data):
+    length = F(1, b + data.draw(st.integers(1, 20)))
+    left = data.draw(st.sampled_from([F(0), 1 - length, F(data.draw(st.integers(0, 30)), 31)]))
+    interval = TorusInterval(min(left, 1 - length), min(left, 1 - length) + length)
+    n = [data.draw(st.integers(1, 20))]
+    while len(n) < 80:
+        # Explicit lists grow by at least b, often by a ratio that is no integer.
+        n.append(n[-1] * b + (data.draw(st.integers(0, n[-1])) if explicit else 0))
+    try:
+        witness = hit_frequency_witness(n, interval, F(b))
+    except ValueError:
+        assume(False)
+    assert witness.hit_count == fraction_hits(n[: witness.horizon], witness.alpha, interval)
+
+
+@given(
+    st.sampled_from([(1, 1), (3, 1), (1, 2, 1), (1, 1, 1, 1)]),
+    st.sampled_from([4, 8]),
+    st.booleans(),
+    st.data(),
+)
+def test_histogram_counts_match_fraction_reference(weights, base, explicit, data):
+    ell = len(weights)
+    n = [data.draw(st.integers(1, 20))]
+    while len(n) < base * base:
+        n.append(grow(data.draw, n[-1], F(2 * ell)) if explicit else n[-1] * (2 * ell + 1))
+    witness = histogram_witness(n, HistogramTarget(weights, F(1)), base)
+    assert list(witness.counts) == fraction_cell_counts(n[: base * base], witness.alpha, ell)
+
+
+# --- verifier recounts ------------------------------------------------------------
+
+
+def claim_failures(cert, claim_id):
+    return [f for f in certs.verify_certificate(cert).failures if f.startswith(claim_id + ":")]
+
+
+@st.composite
+def residue_cases(draw):
+    q = draw(st.sampled_from([draw(st.integers(1, 60)), draw(st.integers(1, 10**40))]))
+    alpha = F(draw(st.integers(0, 3 * q)), q)
+    n = mixed_multipliers(draw, draw(st.integers(1, 25)))
+    return alpha, n
+
+
+@given(residue_cases(), st.data())
+def test_hitfreq_verifier_recount_matches_fraction_reference(case, data):
+    alpha, n = case
+    iv = data.draw(unit_intervals())
+    if data.draw(st.booleans()) and 0 < iv.left and iv.right < 1:
+        iv = TorusInterval(iv.right, iv.left, wraps=True)
+    count = fraction_hits(n, alpha, iv)
+    cert = {
+        "format": certs.FORMAT,
+        "kind": "hitfreq",
+        "inputs": {
+            "alpha": format_rational(alpha), "multipliers": n, "interval": iv.to_json(),
+            "ratio": "1/1", "plan": {"u": 1, "c": 1, "repeats": 1}, "forced_positions": [],
+        },
+        "claims": [{
+            "id": "hit-frequency", "kind": "hit-count-frequency", "count": count,
+            "horizon": len(n), "threshold": "1/2", "verdict": F(count, len(n)) > F(1, 2),
+        }],
+    }
+    assert claim_failures(cert, "hit-frequency") == []
+    cert["claims"][0]["count"] += 1
+    assert claim_failures(cert, "hit-frequency")
+
+
+@given(residue_cases(), st.lists(st.integers(1, 4), min_size=1, max_size=6), st.data())
+def test_histogram_verifier_recount_matches_fraction_reference(case, weights, data):
+    alpha, n = case
+    counts = fraction_cell_counts(n, alpha, len(weights))
+    eta = F(1, data.draw(st.integers(1, 8)))
+    claims = [
+        {
+            "id": f"cell-{i}", "kind": "cell-frequency-within", "cell": i, "count": cnt,
+            "horizon": len(n), "target": format_rational(F(w, sum(weights))),
+            "eta": format_rational(eta),
+            "verdict": abs(F(cnt, len(n)) - F(w, sum(weights))) < eta,
+        }
+        for i, (cnt, w) in enumerate(zip(counts, weights))
+    ]
+    cert = {
+        "format": certs.FORMAT,
+        "kind": "histogram",
+        "inputs": {
+            "alpha": format_rational(alpha), "multipliers": n, "weights": weights,
+            "eta": format_rational(eta), "base": 1,
+        },
+        "claims": claims,
+    }
+    assert certs.verify_certificate(cert).ok
+    cell = data.draw(st.integers(0, len(weights) - 1))
+    claims[cell]["count"] += 1
+    assert claim_failures(cert, f"cell-{cell}")
+
+
+@pytest.mark.parametrize("start", [1, 2, 3])
+def test_zeroblock_window_recount_on_every_short_digit_string(start):
+    # All strings of start^2 digits, so shifts onto the band edges 1/2 and
+    # 3/4 occur; a digit string that does not match the base is a separate
+    # failure.
+    length = start * start
+    for num in range(1 << length):
+        text = format(num, f"0{length}b")
+        claims = []
+        for end in range(1, length + 4):
+            hits = fraction_window_hits([int(ch) for ch in text], end)
+            claims.append({
+                "id": f"window-{end}", "kind": "window-density", "end": end,
+                "hits": hits, "density": format_rational(F(hits, end)), "verdict": True,
+            })
+        cert = {
+            "format": certs.FORMAT,
+            "kind": "zeroblock",
+            "inputs": {"base": "5/8", "block_starts": [start], "digits": text},
+            "claims": claims,
+        }
+        failures = certs.verify_certificate(cert).failures
+        assert [f for f in failures if f.startswith("window-")] == [], text
+
+
+# --- binary points ----------------------------------------------------------------
+
+
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
+def test_binary_point_value_matches_bitwise_reference(digits):
+    assert BinaryPoint(tuple(digits)).value == bitwise_value(digits)
