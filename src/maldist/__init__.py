@@ -24,6 +24,7 @@ from .empirical import (
     EmpiricalMeasure,
     LimitMassReport,
     MeasureVector,
+    Residues,
     checkpoint_scan,
     concat_measures,
     empirical_measure,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .doubling import BinaryPoint, OrbitHitReport, WindowDensity
-from .empirical import CellPartition, MeasureVector, star_discrepancy
+from .empirical import CellPartition, MeasureVector, Residues, star_discrepancy
 from .envelope import DominationResult, RatioMeasure, envelope_dominates
 from .exact import binary_digits, format_rational, mod1, parse_rational
 from .torus import TorusInterval, interval_contains_interval, mul_mod1
@@ -260,7 +260,7 @@ def avoidance_certificate(result: AvoidanceResult, discrepancy_floor: Fraction |
     margins = {}
     if discrepancy_floor is not None:
         p, q = result.alpha.numerator, result.alpha.denominator
-        disc = star_discrepancy([Fraction(n * p % q, q) for n in result.indices])
+        disc = star_discrepancy(Residues([n * p % q for n in result.indices], q))
         claims.append(
             {
                 "id": "star-discrepancy-floor",
@@ -589,7 +589,7 @@ def _verify_avoid(cert: dict):
             if hits != int(claim["hits"]) or (hits == 0) != bool(claim["verdict"]):
                 yield f"{cid}: recomputed hits {hits} != stated {claim['hits']}"
         elif kind == "star-discrepancy-at-least":
-            disc = star_discrepancy([Fraction(n * p % q, q) for n in indices])
+            disc = star_discrepancy(Residues([n * p % q for n in indices], q))
             floor = parse_rational(claim["floor"])
             if _fr(disc) != claim["value"] or (disc >= floor) != bool(claim["verdict"]):
                 yield f"{cid}: recomputed discrepancy {_fr(disc)} != stated {claim['value']}"

@@ -35,7 +35,7 @@ from .doubling import (
     invariance_defect,
     zero_block_density,
 )
-from .empirical import CellPartition, MeasureVector, checkpoint_scan, scan_to_csv
+from .empirical import CellPartition, MeasureVector, Residues, checkpoint_scan, scan_to_csv
 from .envelope import (
     BlockSpec,
     F_pi_eval,
@@ -251,19 +251,28 @@ def _multipliers(opts: dict, count: int) -> list[int]:
     name, _, arg = kind.partition(":")
     if name == "pow":
         base = int(arg or 2)
-        return [base**k for k in range(1, count + 1)]
+        out, power = [], 1
+        for _ in range(count):
+            power *= base
+            out.append(power)
+        return out
     if name == "squarepow":
         base = int(arg or 5)
-        return [base ** (k * k) for k in range(1, count + 1)]
+        out, power, step = [], 1, base
+        for _ in range(count):
+            power *= step  # b^((k+1)^2) = b^(k^2) * b^(2k+1)
+            step *= base * base
+            out.append(power)
+        return out
     raise CliError(f"--n-kind: unknown generator {name!r} (use pow:b or squarepow:b)")
 
 
-def _points_source(opts: dict, count: int) -> list[Fraction]:
+def _points_source(opts: dict, count: int) -> Residues:
     kind = opts.get("x-kind", "rotation")
     if kind == "rotation":
         alpha = _rational(opts, "x-alpha")
         p, q = alpha.numerator, alpha.denominator
-        return [Fraction(n * p % q, q) for n in range(1, count + 1)]
+        return Residues([n * p % q for n in range(1, count + 1)], q)
     if kind == "doubling":
         alpha = _rational(opts, "x-alpha")
         return doubling_orbit(alpha, count)
@@ -476,6 +485,8 @@ def _cmd_doubling(opts: dict) -> int:
 
 def _cmd_scan(opts: dict) -> int:
     checkpoints = _int_list(_require(opts, "checkpoints"), "checkpoints")
+    if not checkpoints:
+        raise CliError("--checkpoints: expected at least one checkpoint")
     if "cuts" in opts:
         partition = CellPartition(tuple(_rational_list(opts["cuts"], "cuts")))
     else:

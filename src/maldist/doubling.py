@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .exact import mod1
-from .empirical import CellPartition
+from .empirical import CellPartition, Residues, _cell_indices
 from .torus import TorusInterval
 
 __all__ = [
@@ -68,8 +69,8 @@ class BinaryPoint:
         return BinaryPoint(rest, exact=self.exact)
 
 
-def doubling_orbit(alpha: Fraction | BinaryPoint, steps: int) -> list[Fraction]:
-    """T^k(alpha) for k = 1..steps, exact.
+def doubling_orbit(alpha: Fraction | BinaryPoint, steps: int) -> Residues:
+    """T^k(alpha) for k = 1..steps, exact, as the residues over q.
 
     Rationals p/q iterate by modular doubling r -> 2r mod q (any horizon);
     a digit string is the dyadic rational it denotes and, unless exact, must
@@ -86,8 +87,8 @@ def doubling_orbit(alpha: Fraction | BinaryPoint, steps: int) -> list[Fraction]:
     out = []
     for _ in range(steps):
         r = 2 * r % q
-        out.append(Fraction(r, q))
-    return out
+        out.append(r)
+    return Residues(out, q)
 
 
 def doubling_period(alpha: Fraction) -> tuple[int, int]:
@@ -107,7 +108,7 @@ def doubling_period(alpha: Fraction) -> tuple[int, int]:
     return (pre, p)
 
 
-def invariance_defect(points: list[Fraction], partition: CellPartition) -> Fraction:
+def invariance_defect(points: Sequence[Fraction], partition: CellPartition) -> Fraction:
     """Max over cells A of |freq(A) - freq(T^{-1}A)| for the segment's
     empirical measure; exactly 0 on full periods of a periodic orbit.
 
@@ -120,10 +121,17 @@ def invariance_defect(points: list[Fraction], partition: CellPartition) -> Fract
     if not partition.is_dyadic():
         raise ValueError("partition cut points must be dyadic rationals")
     counts = [0] * partition.size
-    for p in points:
-        r, q = p.numerator, p.denominator
-        counts[partition.cell_of(r, q)] += 1
-        counts[partition.cell_of(2 * r % q, q)] -= 1
+    if isinstance(points, Residues):
+        q = points.den
+        for c in _cell_indices(points, partition):
+            counts[c] += 1
+        for c in _cell_indices(Residues([2 * r % q for r in points.nums], q), partition):
+            counts[c] -= 1
+    else:
+        for p in points:
+            r, q = p.numerator, p.denominator
+            counts[partition.cell_of(r, q)] += 1
+            counts[partition.cell_of(2 * r % q, q)] -= 1
     return Fraction(max(abs(c) for c in counts), len(points))
 
 

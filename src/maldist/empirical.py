@@ -15,10 +15,11 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_right
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import lcm
-from typing import Callable, Iterable, Sequence
 
 from .exact import decimal_str, format_rational, is_dyadic
 
@@ -29,6 +30,7 @@ __all__ = [
     "EmpiricalMeasure",
     "CheckpointScan",
     "ApproxPoint",
+    "Residues",
     "LimitMassReport",
     "empirical_measure",
     "concat_measures",
@@ -57,6 +59,48 @@ class ApproxPoint:
 
     value: Fraction
     radius: Fraction
+
+
+class Residues(Sequence):
+    """The points r/den for the integer numerators r in `nums`, over one
+    shared denominator den > 0.
+
+    A read-only sequence of Fractions: `len`, indexes (negative too) and
+    iteration yield `Fraction(r, den)`, a slice is again a `Residues`, and
+    `==` compares element by element with any sequence.  The numerators need
+    not be reduced against den.  Orbit sources return this type so that cell
+    lookups and discrepancy sweeps read the integers directly and a Fraction
+    is built only where a value is read out.
+    """
+
+    __slots__ = ("nums", "den")
+    __hash__ = None  # mutable-sequence semantics, like the list it stands for
+
+    def __init__(self, nums: Sequence[int], den: int):
+        if den < 1:
+            raise ValueError("denominator must be positive")
+        self.nums = nums
+        self.den = den
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Residues(self.nums[i], self.den)
+        return Fraction(self.nums[i], self.den)
+
+    def __iter__(self) -> Iterator[Fraction]:
+        den = self.den
+        return (Fraction(r, den) for r in self.nums)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"Residues({self.nums!r}, {self.den!r})"
 
 
 @dataclass(frozen=True)
@@ -179,6 +223,27 @@ class EmpiricalMeasure:
         return Fraction(sum(self.counts[i] for i in cells), self.sample_count)
 
 
+def _cell_indices(
+    points: Iterable[Fraction | ApproxPoint], partition: CellPartition
+) -> Iterator[int]:
+    """The cell index of each point, in order.
+
+    `Residues` are looked up by their numerators, with no Fraction built:
+    r/den lies in cell i iff c_i <= floor(r*D/den) < c_{i+1}, for the cut
+    numerators c_i over their lcm D, as in `CellPartition.cell_of`, which
+    this inlines.  Every numerator is range-checked before the first lookup.
+    Any other points go through `cell_index` one at a time, so an iterator
+    is consumed lazily.
+    """
+    if not isinstance(points, Residues):
+        return map(partition.cell_index, points)
+    nums, den = points.nums, points.den
+    if nums and not (0 <= min(nums) and max(nums) < den):
+        raise ValueError("points must lie in [0, 1)")
+    cuts, scale = partition._scaled_cuts, partition._den
+    return (bisect_right(cuts, r * scale // den) - 1 for r in nums)
+
+
 def empirical_measure(
     points: Sequence[Fraction | ApproxPoint], partition: CellPartition
 ) -> EmpiricalMeasure:
@@ -186,8 +251,8 @@ def empirical_measure(
     if len(points) == 0:
         raise ValueError("empirical measure of an empty point list is undefined")
     counts = [0] * partition.size
-    for p in points:
-        counts[partition.cell_index(p)] += 1
+    for c in _cell_indices(points, partition):
+        counts[c] += 1
     return EmpiricalMeasure(tuple(counts), len(points))
 
 
@@ -220,7 +285,7 @@ def window_defect(
     if len(points) < need:
         raise ValueError(f"need {need} points, got {len(points)}")
     s = partition.size
-    cells = [partition.cell_index(p) for p in points[:need]]
+    cells = list(_cell_indices(points[:need], partition))
     counts = [0] * s
     for c in cells[:window]:
         counts[c] += 1
@@ -244,14 +309,19 @@ def star_discrepancy(points: Sequence[Fraction]) -> Fraction:
 
     The sup is attained (in the limit) at one of the 2N empirical-CDF
     breakpoints, so a sweep over the sorted sample is exact.  The sweep runs
-    on the integer numerators r over the lcm q of the denominators: with
+    on integer numerators r over one denominator q: the shared denominator
+    of `Residues`, otherwise the lcm of the points' denominators.  With
     x = r/q, i/N - x = (i*q - r*N)/(N*q).
     """
     n = len(points)
     if n == 0:
         raise ValueError("star discrepancy of an empty list is undefined")
-    q = lcm(*(p.denominator for p in points))
-    rs = sorted(p.numerator * (q // p.denominator) for p in points)
+    if isinstance(points, Residues):
+        q = points.den
+        rs = sorted(points.nums)
+    else:
+        q = lcm(*(p.denominator for p in points))
+        rs = sorted(p.numerator * (q // p.denominator) for p in points)
     if not (0 <= rs[0] and rs[-1] < q):
         raise ValueError("points must lie in [0, 1)")
     best = 0
@@ -290,18 +360,18 @@ def checkpoint_scan(
         raise ValueError("checkpoints must be positive")
     if any(a >= b for a, b in zip(cps, cps[1:])):
         raise ValueError("checkpoints must be strictly increasing")
+    if isinstance(points, Residues):
+        points = points[: cps[-1]]  # range-check only what the scan reads
     counts = [0] * partition.size
     measures = []
-    it = iter(points)
+    cells = _cell_indices(points, partition)
     seen = 0
     for target in cps:
-        while seen < target:
-            try:
-                p = next(it)
-            except StopIteration:
-                raise ValueError(f"point source exhausted before checkpoint {target}")
-            counts[partition.cell_index(p)] += 1
+        for c in islice(cells, target - seen):
+            counts[c] += 1
             seen += 1
+        if seen < target:
+            raise ValueError(f"point source exhausted before checkpoint {target}")
         measures.append(EmpiricalMeasure(tuple(counts), seen))
     return CheckpointScan(tuple(cps), tuple(measures))
 

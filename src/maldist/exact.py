@@ -72,7 +72,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Canonical "p/q" form (denominator always printed, lowest terms)."""
-    f = Fraction(value)
+    f = value if isinstance(value, Fraction) else Fraction(value)
     return f"{f.numerator}/{f.denominator}"
 
 

@@ -19,7 +19,7 @@ from functools import cache
 from math import comb, lcm
 from typing import Callable, Sequence
 
-from .empirical import CellPartition, MeasureVector
+from .empirical import CellPartition, MeasureVector, Residues
 from .envelope import BlockSpec, RatioMeasure, envelope_dominates
 from .rng import SplitMix64
 
@@ -45,8 +45,12 @@ PointSource = Callable[[int], Fraction]
 def _cell_lookup(
     x: PointSource | Sequence[Fraction], partition: CellPartition
 ) -> Callable[[int], int]:
-    """Memoized cell of the point x_n, for x a function of n >= 1 or the
-    sequence x_1, x_2, ..."""
+    """Cell of the point x_n, for x a function of n >= 1 or the sequence
+    x_1, x_2, ...; memoized unless x is `Residues`, whose lookup is one
+    integer bisect on the numerator."""
+    if isinstance(x, Residues):
+        nums, den, cell_of = x.nums, x.den, partition.cell_of
+        return lambda n: cell_of(nums[n - 1], den)
     source = x if callable(x) else (lambda n: x[n - 1])
     return cache(lambda n: partition.cell_index(source(n)))
 
@@ -252,6 +256,7 @@ def greedy_extension(
     chosen = list(prefix)
     mu = target.mu.masses
     eps = target.eps
+    neg_eps = -eps
     # Deficits are held as integers over den; every pick of cell c lowers
     # deficit[c] by den.
     den = lcm(*(f.denominator for f in mu))
@@ -262,7 +267,10 @@ def greedy_extension(
     def deviations(total: int) -> tuple[Fraction, ...]:
         if total == 0:
             return tuple(mu)
-        return tuple(mu[i] - Fraction(counts[i], total) for i in range(s))
+        # mu_i - counts_i/total over den*total: one Fraction per cell.
+        return tuple(
+            Fraction(mu_scaled[i] * total - counts[i] * den, den * total) for i in range(s)
+        )
 
     achieved = False
     j = j0
@@ -304,11 +312,12 @@ def greedy_extension(
         devs_after = deviations(len(chosen))
         trace.append(BlockTrace(j, tuple(picked), len(chosen), devs_after))
         if fixed_blocks is None:
+            # prefix_mass/len(chosen) < eps/(3s), and every |deviation| < eps.
             washout = (
                 prefix_mass == 0
-                or Fraction(prefix_mass, len(chosen)) < eps / (3 * s)
+                or prefix_mass * 3 * s * eps.denominator < eps.numerator * len(chosen)
             )
-            if washout and max(abs(d) for d in devs_after) < eps:
+            if washout and all(neg_eps < d < eps for d in devs_after):
                 achieved = True
                 break
     final = deviations(len(chosen))

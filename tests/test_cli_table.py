@@ -98,3 +98,26 @@ def test_readme_commands_exit_zero(tmp_path, monkeypatch, capsys):
     # In order: `verify cert.json` reads the certificate salat2 writes.
     for argv in commands:
         assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("checkpoints", [",", ", ,", ""])
+def test_scan_rejects_empty_checkpoint_list(capsys, checkpoints):
+    argv = ["scan", "--x-alpha", "1/3", "--checkpoints", checkpoints]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "maldist scan: --checkpoints: expected at least one checkpoint\n"
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 40])
+@pytest.mark.parametrize("base", [-3, 0, 1, 2, 5, 12])
+def test_chained_multipliers_match_direct_powers(base, count):
+    pow_n = cli._multipliers({"n-kind": f"pow:{base}"}, count)
+    assert pow_n == [base**k for k in range(1, count + 1)]
+    square_n = cli._multipliers({"n-kind": f"squarepow:{base}"}, count)
+    assert square_n == [base ** (k * k) for k in range(1, count + 1)]
+
+
+@pytest.mark.parametrize("kind, want", [("pow", [2, 4, 8]), ("squarepow", [5, 625, 5**9])])
+def test_multiplier_default_bases(kind, want):
+    assert cli._multipliers({"n-kind": kind}, 3) == want

@@ -304,6 +304,41 @@ def test_greedy_matches_pool_scan_reference(case):
     assert result == want
 
 
+ONE_A_BLOCK = BlockSpec([1] * 20, [1] * 20)
+
+
+THIRDS = (F(0), F(1, 3), F(2, 3), F(1))
+
+
+@pytest.mark.parametrize(
+    "cuts, eps, levels, prefix, blocks, achieved",
+    [
+        # One cell, so every deviation is 0: the open horizon stops once the
+        # prefix share 1/M drops below eps/(3s) = 1/9, at M = 10, not at 9.
+        ((F(0), F(1)), F(1, 3), (F(0),), (1,), 10, True),
+        # Every point in cell 0 of the halves: the deviations stay at +-1/2,
+        # exactly eps, which never counts as within eps.
+        ((F(0), F(1, 2), F(1)), F(1, 2), (F(1, 4),), (), 12, False),
+        # Thirds, no point in cell 2: its deviation stays at +1/3 = eps.
+        (THIRDS, F(1, 3), (F(1, 6), F(1, 2)), (), 12, False),
+        # Cells 0, 0, 1, 2 in turn: cell 0 deviates by exactly -eps at every
+        # M = 4k, the others by +eps/2, and cell 0 by more than eps between.
+        (THIRDS, F(1, 6), (F(1, 6), F(1, 6), F(1, 2), F(5, 6)), (), 12, False),
+    ],
+)
+def test_greedy_stopping_rule_at_its_boundaries(cuts, eps, levels, prefix, blocks, achieved):
+    partition = CellPartition(cuts)
+    lam = partition.lebesgue_masses()
+    target = ExtensionTarget(mu=lam, eps=eps, pi=RatioMeasure.point_mass(min(lam.masses)))
+    x = lambda n: levels[(n - 1) % len(levels)]
+    result = greedy_extension(prefix, ONE_A_BLOCK, x, partition, lam, target, max_blocks=12)
+    want = pool_scan_greedy(
+        prefix, len(prefix), ONE_A_BLOCK, x, partition, target, max_blocks=12, fixed_blocks=None
+    )
+    assert result == want
+    assert (result.blocks, result.achieved) == (blocks, achieved)
+
+
 # --- brute force and exchange facts -----------------------------------------
 
 
