@@ -13,14 +13,17 @@ produced them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cmp_to_key
+from itertools import accumulate
+from math import lcm
+from typing import TYPE_CHECKING, Sequence
 
 from .doubling import BinaryPoint, OrbitHitReport, WindowDensity
 from .empirical import CellPartition, MeasureVector, Residues, star_discrepancy
-from .envelope import DominationResult, RatioMeasure, envelope_dominates
-from .exact import binary_digits, format_rational, mod1, parse_rational
+from .exact import binary_digits, format_ratio, format_rational, mod1, parse_rational
 from .torus import TorusInterval, interval_contains_interval, mul_mod1
 from .witness import (
     AvoidanceResult,
@@ -28,6 +31,9 @@ from .witness import (
     HitFrequencyWitness,
     MixingChain,
 )
+
+if TYPE_CHECKING:  # the envelope verifier re-derives its claims without these
+    from .envelope import DominationResult, RatioMeasure
 
 __all__ = [
     "FORMAT",
@@ -735,22 +741,136 @@ def _verify_invariance(cert: dict):
                 yield f"{cid}: verdict mismatch"
 
 
+def _over_lcm(values) -> tuple[list[int], int]:
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _ratio_atoms(pairs: list) -> tuple[list[Fraction], list[int], int]:
+    """The echoed atoms of pi, held to the rules of a ratio measure:
+    locations in [0, 1], sorted and distinct, positive weights summing to 1.
+    Returns the locations and the weights as integers over their lcm."""
+    atoms = [(parse_rational(q), parse_rational(w)) for q, w in pairs]
+    if any(not 0 <= q <= 1 for q, _ in atoms):
+        raise ValueError("atom locations must lie in [0, 1]")
+    if any(w <= 0 for _, w in atoms):
+        raise ValueError("atom weights must be positive")
+    if any(a >= b for (a, _), (b, _) in zip(atoms, atoms[1:])):
+        raise ValueError("atom locations must be sorted and distinct")
+    weights, weight_den = _over_lcm([w for _, w in atoms])
+    if sum(weights) != weight_den:
+        raise ValueError("atom weights must sum to exactly 1")
+    return [q for q, _ in atoms], weights, weight_den
+
+
 def _verify_envelope(cert: dict):
+    """Re-derive the domination verdict in integers from the echoed strings,
+    without the construction code.
+
+    mu, lambda and the atom weights become integer numerators over the lcms
+    of their denominators, and F is read from integer prefix and suffix
+    sums over the atoms.  Every union of cells lies on or under the polygon
+    of the prefixes of the cells in decreasing mu/lambda order (zero-lambda
+    cells first, ties by index), and the region on or under the concave
+    F + tol is convex, so an ok verdict holds iff all s prefixes of that
+    order pass.  A stated violation is recounted directly.  It is the first
+    in pre-order of the subset tree iff no proper sub-union on its path
+    violates and no earlier sibling subtree on that path has a violating
+    node or prefix.
+    """
     inp = cert["inputs"]
-    mu = MeasureVector(tuple(parse_rational(v) for v in inp["mu"]))
-    lam = MeasureVector(tuple(parse_rational(v) for v in inp["lambda"]))
-    pi = RatioMeasure.from_json(inp["pi"])
+    mu = MeasureVector(tuple(parse_rational(v) for v in inp["mu"])).masses
+    lam = MeasureVector(tuple(parse_rational(v) for v in inp["lambda"])).masses
+    locs, weights, weight_den = _ratio_atoms(inp["pi"])
     tol = parse_rational(inp["tol"])
-    result = envelope_dominates(mu, lam, pi, tol=tol)
+    s = len(mu)
+    if len(lam) != s:
+        raise ValueError("mu, lambda and partition disagree on the cell count")
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
+    mu_num, mu_den = _over_lcm(mu)
+    lam_num, lam_den = _over_lcm(lam)
+    keys, key_den = _over_lcm(locs)
+    h = lcm(*(q.numerator for q in locs if q))
+    # Over f_den, an atom q = p/r <= t = l/lam_den adds its weight
+    # c/weight_den to F(t), and one above t adds t * c * r/(weight_den * p).
+    # The atoms are sorted, so those at or below t come first: F sums the
+    # first kind over a prefix of the atoms and the second over the rest.
+    f_den = weight_den * h * lam_den
+    below = list(accumulate((c * h * lam_den for c in weights), initial=0))
+    above = list(accumulate(
+        (c * q.denominator * (h // q.numerator) if q else 0
+         for q, c in zip(reversed(locs), reversed(weights))),
+        initial=0,
+    ))[::-1]
+
+    def bound_num(l: int) -> int:
+        i = bisect_right(keys, l * key_den // lam_den)
+        return below[i] + l * above[i]
+
+    def exceeds(m: int, l: int) -> bool:
+        # m/mu_den > bound_num(l)/f_den + tol
+        return (m * f_den * tol.denominator
+                > (bound_num(l) * tol.denominator + tol.numerator * f_den) * mu_den)
+
+    def before(i: int, j: int) -> int:
+        if (lam_num[i] == 0) != (lam_num[j] == 0):
+            return -1 if lam_num[i] == 0 else 1
+        return (mu_num[j] * lam_num[i] - mu_num[i] * lam_num[j]) or i - j
+
+    order = sorted(range(s), key=cmp_to_key(before))
+
+    def prefix_violates(m: int, l: int, after: int) -> bool:
+        """Whether a density-order prefix of the cells after `after`, joined
+        to the union with numerators (m, l), violates."""
+        for i in order:
+            if i > after:
+                m, l = m + mu_num[i], l + lam_num[i]
+                if exceeds(m, l):
+                    return True
+        return False
+
+    def earlier_violation(cells: list[int]) -> list[int] | None:
+        """Root of the first subtree before `cells` in pre-order that holds a
+        violation, or None."""
+        m = l = 0
+        last = -1
+        for depth, v in enumerate(cells):
+            for j in range(last + 1, v):
+                m_j, l_j = m + mu_num[j], l + lam_num[j]
+                if exceeds(m_j, l_j) or prefix_violates(m_j, l_j, j):
+                    return cells[:depth] + [j]
+            m, l, last = m + mu_num[v], l + lam_num[v], v
+            if depth < len(cells) - 1 and exceeds(m, l):
+                return cells[: depth + 1]
+        return None
+
+    ok = not prefix_violates(0, 0, -1)
     for claim in cert["claims"]:
+        cid = claim["id"]
         if claim["kind"] != "envelope-domination":
-            yield f"{claim['id']}: unknown claim kind"
+            yield f"{cid}: unknown claim kind"
             continue
-        if result.ok != bool(claim["verdict"]):
-            yield f"{claim['id']}: recomputed verdict {result.ok} != stated {claim['verdict']}"
-        if not result.ok and "violation" in claim:
-            if list(result.violation) != list(claim["violation"]):
-                yield f"{claim['id']}: first violation {result.violation} differs"
+        if ok != bool(claim["verdict"]):
+            yield f"{cid}: recomputed verdict {ok} != stated {claim['verdict']}"
+        if "violation" not in claim:
+            continue
+        cells = claim["violation"]
+        if not (isinstance(cells, list) and cells and all(type(i) is int for i in cells)
+                and cells == sorted(set(cells)) and 0 <= cells[0] and cells[-1] < s):
+            yield f"{cid}: violation {cells!r} is not a sorted list of cell indices"
+            continue
+        m = sum(mu_num[i] for i in cells)
+        l = sum(lam_num[i] for i in cells)
+        if not exceeds(m, l):
+            yield f"{cid}: the stated union {cells} does not violate"
+        for key, value in (("union_mass", format_ratio(m, mu_den)),
+                           ("bound", format_ratio(bound_num(l), f_den))):
+            if key in claim and value != claim[key]:
+                yield f"{cid}: recomputed {key} {value} != stated {claim[key]}"
+        earlier = earlier_violation(cells)
+        if earlier is not None:
+            yield f"{cid}: a union at or under {earlier} violates before the stated {cells}"
 
 
 _CHECKERS = {

@@ -38,13 +38,19 @@ from .doubling import (
 from .empirical import CellPartition, MeasureVector, Residues, checkpoint_scan, scan_to_csv
 from .envelope import (
     BlockSpec,
-    F_pi_eval,
     RatioMeasure,
     check_admissible,
     envelope_dominates,
     pi_measure,
 )
-from .exact import RationalParseError, decimal_str, format_rational, parse_rational
+from .exact import (
+    RationalParseError,
+    decimal_ratio,
+    decimal_str,
+    format_ratio,
+    format_rational,
+    parse_rational,
+)
 from .rng import ALGORITHM
 from .subspace import ExtensionTarget, greedy_extension
 from .torus import TorusInterval
@@ -294,12 +300,12 @@ def _cmd_envelope(opts: dict) -> int:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["t", "F", "t_exact", "F_exact"])
+    steps = grid - 1
     for i in range(grid):
-        t = Fraction(i, grid - 1)
-        v = F_pi_eval(pi, t)
+        num, den = pi.envelope_ratio(i, steps)
         writer.writerow(
-            [decimal_str(t, digits), decimal_str(v, digits),
-             format_rational(t), format_rational(v)]
+            [decimal_ratio(i, steps, digits), decimal_ratio(num, den, digits),
+             format_ratio(i, steps), format_ratio(num, den)]
         )
     _write_text(out.getvalue(), opts.get("table-out"))
     report = check_admissible(spec, blocks)

@@ -16,18 +16,29 @@ set of cells, one violates F + tol iff a prefix of those cells in decreasing
 mu/lambda order does, so `envelope_dominates` decides all 2^s - 1 unions with
 at most s(s + 3)/2 checks.  `counting_oracle` verifies the same bound from
 scratch at finite horizons by splitting the raw count block by block.
+
+The measure and F travel as integers: `pi_measure` counts m_j at each
+reduced ratio over M_N, a `RatioMeasure` keeps integer prefix masses and
+harmonic tails over common denominators, F at num/den is one integer
+numerator and denominator (`RatioMeasure.envelope_ratio`), and the walk tests
+mu(A) > F(lambda(A)) + tol by cross-multiplication on numerators over the
+lcms of mu's and lambda's denominators.  A Fraction is built only where a
+value is reported.  Envelope certificates are re-checked by an independent
+integer verifier in `certificates`, which shares no code with this module.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cmp_to_key
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .empirical import CellPartition, MeasureVector
-from .exact import format_rational, parse_rational
+from .exact import format_ratio, parse_rational
 
 __all__ = [
     "BlockSpec",
@@ -142,38 +153,92 @@ class BlockSpec:
         return {"b": list(self._b), "m": list(self._m)}
 
 
-@dataclass(frozen=True)
 class RatioMeasure:
     """Finite discrete probability measure on [0, 1]: sorted distinct atom
     locations with positive weights summing to exactly 1.
 
-    Construction also stores, for F_pi_eval, the atom locations, the weight
-    of the first i atoms (`_mass_upto[i]`) and the sum of weight/location
-    over the atoms from i on (`_harmonic_from[i]`).  A 0-atom adds nothing
-    to the latter: F(t) reads it only past the atoms <= t, and t >= 0.
+    The measure is held as integers.  Atom i sits at p_i/q_i in lowest
+    terms, also kept as the key k_i = p_i * (L // q_i) over the lcm L of the
+    q_i, and weighs w_i/W for integers w_i over one denominator W.  For F
+    it stores the weight of the first i atoms (`_mass_upto[i]`, over W) and
+    the sum of weight/location over the atoms from i on (`_harmonic_from[i]`:
+    the sum of w_j * q_j * (P // p_j), over W * P for the lcm P of the
+    nonzero p_j).  A 0-atom adds nothing to the latter: F(t) reads it only
+    past the atoms <= t, and t >= 0.  `atoms`, the (location, weight)
+    Fraction pairs, is built on first access.
     """
 
-    atoms: tuple[tuple[Fraction, Fraction], ...]
-    _locations: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
-    _mass_upto: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
-    _harmonic_from: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("_locs", "_weights", "_wden", "_scale", "_keys", "_mass_upto",
+                 "_hscale", "_harmonic_from", "_atoms")
 
-    def __post_init__(self):
-        atoms = tuple((Fraction(q), Fraction(w)) for q, w in self.atoms)
-        object.__setattr__(self, "atoms", atoms)
+    def __init__(self, atoms: Iterable[tuple[Fraction, Fraction]]):
+        atoms = tuple((Fraction(q), Fraction(w)) for q, w in atoms)
         if any(not 0 <= q <= 1 for q, _ in atoms):
             raise ValueError("atom locations must lie in [0, 1]")
         if any(w <= 0 for _, w in atoms):
             raise ValueError("atom weights must be positive")
         if any(a >= b for (a, _), (b, _) in zip(atoms, atoms[1:])):
             raise ValueError("atom locations must be sorted and distinct")
-        mass_upto = tuple(accumulate((w for _, w in atoms), initial=_ZERO))
-        if mass_upto[-1] != 1:
+        wden = lcm(*(w.denominator for _, w in atoms))
+        weights = [w.numerator * (wden // w.denominator) for _, w in atoms]
+        if sum(weights) != wden:
             raise ValueError("atom weights must sum to exactly 1")
-        harmonic = accumulate((w / q if q else _ZERO for q, w in reversed(atoms)), initial=_ZERO)
-        object.__setattr__(self, "_locations", tuple(q for q, _ in atoms))
-        object.__setattr__(self, "_mass_upto", mass_upto)
-        object.__setattr__(self, "_harmonic_from", tuple(harmonic)[::-1])
+        self._set(zip(((q.numerator, q.denominator) for q, _ in atoms), weights), wden)
+        self._atoms = atoms
+
+    def _set(self, weighted: Iterable[tuple[tuple[int, int], int]], wden: int) -> None:
+        """Store distinct reduced locations (p, q) with positive integer
+        weights over wden that sum to wden, sorted by their keys."""
+        weighted = list(weighted)
+        scale = lcm(*(q for (_, q), _ in weighted))
+        rows = sorted((p * (scale // q), p, q, w) for (p, q), w in weighted)
+        locs = [(p, q) for _, p, q, _ in rows]
+        weights = [w for *_, w in rows]
+        hscale = lcm(*(p for p, _ in locs if p))
+        self._locs, self._weights, self._wden = tuple(locs), tuple(weights), wden
+        self._scale, self._hscale = scale, hscale
+        self._keys = tuple(k for k, *_ in rows)
+        self._mass_upto = tuple(accumulate(weights, initial=0))
+        tails = [w * q * (hscale // p) if p else 0 for (p, q), w in zip(locs, weights)]
+        self._harmonic_from = tuple(accumulate(reversed(tails), initial=0))[::-1]
+        self._atoms = None
+
+    @classmethod
+    def _from_counts(cls, counts: dict[tuple[int, int], int], total: int) -> "RatioMeasure":
+        """The measure with weight counts[(p, q)]/total at each reduced
+        location p/q; the counts are positive and sum to total."""
+        pi = cls.__new__(cls)
+        pi._set(counts.items(), total)
+        return pi
+
+    @property
+    def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        if self._atoms is None:
+            wden = self._wden
+            self._atoms = tuple(
+                (Fraction(p, q), Fraction(w, wden)) for (p, q), w in zip(self._locs, self._weights)
+            )
+        return self._atoms
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RatioMeasure):
+            return NotImplemented
+        return self.atoms == other.atoms
+
+    def __hash__(self) -> int:
+        return hash(self.atoms)
+
+    def __repr__(self) -> str:
+        return f"RatioMeasure(atoms={self.atoms!r})"
+
+    def envelope_ratio(self, num: int, den: int) -> tuple[int, int]:
+        """F(num/den) as an integer numerator over a positive denominator,
+        not reduced, for 0 <= num/den <= 1 (den > 0; not checked): atom i
+        lies at or below num/den iff k_i <= floor(num * L / den)."""
+        i = bisect_right(self._keys, num * self._scale // den)
+        hscale_den = self._hscale * den
+        return (self._mass_upto[i] * hscale_den + num * self._harmonic_from[i],
+                self._wden * hscale_den)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Fraction, Fraction]]) -> "RatioMeasure":
@@ -210,7 +275,9 @@ class RatioMeasure:
         )
 
     def to_json(self) -> list:
-        return [[format_rational(q), format_rational(w)] for q, w in self.atoms]
+        wden = self._wden
+        return [[format_ratio(p, q), format_ratio(w, wden)]
+                for (p, q), w in zip(self._locs, self._weights)]
 
     @classmethod
     def from_json(cls, obj: list) -> "RatioMeasure":
@@ -219,17 +286,21 @@ class RatioMeasure:
 
 def pi_measure(spec: BlockSpec, horizon: int) -> RatioMeasure:
     """Ratio measure of the first `horizon` blocks: weight m_j/M_horizon at
-    each distinct ratio q_j = m_j/b_j (blocks with m_j = 0 contribute nothing)."""
+    each distinct ratio q_j = m_j/b_j (blocks with m_j = 0 contribute nothing),
+    counted as the integer m_j at the reduced location (m_j/g, b_j/g),
+    g = gcd(m_j, b_j)."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    total = spec.M(horizon)
+    total = spec.M(horizon)  # validates every block up to the horizon
     if total == 0:
         raise ValueError("all multiplicities are zero up to the horizon")
-    return RatioMeasure.from_pairs(
-        (spec.q(j), Fraction(spec.m(j), total))
-        for j in range(1, horizon + 1)
-        if spec.m(j) > 0
-    )
+    counts: dict[tuple[int, int], int] = {}
+    for b, m in zip(spec._b[:horizon], spec._m[:horizon]):
+        if m:
+            g = gcd(m, b)
+            loc = (m // g, b // g)
+            counts[loc] = counts.get(loc, 0) + m
+    return RatioMeasure._from_counts(counts, total)
 
 
 def F_pi_eval(pi: RatioMeasure, t0: Fraction) -> Fraction:
@@ -237,8 +308,7 @@ def F_pi_eval(pi: RatioMeasure, t0: Fraction) -> Fraction:
     t0 = Fraction(t0)
     if not 0 <= t0 <= 1:
         raise ValueError("argument must lie in [0, 1]")
-    i = bisect_right(pi._locations, t0)
-    return pi._mass_upto[i] + t0 * pi._harmonic_from[i]
+    return Fraction(*pi.envelope_ratio(t0.numerator, t0.denominator))
 
 
 @dataclass(frozen=True)
@@ -270,15 +340,27 @@ def check_admissible(spec: BlockSpec, horizon: int) -> AdmissibilityReport:
         raise ValueError("horizon must be >= 1")
     spec.M(horizon)  # forces validation of every block up to the horizon
     anchors = sorted({1, max(1, horizon // 4), max(1, horizon // 2), max(1, (3 * horizon) // 4)})
-    ratios = []
-    for j in range(1, horizon + 1):
-        mj = spec.M(j)
-        ratios.append(Fraction(spec.m(j), mj) if mj > 0 else _ONE)
-    b_tail_min = []
-    ratio_tail_max = []
-    for k in anchors:
-        b_tail_min.append(min(spec.b(j) for j in range(k, horizon + 1)))
-        ratio_tail_max.append(max(ratios[k - 1 : horizon]))
+    b, m, M = spec._b, spec._m, spec._M
+    # One pass down from the horizon keeps the tail minimum of b_j and the
+    # tail maximum of m_j/M_j (1 where M_j = 0) as an integer pair, compared
+    # by cross-multiplication; a Fraction is built only at the anchors.
+    b_tail_min: list[int] = []
+    ratio_tail_max: list[Fraction] = []
+    low, top_num, top_den = b[horizon - 1], -1, 1
+    pending = anchors[::-1]
+    for j in range(horizon, 0, -1):
+        low = min(low, b[j - 1])
+        num, den = (m[j - 1], M[j]) if M[j] > 0 else (1, 1)
+        if num * top_den > top_num * den:
+            top_num, top_den = num, den
+        if j == pending[0]:
+            pending.pop(0)
+            b_tail_min.append(low)
+            ratio_tail_max.append(Fraction(top_num, top_den))
+            if not pending:
+                break
+    b_tail_min.reverse()
+    ratio_tail_max.reverse()
     b_bounded = b_tail_min[-1] <= b_tail_min[0] and horizon > 1
     ratio_stalled = ratio_tail_max[-1] >= ratio_tail_max[0] and horizon > 1
     return AdmissibilityReport(
@@ -300,42 +382,69 @@ class DominationResult:
     unions_checked: int = 0
 
 
+def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values as integer numerators over the lcm of their denominators."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def _dfs_first_violation(
     mu: Sequence[Fraction], lam: Sequence[Fraction], pi: RatioMeasure, tol: Fraction
 ) -> DominationResult:
     """First violating union in lexicographic order of the sorted index
     tuples (the pre-order of the subset tree), found by descending only into
-    subtrees that the density-order prefixes show to hold a violation."""
+    subtrees that the density-order prefixes show to hold a violation.
+
+    Masses travel as integer numerators over the lcms mu_den and lam_den of
+    mu's and lambda's denominators.  With F(l/lam_den) = f/(W * P * lam_den)
+    from `RatioMeasure.envelope_ratio`, the test mu(A) > F(lambda(A)) + tol
+    is decided by cross-multiplication.
+    """
     s = len(mu)
-    order = sorted(range(s), key=lambda i: (lam[i] != 0, -mu[i] / lam[i] if lam[i] else 0, i))
+    mu_num, mu_den = _scaled(mu)
+    lam_num, lam_den = _scaled(lam)
+    tol_num, tol_den = tol.numerator, tol.denominator
+    f_den = pi._wden * pi._hscale * lam_den
+    mu_scale, f_scale, tol_term = f_den * tol_den, tol_den * mu_den, tol_num * f_den * mu_den
+
+    def exceeds(m: int, l: int) -> bool:
+        return m * mu_scale > pi.envelope_ratio(l, lam_den)[0] * f_scale + tol_term
+
+    def denser(i: int, j: int) -> int:
+        # zero-lambda cells first, then decreasing mu/lambda, ties by index
+        if (lam_num[i] == 0) != (lam_num[j] == 0):
+            return -1 if lam_num[i] == 0 else 1
+        return (mu_num[j] * lam_num[i] - mu_num[i] * lam_num[j]) or i - j
+
+    order = sorted(range(s), key=cmp_to_key(denser))
     checked = 0
 
-    def violation_below(last: int, mu_val: Fraction, lam_val: Fraction) -> bool:
-        # The node (mu_val, lam_val) itself satisfies the bound; some union of
-        # the cells after `last` joined to it violates iff a prefix does.
+    def violation_below(last: int, m: int, l: int) -> bool:
+        # The node (m, l) itself satisfies the bound; some union of the
+        # cells after `last` joined to it violates iff a prefix does.
         nonlocal checked
         for i in order:
             if i > last:
-                mu_val, lam_val = mu_val + mu[i], lam_val + lam[i]
+                m, l = m + mu_num[i], l + lam_num[i]
                 checked += 1
-                if mu_val > F_pi_eval(pi, lam_val) + tol:
+                if exceeds(m, l):
                     return True
         return False
 
-    if not violation_below(-1, _ZERO, _ZERO):
+    if not violation_below(-1, 0, 0):
         return DominationResult(True, unions_checked=checked)
     # Each candidate child j is tried once: a child that holds no violation
     # is skipped for good, and descending into j continues with j + 1.
     cells: tuple[int, ...] = ()
-    mu_val = lam_val = _ZERO
+    m = l = 0
     for j in range(s):
-        mu_j, lam_j = mu_val + mu[j], lam_val + lam[j]
+        m_j, l_j = m + mu_num[j], l + lam_num[j]
         checked += 1
-        bound = F_pi_eval(pi, lam_j)
-        if mu_j > bound + tol:
-            return DominationResult(False, cells + (j,), mu_j, bound, checked)
-        if violation_below(j, mu_j, lam_j):
-            cells, mu_val, lam_val = cells + (j,), mu_j, lam_j
+        if exceeds(m_j, l_j):
+            bound = Fraction(*pi.envelope_ratio(l_j, lam_den))
+            return DominationResult(False, cells + (j,), Fraction(m_j, mu_den), bound, checked)
+        if violation_below(j, m_j, l_j):
+            cells, m, l = cells + (j,), m_j, l_j
     raise AssertionError("the prefixes showed a violation the descent did not reach")
 
 

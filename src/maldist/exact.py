@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "RationalParseError",
     "parse_rational",
     "format_rational",
+    "format_ratio",
     "decimal_str",
+    "decimal_ratio",
     "mod1",
     "binary_digits",
     "is_dyadic",
@@ -76,17 +79,33 @@ def format_rational(value: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def format_ratio(num: int, den: int) -> str:
+    """`format_rational` of num/den (den > 0, need not be reduced), read
+    from the two integers without building a Fraction."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
 def decimal_str(value: Fraction, digits: int = 12) -> str:
     """Decimal rendering with `digits` places, round-half-away-from-zero.
 
     Presentational only; exact values always travel alongside as "p/q".
     """
-    f = Fraction(value)
-    neg = f < 0
-    f = -f if neg else f
-    scaled = f.numerator * 10**digits
-    q, r = divmod(scaled, f.denominator)
-    if 2 * r >= f.denominator:
+    f = value if isinstance(value, Fraction) else Fraction(value)
+    return decimal_ratio(f.numerator, f.denominator, digits)
+
+
+def decimal_ratio(num: int, den: int, digits: int = 12) -> str:
+    """`decimal_str` of num/den (den > 0, need not be reduced), in integers.
+
+    A negative `digits` is refused: 10**digits would be a float.
+    """
+    if digits < 0:
+        raise ValueError(f"digits must be nonnegative, got {digits}")
+    neg = num < 0
+    num = -num if neg else num
+    q, r = divmod(num * 10**digits, den)
+    if 2 * r >= den:
         q += 1
     whole, frac = divmod(q, 10**digits)
     body = f"{whole}.{frac:0{digits}d}" if digits > 0 else str(whole)

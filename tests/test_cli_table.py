@@ -109,6 +109,25 @@ def test_scan_rejects_empty_checkpoint_list(capsys, checkpoints):
     assert captured.err == "maldist scan: --checkpoints: expected at least one checkpoint\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["envelope", "--spec", '{"b": [6], "m": [5]}', "--blocks", "1", "--grid", "2"],
+        ["doubling", "--mode", "orbit", "--alpha", "1/7", "--steps", "3"],
+        ["scan", "--x-alpha", "1/3", "--checkpoints", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_digits_is_a_usage_error(tmp_path, capsys, argv):
+    # 10**digits would be a float; nothing is written and the exit code is 2.
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--digits", "-2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"maldist {argv[0]}: digits must be nonnegative, got -2\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("count", [0, 1, 2, 7, 40])
 @pytest.mark.parametrize("base", [-3, 0, 1, 2, 5, 12])
 def test_chained_multipliers_match_direct_powers(base, count):

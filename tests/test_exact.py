@@ -52,6 +52,12 @@ def test_decimal_str_rounding():
     assert decimal_str(F(5), 2) == "5.00"
 
 
+def test_decimal_str_refuses_negative_digits():
+    with pytest.raises(ValueError, match="digits must be nonnegative"):
+        decimal_str(F(5, 6), -2)
+    assert decimal_str(F(5, 6), 0) == "1"
+
+
 def test_mod1():
     assert mod1(F(7, 3)) == F(1, 3)
     assert mod1(F(-1, 3)) == F(2, 3)

@@ -23,6 +23,8 @@ from maldist.empirical import (
     Residues,
     checkpoint_scan,
     empirical_measure,
+    enlarged_union_membership,
+    max_checkpoint_fraction,
     mu_bar_report,
     star_discrepancy,
     window_defect,
@@ -171,6 +173,60 @@ def test_mu_bar_report_matches_fraction_list(triple, data):
     eta = data.draw(st.sampled_from((F(0), F(1, 50), F(1, 7))))
     want = mu_bar_report(points, cps, partition, cells, eta)
     assert mu_bar_report(residues, cps, partition, cells, eta) == want
+
+
+def fraction_enlarged_member(bounds, eta):
+    """Membership in the open eta-enlargement of the cells, in Fractions."""
+
+    def member(x):
+        for a, b in bounds:
+            lo, hi = a - eta, b + eta
+            if lo < x < hi or lo < x - 1 < hi or lo < x + 1 < hi:
+                return True
+            if eta == 0 and x == a:
+                return True
+        return False
+
+    return member
+
+
+def fraction_max_checkpoint(points, checkpoints, member):
+    best, hits = F(0), 0
+    for n, x in enumerate(points[: checkpoints[-1]], start=1):
+        hits += bool(member(x))
+        if n in checkpoints:
+            best = max(best, F(hits, n))
+    return best
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_enlarged_membership_on_residues_matches_fraction_code(data):
+    partition = data.draw(partitions())
+    size = partition.size
+    # The first and last cells wrap round 0 and 1 once enlarged.
+    cells = data.draw(st.sets(st.sampled_from([0, size - 1, *range(size)]), min_size=1))
+    eta = data.draw(st.sampled_from((F(0), F(0), F(1, 50), F(1, 7), F(1, 3), F(1, 2))))
+    den = partition._den * eta.denominator * data.draw(st.sampled_from((1, 2, 3)))
+    bounds = [partition.cell_bounds(i) for i in cells]
+    member = enlarged_union_membership(partition, cells, eta)
+    want = fraction_enlarged_member(bounds, eta)
+    # Points exactly on a - eta, b + eta, a and b (mod 1), their neighbours,
+    # a few numerators outside [0, den), and random points.
+    edges = {int((t % 1) * den) for a, b in bounds for t in (a - eta, b + eta, a, b)}
+    nums = sorted({r + d for r in edges for d in (-1, 0, 1)} | {-1, den, den + 1, 2 * den - 1})
+    nums += data.draw(st.lists(st.integers(0, den - 1), max_size=20))
+    for r in nums:
+        got = max_checkpoint_fraction(Residues([r], den), [1], member)
+        assert got == (1 if want(F(r, den)) else 0), (r, den)
+    cps = sorted(data.draw(st.sets(st.integers(1, len(nums)), min_size=1, max_size=5)))
+    points = [F(r, den) for r in nums]
+    expected = fraction_max_checkpoint(points, cps, want)
+    assert max_checkpoint_fraction(Residues(nums, den), cps, member) == expected
+    assert max_checkpoint_fraction(points, cps, member) == expected
+    in_range = [r % den for r in nums]
+    report = mu_bar_report(Residues(in_range, den), cps, partition, cells, eta)
+    assert report.enlarged == fraction_max_checkpoint([F(r, den) for r in in_range], cps, want)
 
 
 @given(orbits(), st.integers(min_value=0, max_value=6))
