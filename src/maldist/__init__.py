@@ -4,91 +4,114 @@ of subsequences mod 1.
 Everything computes in arbitrary-precision rational arithmetic; claims about
 constructed points and sequences ship as self-contained certificates that
 re-verify from their echoed inputs.
+
+The names below are re-exported lazily (PEP 562): `import maldist` loads no
+layer, and `maldist.<name>` imports the one module that defines the name on
+first use.
 """
 
-from .doubling import (
-    BinaryPoint,
-    OrbitHitReport,
-    WindowDensity,
-    doubling_orbit,
-    doubling_period,
-    five_sixth_check,
-    invariance_defect,
-    zero_block_density,
-)
-from .empirical import (
-    ApproxPoint,
-    CellPartition,
-    CellStraddleError,
-    CheckpointScan,
-    EmpiricalMeasure,
-    LimitMassReport,
-    MeasureVector,
-    Residues,
-    checkpoint_scan,
-    concat_measures,
-    empirical_measure,
-    enlarged_union_membership,
-    max_checkpoint_fraction,
-    mu_bar_estimate,
-    mu_bar_report,
-    scan_to_csv,
-    star_discrepancy,
-    window_defect,
-)
-from .envelope import (
-    AdmissibilityReport,
-    BlockSpec,
-    CountingOracleReport,
-    DominationResult,
-    F_pi_eval,
-    RatioMeasure,
-    check_admissible,
-    counting_oracle,
-    envelope_dominates,
-    pi_measure,
-)
-from .exact import (
-    RationalParseError,
-    decimal_str,
-    format_rational,
-    mod1,
-    parse_rational,
-)
-from .rng import SplitMix64
-from .subspace import (
-    BruteForceResult,
-    ExchangeFactsReport,
-    ExtensionResult,
-    ExtensionTarget,
-    brute_force_extension,
-    exchange_facts,
-    greedy_extension,
-    sample_uniform,
-    validate_membership,
-)
-from .torus import (
-    TorusInterval,
-    interval_contains_interval,
-    intervals_disjoint,
-    mul_mod1,
-    preimage_intervals,
-)
-from .witness import (
-    AvoidanceResult,
-    HistogramTarget,
-    HistogramWitness,
-    HitFrequencyWitness,
-    MixingChain,
-    MixingConfig,
-    MixingConfigError,
-    WitnessPlan,
-    auto_plan,
-    avoidance_sequence,
-    histogram_witness,
-    hit_frequency_witness,
-    mixing_chain,
-    zero_block_alpha,
-)
+import importlib
+
+_EXPORTS = {
+    "doubling": (
+        "BinaryPoint",
+        "OrbitHitReport",
+        "WindowDensity",
+        "doubling_orbit",
+        "doubling_period",
+        "five_sixth_check",
+        "invariance_defect",
+        "zero_block_density",
+    ),
+    "empirical": (
+        "ApproxPoint",
+        "CellPartition",
+        "CellStraddleError",
+        "CheckpointScan",
+        "EmpiricalMeasure",
+        "LimitMassReport",
+        "MeasureVector",
+        "Residues",
+        "checkpoint_scan",
+        "concat_measures",
+        "empirical_measure",
+        "enlarged_union_membership",
+        "max_checkpoint_fraction",
+        "mu_bar_estimate",
+        "mu_bar_report",
+        "scan_to_csv",
+        "star_discrepancy",
+        "window_defect",
+    ),
+    "envelope": (
+        "AdmissibilityReport",
+        "BlockSpec",
+        "CountingOracleReport",
+        "DominationResult",
+        "F_pi_eval",
+        "RatioMeasure",
+        "check_admissible",
+        "counting_oracle",
+        "envelope_dominates",
+        "pi_measure",
+    ),
+    "exact": (
+        "RationalParseError",
+        "decimal_str",
+        "format_rational",
+        "mod1",
+        "parse_rational",
+    ),
+    "rng": ("SplitMix64",),
+    "subspace": (
+        "BruteForceResult",
+        "ExchangeFactsReport",
+        "ExtensionResult",
+        "ExtensionTarget",
+        "brute_force_extension",
+        "exchange_facts",
+        "greedy_extension",
+        "sample_uniform",
+        "validate_membership",
+    ),
+    "torus": (
+        "TorusInterval",
+        "interval_contains_interval",
+        "intervals_disjoint",
+        "mul_mod1",
+        "preimage_intervals",
+    ),
+    "witness": (
+        "AvoidanceResult",
+        "HistogramTarget",
+        "HistogramWitness",
+        "HitFrequencyWitness",
+        "MixingChain",
+        "MixingConfig",
+        "MixingConfigError",
+        "WitnessPlan",
+        "auto_plan",
+        "avoidance_sequence",
+        "histogram_witness",
+        "hit_frequency_witness",
+        "mixing_chain",
+        "zero_block_alpha",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

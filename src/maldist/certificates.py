@@ -21,19 +21,19 @@ from itertools import accumulate
 from math import lcm
 from typing import TYPE_CHECKING, Sequence
 
-from .doubling import BinaryPoint, OrbitHitReport, WindowDensity
 from .empirical import CellPartition, MeasureVector, Residues, star_discrepancy
 from .exact import binary_digits, format_ratio, format_rational, mod1, parse_rational
 from .torus import TorusInterval, interval_contains_interval, mul_mod1
-from .witness import (
-    AvoidanceResult,
-    HistogramWitness,
-    HitFrequencyWitness,
-    MixingChain,
-)
 
-if TYPE_CHECKING:  # the envelope verifier re-derives its claims without these
+if TYPE_CHECKING:  # builders' argument types; the verifiers re-derive without them
+    from .doubling import BinaryPoint, OrbitHitReport, WindowDensity
     from .envelope import DominationResult, RatioMeasure
+    from .witness import (
+        AvoidanceResult,
+        HistogramWitness,
+        HitFrequencyWitness,
+        MixingChain,
+    )
 
 __all__ = [
     "FORMAT",
@@ -409,15 +409,21 @@ def envelope_certificate(
 # verification
 
 
-def verify_certificate(cert: dict) -> VerificationResult:
-    """Recompute every claim from the echoed inputs; report all mismatches."""
-    try:
-        kind = cert["kind"]
-        if cert.get("format") != FORMAT:
-            return VerificationResult(False, (f"unknown certificate format {cert.get('format')!r}",))
-        checker = _CHECKERS[kind]
-    except KeyError as exc:
-        return VerificationResult(False, (f"unknown certificate kind: {exc}",))
+def verify_certificate(cert: object) -> VerificationResult:
+    """Recompute every claim from the echoed inputs; report all mismatches.
+
+    Any parsed JSON value is accepted: one that is not an object, has no
+    kind, or names an unknown format or kind fails with a named error."""
+    if not isinstance(cert, dict):
+        return VerificationResult(False, ("certificate is not a JSON object",))
+    if "kind" not in cert:
+        return VerificationResult(False, ("certificate has no kind",))
+    if cert.get("format") != FORMAT:
+        return VerificationResult(False, (f"unknown certificate format {cert.get('format')!r}",))
+    kind = cert["kind"]
+    checker = _CHECKERS.get(kind) if isinstance(kind, str) else None
+    if checker is None:
+        return VerificationResult(False, (f"unknown certificate kind: {kind!r}",))
     try:
         failures = tuple(checker(cert))
     except Exception as exc:  # malformed inputs are verification failures

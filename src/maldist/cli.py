@@ -6,11 +6,20 @@ and its handler.  Options may also come from a key=value config file
 (--config) whose keys are exactly the subcommand's flags; an explicit flag
 wins over the file, unknown keys are rejected, and every rational is parsed
 exactly ("p/q" or decimal string).  The parser is built on the first `main`
-call and reused for the rest of the process.  Outputs are JSON certificates
-(stable key order) and CSV tables; identical configuration and seed
-reproduce identical bytes.  The default seed is 0, overridable through the
-MALDIST_SEED environment variable or --seed.  All randomness comes from the
-SplitMix64 stream named in the output.
+call and reused for the rest of the process.
+
+At module level the CLI imports only the standard library and `exact`, which
+option parsing needs.  Each `_cmd_*` handler imports the layers it calls when
+it runs, a layer only one mode needs inside that mode's branch, and
+`_interval`, `_block_spec` and `_points_source` do likewise.  A process
+therefore loads only its own subcommand's layers: `verify` loads
+`certificates` and the primitives its verifiers recount with, and `scan`
+loads `empirical` alone.
+
+Outputs are JSON certificates (stable key order) and CSV tables; identical
+configuration and seed reproduce identical bytes.  The default seed is 0,
+overridable through the MALDIST_SEED environment variable or --seed.  All
+randomness comes from the SplitMix64 stream named in the output.
 
 Exit codes: 0 success, 1 a certificate claim failed (or verification found a
 mismatch), 2 usage error.
@@ -26,23 +35,8 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import certificates as certs
-from .doubling import (
-    doubling_orbit,
-    doubling_period,
-    five_sixth_check,
-    invariance_defect,
-    zero_block_density,
-)
-from .empirical import CellPartition, MeasureVector, Residues, checkpoint_scan, scan_to_csv
-from .envelope import (
-    BlockSpec,
-    RatioMeasure,
-    check_admissible,
-    envelope_dominates,
-    pi_measure,
-)
 from .exact import (
     RationalParseError,
     decimal_ratio,
@@ -51,19 +45,11 @@ from .exact import (
     format_rational,
     parse_rational,
 )
-from .rng import ALGORITHM
-from .subspace import ExtensionTarget, greedy_extension
-from .torus import TorusInterval
-from .witness import (
-    HistogramTarget,
-    MixingConfig,
-    WitnessPlan,
-    avoidance_sequence,
-    histogram_witness,
-    hit_frequency_witness,
-    mixing_chain,
-    zero_block_alpha,
-)
+
+if TYPE_CHECKING:
+    from .empirical import Residues
+    from .envelope import BlockSpec
+    from .torus import TorusInterval
 
 USAGE_ERROR = 2
 CLAIM_ERROR = 1
@@ -153,6 +139,8 @@ def _rational_list(text: str, key: str) -> list[Fraction]:
 
 
 def _interval(text: str, key: str) -> TorusInterval:
+    from .torus import TorusInterval
+
     vals = _rational_list(text, key)
     if len(vals) != 2:
         raise CliError(f"--{key}: expected 'left,right'")
@@ -218,6 +206,8 @@ def _mult_fn(desc: str, key: str, lengths):
 
 
 def _block_spec(opts: dict) -> BlockSpec:
+    from .envelope import BlockSpec
+
     spec_text = _require(opts, "spec")
     try:
         obj = json.loads(spec_text)
@@ -276,10 +266,14 @@ def _multipliers(opts: dict, count: int) -> list[int]:
 def _points_source(opts: dict, count: int) -> Residues:
     kind = opts.get("x-kind", "rotation")
     if kind == "rotation":
+        from .empirical import Residues
+
         alpha = _rational(opts, "x-alpha")
         p, q = alpha.numerator, alpha.denominator
         return Residues([n * p % q for n in range(1, count + 1)], q)
     if kind == "doubling":
+        from .doubling import doubling_orbit
+
         alpha = _rational(opts, "x-alpha")
         return doubling_orbit(alpha, count)
     raise CliError(f"--x-kind: unknown kind {kind!r} (use rotation or doubling)")
@@ -290,6 +284,10 @@ def _points_source(opts: dict, count: int) -> Residues:
 
 
 def _cmd_envelope(opts: dict) -> int:
+    from .empirical import MeasureVector
+    from .envelope import check_admissible, envelope_dominates, pi_measure
+    from .rng import ALGORITHM
+
     spec = _block_spec(opts)
     blocks = _int(opts, "blocks")
     grid = _int(opts, "grid", 101)
@@ -323,6 +321,8 @@ def _cmd_envelope(opts: dict) -> int:
     }
     exit_code = 0
     if "mu" in opts:
+        from . import certificates as certs
+
         mu = MeasureVector(tuple(_rational_list(_require(opts, "mu"), "mu")))
         lam = MeasureVector(tuple(_rational_list(_require(opts, "lam"), "lam")))
         tol = _rational(opts, "tol", "0/1")
@@ -336,6 +336,11 @@ def _cmd_envelope(opts: dict) -> int:
 
 
 def _cmd_subspace(opts: dict) -> int:
+    from .empirical import CellPartition, MeasureVector
+    from .envelope import RatioMeasure, pi_measure
+    from .rng import ALGORITHM
+    from .subspace import ExtensionTarget, greedy_extension
+
     spec = _block_spec(opts)
     cuts = _rational_list(_require(opts, "cuts"), "cuts")
     partition = CellPartition(tuple(cuts))
@@ -386,6 +391,19 @@ def _cmd_subspace(opts: dict) -> int:
 
 
 def _cmd_witness(opts: dict) -> int:
+    from . import certificates as certs
+    from .rng import ALGORITHM
+    from .witness import (
+        HistogramTarget,
+        MixingConfig,
+        WitnessPlan,
+        avoidance_sequence,
+        histogram_witness,
+        hit_frequency_witness,
+        mixing_chain,
+        zero_block_alpha,
+    )
+
     mode = _require(opts, "mode")
     if mode == "mixing":
         eps = _rational(opts, "eps")
@@ -443,6 +461,17 @@ def _cmd_witness(opts: dict) -> int:
 
 
 def _cmd_doubling(opts: dict) -> int:
+    from . import certificates as certs
+    from .doubling import (
+        doubling_orbit,
+        doubling_period,
+        five_sixth_check,
+        invariance_defect,
+        zero_block_density,
+    )
+    from .empirical import CellPartition
+    from .rng import ALGORITHM
+
     mode = _require(opts, "mode")
     if mode == "orbit":
         alpha = _rational(opts, "alpha")
@@ -472,6 +501,8 @@ def _cmd_doubling(opts: dict) -> int:
         report = five_sixth_check(alpha, horizon)
         cert = certs.fivesixth_certificate(report, alpha)
     elif mode == "zeroblock":
+        from .witness import zero_block_alpha
+
         base = _rational(opts, "base")
         starts = _int_list(_require(opts, "starts"), "starts")
         point = zero_block_alpha(base, starts)
@@ -490,6 +521,8 @@ def _cmd_doubling(opts: dict) -> int:
 
 
 def _cmd_scan(opts: dict) -> int:
+    from .empirical import CellPartition, checkpoint_scan, scan_to_csv
+
     checkpoints = _int_list(_require(opts, "checkpoints"), "checkpoints")
     if not checkpoints:
         raise CliError("--checkpoints: expected at least one checkpoint")
@@ -504,6 +537,8 @@ def _cmd_scan(opts: dict) -> int:
 
 
 def _cmd_verify(opts: dict) -> int:
+    from . import certificates as certs
+
     path = _require(opts, "certificate")
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -295,6 +295,33 @@ def test_cli_verify_tampered_exits_one(tmp_path):
     assert "hit-frequency" in check.stdout
 
 
+@pytest.mark.parametrize(
+    "text,failure",
+    [
+        ("[1]", "certificate is not a JSON object"),
+        ('"x"', "certificate is not a JSON object"),
+        ("null", "certificate is not a JSON object"),
+        ("{}", "certificate has no kind"),
+        ('{"format": "maldist-certificate/1", "claims": []}', "certificate has no kind"),
+        ('{"format": "maldist-certificate/1", "kind": ["a"]}',
+         "unknown certificate kind: ['a']"),
+        ('{"format": "maldist-certificate/1", "kind": {"a": 1}}',
+         "unknown certificate kind: {'a': 1}"),
+        ('{"format": "maldist-certificate/1", "kind": "nope"}',
+         "unknown certificate kind: 'nope'"),
+    ],
+    ids=["list", "string", "null", "empty-object", "no-kind", "list-kind", "object-kind",
+         "unknown-kind"],
+)
+def test_cli_verify_names_a_malformed_certificate(tmp_path, text, failure):
+    out = tmp_path / "cert.json"
+    out.write_text(text)
+    check = run_cli("verify", str(out))
+    assert check.returncode == 1, check.stderr
+    assert check.stderr == ""
+    assert json.loads(check.stdout) == {"ok": False, "failures": [failure]}
+
+
 def test_cli_byte_identical_reruns(tmp_path):
     args = (
         "witness", "--mode", "mixing", "--n", "100,10000,1000000",

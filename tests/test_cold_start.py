@@ -1,0 +1,152 @@
+"""Cold start: what `import maldist.cli` and each subcommand load, the lazy
+re-exports of the `maldist` package, and the help and usage texts that sit
+behind the CLI's per-subcommand imports."""
+
+import hashlib
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import maldist
+
+from tests.test_certificates_cli import cli_env, run_cli
+
+# The package's re-exports, pinned here independently of its own table.
+EXPORTS = [
+    "AdmissibilityReport", "ApproxPoint", "AvoidanceResult", "BinaryPoint",
+    "BlockSpec", "BruteForceResult", "CellPartition", "CellStraddleError",
+    "CheckpointScan", "CountingOracleReport", "DominationResult",
+    "EmpiricalMeasure", "ExchangeFactsReport", "ExtensionResult",
+    "ExtensionTarget", "F_pi_eval", "HistogramTarget", "HistogramWitness",
+    "HitFrequencyWitness", "LimitMassReport", "MeasureVector", "MixingChain",
+    "MixingConfig", "MixingConfigError", "OrbitHitReport", "RatioMeasure",
+    "RationalParseError", "Residues", "SplitMix64", "TorusInterval",
+    "WindowDensity", "WitnessPlan", "auto_plan", "avoidance_sequence",
+    "brute_force_extension", "check_admissible", "checkpoint_scan",
+    "concat_measures", "counting_oracle", "decimal_str", "doubling_orbit",
+    "doubling_period", "empirical_measure", "enlarged_union_membership",
+    "envelope_dominates", "exchange_facts", "five_sixth_check",
+    "format_rational", "greedy_extension", "histogram_witness",
+    "hit_frequency_witness", "interval_contains_interval", "intervals_disjoint",
+    "invariance_defect", "max_checkpoint_fraction", "mixing_chain", "mod1",
+    "mu_bar_estimate", "mu_bar_report", "mul_mod1", "parse_rational",
+    "pi_measure", "preimage_intervals", "sample_uniform", "scan_to_csv",
+    "star_discrepancy", "validate_membership", "window_defect",
+    "zero_block_alpha", "zero_block_density",
+]
+
+AVOID = ["witness", "--mode", "avoid", "--alpha", "5/17", "--eps", "1/5", "--horizon", "200"]
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The maldist modules a fresh interpreter holds after running `code`."""
+    probe = (
+        f"{code}\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'maldist')))"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=cli_env()
+    )
+    assert res.returncode == 0, res.stderr
+    return set(json.loads(res.stdout.splitlines()[-1]))
+
+
+def main_call(argv: list[str]) -> str:
+    return f"import maldist.cli\nassert maldist.cli.main({argv!r}) == 0"
+
+
+# --- import footprint ----------------------------------------------------------
+
+
+def test_import_cli_loads_only_the_command_line():
+    assert loaded_modules("import maldist.cli") == {"maldist", "maldist.cli", "maldist.exact"}
+
+
+def test_import_package_loads_no_layer():
+    assert loaded_modules("import maldist") == {"maldist"}
+
+
+def test_verify_avoid_loads_no_construction_layer(tmp_path):
+    cert = tmp_path / "avoid.json"
+    assert run_cli(*AVOID, "--out", str(cert)).returncode == 0
+    loaded = loaded_modules(main_call(["verify", str(cert), "--out", str(tmp_path / "v.json")]))
+    assert "maldist.certificates" in loaded
+    assert not loaded & {"maldist.subspace", "maldist.witness", "maldist.envelope",
+                         "maldist.doubling"}
+    assert json.loads((tmp_path / "v.json").read_text()) == {"ok": True, "failures": []}
+
+
+def test_scan_rotation_loads_no_certificate_or_construction_layer(tmp_path):
+    argv = ["scan", "--x-kind", "rotation", "--x-alpha", "1/3", "--cells", "3",
+            "--checkpoints", "3,6,9", "--out", str(tmp_path / "scan.csv")]
+    loaded = loaded_modules(main_call(argv))
+    assert "maldist.empirical" in loaded
+    assert not loaded & {"maldist.certificates", "maldist.witness", "maldist.subspace",
+                         "maldist.envelope"}
+
+
+# --- the lazy package API --------------------------------------------------------
+
+
+def test_all_is_the_pinned_export_set():
+    assert len(EXPORTS) == 70
+    assert sorted(maldist.__all__) == EXPORTS
+
+
+@pytest.mark.parametrize("name", EXPORTS)
+def test_export_is_the_defining_modules_object(name):
+    obj = getattr(maldist, name)
+    home = importlib.import_module(obj.__module__)
+    assert home.__name__.startswith("maldist.")
+    assert getattr(home, name) is obj
+
+
+def test_star_import_and_dir_list_every_export():
+    namespace: dict = {}
+    exec("from maldist import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(EXPORTS)
+    assert set(EXPORTS) <= set(dir(maldist))
+    assert maldist.__version__ == "0.1.0"
+
+
+def test_unknown_attribute_names_module_and_attribute():
+    with pytest.raises(AttributeError, match=r"module 'maldist' has no attribute 'no_such_name'"):
+        maldist.no_such_name
+
+
+# --- help and usage texts ----------------------------------------------------------
+
+# sha256 of each text as printed before the handlers imported their own
+# layers (argparse at 80 columns, Python 3.11); (arguments, stream, exit code).
+HELP_TEXTS = [
+    (["--help"], "stdout", 0,
+     "701fcaaef396c0e511824f198c5bc67d063e956adae1bc6edefb35cd69555a05"),
+    (["envelope", "--help"], "stdout", 0,
+     "b9233444d8993479a8bd7cb9ff2ead363bf02d0c3645b33c8fd8d1428908b08b"),
+    (["subspace", "--help"], "stdout", 0,
+     "e4c847b75e68a6207994fcd73de4f299f1792cf74768ded6bad08f06b7afe69e"),
+    (["witness", "--help"], "stdout", 0,
+     "bc0a3eacc6b8a3f5cd51cff74b9e8ab9dc882650b28579b023d88ac18f3d5c1d"),
+    (["doubling", "--help"], "stdout", 0,
+     "116073421fab211f49e874552d5978996254c32efec39bc2a7419282663fe4fe"),
+    (["scan", "--help"], "stdout", 0,
+     "beeb3fcfd436914d255ae4c39dbc524180c0fd57f04146b6671a9bc2aedf85a4"),
+    (["verify", "--help"], "stdout", 0,
+     "5ccc8487556945a9225b75549e2eaaa4165a682b4eb8af4aee6eb5ed91724ade"),
+    ([], "stderr", 2,
+     "1980a3ae5a8cd40c704f1bd6491d32fcce78121e13aaf0c33348a7a2378956b5"),
+]
+
+
+@pytest.mark.parametrize(
+    "args,stream,code,digest", HELP_TEXTS, ids=[" ".join(t[0]) or "bare" for t in HELP_TEXTS]
+)
+def test_help_and_usage_texts_are_pinned(args, stream, code, digest):
+    res = run_cli(*args, COLUMNS="80")
+    assert res.returncode == code
+    assert getattr(res, "stderr" if stream == "stdout" else "stdout") == ""
+    text = getattr(res, stream)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, text
