@@ -24,34 +24,21 @@ _EXPORTS = {
         "zero_block_density",
     ),
     "empirical": (
-        "ApproxPoint",
         "CellPartition",
-        "CellStraddleError",
         "CheckpointScan",
         "EmpiricalMeasure",
-        "LimitMassReport",
         "MeasureVector",
         "Residues",
         "checkpoint_scan",
-        "concat_measures",
-        "empirical_measure",
-        "enlarged_union_membership",
-        "max_checkpoint_fraction",
-        "mu_bar_estimate",
-        "mu_bar_report",
         "scan_to_csv",
         "star_discrepancy",
-        "window_defect",
     ),
     "envelope": (
         "AdmissibilityReport",
         "BlockSpec",
-        "CountingOracleReport",
         "DominationResult",
-        "F_pi_eval",
         "RatioMeasure",
         "check_admissible",
-        "counting_oracle",
         "envelope_dominates",
         "pi_measure",
     ),
@@ -64,22 +51,15 @@ _EXPORTS = {
     ),
     "rng": ("SplitMix64",),
     "subspace": (
-        "BruteForceResult",
-        "ExchangeFactsReport",
         "ExtensionResult",
         "ExtensionTarget",
-        "brute_force_extension",
-        "exchange_facts",
         "greedy_extension",
-        "sample_uniform",
         "validate_membership",
     ),
     "torus": (
         "TorusInterval",
         "interval_contains_interval",
-        "intervals_disjoint",
         "mul_mod1",
-        "preimage_intervals",
     ),
     "witness": (
         "AvoidanceResult",

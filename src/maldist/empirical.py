@@ -1,13 +1,9 @@
 """Empirical measures over finite partitions of [0, 1).
 
-Covers frequency vectors of finite point sets, sliding-window defects against
-a reference measure (the finite certificate of approximate well-distribution),
-exact star discrepancy, checkpoint scans along a sequence, and the max-over-
-checkpoints estimator for the supremum of interval mass over limit measures.
-
-The estimator is a lower bound only: mass can escape to a cell boundary in the
-limit without ever being counted at finite N (see `mu_bar_estimate`), which is
-why the boundary-enlarged variant is reported alongside it.
+Covers the cell partition and its exact point lookup, measure and frequency
+vectors, points held as integer residues over one denominator, exact star
+discrepancy, and checkpoint scans of the prefix measures along a sequence
+with their CSV form.
 """
 
 from __future__ import annotations
@@ -15,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_right
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -24,41 +20,15 @@ from math import lcm
 from .exact import decimal_str, format_rational, is_dyadic
 
 __all__ = [
-    "CellStraddleError",
     "CellPartition",
     "MeasureVector",
     "EmpiricalMeasure",
     "CheckpointScan",
-    "ApproxPoint",
     "Residues",
-    "LimitMassReport",
-    "empirical_measure",
-    "concat_measures",
-    "window_defect",
     "star_discrepancy",
     "checkpoint_scan",
-    "mu_bar_estimate",
-    "mu_bar_report",
-    "max_checkpoint_fraction",
-    "enlarged_union_membership",
     "scan_to_csv",
 ]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-class CellStraddleError(ValueError):
-    """An approximate point's error radius straddles a cut point; counting it
-    would require a guess, so the operation fails loudly instead."""
-
-
-@dataclass(frozen=True)
-class ApproxPoint:
-    """Fixed-precision point with an error radius; exact points have radius 0."""
-
-    value: Fraction
-    radius: Fraction
 
 
 class Residues(Sequence):
@@ -140,20 +110,8 @@ class CellPartition:
     def dyadic(cls, level: int) -> "CellPartition":
         return cls.uniform(1 << level)
 
-    def cell_index(self, point: Fraction | ApproxPoint) -> int:
-        """Index of the half-open cell containing the point, exact.
-
-        For ApproxPoint the whole ball [v - r, v + r] must sit inside one cell,
-        otherwise CellStraddleError is raised.
-        """
-        if isinstance(point, ApproxPoint):
-            lo, hi = point.value - point.radius, point.value + point.radius
-            i = self.cell_of(lo.numerator, lo.denominator)
-            if hi >= self.cuts[i + 1]:
-                raise CellStraddleError(
-                    f"point {point.value}±{point.radius} straddles cut {self.cuts[i + 1]}"
-                )
-            return i
+    def cell_index(self, point: Fraction) -> int:
+        """Index of the half-open cell containing the point, exact."""
         x = point if isinstance(point, Fraction) else Fraction(point)
         return self.cell_of(x.numerator, x.denominator)
 
@@ -166,9 +124,6 @@ class CellPartition:
         if not 0 <= num < den:
             raise ValueError("points must lie in [0, 1)")
         return bisect_right(self._scaled_cuts, num * self._den // den) - 1
-
-    def cell_bounds(self, i: int) -> tuple[Fraction, Fraction]:
-        return self.cuts[i], self.cuts[i + 1]
 
     def lebesgue_masses(self) -> "MeasureVector":
         return MeasureVector(tuple(b - a for a, b in zip(self.cuts, self.cuts[1:])))
@@ -195,9 +150,6 @@ class MeasureVector:
     def size(self) -> int:
         return len(self.masses)
 
-    def mass(self, cells: Iterable[int]) -> Fraction:
-        return sum((self.masses[i] for i in cells), _ZERO)
-
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
@@ -219,13 +171,8 @@ class EmpiricalMeasure:
     def as_vector(self) -> MeasureVector:
         return MeasureVector(self.frequencies)
 
-    def mass(self, cells: Iterable[int]) -> Fraction:
-        return Fraction(sum(self.counts[i] for i in cells), self.sample_count)
 
-
-def _cell_indices(
-    points: Iterable[Fraction | ApproxPoint], partition: CellPartition
-) -> Iterator[int]:
+def _cell_indices(points: Iterable[Fraction], partition: CellPartition) -> Iterator[int]:
     """The cell index of each point, in order.
 
     `Residues` are looked up by their numerators, with no Fraction built:
@@ -242,66 +189,6 @@ def _cell_indices(
         raise ValueError("points must lie in [0, 1)")
     cuts, scale = partition._scaled_cuts, partition._den
     return (bisect_right(cuts, r * scale // den) - 1 for r in nums)
-
-
-def empirical_measure(
-    points: Sequence[Fraction | ApproxPoint], partition: CellPartition
-) -> EmpiricalMeasure:
-    """Frequency vector of the points over the partition cells."""
-    if len(points) == 0:
-        raise ValueError("empirical measure of an empty point list is undefined")
-    counts = [0] * partition.size
-    for c in _cell_indices(points, partition):
-        counts[c] += 1
-    return EmpiricalMeasure(tuple(counts), len(points))
-
-
-def concat_measures(first: EmpiricalMeasure, second: EmpiricalMeasure) -> EmpiricalMeasure:
-    """Measure of the concatenated sample: (N*mu_N + M*mu_M)/(N+M) cellwise."""
-    if len(first.counts) != len(second.counts):
-        raise ValueError("size mismatch")
-    return EmpiricalMeasure(
-        tuple(a + b for a, b in zip(first.counts, second.counts)),
-        first.sample_count + second.sample_count,
-    )
-
-
-def window_defect(
-    points: Sequence[Fraction | ApproxPoint],
-    reference: MeasureVector,
-    partition: CellPartition,
-    window: int,
-    shifts: int,
-) -> Fraction:
-    """Max over shifts k <= `shifts` and cells A of |freq of A in points
-    k+1..k+window  -  reference(A)|.
-
-    Small values certify approximate well-distribution at scale (window, shifts).
-    Needs window + shifts points.
-    """
-    if window < 1 or shifts < 0:
-        raise ValueError("window must be >= 1 and shifts >= 0")
-    need = window + shifts
-    if len(points) < need:
-        raise ValueError(f"need {need} points, got {len(points)}")
-    s = partition.size
-    cells = list(_cell_indices(points[:need], partition))
-    counts = [0] * s
-    for c in cells[:window]:
-        counts[c] += 1
-    worst = _ZERO
-    k = 0
-    while True:
-        for i in range(s):
-            dev = abs(Fraction(counts[i], window) - reference.masses[i])
-            if dev > worst:
-                worst = dev
-        if k == shifts:
-            break
-        counts[cells[k]] -= 1
-        counts[cells[k + window]] += 1
-        k += 1
-    return worst
 
 
 def star_discrepancy(points: Sequence[Fraction]) -> Fraction:
@@ -350,7 +237,7 @@ class CheckpointScan:
 
 
 def checkpoint_scan(
-    points: Iterable[Fraction | ApproxPoint],
+    points: Iterable[Fraction],
     partition: CellPartition,
     checkpoints: Sequence[int],
 ) -> CheckpointScan:
@@ -374,101 +261,6 @@ def checkpoint_scan(
             raise ValueError(f"point source exhausted before checkpoint {target}")
         measures.append(EmpiricalMeasure(tuple(counts), seen))
     return CheckpointScan(tuple(cps), tuple(measures))
-
-
-def mu_bar_estimate(scan: CheckpointScan, cells: Iterable[int]) -> Fraction:
-    """Max over checkpoints of the union's empirical mass.
-
-    This is a limsup surrogate and therefore only a LOWER bound for the true
-    supremum of the union's mass over limit measures: mass sitting exactly on
-    a cell boundary in the limit is never counted at finite N (the 1/n-orbit
-    against the singleton {0} is the canonical failure).  Pair with
-    `max_checkpoint_fraction` over an enlarged union when boundaries matter.
-    """
-    cells = tuple(cells)
-    return max(m.mass(cells) for m in scan.measures)
-
-
-def max_checkpoint_fraction(
-    points: Sequence[Fraction],
-    checkpoints: Sequence[int],
-    member: Callable[[Fraction], bool],
-) -> Fraction:
-    """Max over checkpoints N of #{n <= N : member(x_n)}/N, exact.
-
-    `member` may encode any target: a single point, an open interval, or an
-    enlarged cell union.
-    """
-    if not checkpoints or any(a >= b for a, b in zip(checkpoints, checkpoints[1:])):
-        raise ValueError("checkpoints must be strictly increasing and nonempty")
-    if len(points) < checkpoints[-1]:
-        raise ValueError("not enough points for the last checkpoint")
-    best = _ZERO
-    hits = 0
-    cp = set(checkpoints)
-    for n, x in enumerate(points[: checkpoints[-1]], start=1):
-        if member(x):
-            hits += 1
-        if n in cp:
-            frac = Fraction(hits, n)
-            if frac > best:
-                best = frac
-    return best
-
-
-@dataclass(frozen=True)
-class LimitMassReport:
-    """Both estimates of a union's top limit mass: the plain checkpoint
-    maximum (a lower bound that can miss boundary mass entirely) and the same
-    maximum over the eta-enlarged open union."""
-
-    plain: Fraction
-    enlarged: Fraction
-    eta: Fraction
-
-
-def mu_bar_report(
-    points: Sequence[Fraction],
-    checkpoints: Sequence[int],
-    partition: CellPartition,
-    cells: Iterable[int],
-    eta: Fraction,
-) -> LimitMassReport:
-    """Checkpoint estimator of sup over limit measures of the union's mass,
-    reported together with its eta-enlarged variant; the plain number alone
-    undervalues unions whose limit mass sits on a cell boundary."""
-    cells = tuple(cells)
-    scan = checkpoint_scan(points[: checkpoints[-1]], partition, checkpoints)
-    plain = mu_bar_estimate(scan, cells)
-    member = enlarged_union_membership(partition, cells, eta)
-    enlarged = max_checkpoint_fraction(points, checkpoints, member)
-    return LimitMassReport(plain=plain, enlarged=enlarged, eta=Fraction(eta))
-
-
-def enlarged_union_membership(
-    partition: CellPartition, cells: Iterable[int], eta: Fraction
-) -> Callable[[Fraction], bool]:
-    """Membership test for the open eta-enlargement of a union of cells.
-
-    Each cell [a, b) grows to (a - eta, b + eta) mod 1; the union of the open
-    enlargements is the target.
-    """
-    eta = Fraction(eta)
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    bounds = [partition.cell_bounds(i) for i in cells]
-
-    def member(x: Fraction) -> bool:
-        x = Fraction(x)
-        for a, b in bounds:
-            lo, hi = a - eta, b + eta
-            if lo < x < hi or lo < x - 1 < hi or lo < x + 1 < hi:
-                return True
-            if eta == 0 and x == a:
-                return True
-        return False
-
-    return member
 
 
 def scan_to_csv(scan: CheckpointScan, digits: int = 12) -> str:

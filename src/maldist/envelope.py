@@ -14,8 +14,7 @@ binding checks are on unions of partition cells, not single cells.  The same
 concavity makes the union check exact in polynomial time: among unions of a
 set of cells, one violates F + tol iff a prefix of those cells in decreasing
 mu/lambda order does, so `envelope_dominates` decides all 2^s - 1 unions with
-at most s(s + 3)/2 checks.  `counting_oracle` verifies the same bound from
-scratch at finite horizons by splitting the raw count block by block.
+at most s(s + 3)/2 checks.
 
 The measure and F travel as integers: `pi_measure` counts m_j at each
 reduced ratio over M_N, a `RatioMeasure` keeps integer prefix masses and
@@ -46,11 +45,8 @@ __all__ = [
     "AdmissibilityReport",
     "check_admissible",
     "pi_measure",
-    "F_pi_eval",
     "DominationResult",
     "envelope_dominates",
-    "CountingOracleReport",
-    "counting_oracle",
 ]
 
 _ZERO = Fraction(0)
@@ -130,9 +126,6 @@ class BlockSpec:
         """Total multiplicity of blocks 1..j."""
         self._extend_sums(j)
         return self._M[j]
-
-    def q(self, j: int) -> Fraction:
-        return Fraction(self.m(j), self.b(j))
 
     def block_range(self, j: int) -> range:
         """The integers of block j."""
@@ -301,14 +294,6 @@ def pi_measure(spec: BlockSpec, horizon: int) -> RatioMeasure:
             loc = (m // g, b // g)
             counts[loc] = counts.get(loc, 0) + m
     return RatioMeasure._from_counts(counts, total)
-
-
-def F_pi_eval(pi: RatioMeasure, t0: Fraction) -> Fraction:
-    """Envelope value F(t0) = pi([0, t0]) + t0 * sum_{q > t0} weight(q)/q, exact."""
-    t0 = Fraction(t0)
-    if not 0 <= t0 <= 1:
-        raise ValueError("argument must lie in [0, 1]")
-    return Fraction(*pi.envelope_ratio(t0.numerator, t0.denominator))
 
 
 @dataclass(frozen=True)
@@ -486,132 +471,3 @@ def envelope_dominates(
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     return _dfs_first_violation(mu.masses, lam.masses, pi, tol)
-
-
-@dataclass(frozen=True)
-class CheckpointBound:
-    blocks: int
-    chosen_total: int
-    count: int
-    c1: int
-    c2: int
-    c3: int
-    envelope_value: Fraction
-    rhs: Fraction
-    ok: bool
-
-
-@dataclass(frozen=True)
-class CountingOracleReport:
-    """Block-by-block recount of the envelope bound at finite horizons.
-
-    The chosen-index count of a union A up to block N splits as C1 + C2 + C3
-    (early blocks, blocks with ratio <= t0, blocks with ratio > t0); the three
-    pieces certify count <= M_N * (F(t0) + eps/t0) + M_{j(eps)} where j(eps)
-    is the first block after which every full-block frequency of A stays
-    within eps of lambda(A).
-    """
-
-    t0: Fraction
-    eps: Fraction
-    j_eps: int
-    lam_mass: Fraction
-    checkpoints: tuple[CheckpointBound, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checkpoints)
-
-
-def counting_oracle(
-    x: Callable[[int], Fraction],
-    indices: Sequence[int],
-    spec: BlockSpec,
-    partition: CellPartition,
-    lam: MeasureVector,
-    cells: Iterable[int],
-    t0: Fraction,
-    checkpoints: Sequence[int],
-    eps: Fraction,
-) -> CountingOracleReport:
-    """Verify the finite-horizon envelope bound for an explicit subsequence.
-
-    `x` maps a positive integer to a point, `indices` is the chosen
-    subsequence (must be a valid member through the last checkpoint block),
-    `cells` the union A, t0 an upper bound for lambda(A), `checkpoints` block
-    counts N_k.
-    """
-    t0 = Fraction(t0)
-    eps = Fraction(eps)
-    if eps <= 0 or t0 <= 0:
-        raise ValueError("eps and t0 must be positive")
-    cells = tuple(sorted(set(cells)))
-    lam_mass = lam.mass(cells)
-    if lam_mass > t0:
-        raise ValueError("t0 must dominate lambda(A)")
-    cps = list(checkpoints)
-    if not cps or any(a >= b for a, b in zip(cps, cps[1:])):
-        raise ValueError("checkpoints must be strictly increasing and nonempty")
-    last = cps[-1]
-    horizon_end = spec.a(last)
-    if sum(1 for n in indices if n <= horizon_end) != spec.M(last):
-        raise ValueError("subsequence does not cover whole blocks up to the last checkpoint")
-    cellset = set(cells)
-
-    def hit(n: int) -> bool:
-        return partition.cell_index(x(n)) in cellset
-
-    # Full-block hit frequencies determine j(eps).
-    full_defect = []
-    for j in range(1, last + 1):
-        cj = sum(1 for n in spec.block_range(j) if hit(n))
-        full_defect.append(abs(Fraction(cj, spec.b(j)) - lam_mass))
-    j_eps = 0
-    for j in range(last, 0, -1):
-        if full_defect[j - 1] > eps:
-            j_eps = j
-            break
-
-    chosen_hits = []
-    for j in range(1, last + 1):
-        lo, hi = spec.a(j - 1), spec.a(j)
-        chosen_hits.append(sum(1 for n in indices if lo < n <= hi and hit(n)))
-
-    bounds = []
-    for N in cps:
-        pi_n = pi_measure(spec, N)
-        envelope_value = F_pi_eval(pi_n, t0)
-        m_total = spec.M(N)
-        c1 = sum(chosen_hits[: min(j_eps, N)])
-        c2 = sum(
-            chosen_hits[j - 1]
-            for j in range(j_eps + 1, N + 1)
-            if spec.q(j) <= t0
-        )
-        c3 = sum(
-            chosen_hits[j - 1]
-            for j in range(j_eps + 1, N + 1)
-            if spec.q(j) > t0
-        )
-        count = c1 + c2 + c3
-        rhs = m_total * (envelope_value + eps / t0) + spec.M(min(j_eps, N))
-        bounds.append(
-            CheckpointBound(
-                blocks=N,
-                chosen_total=m_total,
-                count=count,
-                c1=c1,
-                c2=c2,
-                c3=c3,
-                envelope_value=envelope_value,
-                rhs=rhs,
-                ok=Fraction(count) <= rhs,
-            )
-        )
-    return CountingOracleReport(
-        t0=t0,
-        eps=eps,
-        j_eps=j_eps,
-        lam_mass=lam_mass,
-        checkpoints=tuple(bounds),
-    )

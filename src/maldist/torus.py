@@ -1,5 +1,5 @@
-"""Exact arithmetic on the circle R/Z: points, open intervals, and the
-multiplication maps x -> n*x mod 1 together with their interval preimages.
+"""Exact arithmetic on the circle R/Z: points, open intervals, interval
+containment, and the multiplication maps x -> n*x mod 1.
 
 Points are plain `Fraction`s confined to [0, 1).  Intervals are open and may
 wrap through 0; a wrapping interval with fields (left, right) denotes the arc
@@ -17,8 +17,6 @@ from .exact import format_rational, mod1, parse_rational
 __all__ = [
     "TorusInterval",
     "mul_mod1",
-    "preimage_intervals",
-    "intervals_disjoint",
     "interval_contains_interval",
 ]
 
@@ -99,16 +97,6 @@ class TorusInterval:
             bool(obj.get("wraps", False)),
         )
 
-    @classmethod
-    def from_lift(cls, a: Fraction, b: Fraction) -> "TorusInterval":
-        """Interval from a lifted pair with 0 <= a < b <= a + 1 <= 2."""
-        a, b = Fraction(a), Fraction(b)
-        if not (_ZERO <= a < b <= a + 1) or b - a >= 1:
-            raise ValueError("lift must satisfy 0 <= a < b < a + 1")
-        if b <= _ONE:
-            return cls(a, b)
-        return cls(a, b - 1, wraps=True)
-
 
 def mul_mod1(n: int, alpha: Fraction) -> Fraction:
     """Fractional part of n*alpha, exact.  Requires n >= 1."""
@@ -116,37 +104,6 @@ def mul_mod1(n: int, alpha: Fraction) -> Fraction:
         raise ValueError("multiplier must be a positive integer")
     alpha = Fraction(alpha)
     return Fraction(n * alpha.numerator % alpha.denominator, alpha.denominator)
-
-
-def preimage_intervals(n: int, target: TorusInterval) -> list[TorusInterval]:
-    """The n disjoint intervals {x : n*x mod 1 in target}, each of length
-    length(target)/n, ordered by left endpoint of their lift."""
-    if n < 1:
-        raise ValueError("multiplier must be a positive integer")
-    if target.length <= 0:
-        raise ValueError("target interval must have positive length")
-    a, b = target.lifted()
-    out = []
-    for j in range(n):
-        out.append(TorusInterval.from_lift(Fraction(a + j, n), Fraction(b + j, n)))
-    return out
-
-
-def _arcs(interval: TorusInterval) -> list[tuple[Fraction, Fraction]]:
-    # Half-open/open distinction is irrelevant for disjointness of open sets;
-    # represent the wrapping arc as two plain pieces.
-    if interval.wraps:
-        return [(interval.left, _ONE), (_ZERO, interval.right)]
-    return [(interval.left, interval.right)]
-
-
-def intervals_disjoint(first: TorusInterval, second: TorusInterval) -> bool:
-    """True iff the two open arcs share no point (endpoint contact allowed)."""
-    for a0, a1 in _arcs(first):
-        for b0, b1 in _arcs(second):
-            if a0 < b1 and b0 < a1:
-                return False
-    return True
 
 
 def interval_contains_interval(outer: TorusInterval, inner: TorusInterval) -> bool:

@@ -1,0 +1,357 @@
+"""Reference code that the tests and the acceptance suite compare the
+program against.  None of it backs a `maldist` subcommand.
+
+- `brute_force_extension`: the exact minimizer of the final total deviation
+  over all admissible extensions of a small instance, the oracle the greedy
+  is measured against (C10);
+- `exchange_facts`: the exchange structure of such a minimizer, checked per
+  block (C10);
+- `sample_uniform`: seeded uniform members of a block space (C9);
+- `max_checkpoint_fraction`: the max-over-checkpoints frequency of a target
+  set, whose gap at a cell boundary C11 pins;
+- `empirical_measure` and `F_pi_eval`: the prefix measure of a whole point
+  list and F at one Fraction, spelled through the program's own kernels.
+
+Every cell lookup goes through `CellPartition.cell_index`, and nothing here
+imports a private name of the package.  This module is not collected by
+pytest (its name does not start with `test_`).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache
+from math import comb, lcm
+from typing import Callable, Sequence
+
+from maldist.empirical import CellPartition, EmpiricalMeasure, checkpoint_scan
+from maldist.envelope import BlockSpec, RatioMeasure
+from maldist.rng import SplitMix64
+from maldist.subspace import ExtensionTarget, validate_membership
+
+_ZERO = Fraction(0)
+
+PointSource = Callable[[int], Fraction]
+
+
+def empirical_measure(points: Sequence[Fraction], partition: CellPartition) -> EmpiricalMeasure:
+    """Frequency vector of all the points over the partition cells."""
+    return checkpoint_scan(points, partition, [len(points)]).measures[0]
+
+
+def F_pi_eval(pi: RatioMeasure, t0: Fraction) -> Fraction:
+    """Envelope value F(t0) = pi([0, t0]) + t0 * sum_{q > t0} weight(q)/q, exact."""
+    t0 = Fraction(t0)
+    return Fraction(*pi.envelope_ratio(t0.numerator, t0.denominator))
+
+
+def sample_uniform(spec: BlockSpec, blocks: int, seed: int) -> tuple[int, ...]:
+    """Seeded uniform member prefix: an independent uniform m_j-subset of each
+    block, drawn from one SplitMix64 stream in block order."""
+    if blocks < 1:
+        raise ValueError("need at least one block")
+    rng = SplitMix64(seed)
+    out: list[int] = []
+    for j in range(1, blocks + 1):
+        out.extend(rng.subset(spec.a(j - 1) + 1, spec.a(j), spec.m(j)))
+    return tuple(out)
+
+
+def max_checkpoint_fraction(
+    points: Sequence[Fraction],
+    checkpoints: Sequence[int],
+    member: Callable[[Fraction], bool],
+) -> Fraction:
+    """Max over checkpoints N of #{n <= N : member(x_n)}/N, exact.
+
+    `member` may encode any target: a single point, an open interval, or an
+    enlarged cell union.  This is only a lower bound for the top limit mass
+    of the target: mass that sits exactly on a boundary in the limit is
+    never counted at finite N.
+    """
+    if not checkpoints or any(a >= b for a, b in zip(checkpoints, checkpoints[1:])):
+        raise ValueError("checkpoints must be strictly increasing and nonempty")
+    if len(points) < checkpoints[-1]:
+        raise ValueError("not enough points for the last checkpoint")
+    best = _ZERO
+    hits = 0
+    cp = set(checkpoints)
+    for n, x in enumerate(points[: checkpoints[-1]], start=1):
+        if member(x):
+            hits += 1
+        if n in cp:
+            frac = Fraction(hits, n)
+            if frac > best:
+                best = frac
+    return best
+
+
+def _cell_lookup(
+    x: PointSource | Sequence[Fraction], partition: CellPartition
+) -> Callable[[int], int]:
+    """Cell of the point x_n, for x a function of n >= 1 or the sequence
+    x_1, x_2, ..., memoized."""
+    source = x if callable(x) else (lambda n: x[n - 1])
+    return cache(lambda n: partition.cell_index(source(n)))
+
+
+def _cell_buckets(
+    spec: BlockSpec, j: int, cell_of: Callable[[int], int], s: int
+) -> list[list[int]]:
+    """The indices of block j by cell, each list ascending."""
+    buckets: list[list[int]] = [[] for _ in range(s)]
+    for n in spec.block_range(j):
+        buckets[cell_of(n)].append(n)
+    return buckets
+
+
+@dataclass(frozen=True)
+class BruteForceResult:
+    indices: tuple[int, ...]
+    deviations: tuple[Fraction, ...]
+    total_abs_dev: Fraction
+    sorted_dev_tuple: tuple[Fraction, ...]
+    leaves: int
+
+
+def brute_force_extension(
+    prefix: Sequence[int],
+    spec: BlockSpec,
+    x: PointSource | Sequence[Fraction],
+    partition: CellPartition,
+    target: ExtensionTarget,
+    j1: int,
+    limit: int = 10**7,
+) -> BruteForceResult:
+    """Exact minimizer of the final total absolute deviation over all
+    admissible extensions through block j1.
+
+    Ties on the total are broken by the lexicographically smallest sorted
+    (descending) deviation tuple, then by the smallest per-block cell
+    allocation, which pins a unique minimizer; within a block, cells receive
+    their smallest available indices.  The admissible-extension count
+    prod C(b_j, m_j) must stay within `limit`.
+    """
+    s = partition.size
+    cell_of = _cell_lookup(x, partition)
+    j0 = spec.block_of(prefix[-1]) if prefix else 0
+    if not validate_membership(prefix, spec, blocks=j0):
+        raise ValueError("prefix is not a valid member through its blocks")
+    base_counts = [0] * s
+    for n in prefix:
+        base_counts[cell_of(n)] += 1
+    if j1 < j0:
+        raise ValueError("j1 must not precede the prefix blocks")
+    space = 1
+    for j in range(j0 + 1, j1 + 1):
+        space *= comb(spec.b(j), spec.m(j))
+        if space > limit:
+            raise ValueError(f"search space exceeds limit {limit}")
+    total = spec.M(j1)
+    mu = target.mu.masses
+    den = lcm(*(f.denominator for f in mu))
+    p_scaled = [int(f * den) for f in mu]  # mu_i * den, exact integers
+
+    # Per block: available indices per cell and the distinct cell-count
+    # allocations (k_0..k_{s-1}) with sum m_j, k_i <= avail_i.
+    block_opts: list[list[tuple[int, ...]]] = []
+    block_avail: list[list[list[int]]] = []
+    for j in range(j0 + 1, j1 + 1):
+        avail = _cell_buckets(spec, j, cell_of, s)
+        block_avail.append(avail)
+        block_opts.append(_count_vectors(tuple(len(a) for a in avail), spec.m(j)))
+
+    best_key = None
+    best_path: tuple[tuple[int, ...], ...] | None = None
+    leaves = 0
+    path: list[tuple[int, ...]] = []
+
+    def walk(depth: int, counts: list[int]):
+        nonlocal best_key, best_path, leaves
+        if depth == len(block_opts):
+            leaves += 1
+            scaled = [p_scaled[i] * total - counts[i] * den for i in range(s)]
+            t = sum(abs(v) for v in scaled)
+            key = (t, tuple(sorted(scaled, reverse=True)), tuple(path))
+            if best_key is None or key < best_key:
+                best_key = key
+                best_path = tuple(path)
+            return
+        for vec in block_opts[depth]:
+            for i in range(s):
+                counts[i] += vec[i]
+            path.append(vec)
+            walk(depth + 1, counts)
+            path.pop()
+            for i in range(s):
+                counts[i] -= vec[i]
+
+    walk(0, list(base_counts))
+    if best_path is None:  # every block supplied a vector, so this cannot fire
+        raise AssertionError("enumeration produced no candidate")
+
+    indices = list(prefix)
+    for depth, vec in enumerate(best_path):
+        for i in range(s):
+            indices.extend(block_avail[depth][i][: vec[i]])
+    indices.sort()
+    counts = list(base_counts)
+    for vec in best_path:
+        for i in range(s):
+            counts[i] += vec[i]
+    devs = tuple(mu[i] - Fraction(counts[i], total) for i in range(s))
+    return BruteForceResult(
+        indices=tuple(indices),
+        deviations=devs,
+        total_abs_dev=sum((abs(d) for d in devs), _ZERO),
+        sorted_dev_tuple=tuple(sorted(devs, reverse=True)),
+        leaves=leaves,
+    )
+
+
+def _count_vectors(avail: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
+    """All (k_i) with sum = m and 0 <= k_i <= avail_i, lexicographically
+    largest-first on the first cells (so smaller cells yield deterministic
+    order)."""
+    out: list[tuple[int, ...]] = []
+    vec: list[int] = []
+
+    def rec(i: int, left: int):
+        if i == len(avail) - 1:
+            if left <= avail[i]:
+                out.append(tuple(vec + [left]))
+            return
+        for k in range(min(avail[i], left), -1, -1):
+            vec.append(k)
+            rec(i + 1, left - k)
+            vec.pop()
+
+    if m == 0:
+        return [tuple([0] * len(avail))]
+    rec(0, m)
+    if not out:
+        raise ValueError("block cannot supply the required multiplicity")
+    return out
+
+
+def deviation_gap_cells(deviations: Sequence[Fraction], eps: Fraction) -> tuple[int, ...]:
+    """High-deviation cell set: cells above the first sorted-deviation gap
+    exceeding eps/s^2 (with the gap's top value also above eps/s^2).
+
+    Empty when there is no such gap, meaning no exchange obligation is in
+    force.
+    """
+    s = len(deviations)
+    thresh = Fraction(eps) / (s * s)
+    order = sorted(range(s), key=lambda i: (-deviations[i], i))
+    for r in range(s - 1):
+        top, nxt = deviations[order[r]], deviations[order[r + 1]]
+        if top - nxt > thresh and top > thresh:
+            return tuple(sorted(order[: r + 1]))
+    return ()
+
+
+@dataclass(frozen=True)
+class BlockFactCheck:
+    block: int
+    y_available: int
+    y_chosen: int
+    multiplicity: int
+    literal_ok: bool
+    exchange_ok: bool
+
+
+@dataclass(frozen=True)
+class ExchangeFactsReport:
+    y_cells: tuple[int, ...]
+    applicable: bool
+    blocks: tuple[BlockFactCheck, ...]
+
+    @property
+    def literal_ok(self) -> bool:
+        return all(b.literal_ok for b in self.blocks)
+
+    @property
+    def exchange_ok(self) -> bool:
+        return all(b.exchange_ok for b in self.blocks)
+
+
+def exchange_facts(
+    indices: Sequence[int],
+    spec: BlockSpec,
+    x: PointSource | Sequence[Fraction],
+    partition: CellPartition,
+    target: ExtensionTarget,
+    j_start: int,
+    j_end: int,
+) -> ExchangeFactsReport:
+    """Check the exchange structure of a candidate solution on blocks
+    (j_start, j_end].
+
+    Y is the high-deviation cell set of the *final* deviations (gap rule; if
+    no gap exists the obligations are vacuous and the report says so).  Per
+    block, either every chosen index lies in Y (when the block offers at
+    least m_j indices in Y) or every offered Y-index is chosen.  A literal
+    failure is additionally retested by swapping: `exchange_ok` stays true
+    when no single in-block swap of a chosen non-Y index for an unchosen
+    Y-index strictly improves the (total deviation, sorted tuple) objective,
+    which is exactly the optimality the minimizer must have.
+    """
+    s = partition.size
+    cell_of = _cell_lookup(x, partition)
+    chosen_set = set(indices)
+    total = sum(1 for n in indices if n <= spec.a(j_end))
+    counts = [0] * s
+    for n in indices:
+        if n <= spec.a(j_end):
+            counts[cell_of(n)] += 1
+    mu = target.mu.masses
+    devs = [mu[i] - Fraction(counts[i], total) for i in range(s)]
+    y_cells = deviation_gap_cells(devs, target.eps)
+    if not y_cells:
+        return ExchangeFactsReport(y_cells=(), applicable=False, blocks=())
+    y_set = set(y_cells)
+
+    def objective(cnts: Sequence[int]) -> tuple[Fraction, tuple[Fraction, ...]]:
+        d = [mu[i] - Fraction(cnts[i], total) for i in range(s)]
+        return sum((abs(v) for v in d), _ZERO), tuple(sorted(d, reverse=True))
+
+    base_obj = objective(counts)
+    checks = []
+    for j in range(j_start + 1, j_end + 1):
+        members = list(spec.block_range(j))
+        y_avail = sum(1 for n in members if cell_of(n) in y_set)
+        in_block_chosen = [n for n in members if n in chosen_set]
+        y_chosen = sum(1 for n in in_block_chosen if cell_of(n) in y_set)
+        m_j = spec.m(j)
+        if y_avail >= m_j:
+            literal = y_chosen == m_j
+        else:
+            literal = y_chosen == y_avail
+        exchange = literal
+        if not literal:
+            exchange = True
+            swap_out = [n for n in in_block_chosen if cell_of(n) not in y_set]
+            swap_in = [n for n in members if n not in chosen_set and cell_of(n) in y_set]
+            for n_out in swap_out:
+                for n_in in swap_in:
+                    trial = list(counts)
+                    trial[cell_of(n_out)] -= 1
+                    trial[cell_of(n_in)] += 1
+                    if objective(trial) < base_obj:
+                        exchange = False
+                        break
+                if not exchange:
+                    break
+        checks.append(
+            BlockFactCheck(
+                block=j,
+                y_available=y_avail,
+                y_chosen=y_chosen,
+                multiplicity=m_j,
+                literal_ok=literal,
+                exchange_ok=exchange,
+            )
+        )
+    return ExchangeFactsReport(y_cells=y_cells, applicable=True, blocks=tuple(checks))

@@ -18,29 +18,11 @@ from maldist.doubling import (
     invariance_defect,
     zero_block_density,
 )
-from maldist.empirical import (
-    CellPartition,
-    MeasureVector,
-    empirical_measure,
-    max_checkpoint_fraction,
-    star_discrepancy,
-)
-from maldist.envelope import (
-    BlockSpec,
-    F_pi_eval,
-    RatioMeasure,
-    envelope_dominates,
-    pi_measure,
-)
+from maldist.empirical import CellPartition, MeasureVector, star_discrepancy
+from maldist.envelope import BlockSpec, RatioMeasure, envelope_dominates, pi_measure
 from maldist.exact import mod1
 from maldist.rng import SplitMix64
-from maldist.subspace import (
-    ExtensionTarget,
-    brute_force_extension,
-    exchange_facts,
-    greedy_extension,
-    sample_uniform,
-)
+from maldist.subspace import ExtensionTarget, greedy_extension
 from maldist.torus import TorusInterval, mul_mod1
 from maldist.witness import (
     HistogramTarget,
@@ -52,6 +34,14 @@ from maldist.witness import (
     zero_block_alpha,
 )
 from tests.conftest import GOLDEN
+from tests.oracles import (
+    F_pi_eval,
+    brute_force_extension,
+    empirical_measure,
+    exchange_facts,
+    max_checkpoint_fraction,
+    sample_uniform,
+)
 
 
 def report(criterion: str, ok: bool, detail: str = ""):

@@ -16,25 +16,18 @@ from tests.test_certificates_cli import cli_env, run_cli
 
 # The package's re-exports, pinned here independently of its own table.
 EXPORTS = [
-    "AdmissibilityReport", "ApproxPoint", "AvoidanceResult", "BinaryPoint",
-    "BlockSpec", "BruteForceResult", "CellPartition", "CellStraddleError",
-    "CheckpointScan", "CountingOracleReport", "DominationResult",
-    "EmpiricalMeasure", "ExchangeFactsReport", "ExtensionResult",
-    "ExtensionTarget", "F_pi_eval", "HistogramTarget", "HistogramWitness",
-    "HitFrequencyWitness", "LimitMassReport", "MeasureVector", "MixingChain",
-    "MixingConfig", "MixingConfigError", "OrbitHitReport", "RatioMeasure",
-    "RationalParseError", "Residues", "SplitMix64", "TorusInterval",
-    "WindowDensity", "WitnessPlan", "auto_plan", "avoidance_sequence",
-    "brute_force_extension", "check_admissible", "checkpoint_scan",
-    "concat_measures", "counting_oracle", "decimal_str", "doubling_orbit",
-    "doubling_period", "empirical_measure", "enlarged_union_membership",
-    "envelope_dominates", "exchange_facts", "five_sixth_check",
-    "format_rational", "greedy_extension", "histogram_witness",
-    "hit_frequency_witness", "interval_contains_interval", "intervals_disjoint",
-    "invariance_defect", "max_checkpoint_fraction", "mixing_chain", "mod1",
-    "mu_bar_estimate", "mu_bar_report", "mul_mod1", "parse_rational",
-    "pi_measure", "preimage_intervals", "sample_uniform", "scan_to_csv",
-    "star_discrepancy", "validate_membership", "window_defect",
+    "AdmissibilityReport", "AvoidanceResult", "BinaryPoint", "BlockSpec",
+    "CellPartition", "CheckpointScan", "DominationResult", "EmpiricalMeasure",
+    "ExtensionResult", "ExtensionTarget", "HistogramTarget", "HistogramWitness",
+    "HitFrequencyWitness", "MeasureVector", "MixingChain", "MixingConfig",
+    "MixingConfigError", "OrbitHitReport", "RatioMeasure", "RationalParseError",
+    "Residues", "SplitMix64", "TorusInterval", "WindowDensity", "WitnessPlan",
+    "auto_plan", "avoidance_sequence", "check_admissible", "checkpoint_scan",
+    "decimal_str", "doubling_orbit", "doubling_period", "envelope_dominates",
+    "five_sixth_check", "format_rational", "greedy_extension",
+    "histogram_witness", "hit_frequency_witness", "interval_contains_interval",
+    "invariance_defect", "mixing_chain", "mod1", "mul_mod1", "parse_rational",
+    "pi_measure", "scan_to_csv", "star_discrepancy", "validate_membership",
     "zero_block_alpha", "zero_block_density",
 ]
 
@@ -92,7 +85,7 @@ def test_scan_rotation_loads_no_certificate_or_construction_layer(tmp_path):
 
 
 def test_all_is_the_pinned_export_set():
-    assert len(EXPORTS) == 70
+    assert len(EXPORTS) == 50
     assert sorted(maldist.__all__) == EXPORTS
 
 

@@ -4,23 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maldist.empirical import (
-    ApproxPoint,
-    CellPartition,
-    CellStraddleError,
-    MeasureVector,
-    checkpoint_scan,
-    concat_measures,
-    empirical_measure,
-    enlarged_union_membership,
-    max_checkpoint_fraction,
-    mu_bar_estimate,
-    mu_bar_report,
-    scan_to_csv,
-    star_discrepancy,
-    window_defect,
-)
+from maldist.empirical import CellPartition, checkpoint_scan, scan_to_csv, star_discrepancy
 from maldist.exact import mod1
+from tests.oracles import empirical_measure
 
 
 def brute_force_star_discrepancy(points):
@@ -76,17 +62,15 @@ def test_frequencies_have_denominator_dividing_n():
     st.lists(st.fractions(min_value=0, max_value=F(63, 64), max_denominator=64), min_size=1, max_size=30),
 )
 def test_concat_consistency(first, second):
+    """The scan of a concatenated sample holds the first part's measure at its
+    end, and the cellwise count sum of both parts at the end of the whole."""
     p = CellPartition.uniform(4)
-    merged = concat_measures(empirical_measure(first, p), empirical_measure(second, p))
-    assert merged == empirical_measure(first + second, p)
-
-
-def test_approx_point_straddle_fails_loudly():
-    p = CellPartition.uniform(4)
-    ok = ApproxPoint(F(1, 8), F(1, 100))
-    assert p.cell_index(ok) == 0
-    with pytest.raises(CellStraddleError):
-        p.cell_index(ApproxPoint(F(1, 4), F(1, 100)))
+    n, m = len(first), len(second)
+    head, whole = checkpoint_scan(first + second, p, [n, n + m]).measures
+    assert head == empirical_measure(first, p)
+    parts = zip(empirical_measure(first, p).counts, empirical_measure(second, p).counts)
+    assert whole.counts == tuple(a + b for a, b in parts)
+    assert whole == empirical_measure(first + second, p)
 
 
 def test_star_discrepancy_single_zero():
@@ -118,27 +102,6 @@ def test_star_discrepancy_matches_brute_force(points):
     assert F(1, 2 * len(points)) <= fast <= 1
 
 
-def test_window_defect_constant_sequence():
-    p = CellPartition.uniform(4)
-    lam = MeasureVector((F(1), F(0), F(0), F(0)))
-    pts = [F(0)] * 50
-    assert window_defect(pts, lam, p, window=10, shifts=40) == 0
-
-
-def test_window_defect_alternating_even_window():
-    p = CellPartition.uniform(2)
-    lam = MeasureVector((F(1, 2), F(1, 2)))
-    pts = [mod1(n * F(1, 2)) for n in range(1, 101)]
-    assert window_defect(pts, lam, p, window=20, shifts=80) == 0
-
-
-def test_window_defect_golden(golden_points):
-    p = CellPartition.uniform(10)
-    lam = p.lebesgue_masses()
-    d = window_defect(golden_points[:2000], lam, p, window=1000, shifts=1000)
-    assert d < F(1, 50)
-
-
 def test_checkpoint_scan_periodic():
     p = CellPartition.uniform(3)
     pts = [mod1(n * F(1, 3)) for n in range(1, 10)]
@@ -162,49 +125,6 @@ def test_scan_reciprocal_sequence_first_cell():
     freqs = [m.frequencies[0] for m in scan.measures]
     assert freqs[-1] > F(99, 100)
     assert freqs == sorted(freqs)
-
-
-def test_mu_bar_constant_scan():
-    p = CellPartition.uniform(2)
-    pts = [F(0)] * 10
-    scan = checkpoint_scan(pts, p, [5, 10])
-    assert mu_bar_estimate(scan, [0]) == 1
-
-
-def test_mu_bar_alternating():
-    p = CellPartition.uniform(2)
-    pts = [F(0)] * 5 + [F(1, 2)] * 45
-    scan = checkpoint_scan(pts, p, [5, 50])
-    assert mu_bar_estimate(scan, [0]) == 1  # max over checkpoints of {1, 1/10}
-
-
-def test_mu_bar_singleton_gap():
-    # Reciprocal points converge to 0 without touching it: the finite-N
-    # estimator of the singleton's limit mass stays 0 though the true limit
-    # measure is the point mass at 0 (mass 1).  Documented-gap regression.
-    pts = [F(1, n + 1) for n in range(1, 1001)]
-    cps = [10, 100, 1000]
-    singleton = max_checkpoint_fraction(pts, cps, lambda x: x == 0)
-    assert singleton == 0
-    # The eta-enlarged target repairs the undercount.
-    p = CellPartition((F(0), F(1, 10), F(1)))
-    member = enlarged_union_membership(p, [0], eta=F(0))
-    enlarged = max_checkpoint_fraction(pts, cps, member)
-    assert enlarged > F(99, 100)
-
-
-def test_mu_bar_report_two_numbers():
-    pts = [F(1, n + 1) for n in range(1, 1001)]
-    p = CellPartition((F(0), F(1, 10), F(1)))
-    report = mu_bar_report(pts, [10, 100, 1000], p, cells=[0], eta=F(1, 100))
-    # plain estimate eventually near 1 for the first cell; enlargement can
-    # only grow it
-    assert report.plain > F(9, 10)
-    assert report.enlarged >= report.plain
-    # on the last cell, the boundary at 1 means the enlarged union catches
-    # points the half-open cell [1/10, 1) already holds plus its halo
-    report_top = mu_bar_report(pts, [10, 100, 1000], p, cells=[1], eta=F(1, 100))
-    assert report_top.enlarged >= report_top.plain
 
 
 def test_scan_csv_shape():
@@ -283,9 +203,6 @@ def test_cell_index_error_paths_unchanged():
             partition.cell_index(bad)
         assert type(info.value) is ValueError
         assert str(info.value) == "points must lie in [0, 1)"
-    with pytest.raises(CellStraddleError) as info:
-        partition.cell_index(ApproxPoint(F(1, 4), F(1, 100)))
-    assert str(info.value) == "point 1/4±1/100 straddles cut 1/4"
     with pytest.raises(ValueError, match=r"^points must lie in \[0, 1\)$"):
         star_discrepancy([F(1, 2), F(1)])
     with pytest.raises(ValueError, match=r"^points must lie in \[0, 1\)$"):

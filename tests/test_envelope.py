@@ -8,16 +8,13 @@ from hypothesis import strategies as st
 from maldist.empirical import CellPartition, MeasureVector
 from maldist.envelope import (
     BlockSpec,
-    F_pi_eval,
     RatioMeasure,
     check_admissible,
-    counting_oracle,
     envelope_dominates,
     pi_measure,
 )
-from maldist.exact import mod1
 from maldist.rng import SplitMix64
-from tests.conftest import GOLDEN
+from tests.oracles import F_pi_eval
 
 
 def random_ratio_measure(rng: SplitMix64) -> RatioMeasure:
@@ -47,7 +44,7 @@ def test_block_spec_lazy_function_backed():
     spec = BlockSpec(lambda j: j, lambda j: 1)
     assert spec.a(4) == 10
     assert spec.M(4) == 4
-    assert spec.q(3) == F(1, 3)
+    assert F(spec.m(3), spec.b(3)) == F(1, 3)
     assert list(spec.block_range(3)) == [4, 5, 6]
     assert spec.block_of(6) == 3
 
@@ -68,7 +65,7 @@ def test_admissible_half_ratio_trend():
     rep = check_admissible(spec, 10_000)
     assert rep.admissible_trend
     # sampling ratios approach 1/2 from above
-    assert abs(spec.q(10_000) - F(1, 2)) < F(1, 10_000)
+    assert abs(F(spec.m(10_000), spec.b(10_000)) - F(1, 2)) < F(1, 10_000)
 
 
 # --- ratio measures and the envelope --------------------------------------
@@ -321,104 +318,3 @@ def test_deep_violation_at_sixty_cells_within_cubic_bound():
     assert res.violation == tuple(range(23)) + tuple(range(30, 60))
     assert res.union_mass - res.bound == F(7, 1200)
     assert res.unions_checked <= s * (s + 3) // 2  # within (s + 1)^3
-
-
-# --- counting oracle -------------------------------------------------------
-
-
-def rotation(n: int) -> F:
-    return mod1(n * GOLDEN)
-
-
-def test_counting_oracle_full_sequence():
-    spec = BlockSpec(lambda j: 10, lambda j: 10)
-    partition = CellPartition.uniform(2)
-    lam = partition.lebesgue_masses()
-    indices = list(range(1, spec.a(12) + 1))
-    report = counting_oracle(
-        rotation, indices, spec, partition, lam,
-        cells=[0], t0=F(1, 2), checkpoints=[4, 8, 12], eps=F(1, 10),
-    )
-    assert report.ok
-
-
-def test_counting_oracle_half_blocks(golden_points):
-    spec = BlockSpec(lambda j: 10, lambda j: 5)
-    partition = CellPartition.uniform(2)
-    lam = partition.lebesgue_masses()
-    rng = SplitMix64(3)
-    indices = []
-    for j in range(1, 13):
-        indices.extend(rng.subset(spec.a(j - 1) + 1, spec.a(j), 5))
-    report = counting_oracle(
-        rotation, indices, spec, partition, lam,
-        cells=[0], t0=F(1, 2), checkpoints=[4, 8, 12], eps=F(1, 10),
-    )
-    assert report.ok
-    # F never exceeds 1, and q = 1/2 <= t0 puts all post-threshold blocks in C2.
-    for cp in report.checkpoints:
-        assert cp.envelope_value <= 1
-
-
-def test_counting_oracle_adversarial_choice():
-    # Take every in-target index available per block: the frequency pushes
-    # toward 1 and the bound F(1/2) = 1 still holds.
-    spec = BlockSpec(lambda j: 10, lambda j: 5)
-    partition = CellPartition.uniform(2)
-    lam = partition.lebesgue_masses()
-    indices = []
-    for j in range(1, 13):
-        block = list(spec.block_range(j))
-        hits = [n for n in block if rotation(n) < F(1, 2)]
-        rest = [n for n in block if n not in hits]
-        indices.extend(sorted((hits + rest)[:5]))
-    indices.sort()
-    report = counting_oracle(
-        rotation, indices, spec, partition, lam,
-        cells=[0], t0=F(1, 2), checkpoints=[12], eps=F(1, 10),
-    )
-    assert report.ok
-    cp = report.checkpoints[0]
-    assert F(cp.count, cp.chosen_total) > F(4, 5)
-    assert cp.envelope_value == 1
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32))
-def test_counting_oracle_bound_holds_for_any_member(seed):
-    # The three-way count split certifies the bound for every member choice,
-    # however adversarial, because chosen hits per block are capped by both
-    # m_j and the full-block count.
-    rng = SplitMix64(seed)
-    b = [rng.randint(3, 9) for _ in range(10)]
-    m = [rng.randint(0, bi) for bi in b]
-    if sum(m) == 0:
-        m[0] = 1
-    spec = BlockSpec(b, m)
-    partition = CellPartition.uniform(2)
-    lam = partition.lebesgue_masses()
-    indices = []
-    for j in range(1, 11):
-        block = list(spec.block_range(j))
-        hits = [n for n in block if rotation(n) < F(1, 2)]
-        rest = [n for n in block if n not in hits]
-        indices.extend(sorted((hits + rest)[: spec.m(j)]))
-    indices.sort()
-    report = counting_oracle(
-        rotation, indices, spec, partition, lam,
-        cells=[0], t0=F(1, 2), checkpoints=[5, 10], eps=F(1, 8),
-    )
-    assert report.ok
-    for cp in report.checkpoints:
-        assert cp.count == cp.c1 + cp.c2 + cp.c3
-
-
-def test_counting_oracle_rejects_short_subsequence():
-    spec = BlockSpec(lambda j: 10, lambda j: 5)
-    partition = CellPartition.uniform(2)
-    lam = partition.lebesgue_masses()
-    with pytest.raises(ValueError):
-        counting_oracle(
-            rotation, [1, 2], spec, partition, lam,
-            cells=[0], t0=F(1, 2), checkpoints=[12], eps=F(1, 10),
-        )

@@ -24,12 +24,12 @@ from maldist.envelope import (
     AdmissibilityReport,
     BlockSpec,
     DominationResult,
-    F_pi_eval,
     RatioMeasure,
     check_admissible,
     envelope_dominates,
     pi_measure,
 )
+from tests.oracles import F_pi_eval
 
 # --- test-local copies of the plain-Fraction code -----------------------
 

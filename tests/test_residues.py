@@ -2,10 +2,9 @@
 Fractions.
 
 Every consumer that reads the integer numerators directly (`checkpoint_scan`,
-`empirical_measure`, `window_defect`, `star_discrepancy`, `mu_bar_report`,
-`invariance_defect`, `greedy_extension`) must give exactly what it gives on
-the equal plain Fraction list, whose points are taken apart one at a time.
-The sources are rotation and doubling orbits, taken from any start, with
+`star_discrepancy`, `invariance_defect`, `greedy_extension`) must give
+exactly what it gives on the equal plain Fraction list, whose points are
+taken apart one at a time.  The sources are rotation and doubling orbits, taken from any start, with
 numerators scaled so that gcd(r, den) > 1, and with r = 0 wherever the orbit
 meets 0.
 """
@@ -22,15 +21,11 @@ from maldist.empirical import (
     MeasureVector,
     Residues,
     checkpoint_scan,
-    empirical_measure,
-    enlarged_union_membership,
-    max_checkpoint_fraction,
-    mu_bar_report,
     star_discrepancy,
-    window_defect,
 )
 from maldist.envelope import BlockSpec, RatioMeasure, pi_measure
 from maldist.subspace import ExtensionTarget, greedy_extension
+from tests.oracles import empirical_measure
 
 POINTS_ERROR = r"^points must lie in \[0, 1\)$"
 
@@ -139,16 +134,6 @@ def test_empirical_measure_matches_fraction_list(triple):
     assert empirical_measure(residues, partition) == empirical_measure(points, partition)
 
 
-@given(orbit_and_partition(min_size=2), st.data())
-def test_window_defect_matches_fraction_list(triple, data):
-    residues, points, partition = triple
-    window = data.draw(st.integers(1, len(points)))
-    shifts = data.draw(st.integers(0, len(points) - window))
-    reference = partition.lebesgue_masses()
-    want = window_defect(points, reference, partition, window, shifts)
-    assert window_defect(residues, reference, partition, window, shifts) == want
-
-
 @given(orbits())
 def test_star_discrepancy_matches_fraction_list(pair):
     residues, points = pair
@@ -163,70 +148,6 @@ def test_star_discrepancy_over_mixed_denominators(first, second):
     q = a.den * b.den
     joined = Residues([r * b.den for r in a.nums] + [r * a.den for r in b.nums], q)
     assert star_discrepancy(points_a + points_b) == star_discrepancy(joined)
-
-
-@given(orbit_and_partition(), st.data())
-def test_mu_bar_report_matches_fraction_list(triple, data):
-    residues, points, partition = triple
-    cps = sorted(data.draw(st.sets(st.integers(1, len(points)), min_size=1, max_size=4)))
-    cells = data.draw(st.sets(st.integers(0, partition.size - 1), min_size=1))
-    eta = data.draw(st.sampled_from((F(0), F(1, 50), F(1, 7))))
-    want = mu_bar_report(points, cps, partition, cells, eta)
-    assert mu_bar_report(residues, cps, partition, cells, eta) == want
-
-
-def fraction_enlarged_member(bounds, eta):
-    """Membership in the open eta-enlargement of the cells, in Fractions."""
-
-    def member(x):
-        for a, b in bounds:
-            lo, hi = a - eta, b + eta
-            if lo < x < hi or lo < x - 1 < hi or lo < x + 1 < hi:
-                return True
-            if eta == 0 and x == a:
-                return True
-        return False
-
-    return member
-
-
-def fraction_max_checkpoint(points, checkpoints, member):
-    best, hits = F(0), 0
-    for n, x in enumerate(points[: checkpoints[-1]], start=1):
-        hits += bool(member(x))
-        if n in checkpoints:
-            best = max(best, F(hits, n))
-    return best
-
-
-@settings(max_examples=150)
-@given(st.data())
-def test_enlarged_membership_on_residues_matches_fraction_code(data):
-    partition = data.draw(partitions())
-    size = partition.size
-    # The first and last cells wrap round 0 and 1 once enlarged.
-    cells = data.draw(st.sets(st.sampled_from([0, size - 1, *range(size)]), min_size=1))
-    eta = data.draw(st.sampled_from((F(0), F(0), F(1, 50), F(1, 7), F(1, 3), F(1, 2))))
-    den = partition._den * eta.denominator * data.draw(st.sampled_from((1, 2, 3)))
-    bounds = [partition.cell_bounds(i) for i in cells]
-    member = enlarged_union_membership(partition, cells, eta)
-    want = fraction_enlarged_member(bounds, eta)
-    # Points exactly on a - eta, b + eta, a and b (mod 1), their neighbours,
-    # a few numerators outside [0, den), and random points.
-    edges = {int((t % 1) * den) for a, b in bounds for t in (a - eta, b + eta, a, b)}
-    nums = sorted({r + d for r in edges for d in (-1, 0, 1)} | {-1, den, den + 1, 2 * den - 1})
-    nums += data.draw(st.lists(st.integers(0, den - 1), max_size=20))
-    for r in nums:
-        got = max_checkpoint_fraction(Residues([r], den), [1], member)
-        assert got == (1 if want(F(r, den)) else 0), (r, den)
-    cps = sorted(data.draw(st.sets(st.integers(1, len(nums)), min_size=1, max_size=5)))
-    points = [F(r, den) for r in nums]
-    expected = fraction_max_checkpoint(points, cps, want)
-    assert max_checkpoint_fraction(Residues(nums, den), cps, member) == expected
-    assert max_checkpoint_fraction(points, cps, member) == expected
-    in_range = [r % den for r in nums]
-    report = mu_bar_report(Residues(in_range, den), cps, partition, cells, eta)
-    assert report.enlarged == fraction_max_checkpoint([F(r, den) for r in in_range], cps, want)
 
 
 @given(orbits(), st.integers(min_value=0, max_value=6))
@@ -267,11 +188,8 @@ def test_out_of_range_numerator_rejected(nums):
     partition = CellPartition.dyadic(2)
     calls = [
         lambda: checkpoint_scan(bad, partition, [len(nums)]),
-        lambda: empirical_measure(bad, partition),
-        lambda: window_defect(bad, partition.lebesgue_masses(), partition, len(nums), 0),
         lambda: star_discrepancy(bad),
         lambda: invariance_defect(bad, partition),
-        lambda: mu_bar_report(bad, [len(nums)], partition, [0], F(0)),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=POINTS_ERROR) as info:

@@ -12,11 +12,14 @@ from maldist.subspace import (
     BlockTrace,
     ExtensionResult,
     ExtensionTarget,
-    brute_force_extension,
-    exchange_facts,
     greedy_extension,
-    sample_uniform,
     validate_membership,
+)
+from tests.oracles import (
+    brute_force_extension,
+    empirical_measure,
+    exchange_facts,
+    sample_uniform,
 )
 
 HALVES = CellPartition.uniform(2)
@@ -50,6 +53,15 @@ def test_membership_indeterminate_mid_block():
 
 def test_membership_mid_block_overflow_is_false():
     assert validate_membership([1, 3, 4], BlockSpec([2, 3], [1, 1])) is False
+
+
+def test_membership_rejects_index_past_the_checked_blocks():
+    # 6 lies in block 3, so the prefix is not blocks 1..2 exactly, although
+    # blocks 1 and 2 each hold their one index.
+    spec = BlockSpec([2, 2, 2], [1, 1, 1])
+    assert validate_membership([1, 3, 6], spec, blocks=2) is False
+    assert validate_membership([1, 3], spec, blocks=2) is True
+    assert validate_membership([1, 3, 6], spec, blocks=3) is True
 
 
 def test_membership_rejects_nonincreasing():
@@ -460,7 +472,6 @@ def test_greedy_output_respects_envelope_at_checkpoints(golden_points):
     # Consistency with the envelope bound: the extension's empirical measure
     # at block checkpoints passes domination within the computed aggregate
     # block-defect tolerance.
-    from maldist.empirical import empirical_measure
     from maldist.envelope import envelope_dominates
 
     spec = BlockSpec(lambda j: j + 1, lambda j: (j + 2) // 2)

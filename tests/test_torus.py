@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maldist.torus import (
-    TorusInterval,
-    interval_contains_interval,
-    intervals_disjoint,
-    mul_mod1,
-    preimage_intervals,
-)
+from maldist.torus import TorusInterval, interval_contains_interval, mul_mod1
 
 
 def test_mul_mod1_integer_product():
@@ -33,28 +27,6 @@ def test_mul_mod1_order_of_two_mod_17():
 def test_mul_mod1_rejects_nonpositive():
     with pytest.raises(ValueError):
         mul_mod1(0, F(1, 2))
-
-
-def test_preimage_identity():
-    out = preimage_intervals(1, TorusInterval(F(1, 5), F(1, 2)))
-    assert out == [TorusInterval(F(1, 5), F(1, 2))]
-
-
-def test_preimage_two():
-    out = preimage_intervals(2, TorusInterval(F(0), F(1, 2)))
-    assert [(iv.left, iv.right) for iv in out] == [
-        (F(0), F(1, 4)),
-        (F(1, 2), F(3, 4)),
-    ]
-
-
-def test_preimage_three():
-    out = preimage_intervals(3, TorusInterval(F(1, 3), F(2, 3)))
-    assert [(iv.left, iv.right) for iv in out] == [
-        (F(1, 9), F(2, 9)),
-        (F(4, 9), F(5, 9)),
-        (F(7, 9), F(8, 9)),
-    ]
 
 
 def test_interval_length_examples():
@@ -80,33 +52,6 @@ def test_degenerate_interval_rejected():
 rationals01 = st.fractions(min_value=0, max_value=1, max_denominator=64)
 
 
-@st.composite
-def intervals(draw):
-    a = draw(st.fractions(min_value=0, max_value=F(9, 10), max_denominator=50))
-    width = draw(st.fractions(min_value=F(1, 50), max_value=F(1, 10), max_denominator=50))
-    return TorusInterval(a, min(a + width, F(1)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(min_value=1, max_value=20), target=intervals())
-def test_preimage_exactness(n, target):
-    pres = preimage_intervals(n, target)
-    assert len(pres) == n
-    for iv in pres:
-        assert iv.length == target.length / n
-        assert target.contains(mul_mod1(n, iv.midpoint()))
-    # Disjointness, pairwise.
-    for i in range(n):
-        for j in range(i + 1, n):
-            assert intervals_disjoint(pres[i], pres[j])
-    # Points in the gaps between consecutive preimages map outside the target.
-    lifts = sorted(iv.lifted() for iv in pres)
-    for (_, right), (nxt_left, _) in zip(lifts, lifts[1:]):
-        if right < nxt_left:
-            gap_mid = (right + nxt_left) / 2
-            assert not target.contains(mul_mod1(n, gap_mid % 1))
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     a=st.integers(min_value=1, max_value=12),
@@ -115,16 +60,6 @@ def test_preimage_exactness(n, target):
 )
 def test_mul_semigroup(a, b, alpha):
     assert mul_mod1(a * b, alpha) == mul_mod1(a, mul_mod1(b, alpha))
-
-
-def test_preimage_of_wrapping_target():
-    target = TorusInterval(F(9, 10), F(1, 20), wraps=True)
-    pres = preimage_intervals(3, target)
-    assert len(pres) == 3
-    assert pres[-1].wraps  # the last lift crosses 1
-    for iv in pres:
-        assert iv.length == target.length / 3
-        assert target.contains(mul_mod1(3, iv.midpoint()))
 
 
 def test_wrapping_midpoint_lands_on_zero():
