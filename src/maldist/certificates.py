@@ -22,7 +22,14 @@ from math import lcm
 from typing import TYPE_CHECKING, Sequence
 
 from .empirical import CellPartition, MeasureVector, Residues, star_discrepancy
-from .exact import binary_digits, format_ratio, format_rational, mod1, parse_rational
+from .exact import (
+    binary_digits,
+    format_ratio,
+    format_rational,
+    mod1,
+    over_lcm,
+    parse_rational,
+)
 from .torus import TorusInterval, interval_contains_interval, mul_mod1
 
 if TYPE_CHECKING:  # builders' argument types; the verifiers re-derive without them
@@ -410,10 +417,15 @@ def envelope_certificate(
 
 
 def verify_certificate(cert: object) -> VerificationResult:
-    """Recompute every claim from the echoed inputs; report all mismatches.
+    """Check the claim set, recompute every claim from the echoed inputs, and
+    report all mismatches.
 
     Any parsed JSON value is accepted: one that is not an object, has no
-    kind, or names an unknown format or kind fails with a named error."""
+    kind, or names an unknown format or kind fails with a named error.  Each
+    kind derives from its echoed inputs the claim ids it must carry and the
+    claim kind of each; a missing, duplicated, unknown or relabelled id is a
+    failure named after the id, so a certificate cannot pass by leaving a
+    claim out."""
     if not isinstance(cert, dict):
         return VerificationResult(False, ("certificate is not a JSON object",))
     if "kind" not in cert:
@@ -421,14 +433,67 @@ def verify_certificate(cert: object) -> VerificationResult:
     if cert.get("format") != FORMAT:
         return VerificationResult(False, (f"unknown certificate format {cert.get('format')!r}",))
     kind = cert["kind"]
-    checker = _CHECKERS.get(kind) if isinstance(kind, str) else None
-    if checker is None:
+    entry = _CHECKERS.get(kind) if isinstance(kind, str) else None
+    if entry is None:
         return VerificationResult(False, (f"unknown certificate kind: {kind!r}",))
+    claim_ids, optional, checker = entry
     try:
-        failures = tuple(checker(cert))
+        failures = tuple(_claim_set(cert.get("claims"), claim_ids(cert["inputs"]), optional))
     except Exception as exc:  # malformed inputs are verification failures
         return VerificationResult(False, (f"verification error: {exc}",))
+    try:
+        failures += tuple(checker(cert))
+    except Exception as exc:
+        failures += (f"verification error: {exc}",)
     return VerificationResult(not failures, failures)
+
+
+def _claim_set(claims: object, required: dict[str, str], optional: dict[str, str]):
+    """Named failures unless `claims` is a list of objects that carries each
+    required id exactly once, with the claim kind the id maps to, and no
+    other id but those of the optional families.  An optional key ending in
+    "-" names the family of ids key + a decimal integer."""
+    if not isinstance(claims, list) or not all(isinstance(c, dict) for c in claims):
+        yield "claims: not a list of objects"
+        return
+    seen = set()
+    for claim in claims:
+        cid, kind = claim.get("id"), claim.get("kind")
+        if not isinstance(cid, str):
+            yield f"claims: id {cid!r} is not a string"
+            continue
+        want = required.get(cid)
+        if want is None:
+            want = next((k for key, k in optional.items() if cid == key or (
+                key.endswith("-") and cid.startswith(key) and cid[len(key):].isdecimal())), None)
+        if want is None:
+            yield f"claims: unknown {cid}"
+        elif cid in seen:
+            yield f"claims: duplicate {cid}"
+        elif kind != want:
+            yield f"claims: {cid} has kind {kind!r}, expected {want!r}"
+        seen.add(cid)
+    for cid in required:
+        if cid not in seen:
+            yield f"claims: missing {cid}"
+
+
+def _mixing_claims(inp: dict) -> dict[str, str]:
+    ids = {"alpha-in-start": "point-in-interval"}
+    for k in range(1, len(inp["multipliers"]) + 1):
+        ids[f"containment-{k}"] = "point-in-interval"
+        ids[f"length-{k}"] = "interval-length"
+        ids[f"nesting-{k}"] = "interval-nested"
+    return ids
+
+
+def _hitfreq_claims(inp: dict) -> dict[str, str]:
+    ids = {f"containment-{int(p)}": "point-in-interval" for p in inp["forced_positions"]}
+    ids["hit-frequency"] = "hit-count-frequency"
+    ids["plan-quality"] = "rational-power-gt"
+    ids["plan-stride-low"] = "rational-power-gt"
+    ids["threshold-vs-quality"] = "rational-power-lt"
+    return ids
 
 
 def _check_point_claim(claim: dict):
@@ -473,8 +538,6 @@ def _verify_mixing(cert: dict):
             inner = TorusInterval.from_json(claim["inner"])
             if not interval_contains_interval(outer, inner) or not claim["verdict"]:
                 yield f"{cid}: nesting fails"
-        else:
-            yield f"{cid}: unknown claim kind {claim['kind']!r}"
     # Cross-checks tying the echo together.
     if not start.contains(alpha):
         yield "alpha outside the start interval"
@@ -484,6 +547,18 @@ def _verify_mixing(cert: dict):
             raise ValueError("multiplier must be a positive integer")
         if not target.contains_residue(n_k * p % q, q):
             yield f"containment-{k}: alpha fails the target"
+
+
+def _chained_residues(multipliers: Sequence[int], p: int, q: int):
+    """n * p mod q for each multiplier n in order, chained as r = (n/n_prev)
+    * r_prev mod q when the previous multiplier divides n (a small factor
+    for geometric growth), else one product n * p mod q."""
+    prev, r = 1, p
+    for n in multipliers:
+        factor, rem = divmod(n, prev)
+        r = n * p % q if rem else factor * r % q
+        prev = n
+        yield r
 
 
 def _verify_hitfreq(cert: dict):
@@ -501,15 +576,8 @@ def _verify_hitfreq(cert: dict):
     for j in range(horizon - 1):
         if multipliers[j + 1] * ratio.denominator < ratio.numerator * multipliers[j]:
             yield f"growth fails at step {j + 1}"
-    # Recount on residues r = n*p mod q, chained through n/n_prev when the
-    # previous multiplier divides n (a small factor for geometric growth).
     p, q = alpha.numerator, alpha.denominator
-    prev, r, count = 1, p, 0
-    for n in multipliers:
-        factor, rem = divmod(n, prev)
-        r = n * p % q if rem else factor * r % q
-        prev = n
-        count += interval.contains_residue(r, q)
+    count = sum(interval.contains_residue(r, q) for r in _chained_residues(multipliers, p, q))
     for claim in cert["claims"]:
         cid = claim["id"]
         kind = claim["kind"]
@@ -534,8 +602,6 @@ def _verify_hitfreq(cert: dict):
             lhs = parse_rational(claim["lhs"])
             if lhs != ratio**c * eps**u or (lhs < 1) != bool(claim["verdict"]):
                 yield f"{cid}: inequality fails recomputation"
-        else:
-            yield f"{cid}: unknown claim kind {kind!r}"
 
 
 def _verify_histogram(cert: dict):
@@ -549,21 +615,18 @@ def _verify_histogram(cert: dict):
     horizon = len(multipliers)
     if any(n < 1 for n in multipliers):
         raise ValueError("multiplier must be a positive integer")
-    # Cell of n*alpha mod 1 = r/q is r*ell // q, with the residues r chained
-    # as in _verify_hitfreq.
+    # The cell of n*alpha mod 1 = r/q is r*ell // q.
     p, q = alpha.numerator, alpha.denominator
-    prev, r = 1, p
     counts = [0] * ell
-    for n in multipliers:
-        factor, rem = divmod(n, prev)
-        r = n * p % q if rem else factor * r % q
-        prev = n
+    for r in _chained_residues(multipliers, p, q):
         counts[r * ell // q] += 1
     for claim in cert["claims"]:
         if claim["kind"] != "cell-frequency-within":
-            yield f"{claim['id']}: unknown claim kind"
             continue
         i = int(claim["cell"])
+        if claim["id"] != f"cell-{i}":
+            yield f"{claim['id']}: states cell {i}"
+            continue
         if counts[i] != int(claim["count"]):
             yield f"{claim['id']}: recount {counts[i]} != stated {claim['count']}"
         dev = abs(Fraction(counts[i], horizon) - Fraction(weights[i], total))
@@ -605,8 +668,6 @@ def _verify_avoid(cert: dict):
             floor = parse_rational(claim["floor"])
             if _fr(disc) != claim["value"] or (disc >= floor) != bool(claim["verdict"]):
                 yield f"{cid}: recomputed discrepancy {_fr(disc)} != stated {claim['value']}"
-        else:
-            yield f"{cid}: unknown claim kind {kind!r}"
 
 
 def _verify_zeroblock(cert: dict):
@@ -639,6 +700,9 @@ def _verify_zeroblock(cert: dict):
                 yield f"{cid}: verdict mismatch"
         elif kind == "window-density":
             end = int(claim["end"])
+            if cid != f"window-{end}":
+                yield f"{cid}: states window end {end}"
+                continue
             hits = 0
             for k in range(1, end + 1):
                 # 2^k * value mod 1 is the digit string after its first k
@@ -652,8 +716,6 @@ def _verify_zeroblock(cert: dict):
                     hits += 1
             if hits != int(claim["hits"]) or _fr(Fraction(hits, end)) != claim["density"]:
                 yield f"{cid}: recomputed hits {hits} != stated {claim['hits']}"
-        else:
-            yield f"{cid}: unknown claim kind {kind!r}"
 
 
 def _verify_fivesixth(cert: dict):
@@ -707,8 +769,6 @@ def _verify_fivesixth(cert: dict):
         elif kind == "hit-spacing":
             if spacing_ok != bool(claim["verdict"]):
                 yield f"{cid}: recomputed spacing {spacing_ok} != stated {claim['verdict']}"
-        else:
-            yield f"{cid}: unknown claim kind {kind!r}"
 
 
 def _verify_invariance(cert: dict):
@@ -735,7 +795,6 @@ def _verify_invariance(cert: dict):
     for claim in cert["claims"]:
         cid, kind = claim["id"], claim["kind"]
         if kind not in ("invariance-defect-equals", "defect-at-most"):
-            yield f"{cid}: unknown claim kind {kind!r}"
             continue
         if _fr(defect) != claim["defect"]:
             yield f"{cid}: recomputed defect {_fr(defect)} != stated {claim['defect']}"
@@ -745,11 +804,6 @@ def _verify_invariance(cert: dict):
                 yield f"{cid}: bound is not 2/steps"
             if (defect <= bound) != bool(claim["verdict"]):
                 yield f"{cid}: verdict mismatch"
-
-
-def _over_lcm(values) -> tuple[list[int], int]:
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _ratio_atoms(pairs: list) -> tuple[list[Fraction], list[int], int]:
@@ -763,7 +817,7 @@ def _ratio_atoms(pairs: list) -> tuple[list[Fraction], list[int], int]:
         raise ValueError("atom weights must be positive")
     if any(a >= b for (a, _), (b, _) in zip(atoms, atoms[1:])):
         raise ValueError("atom locations must be sorted and distinct")
-    weights, weight_den = _over_lcm([w for _, w in atoms])
+    weights, weight_den = over_lcm([w for _, w in atoms])
     if sum(weights) != weight_den:
         raise ValueError("atom weights must sum to exactly 1")
     return [q for q, _ in atoms], weights, weight_den
@@ -794,9 +848,9 @@ def _verify_envelope(cert: dict):
         raise ValueError("mu, lambda and partition disagree on the cell count")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    mu_num, mu_den = _over_lcm(mu)
-    lam_num, lam_den = _over_lcm(lam)
-    keys, key_den = _over_lcm(locs)
+    mu_num, mu_den = over_lcm(mu)
+    lam_num, lam_den = over_lcm(lam)
+    keys, key_den = over_lcm(locs)
     h = lcm(*(q.numerator for q in locs if q))
     # Over f_den, an atom q = p/r <= t = l/lam_den adds its weight
     # c/weight_den to F(t), and one above t adds t * c * r/(weight_den * p).
@@ -855,7 +909,6 @@ def _verify_envelope(cert: dict):
     for claim in cert["claims"]:
         cid = claim["id"]
         if claim["kind"] != "envelope-domination":
-            yield f"{cid}: unknown claim kind"
             continue
         if ok != bool(claim["verdict"]):
             yield f"{cid}: recomputed verdict {ok} != stated {claim['verdict']}"
@@ -879,13 +932,37 @@ def _verify_envelope(cert: dict):
             yield f"{cid}: a union at or under {earlier} violates before the stated {cells}"
 
 
+# kind -> (the claim ids the echoed inputs require, each with its claim kind;
+# the optional claim families; the checker that recomputes the claims)
 _CHECKERS = {
-    "mixing": _verify_mixing,
-    "hitfreq": _verify_hitfreq,
-    "histogram": _verify_histogram,
-    "avoid": _verify_avoid,
-    "zeroblock": _verify_zeroblock,
-    "fivesixth": _verify_fivesixth,
-    "invariance": _verify_invariance,
-    "envelope": _verify_envelope,
+    "mixing": (_mixing_claims, {}, _verify_mixing),
+    "hitfreq": (_hitfreq_claims, {}, _verify_hitfreq),
+    "histogram": (
+        lambda inp: {f"cell-{i}": "cell-frequency-within" for i in range(len(inp["weights"]))},
+        {},
+        _verify_histogram,
+    ),
+    "avoid": (
+        lambda inp: {"gap-structure": "gaps-in-one-two", "zero-hits": "orbit-avoids-interval"},
+        {"star-discrepancy-floor": "star-discrepancy-at-least"},
+        _verify_avoid,
+    ),
+    "zeroblock": (
+        lambda inp: {"value-in-band": "point-in-interval", "blocks-zeroed": "digit-blocks-zero"},
+        {"window-": "window-density"},
+        _verify_zeroblock,
+    ),
+    "fivesixth": (
+        lambda inp: {"hit-count": "widened-interval-hits", "density-bound": "density-at-most",
+                     "spacing": "hit-spacing"},
+        {},
+        _verify_fivesixth,
+    ),
+    "invariance": (
+        lambda inp: {"invariance-defect": "invariance-defect-equals",
+                     "defect-bound": "defect-at-most"},
+        {},
+        _verify_invariance,
+    ),
+    "envelope": (lambda inp: {"domination": "envelope-domination"}, {}, _verify_envelope),
 }

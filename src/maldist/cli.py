@@ -17,9 +17,11 @@ therefore loads only its own subcommand's layers: `verify` loads
 loads `empirical` alone.
 
 Outputs are JSON certificates (stable key order) and CSV tables; identical
-configuration and seed reproduce identical bytes.  The default seed is 0,
-overridable through the MALDIST_SEED environment variable or --seed.  All
-randomness comes from the SplitMix64 stream named in the output.
+configuration reproduces identical bytes.  No subcommand draws a random
+number.  The seed is a reserved echo: --seed, else the MALDIST_SEED
+environment variable, else 0, is written with the name of the pinned
+generator (`maldist.rng`, SplitMix64) into the `rng` field of each JSON
+output, and changes nothing else.
 
 Exit codes: 0 success, 1 a certificate claim failed (or verification found a
 mismatch), 2 usage error.
@@ -40,7 +42,6 @@ from typing import TYPE_CHECKING
 from .exact import (
     RationalParseError,
     decimal_ratio,
-    decimal_str,
     format_ratio,
     format_rational,
     parse_rational,
@@ -478,11 +479,12 @@ def _cmd_doubling(opts: dict) -> int:
         steps = _int(opts, "steps")
         digits = _int(opts, "digits", 12)
         orbit = doubling_orbit(alpha, steps)
+        q = orbit.den
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["k", "value", "value_exact"])
-        for k, v in enumerate(orbit, start=1):
-            writer.writerow([k, decimal_str(v, digits), format_rational(v)])
+        for k, r in enumerate(orbit.nums, start=1):
+            writer.writerow([k, decimal_ratio(r, q, digits), format_ratio(r, q)])
         _write_text(out.getvalue(), opts.get("out"))
         return 0
     if mode == "invariance":

@@ -1,21 +1,20 @@
 """Orbits of the doubling map T: x -> 2x mod 1 and the exact finite-horizon
 facts about their empirical measures.
 
-Covers digit-shift arithmetic on binary points, exact invariance defects of
-orbit segments, the 5/6 density cap for hits of the widened middle interval
-along (2^k + 1)-orbits of small points, and the density-1 hitting counts for
-points whose binary expansion carries long zero blocks.
+Covers dyadic points given by their binary digits, orbits as residues over
+one denominator, exact invariance defects of orbit segments, the 5/6
+density cap for hits of the widened middle interval along (2^k + 1)-orbits
+of small points, and the density-1 hitting counts for points whose binary
+expansion carries long zero blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .exact import mod1
 from .empirical import CellPartition, Residues, _cell_indices
-from .torus import TorusInterval
 
 __all__ = [
     "BinaryPoint",
@@ -28,22 +27,13 @@ __all__ = [
     "doubling_period",
 ]
 
-_ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
-
 
 @dataclass(frozen=True)
 class BinaryPoint:
-    """Point given by binary digits a_1 a_2 ... a_L (value sum a_j 2^-j).
-
-    `exact` marks the string as the complete expansion of a dyadic rational
-    (every digit beyond L is 0), which makes shifts past L well defined; a
-    truncated expansion of a longer number must set exact=False, and then
-    shifts beyond L are refused rather than guessed.
-    """
+    """The dyadic rational with binary digits a_1 a_2 ... a_L: sum a_j 2^-j,
+    every digit beyond L being 0."""
 
     digits: tuple[int, ...]
-    exact: bool = True
 
     def __post_init__(self):
         if len(self.digits) < 1:
@@ -55,33 +45,12 @@ class BinaryPoint:
     def value(self) -> Fraction:
         return Fraction(int("".join(map(str, self.digits)), 2), 1 << len(self.digits))
 
-    def shift(self, k: int) -> "BinaryPoint":
-        """Digits of 2^k * value mod 1 (drop the first k digits)."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        if k >= len(self.digits):
-            if not self.exact:
-                raise ValueError(
-                    f"shift {k} consumes digits beyond the {len(self.digits)} known"
-                )
-            return BinaryPoint((0,), exact=True)
-        rest = self.digits[k:]
-        return BinaryPoint(rest, exact=self.exact)
 
-
-def doubling_orbit(alpha: Fraction | BinaryPoint, steps: int) -> Residues:
-    """T^k(alpha) for k = 1..steps, exact, as the residues over q.
-
-    Rationals p/q iterate by modular doubling r -> 2r mod q (any horizon);
-    a digit string is the dyadic rational it denotes and, unless exact, must
-    keep steps < its length.
-    """
+def doubling_orbit(alpha: Fraction, steps: int) -> Residues:
+    """T^k(alpha) for k = 1..steps, exact, as the residues over q: with
+    alpha = p/q mod 1 they iterate by modular doubling r -> 2r mod q."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    if isinstance(alpha, BinaryPoint):
-        if not alpha.exact and steps >= len(alpha.digits):
-            raise ValueError("digit string too short for the requested orbit")
-        alpha = alpha.value
     v = mod1(Fraction(alpha))
     r, q = v.numerator, v.denominator
     out = []
@@ -108,7 +77,7 @@ def doubling_period(alpha: Fraction) -> tuple[int, int]:
     return (pre, p)
 
 
-def invariance_defect(points: Sequence[Fraction], partition: CellPartition) -> Fraction:
+def invariance_defect(points: Residues, partition: CellPartition) -> Fraction:
     """Max over cells A of |freq(A) - freq(T^{-1}A)| for the segment's
     empirical measure; exactly 0 on full periods of a periodic orbit.
 
@@ -121,17 +90,11 @@ def invariance_defect(points: Sequence[Fraction], partition: CellPartition) -> F
     if not partition.is_dyadic():
         raise ValueError("partition cut points must be dyadic rationals")
     counts = [0] * partition.size
-    if isinstance(points, Residues):
-        q = points.den
-        for c in _cell_indices(points, partition):
-            counts[c] += 1
-        for c in _cell_indices(Residues([2 * r % q for r in points.nums], q), partition):
-            counts[c] -= 1
-    else:
-        for p in points:
-            r, q = p.numerator, p.denominator
-            counts[partition.cell_of(r, q)] += 1
-            counts[partition.cell_of(2 * r % q, q)] -= 1
+    nums, q = points.nums, points.den
+    for c in _cell_indices(nums, q, partition):
+        counts[c] += 1
+    for c in _cell_indices([2 * r % q for r in nums], q, partition):
+        counts[c] -= 1
     return Fraction(max(abs(c) for c in counts), len(points))
 
 
@@ -216,38 +179,31 @@ class WindowDensity:
     density: Fraction
 
 
-def zero_block_density(
-    point: BinaryPoint,
-    windows: list[int],
-    target: TorusInterval | None = None,
-) -> list[WindowDensity]:
+def zero_block_density(point: BinaryPoint, windows: list[int]) -> list[WindowDensity]:
     """Per-window hit densities of (2^k + 1)*point mod 1 in the target arc
-    (default (1/2, 3/4)) for k = 1..N, N running over the window ends.
+    (1/2, 3/4) for k = 1..N, N running over the window ends.
 
     Inside a zero block of the expansion the shifted point vanishes, so the
     sum collapses to the point itself, which lies in the target; the window
     densities therefore approach 1 as the blocks lengthen.  Digit shifts are
     exact (the point is a dyadic rational); windows must be increasing.
     """
-    if target is None:
-        target = TorusInterval(_HALF, Fraction(3, 4))
     if not windows or any(a >= b for a, b in zip(windows, windows[1:])):
         raise ValueError("window ends must be strictly increasing and nonempty")
     if windows[0] < 1:
         raise ValueError("window ends must be positive")
-    if not point.exact and windows[-1] >= len(point.digits):
-        raise ValueError("windows reach beyond the known digits")
-    alpha = point.value
-    if not target.contains(alpha):
-        raise ValueError("the point itself must lie in the target arc")
-    # alpha = N/2^L, and 2^k alpha mod 1 = (N << k mod 2^L)/2^L (0 once
-    # k >= L), so (2^k + 1) alpha mod 1 = s/2^L with the integer s below;
-    # s/2^L > a iff s > floor(a*2^L), and s/2^L < b iff s < ceil(b*2^L).
+    # The point is num/2^L, and 2^k point mod 1 = (num << k mod 2^L)/2^L (0
+    # once k >= L), so (2^k + 1) point mod 1 = s/2^L with the integer s
+    # below; s/2^L > 1/2 iff s > floor(2^L/2), and s/2^L < 3/4 iff
+    # s < ceil(3 * 2^L/4).
     length = len(point.digits)
     scale = 1 << length
+    alpha = point.value
     num = alpha.numerator * (scale // alpha.denominator)
-    lo = target.left.numerator * scale // target.left.denominator
-    hi = -(-target.right.numerator * scale // target.right.denominator)
+    lo = scale // 2
+    hi = -(-3 * scale // 4)
+    if not lo < num < hi:
+        raise ValueError("the point itself must lie in the target arc")
     out = []
     hits = 0
     k = 0
@@ -255,8 +211,7 @@ def zero_block_density(
         while k < end:
             k += 1
             s = ((num << k) + num) & (scale - 1) if k < length else num
-            inside = (s > lo or s < hi) if target.wraps else lo < s < hi
-            if inside:
+            if lo < s < hi:
                 hits += 1
         out.append(WindowDensity(window_end=end, hits=hits, density=Fraction(hits, end)))
     return out

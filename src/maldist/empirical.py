@@ -11,13 +11,12 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from math import lcm
 
-from .exact import decimal_str, format_rational, is_dyadic
+from .exact import decimal_str, format_rational, is_dyadic, over_lcm
 
 __all__ = [
     "CellPartition",
@@ -31,20 +30,17 @@ __all__ = [
 ]
 
 
-class Residues(Sequence):
+class Residues:
     """The points r/den for the integer numerators r in `nums`, over one
     shared denominator den > 0.
 
-    A read-only sequence of Fractions: `len`, indexes (negative too) and
-    iteration yield `Fraction(r, den)`, a slice is again a `Residues`, and
-    `==` compares element by element with any sequence.  The numerators need
-    not be reduced against den.  Orbit sources return this type so that cell
-    lookups and discrepancy sweeps read the integers directly and a Fraction
-    is built only where a value is read out.
+    Orbit sources return this record, and every consumer reads the integers
+    directly: a cell lookup or a discrepancy sweep builds no Fraction.  The
+    numerators need not be reduced against den.  A numerator outside
+    [0, den) is refused by the consumer that reads it.
     """
 
     __slots__ = ("nums", "den")
-    __hash__ = None  # mutable-sequence semantics, like the list it stands for
 
     def __init__(self, nums: Sequence[int], den: int):
         if den < 1:
@@ -54,20 +50,6 @@ class Residues(Sequence):
 
     def __len__(self) -> int:
         return len(self.nums)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Residues(self.nums[i], self.den)
-        return Fraction(self.nums[i], self.den)
-
-    def __iter__(self) -> Iterator[Fraction]:
-        den = self.den
-        return (Fraction(r, den) for r in self.nums)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
 
     def __repr__(self) -> str:
         return f"Residues({self.nums!r}, {self.den!r})"
@@ -92,11 +74,9 @@ class CellPartition:
             raise ValueError("cuts must run from 0 to 1")
         if any(a >= b for a, b in zip(cuts, cuts[1:])):
             raise ValueError("cuts must be strictly increasing")
-        den = lcm(*(t.denominator for t in cuts))
+        scaled, den = over_lcm(cuts)
         object.__setattr__(self, "_den", den)
-        object.__setattr__(
-            self, "_scaled_cuts", tuple(t.numerator * (den // t.denominator) for t in cuts)
-        )
+        object.__setattr__(self, "_scaled_cuts", tuple(scaled))
 
     @property
     def size(self) -> int:
@@ -109,11 +89,6 @@ class CellPartition:
     @classmethod
     def dyadic(cls, level: int) -> "CellPartition":
         return cls.uniform(1 << level)
-
-    def cell_index(self, point: Fraction) -> int:
-        """Index of the half-open cell containing the point, exact."""
-        x = point if isinstance(point, Fraction) else Fraction(point)
-        return self.cell_of(x.numerator, x.denominator)
 
     def cell_of(self, num: int, den: int) -> int:
         """Index of the cell holding num/den (den > 0, need not be reduced).
@@ -168,47 +143,34 @@ class EmpiricalMeasure:
     def frequencies(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.sample_count) for c in self.counts)
 
-    def as_vector(self) -> MeasureVector:
-        return MeasureVector(self.frequencies)
 
+def _cell_indices(nums: Sequence[int], den: int, partition: CellPartition) -> Iterator[int]:
+    """The cell index of each point r/den for r in nums, in order, with no
+    Fraction built.
 
-def _cell_indices(points: Iterable[Fraction], partition: CellPartition) -> Iterator[int]:
-    """The cell index of each point, in order.
-
-    `Residues` are looked up by their numerators, with no Fraction built:
     r/den lies in cell i iff c_i <= floor(r*D/den) < c_{i+1}, for the cut
     numerators c_i over their lcm D, as in `CellPartition.cell_of`, which
     this inlines.  Every numerator is range-checked before the first lookup.
-    Any other points go through `cell_index` one at a time, so an iterator
-    is consumed lazily.
     """
-    if not isinstance(points, Residues):
-        return map(partition.cell_index, points)
-    nums, den = points.nums, points.den
     if nums and not (0 <= min(nums) and max(nums) < den):
         raise ValueError("points must lie in [0, 1)")
     cuts, scale = partition._scaled_cuts, partition._den
     return (bisect_right(cuts, r * scale // den) - 1 for r in nums)
 
 
-def star_discrepancy(points: Sequence[Fraction]) -> Fraction:
+def star_discrepancy(points: Residues) -> Fraction:
     """Exact D*_N = sup_t |#{n: x_n < t}/N - t| over t in (0, 1].
 
     The sup is attained (in the limit) at one of the 2N empirical-CDF
     breakpoints, so a sweep over the sorted sample is exact.  The sweep runs
-    on integer numerators r over one denominator q: the shared denominator
-    of `Residues`, otherwise the lcm of the points' denominators.  With
-    x = r/q, i/N - x = (i*q - r*N)/(N*q).
+    on the integer numerators r over the shared denominator q: with x = r/q,
+    i/N - x = (i*q - r*N)/(N*q).
     """
     n = len(points)
     if n == 0:
         raise ValueError("star discrepancy of an empty list is undefined")
-    if isinstance(points, Residues):
-        q = points.den
-        rs = sorted(points.nums)
-    else:
-        q = lcm(*(p.denominator for p in points))
-        rs = sorted(p.numerator * (q // p.denominator) for p in points)
+    q = points.den
+    rs = sorted(points.nums)
     if not (0 <= rs[0] and rs[-1] < q):
         raise ValueError("points must lie in [0, 1)")
     best = 0
@@ -237,21 +199,19 @@ class CheckpointScan:
 
 
 def checkpoint_scan(
-    points: Iterable[Fraction],
+    points: Residues,
     partition: CellPartition,
     checkpoints: Sequence[int],
 ) -> CheckpointScan:
-    """Scan of prefix measures; the points iterable is consumed once."""
+    """Scan of prefix measures; points past the last checkpoint are not read."""
     cps = list(checkpoints)
     if not cps or any(c < 1 for c in cps):
         raise ValueError("checkpoints must be positive")
     if any(a >= b for a, b in zip(cps, cps[1:])):
         raise ValueError("checkpoints must be strictly increasing")
-    if isinstance(points, Residues):
-        points = points[: cps[-1]]  # range-check only what the scan reads
     counts = [0] * partition.size
     measures = []
-    cells = _cell_indices(points, partition)
+    cells = _cell_indices(points.nums[: cps[-1]], points.den, partition)
     seen = 0
     for target in cps:
         for c in islice(cells, target - seen):

@@ -36,8 +36,8 @@ from itertools import accumulate
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
-from .empirical import CellPartition, MeasureVector
-from .exact import format_ratio, parse_rational
+from .empirical import MeasureVector
+from .exact import format_ratio, over_lcm, parse_rational
 
 __all__ = [
     "BlockSpec",
@@ -50,7 +50,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class BlockSpec:
@@ -79,13 +78,6 @@ class BlockSpec:
     def _check_prefix(self, upto: int) -> None:
         for j in range(1, upto + 1):
             self._extend_sums(j)
-
-    @property
-    def block_count(self) -> int | None:
-        """Number of blocks for list-backed specs, None if unbounded."""
-        if self._b_fn is None and self._m_fn is None:
-            return len(self._b)
-        return None
 
     def _materialize(self, j: int) -> None:
         while len(self._b) < j:
@@ -140,11 +132,6 @@ class BlockSpec:
             j += 1
         return j
 
-    def to_json(self) -> dict:
-        if self.block_count is None:
-            raise ValueError("function-backed specs serialize via their CLI names")
-        return {"b": list(self._b), "m": list(self._m)}
-
 
 class RatioMeasure:
     """Finite discrete probability measure on [0, 1]: sorted distinct atom
@@ -172,8 +159,7 @@ class RatioMeasure:
             raise ValueError("atom weights must be positive")
         if any(a >= b for (a, _), (b, _) in zip(atoms, atoms[1:])):
             raise ValueError("atom locations must be sorted and distinct")
-        wden = lcm(*(w.denominator for _, w in atoms))
-        weights = [w.numerator * (wden // w.denominator) for _, w in atoms]
+        weights, wden = over_lcm([w for _, w in atoms])
         if sum(weights) != wden:
             raise ValueError("atom weights must sum to exactly 1")
         self._set(zip(((q.numerator, q.denominator) for q, _ in atoms), weights), wden)
@@ -233,40 +219,6 @@ class RatioMeasure:
         return (self._mass_upto[i] * hscale_den + num * self._harmonic_from[i],
                 self._wden * hscale_den)
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[Fraction, Fraction]]) -> "RatioMeasure":
-        """Build from unsorted pairs, merging weights at equal locations."""
-        merged: dict[Fraction, Fraction] = {}
-        for q, w in pairs:
-            q, w = Fraction(q), Fraction(w)
-            if w == 0:
-                continue
-            merged[q] = merged.get(q, _ZERO) + w
-        return cls(tuple(sorted(merged.items())))
-
-    @classmethod
-    def point_mass(cls, q: Fraction) -> "RatioMeasure":
-        return cls(((Fraction(q), _ONE),))
-
-    def mass_at_zero(self) -> Fraction:
-        return self.atoms[0][1] if self.atoms and self.atoms[0][0] == 0 else _ZERO
-
-    def mass_leq(self, t: Fraction) -> Fraction:
-        return sum((w for q, w in self.atoms if q <= t), _ZERO)
-
-    def harmonic_tail(self, t: Fraction) -> Fraction:
-        """sum of weight(q)/q over atoms with q > t (never touches q = 0)."""
-        return sum((w / q for q, w in self.atoms if q > t), _ZERO)
-
-    def tv_norm_distance(self, other: "RatioMeasure") -> Fraction:
-        """Total-variation norm sum_q |self({q}) - other({q})| over all atoms."""
-        locs = {q for q, _ in self.atoms} | {q for q, _ in other.atoms}
-        mine = dict(self.atoms)
-        theirs = dict(other.atoms)
-        return sum(
-            (abs(mine.get(q, _ZERO) - theirs.get(q, _ZERO)) for q in locs), _ZERO
-        )
-
     def to_json(self) -> list:
         wden = self._wden
         return [[format_ratio(p, q), format_ratio(w, wden)]
@@ -312,10 +264,6 @@ class AdmissibilityReport:
     ratio_tail_max: tuple[Fraction, ...]
     b_bounded_flag: bool
     ratio_stalled_flag: bool
-
-    @property
-    def admissible_trend(self) -> bool:
-        return not (self.b_bounded_flag or self.ratio_stalled_flag)
 
 
 def check_admissible(spec: BlockSpec, horizon: int) -> AdmissibilityReport:
@@ -367,12 +315,6 @@ class DominationResult:
     unions_checked: int = 0
 
 
-def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The values as integer numerators over the lcm of their denominators."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _dfs_first_violation(
     mu: Sequence[Fraction], lam: Sequence[Fraction], pi: RatioMeasure, tol: Fraction
 ) -> DominationResult:
@@ -386,8 +328,8 @@ def _dfs_first_violation(
     is decided by cross-multiplication.
     """
     s = len(mu)
-    mu_num, mu_den = _scaled(mu)
-    lam_num, lam_den = _scaled(lam)
+    mu_num, mu_den = over_lcm(mu)
+    lam_num, lam_den = over_lcm(lam)
     tol_num, tol_den = tol.numerator, tol.denominator
     f_den = pi._wden * pi._hscale * lam_den
     mu_scale, f_scale, tol_term = f_den * tol_den, tol_den * mu_den, tol_num * f_den * mu_den
@@ -437,7 +379,6 @@ def envelope_dominates(
     mu: MeasureVector,
     lam: MeasureVector,
     pi: RatioMeasure,
-    partition: CellPartition | None = None,
     tol: Fraction = _ZERO,
 ) -> DominationResult:
     """Check mu(A) <= F(lambda(A)) + tol for every union A of partition cells
@@ -465,7 +406,7 @@ def envelope_dominates(
     root could then lie above F + tol, and the argument needs it on or under.
     """
     s = mu.size
-    if lam.size != s or (partition is not None and partition.size != s):
+    if lam.size != s:
         raise ValueError("mu, lambda and partition disagree on the cell count")
     tol = Fraction(tol)
     if tol < 0:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "RationalParseError",
@@ -22,6 +22,7 @@ __all__ = [
     "mod1",
     "binary_digits",
     "is_dyadic",
+    "over_lcm",
 ]
 
 _RATIONAL_RE = re.compile(
@@ -137,3 +138,9 @@ def binary_digits(value: Fraction, length: int) -> tuple[int, ...]:
 def is_dyadic(value: Fraction) -> bool:
     den = Fraction(value).denominator
     return den & (den - 1) == 0
+
+
+def over_lcm(values) -> tuple[list[int], int]:
+    """The Fractions as integer numerators over the lcm of their denominators."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den

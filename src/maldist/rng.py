@@ -1,10 +1,12 @@
 """Seeded pseudo-randomness with a pinned, portable algorithm.
 
-Every randomized experiment in the package draws from SplitMix64 (the 64-bit
-mixer of Steele/Lea/Vigna), seeded by a single 64-bit integer.  The generator
-is small enough to re-implement anywhere, which keeps certificates and seed
-sweeps reproducible across machines and languages.  Python's `random` module
-is deliberately not used.
+SplitMix64 (the 64-bit mixer of Steele/Lea/Vigna), seeded by a single 64-bit
+integer, is the generator the `rng` field of every JSON output names.  No
+subcommand draws from it: the field and its seed are a reserved echo, so a
+randomized experiment added later has its stream pinned already.  The
+generator is small enough to re-implement anywhere, which keeps seeded runs
+reproducible across machines and languages.  Python's `random` module is
+deliberately not used.
 """
 
 from __future__ import annotations

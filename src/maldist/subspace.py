@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import lcm
 from typing import Callable, Sequence
 
 from .empirical import CellPartition, MeasureVector, Residues
 from .envelope import BlockSpec, RatioMeasure, envelope_dominates
+from .exact import over_lcm
 
 __all__ = [
     "ExtensionTarget",
@@ -29,76 +28,23 @@ __all__ = [
 
 _ZERO = Fraction(0)
 
-PointSource = Callable[[int], Fraction]
 
-
-def _cell_lookup(
-    x: PointSource | Sequence[Fraction], partition: CellPartition
-) -> Callable[[int], int]:
-    """Cell of the point x_n, for x a function of n >= 1 or the sequence
-    x_1, x_2, ...; memoized unless x is `Residues`, whose lookup is one
-    integer bisect on the numerator."""
-    if isinstance(x, Residues):
-        nums, den, cell_of = x.nums, x.den, partition.cell_of
-        return lambda n: cell_of(nums[n - 1], den)
-    source = x if callable(x) else (lambda n: x[n - 1])
-    return cache(lambda n: partition.cell_index(source(n)))
-
-
-def validate_membership(
-    indices: Sequence[int], spec: BlockSpec, blocks: int | None = None
-) -> bool | None:
-    """Exact per-block membership check of a strictly increasing prefix.
-
-    Completed blocks must hold exactly m_j indices (False otherwise).  With
-    `blocks` given, blocks 1..blocks are the completed ones, and an index
-    past the end of block `blocks` is False.  Otherwise a prefix ending
-    strictly inside a block is judged by extendability: too many indices
-    there, or too few remaining slots, is False; a count already at m_j
-    leaves nothing open (True, given the completed blocks pass); an
-    underfull block that later indices could still top up is None
-    ("indeterminate"), never False.
-    """
+def validate_membership(indices: Sequence[int], spec: BlockSpec, blocks: int) -> bool:
+    """Exact per-block membership check of a strictly increasing prefix of
+    blocks 1..blocks: each of those blocks holds exactly m_j indices, and no
+    index lies past the end of block `blocks`."""
     idx = list(indices)
     if any(n < 1 for n in idx):
         raise ValueError("indices must be positive")
     if any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValueError("indices must be strictly increasing")
-    if not idx:
-        return True if blocks is None else (all(spec.m(j) == 0 for j in range(1, blocks + 1)))
-    nmax = idx[-1]
-    if blocks is not None:
-        if nmax > spec.a(blocks):
-            return False
-        complete = blocks
-        partial_block = None
-    else:
-        total = spec.block_count
-        complete = 0
-        while (total is None or complete < total) and spec.a(complete + 1) <= nmax:
-            complete += 1
-        if spec.a(complete) < nmax:
-            if total is not None and complete >= total:
-                raise ValueError("prefix reaches beyond the spec's blocks")
-            partial_block = complete + 1
-        else:
-            partial_block = None
+    if idx and idx[-1] > spec.a(blocks):
+        return False
     counts: dict[int, int] = {}
     for n in idx:
         j = spec.block_of(n)
         counts[j] = counts.get(j, 0) + 1
-    for j in range(1, complete + 1):
-        if counts.get(j, 0) != spec.m(j):
-            return False
-    if partial_block is not None:
-        count = counts.get(partial_block, 0)
-        m = spec.m(partial_block)
-        remaining = spec.a(partial_block) - nmax
-        if count > m or count + remaining < m:
-            return False
-        if count < m:
-            return None
-    return True
+    return all(counts.get(j, 0) == spec.m(j) for j in range(1, blocks + 1))
 
 
 @dataclass(frozen=True)
@@ -148,7 +94,7 @@ def _prefix_state(
     j0 = spec.block_of(idx[-1]) if idx else 0
     if len(idx) != spec.M(j0):
         raise ValueError(f"prefix must cover blocks 1..{j0} exactly")
-    if validate_membership(idx, spec, blocks=j0) is False:
+    if not validate_membership(idx, spec, blocks=j0):
         raise ValueError("prefix is not a valid member through its blocks")
     counts = [0] * s
     for n in idx:
@@ -169,14 +115,15 @@ def _cell_buckets(
 def greedy_extension(
     prefix: Sequence[int],
     spec: BlockSpec,
-    x: PointSource | Sequence[Fraction],
+    x: Residues,
     partition: CellPartition,
     lam: MeasureVector,
     target: ExtensionTarget,
     max_blocks: int = 512,
     fixed_blocks: int | None = None,
 ) -> ExtensionResult:
-    """Extend a valid prefix block by block toward the target measure.
+    """Extend a valid prefix block by block toward the target measure; x
+    holds the points x_1, x_2, ... as `Residues`.
 
     The target must lie under the envelope bound (ValueError otherwise).
     Indices are picked one at a time: of the free indices in the cells with
@@ -207,13 +154,17 @@ def greedy_extension(
     s = partition.size
     if lam.size != s or target.mu.size != s:
         raise ValueError("partition, lambda and target sizes disagree")
-    verdict = envelope_dominates(target.mu, lam, target.pi, partition)
+    verdict = envelope_dominates(target.mu, lam, target.pi)
     if not verdict.ok:
         raise ValueError(
             f"target exceeds the envelope on cells {verdict.violation}: "
             f"{verdict.union_mass} > {verdict.bound}"
         )
-    cell_of = _cell_lookup(x, partition)
+    nums, x_den, lookup = x.nums, x.den, partition.cell_of
+
+    def cell_of(n: int) -> int:
+        return lookup(nums[n - 1], x_den)
+
     j0, counts = _prefix_state(prefix, spec, cell_of, s)
     chosen = list(prefix)
     mu = target.mu.masses
@@ -221,8 +172,7 @@ def greedy_extension(
     neg_eps = -eps
     # Deficits are held as integers over den; every pick of cell c lowers
     # deficit[c] by den.
-    den = lcm(*(f.denominator for f in mu))
-    mu_scaled = [int(f * den) for f in mu]
+    mu_scaled, den = over_lcm(mu)
     trace: list[BlockTrace] = []
     prefix_mass = spec.M(j0)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import format_rational, mod1, parse_rational
+from .exact import format_rational, parse_rational
 
 __all__ = [
     "TorusInterval",
@@ -71,10 +71,6 @@ class TorusInterval:
         above = self.left.numerator * q < r * self.left.denominator
         below = r * self.right.denominator < self.right.numerator * q
         return (above or below) if self.wraps else (above and below)
-
-    def midpoint(self) -> Fraction:
-        """Arc midpoint, reduced to [0, 1)."""
-        return mod1(self.left + self.length / 2)
 
     def lifted(self) -> tuple[Fraction, Fraction]:
         """Endpoints (a, b) of the lift to R with 0 <= a < b <= a + 1."""

@@ -257,10 +257,6 @@ class WitnessPlan:
     c: int
     repeats: int
 
-    @property
-    def quality(self) -> Fraction:
-        return Fraction(1, 4 * self.u)
-
     def validate(self, eps: Fraction) -> None:
         q, u, c = self.ratio, self.u, self.c
         if q <= 1:
@@ -275,9 +271,7 @@ class WitnessPlan:
             raise ValueError(f"stride too large: q^c * eps^u = {q ** c * eps ** u} >= 1")
 
 
-def auto_plan(
-    ratio: Fraction, eps: Fraction, multipliers_len: int | None = None
-) -> WitnessPlan:
+def auto_plan(ratio: Fraction, eps: Fraction) -> WitnessPlan:
     """Smallest-constant plan: minimal u with q^(u-2) > 2, then minimal c
     with q^c > 2/eps (always below the upper end, whose distance exceeds one)."""
     ratio = Fraction(ratio)
@@ -307,7 +301,6 @@ class HitFrequencyWitness:
     hit_count: int
     frequency: Fraction
     threshold: Fraction  # 1/(2c)
-    chain: MixingChain
 
 
 def hit_frequency_witness(
@@ -315,7 +308,6 @@ def hit_frequency_witness(
     interval: TorusInterval,
     ratio: Fraction,
     plan: WitnessPlan | None = None,
-    start: TorusInterval = _DEFAULT_START,
 ) -> HitFrequencyWitness:
     """Point alpha whose orbit n_j * alpha hits the given short interval at
     every position j = c*k*, ..., 2c*k*, so the hit frequency among the first
@@ -342,7 +334,7 @@ def hit_frequency_witness(
     else:
         plan.validate(eps)
     c, repeats = plan.c, plan.repeats
-    delta = start.length
+    delta = _DEFAULT_START.length
     # Raise repeats until the first subsampled multiplier clears 2/delta.
     while repeats * c <= len(n) and n[repeats * c - 1] * delta <= 2:
         repeats += 1
@@ -357,7 +349,7 @@ def hit_frequency_witness(
         multipliers=tuple(sub),
         eps=eps,
         delta=delta,
-        start=start,
+        start=_DEFAULT_START,
         targets=tuple(interval for _ in sub),
     )
     chain = mixing_chain(config)
@@ -377,7 +369,6 @@ def hit_frequency_witness(
         hit_count=hits,
         frequency=freq,
         threshold=threshold,
-        chain=chain,
     )
 
 
@@ -412,18 +403,15 @@ class HistogramWitness:
     target: HistogramTarget
     base: int  # N0
     horizon: int  # N0^2
-    assignment: tuple[int, ...]  # target cell for positions N0+1..N0^2
     counts: tuple[int, ...]
     frequencies: tuple[Fraction, ...]
     deviations: tuple[Fraction, ...]
-    chain: MixingChain
 
 
 def histogram_witness(
     multipliers: Sequence[int],
     target: HistogramTarget,
     base: int,
-    start: TorusInterval = _DEFAULT_START,
 ) -> HistogramWitness:
     """Point alpha whose first base^2 orbit points n_j * alpha reproduce the
     target histogram within eta on the uniform partition into len(weights)
@@ -459,20 +447,17 @@ def histogram_witness(
     if ell == 1:
         # One cell holds everything; any point in the start interval works.
         chain = mixing_chain(
-            MixingConfig(
-                multipliers=(), eps=_HALF, delta=start.length, start=start, targets=()
-            )
+            MixingConfig(multipliers=(), eps=_HALF, delta=_DEFAULT_START.length,
+                         start=_DEFAULT_START, targets=())
         )
         return HistogramWitness(
             alpha=chain.alpha,
             target=target,
             base=base,
             horizon=horizon,
-            assignment=tuple([0] * (horizon - base)),
             counts=(horizon,),
             frequencies=(_ONE,),
             deviations=(_ZERO,),
-            chain=chain,
         )
     # Steered cell counts: exact shares of the base^2 - base steered slots.
     steered = horizon - base
@@ -489,8 +474,8 @@ def histogram_witness(
     config = MixingConfig(
         multipliers=tuple(n[base : horizon]),
         eps=eps,
-        delta=start.length,
-        start=start,
+        delta=_DEFAULT_START.length,
+        start=_DEFAULT_START,
         targets=targets,
     )
     chain = mixing_chain(config)
@@ -513,11 +498,9 @@ def histogram_witness(
         target=target,
         base=base,
         horizon=horizon,
-        assignment=tuple(assignment),
         counts=tuple(counts),
         frequencies=freqs,
         deviations=devs,
-        chain=chain,
     )
 
 
@@ -623,7 +606,7 @@ def zero_block_alpha(
     for j in starts:
         for pos in range(j, j * j + 1):
             digits[pos - 1] = 0
-    point = BinaryPoint(tuple(digits), exact=True)
+    point = BinaryPoint(tuple(digits))
     if not Fraction(1, 2) < point.value < Fraction(3, 4):
         raise ValueError("zeroing the blocks pushed the value out of (1/2, 3/4)")
     return point

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
+from maldist.empirical import Residues
 from maldist.exact import mod1
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
@@ -26,3 +27,9 @@ def golden_points():
         v = mod1(v + alpha)
         out.append(v)
     return out
+
+
+@pytest.fixture(scope="session")
+def golden_residues():
+    """The same 25_000 points as `golden_points`, as residues n*p mod q."""
+    return Residues([n * GOLDEN_NUM % GOLDEN_DEN for n in range(1, 25_001)], GOLDEN_DEN)

@@ -10,11 +10,19 @@ program against.  None of it backs a `maldist` subcommand.
 - `max_checkpoint_fraction`: the max-over-checkpoints frequency of a target
   set, whose gap at a cell boundary C11 pins;
 - `empirical_measure` and `F_pi_eval`: the prefix measure of a whole point
-  list and F at one Fraction, spelled through the program's own kernels.
+  list and F at one Fraction;
+- the plain-Fraction paths the program dropped when `Residues` became its
+  only point type: `cell_index`, `fraction_checkpoint_scan`,
+  `fraction_star_discrepancy` and `fraction_invariance_defect`, which the
+  differential tests compare the integer kernels against, and `as_residues`
+  and `fractions_of`, which convert between the two forms;
+- methods only the tests used: the ratio-measure constructors and sums
+  (`ratio_measure_from_pairs`, `point_mass`, `mass_at_zero`, `mass_leq`,
+  `harmonic_tail`, `tv_norm_distance`), the arc `midpoint` and the digit
+  shift `shift_value` of a binary point.
 
-Every cell lookup goes through `CellPartition.cell_index`, and nothing here
-imports a private name of the package.  This module is not collected by
-pytest (its name does not start with `test_`).
+Nothing here imports a private name of the package.  This module is not
+collected by pytest (its name does not start with `test_`).
 """
 
 from __future__ import annotations
@@ -22,22 +30,154 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from math import comb, lcm
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from maldist.empirical import CellPartition, EmpiricalMeasure, checkpoint_scan
+from maldist.doubling import BinaryPoint
+from maldist.empirical import CellPartition, CheckpointScan, EmpiricalMeasure, Residues
 from maldist.envelope import BlockSpec, RatioMeasure
+from maldist.exact import mod1, over_lcm
 from maldist.rng import SplitMix64
 from maldist.subspace import ExtensionTarget, validate_membership
+from maldist.torus import TorusInterval
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 PointSource = Callable[[int], Fraction]
 
 
+# --- points: residues and Fraction lists -----------------------------------------
+
+
+def as_residues(points: Sequence[Fraction]) -> Residues:
+    """The points as numerators over the lcm of their denominators."""
+    return Residues(*over_lcm([Fraction(p) for p in points]))
+
+
+def fractions_of(points: Residues) -> list[Fraction]:
+    return [Fraction(r, points.den) for r in points.nums]
+
+
+def cell_index(partition: CellPartition, point: Fraction) -> int:
+    """Index of the half-open cell containing the point, exact."""
+    x = point if isinstance(point, Fraction) else Fraction(point)
+    return partition.cell_of(x.numerator, x.denominator)
+
+
+def fraction_checkpoint_scan(
+    points: Iterable[Fraction],
+    partition: CellPartition,
+    checkpoints: Sequence[int],
+) -> CheckpointScan:
+    """Scan of prefix measures; the points iterable is consumed once."""
+    cps = list(checkpoints)
+    if not cps or any(c < 1 for c in cps):
+        raise ValueError("checkpoints must be positive")
+    if any(a >= b for a, b in zip(cps, cps[1:])):
+        raise ValueError("checkpoints must be strictly increasing")
+    counts = [0] * partition.size
+    measures = []
+    cells: Iterator[int] = (cell_index(partition, p) for p in points)
+    seen = 0
+    for target in cps:
+        for c in islice(cells, target - seen):
+            counts[c] += 1
+            seen += 1
+        if seen < target:
+            raise ValueError(f"point source exhausted before checkpoint {target}")
+        measures.append(EmpiricalMeasure(tuple(counts), seen))
+    return CheckpointScan(tuple(cps), tuple(measures))
+
+
+def fraction_star_discrepancy(points: Sequence[Fraction]) -> Fraction:
+    """Exact D*_N of a Fraction list: the integer sweep over the lcm q of the
+    points' denominators, with x = r/q and i/N - x = (i*q - r*N)/(N*q)."""
+    n = len(points)
+    if n == 0:
+        raise ValueError("star discrepancy of an empty list is undefined")
+    q = lcm(*(p.denominator for p in points))
+    rs = sorted(p.numerator * (q // p.denominator) for p in points)
+    if not (0 <= rs[0] and rs[-1] < q):
+        raise ValueError("points must lie in [0, 1)")
+    best = 0
+    for i, r in enumerate(rs, start=1):
+        best = max(best, i * q - r * n, r * n - (i - 1) * q)
+    return Fraction(best, n * q)
+
+
+def fraction_invariance_defect(points: Sequence[Fraction], partition: CellPartition) -> Fraction:
+    """Max over cells A of |freq(A) - freq(T^{-1}A)|, one point at a time."""
+    if not points:
+        raise ValueError("empty orbit segment")
+    if not partition.is_dyadic():
+        raise ValueError("partition cut points must be dyadic rationals")
+    counts = [0] * partition.size
+    for p in points:
+        r, q = p.numerator, p.denominator
+        counts[partition.cell_of(r, q)] += 1
+        counts[partition.cell_of(2 * r % q, q)] -= 1
+    return Fraction(max(abs(c) for c in counts), len(points))
+
+
 def empirical_measure(points: Sequence[Fraction], partition: CellPartition) -> EmpiricalMeasure:
     """Frequency vector of all the points over the partition cells."""
-    return checkpoint_scan(points, partition, [len(points)]).measures[0]
+    return fraction_checkpoint_scan(points, partition, [len(points)]).measures[0]
+
+
+# --- ratio measures, arcs and binary points --------------------------------------
+
+
+def ratio_measure_from_pairs(pairs: Iterable[tuple[Fraction, Fraction]]) -> RatioMeasure:
+    """Build from unsorted pairs, merging weights at equal locations."""
+    merged: dict[Fraction, Fraction] = {}
+    for q, w in pairs:
+        q, w = Fraction(q), Fraction(w)
+        if w == 0:
+            continue
+        merged[q] = merged.get(q, _ZERO) + w
+    return RatioMeasure(tuple(sorted(merged.items())))
+
+
+def point_mass(q: Fraction) -> RatioMeasure:
+    return RatioMeasure(((Fraction(q), _ONE),))
+
+
+def mass_at_zero(pi: RatioMeasure) -> Fraction:
+    return pi.atoms[0][1] if pi.atoms and pi.atoms[0][0] == 0 else _ZERO
+
+
+def mass_leq(pi: RatioMeasure, t: Fraction) -> Fraction:
+    return sum((w for q, w in pi.atoms if q <= t), _ZERO)
+
+
+def harmonic_tail(pi: RatioMeasure, t: Fraction) -> Fraction:
+    """sum of weight(q)/q over atoms with q > t (never touches q = 0)."""
+    return sum((w / q for q, w in pi.atoms if q > t), _ZERO)
+
+
+def tv_norm_distance(pi: RatioMeasure, other: RatioMeasure) -> Fraction:
+    """Total-variation norm sum_q |pi({q}) - other({q})| over all atoms."""
+    locs = {q for q, _ in pi.atoms} | {q for q, _ in other.atoms}
+    mine = dict(pi.atoms)
+    theirs = dict(other.atoms)
+    return sum((abs(mine.get(q, _ZERO) - theirs.get(q, _ZERO)) for q in locs), _ZERO)
+
+
+def midpoint(interval: TorusInterval) -> Fraction:
+    """Arc midpoint, reduced to [0, 1)."""
+    return mod1(interval.left + interval.length / 2)
+
+
+def shift_value(point: BinaryPoint, k: int) -> Fraction:
+    """2^k * value mod 1 of the dyadic point: its digits after the first k
+    (0 once k reaches the digit count)."""
+    if k < 0:
+        raise ValueError("shift must be nonnegative")
+    if k >= len(point.digits):
+        return _ZERO
+    return BinaryPoint(point.digits[k:]).value
 
 
 def F_pi_eval(pi: RatioMeasure, t0: Fraction) -> Fraction:
@@ -93,7 +233,7 @@ def _cell_lookup(
     """Cell of the point x_n, for x a function of n >= 1 or the sequence
     x_1, x_2, ..., memoized."""
     source = x if callable(x) else (lambda n: x[n - 1])
-    return cache(lambda n: partition.cell_index(source(n)))
+    return cache(lambda n: cell_index(partition, source(n)))
 
 
 def _cell_buckets(

@@ -19,7 +19,7 @@ from maldist.doubling import (
     zero_block_density,
 )
 from maldist.empirical import CellPartition, MeasureVector, star_discrepancy
-from maldist.envelope import BlockSpec, RatioMeasure, envelope_dominates, pi_measure
+from maldist.envelope import BlockSpec, envelope_dominates, pi_measure
 from maldist.exact import mod1
 from maldist.rng import SplitMix64
 from maldist.subspace import ExtensionTarget, greedy_extension
@@ -36,10 +36,15 @@ from maldist.witness import (
 from tests.conftest import GOLDEN
 from tests.oracles import (
     F_pi_eval,
+    as_residues,
     brute_force_extension,
+    cell_index,
     empirical_measure,
     exchange_facts,
+    mass_at_zero,
     max_checkpoint_fraction,
+    point_mass,
+    ratio_measure_from_pairs,
     sample_uniform,
 )
 
@@ -144,7 +149,7 @@ def test_c04_avoidance_run():
     hits of the avoided interval, and star discrepancy >= eps - 1/100."""
     result = avoidance_sequence(F(5, 17), F(1, 5), prefix=(1,), horizon=10_000)
     points = [mod1(n * result.alpha) for n in result.indices]
-    disc = star_discrepancy(points)
+    disc = star_discrepancy(as_residues(points))
     ok = (
         result.hits_after_prefix == 0
         and set(result.gaps) <= {1, 2}
@@ -213,9 +218,9 @@ def test_c08_envelope_property_suite():
         for _ in range(rng.randint(1, 8)):
             pairs.append((rng.fraction(50, closed_top=True), rng.randint(1, 20)))
         total = sum(w for _, w in pairs)
-        pi = RatioMeasure.from_pairs((q, F(w, total)) for q, w in pairs)
+        pi = ratio_measure_from_pairs((q, F(w, total)) for q, w in pairs)
         values = [F_pi_eval(pi, t) for t in grid]
-        ok = ok and values[0] == pi.mass_at_zero() and values[-1] == 1
+        ok = ok and values[0] == mass_at_zero(pi) and values[-1] == 1
         ok = ok and all(t <= v <= 1 for t, v in zip(grid, values))
         ok = ok and all(a <= b for a, b in zip(values, values[1:]))
         ok = ok and all(
@@ -225,7 +230,7 @@ def test_c08_envelope_property_suite():
         if not ok:
             break
     for q in (F(1, 10), F(1, 2), F(1)):
-        pi = RatioMeasure.point_mass(q)
+        pi = point_mass(q)
         ok = ok and all(F_pi_eval(pi, t) == min(t / q, F(1)) for t in grid)
     report("C8 envelope property suite", ok, "1000 seeded measures, zero tolerance")
 
@@ -241,7 +246,7 @@ def test_c09_sampled_domination_suite(golden_points):
     lam = partition.lebesgue_masses()
     checkpoints = (50, 100, 200)
     horizon = spec.a(checkpoints[-1])
-    cells = [partition.cell_index(p) for p in golden_points[:horizon]]
+    cells = [cell_index(partition, p) for p in golden_points[:horizon]]
 
     block_defect = []  # b_j * TV(block empirical, lambda)
     for j in range(1, checkpoints[-1] + 1):
@@ -260,10 +265,8 @@ def test_c09_sampled_domination_suite(golden_points):
         points = [golden_points[n - 1] for n in indices]
         for n in checkpoints:
             m_n = spec.M(n)
-            mu = empirical_measure(points[:m_n], partition).as_vector()
-            verdict = envelope_dominates(
-                mu, lam, pis[n], partition, tol=tolerances[n]
-            )
+            mu = MeasureVector(empirical_measure(points[:m_n], partition).frequencies)
+            verdict = envelope_dominates(mu, lam, pis[n], tol=tolerances[n])
             if not verdict.ok:
                 violations += 1
     ok = violations == 0 and tolerances[200] <= F(1, 20)
@@ -300,7 +303,7 @@ def _c10_instance(seed):
         mu = MeasureVector(
             tuple(theta * r + (1 - theta) * l for r, l in zip(raw.masses, lam.masses))
         )
-        if envelope_dominates(mu, lam, pi, partition).ok:
+        if envelope_dominates(mu, lam, pi).ok:
             break
     target = ExtensionTarget(mu=mu, eps=F(1, 10), pi=pi)
     return spec, partition, lam, points, target, blocks
@@ -320,7 +323,7 @@ def test_c10_greedy_versus_oracle():
         x = lambda n: points[n - 1]
         brute = brute_force_extension([], spec, x, partition, target, j1=blocks)
         greedy = greedy_extension(
-            [], spec, x, partition, lam, target, fixed_blocks=blocks
+            [], spec, as_residues(points), partition, lam, target, fixed_blocks=blocks
         )
         if greedy.total_abs_dev <= brute.total_abs_dev + F(1, 10):
             within += 1

@@ -18,7 +18,7 @@ from maldist.doubling import (
     zero_block_density,
 )
 from maldist.empirical import CellPartition, MeasureVector
-from maldist.envelope import RatioMeasure, envelope_dominates
+from maldist.envelope import envelope_dominates
 from maldist.exact import format_rational, mod1
 from maldist.torus import TorusInterval
 from maldist.witness import (
@@ -30,6 +30,7 @@ from maldist.witness import (
     mixing_chain,
     zero_block_alpha,
 )
+from tests.oracles import point_mass, shift_value
 
 
 # Directory holding the maldist package this test process imported: src/ in a
@@ -103,7 +104,7 @@ def all_certificates():
 
     mu = MeasureVector((F(3, 5), F(2, 5)))
     lam = MeasureVector((F(1, 2), F(1, 2)))
-    pi = RatioMeasure.point_mass(F(1, 2))
+    pi = point_mass(F(1, 2))
     res = envelope_dominates(mu, lam, pi)
     yield "envelope", certs.envelope_certificate(mu, lam, pi, res)
 
@@ -233,8 +234,8 @@ def test_fivesixth_verifier_recounts_the_hits(p, q, horizon):
 
 def shift_window_hits(point, end):
     """Hits of (1/2, 3/4) by 2^k x + x mod 1 for k = 1..end, each shift
-    rebuilt from the digits by BinaryPoint.shift."""
-    shifted = (mod1(point.shift(k).value + point.value) for k in range(1, end + 1))
+    rebuilt from the digits."""
+    shifted = (mod1(shift_value(point, k) + point.value) for k in range(1, end + 1))
     return sum(1 for v in shifted if F(1, 2) < v < F(3, 4))
 
 
@@ -249,8 +250,11 @@ def test_zeroblock_verifier_recounts_window_hits(base, starts, data):
         point = zero_block_alpha(base, starts)
     except ValueError:
         assume(False)
-    # Windows past L count the shifts that have consumed every digit.
-    ends = data.draw(st.lists(st.integers(1, len(point.digits) + 12), min_size=1, max_size=4))
+    # Windows past L count the shifts that have consumed every digit.  Each
+    # claim id names its window, so the ends are distinct.
+    ends = data.draw(
+        st.lists(st.integers(1, len(point.digits) + 12), min_size=1, max_size=4, unique=True)
+    )
     cert = certs.zeroblock_certificate(point, base, starts)
     for end in ends:
         hits = shift_window_hits(point, end)
@@ -414,6 +418,30 @@ def test_cli_scan_csv():
     assert lines[0].startswith("N,freq_0")
     for line in lines[1:]:
         assert line.split(",")[4:] == ["1/3", "1/3", "1/3"]
+
+
+def fraction_decimal(value: F, digits: int) -> str:
+    """A value in [0, 1) to `digits` places, half rounded up, via Fractions."""
+    scaled = int(value * 10**digits + F(1, 2))
+    whole, frac = divmod(scaled, 10**digits)
+    return f"{whole}.{frac:0{digits}d}" if digits else str(whole)
+
+
+@pytest.mark.parametrize("alpha", ["1/6", "5/12"])
+@pytest.mark.parametrize("digits", [0, 3, 12])
+def test_cli_doubling_orbit_csv_on_reducible_residues(alpha, digits):
+    # Over q = 6 and q = 12 the orbit's residues share factors with q, so
+    # the CSV must reduce them exactly as the Fraction values print.
+    steps = 7
+    res = run_cli("doubling", "--mode", "orbit", "--alpha", alpha, "--steps", str(steps),
+                  "--digits", str(digits))
+    assert res.returncode == 0, res.stderr
+    rows = [["k", "value", "value_exact"]]
+    v = F(alpha)
+    for k in range(1, steps + 1):
+        v = mod1(2 * v)
+        rows.append([str(k), fraction_decimal(v, digits), f"{v.numerator}/{v.denominator}"])
+    assert res.stdout == "".join(",".join(row) + "\n" for row in rows)
 
 
 def test_cli_subspace_run(tmp_path):

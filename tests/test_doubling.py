@@ -16,14 +16,15 @@ from maldist.doubling import (
 from maldist.empirical import CellPartition
 from maldist.exact import mod1
 from maldist.torus import TorusInterval
+from tests.oracles import cell_index, fractions_of, shift_value
 
 
 def test_orbit_period_two():
-    assert doubling_orbit(F(1, 3), 4) == [F(2, 3), F(1, 3), F(2, 3), F(1, 3)]
+    assert fractions_of(doubling_orbit(F(1, 3), 4)) == [F(2, 3), F(1, 3), F(2, 3), F(1, 3)]
 
 
 def test_orbit_one_seventeenth():
-    orbit = doubling_orbit(F(1, 17), 8)
+    orbit = fractions_of(doubling_orbit(F(1, 17), 8))
     assert orbit[-1] == F(1, 17)
     # cross-check against modular exponentiation
     for k, v in enumerate(orbit, start=1):
@@ -31,15 +32,14 @@ def test_orbit_one_seventeenth():
 
 
 def test_orbit_digit_shifts():
-    point = BinaryPoint((1, 0, 1, 1), exact=False)
-    assert doubling_orbit(point, 3) == [F(3, 8), F(3, 4), F(1, 2)]
-    with pytest.raises(ValueError):
-        doubling_orbit(point, 4)
+    # The orbit of a dyadic point drops one binary digit per step.
+    point = BinaryPoint((1, 0, 1, 1))
+    assert fractions_of(doubling_orbit(point.value, 3)) == [F(3, 8), F(3, 4), F(1, 2)]
 
 
 def test_exact_point_shifts_past_length():
-    point = BinaryPoint((1, 0, 1), exact=True)
-    assert doubling_orbit(point, 5) == [F(1, 4), F(1, 2), F(0), F(0), F(0)]
+    point = BinaryPoint((1, 0, 1))
+    assert fractions_of(doubling_orbit(point.value, 5)) == [F(1, 4), F(1, 2), F(0), F(0), F(0)]
 
 
 def test_period_divides_multiplicative_order():
@@ -84,7 +84,7 @@ def test_invariance_rejects_non_dyadic():
 
 def test_shifted_orbit_identity():
     alpha = F(1, 33)
-    orbit = doubling_orbit(alpha, 30)
+    orbit = fractions_of(doubling_orbit(alpha, 30))
     for k, v in enumerate(orbit, start=1):
         assert mod1(v + alpha) == mod1((2**k + 1) * alpha)
 
@@ -113,7 +113,7 @@ def test_five_sixth_rejects_large_alpha():
 
 def test_zero_block_density_short_block():
     # Hand-built digits 10001: positions 2..4 zero, value 17/32.
-    point = BinaryPoint((1, 0, 0, 0, 1), exact=True)
+    point = BinaryPoint((1, 0, 0, 0, 1))
     densities = zero_block_density(point, [4])
     assert densities[0].hits == 2
     assert densities[0].density == F(1, 2)
@@ -121,30 +121,21 @@ def test_zero_block_density_short_block():
 
 def test_zero_block_density_no_blocks_stays_low():
     # 0.101010... pattern: no long zero runs, density stays away from 1.
-    point = BinaryPoint(tuple([1, 0] * 20), exact=True)
+    point = BinaryPoint(tuple([1, 0] * 20))
     densities = zero_block_density(point, [39])
     assert densities[0].density <= F(3, 5)
 
 
 def test_zero_block_density_requires_target_membership():
-    point = BinaryPoint((0, 1, 1), exact=True)  # value 3/8 outside (1/2, 3/4)
+    point = BinaryPoint((0, 1, 1))  # value 3/8 outside (1/2, 3/4)
     with pytest.raises(ValueError):
         zero_block_density(point, [2])
-
-
-def test_zero_block_density_custom_target():
-    point = BinaryPoint((1, 0, 0, 0, 1), exact=True)
-    wide = TorusInterval(F(1, 4), F(7, 8))
-    densities = zero_block_density(point, [4], target=wide)
-    assert densities[0].density >= F(1, 2)
 
 
 # --- integer kernels against the plain-Fraction code they replaced ----------
 
 
 def reference_doubling_orbit(alpha, steps):
-    if isinstance(alpha, BinaryPoint):
-        return [alpha.shift(k).value for k in range(1, steps + 1)]
     v = mod1(F(alpha))
     out = []
     for _ in range(steps):
@@ -157,8 +148,8 @@ def reference_invariance_defect(points, partition):
     n, s = len(points), partition.size
     counts, pre_counts = [0] * s, [0] * s
     for p in points:
-        counts[partition.cell_index(p)] += 1
-        pre_counts[partition.cell_index(mod1(2 * F(p)))] += 1
+        counts[cell_index(partition, p)] += 1
+        pre_counts[cell_index(partition, mod1(2 * F(p)))] += 1
     return max(abs(F(counts[i] - pre_counts[i], n)) for i in range(s))
 
 
@@ -199,13 +190,14 @@ def reference_five_sixth_check(alpha, horizon):
     )
 
 
-def reference_zero_block_hits(point, windows, target):
+def reference_zero_block_hits(point, windows):
     alpha = point.value
+    target = TorusInterval(F(1, 2), F(3, 4))
     out, hits, k = [], 0, 0
     for end in windows:
         while k < end:
             k += 1
-            if target.contains(mod1(point.shift(k).value + alpha)):
+            if target.contains(mod1(shift_value(point, k) + alpha)):
                 hits += 1
         out.append(hits)
     return out
@@ -220,12 +212,14 @@ bit_strings = st.lists(st.sampled_from((0, 1)), min_size=1, max_size=48).map(tup
 
 
 @settings(max_examples=150, deadline=None)
-@given(rationals, bit_strings, st.booleans(), st.integers(min_value=0, max_value=60))
-def test_doubling_orbit_matches_fraction_reference(alpha, digits, exact, steps):
-    assert doubling_orbit(alpha, steps) == reference_doubling_orbit(alpha, steps)
-    point = BinaryPoint(digits, exact=exact)
-    if exact or steps < len(digits):
-        assert doubling_orbit(point, steps) == reference_doubling_orbit(point, steps)
+@given(rationals, bit_strings, st.integers(min_value=0, max_value=60))
+def test_doubling_orbit_matches_fraction_reference(alpha, digits, steps):
+    assert fractions_of(doubling_orbit(alpha, steps)) == reference_doubling_orbit(alpha, steps)
+    # A dyadic point's orbit is its digit shifts, then 0.
+    point = BinaryPoint(digits)
+    assert fractions_of(doubling_orbit(point.value, steps)) == [
+        shift_value(point, k) for k in range(1, steps + 1)
+    ]
 
 
 @settings(max_examples=150, deadline=None)
@@ -238,7 +232,9 @@ def test_invariance_defect_matches_fraction_reference(alpha, steps, data):
     )
     partition = CellPartition((F(0), *sorted(inner), F(1)))
     orbit = doubling_orbit(alpha, steps)
-    assert invariance_defect(orbit, partition) == reference_invariance_defect(orbit, partition)
+    assert invariance_defect(orbit, partition) == reference_invariance_defect(
+        fractions_of(orbit), partition
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -254,18 +250,15 @@ def test_five_sixth_check_matches_fraction_reference(p, q, horizon):
 
 
 @settings(max_examples=150, deadline=None)
-@given(bit_strings, st.booleans(), rationals, rationals, st.booleans(), st.data())
-def test_zero_block_density_matches_fraction_reference(digits, exact, a, b, wraps, data):
-    lo, hi = min(a, b), max(a, b)
-    assume(lo != hi and (lo > 0 or not wraps))
-    target = TorusInterval(hi, lo, wraps=True) if wraps else TorusInterval(lo, hi)
-    point = BinaryPoint(digits, exact=exact)
-    assume(target.contains(point.value))
-    limit = 2 * len(digits) + 2 if exact else len(digits) - 1
-    assume(limit >= 1)
+@given(bit_strings, st.data())
+def test_zero_block_density_matches_fraction_reference(digits, data):
+    # Digits 1, 0 lead every point inside (1/2, 3/4).
+    point = BinaryPoint((1, 0) + digits)
+    assume(F(1, 2) < point.value < F(3, 4))
+    limit = 2 * len(point.digits) + 2
     windows = sorted(
         data.draw(st.sets(st.integers(min_value=1, max_value=limit), min_size=1, max_size=5))
     )
-    got = zero_block_density(point, windows, target=target)
-    assert [w.hits for w in got] == reference_zero_block_hits(point, windows, target)
+    got = zero_block_density(point, windows)
+    assert [w.hits for w in got] == reference_zero_block_hits(point, windows)
     assert [w.window_end for w in got] == windows

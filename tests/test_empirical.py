@@ -4,9 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maldist.empirical import CellPartition, checkpoint_scan, scan_to_csv, star_discrepancy
+from maldist.empirical import (
+    CellPartition,
+    Residues,
+    checkpoint_scan,
+    scan_to_csv,
+    star_discrepancy,
+)
 from maldist.exact import mod1
-from tests.oracles import empirical_measure
+from tests.oracles import as_residues, cell_index, empirical_measure
 
 
 def brute_force_star_discrepancy(points):
@@ -66,7 +72,7 @@ def test_concat_consistency(first, second):
     end, and the cellwise count sum of both parts at the end of the whole."""
     p = CellPartition.uniform(4)
     n, m = len(first), len(second)
-    head, whole = checkpoint_scan(first + second, p, [n, n + m]).measures
+    head, whole = checkpoint_scan(as_residues(first + second), p, [n, n + m]).measures
     assert head == empirical_measure(first, p)
     parts = zip(empirical_measure(first, p).counts, empirical_measure(second, p).counts)
     assert whole.counts == tuple(a + b for a, b in parts)
@@ -74,17 +80,17 @@ def test_concat_consistency(first, second):
 
 
 def test_star_discrepancy_single_zero():
-    assert star_discrepancy([F(0)]) == 1
+    assert star_discrepancy(Residues([0], 1)) == 1
 
 
 def test_star_discrepancy_two_points():
-    assert star_discrepancy([F(0), F(1, 2)]) == F(1, 2)
+    assert star_discrepancy(Residues([0, 1], 2)) == F(1, 2)
 
 
 def test_star_discrepancy_centered_lattice():
     n = 4
     pts = [F(2 * i - 1, 2 * n) for i in range(1, n + 1)]
-    assert star_discrepancy(pts) == F(1, 2 * n)
+    assert star_discrepancy(as_residues(pts)) == F(1, 2 * n)
     assert brute_force_star_discrepancy(pts) == F(1, 2 * n)
 
 
@@ -97,7 +103,7 @@ def test_star_discrepancy_centered_lattice():
     )
 )
 def test_star_discrepancy_matches_brute_force(points):
-    fast = star_discrepancy(points)
+    fast = star_discrepancy(as_residues(points))
     assert fast == brute_force_star_discrepancy(points)
     assert F(1, 2 * len(points)) <= fast <= 1
 
@@ -105,14 +111,14 @@ def test_star_discrepancy_matches_brute_force(points):
 def test_checkpoint_scan_periodic():
     p = CellPartition.uniform(3)
     pts = [mod1(n * F(1, 3)) for n in range(1, 10)]
-    scan = checkpoint_scan(pts, p, [3, 6, 9])
+    scan = checkpoint_scan(as_residues(pts), p, [3, 6, 9])
     for m in scan.measures:
         assert m.frequencies == (F(1, 3), F(1, 3), F(1, 3))
 
 
-def test_checkpoint_scan_matches_prefix_measure(golden_points):
+def test_checkpoint_scan_matches_prefix_measure(golden_points, golden_residues):
     p = CellPartition.uniform(4)
-    scan = checkpoint_scan(golden_points[:100], p, [10, 37, 100])
+    scan = checkpoint_scan(golden_residues, p, [10, 37, 100])
     for cp, m in zip(scan.checkpoints, scan.measures):
         assert m == empirical_measure(golden_points[:cp], p)
 
@@ -121,7 +127,7 @@ def test_scan_reciprocal_sequence_first_cell():
     # x_n = 1/(n+1): all mass drifts into the first cell.
     p = CellPartition((F(0), F(1, 10), F(1)))
     pts = [F(1, n + 1) for n in range(1, 2001)]
-    scan = checkpoint_scan(pts, p, [10, 100, 2000])
+    scan = checkpoint_scan(as_residues(pts), p, [10, 100, 2000])
     freqs = [m.frequencies[0] for m in scan.measures]
     assert freqs[-1] > F(99, 100)
     assert freqs == sorted(freqs)
@@ -130,7 +136,7 @@ def test_scan_reciprocal_sequence_first_cell():
 def test_scan_csv_shape():
     p = CellPartition.uniform(2)
     pts = [F(0), F(1, 2), F(0), F(1, 2)]
-    scan = checkpoint_scan(pts, p, [2, 4])
+    scan = checkpoint_scan(as_residues(pts), p, [2, 4])
     text = scan_to_csv(scan, digits=3)
     lines = text.strip().splitlines()
     assert lines[0] == "N,freq_0,freq_1,freq_0_exact,freq_1_exact"
@@ -191,7 +197,7 @@ def test_cell_lookup_matches_fraction_bisection(cuts, data):
     scale = data.draw(st.integers(min_value=1, max_value=9))
     for x in points:
         want = reference_cell_index(cuts, x)
-        assert partition.cell_index(x) == want
+        assert cell_index(partition, x) == want
         # Unreduced r/q locates the same cell.
         assert partition.cell_of(x.numerator * scale, x.denominator * scale) == want
 
@@ -200,13 +206,13 @@ def test_cell_index_error_paths_unchanged():
     partition = CellPartition((F(0), F(1, 4), F(2, 3), F(1)))
     for bad in (F(-1, 3), F(1)):
         with pytest.raises(ValueError) as info:
-            partition.cell_index(bad)
+            partition.cell_of(bad.numerator, bad.denominator)
         assert type(info.value) is ValueError
         assert str(info.value) == "points must lie in [0, 1)"
     with pytest.raises(ValueError, match=r"^points must lie in \[0, 1\)$"):
-        star_discrepancy([F(1, 2), F(1)])
+        star_discrepancy(as_residues([F(1, 2), F(1)]))
     with pytest.raises(ValueError, match=r"^points must lie in \[0, 1\)$"):
-        star_discrepancy([F(-1, 3), F(1, 2)])
+        star_discrepancy(as_residues([F(-1, 3), F(1, 2)]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -217,4 +223,4 @@ def test_cell_index_error_paths_unchanged():
 )
 def test_star_discrepancy_matches_fraction_sweep(points, repeats, with_zero):
     points = points + points[:repeats] + ([F(0)] if with_zero else [])
-    assert star_discrepancy(points) == reference_star_discrepancy(points)
+    assert star_discrepancy(as_residues(points)) == reference_star_discrepancy(points)

@@ -29,7 +29,7 @@ from maldist.envelope import (
     envelope_dominates,
     pi_measure,
 )
-from tests.oracles import F_pi_eval
+from tests.oracles import F_pi_eval, point_mass
 
 # --- test-local copies of the plain-Fraction code -----------------------
 
@@ -174,9 +174,9 @@ def ratio_atoms(draw):
 def ratio_measures(draw):
     kind = draw(st.sampled_from(["atoms", "spec", "zero", "one"]))
     if kind == "zero":
-        return RatioMeasure.point_mass(F(0))
+        return point_mass(F(0))
     if kind == "one":
-        return RatioMeasure.point_mass(F(1))
+        return point_mass(F(1))
     if kind == "spec":
         b, m = spec_lists(draw(blocks))
         return pi_measure(BlockSpec(b, m), len(b))
@@ -323,7 +323,7 @@ def test_envelope_verifier_matches_enumeration(pair, pi, tol):
 def test_envelope_verifier_names_malformed_violations(violation):
     mu = MeasureVector((F(3, 5), F(2, 5)))
     lam = MeasureVector((F(1, 2), F(1, 2)))
-    pi = RatioMeasure.point_mass(F(1, 2))
+    pi = point_mass(F(1, 2))
     cert = certs.envelope_certificate(mu, lam, pi, envelope_dominates(mu, lam, pi))
     assert certs.verify_certificate(cert).ok
     cert["claims"][0]["violation"] = violation

@@ -23,6 +23,7 @@ from maldist.witness import (
     hit_frequency_witness,
     mixing_chain,
 )
+from tests.oracles import midpoint
 
 # --- Fraction references ------------------------------------------------------
 
@@ -84,7 +85,7 @@ def fraction_chain(cfg):
             raise MixingConfigError(k, "internal: no full preimage cell fits")
         current = TorusInterval(F(a + j, n_k), F(a + eps + j, n_k))
         chain.append(current)
-    alpha = current.midpoint()
+    alpha = midpoint(current)
     assert fraction_contains(cfg.start, alpha)
     for k, (n_k, target) in enumerate(zip(cfg.multipliers, cfg.targets), start=1):
         assert chain[k].length == eps / n_k

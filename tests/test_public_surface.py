@@ -1,5 +1,6 @@
 """The public surface carries no dead code: every function a layer module
-lists in `__all__` has a caller inside the package."""
+lists in `__all__`, and every method and property of a class that another
+package module references, has a caller inside the package."""
 
 import ast
 from pathlib import Path
@@ -34,6 +35,14 @@ def declared_all(tree: ast.Module) -> list[str] | None:
     return None
 
 
+def package_trees() -> dict[str, ast.Module]:
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+
+
 def test_every_public_function_has_a_caller_in_the_package():
     """Each function in a layer's `__all__` is referenced by name in some
     module of the package other than `__init__`, outside its own definition.
@@ -45,11 +54,7 @@ def test_every_public_function_has_a_caller_in_the_package():
     mu-bar estimator was removed, `mu_bar_estimate` passed because
     `mu_bar_report` called it, and only `mu_bar_report` failed.)
     """
-    trees = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(SRC.glob("*.py"))
-        if path.name != "__init__.py"
-    }
+    trees = package_trees()
     everywhere = {module: referenced_names(tree) for module, tree in trees.items()}
     checked, uncalled = [], []
     for module, tree in trees.items():
@@ -64,4 +69,37 @@ def test_every_public_function_has_a_caller_in_the_package():
                 if name not in referenced_names(tree, skip=functions[name]):
                     uncalled.append(f"{module}.{name}")
     assert {"empirical", "envelope", "subspace", "torus", "witness"} <= set(checked)
+    assert uncalled == []
+
+
+def test_every_method_of_a_shared_class_has_a_caller_in_the_package():
+    """Each method, property and classmethod of a class that some other
+    module of the package references is referenced by name somewhere in the
+    package outside its own definition.  Dunders are exempt: the language
+    calls them.
+
+    As for functions, a test is not a caller, and a name counts wherever it
+    appears, so a method shares the fate of any same-named attribute or
+    variable.  A method only the tests call belongs in `tests/oracles.py`
+    as a function of the object.
+    """
+    trees = package_trees()
+    everywhere = {module: referenced_names(tree) for module, tree in trees.items()}
+    shared, uncalled = [], []
+    for module, tree in trees.items():
+        elsewhere = set().union(*(names for m, names in everywhere.items() if m != module))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name not in elsewhere:
+                continue
+            shared.append(f"{module}.{cls.name}")
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                name = node.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if name not in elsewhere and name not in referenced_names(tree, skip=node):
+                    uncalled.append(f"{module}.{cls.name}.{name}")
+    assert {"empirical.Residues", "empirical.CellPartition", "envelope.RatioMeasure",
+            "envelope.BlockSpec", "torus.TorusInterval", "witness.WitnessPlan"} <= set(shared)
     assert uncalled == []

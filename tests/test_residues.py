@@ -1,12 +1,13 @@
 """Points as residues: `Residues(nums, den)` against the equal list of
 Fractions.
 
-Every consumer that reads the integer numerators directly (`checkpoint_scan`,
-`star_discrepancy`, `invariance_defect`, `greedy_extension`) must give
-exactly what it gives on the equal plain Fraction list, whose points are
-taken apart one at a time.  The sources are rotation and doubling orbits, taken from any start, with
-numerators scaled so that gcd(r, den) > 1, and with r = 0 wherever the orbit
-meets 0.
+`Residues` is the program's only point type.  Every consumer reads its
+integer numerators directly (`checkpoint_scan`, `star_discrepancy`,
+`invariance_defect`, `greedy_extension`) and must give exactly what the
+plain-Fraction reference in `tests/oracles.py` gives on the equal Fraction
+list, whose points it takes apart one at a time.  The sources are rotation
+and doubling orbits, taken from any start, with numerators scaled so that
+gcd(r, den) > 1, and with r = 0 wherever the orbit meets 0.
 """
 
 from fractions import Fraction as F
@@ -23,9 +24,18 @@ from maldist.empirical import (
     checkpoint_scan,
     star_discrepancy,
 )
-from maldist.envelope import BlockSpec, RatioMeasure, pi_measure
+from maldist.envelope import BlockSpec, pi_measure
 from maldist.subspace import ExtensionTarget, greedy_extension
-from tests.oracles import empirical_measure
+from tests.oracles import (
+    as_residues,
+    cell_index,
+    empirical_measure,
+    fraction_checkpoint_scan,
+    fraction_invariance_defect,
+    fraction_star_discrepancy,
+    fractions_of,
+    point_mass,
+)
 
 POINTS_ERROR = r"^points must lie in \[0, 1\)$"
 
@@ -64,52 +74,32 @@ def orbit_and_partition(draw, min_size=1, max_size=60):
     return residues, points, draw(partitions(residues.den))
 
 
-# --- the sequence protocol ----------------------------------------------------
+# --- the record ------------------------------------------------------------------
 
 
-def test_sequence_protocol():
+def test_residues_is_a_record():
     r = Residues([0, 2, 4, 6], 8)
-    values = [F(0), F(1, 4), F(1, 2), F(3, 4)]
     assert len(r) == 4
-    assert r[0] == 0 and r[2] == F(1, 2)
-    assert r[-1] == F(3, 4) and r[-4] == 0
-    assert list(r) == values
-    assert all(type(x) is F for x in r)
-    assert r == values and values == r
-    assert r == tuple(values)
-    assert r != values[:3] and r != [F(0), F(1, 4), F(1, 2), F(1, 2)]
-    assert r == Residues([0, 1, 2, 3], 4)
-    assert r != Residues([0, 1, 2], 4)
-    assert F(1, 4) in r and F(1, 3) not in r
-    assert r.index(F(1, 2)) == 2
-    assert list(reversed(r)) == values[::-1]
-    for bad in (4, -5):
-        with pytest.raises(IndexError):
-            r[bad]
+    assert (r.nums, r.den) == ([0, 2, 4, 6], 8)
+    assert repr(r) == "Residues([0, 2, 4, 6], 8)"
+    assert not hasattr(r, "__dict__")
+    # Not a sequence of Fractions: no indexing and no iteration.
     with pytest.raises(TypeError):
-        hash(r)
-    with pytest.raises(ValueError):
-        Residues([0], 0)
-
-
-def test_slices_keep_the_denominator():
-    r = Residues([1, 3, 5, 7, 9], 10)
-    for cut in (slice(1, 3), slice(None, -2), slice(-3, None), slice(None, None, 2),
-                slice(4, 1, -1), slice(7, 9)):
-        part = r[cut]
-        assert isinstance(part, Residues)
-        assert part.den == 10
-        assert part == list(r)[cut]
-    assert r[1:3] == [F(3, 10), F(1, 2)]
+        r[0]
+    with pytest.raises(TypeError):
+        iter(r)
+    for den in (0, -3):
+        with pytest.raises(ValueError, match="^denominator must be positive$"):
+            Residues([0], den)
 
 
 @given(orbits())
-def test_iteration_and_indexing_match_the_fractions(pair):
+def test_orbits_convert_both_ways(pair):
+    """The test-side conversions the differential tests rest on."""
     residues, points = pair
     assert len(residues) == len(points)
-    assert list(residues) == points
-    assert [residues[i] for i in range(-len(points), len(points))] == points + points
-    assert residues == points and points == residues
+    assert fractions_of(residues) == points
+    assert fractions_of(as_residues(points)) == points
 
 
 def test_doubling_orbit_is_residues_over_q():
@@ -125,19 +115,22 @@ def test_doubling_orbit_is_residues_over_q():
 def test_checkpoint_scan_matches_fraction_list(triple, data):
     residues, points, partition = triple
     cps = sorted(data.draw(st.sets(st.integers(1, len(points)), min_size=1, max_size=5)))
-    assert checkpoint_scan(residues, partition, cps) == checkpoint_scan(points, partition, cps)
+    assert checkpoint_scan(residues, partition, cps) == fraction_checkpoint_scan(
+        points, partition, cps
+    )
 
 
 @given(orbit_and_partition())
 def test_empirical_measure_matches_fraction_list(triple):
     residues, points, partition = triple
-    assert empirical_measure(residues, partition) == empirical_measure(points, partition)
+    scan = checkpoint_scan(residues, partition, [len(points)])
+    assert scan.measures[0] == empirical_measure(points, partition)
 
 
 @given(orbits())
 def test_star_discrepancy_matches_fraction_list(pair):
     residues, points = pair
-    assert star_discrepancy(residues) == star_discrepancy(points)
+    assert star_discrepancy(residues) == fraction_star_discrepancy(points)
 
 
 @given(orbits(), orbits())
@@ -147,14 +140,14 @@ def test_star_discrepancy_over_mixed_denominators(first, second):
     (a, points_a), (b, points_b) = first, second
     q = a.den * b.den
     joined = Residues([r * b.den for r in a.nums] + [r * a.den for r in b.nums], q)
-    assert star_discrepancy(points_a + points_b) == star_discrepancy(joined)
+    assert fraction_star_discrepancy(points_a + points_b) == star_discrepancy(joined)
 
 
 @given(orbits(), st.integers(min_value=0, max_value=6))
 def test_invariance_defect_matches_fraction_list(pair, level):
     residues, points = pair
     partition = CellPartition.dyadic(level)
-    assert invariance_defect(residues, partition) == invariance_defect(points, partition)
+    assert invariance_defect(residues, partition) == fraction_invariance_defect(points, partition)
 
 
 @settings(max_examples=50)
@@ -169,10 +162,14 @@ def test_greedy_extension_matches_fraction_list(data):
     weights = [data.draw(st.integers(1, 9)) for _ in range(partition.size)]
     mu = MeasureVector(tuple(F(w, sum(weights)) for w in weights))
     # F(t) = 1 from the smallest cell length on, so every target is admissible.
-    pi = RatioMeasure.point_mass(min(lam.masses))
+    pi = point_mass(min(lam.masses))
     target = ExtensionTarget(mu=mu, eps=data.draw(st.sampled_from((F(1, 3), F(1, 1000)))), pi=pi)
     fixed = data.draw(st.sampled_from((None, len(b))))
-    want = greedy_extension([], spec, points, partition, lam, target,
+    # The greedy reads only the cells of the points, so on each point's cell
+    # as the Fraction lookup finds it, represented by the cell's left cut,
+    # it must run exactly as on the residues themselves.
+    cells = as_residues([partition.cuts[cell_index(partition, p)] for p in points])
+    want = greedy_extension([], spec, cells, partition, lam, target,
                             max_blocks=len(b), fixed_blocks=fixed)
     got = greedy_extension([], spec, residues, partition, lam, target,
                            max_blocks=len(b), fixed_blocks=fixed)
@@ -209,8 +206,7 @@ def test_greedy_rejects_out_of_range_numerator():
 def test_scan_stops_at_the_last_checkpoint():
     """Like a Fraction list, a residue past the last checkpoint is never read."""
     partition = CellPartition.uniform(2)
-    for points in (Residues([1, 7], 5), [F(1, 5), F(7, 5)]):
-        scan = checkpoint_scan(points, partition, [1])
-        assert scan.measures[0].counts == (1, 0)
+    assert checkpoint_scan(Residues([1, 7], 5), partition, [1]).measures[0].counts == (1, 0)
+    assert fraction_checkpoint_scan([F(1, 5), F(7, 5)], partition, [1]).measures[0].counts == (1, 0)
     with pytest.raises(ValueError, match="exhausted before checkpoint 3"):
         checkpoint_scan(Residues([1, 2], 5), partition, [1, 3])

@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from maldist.empirical import CellPartition, MeasureVector
-from maldist.envelope import BlockSpec, RatioMeasure, pi_measure
+from maldist.envelope import BlockSpec, pi_measure
 from maldist.rng import SplitMix64
 from maldist.subspace import (
     BlockTrace,
@@ -16,9 +16,12 @@ from maldist.subspace import (
     validate_membership,
 )
 from tests.oracles import (
+    as_residues,
     brute_force_extension,
+    cell_index,
     empirical_measure,
     exchange_facts,
+    point_mass,
     sample_uniform,
 )
 
@@ -31,28 +34,29 @@ def alternating(n: int) -> F:
     return F(1, 4) if n % 2 == 1 else F(3, 4)
 
 
+def residues(x, spec: BlockSpec, blocks: int):
+    """The points x(1), ..., x(a(blocks)) as the residues the greedy reads."""
+    return as_residues([x(n) for n in range(1, spec.a(blocks) + 1)])
+
+
 # --- membership -------------------------------------------------------------
 
 
 def test_membership_valid():
-    assert validate_membership([1, 3], BlockSpec([2, 2], [1, 1])) is True
+    assert validate_membership([1, 3], BlockSpec([2, 2], [1, 1]), blocks=2) is True
 
 
 def test_membership_overfull_block():
-    assert validate_membership([1, 2], BlockSpec([2, 2], [1, 1])) is False
+    assert validate_membership([1, 2], BlockSpec([2, 2], [1, 1]), blocks=2) is False
 
 
 def test_membership_empty_first_block():
-    assert validate_membership([4, 6], BlockSpec([3, 3], [0, 2])) is True
-
-
-def test_membership_indeterminate_mid_block():
-    # Last index sits inside block 2; block 2's count could still grow.
-    assert validate_membership([1, 3], BlockSpec([2, 3], [1, 2])) is None
+    assert validate_membership([4, 6], BlockSpec([3, 3], [0, 2]), blocks=2) is True
 
 
 def test_membership_mid_block_overflow_is_false():
-    assert validate_membership([1, 3, 4], BlockSpec([2, 3], [1, 1])) is False
+    # Block 2 = {3, 4, 5} holds two indices where it takes one.
+    assert validate_membership([1, 3, 4], BlockSpec([2, 3], [1, 1]), blocks=2) is False
 
 
 def test_membership_rejects_index_past_the_checked_blocks():
@@ -66,7 +70,7 @@ def test_membership_rejects_index_past_the_checked_blocks():
 
 def test_membership_rejects_nonincreasing():
     with pytest.raises(ValueError):
-        validate_membership([3, 3], BlockSpec([4], [2]))
+        validate_membership([3, 3], BlockSpec([4], [2]), blocks=1)
 
 
 # --- sampling ----------------------------------------------------------------
@@ -106,10 +110,10 @@ def test_sample_uniform_pair_frequencies():
 def test_greedy_alternating_example():
     spec = BlockSpec(lambda j: 4, lambda j: 2)
     target = ExtensionTarget(
-        mu=MeasureVector((F(1), F(0))), eps=F(1, 10), pi=RatioMeasure.point_mass(F(1, 2))
+        mu=MeasureVector((F(1), F(0))), eps=F(1, 10), pi=point_mass(F(1, 2))
     )
     result = greedy_extension(
-        [], spec, alternating, HALVES, UNIFORM2, target, fixed_blocks=5
+        [], spec, residues(alternating, spec, 5), HALVES, UNIFORM2, target, fixed_blocks=5
     )
     # Every block contributes its two odd (cell-0) indices.
     assert result.indices == (1, 3, 5, 7, 9, 11, 13, 15, 17, 19)
@@ -118,13 +122,13 @@ def test_greedy_alternating_example():
     assert result.achieved
 
 
-def test_greedy_reaches_lambda_target(golden_points):
+def test_greedy_reaches_lambda_target(golden_residues):
     spec = BlockSpec(lambda j: j + 1, lambda j: (j + 2) // 2)
     partition = CellPartition.uniform(4)
     lam = partition.lebesgue_masses()
     target = ExtensionTarget(mu=lam, eps=F(1, 20), pi=pi_measure(spec, 64))
     result = greedy_extension(
-        [], spec, golden_points, partition, lam, target, max_blocks=64
+        [], spec, golden_residues, partition, lam, target, max_blocks=64
     )
     assert result.achieved
     assert result.max_abs_dev < F(1, 20)
@@ -134,20 +138,22 @@ def test_greedy_reaches_lambda_target(golden_points):
 def test_greedy_rejects_envelope_violating_target():
     spec = BlockSpec(lambda j: 4, lambda j: 2)
     target = ExtensionTarget(
-        mu=MeasureVector((F(1), F(0))), eps=F(1, 10), pi=RatioMeasure.point_mass(F(1))
+        mu=MeasureVector((F(1), F(0))), eps=F(1, 10), pi=point_mass(F(1))
     )
     with pytest.raises(ValueError):
-        greedy_extension([], spec, alternating, HALVES, UNIFORM2, target, fixed_blocks=3)
+        greedy_extension(
+            [], spec, residues(alternating, spec, 3), HALVES, UNIFORM2, target, fixed_blocks=3
+        )
 
 
 def test_greedy_respects_prefix():
     spec = BlockSpec(lambda j: 4, lambda j: 2)
     target = ExtensionTarget(
-        mu=MeasureVector((F(1), F(0))), eps=F(1, 10), pi=RatioMeasure.point_mass(F(1, 2))
+        mu=MeasureVector((F(1), F(0))), eps=F(1, 10), pi=point_mass(F(1, 2))
     )
     # Prefix takes the two even (cell-1) indices of block 1.
     result = greedy_extension(
-        [2, 4], spec, alternating, HALVES, UNIFORM2, target, fixed_blocks=4
+        [2, 4], spec, residues(alternating, spec, 5), HALVES, UNIFORM2, target, fixed_blocks=4
     )
     assert result.indices[:2] == (2, 4)
     assert validate_membership(result.indices, spec, blocks=result.blocks) is True
@@ -159,10 +165,10 @@ def test_greedy_accepts_prefix_ending_inside_its_block():
     # [1, 3] covers block 1 = {1, .., 4} although 3 is not the block's end.
     spec = BlockSpec(lambda j: 4, lambda j: 2)
     target = ExtensionTarget(
-        mu=MeasureVector((F(1), F(0))), eps=F(1, 10), pi=RatioMeasure.point_mass(F(1, 2))
+        mu=MeasureVector((F(1), F(0))), eps=F(1, 10), pi=point_mass(F(1, 2))
     )
     result = greedy_extension(
-        [1, 3], spec, alternating, HALVES, UNIFORM2, target, fixed_blocks=2
+        [1, 3], spec, residues(alternating, spec, 3), HALVES, UNIFORM2, target, fixed_blocks=2
     )
     assert result.indices == (1, 3, 5, 7, 9, 11)
     assert [entry.block for entry in result.trace] == [2, 3]
@@ -172,10 +178,10 @@ def test_greedy_budget_exhaustion_reports_partial():
     spec = BlockSpec(lambda j: 2, lambda j: 1)
     # Unreachable target: both cells wanted at 1/2 but x only ever in cell 0.
     target = ExtensionTarget(
-        mu=MeasureVector((F(0), F(1))), eps=F(1, 100), pi=RatioMeasure.point_mass(F(1, 2))
+        mu=MeasureVector((F(0), F(1))), eps=F(1, 100), pi=point_mass(F(1, 2))
     )
     result = greedy_extension(
-        [], spec, lambda n: F(1, 4), HALVES, UNIFORM2, target, max_blocks=6
+        [], spec, residues(lambda n: F(1, 4), spec, 6), HALVES, UNIFORM2, target, max_blocks=6
     )
     assert not result.achieved
     assert result.blocks == 6
@@ -188,7 +194,7 @@ def pool_scan_greedy(prefix, j0, spec, x, partition, target, max_blocks, fixed_b
     s = partition.size
     counts = [0] * s
     for n in prefix:
-        counts[partition.cell_index(x(n))] += 1
+        counts[cell_index(partition, x(n))] += 1
     chosen = list(prefix)
     mu = target.mu.masses
     eps = target.eps
@@ -221,7 +227,7 @@ def pool_scan_greedy(prefix, j0, spec, x, partition, target, max_blocks, fixed_b
         for jj in range(last, j0, -1):
             avail = [0] * s
             for n in spec.block_range(jj):
-                avail[partition.cell_index(x(n))] += 1
+                avail[cell_index(partition, x(n))] += 1
             for i in range(s):
                 suffix[i] += max(0, spec.m(jj) - (sum(avail) - avail[i]))
             forced_after[jj - 1] = list(suffix)
@@ -237,13 +243,13 @@ def pool_scan_greedy(prefix, j0, spec, x, partition, target, max_blocks, fixed_b
             y_set = gap_set(tuple(d / steer_total for d in deficit))
             best = best_key = None
             for n in pool:
-                c = partition.cell_index(x(n))
+                c = cell_index(partition, x(n))
                 key = (0 if (c in y_set and deficit[c] > 0) else 1, -deficit[c], n)
                 if best_key is None or key < best_key:
                     best, best_key = n, key
             picked.append(best)
             pool.remove(best)
-            c = partition.cell_index(x(best))
+            c = cell_index(partition, x(best))
             counts[c] += 1
             deficit[c] -= 1
         picked.sort()
@@ -302,13 +308,14 @@ def test_greedy_matches_pool_scan_reference(case):
         weights = (1,) + weights[1:]
     mu = MeasureVector(tuple(F(w, sum(weights)) for w in weights))
     # F(t) = 1 from the smallest cell length on, so every target is admissible.
-    target = ExtensionTarget(mu=mu, eps=eps, pi=RatioMeasure.point_mass(min(lam.masses)))
+    target = ExtensionTarget(mu=mu, eps=eps, pi=point_mass(min(lam.masses)))
     x = lambda n: F(levels[(n - 1) % len(levels)], 96)
     prefix = sample_uniform(spec, j0, seed) if j0 else ()
     # The prefix covers the blocks through that of its last index.
     j0 = spec.block_of(prefix[-1]) if prefix else 0
     kwargs = {"fixed_blocks": budget} if fixed else {"max_blocks": budget}
-    result = greedy_extension(prefix, spec, x, partition, lam, target, **kwargs)
+    points = residues(x, spec, len(blocks))
+    result = greedy_extension(prefix, spec, points, partition, lam, target, **kwargs)
     want = pool_scan_greedy(
         prefix, j0, spec, x, partition, target,
         max_blocks=budget, fixed_blocks=budget if fixed else None,
@@ -341,9 +348,10 @@ THIRDS = (F(0), F(1, 3), F(2, 3), F(1))
 def test_greedy_stopping_rule_at_its_boundaries(cuts, eps, levels, prefix, blocks, achieved):
     partition = CellPartition(cuts)
     lam = partition.lebesgue_masses()
-    target = ExtensionTarget(mu=lam, eps=eps, pi=RatioMeasure.point_mass(min(lam.masses)))
+    target = ExtensionTarget(mu=lam, eps=eps, pi=point_mass(min(lam.masses)))
     x = lambda n: levels[(n - 1) % len(levels)]
-    result = greedy_extension(prefix, ONE_A_BLOCK, x, partition, lam, target, max_blocks=12)
+    points = residues(x, ONE_A_BLOCK, 20)
+    result = greedy_extension(prefix, ONE_A_BLOCK, points, partition, lam, target, max_blocks=12)
     want = pool_scan_greedy(
         prefix, len(prefix), ONE_A_BLOCK, x, partition, target, max_blocks=12, fixed_blocks=None
     )
@@ -368,7 +376,7 @@ def index_enumeration_oracle(spec, x, partition, target, j1):
         flat = []
         for block in choice:
             for n in block:
-                counts[partition.cell_index(x(n))] += 1
+                counts[cell_index(partition, x(n))] += 1
                 flat.append(n)
         devs = [mu[i] - F(counts[i], total) for i in range(s)]
         key = (sum(abs(d) for d in devs), tuple(sorted(devs, reverse=True)))
@@ -380,7 +388,7 @@ def index_enumeration_oracle(spec, x, partition, target, j1):
 def test_brute_force_single_block_hand_computation():
     spec = BlockSpec([2], [1])
     target = ExtensionTarget(
-        mu=MeasureVector((F(1), F(0))), eps=F(1, 10), pi=RatioMeasure.point_mass(F(1, 2))
+        mu=MeasureVector((F(1), F(0))), eps=F(1, 10), pi=point_mass(F(1, 2))
     )
     result = brute_force_extension([], spec, alternating, HALVES, target, j1=1)
     assert result.indices == (1,)  # the cell-0 index
@@ -390,10 +398,12 @@ def test_brute_force_single_block_hand_computation():
 def test_brute_force_matches_greedy_on_alternating():
     spec = BlockSpec(lambda j: 4, lambda j: 2)
     target = ExtensionTarget(
-        mu=MeasureVector((F(1), F(0))), eps=F(1, 10), pi=RatioMeasure.point_mass(F(1, 2))
+        mu=MeasureVector((F(1), F(0))), eps=F(1, 10), pi=point_mass(F(1, 2))
     )
     brute = brute_force_extension([], spec, alternating, HALVES, target, j1=3)
-    greedy = greedy_extension([], spec, alternating, HALVES, UNIFORM2, target, fixed_blocks=3)
+    greedy = greedy_extension(
+        [], spec, residues(alternating, spec, 3), HALVES, UNIFORM2, target, fixed_blocks=3
+    )
     assert brute.total_abs_dev == 0
     assert greedy.total_abs_dev == brute.total_abs_dev
 
@@ -411,7 +421,7 @@ def test_brute_force_agrees_with_index_enumeration():
         target = ExtensionTarget(
             mu=MeasureVector((F(1, 2), F(1, 2))),
             eps=F(1, 10),
-            pi=RatioMeasure.point_mass(F(1)),
+            pi=point_mass(F(1)),
         )
         result = brute_force_extension([], spec, x, partition, target, j1=blocks)
         oracle_key = index_enumeration_oracle(spec, x, partition, target, blocks)
@@ -422,13 +432,13 @@ def test_brute_force_agrees_with_index_enumeration():
 def test_brute_force_search_space_cap():
     spec = BlockSpec([20] * 6, [10] * 6)
     target = ExtensionTarget(
-        mu=MeasureVector((F(1, 2), F(1, 2))), eps=F(1, 10), pi=RatioMeasure.point_mass(F(1))
+        mu=MeasureVector((F(1, 2), F(1, 2))), eps=F(1, 10), pi=point_mass(F(1))
     )
     with pytest.raises(ValueError):
         brute_force_extension([], spec, alternating, HALVES, target, j1=6, limit=10**5)
 
 
-def test_greedy_block_allocations_swap_optimal(golden_points):
+def test_greedy_block_allocations_swap_optimal(golden_points, golden_residues):
     # On an open horizon the steering objective is the block-boundary
     # deviation itself: no single in-block swap of a chosen index for an
     # unchosen one may lower the boundary total |deviation|.
@@ -438,13 +448,13 @@ def test_greedy_block_allocations_swap_optimal(golden_points):
     mu = MeasureVector((F(1, 2), F(1, 3), F(1, 6)))
     target = ExtensionTarget(mu=mu, eps=F(1, 50), pi=pi_measure(spec, 40))
     result = greedy_extension(
-        [], spec, golden_points, partition, lam, target, max_blocks=40
+        [], spec, golden_residues, partition, lam, target, max_blocks=40
     )
     counts = [0, 0, 0]
     chosen = set(result.indices)
     for entry in result.trace:
         for n in entry.chosen:
-            counts[partition.cell_index(golden_points[n - 1])] += 1
+            counts[cell_index(partition, golden_points[n - 1])] += 1
         m_here = entry.cumulative
         base = sum(abs(mu.masses[i] - F(counts[i], m_here)) for i in range(3))
         # trace deviations agree with an independent recount
@@ -452,11 +462,11 @@ def test_greedy_block_allocations_swap_optimal(golden_points):
             mu.masses[i] - F(counts[i], m_here) for i in range(3)
         )
         for n_out in entry.chosen:
-            c_out = partition.cell_index(golden_points[n_out - 1])
+            c_out = cell_index(partition, golden_points[n_out - 1])
             for n_in in spec.block_range(entry.block):
                 if n_in in chosen:
                     continue
-                c_in = partition.cell_index(golden_points[n_in - 1])
+                c_in = cell_index(partition, golden_points[n_in - 1])
                 if c_in == c_out:
                     continue
                 trial = list(counts)
@@ -468,7 +478,7 @@ def test_greedy_block_allocations_swap_optimal(golden_points):
                 assert swapped >= base, (entry.block, n_out, n_in)
 
 
-def test_greedy_output_respects_envelope_at_checkpoints(golden_points):
+def test_greedy_output_respects_envelope_at_checkpoints(golden_points, golden_residues):
     # Consistency with the envelope bound: the extension's empirical measure
     # at block checkpoints passes domination within the computed aggregate
     # block-defect tolerance.
@@ -480,9 +490,9 @@ def test_greedy_output_respects_envelope_at_checkpoints(golden_points):
     blocks = 48
     target = ExtensionTarget(mu=lam, eps=F(1, 20), pi=pi_measure(spec, blocks))
     result = greedy_extension(
-        [], spec, golden_points, partition, lam, target, fixed_blocks=blocks
+        [], spec, golden_residues, partition, lam, target, fixed_blocks=blocks
     )
-    cells = [partition.cell_index(p) for p in golden_points[: spec.a(blocks)]]
+    cells = [cell_index(partition, p) for p in golden_points[: spec.a(blocks)]]
     block_defect = []
     for j in range(1, blocks + 1):
         counts = [0] * 4
@@ -492,20 +502,18 @@ def test_greedy_output_respects_envelope_at_checkpoints(golden_points):
         block_defect.append(sum(abs(F(c) - F(b, 4)) for c in counts) / 2)
     for checkpoint in (12, 24, 48):
         m_n = spec.M(checkpoint)
-        mu = empirical_measure(
+        mu = MeasureVector(empirical_measure(
             [golden_points[n - 1] for n in result.indices[:m_n]], partition
-        ).as_vector()
+        ).frequencies)
         tol = sum(block_defect[:checkpoint]) / m_n
-        verdict = envelope_dominates(
-            mu, lam, pi_measure(spec, checkpoint), partition, tol=tol
-        )
+        verdict = envelope_dominates(mu, lam, pi_measure(spec, checkpoint), tol=tol)
         assert verdict.ok, (checkpoint, verdict)
 
 
 def test_exchange_facts_on_minimizer():
     spec = BlockSpec([4, 4, 4], [2, 2, 2])
     target = ExtensionTarget(
-        mu=MeasureVector((F(1), F(0))), eps=F(1, 10), pi=RatioMeasure.point_mass(F(1, 2))
+        mu=MeasureVector((F(1), F(0))), eps=F(1, 10), pi=point_mass(F(1, 2))
     )
     result = brute_force_extension([], spec, alternating, HALVES, target, j1=3)
     report = exchange_facts(result.indices, spec, alternating, HALVES, target, 0, 3)

