@@ -523,6 +523,8 @@ def _verify_mixing(cert: dict):
     if len(intervals) != len(multipliers) + 1:
         yield "interval chain length mismatch"
         return
+    if intervals[0] != start:
+        yield "inputs.intervals[0] is not the start interval"
     for claim in cert["claims"]:
         cid = claim["id"]
         if claim["kind"] == "point-in-interval":
@@ -530,12 +532,18 @@ def _verify_mixing(cert: dict):
         elif claim["kind"] == "interval-length":
             k = int(cid.split("-")[1])
             want = eps / multipliers[k - 1]
-            got = TorusInterval.from_json(claim["interval"]).length
+            interval = TorusInterval.from_json(claim["interval"])
+            if interval != intervals[k]:
+                yield f"{cid}: interval is not inputs.intervals[{k}]"
+            got = interval.length
             if got != want or _fr(want) != claim["length"] or not claim["verdict"]:
                 yield f"{cid}: interval length {got} != eps/n = {want}"
         elif claim["kind"] == "interval-nested":
+            k = int(cid.split("-")[1])
             outer = TorusInterval.from_json(claim["outer"])
             inner = TorusInterval.from_json(claim["inner"])
+            if outer != intervals[k - 1] or inner != intervals[k]:
+                yield f"{cid}: outer and inner are not inputs.intervals[{k - 1}] and [{k}]"
             if not interval_contains_interval(outer, inner) or not claim["verdict"]:
                 yield f"{cid}: nesting fails"
     # Cross-checks tying the echo together.
@@ -568,20 +576,30 @@ def _verify_hitfreq(cert: dict):
     interval = TorusInterval.from_json(inp["interval"])
     ratio = parse_rational(inp["ratio"])
     plan = inp["plan"]
-    u, c = int(plan["u"]), int(plan["c"])
+    u, c, repeats = int(plan["u"]), int(plan["c"]), int(plan["repeats"])
     eps = interval.length
     horizon = len(multipliers)
     if any(n < 1 for n in multipliers):
         raise ValueError("multiplier must be a positive integer")
+    if u < 1 or c < 1 or repeats < 1:
+        raise ValueError("u, c and repeats must be positive")
     for j in range(horizon - 1):
         if multipliers[j + 1] * ratio.denominator < ratio.numerator * multipliers[j]:
             yield f"growth fails at step {j + 1}"
+    forced = list(range(c * repeats, 2 * c * repeats + 1, c))
+    if [int(v) for v in inp["forced_positions"]] != forced:
+        yield "forced_positions are not c*repeats .. 2*c*repeats step c"
     p, q = alpha.numerator, alpha.denominator
     count = sum(interval.contains_residue(r, q) for r in _chained_residues(multipliers, p, q))
     for claim in cert["claims"]:
         cid = claim["id"]
         kind = claim["kind"]
         if kind == "point-in-interval":
+            position = int(cid.split("-")[1])
+            if (parse_rational(claim["alpha"]) != alpha
+                    or int(claim["multiplier"]) != multipliers[position - 1]
+                    or TorusInterval.from_json(claim["interval"]) != interval):
+                yield f"{cid}: alpha, multiplier or interval is not the echoed input"
             yield from _check_point_claim(claim)
         elif kind == "hit-count-frequency":
             if count != int(claim["count"]):

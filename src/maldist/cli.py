@@ -265,6 +265,9 @@ def _multipliers(opts: dict, count: int) -> list[int]:
 
 
 def _points_source(opts: dict, count: int) -> Residues:
+    """The first `count` points of the --x-kind orbit of --x-alpha, listed
+    as residues: for the subspace greedy, which reads each index's cell, and
+    for a doubling scan.  A rotation scan lists none (`rotation_scan`)."""
     kind = opts.get("x-kind", "rotation")
     if kind == "rotation":
         from .empirical import Residues
@@ -523,7 +526,7 @@ def _cmd_doubling(opts: dict) -> int:
 
 
 def _cmd_scan(opts: dict) -> int:
-    from .empirical import CellPartition, checkpoint_scan, scan_to_csv
+    from .empirical import CellPartition, checkpoint_scan, rotation_scan, scan_to_csv
 
     checkpoints = _int_list(_require(opts, "checkpoints"), "checkpoints")
     if not checkpoints:
@@ -532,8 +535,11 @@ def _cmd_scan(opts: dict) -> int:
         partition = CellPartition(tuple(_rational_list(opts["cuts"], "cuts")))
     else:
         partition = CellPartition.uniform(_int(opts, "cells", 10))
-    points = _points_source(opts, max(checkpoints))
-    scan = checkpoint_scan(points, partition, checkpoints)
+    if opts.get("x-kind", "rotation") == "rotation":
+        alpha = _rational(opts, "x-alpha")
+        scan = rotation_scan(alpha.numerator, alpha.denominator, partition, checkpoints)
+    else:
+        scan = checkpoint_scan(_points_source(opts, max(checkpoints)), partition, checkpoints)
     _write_text(scan_to_csv(scan, digits=_int(opts, "digits", 12)), opts.get("out"))
     return 0
 

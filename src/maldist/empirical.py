@@ -3,7 +3,8 @@
 Covers the cell partition and its exact point lookup, measure and frequency
 vectors, points held as integer residues over one denominator, exact star
 discrepancy, and checkpoint scans of the prefix measures along a sequence
-with their CSV form.
+with their CSV form: from a list of points, or for a rotation n*p/q mod 1 in
+closed form by floor sums, with no point list.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "Residues",
     "star_discrepancy",
     "checkpoint_scan",
+    "rotation_scan",
     "scan_to_csv",
 ]
 
@@ -34,8 +36,10 @@ class Residues:
     """The points r/den for the integer numerators r in `nums`, over one
     shared denominator den > 0.
 
-    Orbit sources return this record, and every consumer reads the integers
-    directly: a cell lookup or a discrepancy sweep builds no Fraction.  The
+    A listed orbit (a doubling orbit, or the rotation segment a subspace
+    greedy steers) is held in this record, and every consumer reads the
+    integers directly: a cell lookup or a discrepancy sweep builds no
+    Fraction.  A rotation scan lists no points (`rotation_scan`).  The
     numerators need not be reduced against den.  A numerator outside
     [0, den) is refused by the consumer that reads it.
     """
@@ -198,17 +202,22 @@ class CheckpointScan:
             raise ValueError("one measure per checkpoint required")
 
 
+def _checked_checkpoints(checkpoints: Sequence[int]) -> list[int]:
+    cps = list(checkpoints)
+    if not cps or any(c < 1 for c in cps):
+        raise ValueError("checkpoints must be positive")
+    if any(a >= b for a, b in zip(cps, cps[1:])):
+        raise ValueError("checkpoints must be strictly increasing")
+    return cps
+
+
 def checkpoint_scan(
     points: Residues,
     partition: CellPartition,
     checkpoints: Sequence[int],
 ) -> CheckpointScan:
     """Scan of prefix measures; points past the last checkpoint are not read."""
-    cps = list(checkpoints)
-    if not cps or any(c < 1 for c in cps):
-        raise ValueError("checkpoints must be positive")
-    if any(a >= b for a, b in zip(cps, cps[1:])):
-        raise ValueError("checkpoints must be strictly increasing")
+    cps = _checked_checkpoints(checkpoints)
     counts = [0] * partition.size
     measures = []
     cells = _cell_indices(points.nums[: cps[-1]], points.den, partition)
@@ -220,6 +229,59 @@ def checkpoint_scan(
         if seen < target:
             raise ValueError(f"point source exhausted before checkpoint {target}")
         measures.append(EmpiricalMeasure(tuple(counts), seen))
+    return CheckpointScan(tuple(cps), tuple(measures))
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i=0}^{n-1} floor((a*i + b)/m) for n >= 0 and m >= 1, in O(log m)
+    integer steps.
+
+    Euclid's recursion on (m, a): once 0 <= a, b < m, the sum counts the
+    lattice points under the line y = (a*x + b)/m, which is the same count
+    with the axes swapped, a sum of floor((m*j + y_max mod m)/a) over
+    j < y_max div m for y_max = a*n + b.
+    """
+    total = 0
+    while True:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b = divmod(y_max, m)
+        m, a = a, m
+
+
+def rotation_scan(
+    p: int,
+    q: int,
+    partition: CellPartition,
+    checkpoints: Sequence[int],
+) -> CheckpointScan:
+    """Scan of prefix measures of the rotation x_n = n*p/q mod 1, n = 1, 2,
+    ..., counted in closed form with no point list.
+
+    Equal to `checkpoint_scan` of the residues n*p mod q over q.  The point
+    x_n lies at or above the cut c_i/D iff its residue r_n = n*p mod q is at
+    least a_i = ceil(c_i*q/D), the test `CellPartition.cell_of` makes.  With
+    S(b) = sum_{n=1..N} floor((n*p + b)/q), the term of S(q - a) - S(0) for
+    n is 1 iff r_n >= a, so #{n <= N: r_n >= a} = S(q - a) - S(0), and a
+    cell count is the difference of its two cuts' counts.  A scan costs
+    O(cells * checkpoints * log q) integer steps, whatever N is.
+    """
+    cps = _checked_checkpoints(checkpoints)
+    if q < 1:
+        raise ValueError("denominator must be positive")
+    p %= q
+    scale = partition._den
+    inner = [-(-c * q // scale) for c in partition._scaled_cuts[1:-1]]
+    measures = []
+    for n in cps:
+        base = _floor_sum(n, q, p, p)
+        at_or_above = [n, *(_floor_sum(n, q, p, p + q - a) - base for a in inner), 0]
+        counts = tuple(x - y for x, y in zip(at_or_above, at_or_above[1:]))
+        measures.append(EmpiricalMeasure(counts, n))
     return CheckpointScan(tuple(cps), tuple(measures))
 
 

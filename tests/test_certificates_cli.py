@@ -152,6 +152,56 @@ def test_tampered_hit_count_fails():
     assert any("hit-frequency" in f for f in result.failures)
 
 
+def certificate_of(kind):
+    return json.loads(json.dumps(dict(all_certificates())[kind]))
+
+
+def claim(cert, cid):
+    return next(c for c in cert["claims"] if c["id"] == cid)
+
+
+def test_mixing_claims_must_speak_of_the_echoed_intervals():
+    """Length and nesting claims that hold for intervals of their own, not
+    for the echoed chain, fail by name; so does a chain that does not start
+    at the echoed start interval."""
+    cert = certificate_of("mixing")
+    claim(cert, "nesting-1")["outer"] = TorusInterval(F(0), F(1)).to_json()
+    claim(cert, "nesting-1")["inner"] = TorusInterval(F(1, 4), F(1, 2)).to_json()
+    # The right length, eps/n_1 = 1/1000, on the wrong interval.
+    claim(cert, "length-1")["interval"] = TorusInterval(F(0), F(1, 1000)).to_json()
+    failures = certs.verify_certificate(cert).failures
+    assert "length-1: interval is not inputs.intervals[1]" in failures
+    assert "nesting-1: outer and inner are not inputs.intervals[0] and [1]" in failures
+
+    cert = certificate_of("mixing")
+    wider = TorusInterval(F(1, 4), F(1, 2)).to_json()
+    cert["inputs"]["intervals"][0] = wider
+    claim(cert, "nesting-1")["outer"] = wider
+    assert certs.verify_certificate(cert).failures == (
+        "inputs.intervals[0] is not the start interval",
+    )
+
+
+def test_hitfreq_forced_positions_follow_the_plan():
+    cert = certificate_of("hitfreq")
+    cert["inputs"]["forced_positions"] = []
+    cert["claims"] = [c for c in cert["claims"] if not c["id"].startswith("containment-")]
+    assert certs.verify_certificate(cert).failures == (
+        "forced_positions are not c*repeats .. 2*c*repeats step c",
+    )
+
+
+def test_hitfreq_containment_claims_speak_of_the_echoed_inputs():
+    cert = certificate_of("hitfreq")
+    p = cert["inputs"]["forced_positions"][0]
+    # A claim about alpha 1/2 with multiplier 1, true of itself: 1/2 is outside
+    # the open interval, and the verdict says so.
+    claim(cert, f"containment-{p}").update(alpha="1/2", multiplier=1, value="1/2", verdict=False)
+    assert certs.verify_certificate(cert).failures == (
+        f"containment-{p}: alpha, multiplier or interval is not the echoed input",
+    )
+
+
 def test_horizon_beyond_inputs_rejected():
     avoid = avoidance_sequence(F(5, 17), F(1, 5), prefix=(1,), horizon=200)
     cert = json.loads(json.dumps(certs.avoidance_certificate(avoid)))
