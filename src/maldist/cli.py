@@ -343,7 +343,7 @@ def _cmd_subspace(opts: dict) -> int:
     from .empirical import CellPartition, MeasureVector
     from .envelope import RatioMeasure, pi_measure
     from .rng import ALGORITHM
-    from .subspace import ExtensionTarget, greedy_extension
+    from .subspace import ExtensionTarget, _prefix_blocks, greedy_extension
 
     spec = _block_spec(opts)
     cuts = _rational_list(_require(opts, "cuts"), "cuts")
@@ -360,12 +360,11 @@ def _cmd_subspace(opts: dict) -> int:
         pi_blocks = _int(opts, "pi-blocks", _int(opts, "blocks", 64))
         pi = pi_measure(spec, pi_blocks)
     blocks = _int(opts, "blocks", 64)
-    x = _points_source(opts, spec.a(blocks))
-    target = ExtensionTarget(mu=mu, eps=eps, pi=pi)
     prefix = _int_list(opts.get("prefix", ""), "prefix") if opts.get("prefix") else []
-    result = greedy_extension(
-        prefix, spec, x, partition, lam, target, fixed_blocks=None, max_blocks=blocks
-    )
+    # The greedy runs up to --blocks blocks past the prefix's last block.
+    x = _points_source(opts, spec.a(_prefix_blocks(prefix, spec) + blocks))
+    target = ExtensionTarget(mu=mu, eps=eps, pi=pi)
+    result = greedy_extension(prefix, spec, x, partition, lam, target, max_blocks=blocks)
     runs: list[list[int]] = []
     for n in result.indices:
         if runs and runs[-1][0] + runs[-1][1] == n:
@@ -534,7 +533,12 @@ def _cmd_scan(opts: dict) -> int:
     if "cuts" in opts:
         partition = CellPartition(tuple(_rational_list(opts["cuts"], "cuts")))
     else:
-        partition = CellPartition.uniform(_int(opts, "cells", 10))
+        cells = _int(opts, "cells", 10)
+        if cells == 0:
+            # A negative count is refused by the partition, whose cuts cannot
+            # run from 0 to 1.
+            raise CliError("--cells: need at least 1 cell")
+        partition = CellPartition.uniform(cells)
     if opts.get("x-kind", "rotation") == "rotation":
         alpha = _rational(opts, "x-alpha")
         scan = rotation_scan(alpha.numerator, alpha.denominator, partition, checkpoints)

@@ -15,7 +15,7 @@ from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 
 from .exact import decimal_str, format_rational, is_dyadic, over_lcm
 
@@ -104,6 +104,20 @@ class CellPartition:
             raise ValueError("points must lie in [0, 1)")
         return bisect_right(self._scaled_cuts, num * self._den // den) - 1
 
+    def thresholds(self, den: int) -> tuple[int, ...]:
+        """The integer thresholds T_i = ceil(c_i*den/D) of the cuts t_i =
+        c_i/D over the denominator den > 0: t_i <= r/den iff r >= T_i, so for
+        0 <= r < den, `bisect_right(T, r) - 1` equals `cell_of(r, den)`.
+
+        T_0 = 0 and the last threshold is den, so `bisect_right(T[1:], r)` is
+        the cell index itself: one integer bisect per point, with no
+        multiplication or division.
+        """
+        if den < 1:
+            raise ValueError("denominator must be positive")
+        scale = self._den
+        return tuple(-(-c * den // scale) for c in self._scaled_cuts)
+
     def lebesgue_masses(self) -> "MeasureVector":
         return MeasureVector(tuple(b - a for a, b in zip(self.cuts, self.cuts[1:])))
 
@@ -150,16 +164,13 @@ class EmpiricalMeasure:
 
 def _cell_indices(nums: Sequence[int], den: int, partition: CellPartition) -> Iterator[int]:
     """The cell index of each point r/den for r in nums, in order, with no
-    Fraction built.
-
-    r/den lies in cell i iff c_i <= floor(r*D/den) < c_{i+1}, for the cut
-    numerators c_i over their lcm D, as in `CellPartition.cell_of`, which
-    this inlines.  Every numerator is range-checked before the first lookup.
+    Fraction built: one `bisect_right` on the partition's integer thresholds
+    over den per point (`CellPartition.thresholds`).  Every numerator is
+    range-checked before the first lookup.
     """
     if nums and not (0 <= min(nums) and max(nums) < den):
         raise ValueError("points must lie in [0, 1)")
-    cuts, scale = partition._scaled_cuts, partition._den
-    return (bisect_right(cuts, r * scale // den) - 1 for r in nums)
+    return map(bisect_right, repeat(partition.thresholds(den)[1:]), nums)
 
 
 def star_discrepancy(points: Residues) -> Fraction:
@@ -264,7 +275,7 @@ def rotation_scan(
 
     Equal to `checkpoint_scan` of the residues n*p mod q over q.  The point
     x_n lies at or above the cut c_i/D iff its residue r_n = n*p mod q is at
-    least a_i = ceil(c_i*q/D), the test `CellPartition.cell_of` makes.  With
+    least its threshold a_i = ceil(c_i*q/D) (`CellPartition.thresholds`).  With
     S(b) = sum_{n=1..N} floor((n*p + b)/q), the term of S(q - a) - S(0) for
     n is 1 iff r_n >= a, so #{n <= N: r_n >= a} = S(q - a) - S(0), and a
     cell count is the difference of its two cuts' counts.  A scan costs
@@ -274,8 +285,7 @@ def rotation_scan(
     if q < 1:
         raise ValueError("denominator must be positive")
     p %= q
-    scale = partition._den
-    inner = [-(-c * q // scale) for c in partition._scaled_cuts[1:-1]]
+    inner = partition.thresholds(q)[1:-1]
     measures = []
     for n in cps:
         base = _floor_sum(n, q, p, p)

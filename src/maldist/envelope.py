@@ -119,10 +119,6 @@ class BlockSpec:
         self._extend_sums(j)
         return self._M[j]
 
-    def block_range(self, j: int) -> range:
-        """The integers of block j."""
-        return range(self.a(j - 1) + 1, self.a(j) + 1)
-
     def block_of(self, n: int) -> int:
         """Block index containing the integer n >= 1 (list specs must cover n)."""
         if n < 1:

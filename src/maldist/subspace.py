@@ -5,14 +5,18 @@ A member sequence takes exactly m_j indices from block j.  A prefix is
 checked block by block by `validate_membership`; `greedy_extension` extends
 a valid prefix block by block toward a target measure that the envelope
 bound allows, preferring indices whose points lie in the cells the target
-still under-serves.
+still under-serves.  Its work per block follows the picks and the cells they
+need, not the block length: each point lookup is one integer `bisect` on
+the partition's thresholds, made only when a pick needs the point.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import repeat
+from typing import Sequence
 
 from .empirical import CellPartition, MeasureVector, Residues
 from .envelope import BlockSpec, RatioMeasure, envelope_dominates
@@ -80,14 +84,9 @@ class ExtensionResult:
     trace: tuple[BlockTrace, ...]
 
 
-def _prefix_state(
-    prefix: Sequence[int],
-    spec: BlockSpec,
-    cell_of: Callable[[int], int],
-    s: int,
-) -> tuple[int, list[int]]:
-    """Blocks 1..j0 the prefix covers (j0 is the block of its last index),
-    and its per-cell counts."""
+def _prefix_blocks(prefix: Sequence[int], spec: BlockSpec) -> int:
+    """The block j0 of the prefix's last index (0 for an empty prefix), once
+    the prefix is checked to be a valid member of blocks 1..j0 exactly."""
     idx = list(prefix)
     if any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValueError("prefix must be strictly increasing")
@@ -96,20 +95,25 @@ def _prefix_state(
         raise ValueError(f"prefix must cover blocks 1..{j0} exactly")
     if not validate_membership(idx, spec, blocks=j0):
         raise ValueError("prefix is not a valid member through its blocks")
-    counts = [0] * s
-    for n in idx:
-        counts[cell_of(n)] += 1
-    return j0, counts
+    return j0
 
 
-def _cell_buckets(
-    spec: BlockSpec, j: int, cell_of: Callable[[int], int], s: int
-) -> list[list[int]]:
-    """The indices of block j by cell, each list ascending."""
-    buckets: list[list[int]] = [[] for _ in range(s)]
-    for n in spec.block_range(j):
-        buckets[cell_of(n)].append(n)
-    return buckets
+# Points of a block mapped to cells before its first pick; each further read
+# of the same block maps twice as many as the one before.
+_FIRST_READ = 8
+
+
+def _cells(
+    nums: Sequence[int], start: int, stop: int, bounds: tuple[int, ...], den: int
+) -> list[int]:
+    """The cells of the points nums[k]/den for start <= k < stop: one
+    `bisect_right` on the partition's thresholds `bounds` over den each."""
+    rs = nums[start:stop]
+    if len(rs) != stop - start:
+        raise ValueError(f"x lists {len(nums)} points, fewer than the {stop} the blocks need")
+    if rs and (min(rs) < 0 or max(rs) >= den):
+        raise ValueError("points must lie in [0, 1)")
+    return list(map(bisect_right, repeat(bounds), rs))
 
 
 def greedy_extension(
@@ -150,6 +154,15 @@ def greedy_extension(
     prefix; otherwise it stops at the first block boundary where every
     |deviation| < eps and the prefix mass has washed out to below eps/(3s),
     or gives a partial result once `max_blocks` is exhausted.
+
+    Work per block follows the picks, not the block length.  Each point
+    lookup is one integer `bisect` on the partition's thresholds over x's
+    denominator (`CellPartition.thresholds`).  A block's points are mapped
+    to cells only as far as its picks need them, in chunks that double in
+    size; a pick searches the mapped cells for the next free index of each
+    cell tied at the largest deficit, and a cell with no free index left in
+    the block drops out of it.  Only the forced-pick counts of a fixed
+    horizon map whole blocks.
     """
     s = partition.size
     if lam.size != s or target.mu.size != s:
@@ -160,32 +173,32 @@ def greedy_extension(
             f"target exceeds the envelope on cells {verdict.violation}: "
             f"{verdict.union_mass} > {verdict.bound}"
         )
-    nums, x_den, lookup = x.nums, x.den, partition.cell_of
-
-    def cell_of(n: int) -> int:
-        return lookup(nums[n - 1], x_den)
-
-    j0, counts = _prefix_state(prefix, spec, cell_of, s)
+    nums, x_den = x.nums, x.den
+    j0 = _prefix_blocks(prefix, spec)
     chosen = list(prefix)
+    counts = [0] * s
+    for n in chosen:
+        counts[partition.cell_of(nums[n - 1], x_den)] += 1
+    # bisect_right(bounds, r) is the cell of r/x_den, for 0 <= r < x_den.
+    bounds = partition.thresholds(x_den)[1:]
     mu = target.mu.masses
     eps = target.eps
-    neg_eps = -eps
     # Deficits are held as integers over den; every pick of cell c lowers
     # deficit[c] by den.
     mu_scaled, den = over_lcm(mu)
     trace: list[BlockTrace] = []
     prefix_mass = spec.M(j0)
 
-    def deviations(total: int) -> tuple[Fraction, ...]:
-        if total == 0:
-            return tuple(mu)
-        # mu_i - counts_i/total over den*total: one Fraction per cell.
-        return tuple(
-            Fraction(mu_scaled[i] * total - counts[i] * den, den * total) for i in range(s)
-        )
+    def deviations() -> tuple[list[int], tuple[Fraction, ...]]:
+        """mu_i - counts_i/M for the M indices chosen so far, as integer
+        numerators over den*M and as Fractions; mu itself when M = 0."""
+        total = len(chosen) or 1
+        over = [mu_scaled[i] * total - counts[i] * den for i in range(s)]
+        return over, tuple(Fraction(d, den * total) for d in over)
 
     achieved = False
     j = j0
+    hi = spec.a(j0)
     blocks_budget = fixed_blocks if fixed_blocks is not None else max_blocks
     final_total = spec.M(j0 + fixed_blocks) if fixed_blocks is not None else None
     forced_after: dict[int, list[int]] = {}
@@ -196,11 +209,10 @@ def greedy_extension(
         suffix = [0] * s
         forced_after[last] = list(suffix)
         for jj in range(last, j0, -1):
-            avail = [len(b) for b in _cell_buckets(spec, jj, cell_of, s)]
+            cells = _cells(nums, spec.a(jj - 1), spec.a(jj), bounds, x_den)
             m_jj = spec.m(jj)
-            total_avail = sum(avail)
             for i in range(s):
-                suffix[i] += max(0, m_jj - (total_avail - avail[i]))
+                suffix[i] += max(0, m_jj - (len(cells) - cells.count(i)))
             forced_after[jj - 1] = list(suffix)
     while j - j0 < blocks_budget:
         j += 1
@@ -208,20 +220,53 @@ def greedy_extension(
         steer_total = final_total if final_total is not None else len(chosen) + m_j
         future = forced_after.get(j, [0] * s)
         deficit = [mu_scaled[i] * steer_total - (counts[i] + future[i]) * den for i in range(s)]
-        # Per-cell free indices, smallest on top: within a cell the smallest
-        # free index always wins, so a pick compares cells, not indices.
-        free = _cell_buckets(spec, j, cell_of, s)
-        for stack in free:
-            stack.reverse()
+        # Below every deficit the block can reach: the mark of a cell with no
+        # free index left in it.
+        spent = min(deficit) - m_j * den - 1
+        lo, hi = hi, spec.a(j)
+        # cells[k] is the cell of index lo + 1 + k, for the points read so far;
+        # head[c] is the position of cell c's smallest free index once found
+        # (-1: none left), and start[c] where the search for it begins.
+        cells = []
+        read, chunk = lo, _FIRST_READ
+        head: list[int | None] = [None] * s
+        start = [0] * s
+
+        def find(c: int, k: int) -> int:
+            nonlocal read, chunk
+            while True:
+                try:
+                    return cells.index(c, k)
+                except ValueError:
+                    if read == hi:
+                        return -1
+                    k = max(k, len(cells))
+                    cells.extend(_cells(nums, read, min(read + chunk, hi), bounds, x_den))
+                    read = lo + len(cells)
+                    chunk *= 2
+
         picked: list[int] = []
         for _ in range(m_j):
-            c = min((c for c in range(s) if free[c]), key=lambda c: (-deficit[c], free[c][-1]))
-            picked.append(free[c].pop())
-            counts[c] += 1
-            deficit[c] -= den
+            best = -1
+            while best < 0:
+                top = max(deficit)
+                for c in range(s):
+                    if deficit[c] != top:
+                        continue
+                    k = head[c]
+                    if k is None:
+                        k = head[c] = find(c, start[c])
+                    if k < 0:
+                        deficit[c] = spent
+                    elif best < 0 or k < best:
+                        best, pick = k, c
+            picked.append(lo + 1 + best)
+            counts[pick] += 1
+            deficit[pick] -= den
+            head[pick], start[pick] = None, best + 1
         picked.sort()
         chosen.extend(picked)
-        devs_after = deviations(len(chosen))
+        dev_nums, devs_after = deviations()
         trace.append(BlockTrace(j, tuple(picked), len(chosen), devs_after))
         if fixed_blocks is None:
             # prefix_mass/len(chosen) < eps/(3s), and every |deviation| < eps.
@@ -229,10 +274,13 @@ def greedy_extension(
                 prefix_mass == 0
                 or prefix_mass * 3 * s * eps.denominator < eps.numerator * len(chosen)
             )
-            if washout and all(neg_eps < d < eps for d in devs_after):
+            if washout and (
+                max(map(abs, dev_nums)) * eps.denominator
+                < eps.numerator * den * (len(chosen) or 1)
+            ):
                 achieved = True
                 break
-    final = deviations(len(chosen))
+    final = deviations()[1]
     if fixed_blocks is not None:
         achieved = max(abs(d) for d in final) < eps
     return ExtensionResult(

@@ -18,8 +18,9 @@ program against.  None of it backs a `maldist` subcommand.
   and `fractions_of`, which convert between the two forms;
 - methods only the tests used: the ratio-measure constructors and sums
   (`ratio_measure_from_pairs`, `point_mass`, `mass_at_zero`, `mass_leq`,
-  `harmonic_tail`, `tv_norm_distance`), the arc `midpoint` and the digit
-  shift `shift_value` of a binary point.
+  `harmonic_tail`, `tv_norm_distance`), the arc `midpoint`, the digit
+  shift `shift_value` of a binary point, and the indices `block_range` of a
+  block.
 
 Nothing here imports a private name of the package.  This module is not
 collected by pytest (its name does not start with `test_`).
@@ -236,12 +237,17 @@ def _cell_lookup(
     return cache(lambda n: cell_index(partition, source(n)))
 
 
+def block_range(spec: BlockSpec, j: int) -> range:
+    """The integers of block j."""
+    return range(spec.a(j - 1) + 1, spec.a(j) + 1)
+
+
 def _cell_buckets(
     spec: BlockSpec, j: int, cell_of: Callable[[int], int], s: int
 ) -> list[list[int]]:
     """The indices of block j by cell, each list ascending."""
     buckets: list[list[int]] = [[] for _ in range(s)]
-    for n in spec.block_range(j):
+    for n in block_range(spec, j):
         buckets[cell_of(n)].append(n)
     return buckets
 
@@ -460,7 +466,7 @@ def exchange_facts(
     base_obj = objective(counts)
     checks = []
     for j in range(j_start + 1, j_end + 1):
-        members = list(spec.block_range(j))
+        members = list(block_range(spec, j))
         y_avail = sum(1 for n in members if cell_of(n) in y_set)
         in_block_chosen = [n for n in members if n in chosen_set]
         y_chosen = sum(1 for n in in_block_chosen if cell_of(n) in y_set)

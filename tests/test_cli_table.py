@@ -110,6 +110,40 @@ def test_scan_rejects_empty_checkpoint_list(capsys, checkpoints):
 
 
 @pytest.mark.parametrize(
+    "cells, message",
+    # A negative count keeps the partition's own refusal.
+    [("0", "--cells: need at least 1 cell"), ("-2", "cuts must run from 0 to 1")],
+)
+@pytest.mark.parametrize("kind", ["rotation", "doubling"])
+def test_scan_refuses_fewer_than_one_cell(capsys, kind, cells, message):
+    argv = ["scan", "--x-kind", kind, "--x-alpha", "1/3", "--cells", cells, "--checkpoints", "3"]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"maldist scan: {message}\n"
+
+
+def test_subspace_prefix_runs_its_blocks_past_the_prefix(tmp_path, capsys):
+    # The prefix [1] covers block 1, so --blocks 5 steers blocks 2..6 and
+    # needs the points through block 6.
+    out = tmp_path / "out.json"
+    argv = ["subspace", "--spec", '{"b":"linear:1","m":"halfceil"}', "--cuts", "0,1/2,1",
+            "--mu", "1/3,2/3", "--eps", "1/1000", "--blocks", "5", "--x-alpha", "1/3",
+            "--prefix", "1", "--out", str(out)]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    result = json.loads(out.read_text(encoding="utf-8"))
+    assert result["blocks"] == 6
+    assert result["indices_runlength"][0] == [1, 1]
+    # A prefix is checked before any point is listed: one index far out does
+    # not list a billion points first.
+    argv[argv.index("--prefix") + 1] = "1000000000"
+    assert cli.main(argv) == cli.USAGE_ERROR
+    assert capsys.readouterr().err == (
+        "maldist subspace: prefix must cover blocks 1..44720 exactly\n"
+    )
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["envelope", "--spec", '{"b": [6], "m": [5]}', "--blocks", "1", "--grid", "2"],

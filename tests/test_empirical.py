@@ -1,7 +1,9 @@
+from bisect import bisect_right
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maldist.empirical import (
@@ -200,6 +202,38 @@ def test_cell_lookup_matches_fraction_bisection(cuts, data):
         assert cell_index(partition, x) == want
         # Unreduced r/q locates the same cell.
         assert partition.cell_of(x.numerator * scale, x.denominator * scale) == want
+
+
+@settings(max_examples=100, deadline=None)
+@example(cuts=(F(0), F(1, 3), F(2, 5), F(1)), den=15, on_cuts=False)
+@example(cuts=(F(0), F(1, 3), F(2, 5), F(1)), den=7, on_cuts=False)
+@example(cuts=(F(0), F(1, 97), F(1, 2), F(96, 97), F(1)), den=2, on_cuts=True)
+@given(mixed_cuts(), st.integers(min_value=1, max_value=300), st.booleans())
+def test_thresholds_bisect_matches_cell_of(cuts, den, on_cuts):
+    """bisect_right(thresholds(den), r) - 1 is cell_of(r, den) for every
+    residue 0 <= r < den, whether or not den is a multiple of the cuts' lcm D;
+    with on_cuts, den is one, so every cut is itself a residue."""
+    partition = CellPartition(cuts)
+    lcm_den = lcm(*(t.denominator for t in cuts))
+    if on_cuts and lcm_den * den <= 20_000:
+        den *= lcm_den
+    thresholds = partition.thresholds(den)
+    assert len(thresholds) == len(cuts)
+    assert (thresholds[0], thresholds[-1]) == (0, den)
+    for r in range(den):
+        want = partition.cell_of(r, den)
+        assert bisect_right(thresholds, r) - 1 == want
+        assert bisect_right(thresholds[1:], r) == want
+    if den % lcm_den == 0:
+        for t in cuts[:-1]:
+            r = t.numerator * (den // t.denominator)
+            assert bisect_right(thresholds, r) - 1 == cuts.index(t)
+
+
+def test_thresholds_refuse_a_nonpositive_denominator():
+    for den in (0, -3):
+        with pytest.raises(ValueError, match="^denominator must be positive$"):
+            CellPartition.uniform(3).thresholds(den)
 
 
 def test_cell_index_error_paths_unchanged():

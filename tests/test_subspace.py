@@ -1,3 +1,4 @@
+from collections.abc import Sequence
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from maldist.empirical import CellPartition, MeasureVector
+from maldist.empirical import CellPartition, MeasureVector, Residues
 from maldist.envelope import BlockSpec, pi_measure
 from maldist.rng import SplitMix64
 from maldist.subspace import (
@@ -17,6 +18,7 @@ from maldist.subspace import (
 )
 from tests.oracles import (
     as_residues,
+    block_range,
     brute_force_extension,
     cell_index,
     empirical_measure,
@@ -187,6 +189,45 @@ def test_greedy_budget_exhaustion_reports_partial():
     assert result.blocks == 6
 
 
+class CountingNums(Sequence):
+    """A list of numerators that counts the entries read through it."""
+
+    def __init__(self, nums):
+        self.nums = nums
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.nums)
+
+    def __getitem__(self, key):
+        got = self.nums[key]
+        self.reads += len(got) if isinstance(key, slice) else 1
+        return got
+
+
+def test_greedy_reads_only_the_cells_its_picks_need(golden_residues):
+    # Two picks from each block of j + 500 indices: the greedy maps a block's
+    # points to cells only as far as the picks need, so it reads a small
+    # share of the 20,820 indices of blocks 1..40, not every one.
+    spec = BlockSpec(lambda j: j + 500, lambda j: 2)
+    partition = CellPartition.uniform(4)
+    lam = partition.lebesgue_masses()
+    # Over 101 no count ratio of M <= 80 indices is exact, and eps is below
+    # every ratio's distance from mu, so all 40 blocks run.
+    mu = MeasureVector((F(25, 101), F(25, 101), F(25, 101), F(26, 101)))
+    target = ExtensionTarget(mu=mu, eps=F(1, 10**6), pi=point_mass(min(lam.masses)))
+    nums = CountingNums(golden_residues.nums)
+    x = Residues(nums, golden_residues.den)
+    result = greedy_extension([], spec, x, partition, lam, target, max_blocks=40)
+    assert (result.blocks, len(result.indices)) == (40, 80)
+    assert validate_membership(result.indices, spec, blocks=40) is True
+    assert nums.reads < spec.a(40) // 4
+    # The same picks as on the plain residues.
+    assert result == greedy_extension(
+        [], spec, golden_residues, partition, lam, target, max_blocks=40
+    )
+
+
 def pool_scan_greedy(prefix, j0, spec, x, partition, target, max_blocks, fixed_blocks):
     """Reference greedy with Fraction deficits: each pick recomputes the gap
     set Y and scans every free index of the block for the least key
@@ -226,7 +267,7 @@ def pool_scan_greedy(prefix, j0, spec, x, partition, target, max_blocks, fixed_b
         forced_after[last] = list(suffix)
         for jj in range(last, j0, -1):
             avail = [0] * s
-            for n in spec.block_range(jj):
+            for n in block_range(spec, jj):
                 avail[cell_index(partition, x(n))] += 1
             for i in range(s):
                 suffix[i] += max(0, spec.m(jj) - (sum(avail) - avail[i]))
@@ -237,7 +278,7 @@ def pool_scan_greedy(prefix, j0, spec, x, partition, target, max_blocks, fixed_b
         steer_total = final_total if final_total is not None else len(chosen) + m_j
         future = forced_after.get(j, [0] * s)
         deficit = [mu[i] * steer_total - counts[i] - future[i] for i in range(s)]
-        pool = sorted(spec.block_range(j))
+        pool = sorted(block_range(spec, j))
         picked = []
         for _ in range(m_j):
             y_set = gap_set(tuple(d / steer_total for d in deficit))
@@ -296,6 +337,8 @@ def greedy_cases(draw):
 # Unreachable targets: every point lies in cell 0, the target wants cell 1.
 @example((2, (1,), (10,), 0, 4, ((3, 1),) * 4, (0, 1), F(1, 100), False, 0))
 @example((2, (1,), (10,), 1, 3, ((3, 2),) * 4, (1, 1), F(1, 100), True, 0))
+# Block 1 takes no index, so its deviations are mu itself, all within eps.
+@example((24, (5, 10, 15, 20), (10,), 0, 2, ((3, 0), (3, 1)), (1,) * 5, F(1, 3), False, 0))
 # Block 2 forces a cell-0 pick, so block 1 must take its cell-1 index.
 @example((2, (1,), (10, 60, 10), 0, 2, ((2, 1), (1, 1)), (1, 1), F(1, 100), True, 0))
 @given(greedy_cases())
@@ -318,6 +361,45 @@ def test_greedy_matches_pool_scan_reference(case):
     result = greedy_extension(prefix, spec, points, partition, lam, target, **kwargs)
     want = pool_scan_greedy(
         prefix, j0, spec, x, partition, target,
+        max_blocks=budget, fixed_blocks=budget if fixed else None,
+    )
+    assert result == want
+
+
+@st.composite
+def long_block_cases(draw):
+    """Blocks longer than the greedy's first read, few picks or all of them,
+    and points whose period (up to 150 indices) can leave a cell with one
+    point in a block, or none."""
+    s = draw(st.integers(2, 5))
+    cuts = tuple(sorted(draw(st.sets(st.integers(1, 95), min_size=s - 1, max_size=s - 1))))
+    levels = tuple(draw(st.lists(st.integers(0, 95), min_size=1, max_size=150)))
+    budget = draw(st.integers(1, 4))
+    block = st.integers(1, 90).flatmap(
+        lambda b: st.tuples(st.just(b), st.one_of(st.integers(0, min(b, 4)), st.just(b)))
+    )
+    blocks = tuple(draw(st.lists(block, min_size=budget, max_size=budget)))
+    weights = tuple(draw(st.lists(st.integers(0, 5), min_size=s, max_size=s)))
+    fixed = draw(st.booleans())
+    return cuts, levels, blocks, weights, fixed
+
+
+@given(long_block_cases())
+def test_greedy_matches_pool_scan_reference_on_long_blocks(case):
+    cuts, levels, blocks, weights, fixed = case
+    partition = CellPartition((F(0),) + tuple(F(k, 96) for k in cuts) + (F(1),))
+    lam = partition.lebesgue_masses()
+    spec = BlockSpec([b for b, _ in blocks], [m for _, m in blocks])
+    if sum(weights) == 0:
+        weights = (1,) + weights[1:]
+    mu = MeasureVector(tuple(F(w, sum(weights)) for w in weights))
+    target = ExtensionTarget(mu=mu, eps=F(1, 1000), pi=point_mass(min(lam.masses)))
+    x = lambda n: F(levels[(n - 1) % len(levels)], 96)
+    budget = len(blocks)
+    kwargs = {"fixed_blocks": budget} if fixed else {"max_blocks": budget}
+    result = greedy_extension([], spec, residues(x, spec, budget), partition, lam, target, **kwargs)
+    want = pool_scan_greedy(
+        (), 0, spec, x, partition, target,
         max_blocks=budget, fixed_blocks=budget if fixed else None,
     )
     assert result == want
@@ -370,7 +452,7 @@ def index_enumeration_oracle(spec, x, partition, target, j1):
     total = spec.M(j1)
     best = None
     for choice in product(
-        *(combinations(list(spec.block_range(j)), spec.m(j)) for j in range(1, j1 + 1))
+        *(combinations(list(block_range(spec, j)), spec.m(j)) for j in range(1, j1 + 1))
     ):
         counts = [0] * s
         flat = []
@@ -463,7 +545,7 @@ def test_greedy_block_allocations_swap_optimal(golden_points, golden_residues):
         )
         for n_out in entry.chosen:
             c_out = cell_index(partition, golden_points[n_out - 1])
-            for n_in in spec.block_range(entry.block):
+            for n_in in block_range(spec, entry.block):
                 if n_in in chosen:
                     continue
                 c_in = cell_index(partition, golden_points[n_in - 1])
@@ -496,7 +578,7 @@ def test_greedy_output_respects_envelope_at_checkpoints(golden_points, golden_re
     block_defect = []
     for j in range(1, blocks + 1):
         counts = [0] * 4
-        for n in spec.block_range(j):
+        for n in block_range(spec, j):
             counts[cells[n - 1]] += 1
         b = spec.b(j)
         block_defect.append(sum(abs(F(c) - F(b, 4)) for c in counts) / 2)
