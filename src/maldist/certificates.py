@@ -3,16 +3,17 @@ re-verification.
 
 A certificate echoes its inputs exactly (rationals as "p/q" strings, integer
 sequences verbatim) and lists claims with the exact values the construction
-computed.  `verify_certificate` recomputes every claim from the echoed inputs
-alone, through the primitive operations (modular arithmetic, interval
-membership, direct counting) rather than the construction code, and reports
-the first-principles verdicts; any value or verdict mismatch names the
-failing claim.  Certificates therefore stay checkable long after the run that
-produced them.
+computed.  `verify_certificate` recomputes from the echoed inputs alone the
+whole claims they imply, through the primitive operations (modular
+arithmetic, interval membership, direct counting) rather than the
+construction code, and compares them with the stated claims field by field;
+each difference names its claim and field.  Certificates therefore stay
+checkable long after the run that produced them.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -417,15 +418,24 @@ def envelope_certificate(
 
 
 def verify_certificate(cert: object) -> VerificationResult:
-    """Check the claim set, recompute every claim from the echoed inputs, and
-    report all mismatches.
+    """Recompute the claims a certificate's echoed inputs imply and compare
+    them with the stated claims, field by field; report every difference.
 
     Any parsed JSON value is accepted: one that is not an object, has no
     kind, or names an unknown format or kind fails with a named error.  Each
-    kind derives from its echoed inputs the claim ids it must carry and the
-    claim kind of each; a missing, duplicated, unknown or relabelled id is a
-    failure named after the id, so a certificate cannot pass by leaving a
-    claim out."""
+    kind's checker reads the echoed inputs alone and returns the whole
+    claims they imply, keyed by id: every required id with its claim kind,
+    and the ids of the optional families (`avoid`'s `star-discrepancy-floor`,
+    `zeroblock`'s `window-N`) that the certificate states.  The failures
+    come in this order: the claim set (a missing, duplicated, unknown or
+    relabelled id, so a certificate cannot pass by leaving a claim out),
+    then the checker's failures of the inputs themselves, then one
+    `"{id}: {field} is {stated!r}, recomputed {expected!r}"` per field that
+    differs, a field absent on one side reading None.  Inputs a checker
+    refuses outright (a chain or digit string of the wrong length, say) give
+    that failure alone.  A verdict stated false that recomputes false is no
+    failure: `certificate_ok` reads it.  `margins` are informational and not
+    checked."""
     if not isinstance(cert, dict):
         return VerificationResult(False, ("certificate is not a JSON object",))
     if "kind" not in cert:
@@ -433,87 +443,55 @@ def verify_certificate(cert: object) -> VerificationResult:
     if cert.get("format") != FORMAT:
         return VerificationResult(False, (f"unknown certificate format {cert.get('format')!r}",))
     kind = cert["kind"]
-    entry = _CHECKERS.get(kind) if isinstance(kind, str) else None
-    if entry is None:
+    checker = _CHECKERS.get(kind) if isinstance(kind, str) else None
+    if checker is None:
         return VerificationResult(False, (f"unknown certificate kind: {kind!r}",))
-    claim_ids, optional, checker = entry
+    claims = cert.get("claims")
+    if not isinstance(claims, list) or not all(isinstance(c, dict) for c in claims):
+        return VerificationResult(False, ("claims: not a list of objects",))
+    stated: dict[str, dict] = {}
+    for claim in claims:
+        if isinstance(claim.get("id"), str):
+            stated.setdefault(claim["id"], claim)
     try:
-        failures = tuple(_claim_set(cert.get("claims"), claim_ids(cert["inputs"]), optional))
+        input_failures, expected = checker(cert["inputs"], stated)
     except Exception as exc:  # malformed inputs are verification failures
         return VerificationResult(False, (f"verification error: {exc}",))
-    try:
-        failures += tuple(checker(cert))
-    except Exception as exc:
-        failures += (f"verification error: {exc}",)
-    return VerificationResult(not failures, failures)
-
-
-def _claim_set(claims: object, required: dict[str, str], optional: dict[str, str]):
-    """Named failures unless `claims` is a list of objects that carries each
-    required id exactly once, with the claim kind the id maps to, and no
-    other id but those of the optional families.  An optional key ending in
-    "-" names the family of ids key + a decimal integer."""
-    if not isinstance(claims, list) or not all(isinstance(c, dict) for c in claims):
-        yield "claims: not a list of objects"
-        return
-    seen = set()
+    if expected is None:
+        return VerificationResult(False, tuple(input_failures))
+    failures, seen, compared = [], set(), []
     for claim in claims:
-        cid, kind = claim.get("id"), claim.get("kind")
+        cid = claim.get("id")
         if not isinstance(cid, str):
-            yield f"claims: id {cid!r} is not a string"
+            failures.append(f"claims: id {cid!r} is not a string")
             continue
-        want = required.get(cid)
+        want = expected.get(cid)
         if want is None:
-            want = next((k for key, k in optional.items() if cid == key or (
-                key.endswith("-") and cid.startswith(key) and cid[len(key):].isdecimal())), None)
-        if want is None:
-            yield f"claims: unknown {cid}"
+            failures.append(f"claims: unknown {cid}")
         elif cid in seen:
-            yield f"claims: duplicate {cid}"
-        elif kind != want:
-            yield f"claims: {cid} has kind {kind!r}, expected {want!r}"
+            failures.append(f"claims: duplicate {cid}")
+        elif claim.get("kind") != want["kind"]:
+            failures.append(
+                f"claims: {cid} has kind {claim.get('kind')!r}, expected {want['kind']!r}")
+        else:
+            compared.append((cid, claim, want))
         seen.add(cid)
-    for cid in required:
-        if cid not in seen:
-            yield f"claims: missing {cid}"
+    failures += [f"claims: missing {cid}" for cid in expected if cid not in seen]
+    failures += input_failures
+    for cid, claim, want in compared:
+        for field in dict.fromkeys([*want, *claim]):
+            have, value = claim.get(field), want.get(field)
+            if field != "id" and (have != value or type(have) is not type(value)):
+                failures.append(f"{cid}: {field} is {have!r}, recomputed {value!r}")
+    return VerificationResult(not failures, tuple(failures))
 
 
-def _mixing_claims(inp: dict) -> dict[str, str]:
-    ids = {"alpha-in-start": "point-in-interval"}
-    for k in range(1, len(inp["multipliers"]) + 1):
-        ids[f"containment-{k}"] = "point-in-interval"
-        ids[f"length-{k}"] = "interval-length"
-        ids[f"nesting-{k}"] = "interval-nested"
-    return ids
+def _point_claim(multiplier: int, alpha: str, interval: dict, value: str, verdict: bool) -> dict:
+    return {"kind": "point-in-interval", "multiplier": multiplier, "alpha": alpha,
+            "interval": interval, "value": value, "verdict": verdict}
 
 
-def _hitfreq_claims(inp: dict) -> dict[str, str]:
-    ids = {f"containment-{int(p)}": "point-in-interval" for p in inp["forced_positions"]}
-    ids["hit-frequency"] = "hit-count-frequency"
-    ids["plan-quality"] = "rational-power-gt"
-    ids["plan-stride-low"] = "rational-power-gt"
-    ids["threshold-vs-quality"] = "rational-power-lt"
-    return ids
-
-
-def _check_point_claim(claim: dict):
-    alpha = parse_rational(claim["alpha"])
-    n = int(claim["multiplier"])
-    if n < 1:
-        raise ValueError("multiplier must be a positive integer")
-    interval = TorusInterval.from_json(claim["interval"])
-    q = alpha.denominator
-    r = n * alpha.numerator % q
-    value = Fraction(r, q)
-    if _fr(value) != claim["value"]:
-        yield f"{claim['id']}: recomputed value {_fr(value)} != stated {claim['value']}"
-    verdict = interval.contains_residue(r, q)
-    if verdict != bool(claim["verdict"]):
-        yield f"{claim['id']}: recomputed verdict {verdict} != stated {claim['verdict']}"
-
-
-def _verify_mixing(cert: dict):
-    inp = cert["inputs"]
+def _verify_mixing(inp: dict, stated: dict):
     alpha = parse_rational(inp["alpha"])
     eps = parse_rational(inp["eps"])
     multipliers = [int(v) for v in inp["multipliers"]]
@@ -521,40 +499,26 @@ def _verify_mixing(cert: dict):
     intervals = [TorusInterval.from_json(t) for t in inp["intervals"]]
     start = TorusInterval.from_json(inp["start"])
     if len(intervals) != len(multipliers) + 1:
-        yield "interval chain length mismatch"
-        return
-    if intervals[0] != start:
-        yield "inputs.intervals[0] is not the start interval"
-    for claim in cert["claims"]:
-        cid = claim["id"]
-        if claim["kind"] == "point-in-interval":
-            yield from _check_point_claim(claim)
-        elif claim["kind"] == "interval-length":
-            k = int(cid.split("-")[1])
-            want = eps / multipliers[k - 1]
-            interval = TorusInterval.from_json(claim["interval"])
-            if interval != intervals[k]:
-                yield f"{cid}: interval is not inputs.intervals[{k}]"
-            got = interval.length
-            if got != want or _fr(want) != claim["length"] or not claim["verdict"]:
-                yield f"{cid}: interval length {got} != eps/n = {want}"
-        elif claim["kind"] == "interval-nested":
-            k = int(cid.split("-")[1])
-            outer = TorusInterval.from_json(claim["outer"])
-            inner = TorusInterval.from_json(claim["inner"])
-            if outer != intervals[k - 1] or inner != intervals[k]:
-                yield f"{cid}: outer and inner are not inputs.intervals[{k - 1}] and [{k}]"
-            if not interval_contains_interval(outer, inner) or not claim["verdict"]:
-                yield f"{cid}: nesting fails"
-    # Cross-checks tying the echo together.
-    if not start.contains(alpha):
-        yield "alpha outside the start interval"
+        return ["interval chain length mismatch"], None
+    if any(n < 1 for n in multipliers):
+        raise ValueError("multiplier must be a positive integer")
+    failures = [] if intervals[0] == start else ["inputs.intervals[0] is not the start interval"]
     p, q = alpha.numerator, alpha.denominator
-    for k, (n_k, target) in enumerate(zip(multipliers, targets), start=1):
-        if n_k < 1:
-            raise ValueError("multiplier must be a positive integer")
-        if not target.contains_residue(n_k * p % q, q):
-            yield f"containment-{k}: alpha fails the target"
+    a = _fr(alpha)
+    spans = [iv.to_json() for iv in intervals]
+    claims = {"alpha-in-start": _point_claim(1, a, start.to_json(), a, start.contains(alpha))}
+    for k, (n, target) in enumerate(zip(multipliers, targets, strict=True), start=1):
+        r = n * p % q
+        length = eps / n
+        claims[f"containment-{k}"] = _point_claim(
+            n, a, target.to_json(), format_ratio(r, q), target.contains_residue(r, q))
+        claims[f"length-{k}"] = {"kind": "interval-length", "interval": spans[k],
+                                 "length": _fr(length), "verdict": intervals[k].length == length}
+        claims[f"nesting-{k}"] = {
+            "kind": "interval-nested", "outer": spans[k - 1], "inner": spans[k],
+            "verdict": interval_contains_interval(intervals[k - 1], intervals[k]),
+        }
+    return failures, claims
 
 
 def _chained_residues(multipliers: Sequence[int], p: int, q: int):
@@ -569,91 +533,86 @@ def _chained_residues(multipliers: Sequence[int], p: int, q: int):
         yield r
 
 
-def _verify_hitfreq(cert: dict):
-    inp = cert["inputs"]
+def _verify_hitfreq(inp: dict, stated: dict):
     alpha = parse_rational(inp["alpha"])
     multipliers = [int(v) for v in inp["multipliers"]]
     interval = TorusInterval.from_json(inp["interval"])
     ratio = parse_rational(inp["ratio"])
     plan = inp["plan"]
     u, c, repeats = int(plan["u"]), int(plan["c"]), int(plan["repeats"])
+    positions = [int(v) for v in inp["forced_positions"]]
     eps = interval.length
     horizon = len(multipliers)
     if any(n < 1 for n in multipliers):
         raise ValueError("multiplier must be a positive integer")
     if u < 1 or c < 1 or repeats < 1:
         raise ValueError("u, c and repeats must be positive")
-    for j in range(horizon - 1):
-        if multipliers[j + 1] * ratio.denominator < ratio.numerator * multipliers[j]:
-            yield f"growth fails at step {j + 1}"
-    forced = list(range(c * repeats, 2 * c * repeats + 1, c))
-    if [int(v) for v in inp["forced_positions"]] != forced:
-        yield "forced_positions are not c*repeats .. 2*c*repeats step c"
+    if not all(1 <= pos <= horizon for pos in positions):
+        raise ValueError(f"forced positions must lie in 1..{horizon}")
+    failures = [f"growth fails at step {j + 1}" for j in range(horizon - 1)
+                if multipliers[j + 1] * ratio.denominator < ratio.numerator * multipliers[j]]
+    if positions != list(range(c * repeats, 2 * c * repeats + 1, c)):
+        failures.append("forced_positions are not c*repeats .. 2*c*repeats step c")
     p, q = alpha.numerator, alpha.denominator
+    a, span = _fr(alpha), interval.to_json()
+    claims = {}
+    for pos in positions:
+        n = multipliers[pos - 1]
+        r = n * p % q
+        claims[f"containment-{pos}"] = _point_claim(
+            n, a, span, format_ratio(r, q), interval.contains_residue(r, q))
     count = sum(interval.contains_residue(r, q) for r in _chained_residues(multipliers, p, q))
-    for claim in cert["claims"]:
-        cid = claim["id"]
-        kind = claim["kind"]
-        if kind == "point-in-interval":
-            position = int(cid.split("-")[1])
-            if (parse_rational(claim["alpha"]) != alpha
-                    or int(claim["multiplier"]) != multipliers[position - 1]
-                    or TorusInterval.from_json(claim["interval"]) != interval):
-                yield f"{cid}: alpha, multiplier or interval is not the echoed input"
-            yield from _check_point_claim(claim)
-        elif kind == "hit-count-frequency":
-            if count != int(claim["count"]):
-                yield f"{cid}: recount {count} != stated {claim['count']}"
-            threshold = parse_rational(claim["threshold"])
-            verdict = Fraction(count, horizon) > threshold
-            if threshold != Fraction(1, 2 * c):
-                yield f"{cid}: threshold is not 1/(2c)"
-            if verdict != bool(claim["verdict"]):
-                yield f"{cid}: verdict mismatch"
-        elif kind == "rational-power-gt":
-            lhs, rhs = parse_rational(claim["lhs"]), parse_rational(claim["rhs"])
-            want_lhs = ratio ** (u - 2) if cid == "plan-quality" else ratio**c
-            want_rhs = Fraction(2) if cid == "plan-quality" else 2 / eps
-            if lhs != want_lhs or rhs != want_rhs or (lhs > rhs) != bool(claim["verdict"]):
-                yield f"{cid}: inequality fails recomputation"
-        elif kind == "rational-power-lt":
-            lhs = parse_rational(claim["lhs"])
-            if lhs != ratio**c * eps**u or (lhs < 1) != bool(claim["verdict"]):
-                yield f"{cid}: inequality fails recomputation"
+    threshold = Fraction(1, 2 * c)
+    quality, stride, gap = ratio ** (u - 2), ratio**c, ratio**c * eps**u
+    claims["hit-frequency"] = {
+        "kind": "hit-count-frequency", "count": count, "horizon": horizon,
+        "threshold": _fr(threshold), "verdict": Fraction(count, horizon) > threshold,
+    }
+    claims["plan-quality"] = {
+        "kind": "rational-power-gt", "statement": "ratio^(u-2) > 2",
+        "lhs": _fr(quality), "rhs": "2/1", "verdict": quality > 2,
+    }
+    claims["plan-stride-low"] = {
+        "kind": "rational-power-gt", "statement": "ratio^c > 2/eps",
+        "lhs": _fr(stride), "rhs": _fr(2 / eps), "verdict": stride > 2 / eps,
+    }
+    claims["threshold-vs-quality"] = {
+        "kind": "rational-power-lt", "statement": "ratio^c * eps^u < 1",
+        "lhs": _fr(gap), "rhs": "1/1", "verdict": gap < 1,
+    }
+    return failures, claims
 
 
-def _verify_histogram(cert: dict):
-    inp = cert["inputs"]
+def _verify_histogram(inp: dict, stated: dict):
     alpha = parse_rational(inp["alpha"])
     multipliers = [int(v) for v in inp["multipliers"]]
     weights = [int(w) for w in inp["weights"]]
     eta = parse_rational(inp["eta"])
-    ell = len(weights)
-    total = sum(weights)
-    horizon = len(multipliers)
+    base = int(inp["base"])
+    ell, total, horizon = len(weights), sum(weights), len(multipliers)
     if any(n < 1 for n in multipliers):
         raise ValueError("multiplier must be a positive integer")
+    failures = []
+    if horizon != base * base:
+        failures.append(f"inputs.multipliers has {horizon} entries, not base^2 = {base * base}")
     # The cell of n*alpha mod 1 = r/q is r*ell // q.
     p, q = alpha.numerator, alpha.denominator
     counts = [0] * ell
     for r in _chained_residues(multipliers, p, q):
         counts[r * ell // q] += 1
-    for claim in cert["claims"]:
-        if claim["kind"] != "cell-frequency-within":
-            continue
-        i = int(claim["cell"])
-        if claim["id"] != f"cell-{i}":
-            yield f"{claim['id']}: states cell {i}"
-            continue
-        if counts[i] != int(claim["count"]):
-            yield f"{claim['id']}: recount {counts[i]} != stated {claim['count']}"
-        dev = abs(Fraction(counts[i], horizon) - Fraction(weights[i], total))
-        if (dev < eta) != bool(claim["verdict"]):
-            yield f"{claim['id']}: verdict mismatch (deviation {dev})"
+    eta_text = _fr(eta)
+    claims = {}
+    for i, (count, w) in enumerate(zip(counts, weights)):
+        share = Fraction(w, total)
+        claims[f"cell-{i}"] = {
+            "kind": "cell-frequency-within", "cell": i, "count": count, "horizon": horizon,
+            "target": _fr(share), "eta": eta_text,
+            "verdict": abs(Fraction(count, horizon) - share) < eta,
+        }
+    return failures, claims
 
 
-def _verify_avoid(cert: dict):
-    inp = cert["inputs"]
+def _verify_avoid(inp: dict, stated: dict):
     alpha = parse_rational(inp["alpha"])
     eps = parse_rational(inp["eps"])
     prefix = [int(v) for v in inp["prefix"]]
@@ -662,87 +621,79 @@ def _verify_avoid(cert: dict):
     for g in gaps:
         indices.append(indices[-1] + g)
     if len(indices) != int(inp["horizon"]):
-        yield "horizon does not match prefix + gaps"
-        return
+        return ["horizon does not match prefix + gaps"], None
     # n*alpha mod 1 = (n*p mod q)/q, and r/q < eps iff
     # r * eps.denominator < eps.numerator * q.
     p, q = alpha.numerator, alpha.denominator
     hits = sum(
         1 for n in indices[len(prefix) :] if n * p % q * eps.denominator < eps.numerator * q
     )
-    for claim in cert["claims"]:
-        cid, kind = claim["id"], claim["kind"]
-        if kind == "gaps-in-one-two":
-            ok = all(g in (1, 2) for g in gaps) and all(
-                b - a in (1, 2) for a, b in zip(prefix, prefix[1:])
-            )
-            if ok != bool(claim["verdict"]):
-                yield f"{cid}: verdict mismatch"
-        elif kind == "orbit-avoids-interval":
-            if hits != int(claim["hits"]) or (hits == 0) != bool(claim["verdict"]):
-                yield f"{cid}: recomputed hits {hits} != stated {claim['hits']}"
-        elif kind == "star-discrepancy-at-least":
-            disc = star_discrepancy(Residues([n * p % q for n in indices], q))
-            floor = parse_rational(claim["floor"])
-            if _fr(disc) != claim["value"] or (disc >= floor) != bool(claim["verdict"]):
-                yield f"{cid}: recomputed discrepancy {_fr(disc)} != stated {claim['value']}"
+    gaps_ok = all(g in (1, 2) for g in gaps) and all(
+        b - a in (1, 2) for a, b in zip(prefix, prefix[1:])
+    )
+    claims = {
+        "gap-structure": {"kind": "gaps-in-one-two", "verdict": gaps_ok},
+        "zero-hits": {"kind": "orbit-avoids-interval", "hits": hits, "verdict": hits == 0},
+    }
+    if "star-discrepancy-floor" in stated:
+        floor = parse_rational(stated["star-discrepancy-floor"].get("floor"))
+        disc = star_discrepancy(Residues([n * p % q for n in indices], q))
+        claims["star-discrepancy-floor"] = {"kind": "star-discrepancy-at-least",
+                                            "value": _fr(disc), "floor": _fr(floor),
+                                            "verdict": disc >= floor}
+    return [], claims
 
 
-def _verify_zeroblock(cert: dict):
-    inp = cert["inputs"]
+_WINDOW_ID = re.compile(r"window-([1-9][0-9]*)")
+
+
+def _verify_zeroblock(inp: dict, stated: dict):
     base = parse_rational(inp["base"])
     starts = [int(j) for j in inp["block_starts"]]
     digits = [int(ch) for ch in inp["digits"]]
     length = max(j * j for j in starts)
     if len(digits) != length:
-        yield f"digit string length {len(digits)} != {length}"
-        return
+        return [f"digit string length {len(digits)} != {length}"], None
     want = list(binary_digits(base, length))
     for j in starts:
         for pos in range(j, j * j + 1):
             want[pos - 1] = 0
-    if want != digits:
-        yield "digit string does not match base with zeroed blocks"
+    failures = [] if want == digits else ["digit string does not match base with zeroed blocks"]
     text = "".join(str(d) for d in digits)
     num, scale = int(text, 2), 1 << length
-    value = Fraction(num, scale)
-    for claim in cert["claims"]:
-        cid, kind = claim["id"], claim["kind"]
-        if kind == "point-in-interval":
-            iv = TorusInterval.from_json(claim["interval"])
-            if _fr(value) != claim["value"] or iv.contains(value) != bool(claim["verdict"]):
-                yield f"{cid}: value or verdict mismatch"
-        elif kind == "digit-blocks-zero":
-            ok = all(digits[pos - 1] == 0 for j in starts for pos in range(j, j * j + 1))
-            if ok != bool(claim["verdict"]):
-                yield f"{cid}: verdict mismatch"
-        elif kind == "window-density":
-            end = int(claim["end"])
-            if cid != f"window-{end}":
-                yield f"{cid}: states window end {end}"
-                continue
-            hits = 0
-            for k in range(1, end + 1):
-                # 2^k * value mod 1 is the digit string after its first k
-                # digits (0 once k >= L, as the expansion is exact), so
-                # (2^k + 1) * value mod 1 = s/2^L with s below; it lies in
-                # (1/2, 3/4) iff 2s > 2^L and 4s < 3 * 2^L.
-                s = (int(text[k:] or "0", 2) << k) + num
-                if s >= scale:
-                    s -= scale
-                if 2 * s > scale and 4 * s < 3 * scale:
-                    hits += 1
-            if hits != int(claim["hits"]) or _fr(Fraction(hits, end)) != claim["density"]:
-                yield f"{cid}: recomputed hits {hits} != stated {claim['hits']}"
+    value = format_ratio(num, scale)
+    band = TorusInterval(Fraction(1, 2), Fraction(3, 4))
+    claims = {
+        "value-in-band": _point_claim(1, value, band.to_json(), value,
+                                      band.contains_residue(num, scale)),
+        "blocks-zeroed": {
+            "kind": "digit-blocks-zero",
+            "verdict": all(digits[pos - 1] == 0 for j in starts for pos in range(j, j * j + 1)),
+        },
+    }
+    ends = {int(m[1]) for m in map(_WINDOW_ID.fullmatch, stated) if m}
+    hits = 0
+    for k in range(1, max(ends, default=0) + 1):
+        # 2^k * value mod 1 is the digit string after its first k digits (0
+        # once k >= L, as the expansion is exact), so (2^k + 1) * value mod 1
+        # = s/2^L with s below; it lies in (1/2, 3/4) iff 2s > 2^L and
+        # 4s < 3 * 2^L.
+        s = (int(text[k:] or "0", 2) << k) + num
+        if s >= scale:
+            s -= scale
+        if 2 * s > scale and 4 * s < 3 * scale:
+            hits += 1
+        if k in ends:
+            claims[f"window-{k}"] = {"kind": "window-density", "end": k, "hits": hits,
+                                     "density": format_ratio(hits, k), "verdict": True}
+    return failures, claims
 
 
-def _verify_fivesixth(cert: dict):
-    inp = cert["inputs"]
+def _verify_fivesixth(inp: dict, stated: dict):
     alpha = parse_rational(inp["alpha"])
     horizon = int(inp["horizon"])
     if not 0 < alpha < Fraction(1, 16):
-        yield "alpha outside (0, 1/16)"
-        return
+        return ["alpha outside (0, 1/16)"], None
     # Independent recount via modular arithmetic on (2^k + 1) * alpha = s/q:
     # s/q lies in I' = (1/2 - alpha/3, 3/4 + alpha/3) iff 6s > 3q - 2p and
     # 12s < 9q + 4p, and a hit is in I- iff (s - p) mod q <= q/2.
@@ -770,36 +721,24 @@ def _verify_fivesixth(cert: dict):
             spacing_ok = False
         if plus_flags[k] and k + 1 < horizon and plus_flags[k + 1]:
             spacing_ok = False
-    for claim in cert["claims"]:
-        cid, kind = claim["id"], claim["kind"]
-        if kind == "widened-interval-hits":
-            if hits != int(claim["hits"]) or minus != int(claim["minus_hits"]) or plus != int(
-                claim["plus_hits"]
-            ):
-                yield f"{cid}: recount ({hits},{minus},{plus}) differs"
-        elif kind == "density-at-most":
-            bound = parse_rational(claim["bound"])
-            density = Fraction(hits, horizon)
-            if bound != Fraction(5, 6) + Fraction(3, horizon):
-                yield f"{cid}: bound is not 5/6 + 3/K"
-            if _fr(density) != claim["density"] or (density <= bound) != bool(claim["verdict"]):
-                yield f"{cid}: density or verdict mismatch"
-        elif kind == "hit-spacing":
-            if spacing_ok != bool(claim["verdict"]):
-                yield f"{cid}: recomputed spacing {spacing_ok} != stated {claim['verdict']}"
+    density, bound = Fraction(hits, horizon), Fraction(5, 6) + Fraction(3, horizon)
+    return [], {
+        "hit-count": {"kind": "widened-interval-hits", "hits": hits, "minus_hits": minus,
+                      "plus_hits": plus, "verdict": True},
+        "density-bound": {"kind": "density-at-most", "density": _fr(density),
+                          "bound": _fr(bound), "verdict": density <= bound},
+        "spacing": {"kind": "hit-spacing", "verdict": spacing_ok},
+    }
 
 
-def _verify_invariance(cert: dict):
-    inp = cert["inputs"]
+def _verify_invariance(inp: dict, stated: dict):
     alpha = parse_rational(inp["alpha"])
     steps = int(inp["steps"])
     partition = CellPartition(tuple(parse_rational(t) for t in inp["cuts"]))
     if not partition.is_dyadic():
-        yield "invariance-defect: partition cut points must be dyadic rationals"
-        return
+        return ["invariance-defect: partition cut points must be dyadic rationals"], None
     if steps < 1:
-        yield "invariance-defect: steps must be positive"
-        return
+        return ["invariance-defect: steps must be positive"], None
     # Recount along the residues r = 2^k p mod q of the orbit: each point r/q
     # counts +1 in its cell and -1 in the cell of its image 2r/q mod 1.
     v = mod1(alpha)
@@ -810,18 +749,13 @@ def _verify_invariance(cert: dict):
         counts[partition.cell_of(r, q)] += 1
         counts[partition.cell_of(2 * r % q, q)] -= 1
     defect = Fraction(max(abs(c) for c in counts), steps)
-    for claim in cert["claims"]:
-        cid, kind = claim["id"], claim["kind"]
-        if kind not in ("invariance-defect-equals", "defect-at-most"):
-            continue
-        if _fr(defect) != claim["defect"]:
-            yield f"{cid}: recomputed defect {_fr(defect)} != stated {claim['defect']}"
-        if kind == "defect-at-most":
-            bound = parse_rational(claim["bound"])
-            if bound != Fraction(2, steps):
-                yield f"{cid}: bound is not 2/steps"
-            if (defect <= bound) != bool(claim["verdict"]):
-                yield f"{cid}: verdict mismatch"
+    bound = Fraction(2, steps)
+    return [], {
+        "invariance-defect": {"kind": "invariance-defect-equals", "defect": _fr(defect),
+                              "verdict": True},
+        "defect-bound": {"kind": "defect-at-most", "defect": _fr(defect), "bound": _fr(bound),
+                         "verdict": defect <= bound},
+    }
 
 
 def _ratio_atoms(pairs: list) -> tuple[list[Fraction], list[int], int]:
@@ -841,8 +775,8 @@ def _ratio_atoms(pairs: list) -> tuple[list[Fraction], list[int], int]:
     return [q for q, _ in atoms], weights, weight_den
 
 
-def _verify_envelope(cert: dict):
-    """Re-derive the domination verdict in integers from the echoed strings,
+def _verify_envelope(inp: dict, stated: dict):
+    """Re-derive the domination claim in integers from the echoed strings,
     without the construction code.
 
     mu, lambda and the atom weights become integer numerators over the lcms
@@ -851,12 +785,12 @@ def _verify_envelope(cert: dict):
     of the prefixes of the cells in decreasing mu/lambda order (zero-lambda
     cells first, ties by index), and the region on or under the concave
     F + tol is convex, so an ok verdict holds iff all s prefixes of that
-    order pass.  A stated violation is recounted directly.  It is the first
-    in pre-order of the subset tree iff no proper sub-union on its path
-    violates and no earlier sibling subtree on that path has a violating
-    node or prefix.
+    order pass.  Otherwise the first violation in pre-order of the subset
+    tree is found by descent: child j of a node roots a subtree with a
+    violation iff the node's union with j, or that union joined to a prefix
+    of the cells after j, violates; so one pass over j = 0..s-1 either
+    returns the child's union, descends into it, or moves on to its sibling.
     """
-    inp = cert["inputs"]
     mu = MeasureVector(tuple(parse_rational(v) for v in inp["mu"])).masses
     lam = MeasureVector(tuple(parse_rational(v) for v in inp["lambda"])).masses
     locs, weights, weight_den = _ratio_atoms(inp["pi"])
@@ -908,79 +842,31 @@ def _verify_envelope(cert: dict):
                     return True
         return False
 
-    def earlier_violation(cells: list[int]) -> list[int] | None:
-        """Root of the first subtree before `cells` in pre-order that holds a
-        violation, or None."""
-        m = l = 0
-        last = -1
-        for depth, v in enumerate(cells):
-            for j in range(last + 1, v):
-                m_j, l_j = m + mu_num[j], l + lam_num[j]
-                if exceeds(m_j, l_j) or prefix_violates(m_j, l_j, j):
-                    return cells[:depth] + [j]
-            m, l, last = m + mu_num[v], l + lam_num[v], v
-            if depth < len(cells) - 1 and exceeds(m, l):
-                return cells[: depth + 1]
-        return None
-
-    ok = not prefix_violates(0, 0, -1)
-    for claim in cert["claims"]:
-        cid = claim["id"]
-        if claim["kind"] != "envelope-domination":
-            continue
-        if ok != bool(claim["verdict"]):
-            yield f"{cid}: recomputed verdict {ok} != stated {claim['verdict']}"
-        if "violation" not in claim:
-            continue
-        cells = claim["violation"]
-        if not (isinstance(cells, list) and cells and all(type(i) is int for i in cells)
-                and cells == sorted(set(cells)) and 0 <= cells[0] and cells[-1] < s):
-            yield f"{cid}: violation {cells!r} is not a sorted list of cell indices"
-            continue
-        m = sum(mu_num[i] for i in cells)
-        l = sum(lam_num[i] for i in cells)
-        if not exceeds(m, l):
-            yield f"{cid}: the stated union {cells} does not violate"
-        for key, value in (("union_mass", format_ratio(m, mu_den)),
-                           ("bound", format_ratio(bound_num(l), f_den))):
-            if key in claim and value != claim[key]:
-                yield f"{cid}: recomputed {key} {value} != stated {claim[key]}"
-        earlier = earlier_violation(cells)
-        if earlier is not None:
-            yield f"{cid}: a union at or under {earlier} violates before the stated {cells}"
+    claim = {"kind": "envelope-domination", "verdict": True}
+    if prefix_violates(0, 0, -1):
+        cells, m, l = [], 0, 0
+        for j in range(s):
+            m_j, l_j = m + mu_num[j], l + lam_num[j]
+            if exceeds(m_j, l_j):
+                claim.update(verdict=False, violation=cells + [j],
+                             union_mass=format_ratio(m_j, mu_den),
+                             bound=format_ratio(bound_num(l_j), f_den))
+                break
+            if prefix_violates(m_j, l_j, j):
+                cells, m, l = cells + [j], m_j, l_j
+    return [], {"domination": claim}
 
 
-# kind -> (the claim ids the echoed inputs require, each with its claim kind;
-# the optional claim families; the checker that recomputes the claims)
+# kind -> its checker: (echoed inputs, the stated claims by id) -> (failures
+# of the inputs, and the claims they imply by id, or None when the inputs
+# are refused outright)
 _CHECKERS = {
-    "mixing": (_mixing_claims, {}, _verify_mixing),
-    "hitfreq": (_hitfreq_claims, {}, _verify_hitfreq),
-    "histogram": (
-        lambda inp: {f"cell-{i}": "cell-frequency-within" for i in range(len(inp["weights"]))},
-        {},
-        _verify_histogram,
-    ),
-    "avoid": (
-        lambda inp: {"gap-structure": "gaps-in-one-two", "zero-hits": "orbit-avoids-interval"},
-        {"star-discrepancy-floor": "star-discrepancy-at-least"},
-        _verify_avoid,
-    ),
-    "zeroblock": (
-        lambda inp: {"value-in-band": "point-in-interval", "blocks-zeroed": "digit-blocks-zero"},
-        {"window-": "window-density"},
-        _verify_zeroblock,
-    ),
-    "fivesixth": (
-        lambda inp: {"hit-count": "widened-interval-hits", "density-bound": "density-at-most",
-                     "spacing": "hit-spacing"},
-        {},
-        _verify_fivesixth,
-    ),
-    "invariance": (
-        lambda inp: {"invariance-defect": "invariance-defect-equals",
-                     "defect-bound": "defect-at-most"},
-        {},
-        _verify_invariance,
-    ),
-    "envelope": (lambda inp: {"domination": "envelope-domination"}, {}, _verify_envelope),
+    "mixing": _verify_mixing,
+    "hitfreq": _verify_hitfreq,
+    "histogram": _verify_histogram,
+    "avoid": _verify_avoid,
+    "zeroblock": _verify_zeroblock,
+    "fivesixth": _verify_fivesixth,
+    "invariance": _verify_invariance,
+    "envelope": _verify_envelope,
 }

@@ -264,17 +264,39 @@ def _multipliers(opts: dict, count: int) -> list[int]:
     raise CliError(f"--n-kind: unknown generator {name!r} (use pow:b or squarepow:b)")
 
 
+class _RotationResidues:
+    """n * p mod q for n = 1..count, each formed only when it is read, by
+    index or by slice."""
+
+    __slots__ = ("ns", "p", "q")
+
+    def __init__(self, p: int, q: int, count: int):
+        self.ns, self.p, self.q = range(1, count + 1), p, q
+
+    def __len__(self) -> int:
+        return len(self.ns)
+
+    def __getitem__(self, key):
+        n = self.ns[key]
+        if isinstance(n, int):
+            return n * self.p % self.q
+        p, q = self.p, self.q
+        return [k * p % q for k in n]
+
+
 def _points_source(opts: dict, count: int) -> Residues:
-    """The first `count` points of the --x-kind orbit of --x-alpha, listed
-    as residues: for the subspace greedy, which reads each index's cell, and
-    for a doubling scan.  A rotation scan lists none (`rotation_scan`)."""
+    """The first `count` points of the --x-kind orbit of --x-alpha, as
+    residues: for the subspace greedy, which reads the cells of the indices
+    its picks need, and for a doubling scan.  A doubling orbit is listed; a
+    rotation's residues are formed only when read (`_RotationResidues`), and
+    a rotation scan reads none (`rotation_scan`)."""
     kind = opts.get("x-kind", "rotation")
     if kind == "rotation":
         from .empirical import Residues
 
         alpha = _rational(opts, "x-alpha")
         p, q = alpha.numerator, alpha.denominator
-        return Residues([n * p % q for n in range(1, count + 1)], q)
+        return Residues(_RotationResidues(p, q, count), q)
     if kind == "doubling":
         from .doubling import doubling_orbit
 

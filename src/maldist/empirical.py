@@ -36,10 +36,11 @@ class Residues:
     """The points r/den for the integer numerators r in `nums`, over one
     shared denominator den > 0.
 
-    A listed orbit (a doubling orbit, or the rotation segment a subspace
-    greedy steers) is held in this record, and every consumer reads the
-    integers directly: a cell lookup or a discrepancy sweep builds no
-    Fraction.  A rotation scan lists no points (`rotation_scan`).  The
+    An orbit's points are held in this record (a doubling orbit as a list;
+    the rotation segment a subspace greedy steers as a sequence that forms
+    each residue when it is read), and every consumer reads the integers
+    directly: a cell lookup or a discrepancy sweep builds no Fraction.  A
+    rotation scan reads no points (`rotation_scan`).  The
     numerators need not be reduced against den.  A numerator outside
     [0, den) is refused by the consumer that reads it.
     """

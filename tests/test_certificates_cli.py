@@ -169,9 +169,14 @@ def test_mixing_claims_must_speak_of_the_echoed_intervals():
     claim(cert, "nesting-1")["inner"] = TorusInterval(F(1, 4), F(1, 2)).to_json()
     # The right length, eps/n_1 = 1/1000, on the wrong interval.
     claim(cert, "length-1")["interval"] = TorusInterval(F(0), F(1, 1000)).to_json()
-    failures = certs.verify_certificate(cert).failures
-    assert "length-1: interval is not inputs.intervals[1]" in failures
-    assert "nesting-1: outer and inner are not inputs.intervals[0] and [1]" in failures
+    chain = cert["inputs"]["intervals"]
+    assert certs.verify_certificate(cert).failures == (
+        f"length-1: interval is {TorusInterval(F(0), F(1, 1000)).to_json()!r}, "
+        f"recomputed {chain[1]!r}",
+        f"nesting-1: outer is {TorusInterval(F(0), F(1)).to_json()!r}, recomputed {chain[0]!r}",
+        f"nesting-1: inner is {TorusInterval(F(1, 4), F(1, 2)).to_json()!r}, "
+        f"recomputed {chain[1]!r}",
+    )
 
     cert = certificate_of("mixing")
     wider = TorusInterval(F(1, 4), F(1, 2)).to_json()
@@ -196,9 +201,13 @@ def test_hitfreq_containment_claims_speak_of_the_echoed_inputs():
     p = cert["inputs"]["forced_positions"][0]
     # A claim about alpha 1/2 with multiplier 1, true of itself: 1/2 is outside
     # the open interval, and the verdict says so.
+    honest = dict(claim(cert, f"containment-{p}"))
     claim(cert, f"containment-{p}").update(alpha="1/2", multiplier=1, value="1/2", verdict=False)
     assert certs.verify_certificate(cert).failures == (
-        f"containment-{p}: alpha, multiplier or interval is not the echoed input",
+        f"containment-{p}: multiplier is 1, recomputed {honest['multiplier']!r}",
+        f"containment-{p}: alpha is '1/2', recomputed {honest['alpha']!r}",
+        f"containment-{p}: value is '1/2', recomputed {honest['value']!r}",
+        f"containment-{p}: verdict is False, recomputed True",
     )
 
 

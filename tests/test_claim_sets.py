@@ -126,7 +126,7 @@ def test_optional_families_may_be_absent_but_bind_their_ids():
     # A window claim whose id names another end than the one it checks.
     moved = copy.deepcopy(CERTIFICATES["zeroblock"])
     moved["claims"][-1]["id"] = "window-99"
-    assert "window-99: states window end 100" in certs.verify_certificate(moved).failures
+    assert "window-99: end is 100, recomputed 99" in certs.verify_certificate(moved).failures
     # A window id that is not window-<integer> is unknown.
     odd = copy.deepcopy(CERTIFICATES["zeroblock"])
     odd["claims"][-1]["id"] = "window-x"
@@ -136,4 +136,46 @@ def test_optional_families_may_be_absent_but_bind_their_ids():
 def test_histogram_cell_claim_checks_the_cell_its_id_names():
     cert = copy.deepcopy(CERTIFICATES["histogram"])
     cert["claims"][0]["cell"] = 1
-    assert "cell-0: states cell 1" in certs.verify_certificate(cert).failures
+    assert "cell-0: cell is 1, recomputed 0" in certs.verify_certificate(cert).failures
+
+
+def other_value(value):
+    """Another JSON value of the same type as `value`."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "0"
+    if isinstance(value, list):
+        return value + value[:1] if value else [0]
+    key = next(iter(value))
+    return {**value, key: other_value(value[key])}
+
+
+@pytest.mark.parametrize("kind", list(CERTIFICATES))
+def test_every_claim_field_is_recomputed(kind):
+    """Each field of each claim, edited alone, fails verify by the claim's
+    id.  The star-discrepancy floor is skipped: it is its claim's own
+    input."""
+    cert = CERTIFICATES[kind]
+    escaped = []
+    for index, stated in enumerate(cert["claims"]):
+        for field in stated:
+            if field in ("id", "kind") or (stated["id"], field) == ("star-discrepancy-floor",
+                                                                    "floor"):
+                continue
+            edited = copy.deepcopy(cert)
+            edited["claims"][index][field] = other_value(stated[field])
+            result = certs.verify_certificate(edited)
+            if result.ok or not any(f.startswith(f"{stated['id']}: ") for f in result.failures):
+                escaped.append((stated["id"], field, result.failures))
+    assert escaped == []
+
+
+def test_histogram_base_must_match_the_multiplier_count():
+    cert = copy.deepcopy(CERTIFICATES["histogram"])
+    cert["inputs"]["base"] = 3
+    assert certs.verify_certificate(cert).failures == (
+        "inputs.multipliers has 64 entries, not base^2 = 9",
+    )

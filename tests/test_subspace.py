@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 from collections.abc import Sequence
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from maldist import cli
 from maldist.empirical import CellPartition, MeasureVector, Residues
 from maldist.envelope import BlockSpec, pi_measure
 from maldist.rng import SplitMix64
@@ -226,6 +229,30 @@ def test_greedy_reads_only_the_cells_its_picks_need(golden_residues):
     assert result == greedy_extension(
         [], spec, golden_residues, partition, lam, target, max_blocks=40
     )
+
+
+def test_long_steering_run_forms_only_the_residues_it_reads(tmp_path, monkeypatch):
+    # Two picks from each of 100 blocks of 2,001-2,100 indices: listing the
+    # 205,050 rotation residues alone would peak at about 9 MB.  The outputs
+    # are pinned by digest.
+    monkeypatch.delenv("MALDIST_SEED", raising=False)
+    out, trace = tmp_path / "steer.json", tmp_path / "trace.csv"
+    argv = ["subspace", "--spec", '{"b": "linear:2000", "m": "const:2"}',
+            "--cuts", "0,1/7,1/2,1", "--mu", "1/1000,499/1000,1/2", "--eps", "1/1000000",
+            "--blocks", "100", "--x-alpha", "832040/1346269",
+            "--out", str(out), "--trace-out", str(trace)]
+    assert cli.main(argv) == 0  # loads the layers before the measured run
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "7a6583146e5b536ae7a6fb68d9074c7d81e310911a13b9c6dd2ba320100e60ca")
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
+        "5622e01435d27ea76f7ca8e14c1a8a40f45aa9bd86c6b471b8390143798fa327")
 
 
 def pool_scan_greedy(prefix, j0, spec, x, partition, target, max_blocks, fixed_blocks):
