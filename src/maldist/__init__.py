@@ -49,7 +49,6 @@ _EXPORTS = {
         "mod1",
         "parse_rational",
     ),
-    "rng": ("SplitMix64",),
     "subspace": (
         "ExtensionResult",
         "ExtensionTarget",

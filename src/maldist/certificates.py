@@ -1,14 +1,15 @@
 """Self-contained certificates for every construction, and their independent
 re-verification.
 
-A certificate echoes its inputs exactly (rationals as "p/q" strings, integer
-sequences verbatim) and lists claims with the exact values the construction
-computed.  `verify_certificate` recomputes from the echoed inputs alone the
-whole claims they imply, through the primitive operations (modular
-arithmetic, interval membership, direct counting) rather than the
-construction code, and compares them with the stated claims field by field;
-each difference names its claim and field.  Certificates therefore stay
-checkable long after the run that produced them.
+Each kind's format is declared once, here: its input fields and their types
+in `_INPUTS`, and each claim kind's fields in `_CLAIM_FIELDS`.  Builders
+write through both.  `verify_certificate` reads the echoed inputs through
+the same table into typed values, recomputes from them alone the whole
+claims they imply, through the primitive operations (modular arithmetic,
+interval membership, direct counting) rather than the construction code,
+and compares them with the stated claims field by field; each difference
+names its claim and field.  Certificates therefore stay checkable long after
+the run that produced them.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from itertools import accumulate
 from math import lcm
 from typing import TYPE_CHECKING, Sequence
 
-from .empirical import CellPartition, MeasureVector, Residues, star_discrepancy
+from .empirical import CellPartition, Residues, star_discrepancy
 from .exact import (
+    RationalParseError,
     binary_digits,
     format_ratio,
     format_rational,
@@ -35,6 +37,7 @@ from .torus import TorusInterval, interval_contains_interval, mul_mod1
 
 if TYPE_CHECKING:  # builders' argument types; the verifiers re-derive without them
     from .doubling import BinaryPoint, OrbitHitReport, WindowDensity
+    from .empirical import MeasureVector
     from .envelope import DominationResult, RatioMeasure
     from .witness import (
         AvoidanceResult,
@@ -75,217 +78,392 @@ def certificate_ok(cert: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the input field types: `parse` reads a field's JSON value into the typed
+# value a checker receives, or raises `_Refused`; `emit` writes a builder's
+# value as JSON
+
+
+_JSON_TYPES = {type(None): "null", bool: "a bool", int: "an integer", float: "a number",
+               str: "a string", list: "a list", dict: "an object"}
+
+
+class _Refused(Exception):
+    """An echoed input that does not fit its field: the failure reads
+    `inputs<path>: <reason>`, the path locating the value (".plan.u")."""
+
+    def __init__(self, reason: str, path: str = ""):
+        super().__init__(reason)
+        self.reason, self.path = reason, path
+
+
+def _expect(value, kind: type, what: str) -> None:
+    if type(value) is not kind:
+        raise _Refused(f"expected {what}, got {_JSON_TYPES.get(type(value), 'an object')}")
+
+
+class _Rational:
+    """A "p/q" string (an integer or decimal string also reads exactly),
+    held to a range such as "[0, 1)" or "(0, inf)" when one is given: a
+    square bracket includes its end, a round one excludes it."""
+
+    emit = staticmethod(format_rational)
+
+    def __init__(self, bounds: str | None = None):
+        self.bounds = bounds
+        if bounds:
+            lo, hi = (Fraction(end) for end in bounds[1:-1].replace("inf", "0").split(", "))
+            self.ends = (lo.numerator, lo.denominator, bounds[0] == "[",
+                         hi.numerator, hi.denominator, bounds[-1] == "]", "inf" in bounds)
+
+    def parse(self, value) -> Fraction:
+        if type(value) is not str:
+            _expect(value, str, 'a "p/q" string')
+        try:
+            x = parse_rational(value)
+        except RationalParseError as exc:
+            raise _Refused(str(exc)) from None
+        if self.bounds:
+            # The signs of x - lo and hi - x, for x = p/q and the ends a/b, c/d.
+            a, b, lo_in, c, d, hi_in, open_top = self.ends
+            p, q = x.numerator, x.denominator
+            above, below = p * b - a * q, c * q - p * d
+            if not ((above >= 0 if lo_in else above > 0)
+                    and (open_top or (below >= 0 if hi_in else below > 0))):
+                raise _Refused(f"{value} is outside {self.bounds}")
+        return x
+
+
+class _Positive:
+    """A JSON integer of at least 1 (not a bool: type(True) is bool)."""
+
+    emit = int
+
+    def parse(self, value) -> int:
+        if type(value) is not int:
+            _expect(value, int, "an integer")
+        if value < 1:
+            raise _Refused(f"{value} is outside [1, inf)")
+        return value
+
+
+class _Bool:
+    emit = bool
+
+    def parse(self, value) -> bool:
+        if type(value) is not bool:
+            _expect(value, bool, "a bool")
+        return value
+
+
+class _Digits:
+    """A string of the digits in `alphabet`, read as a list of ints;
+    `length` as for `_List`."""
+
+    def __init__(self, alphabet: str, length=None):
+        self.alphabet, self.chars, self.length = alphabet, frozenset(alphabet), length
+
+    def parse(self, value) -> list[int]:
+        _expect(value, str, f"a string of the digits {self.alphabet}")
+        if not self.chars.issuperset(value):
+            raise _Refused(f"holds a character other than the digits {self.alphabet}")
+        return list(map(int, value))
+
+    def emit(self, digits) -> str:
+        return "".join(map(str, digits))
+
+
+class _List:
+    """A JSON list of `item` fields.  `length` = (label, rule): the entry
+    count `rule` reads from all the parsed fields.  `make` turns the parsed
+    entries into the checker's value, refusing them with a ValueError;
+    `emit`, if given, writes a builder's value in place of the item's."""
+
+    def __init__(self, item, length=None, nonempty: bool = False, make=None, emit=None):
+        self.item, self.length, self.nonempty, self.make = item, length, nonempty, make
+        if emit is not None:
+            self.emit = emit
+
+    def parse(self, value):
+        if type(value) is not list:
+            _expect(value, list, "a list")
+        if self.nonempty and not value:
+            raise _Refused("expected at least one entry")
+        parse, out = self.item.parse, []
+        for i, v in enumerate(value):
+            try:
+                out.append(parse(v))
+            except _Refused as exc:
+                exc.path = f"[{i}]{exc.path}"
+                raise
+        return out if self.make is None else _made(self.make, out)
+
+    def emit(self, values) -> list:
+        emit = self.item.emit
+        return [emit(v) for v in values]
+
+
+class _Record:
+    """A JSON object with exactly the named fields, read as a dict or as
+    make(dict) once every field parses and every list's length rule holds;
+    a builder's value gives the fields as attributes."""
+
+    def __init__(self, fields: dict, make=None):
+        self.fields, self.make = fields, make
+        self.lengths = [(name, *field.length) for name, field in fields.items()
+                        if getattr(field, "length", None)]
+
+    def parse(self, value):
+        if type(value) is not dict:
+            _expect(value, dict, "an object")
+        values = {}
+        for name, field in self.fields.items():
+            if name not in value:
+                raise _Refused("missing", f".{name}")
+            try:
+                values[name] = field.parse(value[name])
+            except _Refused as exc:
+                exc.path = f".{name}{exc.path}"
+                raise
+        if len(value) > len(values):
+            raise _Refused("unknown field", f".{next(k for k in value if k not in values)}")
+        for name, label, rule in self.lengths:
+            have, want = len(values[name]), rule(values)
+            if have != want:
+                raise _Refused(f"has {have} entries, not {label} = {want}", f".{name}")
+        return values if self.make is None else _made(self.make, values)
+
+    def emit(self, value) -> dict:
+        return {name: field.emit(getattr(value, name)) for name, field in self.fields.items()}
+
+
+def _made(make, values):
+    try:
+        return make(values)
+    except ValueError as exc:
+        raise _Refused(str(exc)) from None
+
+
+def _masses(masses: list[Fraction]) -> list[Fraction]:
+    if sum(masses) != 1:
+        raise ValueError("masses must sum to exactly 1")
+    return masses
+
+
+def _atom(pair: list[Fraction]) -> tuple[Fraction, Fraction]:
+    if len(pair) != 2 or pair[1] == 0:
+        raise ValueError("expected a location and a positive weight")
+    return pair[0], pair[1]
+
+
+def _ratio_atoms(atoms: list[tuple[Fraction, Fraction]]) -> tuple[list[Fraction], list[int], int]:
+    """pi's atoms held to the rules of a ratio measure (locations sorted and
+    distinct, weights summing to 1): the locations, and the weights as
+    integers over their lcm."""
+    if any(a >= b for (a, _), (b, _) in zip(atoms, atoms[1:])):
+        raise ValueError("atom locations must be sorted and distinct")
+    weights, weight_den = over_lcm([w for _, w in atoms])
+    if sum(weights) != weight_den:
+        raise ValueError("atom weights must sum to exactly 1")
+    return [q for q, _ in atoms], weights, weight_den
+
+
+_RATIONAL = _Rational()
+_POSITIVE = _Positive()
+_INTERVAL = _Record({"left": _RATIONAL, "right": _RATIONAL, "wraps": _Bool()},
+                    lambda ends: TorusInterval(**ends))
+
+# kind -> its input fields, in the order a certificate echoes them
+_INPUTS = {kind: _Record(fields) for kind, fields in {
+    "mixing": {
+        "alpha": _RATIONAL,
+        "multipliers": _List(_POSITIVE),
+        "eps": _RATIONAL,
+        "delta": _Rational("(0, 1)"),
+        "start": _INTERVAL,
+        "targets": _List(_INTERVAL, length=("len(multipliers)", lambda v: len(v["multipliers"]))),
+        "intervals": _List(_INTERVAL, length=("len(multipliers) + 1",
+                                              lambda v: len(v["multipliers"]) + 1)),
+    },
+    "hitfreq": {
+        "alpha": _RATIONAL,
+        "multipliers": _List(_POSITIVE, nonempty=True),
+        "interval": _INTERVAL,
+        "ratio": _Rational("(0, inf)"),
+        "plan": _Record({"u": _POSITIVE, "c": _POSITIVE, "repeats": _POSITIVE}),
+        "forced_positions": _List(_POSITIVE),
+    },
+    "histogram": {
+        "alpha": _RATIONAL,
+        "multipliers": _List(_POSITIVE, length=("base^2", lambda v: v["base"] ** 2)),
+        "weights": _List(_POSITIVE, nonempty=True),
+        "eta": _RATIONAL,
+        "base": _POSITIVE,
+    },
+    "avoid": {
+        "alpha": _RATIONAL,
+        "eps": _RATIONAL,
+        "prefix": _List(_POSITIVE, nonempty=True),
+        "gaps": _Digits("0123456789", length=("horizon - len(prefix)",
+                                              lambda v: v["horizon"] - len(v["prefix"]))),
+        "horizon": _POSITIVE,
+    },
+    "zeroblock": {
+        "base": _Rational("[0, 1)"),
+        "block_starts": _List(_POSITIVE, nonempty=True),
+        "digits": _Digits("01", length=("max(block_starts)^2",
+                                        lambda v: max(v["block_starts"]) ** 2)),
+    },
+    "fivesixth": {"alpha": _Rational("(0, 1/16)"), "horizon": _POSITIVE},
+    "invariance": {
+        "alpha": _RATIONAL,
+        "steps": _POSITIVE,
+        "cuts": _List(_RATIONAL, make=CellPartition),
+    },
+    "envelope": {
+        "mu": _List(_Rational("[0, 1]"), make=_masses),
+        "lambda": _List(_Rational("[0, 1]"), length=("len(mu)", lambda v: len(v["mu"])),
+                        make=_masses),
+        # A ratio measure writes its atoms from integers (`RatioMeasure.to_json`).
+        "pi": _List(_List(_Rational("[0, 1]"), make=_atom), make=_ratio_atoms,
+                    emit=lambda pi: pi.to_json()),
+        "tol": _Rational("[0, inf)"),
+    },
+}.items()}
+
+
+# claim kind -> its fields between "kind" and "verdict"
+_CLAIM_FIELDS = {
+    "point-in-interval": ("multiplier", "alpha", "interval", "value"),
+    "interval-length": ("interval", "length"),
+    "interval-nested": ("outer", "inner"),
+    "hit-count-frequency": ("count", "horizon", "threshold"),
+    "rational-power-gt": ("statement", "lhs", "rhs"),
+    "rational-power-lt": ("statement", "lhs", "rhs"),
+    "cell-frequency-within": ("cell", "count", "horizon", "target", "eta"),
+    "gaps-in-one-two": (),
+    "orbit-avoids-interval": ("hits",),
+    "star-discrepancy-at-least": ("value", "floor"),
+    "digit-blocks-zero": (),
+    "window-density": ("end", "hits", "density"),
+    "widened-interval-hits": ("hits", "minus_hits", "plus_hits"),
+    "density-at-most": ("density", "bound"),
+    "hit-spacing": (),
+    "invariance-defect-equals": ("defect",),
+    "defect-at-most": ("defect", "bound"),
+    "envelope-domination": ("violation", "union_mass", "bound"),
+}
+
+_CLAIM_KEYS = {kind: ("kind", *fields, "verdict") for kind, fields in _CLAIM_FIELDS.items()}
+
+
+def _claim(kind: str, *values) -> dict:
+    """The claim of `kind` with its declared fields' JSON values in order and
+    the verdict last; a None value leaves its field out.  It computes
+    nothing: builders and checkers each derive the values on their own."""
+    claim = dict(zip(_CLAIM_KEYS[kind], (kind, *values), strict=True))
+    return claim if None not in values else {k: v for k, v in claim.items() if v is not None}
+
+
+# ---------------------------------------------------------------------------
 # builders
 
 
-def _base(kind: str, inputs: dict, claims: list[dict], margins: dict | None = None) -> dict:
-    cert = {"format": FORMAT, "kind": kind, "inputs": inputs, "claims": claims}
+def _certificate(kind: str, claims: dict[str, dict], margins: dict | None = None,
+                 **inputs) -> dict:
+    fields = _INPUTS[kind].fields
+    if inputs.keys() != fields.keys():
+        raise TypeError(f"{kind} inputs are {list(fields)}, got {list(inputs)}")
+    cert = {
+        "format": FORMAT,
+        "kind": kind,
+        "inputs": {name: field.emit(inputs[name]) for name, field in fields.items()},
+        "claims": [{"id": cid, **claim} for cid, claim in claims.items()],
+    }
     if margins:
         cert["margins"] = margins
     return cert
 
 
 def mixing_certificate(chain: MixingChain) -> dict:
-    cfg = chain.config
-    inputs = {
-        "multipliers": list(cfg.multipliers),
-        "eps": _fr(cfg.eps),
-        "delta": _fr(cfg.delta),
-        "start": cfg.start.to_json(),
-        "targets": [t.to_json() for t in cfg.targets],
-        "intervals": [iv.to_json() for iv in chain.intervals],
-    }
-    alpha = chain.alpha
-    claims = [
-        {
-            "id": "alpha-in-start",
-            "kind": "point-in-interval",
-            "multiplier": 1,
-            "alpha": _fr(alpha),
-            "interval": cfg.start.to_json(),
-            "value": _fr(alpha),
-            "verdict": cfg.start.contains(alpha),
-        }
-    ]
+    cfg, alpha, intervals = chain.config, chain.alpha, chain.intervals
+    a = _fr(alpha)
+    spans = [iv.to_json() for iv in intervals]
+    claims = {"alpha-in-start": _claim("point-in-interval", 1, a, cfg.start.to_json(), a,
+                                       cfg.start.contains(alpha))}
     for k, (n_k, target) in enumerate(zip(cfg.multipliers, cfg.targets), start=1):
-        value = mul_mod1(n_k, alpha)
-        claims.append(
-            {
-                "id": f"containment-{k}",
-                "kind": "point-in-interval",
-                "multiplier": n_k,
-                "alpha": _fr(alpha),
-                "interval": target.to_json(),
-                "value": _fr(value),
-                "verdict": target.contains(value),
-            }
-        )
-        claims.append(
-            {
-                "id": f"length-{k}",
-                "kind": "interval-length",
-                "interval": chain.intervals[k].to_json(),
-                "length": _fr(cfg.eps / n_k),
-                "verdict": chain.intervals[k].length == cfg.eps / n_k,
-            }
-        )
-        claims.append(
-            {
-                "id": f"nesting-{k}",
-                "kind": "interval-nested",
-                "outer": chain.intervals[k - 1].to_json(),
-                "inner": chain.intervals[k].to_json(),
-                "verdict": interval_contains_interval(
-                    chain.intervals[k - 1], chain.intervals[k]
-                ),
-            }
-        )
-    margins = {}
-    if chain.intervals:
-        last = chain.intervals[-1]
-        margins["witness_interval_radius"] = _fr(last.length / 2)
-    return _base("mixing", {"alpha": _fr(alpha), **inputs}, claims, margins)
+        value, length = mul_mod1(n_k, alpha), cfg.eps / n_k
+        claims[f"containment-{k}"] = _claim("point-in-interval", n_k, a, target.to_json(),
+                                            _fr(value), target.contains(value))
+        claims[f"length-{k}"] = _claim("interval-length", spans[k], _fr(length),
+                                       intervals[k].length == length)
+        claims[f"nesting-{k}"] = _claim("interval-nested", spans[k - 1], spans[k],
+                                        interval_contains_interval(intervals[k - 1], intervals[k]))
+    margins = {"witness_interval_radius": _fr(intervals[-1].length / 2)}
+    return _certificate("mixing", claims, margins, alpha=alpha, multipliers=cfg.multipliers,
+                        eps=cfg.eps, delta=cfg.delta, start=cfg.start, targets=cfg.targets,
+                        intervals=intervals)
 
 
 def hitfreq_certificate(witness: HitFrequencyWitness, multipliers: Sequence[int]) -> dict:
-    plan = witness.plan
-    horizon = witness.horizon
-    inputs = {
-        "alpha": _fr(witness.alpha),
-        "multipliers": [int(v) for v in multipliers[:horizon]],
-        "interval": witness.interval.to_json(),
-        "ratio": _fr(plan.ratio),
-        "plan": {"u": plan.u, "c": plan.c, "repeats": plan.repeats},
-        "forced_positions": list(witness.forced_positions),
-    }
-    eps = witness.interval.length
-    q, u, c = plan.ratio, plan.u, plan.c
-    claims = []
+    plan, alpha, interval = witness.plan, witness.alpha, witness.interval
+    a, span = _fr(alpha), interval.to_json()
+    eps, q, u, c = interval.length, plan.ratio, plan.u, plan.c
+    claims = {}
     for p in witness.forced_positions:
         n_p = int(multipliers[p - 1])
-        value = mul_mod1(n_p, witness.alpha)
-        claims.append(
-            {
-                "id": f"containment-{p}",
-                "kind": "point-in-interval",
-                "multiplier": n_p,
-                "alpha": _fr(witness.alpha),
-                "interval": witness.interval.to_json(),
-                "value": _fr(value),
-                "verdict": witness.interval.contains(value),
-            }
-        )
-    claims.append(
-        {
-            "id": "hit-frequency",
-            "kind": "hit-count-frequency",
-            "count": witness.hit_count,
-            "horizon": horizon,
-            "threshold": _fr(witness.threshold),
-            "verdict": witness.frequency > witness.threshold,
-        }
-    )
-    claims.append(
-        {
-            "id": "plan-quality",
-            "kind": "rational-power-gt",
-            "statement": "ratio^(u-2) > 2",
-            "lhs": _fr(q ** (u - 2)),
-            "rhs": "2/1",
-            "verdict": q ** (u - 2) > 2,
-        }
-    )
-    claims.append(
-        {
-            "id": "plan-stride-low",
-            "kind": "rational-power-gt",
-            "statement": "ratio^c > 2/eps",
-            "lhs": _fr(q**c),
-            "rhs": _fr(2 / eps),
-            "verdict": q**c > 2 / eps,
-        }
-    )
+        value = mul_mod1(n_p, alpha)
+        claims[f"containment-{p}"] = _claim("point-in-interval", n_p, a, span, _fr(value),
+                                            interval.contains(value))
+    claims["hit-frequency"] = _claim("hit-count-frequency", witness.hit_count, witness.horizon,
+                                     _fr(witness.threshold),
+                                     witness.frequency > witness.threshold)
+    claims["plan-quality"] = _claim("rational-power-gt", "ratio^(u-2) > 2", _fr(q ** (u - 2)),
+                                    "2/1", q ** (u - 2) > 2)
+    claims["plan-stride-low"] = _claim("rational-power-gt", "ratio^c > 2/eps", _fr(q**c),
+                                       _fr(2 / eps), q**c > 2 / eps)
     # Exact form of: 1/(2c) exceeds 2*quality / log_ratio(1/eps).
-    claims.append(
-        {
-            "id": "threshold-vs-quality",
-            "kind": "rational-power-lt",
-            "statement": "ratio^c * eps^u < 1",
-            "lhs": _fr(q**c * eps**u),
-            "rhs": "1/1",
-            "verdict": q**c * eps**u < 1,
-        }
-    )
+    claims["threshold-vs-quality"] = _claim("rational-power-lt", "ratio^c * eps^u < 1",
+                                            _fr(q**c * eps**u), "1/1", q**c * eps**u < 1)
     margins = {
         "frequency": _fr(witness.frequency),
         "frequency_margin": _fr(witness.frequency - witness.threshold),
     }
-    return _base("hitfreq", inputs, claims, margins)
+    return _certificate("hitfreq", claims, margins, alpha=alpha,
+                        multipliers=multipliers[: witness.horizon], interval=interval, ratio=q,
+                        plan=plan, forced_positions=witness.forced_positions)
 
 
 def histogram_certificate(witness: HistogramWitness, multipliers: Sequence[int]) -> dict:
     t = witness.target
-    inputs = {
-        "alpha": _fr(witness.alpha),
-        "multipliers": [int(v) for v in multipliers[: witness.horizon]],
-        "weights": list(t.weights),
-        "eta": _fr(t.eta),
-        "base": witness.base,
+    claims = {
+        f"cell-{i}": _claim("cell-frequency-within", i, count, witness.horizon,
+                            _fr(Fraction(t.weights[i], t.total)), _fr(t.eta), abs(dev) < t.eta)
+        for i, (count, dev) in enumerate(zip(witness.counts, witness.deviations))
     }
-    claims = []
-    for i, (count, dev) in enumerate(zip(witness.counts, witness.deviations)):
-        claims.append(
-            {
-                "id": f"cell-{i}",
-                "kind": "cell-frequency-within",
-                "cell": i,
-                "count": count,
-                "horizon": witness.horizon,
-                "target": _fr(Fraction(t.weights[i], t.total)),
-                "eta": _fr(t.eta),
-                "verdict": abs(dev) < t.eta,
-            }
-        )
     margins = {"max_cell_deviation": _fr(max(abs(d) for d in witness.deviations))}
-    return _base("histogram", inputs, claims, margins)
+    return _certificate("histogram", claims, margins, alpha=witness.alpha,
+                        multipliers=multipliers[: witness.horizon], weights=t.weights,
+                        eta=t.eta, base=witness.base)
 
 
 def avoidance_certificate(result: AvoidanceResult, discrepancy_floor: Fraction | None = None) -> dict:
-    inputs = {
-        "alpha": _fr(result.alpha),
-        "eps": _fr(result.eps),
-        "prefix": list(result.indices[: result.prefix_length]),
-        "gaps": "".join(str(g) for g in result.gaps[result.prefix_length - 1 :]),
-        "horizon": len(result.indices),
+    hits = result.hits_after_prefix
+    claims = {
+        "gap-structure": _claim("gaps-in-one-two", all(g in (1, 2) for g in result.gaps)),
+        "zero-hits": _claim("orbit-avoids-interval", hits, hits == 0),
     }
-    claims = [
-        {
-            "id": "gap-structure",
-            "kind": "gaps-in-one-two",
-            "verdict": all(g in (1, 2) for g in result.gaps),
-        },
-        {
-            "id": "zero-hits",
-            "kind": "orbit-avoids-interval",
-            "hits": result.hits_after_prefix,
-            "verdict": result.hits_after_prefix == 0,
-        },
-    ]
     margins = {}
     if discrepancy_floor is not None:
         p, q = result.alpha.numerator, result.alpha.denominator
         disc = star_discrepancy(Residues([n * p % q for n in result.indices], q))
-        claims.append(
-            {
-                "id": "star-discrepancy-floor",
-                "kind": "star-discrepancy-at-least",
-                "value": _fr(disc),
-                "floor": _fr(discrepancy_floor),
-                "verdict": disc >= discrepancy_floor,
-            }
-        )
+        floor = discrepancy_floor
+        claims["star-discrepancy-floor"] = _claim("star-discrepancy-at-least", _fr(disc),
+                                                  _fr(floor), disc >= floor)
         margins["star_discrepancy"] = _fr(disc)
-    return _base("avoid", inputs, claims, margins)
+    return _certificate("avoid", claims, margins, alpha=result.alpha, eps=result.eps,
+                        prefix=result.indices[: result.prefix_length],
+                        gaps=result.gaps[result.prefix_length - 1 :],
+                        horizon=len(result.indices))
 
 
 def zeroblock_certificate(
@@ -294,98 +472,45 @@ def zeroblock_certificate(
     starts: Sequence[int],
     windows: Sequence[WindowDensity] = (),
 ) -> dict:
-    inputs = {
-        "base": _fr(Fraction(base)),
-        "block_starts": [int(j) for j in starts],
-        "digits": "".join(str(d) for d in point.digits),
-    }
     half, three_q = Fraction(1, 2), Fraction(3, 4)
-    zeroed_ok = all(
-        all(point.digits[pos - 1] == 0 for pos in range(j, j * j + 1))
-        for j in starts
-    )
-    claims = [
-        {
-            "id": "value-in-band",
-            "kind": "point-in-interval",
-            "multiplier": 1,
-            "alpha": _fr(point.value),
-            "interval": TorusInterval(half, three_q).to_json(),
-            "value": _fr(point.value),
-            "verdict": half < point.value < three_q,
-        },
-        {
-            "id": "blocks-zeroed",
-            "kind": "digit-blocks-zero",
-            "verdict": zeroed_ok,
-        },
-    ]
+    value = point.value
+    zeroed_ok = all(point.digits[pos - 1] == 0 for j in starts for pos in range(j, j * j + 1))
+    claims = {
+        "value-in-band": _claim("point-in-interval", 1, _fr(value),
+                                TorusInterval(half, three_q).to_json(), _fr(value),
+                                half < value < three_q),
+        "blocks-zeroed": _claim("digit-blocks-zero", zeroed_ok),
+    }
     for w in windows:
-        claims.append(
-            {
-                "id": f"window-{w.window_end}",
-                "kind": "window-density",
-                "end": w.window_end,
-                "hits": w.hits,
-                "density": _fr(w.density),
-                "verdict": True,
-            }
-        )
-    return _base("zeroblock", inputs, claims)
+        claims[f"window-{w.window_end}"] = _claim("window-density", w.window_end, w.hits,
+                                                  _fr(w.density), True)
+    return _certificate("zeroblock", claims, base=Fraction(base), block_starts=starts,
+                        digits=point.digits)
 
 
 def fivesixth_certificate(report: OrbitHitReport, alpha: Fraction) -> dict:
-    inputs = {"alpha": _fr(Fraction(alpha)), "horizon": report.horizon}
-    claims = [
-        {
-            "id": "hit-count",
-            "kind": "widened-interval-hits",
-            "hits": report.hits,
-            "minus_hits": report.minus_hits,
-            "plus_hits": report.plus_hits,
-            "verdict": True,
-        },
-        {
-            "id": "density-bound",
-            "kind": "density-at-most",
-            "density": _fr(report.density),
-            "bound": _fr(report.density_bound),
-            "verdict": report.bound_ok,
-        },
-        {
-            "id": "spacing",
-            "kind": "hit-spacing",
-            "verdict": report.spacing_ok,
-        },
-    ]
+    claims = {
+        "hit-count": _claim("widened-interval-hits", report.hits, report.minus_hits,
+                            report.plus_hits, True),
+        "density-bound": _claim("density-at-most", _fr(report.density),
+                                _fr(report.density_bound), report.bound_ok),
+        "spacing": _claim("hit-spacing", report.spacing_ok),
+    }
     margins = {"density_margin": _fr(report.density_bound - report.density)}
-    return _base("fivesixth", inputs, claims, margins)
+    return _certificate("fivesixth", claims, margins, alpha=Fraction(alpha),
+                        horizon=report.horizon)
 
 
 def invariance_certificate(
     alpha: Fraction, steps: int, partition: CellPartition, defect: Fraction
 ) -> dict:
-    inputs = {
-        "alpha": _fr(Fraction(alpha)),
-        "steps": steps,
-        "cuts": [_fr(t) for t in partition.cuts],
+    bound = Fraction(2, steps)
+    claims = {
+        "invariance-defect": _claim("invariance-defect-equals", _fr(defect), True),
+        "defect-bound": _claim("defect-at-most", _fr(defect), _fr(bound), defect <= bound),
     }
-    claims = [
-        {
-            "id": "invariance-defect",
-            "kind": "invariance-defect-equals",
-            "defect": _fr(defect),
-            "verdict": True,
-        },
-        {
-            "id": "defect-bound",
-            "kind": "defect-at-most",
-            "defect": _fr(defect),
-            "bound": _fr(Fraction(2, steps)),
-            "verdict": defect <= Fraction(2, steps),
-        },
-    ]
-    return _base("invariance", inputs, claims)
+    return _certificate("invariance", claims, alpha=Fraction(alpha), steps=steps,
+                        cuts=partition.cuts)
 
 
 def envelope_certificate(
@@ -395,22 +520,13 @@ def envelope_certificate(
     result: DominationResult,
     tol: Fraction = Fraction(0),
 ) -> dict:
-    inputs = {
-        "mu": [_fr(m) for m in mu.masses],
-        "lambda": [_fr(m) for m in lam.masses],
-        "pi": pi.to_json(),
-        "tol": _fr(tol),
-    }
-    claim = {
-        "id": "domination",
-        "kind": "envelope-domination",
-        "verdict": result.ok,
-    }
-    if not result.ok:
-        claim["violation"] = list(result.violation)
-        claim["union_mass"] = _fr(result.union_mass)
-        claim["bound"] = _fr(result.bound)
-    return _base("envelope", inputs, claims=[claim])
+    if result.ok:
+        claim = _claim("envelope-domination", None, None, None, True)
+    else:
+        claim = _claim("envelope-domination", list(result.violation), _fr(result.union_mass),
+                       _fr(result.bound), False)
+    return _certificate("envelope", {"domination": claim}, mu=mu.masses, pi=pi, tol=tol,
+                        **{"lambda": lam.masses})
 
 
 # ---------------------------------------------------------------------------
@@ -422,20 +538,25 @@ def verify_certificate(cert: object) -> VerificationResult:
     them with the stated claims, field by field; report every difference.
 
     Any parsed JSON value is accepted: one that is not an object, has no
-    kind, or names an unknown format or kind fails with a named error.  Each
-    kind's checker reads the echoed inputs alone and returns the whole
-    claims they imply, keyed by id: every required id with its claim kind,
-    and the ids of the optional families (`avoid`'s `star-discrepancy-floor`,
-    `zeroblock`'s `window-N`) that the certificate states.  The failures
+    kind, or names an unknown format or kind fails with a named error, as do
+    claims that are not a list of objects.  The inputs are then read through
+    the kind's declared fields before any checker runs: inputs that are
+    missing or not an object, or the first field that is missing, unknown,
+    not of its type or of a length that breaks its rule, fail alone as
+    `"inputs.<field>: ..."`.  The kind's checker then returns the whole
+    claims the typed inputs imply, keyed by id: every required id with its
+    claim kind, and the ids of the optional families (`avoid`'s
+    `star-discrepancy-floor`, `zeroblock`'s `window-N`) that the
+    certificate states.  The failures
     come in this order: the claim set (a missing, duplicated, unknown or
     relabelled id, so a certificate cannot pass by leaving a claim out),
-    then the checker's failures of the inputs themselves, then one
-    `"{id}: {field} is {stated!r}, recomputed {expected!r}"` per field that
-    differs, a field absent on one side reading None.  Inputs a checker
-    refuses outright (a chain or digit string of the wrong length, say) give
-    that failure alone.  A verdict stated false that recomputes false is no
-    failure: `certificate_ok` reads it.  `margins` are informational and not
-    checked."""
+    then the checker's failures of the inputs taken together (each names
+    an input), then one `"{id}: {field} is {stated!r}, recomputed
+    {expected!r}"` per field that differs, a field absent on one side
+    reading None.  Inputs a checker refuses outright (forced positions past
+    the horizon, say) give that failure alone.  A verdict stated false that
+    recomputes false is no failure: `certificate_ok` reads it.  `margins`
+    are informational and not checked."""
     if not isinstance(cert, dict):
         return VerificationResult(False, ("certificate is not a JSON object",))
     if "kind" not in cert:
@@ -449,13 +570,19 @@ def verify_certificate(cert: object) -> VerificationResult:
     claims = cert.get("claims")
     if not isinstance(claims, list) or not all(isinstance(c, dict) for c in claims):
         return VerificationResult(False, ("claims: not a list of objects",))
+    if "inputs" not in cert:
+        return VerificationResult(False, ("inputs: missing",))
+    try:
+        inputs = _INPUTS[kind].parse(cert["inputs"])
+    except _Refused as exc:
+        return VerificationResult(False, (f"inputs{exc.path}: {exc.reason}",))
     stated: dict[str, dict] = {}
     for claim in claims:
         if isinstance(claim.get("id"), str):
             stated.setdefault(claim["id"], claim)
     try:
-        input_failures, expected = checker(cert["inputs"], stated)
-    except Exception as exc:  # malformed inputs are verification failures
+        input_failures, expected = checker(inputs, stated)
+    except Exception as exc:  # a checker fault is still a named failure, not a crash
         return VerificationResult(False, (f"verification error: {exc}",))
     if expected is None:
         return VerificationResult(False, tuple(input_failures))
@@ -486,38 +613,34 @@ def verify_certificate(cert: object) -> VerificationResult:
     return VerificationResult(not failures, tuple(failures))
 
 
-def _point_claim(multiplier: int, alpha: str, interval: dict, value: str, verdict: bool) -> dict:
-    return {"kind": "point-in-interval", "multiplier": multiplier, "alpha": alpha,
-            "interval": interval, "value": value, "verdict": verdict}
+# Each checker takes the typed inputs and the stated claims by id, and
+# returns the failures of the inputs taken together and the claims they
+# imply by id, or None in their place when it refuses the inputs outright.
 
 
 def _verify_mixing(inp: dict, stated: dict):
-    alpha = parse_rational(inp["alpha"])
-    eps = parse_rational(inp["eps"])
-    multipliers = [int(v) for v in inp["multipliers"]]
-    targets = [TorusInterval.from_json(t) for t in inp["targets"]]
-    intervals = [TorusInterval.from_json(t) for t in inp["intervals"]]
-    start = TorusInterval.from_json(inp["start"])
-    if len(intervals) != len(multipliers) + 1:
-        return ["interval chain length mismatch"], None
-    if any(n < 1 for n in multipliers):
-        raise ValueError("multiplier must be a positive integer")
+    alpha, eps, delta, start = inp["alpha"], inp["eps"], inp["delta"], inp["start"]
+    multipliers, targets, intervals = inp["multipliers"], inp["targets"], inp["intervals"]
     failures = [] if intervals[0] == start else ["inputs.intervals[0] is not the start interval"]
+    # The chain's hypotheses on its start width (as `MixingConfig.validate`).
+    if start.length < delta:
+        failures.append(f"inputs.delta: {_fr(delta)} exceeds the start interval's length")
+    if multipliers and multipliers[0] * delta.numerator <= 2 * delta.denominator:
+        failures.append(f"inputs.delta: n_1 = {multipliers[0]} does not exceed 2/delta")
     p, q = alpha.numerator, alpha.denominator
     a = _fr(alpha)
     spans = [iv.to_json() for iv in intervals]
-    claims = {"alpha-in-start": _point_claim(1, a, start.to_json(), a, start.contains(alpha))}
-    for k, (n, target) in enumerate(zip(multipliers, targets, strict=True), start=1):
+    claims = {"alpha-in-start": _claim("point-in-interval", 1, a, start.to_json(), a,
+                                       start.contains_residue(p, q))}
+    for k, (n, target) in enumerate(zip(multipliers, targets), start=1):
         r = n * p % q
         length = eps / n
-        claims[f"containment-{k}"] = _point_claim(
-            n, a, target.to_json(), format_ratio(r, q), target.contains_residue(r, q))
-        claims[f"length-{k}"] = {"kind": "interval-length", "interval": spans[k],
-                                 "length": _fr(length), "verdict": intervals[k].length == length}
-        claims[f"nesting-{k}"] = {
-            "kind": "interval-nested", "outer": spans[k - 1], "inner": spans[k],
-            "verdict": interval_contains_interval(intervals[k - 1], intervals[k]),
-        }
+        claims[f"containment-{k}"] = _claim("point-in-interval", n, a, target.to_json(),
+                                            format_ratio(r, q), target.contains_residue(r, q))
+        claims[f"length-{k}"] = _claim("interval-length", spans[k], _fr(length),
+                                       intervals[k].length == length)
+        claims[f"nesting-{k}"] = _claim("interval-nested", spans[k - 1], spans[k],
+                                        interval_contains_interval(intervals[k - 1], intervals[k]))
     return failures, claims
 
 
@@ -534,67 +657,42 @@ def _chained_residues(multipliers: Sequence[int], p: int, q: int):
 
 
 def _verify_hitfreq(inp: dict, stated: dict):
-    alpha = parse_rational(inp["alpha"])
-    multipliers = [int(v) for v in inp["multipliers"]]
-    interval = TorusInterval.from_json(inp["interval"])
-    ratio = parse_rational(inp["ratio"])
-    plan = inp["plan"]
-    u, c, repeats = int(plan["u"]), int(plan["c"]), int(plan["repeats"])
-    positions = [int(v) for v in inp["forced_positions"]]
-    eps = interval.length
-    horizon = len(multipliers)
-    if any(n < 1 for n in multipliers):
-        raise ValueError("multiplier must be a positive integer")
-    if u < 1 or c < 1 or repeats < 1:
-        raise ValueError("u, c and repeats must be positive")
-    if not all(1 <= pos <= horizon for pos in positions):
-        raise ValueError(f"forced positions must lie in 1..{horizon}")
-    failures = [f"growth fails at step {j + 1}" for j in range(horizon - 1)
+    alpha, multipliers, interval, ratio = (inp["alpha"], inp["multipliers"], inp["interval"],
+                                           inp["ratio"])
+    u, c, repeats = inp["plan"]["u"], inp["plan"]["c"], inp["plan"]["repeats"]
+    positions = inp["forced_positions"]
+    eps, horizon = interval.length, len(multipliers)
+    if max(positions, default=1) > horizon:
+        return [f"inputs.forced_positions: positions must lie in 1..{horizon}"], None
+    failures = [f"inputs.multipliers: growth fails at step {j + 1}" for j in range(horizon - 1)
                 if multipliers[j + 1] * ratio.denominator < ratio.numerator * multipliers[j]]
     if positions != list(range(c * repeats, 2 * c * repeats + 1, c)):
-        failures.append("forced_positions are not c*repeats .. 2*c*repeats step c")
+        failures.append("inputs.forced_positions: not c*repeats .. 2*c*repeats step c")
     p, q = alpha.numerator, alpha.denominator
     a, span = _fr(alpha), interval.to_json()
     claims = {}
     for pos in positions:
         n = multipliers[pos - 1]
         r = n * p % q
-        claims[f"containment-{pos}"] = _point_claim(
-            n, a, span, format_ratio(r, q), interval.contains_residue(r, q))
+        claims[f"containment-{pos}"] = _claim("point-in-interval", n, a, span, format_ratio(r, q),
+                                              interval.contains_residue(r, q))
     count = sum(interval.contains_residue(r, q) for r in _chained_residues(multipliers, p, q))
     threshold = Fraction(1, 2 * c)
     quality, stride, gap = ratio ** (u - 2), ratio**c, ratio**c * eps**u
-    claims["hit-frequency"] = {
-        "kind": "hit-count-frequency", "count": count, "horizon": horizon,
-        "threshold": _fr(threshold), "verdict": Fraction(count, horizon) > threshold,
-    }
-    claims["plan-quality"] = {
-        "kind": "rational-power-gt", "statement": "ratio^(u-2) > 2",
-        "lhs": _fr(quality), "rhs": "2/1", "verdict": quality > 2,
-    }
-    claims["plan-stride-low"] = {
-        "kind": "rational-power-gt", "statement": "ratio^c > 2/eps",
-        "lhs": _fr(stride), "rhs": _fr(2 / eps), "verdict": stride > 2 / eps,
-    }
-    claims["threshold-vs-quality"] = {
-        "kind": "rational-power-lt", "statement": "ratio^c * eps^u < 1",
-        "lhs": _fr(gap), "rhs": "1/1", "verdict": gap < 1,
-    }
+    claims["hit-frequency"] = _claim("hit-count-frequency", count, horizon, _fr(threshold),
+                                     Fraction(count, horizon) > threshold)
+    claims["plan-quality"] = _claim("rational-power-gt", "ratio^(u-2) > 2", _fr(quality), "2/1",
+                                    quality > 2)
+    claims["plan-stride-low"] = _claim("rational-power-gt", "ratio^c > 2/eps", _fr(stride),
+                                       _fr(2 / eps), stride > 2 / eps)
+    claims["threshold-vs-quality"] = _claim("rational-power-lt", "ratio^c * eps^u < 1", _fr(gap),
+                                            "1/1", gap < 1)
     return failures, claims
 
 
 def _verify_histogram(inp: dict, stated: dict):
-    alpha = parse_rational(inp["alpha"])
-    multipliers = [int(v) for v in inp["multipliers"]]
-    weights = [int(w) for w in inp["weights"]]
-    eta = parse_rational(inp["eta"])
-    base = int(inp["base"])
+    alpha, multipliers, weights, eta = inp["alpha"], inp["multipliers"], inp["weights"], inp["eta"]
     ell, total, horizon = len(weights), sum(weights), len(multipliers)
-    if any(n < 1 for n in multipliers):
-        raise ValueError("multiplier must be a positive integer")
-    failures = []
-    if horizon != base * base:
-        failures.append(f"inputs.multipliers has {horizon} entries, not base^2 = {base * base}")
     # The cell of n*alpha mod 1 = r/q is r*ell // q.
     p, q = alpha.numerator, alpha.denominator
     counts = [0] * ell
@@ -604,24 +702,16 @@ def _verify_histogram(inp: dict, stated: dict):
     claims = {}
     for i, (count, w) in enumerate(zip(counts, weights)):
         share = Fraction(w, total)
-        claims[f"cell-{i}"] = {
-            "kind": "cell-frequency-within", "cell": i, "count": count, "horizon": horizon,
-            "target": _fr(share), "eta": eta_text,
-            "verdict": abs(Fraction(count, horizon) - share) < eta,
-        }
-    return failures, claims
+        claims[f"cell-{i}"] = _claim("cell-frequency-within", i, count, horizon, _fr(share),
+                                     eta_text, abs(Fraction(count, horizon) - share) < eta)
+    return [], claims
 
 
 def _verify_avoid(inp: dict, stated: dict):
-    alpha = parse_rational(inp["alpha"])
-    eps = parse_rational(inp["eps"])
-    prefix = [int(v) for v in inp["prefix"]]
-    gaps = [int(ch) for ch in inp["gaps"]]
+    alpha, eps, prefix, gaps = inp["alpha"], inp["eps"], inp["prefix"], inp["gaps"]
     indices = list(prefix)
     for g in gaps:
         indices.append(indices[-1] + g)
-    if len(indices) != int(inp["horizon"]):
-        return ["horizon does not match prefix + gaps"], None
     # n*alpha mod 1 = (n*p mod q)/q, and r/q < eps iff
     # r * eps.denominator < eps.numerator * q.
     p, q = alpha.numerator, alpha.denominator
@@ -632,15 +722,14 @@ def _verify_avoid(inp: dict, stated: dict):
         b - a in (1, 2) for a, b in zip(prefix, prefix[1:])
     )
     claims = {
-        "gap-structure": {"kind": "gaps-in-one-two", "verdict": gaps_ok},
-        "zero-hits": {"kind": "orbit-avoids-interval", "hits": hits, "verdict": hits == 0},
+        "gap-structure": _claim("gaps-in-one-two", gaps_ok),
+        "zero-hits": _claim("orbit-avoids-interval", hits, hits == 0),
     }
     if "star-discrepancy-floor" in stated:
         floor = parse_rational(stated["star-discrepancy-floor"].get("floor"))
         disc = star_discrepancy(Residues([n * p % q for n in indices], q))
-        claims["star-discrepancy-floor"] = {"kind": "star-discrepancy-at-least",
-                                            "value": _fr(disc), "floor": _fr(floor),
-                                            "verdict": disc >= floor}
+        claims["star-discrepancy-floor"] = _claim("star-discrepancy-at-least", _fr(disc),
+                                                  _fr(floor), disc >= floor)
     return [], claims
 
 
@@ -648,28 +737,21 @@ _WINDOW_ID = re.compile(r"window-([1-9][0-9]*)")
 
 
 def _verify_zeroblock(inp: dict, stated: dict):
-    base = parse_rational(inp["base"])
-    starts = [int(j) for j in inp["block_starts"]]
-    digits = [int(ch) for ch in inp["digits"]]
-    length = max(j * j for j in starts)
-    if len(digits) != length:
-        return [f"digit string length {len(digits)} != {length}"], None
+    base, starts, digits = inp["base"], inp["block_starts"], inp["digits"]
+    length = len(digits)
     want = list(binary_digits(base, length))
     for j in starts:
         for pos in range(j, j * j + 1):
             want[pos - 1] = 0
-    failures = [] if want == digits else ["digit string does not match base with zeroed blocks"]
-    text = "".join(str(d) for d in digits)
-    num, scale = int(text, 2), 1 << length
+    failures = [] if want == digits else ["inputs.digits: not those of base with zeroed blocks"]
+    num, scale = int("".join(map(str, digits)), 2), 1 << length
     value = format_ratio(num, scale)
     band = TorusInterval(Fraction(1, 2), Fraction(3, 4))
     claims = {
-        "value-in-band": _point_claim(1, value, band.to_json(), value,
-                                      band.contains_residue(num, scale)),
-        "blocks-zeroed": {
-            "kind": "digit-blocks-zero",
-            "verdict": all(digits[pos - 1] == 0 for j in starts for pos in range(j, j * j + 1)),
-        },
+        "value-in-band": _claim("point-in-interval", 1, value, band.to_json(), value,
+                                band.contains_residue(num, scale)),
+        "blocks-zeroed": _claim("digit-blocks-zero", all(
+            digits[pos - 1] == 0 for j in starts for pos in range(j, j * j + 1))),
     }
     ends = {int(m[1]) for m in map(_WINDOW_ID.fullmatch, stated) if m}
     hits = 0
@@ -678,22 +760,18 @@ def _verify_zeroblock(inp: dict, stated: dict):
         # once k >= L, as the expansion is exact), so (2^k + 1) * value mod 1
         # = s/2^L with s below; it lies in (1/2, 3/4) iff 2s > 2^L and
         # 4s < 3 * 2^L.
-        s = (int(text[k:] or "0", 2) << k) + num
+        s = ((num << k) & (scale - 1)) + num
         if s >= scale:
             s -= scale
         if 2 * s > scale and 4 * s < 3 * scale:
             hits += 1
         if k in ends:
-            claims[f"window-{k}"] = {"kind": "window-density", "end": k, "hits": hits,
-                                     "density": format_ratio(hits, k), "verdict": True}
+            claims[f"window-{k}"] = _claim("window-density", k, hits, format_ratio(hits, k), True)
     return failures, claims
 
 
 def _verify_fivesixth(inp: dict, stated: dict):
-    alpha = parse_rational(inp["alpha"])
-    horizon = int(inp["horizon"])
-    if not 0 < alpha < Fraction(1, 16):
-        return ["alpha outside (0, 1/16)"], None
+    alpha, horizon = inp["alpha"], inp["horizon"]
     # Independent recount via modular arithmetic on (2^k + 1) * alpha = s/q:
     # s/q lies in I' = (1/2 - alpha/3, 3/4 + alpha/3) iff 6s > 3q - 2p and
     # 12s < 9q + 4p, and a hit is in I- iff (s - p) mod q <= q/2.
@@ -723,22 +801,16 @@ def _verify_fivesixth(inp: dict, stated: dict):
             spacing_ok = False
     density, bound = Fraction(hits, horizon), Fraction(5, 6) + Fraction(3, horizon)
     return [], {
-        "hit-count": {"kind": "widened-interval-hits", "hits": hits, "minus_hits": minus,
-                      "plus_hits": plus, "verdict": True},
-        "density-bound": {"kind": "density-at-most", "density": _fr(density),
-                          "bound": _fr(bound), "verdict": density <= bound},
-        "spacing": {"kind": "hit-spacing", "verdict": spacing_ok},
+        "hit-count": _claim("widened-interval-hits", hits, minus, plus, True),
+        "density-bound": _claim("density-at-most", _fr(density), _fr(bound), density <= bound),
+        "spacing": _claim("hit-spacing", spacing_ok),
     }
 
 
 def _verify_invariance(inp: dict, stated: dict):
-    alpha = parse_rational(inp["alpha"])
-    steps = int(inp["steps"])
-    partition = CellPartition(tuple(parse_rational(t) for t in inp["cuts"]))
+    alpha, steps, partition = inp["alpha"], inp["steps"], inp["cuts"]
     if not partition.is_dyadic():
         return ["invariance-defect: partition cut points must be dyadic rationals"], None
-    if steps < 1:
-        return ["invariance-defect: steps must be positive"], None
     # Recount along the residues r = 2^k p mod q of the orbit: each point r/q
     # counts +1 in its cell and -1 in the cell of its image 2r/q mod 1.
     v = mod1(alpha)
@@ -751,28 +823,9 @@ def _verify_invariance(inp: dict, stated: dict):
     defect = Fraction(max(abs(c) for c in counts), steps)
     bound = Fraction(2, steps)
     return [], {
-        "invariance-defect": {"kind": "invariance-defect-equals", "defect": _fr(defect),
-                              "verdict": True},
-        "defect-bound": {"kind": "defect-at-most", "defect": _fr(defect), "bound": _fr(bound),
-                         "verdict": defect <= bound},
+        "invariance-defect": _claim("invariance-defect-equals", _fr(defect), True),
+        "defect-bound": _claim("defect-at-most", _fr(defect), _fr(bound), defect <= bound),
     }
-
-
-def _ratio_atoms(pairs: list) -> tuple[list[Fraction], list[int], int]:
-    """The echoed atoms of pi, held to the rules of a ratio measure:
-    locations in [0, 1], sorted and distinct, positive weights summing to 1.
-    Returns the locations and the weights as integers over their lcm."""
-    atoms = [(parse_rational(q), parse_rational(w)) for q, w in pairs]
-    if any(not 0 <= q <= 1 for q, _ in atoms):
-        raise ValueError("atom locations must lie in [0, 1]")
-    if any(w <= 0 for _, w in atoms):
-        raise ValueError("atom weights must be positive")
-    if any(a >= b for (a, _), (b, _) in zip(atoms, atoms[1:])):
-        raise ValueError("atom locations must be sorted and distinct")
-    weights, weight_den = over_lcm([w for _, w in atoms])
-    if sum(weights) != weight_den:
-        raise ValueError("atom weights must sum to exactly 1")
-    return [q for q, _ in atoms], weights, weight_den
 
 
 def _verify_envelope(inp: dict, stated: dict):
@@ -791,17 +844,10 @@ def _verify_envelope(inp: dict, stated: dict):
     of the cells after j, violates; so one pass over j = 0..s-1 either
     returns the child's union, descends into it, or moves on to its sibling.
     """
-    mu = MeasureVector(tuple(parse_rational(v) for v in inp["mu"])).masses
-    lam = MeasureVector(tuple(parse_rational(v) for v in inp["lambda"])).masses
-    locs, weights, weight_den = _ratio_atoms(inp["pi"])
-    tol = parse_rational(inp["tol"])
-    s = len(mu)
-    if len(lam) != s:
-        raise ValueError("mu, lambda and partition disagree on the cell count")
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    mu_num, mu_den = over_lcm(mu)
-    lam_num, lam_den = over_lcm(lam)
+    (locs, weights, weight_den), tol = inp["pi"], inp["tol"]
+    s = len(inp["mu"])
+    mu_num, mu_den = over_lcm(inp["mu"])
+    lam_num, lam_den = over_lcm(inp["lambda"])
     keys, key_den = over_lcm(locs)
     h = lcm(*(q.numerator for q in locs if q))
     # Over f_den, an atom q = p/r <= t = l/lam_den adds its weight
@@ -842,24 +888,21 @@ def _verify_envelope(inp: dict, stated: dict):
                     return True
         return False
 
-    claim = {"kind": "envelope-domination", "verdict": True}
+    claim = _claim("envelope-domination", None, None, None, True)
     if prefix_violates(0, 0, -1):
         cells, m, l = [], 0, 0
         for j in range(s):
             m_j, l_j = m + mu_num[j], l + lam_num[j]
             if exceeds(m_j, l_j):
-                claim.update(verdict=False, violation=cells + [j],
-                             union_mass=format_ratio(m_j, mu_den),
-                             bound=format_ratio(bound_num(l_j), f_den))
+                claim = _claim("envelope-domination", cells + [j], format_ratio(m_j, mu_den),
+                               format_ratio(bound_num(l_j), f_den), False)
                 break
             if prefix_violates(m_j, l_j, j):
                 cells, m, l = cells + [j], m_j, l_j
     return [], {"domination": claim}
 
 
-# kind -> its checker: (echoed inputs, the stated claims by id) -> (failures
-# of the inputs, and the claims they imply by id, or None when the inputs
-# are refused outright)
+# kind -> its checker
 _CHECKERS = {
     "mixing": _verify_mixing,
     "hitfreq": _verify_hitfreq,

@@ -20,8 +20,10 @@ Outputs are JSON certificates (stable key order) and CSV tables; identical
 configuration reproduces identical bytes.  No subcommand draws a random
 number.  The seed is a reserved echo: --seed, else the MALDIST_SEED
 environment variable, else 0, is written with the name of the pinned
-generator (`maldist.rng`, SplitMix64) into the `rng` field of each JSON
-output, and changes nothing else.
+generator (`maldist.rng.ALGORITHM`, SplitMix64) into the `rng` field of each
+JSON output, and changes nothing else.  Integer lists in --spec must hold
+JSON integers; `verify` reads a certificate's inputs through its kind's
+declared fields, so a malformed input exits 1 with a named failure.
 
 Exit codes: 0 success, 1 a certificate claim failed (or verification found a
 mismatch), 2 usage error.
@@ -206,6 +208,15 @@ def _mult_fn(desc: str, key: str, lengths):
     raise CliError(f"--{key}: unknown generator {name!r} (use linear[:o], log, const:c, halfceil)")
 
 
+def _spec_ints(values: list, key: str) -> list[int]:
+    """The entries of a --spec list, each a JSON integer: a float or a bool
+    is refused, not truncated."""
+    for v in values:
+        if type(v) is not int:
+            raise CliError(f"--spec: '{key}' entries must be JSON integers, got {json.dumps(v)}")
+    return values
+
+
 def _block_spec(opts: dict) -> BlockSpec:
     from .envelope import BlockSpec
 
@@ -218,18 +229,18 @@ def _block_spec(opts: dict) -> BlockSpec:
         raise CliError("--spec: expected an object with keys 'b' and 'm'")
     b, m = obj.get("b"), obj.get("m")
     if isinstance(b, list) and isinstance(m, list):
-        return BlockSpec([int(v) for v in b], [int(v) for v in m])
+        return BlockSpec(_spec_ints(b, "b"), _spec_ints(m, "m"))
     if isinstance(b, str):
         b_fn = _length_fn(b, "spec")
     elif isinstance(b, list):
-        blist = [int(v) for v in b]
+        blist = _spec_ints(b, "b")
         b_fn = lambda j: blist[j - 1]
     else:
         raise CliError("--spec: 'b' must be a list or generator name")
     if isinstance(m, str):
         m_fn = _mult_fn(m, "spec", b_fn)
     elif isinstance(m, list):
-        mlist = [int(v) for v in m]
+        mlist = _spec_ints(m, "m")
         m_fn = lambda j: mlist[j - 1]
     else:
         raise CliError("--spec: 'm' must be a list or generator name")

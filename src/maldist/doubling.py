@@ -91,9 +91,10 @@ def invariance_defect(points: Residues, partition: CellPartition) -> Fraction:
         raise ValueError("partition cut points must be dyadic rationals")
     counts = [0] * partition.size
     nums, q = points.nums, points.den
-    for c in _cell_indices(nums, q, partition):
+    bounds = partition.thresholds(q)[1:]
+    for c in _cell_indices(nums, bounds, q):
         counts[c] += 1
-    for c in _cell_indices([2 * r % q for r in nums], q, partition):
+    for c in _cell_indices([2 * r % q for r in nums], bounds, q):
         counts[c] -= 1
     return Fraction(max(abs(c) for c in counts), len(points))
 

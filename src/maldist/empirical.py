@@ -163,15 +163,16 @@ class EmpiricalMeasure:
         return tuple(Fraction(c, self.sample_count) for c in self.counts)
 
 
-def _cell_indices(nums: Sequence[int], den: int, partition: CellPartition) -> Iterator[int]:
+def _cell_indices(nums: Sequence[int], bounds: Sequence[int], den: int) -> Iterator[int]:
     """The cell index of each point r/den for r in nums, in order, with no
-    Fraction built: one `bisect_right` on the partition's integer thresholds
-    over den per point (`CellPartition.thresholds`).  Every numerator is
-    range-checked before the first lookup.
+    Fraction built: one `bisect_right` per point on bounds =
+    `partition.thresholds(den)[1:]`, which the caller computes once for all
+    the points it maps.  Every numerator is range-checked before the first
+    lookup.
     """
     if nums and not (0 <= min(nums) and max(nums) < den):
         raise ValueError("points must lie in [0, 1)")
-    return map(bisect_right, repeat(partition.thresholds(den)[1:]), nums)
+    return map(bisect_right, repeat(bounds), nums)
 
 
 def star_discrepancy(points: Residues) -> Fraction:
@@ -232,7 +233,8 @@ def checkpoint_scan(
     cps = _checked_checkpoints(checkpoints)
     counts = [0] * partition.size
     measures = []
-    cells = _cell_indices(points.nums[: cps[-1]], points.den, partition)
+    cells = _cell_indices(points.nums[: cps[-1]], partition.thresholds(points.den)[1:],
+                          points.den)
     seen = 0
     for target in cps:
         for c in islice(cells, target - seen):

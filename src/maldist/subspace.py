@@ -12,13 +12,11 @@ the partition's thresholds, made only when a pick needs the point.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import Sequence
 
-from .empirical import CellPartition, MeasureVector, Residues
+from .empirical import CellPartition, MeasureVector, Residues, _cell_indices
 from .envelope import BlockSpec, RatioMeasure, envelope_dominates
 from .exact import over_lcm
 
@@ -101,19 +99,6 @@ def _prefix_blocks(prefix: Sequence[int], spec: BlockSpec) -> int:
 # Points of a block mapped to cells before its first pick; each further read
 # of the same block maps twice as many as the one before.
 _FIRST_READ = 8
-
-
-def _cells(
-    nums: Sequence[int], start: int, stop: int, bounds: tuple[int, ...], den: int
-) -> list[int]:
-    """The cells of the points nums[k]/den for start <= k < stop: one
-    `bisect_right` on the partition's thresholds `bounds` over den each."""
-    rs = nums[start:stop]
-    if len(rs) != stop - start:
-        raise ValueError(f"x lists {len(nums)} points, fewer than the {stop} the blocks need")
-    if rs and (min(rs) < 0 or max(rs) >= den):
-        raise ValueError("points must lie in [0, 1)")
-    return list(map(bisect_right, repeat(bounds), rs))
 
 
 def greedy_extension(
@@ -209,7 +194,7 @@ def greedy_extension(
         suffix = [0] * s
         forced_after[last] = list(suffix)
         for jj in range(last, j0, -1):
-            cells = _cells(nums, spec.a(jj - 1), spec.a(jj), bounds, x_den)
+            cells = list(_cell_indices(nums[spec.a(jj - 1) : spec.a(jj)], bounds, x_den))
             m_jj = spec.m(jj)
             for i in range(s):
                 suffix[i] += max(0, m_jj - (len(cells) - cells.count(i)))
@@ -224,6 +209,8 @@ def greedy_extension(
         # free index left in it.
         spent = min(deficit) - m_j * den - 1
         lo, hi = hi, spec.a(j)
+        if len(nums) < hi:
+            raise ValueError(f"x lists {len(nums)} points, fewer than the {hi} the blocks need")
         # cells[k] is the cell of index lo + 1 + k, for the points read so far;
         # head[c] is the position of cell c's smallest free index once found
         # (-1: none left), and start[c] where the search for it begins.
@@ -241,7 +228,7 @@ def greedy_extension(
                     if read == hi:
                         return -1
                     k = max(k, len(cells))
-                    cells.extend(_cells(nums, read, min(read + chunk, hi), bounds, x_den))
+                    cells.extend(_cell_indices(nums[read : min(read + chunk, hi)], bounds, x_den))
                     read = lo + len(cells)
                     chunk *= 2
 

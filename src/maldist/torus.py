@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import format_rational, parse_rational
+from .exact import format_rational
 
 __all__ = [
     "TorusInterval",
@@ -84,14 +84,6 @@ class TorusInterval:
             "right": format_rational(self.right),
             "wraps": self.wraps,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TorusInterval":
-        return cls(
-            parse_rational(obj["left"]),
-            parse_rational(obj["right"]),
-            bool(obj.get("wraps", False)),
-        )
 
 
 def mul_mod1(n: int, alpha: Fraction) -> Fraction:

@@ -6,7 +6,8 @@ program against.  None of it backs a `maldist` subcommand.
   is measured against (C10);
 - `exchange_facts`: the exchange structure of such a minimizer, checked per
   block (C10);
-- `sample_uniform`: seeded uniform members of a block space (C9);
+- `SplitMix64`: the seeded generator the randomized tests draw from, and
+  `sample_uniform`: seeded uniform members of a block space (C9);
 - `max_checkpoint_fraction`: the max-over-checkpoints frequency of a target
   set, whose gap at a cell boundary C11 pins;
 - `empirical_measure` and `F_pi_eval`: the prefix measure of a whole point
@@ -39,14 +40,71 @@ from maldist.doubling import BinaryPoint
 from maldist.empirical import CellPartition, CheckpointScan, EmpiricalMeasure, Residues
 from maldist.envelope import BlockSpec, RatioMeasure
 from maldist.exact import mod1, over_lcm
-from maldist.rng import SplitMix64
 from maldist.subspace import ExtensionTarget, validate_membership
 from maldist.torus import TorusInterval
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 
 PointSource = Callable[[int], Fraction]
+
+
+# --- seeded draws -----------------------------------------------------------------
+
+
+class SplitMix64:
+    """SplitMix64, the 64-bit mixer of Steele/Lea/Vigna that the `rng` field
+    of every JSON output names (`maldist.rng.ALGORITHM`): a counter-based
+    generator with one output per increment of the state."""
+
+    def __init__(self, seed: int):
+        self._state = seed & _MASK
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _GOLDEN) & _MASK
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        return z ^ (z >> 31)
+
+    def randrange(self, n: int) -> int:
+        """Uniform integer in [0, n) by rejection; n must fit in 64 bits."""
+        if not 0 < n <= _MASK:
+            raise ValueError("randrange bound out of range")
+        limit = _MASK - (_MASK + 1) % n
+        while True:
+            u = self.next_u64()
+            if u <= limit:
+                return u % n
+
+    def randint(self, lo: int, hi: int) -> int:
+        """Uniform integer in [lo, hi], inclusive."""
+        return lo + self.randrange(hi - lo + 1)
+
+    def subset(self, lo: int, hi: int, k: int) -> tuple[int, ...]:
+        """Uniform k-subset of {lo, ..., hi}, returned sorted (Floyd's method)."""
+        n = hi - lo + 1
+        if not 0 <= k <= n:
+            raise ValueError("subset size out of range")
+        chosen: set[int] = set()
+        for j in range(n - k, n):
+            t = self.randrange(j + 1)
+            chosen.add(lo + (j if lo + t in chosen else t))
+        return tuple(sorted(chosen))
+
+    def fraction(self, max_den: int, closed_top: bool = False) -> Fraction:
+        """Random rational p/q with q in [1, max_den], p in [0, q) or [0, q]."""
+        q = self.randint(1, max_den)
+        p = self.randrange(q + 1) if closed_top else self.randrange(q)
+        return Fraction(p, q)
+
+    def shuffle(self, items: list) -> None:
+        """In-place Fisher-Yates."""
+        for i in range(len(items) - 1, 0, -1):
+            j = self.randrange(i + 1)
+            items[i], items[j] = items[j], items[i]
 
 
 # --- points: residues and Fraction lists -----------------------------------------

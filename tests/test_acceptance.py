@@ -21,7 +21,6 @@ from maldist.doubling import (
 from maldist.empirical import CellPartition, MeasureVector, star_discrepancy
 from maldist.envelope import BlockSpec, envelope_dominates, pi_measure
 from maldist.exact import mod1
-from maldist.rng import SplitMix64
 from maldist.subspace import ExtensionTarget, greedy_extension
 from maldist.torus import TorusInterval, mul_mod1
 from maldist.witness import (
@@ -36,6 +35,7 @@ from maldist.witness import (
 from tests.conftest import GOLDEN
 from tests.oracles import (
     F_pi_eval,
+    SplitMix64,
     as_residues,
     brute_force_extension,
     cell_index,

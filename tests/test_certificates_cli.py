@@ -192,7 +192,7 @@ def test_hitfreq_forced_positions_follow_the_plan():
     cert["inputs"]["forced_positions"] = []
     cert["claims"] = [c for c in cert["claims"] if not c["id"].startswith("containment-")]
     assert certs.verify_certificate(cert).failures == (
-        "forced_positions are not c*repeats .. 2*c*repeats step c",
+        "inputs.forced_positions: not c*repeats .. 2*c*repeats step c",
     )
 
 
@@ -385,6 +385,40 @@ def test_cli_verify_names_a_malformed_certificate(tmp_path, text, failure):
     assert json.loads(check.stdout) == {"ok": False, "failures": [failure]}
 
 
+def _drop_inputs(inputs):
+    return None
+
+
+def _unknown_input(inputs):
+    return {**inputs, "extra": 1}
+
+
+@pytest.mark.parametrize(
+    "kind,edit,failure",
+    [
+        ("fivesixth", _drop_inputs, "inputs: missing"),
+        ("fivesixth", lambda inputs: [], "inputs: expected an object, got a list"),
+        ("fivesixth", _unknown_input, "inputs.extra: unknown field"),
+        ("fivesixth", lambda inputs: {**inputs, "horizon": 8.9},
+         "inputs.horizon: expected an integer, got a number"),
+        ("mixing", lambda inputs: {**inputs, "delta": None},
+         'inputs.delta: expected a "p/q" string, got null'),
+    ],
+    ids=["no-inputs", "inputs-list", "unknown-field", "float-horizon", "null-delta"],
+)
+def test_cli_verify_names_malformed_inputs(tmp_path, kind, edit, failure):
+    cert = dict(dict(all_certificates())[kind])
+    inputs = edit(cert.pop("inputs"))
+    if inputs is not None:
+        cert["inputs"] = inputs
+    out = tmp_path / "cert.json"
+    out.write_text(json.dumps(cert))
+    check = run_cli("verify", str(out))
+    assert check.returncode == 1, check.stderr
+    assert check.stderr == ""
+    assert json.loads(check.stdout) == {"ok": False, "failures": [failure]}
+
+
 def test_cli_byte_identical_reruns(tmp_path):
     args = (
         "witness", "--mode", "mixing", "--n", "100,10000,1000000",
@@ -432,6 +466,22 @@ def test_cli_envelope_generator_names(tmp_path):
     # log lengths over 20 blocks: ratios m/b land on 1, 1/2, 1/3, 1/4, 1/5
     locations = [atom[0] for atom in payload["pi"]]
     assert locations == ["1/5", "1/4", "1/3", "1/2", "1/1"]
+
+
+@pytest.mark.parametrize(
+    "spec,entry",
+    [
+        ('{"b": [2.7, 3.9], "m": [1, 1]}', "'b' entries must be JSON integers, got 2.7"),
+        ('{"b": [2, 3], "m": [1, true]}', "'m' entries must be JSON integers, got true"),
+        ('{"b": "linear", "m": [1, "2"]}', "'m' entries must be JSON integers, got \"2\""),
+    ],
+    ids=["float-b", "bool-m", "string-m"],
+)
+def test_cli_spec_lists_hold_only_json_integers(tmp_path, spec, entry):
+    res = run_cli("envelope", "--spec", spec, "--blocks", "2",
+                  "--out", str(tmp_path / "e.json"), "--table-out", str(tmp_path / "t.csv"))
+    assert res.returncode == 2
+    assert res.stderr == f"maldist envelope: --spec: {entry}\n"
 
 
 def test_cli_config_file_flag_wins(tmp_path):

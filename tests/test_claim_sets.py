@@ -177,5 +177,5 @@ def test_histogram_base_must_match_the_multiplier_count():
     cert = copy.deepcopy(CERTIFICATES["histogram"])
     cert["inputs"]["base"] = 3
     assert certs.verify_certificate(cert).failures == (
-        "inputs.multipliers has 64 entries, not base^2 = 9",
+        "inputs.multipliers: has 64 entries, not base^2 = 9",
     )

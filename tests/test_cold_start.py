@@ -21,7 +21,7 @@ EXPORTS = [
     "ExtensionResult", "ExtensionTarget", "HistogramTarget", "HistogramWitness",
     "HitFrequencyWitness", "MeasureVector", "MixingChain", "MixingConfig",
     "MixingConfigError", "OrbitHitReport", "RatioMeasure", "RationalParseError",
-    "Residues", "SplitMix64", "TorusInterval", "WindowDensity", "WitnessPlan",
+    "Residues", "TorusInterval", "WindowDensity", "WitnessPlan",
     "auto_plan", "avoidance_sequence", "check_admissible", "checkpoint_scan",
     "decimal_str", "doubling_orbit", "doubling_period", "envelope_dominates",
     "five_sixth_check", "format_rational", "greedy_extension",
@@ -85,7 +85,7 @@ def test_scan_rotation_loads_no_certificate_or_construction_layer(tmp_path):
 
 
 def test_all_is_the_pinned_export_set():
-    assert len(EXPORTS) == 50
+    assert len(EXPORTS) == 49
     assert sorted(maldist.__all__) == EXPORTS
 
 

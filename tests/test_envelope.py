@@ -13,9 +13,9 @@ from maldist.envelope import (
     envelope_dominates,
     pi_measure,
 )
-from maldist.rng import SplitMix64
 from tests.oracles import (
     F_pi_eval,
+    SplitMix64,
     harmonic_tail,
     mass_at_zero,
     mass_leq,

@@ -1,6 +1,6 @@
-"""The public surface carries no dead code: every function a layer module
-lists in `__all__`, and every method and property of a class that another
-package module references, has a caller inside the package."""
+"""The public surface carries no dead code: every function and class a
+layer module lists in `__all__`, and every method and property of a class
+that another package module references, has a caller inside the package."""
 
 import ast
 from pathlib import Path
@@ -43,6 +43,27 @@ def package_trees() -> dict[str, ast.Module]:
     }
 
 
+def unreferenced_public(node_type: type) -> tuple[list[str], list[str]]:
+    """The modules that declare `__all__`, and the names in it defined at
+    their top level as `node_type` that no module of the package other than
+    `__init__` references outside their own definition."""
+    trees = package_trees()
+    everywhere = {module: referenced_names(tree) for module, tree in trees.items()}
+    checked, unused = [], []
+    for module, tree in trees.items():
+        public = declared_all(tree)
+        if public is None:
+            continue
+        checked.append(module)
+        elsewhere = set().union(*(names for m, names in everywhere.items() if m != module))
+        defined = {node.name: node for node in tree.body if isinstance(node, node_type)}
+        for name in public:
+            if name in defined and name not in elsewhere:
+                if name not in referenced_names(tree, skip=defined[name]):
+                    unused.append(f"{module}.{name}")
+    return checked, unused
+
+
 def test_every_public_function_has_a_caller_in_the_package():
     """Each function in a layer's `__all__` is referenced by name in some
     module of the package other than `__init__`, outside its own definition.
@@ -54,22 +75,19 @@ def test_every_public_function_has_a_caller_in_the_package():
     mu-bar estimator was removed, `mu_bar_estimate` passed because
     `mu_bar_report` called it, and only `mu_bar_report` failed.)
     """
-    trees = package_trees()
-    everywhere = {module: referenced_names(tree) for module, tree in trees.items()}
-    checked, uncalled = [], []
-    for module, tree in trees.items():
-        public = declared_all(tree)
-        if public is None:
-            continue
-        checked.append(module)
-        elsewhere = set().union(*(names for m, names in everywhere.items() if m != module))
-        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-        for name in public:
-            if name in functions and name not in elsewhere:
-                if name not in referenced_names(tree, skip=functions[name]):
-                    uncalled.append(f"{module}.{name}")
+    checked, uncalled = unreferenced_public(ast.FunctionDef)
     assert {"empirical", "envelope", "subspace", "torus", "witness"} <= set(checked)
     assert uncalled == []
+
+
+def test_every_public_class_has_a_user_in_the_package():
+    """Each class in a layer's `__all__` is referenced by name in some module
+    of the package other than `__init__`, outside its own definition, by the
+    same rules as a function: a class only the tests use (as the SplitMix64
+    generator once was in `rng`) belongs in `tests/oracles.py`."""
+    checked, unused = unreferenced_public(ast.ClassDef)
+    assert {"empirical", "envelope", "subspace", "torus", "witness"} <= set(checked)
+    assert unused == []
 
 
 def test_every_method_of_a_shared_class_has_a_caller_in_the_package():

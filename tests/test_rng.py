@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from maldist.rng import SplitMix64
+from tests.oracles import SplitMix64
 
 
 def test_reference_stream_seed_zero():

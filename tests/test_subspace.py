@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from maldist import cli
 from maldist.empirical import CellPartition, MeasureVector, Residues
 from maldist.envelope import BlockSpec, pi_measure
-from maldist.rng import SplitMix64
 from maldist.subspace import (
     BlockTrace,
     ExtensionResult,
@@ -20,6 +19,7 @@ from maldist.subspace import (
     validate_membership,
 )
 from tests.oracles import (
+    SplitMix64,
     as_residues,
     block_range,
     brute_force_extension,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maldist import certificates as certs
 from maldist.torus import TorusInterval, interval_contains_interval, mul_mod1
 from tests.oracles import midpoint
 
@@ -82,5 +83,7 @@ def test_contains_interval_wrap_cases():
 
 
 def test_json_round_trip():
+    # Certificates read an interval back through their declared input field.
     iv = TorusInterval(F(4, 5), F(1, 10), wraps=True)
-    assert TorusInterval.from_json(iv.to_json()) == iv
+    assert iv.to_json() == {"left": "4/5", "right": "1/10", "wraps": True}
+    assert certs._INTERVAL.parse(iv.to_json()) == iv
