@@ -726,7 +726,11 @@ def _verify_avoid(inp: dict, stated: dict):
         "zero-hits": _claim("orbit-avoids-interval", hits, hits == 0),
     }
     if "star-discrepancy-floor" in stated:
-        floor = parse_rational(stated["star-discrepancy-floor"].get("floor"))
+        # The floor is the claim's own input, typed as an echoed rational.
+        try:
+            floor = _RATIONAL.parse(stated["star-discrepancy-floor"].get("floor"))
+        except _Refused as exc:
+            return [f"star-discrepancy-floor: floor: {exc.reason}"], None
         disc = star_discrepancy(Residues([n * p % q for n in indices], q))
         claims["star-discrepancy-floor"] = _claim("star-discrepancy-at-least", _fr(disc),
                                                   _fr(floor), disc >= floor)
@@ -770,35 +774,50 @@ def _verify_zeroblock(inp: dict, stated: dict):
     return failures, claims
 
 
+_MINUS_TWO_APART = re.compile("1.1")
+
+
 def _verify_fivesixth(inp: dict, stated: dict):
     alpha, horizon = inp["alpha"], inp["horizon"]
     # Independent recount via modular arithmetic on (2^k + 1) * alpha = s/q:
     # s/q lies in I' = (1/2 - alpha/3, 3/4 + alpha/3) iff 6s > 3q - 2p and
-    # 12s < 9q + 4p, and a hit is in I- iff (s - p) mod q <= q/2.
+    # 12s < 9q + 4p, and a hit is in I- iff (s - p) mod q <= q/2.  Here s =
+    # (r + p) mod q for r = 2^k p mod q, doubled step by step, so (s - p) mod
+    # q is r.  With q = 2^a q' (q' odd), r is on its cycle from k = max(a, 1)
+    # on, so the walk stops when r first returns there: one code per step (0
+    # a miss, 1 a hit in I-, 2 a hit in I+), over the preperiod and one
+    # period at most.
     p, q = alpha.numerator, alpha.denominator
-    hits = minus = plus = 0
-    minus_flags = []
-    plus_flags = []
+    cycle_from = max((q & -q).bit_length() - 1, 1)
+    low, high = 3 * q - 2 * p, 9 * q + 4 * p
+    steps = []
+    r, start = p, None
     for k in range(1, horizon + 1):
-        s = (pow(2, k, q) + 1) * p % q
-        hit = 6 * s > 3 * q - 2 * p and 12 * s < 9 * q + 4 * p
-        in_minus = in_plus = False
-        if hit:
-            hits += 1
-            in_minus = 2 * ((s - p) % q) <= q
-            in_plus = not in_minus
-            minus += in_minus
-            plus += in_plus
-        minus_flags.append(in_minus)
-        plus_flags.append(in_plus)
-    spacing_ok = True
-    for k in range(horizon):
-        if minus_flags[k] and (
-            (k + 1 < horizon and minus_flags[k + 1]) or (k + 2 < horizon and minus_flags[k + 2])
-        ):
-            spacing_ok = False
-        if plus_flags[k] and k + 1 < horizon and plus_flags[k + 1]:
-            spacing_ok = False
+        r = 2 * r % q
+        if k == cycle_from:
+            start = r
+        elif r == start:
+            break
+        s = (r + p) % q
+        if 6 * s > low and 12 * s < high:
+            steps.append("1" if 2 * r <= q else "2")
+        else:
+            steps.append("0")
+    codes = "".join(steps)
+    window, minus, plus = codes, codes.count("1"), codes.count("2")
+    if len(codes) < horizon:
+        # Steps past the walk repeat its period: whole periods, then a part
+        # of one; the spacing reads the walk and the period's first two
+        # steps after it.
+        pre = cycle_from - 1
+        period = codes[pre:]
+        whole, rest = divmod(horizon - pre, len(period))
+        part = codes[:pre] + period[:rest]
+        minus = part.count("1") + whole * period.count("1")
+        plus = part.count("2") + whole * period.count("2")
+        window = (codes + period + period)[:min(horizon, len(codes) + 2)]
+    spacing_ok = not ("11" in window or "22" in window or _MINUS_TWO_APART.search(window))
+    hits = minus + plus
     density, bound = Fraction(hits, horizon), Fraction(5, 6) + Fraction(3, horizon)
     return [], {
         "hit-count": _claim("widened-interval-hits", hits, minus, plus, True),
@@ -811,16 +830,13 @@ def _verify_invariance(inp: dict, stated: dict):
     alpha, steps, partition = inp["alpha"], inp["steps"], inp["cuts"]
     if not partition.is_dyadic():
         return ["invariance-defect: partition cut points must be dyadic rationals"], None
-    # Recount along the residues r = 2^k p mod q of the orbit: each point r/q
-    # counts +1 in its cell and -1 in the cell of its image 2r/q mod 1.
+    # Along the residues r_k = 2^k p mod q, k = 1..steps, each point counts
+    # +1 in its cell and -1 in the cell of its image r_{k+1}; the sum
+    # telescopes to +1 in the cell of r_1 and -1 in that of r_{steps+1}.
     v = mod1(alpha)
-    r, q = v.numerator, v.denominator
-    counts = [0] * partition.size
-    for _ in range(steps):
-        r = 2 * r % q
-        counts[partition.cell_of(r, q)] += 1
-        counts[partition.cell_of(2 * r % q, q)] -= 1
-    defect = Fraction(max(abs(c) for c in counts), steps)
+    p, q = v.numerator, v.denominator
+    ends = partition.cell_of(2 * p % q, q), partition.cell_of(pow(2, steps + 1, q) * p % q, q)
+    defect = Fraction(int(ends[0] != ends[1]), steps)
     bound = Fraction(2, steps)
     return [], {
         "invariance-defect": _claim("invariance-defect-equals", _fr(defect), True),

@@ -13,8 +13,8 @@ option parsing needs.  Each `_cmd_*` handler imports the layers it calls when
 it runs, a layer only one mode needs inside that mode's branch, and
 `_interval`, `_block_spec` and `_points_source` do likewise.  A process
 therefore loads only its own subcommand's layers: `verify` loads
-`certificates` and the primitives its verifiers recount with, and `scan`
-loads `empirical` alone.
+`certificates` and the primitives its verifiers recount with, and a
+rotation `scan` loads `empirical` alone.
 
 Outputs are JSON certificates (stable key order) and CSV tables; identical
 configuration reproduces identical bytes.  No subcommand draws a random
@@ -295,25 +295,30 @@ class _RotationResidues:
         return [k * p % q for k in n]
 
 
+def _x_kind(opts: dict) -> str:
+    kind = opts.get("x-kind", "rotation")
+    if kind not in ("rotation", "doubling"):
+        raise CliError(f"--x-kind: unknown kind {kind!r} (use rotation or doubling)")
+    return kind
+
+
 def _points_source(opts: dict, count: int) -> Residues:
     """The first `count` points of the --x-kind orbit of --x-alpha, as
-    residues: for the subspace greedy, which reads the cells of the indices
-    its picks need, and for a doubling scan.  A doubling orbit is listed; a
-    rotation's residues are formed only when read (`_RotationResidues`), and
-    a rotation scan reads none (`rotation_scan`)."""
-    kind = opts.get("x-kind", "rotation")
+    residues, for the subspace greedy, which reads the cells of the indices
+    its picks need.  A doubling orbit is listed; a rotation's residues are
+    formed only when read (`_RotationResidues`).  A scan reads neither: it
+    counts a rotation by floor sums (`rotation_scan`) and a doubling orbit
+    over one period (`doubling_scan`)."""
+    kind = _x_kind(opts)
+    alpha = _rational(opts, "x-alpha")
     if kind == "rotation":
         from .empirical import Residues
 
-        alpha = _rational(opts, "x-alpha")
         p, q = alpha.numerator, alpha.denominator
         return Residues(_RotationResidues(p, q, count), q)
-    if kind == "doubling":
-        from .doubling import doubling_orbit
+    from .doubling import doubling_orbit
 
-        alpha = _rational(opts, "x-alpha")
-        return doubling_orbit(alpha, count)
-    raise CliError(f"--x-kind: unknown kind {kind!r} (use rotation or doubling)")
+    return doubling_orbit(alpha, count)
 
 
 # ---------------------------------------------------------------------------
@@ -524,17 +529,15 @@ def _cmd_doubling(opts: dict) -> int:
         return 0
     if mode == "invariance":
         alpha = _rational(opts, "alpha")
-        pre, period = doubling_period(alpha)
-        steps = _int(opts, "steps", pre + period)
+        # By default one preperiod and one period, found only then.
+        steps = _int(opts, "steps") if "steps" in opts else sum(doubling_period(alpha))
         level = _int(opts, "level", 3)
         partition = CellPartition.dyadic(level)
-        orbit = doubling_orbit(alpha, steps)
-        defect = invariance_defect(orbit, partition)
+        defect = invariance_defect(alpha, steps, partition)
         cert = certs.invariance_certificate(alpha, steps, partition, defect)
     elif mode == "fivesixth":
         alpha = _rational(opts, "alpha")
-        pre, period = doubling_period(alpha)
-        horizon = _int(opts, "horizon", pre + period)
+        horizon = _int(opts, "horizon") if "horizon" in opts else sum(doubling_period(alpha))
         report = five_sixth_check(alpha, horizon)
         cert = certs.fivesixth_certificate(report, alpha)
     elif mode == "zeroblock":
@@ -558,7 +561,7 @@ def _cmd_doubling(opts: dict) -> int:
 
 
 def _cmd_scan(opts: dict) -> int:
-    from .empirical import CellPartition, checkpoint_scan, rotation_scan, scan_to_csv
+    from .empirical import CellPartition, rotation_scan, scan_to_csv
 
     checkpoints = _int_list(_require(opts, "checkpoints"), "checkpoints")
     if not checkpoints:
@@ -572,11 +575,14 @@ def _cmd_scan(opts: dict) -> int:
             # run from 0 to 1.
             raise CliError("--cells: need at least 1 cell")
         partition = CellPartition.uniform(cells)
-    if opts.get("x-kind", "rotation") == "rotation":
-        alpha = _rational(opts, "x-alpha")
+    kind = _x_kind(opts)
+    alpha = _rational(opts, "x-alpha")
+    if kind == "rotation":
         scan = rotation_scan(alpha.numerator, alpha.denominator, partition, checkpoints)
     else:
-        scan = checkpoint_scan(_points_source(opts, max(checkpoints)), partition, checkpoints)
+        from .doubling import doubling_scan
+
+        scan = doubling_scan(alpha, partition, checkpoints)
     _write_text(scan_to_csv(scan, digits=_int(opts, "digits", 12)), opts.get("out"))
     return 0
 

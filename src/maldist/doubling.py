@@ -2,25 +2,41 @@
 facts about their empirical measures.
 
 Covers dyadic points given by their binary digits, orbits as residues over
-one denominator, exact invariance defects of orbit segments, the 5/6
-density cap for hits of the widened middle interval along (2^k + 1)-orbits
-of small points, and the density-1 hitting counts for points whose binary
-expansion carries long zero blocks.
+one denominator, checkpoint scans of their prefix measures, exact invariance
+defects of orbit segments, the 5/6 density cap for hits of the widened
+middle interval along (2^k + 1)-orbits of small points, and the density-1
+hitting counts for points whose binary expansion carries long zero blocks.
+
+The orbit of alpha = p/q is r_k = 2^k p mod q over q.  With q = 2^a q' and
+q' odd it is periodic from k = max(a, 1) on, with period ord_{q'}(2), so
+the scan and the 5/6 check walk at most one preperiod and one period and
+fold the counts of any horizon from them; the invariance defect needs only
+the first point and the one past the horizon.  Their cost follows the
+period, not the horizon.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import mod1
-from .empirical import CellPartition, Residues, _cell_indices
+from .empirical import (
+    CellPartition,
+    CheckpointScan,
+    EmpiricalMeasure,
+    Residues,
+    _checked_checkpoints,
+    checkpoint_scan,
+)
 
 __all__ = [
     "BinaryPoint",
     "OrbitHitReport",
     "WindowDensity",
     "doubling_orbit",
+    "doubling_scan",
     "invariance_defect",
     "five_sixth_check",
     "zero_block_density",
@@ -77,26 +93,103 @@ def doubling_period(alpha: Fraction) -> tuple[int, int]:
     return (pre, p)
 
 
-def invariance_defect(points: Residues, partition: CellPartition) -> Fraction:
-    """Max over cells A of |freq(A) - freq(T^{-1}A)| for the segment's
-    empirical measure; exactly 0 on full periods of a periodic orbit.
+def _orbit_to_cycle(r: int, q: int, horizon: int) -> tuple[list[int], int]:
+    """The residues r_k = 2^k r mod q for k = 1, 2, ... up to the horizon or
+    until the orbit returns to the start of its cycle, whichever comes
+    first, and the number `pre` of them before that start.
 
-    Membership in T^{-1}A is decided exactly by doubling each point, so the
-    defect is exact; the partition must be dyadic (cut points k/2^L), the
-    only family under which the comparison is meaningful cell by cell.
+    With q = 2^a q' and q' odd, r_k = r_{k+P} for every k >= a once q'
+    divides 2^P - 1, so r_k is on the cycle from k = max(a, 1) on.  When the
+    list is shorter than the horizon, its entries from `pre` on are one
+    whole period.
     """
-    if not points:
+    pre = min(max((q & -q).bit_length() - 1, 1) - 1, horizon)
+    out = []
+    for _ in range(pre):
+        r = 2 * r % q
+        out.append(r)
+    if horizon > pre:
+        r = start = 2 * r % q
+        out.append(r)
+        for _ in range(horizon - pre - 1):
+            r = 2 * r % q
+            if r == start:
+                break
+            out.append(r)
+    return out, pre
+
+
+def _fold(n: int, pre: int, horizon: int) -> tuple[int, int]:
+    """(whole, end) such that any count over the first `horizon` steps of an
+    orbit walked by `_orbit_to_cycle` in n steps, its period starting after
+    step pre, is C(end) + whole * (C(n) - C(pre)), with C(i) that count over
+    the walk's first i steps.
+
+    A horizon past the walk covers the preperiod, (horizon - pre) // P whole
+    periods of P = n - pre steps and the first (horizon - pre) % P steps of
+    one more.
+    """
+    if horizon <= n:
+        return 0, horizon
+    whole, rest = divmod(horizon - pre, n - pre)
+    return whole, pre + rest
+
+
+def doubling_scan(
+    alpha: Fraction, partition: CellPartition, checkpoints: Sequence[int]
+) -> CheckpointScan:
+    """Scan of prefix measures of the doubling orbit x_k = 2^k alpha mod 1,
+    k = 1, 2, ..., equal to `checkpoint_scan` of `doubling_orbit(alpha,
+    max(checkpoints))`.
+
+    The orbit is walked over its preperiod and one period at most; one
+    `checkpoint_scan` of the walk gives the counts of the prefixes that the
+    checkpoints fold from (`_fold`).  A scan costs O(pre + period + cells *
+    checkpoints), whatever the checkpoints are.
+    """
+    cps = _checked_checkpoints(checkpoints)
+    v = mod1(Fraction(alpha))
+    q = v.denominator
+    residues, pre = _orbit_to_cycle(v.numerator, q, cps[-1])
+    n = len(residues)
+    folds = [_fold(n, pre, N) for N in cps]
+    ends = sorted({pre, n, *(end for _, end in folds)} - {0})
+    walk = checkpoint_scan(Residues(residues, q), partition, ends)
+    prefix = {0: (0,) * partition.size}
+    prefix.update(zip(ends, (m.counts for m in walk.measures)))
+    measures = []
+    for (whole, end), N in zip(folds, cps):
+        counts = prefix[end]
+        if whole:
+            counts = tuple(e + whole * (f - c) for e, f, c in zip(counts, prefix[n], prefix[pre]))
+        measures.append(EmpiricalMeasure(counts, N))
+    return CheckpointScan(tuple(cps), tuple(measures))
+
+
+def invariance_defect(alpha: Fraction, steps: int, partition: CellPartition) -> Fraction:
+    """Max over cells A of |freq(A) - freq(T^{-1}A)| for the empirical
+    measure of the orbit segment x_k = T^k(alpha), k = 1..steps.
+
+    x_k lies in T^{-1}A iff its image x_{k+1} lies in A, so the count of A
+    minus that of T^{-1}A telescopes: sum_k [x_k in A] - [x_{k+1} in A] =
+    [x_1 in A] - [x_{N+1} in A] for N = steps.  The defect is therefore 1/N
+    when x_1 and x_{N+1} lie in different cells and 0 otherwise (so 0 on
+    full periods of a periodic orbit): two exact cell lookups and one
+    modular power 2^(N+1) mod q, whatever N is.  The partition must be
+    dyadic (cut points k/2^L), the only family under which the comparison
+    is meaningful cell by cell.
+    """
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    if steps == 0:
         raise ValueError("empty orbit segment")
     if not partition.is_dyadic():
         raise ValueError("partition cut points must be dyadic rationals")
-    counts = [0] * partition.size
-    nums, q = points.nums, points.den
-    bounds = partition.thresholds(q)[1:]
-    for c in _cell_indices(nums, bounds, q):
-        counts[c] += 1
-    for c in _cell_indices([2 * r % q for r in nums], bounds, q):
-        counts[c] -= 1
-    return Fraction(max(abs(c) for c in counts), len(points))
+    v = mod1(Fraction(alpha))
+    p, q = v.numerator, v.denominator
+    first = partition.cell_of(2 * p % q, q)
+    past = partition.cell_of(pow(2, steps + 1, q) * p % q, q)
+    return Fraction(int(first != past), steps)
 
 
 @dataclass(frozen=True)
@@ -113,6 +206,23 @@ class OrbitHitReport:
     spacing_ok: bool
 
 
+def _spacing_ok(codes: bytes, pre: int, horizon: int) -> bool:
+    """Whether no hit of I- (code 1) is followed by another one step or two
+    later, and no hit of I+ (code 2) by another one step later, among the
+    first `horizon` steps of an orbit walked by `_orbit_to_cycle`, given
+    its steps' codes.
+
+    When the horizon passes the walk, every pair of steps at most 2 apart
+    is a pair of the walk itself or of its last steps and the first two of
+    the period that repeats them (the wrap), so those are the pairs read.
+    Steps two apart are adjacent among the steps of one parity.
+    """
+    if horizon > len(codes):
+        codes = (codes + (codes[pre:] * 2)[:2])[:horizon]
+    return not (b"\x01\x01" in codes or b"\x02\x02" in codes
+                or b"\x01\x01" in codes[::2] or b"\x01\x01" in codes[1::2])
+
+
 def five_sixth_check(alpha: Fraction, horizon: int) -> OrbitHitReport:
     """Count k <= horizon with (2^k + 1)*alpha mod 1 in the widened interval
     I' = (1/2 - alpha/3, 3/4 + alpha/3); requires 0 < alpha < 1/16.
@@ -124,6 +234,11 @@ def five_sixth_check(alpha: Fraction, horizon: int) -> OrbitHitReport:
     5/6 * horizon + O(1); the report asserts density <= 5/6 + 3/horizon and
     verifies the spacing patterns k,k+1 / k,k+2 in I- and k,k+1 in I+
     exactly along the orbit.
+
+    The orbit is walked over its preperiod and one period at most: the
+    counts at the horizon are folded from those steps (`_fold`), and the
+    spacing is read over them and the period's 2-step wrap
+    (`_spacing_ok`).
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < Fraction(1, 16):
@@ -132,44 +247,34 @@ def five_sixth_check(alpha: Fraction, horizon: int) -> OrbitHitReport:
         raise ValueError("horizon must be positive")
     # With alpha = p/q and v = 2^k alpha = r/q, the intervals in integers:
     # I-: 6r > 3q - 8p and 2r <= q; I+: 2r > q and 12r < 9q - 8p;
-    # I' holds s = (r + p) mod q iff 6s > 3q - 2p and 12s < 9q + 4p.
+    # I' holds s = (r + p) mod q iff 6s > 3q - 2p and 12s < 9q + 4p.  For
+    # an integer r, 6r > a iff r > a // 6, and 12r < b iff r <= (b - 1) // 12.
     p, q = alpha.numerator, alpha.denominator
-    minus_flags = []
-    plus_flags = []
-    hits = 0
-    r = p
-    for k in range(1, horizon + 1):
-        r = 2 * r % q
-        shifted = (r + p) % q
-        in_minus = 6 * r > 3 * q - 8 * p and 2 * r <= q
-        in_plus = 2 * r > q and 12 * r < 9 * q - 8 * p
-        in_wide = 6 * shifted > 3 * q - 2 * p and 12 * shifted < 9 * q + 4 * p
-        if in_wide != (in_minus or in_plus):
+    half = q // 2
+    minus_lo, plus_hi = (3 * q - 8 * p) // 6, (9 * q - 8 * p - 1) // 12
+    wide_lo, wide_hi = (3 * q - 2 * p) // 6, (9 * q + 4 * p - 1) // 12
+    residues, pre = _orbit_to_cycle(p, q, horizon)
+    codes = bytearray()  # per step: 1 a hit of I-, 2 a hit of I+, 0 a miss
+    for r in residues:
+        code = 1 if minus_lo < r <= half else 2 if half < r <= plus_hi else 0
+        if (wide_lo < (r + p) % q <= wide_hi) != (code != 0):
             raise AssertionError("shifted-orbit identity failed")  # unreachable
-        minus_flags.append(in_minus)
-        plus_flags.append(in_plus)
-        if in_minus or in_plus:
-            hits += 1
-    spacing_ok = True
-    for k in range(horizon):
-        if minus_flags[k]:
-            if k + 1 < horizon and minus_flags[k + 1]:
-                spacing_ok = False
-            if k + 2 < horizon and minus_flags[k + 2]:
-                spacing_ok = False
-        if plus_flags[k] and k + 1 < horizon and plus_flags[k + 1]:
-            spacing_ok = False
+        codes.append(code)
+    whole, end = _fold(len(codes), pre, horizon)
+    minus_hits = codes[:end].count(1) + whole * codes[pre:].count(1)
+    plus_hits = codes[:end].count(2) + whole * codes[pre:].count(2)
+    hits = minus_hits + plus_hits
     density = Fraction(hits, horizon)
     bound = Fraction(5, 6) + Fraction(3, horizon)
     return OrbitHitReport(
         horizon=horizon,
         hits=hits,
         density=density,
-        minus_hits=sum(minus_flags),
-        plus_hits=sum(plus_flags),
+        minus_hits=minus_hits,
+        plus_hits=plus_hits,
         density_bound=bound,
         bound_ok=density <= bound,
-        spacing_ok=spacing_ok,
+        spacing_ok=_spacing_ok(codes, pre, horizon),
     )
 
 

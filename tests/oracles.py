@@ -13,10 +13,13 @@ program against.  None of it backs a `maldist` subcommand.
 - `empirical_measure` and `F_pi_eval`: the prefix measure of a whole point
   list and F at one Fraction;
 - the plain-Fraction paths the program dropped when `Residues` became its
-  only point type: `cell_index`, `fraction_checkpoint_scan`,
-  `fraction_star_discrepancy` and `fraction_invariance_defect`, which the
-  differential tests compare the integer kernels against, and `as_residues`
-  and `fractions_of`, which convert between the two forms;
+  only point type: `cell_index`, `fraction_checkpoint_scan` and
+  `fraction_star_discrepancy`, which the differential tests compare the
+  integer kernels against, and `as_residues` and `fractions_of`, which
+  convert between the two forms;
+- `stepwise_invariance_defect`: the invariance defect counted along the
+  orbit one step at a time, the reference for the two-lookup identity
+  `invariance_defect` and the invariance verifier use;
 - methods only the tests used: the ratio-measure constructors and sums
   (`ratio_measure_from_pairs`, `point_mass`, `mass_at_zero`, `mass_leq`,
   `harmonic_tail`, `tv_norm_distance`), the arc `midpoint`, the digit
@@ -166,18 +169,21 @@ def fraction_star_discrepancy(points: Sequence[Fraction]) -> Fraction:
     return Fraction(best, n * q)
 
 
-def fraction_invariance_defect(points: Sequence[Fraction], partition: CellPartition) -> Fraction:
-    """Max over cells A of |freq(A) - freq(T^{-1}A)|, one point at a time."""
-    if not points:
+def stepwise_invariance_defect(alpha: Fraction, steps: int, partition: CellPartition) -> Fraction:
+    """Max over cells A of |freq(A) - freq(T^{-1}A)| for the orbit segment
+    T^k(alpha), k = 1..steps, one step at a time: each point counts +1 in
+    its cell and -1 in the cell of its image."""
+    if steps < 1:
         raise ValueError("empty orbit segment")
     if not partition.is_dyadic():
         raise ValueError("partition cut points must be dyadic rationals")
     counts = [0] * partition.size
-    for p in points:
-        r, q = p.numerator, p.denominator
-        counts[partition.cell_of(r, q)] += 1
-        counts[partition.cell_of(2 * r % q, q)] -= 1
-    return Fraction(max(abs(c) for c in counts), len(points))
+    x = mod1(Fraction(alpha))
+    for _ in range(steps):
+        x = mod1(2 * x)
+        counts[cell_index(partition, x)] += 1
+        counts[cell_index(partition, mod1(2 * x))] -= 1
+    return Fraction(max(abs(c) for c in counts), steps)
 
 
 def empirical_measure(points: Sequence[Fraction], partition: CellPartition) -> EmpiricalMeasure:

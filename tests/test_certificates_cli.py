@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import maldist
 from maldist import certificates as certs
 from maldist.doubling import (
-    doubling_orbit,
     five_sixth_check,
     invariance_defect,
     zero_block_density,
@@ -98,8 +97,7 @@ def all_certificates():
     yield "fivesixth", certs.fivesixth_certificate(report, F(1, 17))
 
     partition = CellPartition.dyadic(3)
-    orbit = doubling_orbit(F(1, 17), 8)
-    defect = invariance_defect(orbit, partition)
+    defect = invariance_defect(F(1, 17), 8, partition)
     yield "invariance", certs.invariance_certificate(F(1, 17), 8, partition, defect)
 
     mu = MeasureVector((F(3, 5), F(2, 5)))
@@ -272,7 +270,7 @@ denominators = st.one_of(
 def test_invariance_verifier_recounts_the_defect(p, q, steps, level):
     alpha = F(p % q, q)
     partition = CellPartition.dyadic(level)
-    defect = invariance_defect(doubling_orbit(alpha, steps), partition)
+    defect = invariance_defect(alpha, steps, partition)
     cert = certs.invariance_certificate(alpha, steps, partition, defect)
     assert certs.verify_certificate(cert).ok
     # One count more or less in the stated defect is caught.
@@ -645,6 +643,32 @@ def test_cli_doubling_zeroblock_roundtrip(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert run_cli("verify", str(out)).returncode == 0
+
+
+def test_cli_doubling_at_horizon_ten_to_the_fifteen(tmp_path, capsys):
+    """The orbit of 1/17 is 2/17, 4/17, ..., 1/17 with period 8, so its 5/6
+    check, invariance defect and scan at N = 10^15, and the verifiers, walk
+    one period: 2 hits per period, full periods with defect 0, and one
+    point per period in each of 8 of the 16 cells."""
+    from maldist import cli
+
+    n = 10**15
+    five, inv = tmp_path / "five.json", tmp_path / "inv.json"
+    assert cli.main(["doubling", "--mode", "fivesixth", "--alpha", "1/17",
+                     "--horizon", str(n), "--out", str(five)]) == 0
+    assert cli.main(["doubling", "--mode", "invariance", "--alpha", "1/17",
+                     "--steps", str(n), "--level", "3", "--out", str(inv)]) == 0
+    hits = json.loads(five.read_text())["claims"][0]
+    assert (hits["hits"], hits["minus_hits"], hits["plus_hits"]) == (n // 4, n // 8, n // 8)
+    assert json.loads(inv.read_text())["claims"][0]["defect"] == "0/1"
+    for cert in (five, inv):
+        assert cli.main(["verify", str(cert), "--out", str(tmp_path / "v.json")]) == 0
+        assert json.loads((tmp_path / "v.json").read_text()) == {"ok": True, "failures": []}
+    assert cli.main(["scan", "--x-kind", "doubling", "--x-alpha", "1/17", "--cells", "16",
+                     "--checkpoints", f"1000,{n}"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1].split(",")
+    cells = {16 * (pow(2, k, 17)) // 17 for k in range(1, 9)}
+    assert last[17:] == ["1/8" if c in cells else "0/1" for c in range(16)]
 
 
 def test_cli_env_seed_echoed(tmp_path):

@@ -173,6 +173,25 @@ def test_every_claim_field_is_recomputed(kind):
     assert escaped == []
 
 
+@pytest.mark.parametrize("floor,reason", [
+    (None, 'expected a "p/q" string, got null'),
+    ("x", "bad rational 'x' at position 0: expected 'p/q', integer or decimal"),
+    (5, 'expected a "p/q" string, got an integer'),
+    ("1/0", "bad rational '1/0' at position 2: zero denominator"),
+    ("missing", 'expected a "p/q" string, got null'),
+], ids=["null", "text", "integer", "zero-denominator", "missing"])
+def test_malformed_discrepancy_floor_fails_by_name(floor, reason):
+    """The floor is the star-discrepancy claim's own input; a floor that is
+    no rational fails as that claim's, not as a fault of the verifier."""
+    cert = copy.deepcopy(CERTIFICATES["avoid"])
+    [claim] = [c for c in cert["claims"] if c["id"] == "star-discrepancy-floor"]
+    if floor == "missing":
+        del claim["floor"]
+    else:
+        claim["floor"] = floor
+    assert certs.verify_certificate(cert).failures == (f"star-discrepancy-floor: floor: {reason}",)
+
+
 def test_histogram_base_must_match_the_multiplier_count():
     cert = copy.deepcopy(CERTIFICATES["histogram"])
     cert["inputs"]["base"] = 3

@@ -1,14 +1,19 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from maldist import certificates as certs
 from maldist.doubling import (
     BinaryPoint,
     OrbitHitReport,
+    _fold,
+    _spacing_ok,
     doubling_orbit,
     doubling_period,
+    doubling_scan,
     five_sixth_check,
     invariance_defect,
     zero_block_density,
@@ -16,7 +21,12 @@ from maldist.doubling import (
 from maldist.empirical import CellPartition
 from maldist.exact import mod1
 from maldist.torus import TorusInterval
-from tests.oracles import cell_index, fractions_of, shift_value
+from tests.oracles import (
+    fraction_checkpoint_scan,
+    fractions_of,
+    shift_value,
+    stepwise_invariance_defect,
+)
 
 
 def test_orbit_period_two():
@@ -62,24 +72,21 @@ def test_period_with_even_denominator():
 def test_invariance_zero_on_full_periods():
     for den in (3, 17, 257):
         pre, period = doubling_period(F(1, den))
-        orbit = doubling_orbit(F(1, den), period)
         for level in range(1, 7):
-            assert invariance_defect(orbit, CellPartition.dyadic(level)) == 0
+            assert invariance_defect(F(1, den), period, CellPartition.dyadic(level)) == 0
 
 
 def test_invariance_truncation_bound():
     for den in (17, 257):
         _, period = doubling_period(F(1, den))
         for cut in (1, 2, 3):
-            orbit = doubling_orbit(F(1, den), period - cut)
-            defect = invariance_defect(orbit, CellPartition.dyadic(3))
+            defect = invariance_defect(F(1, den), period - cut, CellPartition.dyadic(3))
             assert defect <= F(2, period - cut)
 
 
 def test_invariance_rejects_non_dyadic():
-    orbit = doubling_orbit(F(1, 3), 2)
     with pytest.raises(ValueError):
-        invariance_defect(orbit, CellPartition((F(0), F(1, 3), F(1))))
+        invariance_defect(F(1, 3), 2, CellPartition((F(0), F(1, 3), F(1))))
 
 
 def test_shifted_orbit_identity():
@@ -142,15 +149,6 @@ def reference_doubling_orbit(alpha, steps):
         v = mod1(2 * v)
         out.append(v)
     return out
-
-
-def reference_invariance_defect(points, partition):
-    n, s = len(points), partition.size
-    counts, pre_counts = [0] * s, [0] * s
-    for p in points:
-        counts[cell_index(partition, p)] += 1
-        pre_counts[cell_index(partition, mod1(2 * F(p)))] += 1
-    return max(abs(F(counts[i] - pre_counts[i], n)) for i in range(s))
 
 
 def reference_five_sixth_check(alpha, horizon):
@@ -231,9 +229,8 @@ def test_invariance_defect_matches_fraction_reference(alpha, steps, data):
         )
     )
     partition = CellPartition((F(0), *sorted(inner), F(1)))
-    orbit = doubling_orbit(alpha, steps)
-    assert invariance_defect(orbit, partition) == reference_invariance_defect(
-        fractions_of(orbit), partition
+    assert invariance_defect(alpha, steps, partition) == stepwise_invariance_defect(
+        alpha, steps, partition
     )
 
 
@@ -262,3 +259,127 @@ def test_zero_block_density_matches_fraction_reference(digits, data):
     got = zero_block_density(point, windows)
     assert [w.hits for w in got] == reference_zero_block_hits(point, windows)
     assert [w.window_end for w in got] == windows
+
+
+# --- period folding against the step-by-step references -----------------------
+#
+# The orbit of p/q under doubling, with q = 2^a * q' and q' odd, is periodic
+# from step max(a, 1) on with period ord_{q'}(2).  The kernels walk one
+# preperiod and one period and fold any horizon from them; the references
+# walk every step.  The denominators below have periods 1..500 (q' divides
+# 2^P - 1), and the horizons run to several periods past the preperiod.
+
+
+@st.composite
+def periodic_denominators(draw):
+    """q = 2^a * q' with q' an odd divisor of 2^P - 1, P <= 500, so that the
+    period divides P: a small divisor gcd(2^P - 1, m) or its cofactor."""
+    period = draw(st.integers(min_value=1, max_value=500))
+    mersenne = (1 << period) - 1
+    odd = gcd(mersenne, draw(st.integers(min_value=1, max_value=10**6)))
+    if draw(st.booleans()):
+        odd = mersenne // odd
+    return odd << draw(st.integers(min_value=0, max_value=12))
+
+
+@st.composite
+def small_alphas(draw):
+    """alpha = p/q in (0, 1/16) over a periodic denominator q >= 17."""
+    q = draw(periodic_denominators())
+    if q < 17:
+        q <<= 5
+    return F(draw(st.integers(min_value=1, max_value=(q - 1) // 16)), q)
+
+
+def horizons(alpha, data):
+    """A horizon from 1 to four periods past the preperiod."""
+    pre, period = doubling_period(alpha)
+    return data.draw(st.integers(min_value=1, max_value=pre + 4 * period + 3))
+
+
+def fivesixth_agrees_with_reference(alpha, horizon):
+    want = reference_five_sixth_check(alpha, horizon)
+    assert five_sixth_check(alpha, horizon) == want
+    # The verifier recomputes every claim of the reference's certificate.
+    assert certs.verify_certificate(certs.fivesixth_certificate(want, alpha)).failures == ()
+
+
+def scan_agrees_with_reference(alpha, partition, checkpoints):
+    points = reference_doubling_orbit(alpha, checkpoints[-1])
+    assert doubling_scan(alpha, partition, checkpoints) == fraction_checkpoint_scan(
+        points, partition, checkpoints
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_alphas(), st.data())
+def test_five_sixth_check_and_verifier_fold_periods(alpha, data):
+    fivesixth_agrees_with_reference(alpha, horizons(alpha, data))
+
+
+@settings(max_examples=150, deadline=None)
+@given(periodic_denominators(), st.data())
+def test_invariance_defect_and_verifier_over_several_periods(q, data):
+    alpha = F(data.draw(st.integers(min_value=0, max_value=q - 1)), q)
+    steps = horizons(alpha, data)
+    partition = CellPartition.dyadic(data.draw(st.integers(min_value=0, max_value=6)))
+    defect = stepwise_invariance_defect(alpha, steps, partition)
+    assert invariance_defect(alpha, steps, partition) == defect
+    cert = certs.invariance_certificate(alpha, steps, partition, defect)
+    assert certs.verify_certificate(cert).failures == ()
+
+
+@settings(max_examples=150, deadline=None)
+@given(periodic_denominators(), st.data())
+def test_doubling_scan_folds_periods(q, data):
+    alpha = F(data.draw(st.integers(min_value=0, max_value=q - 1)), q)
+    pre, period = doubling_period(alpha)
+    limit = pre + 4 * period + 3
+    checkpoints = sorted(data.draw(st.sets(st.integers(min_value=1, max_value=limit),
+                                           min_size=1, max_size=6)))
+    partition = CellPartition.uniform(data.draw(st.integers(min_value=1, max_value=12)))
+    scan_agrees_with_reference(alpha, partition, checkpoints)
+
+
+@pytest.mark.parametrize("alpha,pre,period", [
+    (F(1, 32), 5, 1),  # the orbit reaches 0 and stays
+    (F(1, 48), 4, 2),
+    (F(1, 56), 3, 3),
+])
+def test_short_periods_at_every_horizon(alpha, pre, period):
+    """Periods 1, 2 and 3 are the edge cases of the spacing wrap, which
+    reads the period's first two steps after its last ones."""
+    assert doubling_period(alpha) == (pre, period)
+    limit = pre + 5 * period + 3
+    for horizon in range(1, limit + 1):
+        fivesixth_agrees_with_reference(alpha, horizon)
+    scan_agrees_with_reference(alpha, CellPartition.dyadic(4), list(range(1, limit + 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=2), max_size=4),
+    st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=4),
+    st.data(),
+)
+def test_spacing_and_counts_fold_from_one_period(pre_codes, period_codes, data):
+    """On any code sequence, a preperiod then a repeating period, the spacing
+    read over the walk and its wrap and the counts folded from the walk
+    equal those of the sequence written out to the horizon.  Real orbits
+    never break the spacing (the 5/6 lemma), so this is where a broken wrap
+    shows."""
+    walk = bytes(pre_codes + period_codes)
+    pre = len(pre_codes)
+    horizon = data.draw(st.integers(min_value=1, max_value=len(walk) + 5 * len(period_codes)))
+    walk = walk[:horizon]
+    full = (pre_codes + period_codes * horizon)[:horizon]
+    flags = [(c == 1, c == 2) for c in full]
+    want = all(
+        not (flags[k][0] and any(m for m, _ in flags[k + 1:k + 3]))
+        and not (flags[k][1] and k + 1 < horizon and flags[k + 1][1])
+        for k in range(horizon)
+    )
+    assert _spacing_ok(walk, pre, horizon) == want
+    whole, end = _fold(len(walk), pre, horizon)
+    for code in (0, 1, 2):
+        assert walk[:end].count(code) + whole * walk[pre:].count(code) == full.count(code)

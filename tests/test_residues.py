@@ -3,7 +3,7 @@ Fractions.
 
 `Residues` is the program's only point type.  Every consumer reads its
 integer numerators directly (`checkpoint_scan`, `star_discrepancy`,
-`invariance_defect`, `greedy_extension`) and must give exactly what the
+`greedy_extension`) and must give exactly what the
 plain-Fraction reference in `tests/oracles.py` gives on the equal Fraction
 list, whose points it takes apart one at a time.  The sources are rotation
 and doubling orbits, taken from any start, with numerators scaled so that
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maldist.doubling import doubling_orbit, invariance_defect
+from maldist.doubling import doubling_orbit
 from maldist.empirical import (
     CellPartition,
     MeasureVector,
@@ -31,7 +31,6 @@ from tests.oracles import (
     cell_index,
     empirical_measure,
     fraction_checkpoint_scan,
-    fraction_invariance_defect,
     fraction_star_discrepancy,
     fractions_of,
     point_mass,
@@ -143,13 +142,6 @@ def test_star_discrepancy_over_mixed_denominators(first, second):
     assert fraction_star_discrepancy(points_a + points_b) == star_discrepancy(joined)
 
 
-@given(orbits(), st.integers(min_value=0, max_value=6))
-def test_invariance_defect_matches_fraction_list(pair, level):
-    residues, points = pair
-    partition = CellPartition.dyadic(level)
-    assert invariance_defect(residues, partition) == fraction_invariance_defect(points, partition)
-
-
 @settings(max_examples=50)
 @given(st.data())
 def test_greedy_extension_matches_fraction_list(data):
@@ -186,7 +178,6 @@ def test_out_of_range_numerator_rejected(nums):
     calls = [
         lambda: checkpoint_scan(bad, partition, [len(nums)]),
         lambda: star_discrepancy(bad),
-        lambda: invariance_defect(bad, partition),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=POINTS_ERROR) as info:
