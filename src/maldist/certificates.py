@@ -30,8 +30,7 @@ from .exact import (
     format_ratio,
     format_rational,
     mod1,
-    over_lcm,
-    parse_rational,
+    parse_ratio,
 )
 from .torus import TorusInterval, interval_contains_interval, mul_mod1
 
@@ -104,7 +103,8 @@ def _expect(value, kind: type, what: str) -> None:
 class _Rational:
     """A "p/q" string (an integer or decimal string also reads exactly),
     held to a range such as "[0, 1)" or "(0, inf)" when one is given: a
-    square bracket includes its end, a round one excludes it."""
+    square bracket includes its end, a round one excludes it.  Read as a
+    Fraction."""
 
     emit = staticmethod(format_rational)
 
@@ -116,21 +116,31 @@ class _Rational:
                          hi.numerator, hi.denominator, bounds[-1] == "]", "inf" in bounds)
 
     def parse(self, value) -> Fraction:
+        return Fraction(*self.ratio(value))
+
+    def ratio(self, value) -> tuple[int, int]:
+        """The value's integers (p, q), q > 0, as written (not reduced)."""
         if type(value) is not str:
             _expect(value, str, 'a "p/q" string')
         try:
-            x = parse_rational(value)
+            p, q = parse_ratio(value)
         except RationalParseError as exc:
             raise _Refused(str(exc)) from None
         if self.bounds:
             # The signs of x - lo and hi - x, for x = p/q and the ends a/b, c/d.
             a, b, lo_in, c, d, hi_in, open_top = self.ends
-            p, q = x.numerator, x.denominator
             above, below = p * b - a * q, c * q - p * d
             if not ((above >= 0 if lo_in else above > 0)
                     and (open_top or (below >= 0 if hi_in else below > 0))):
                 raise _Refused(f"{value} is outside {self.bounds}")
-        return x
+        return p, q
+
+
+class _Ratio(_Rational):
+    """A `_Rational` read as its integers (p, q), q > 0, as written: the
+    envelope's checks add and compare them by cross-multiplication."""
+
+    parse = _Rational.ratio
 
 
 class _Positive:
@@ -156,27 +166,33 @@ class _Bool:
 
 
 class _Digits:
-    """A string of the digits in `alphabet`, read as a list of ints;
-    `length` as for `_List`."""
+    """A string of the digits in `alphabet`, read as the bytes of their
+    values by one translate; `length` as for `_List`."""
 
     def __init__(self, alphabet: str, length=None):
-        self.alphabet, self.chars, self.length = alphabet, frozenset(alphabet), length
+        self.alphabet, self.length, self.chars = alphabet, length, alphabet.encode()
+        values = bytes(map(int, alphabet))
+        self.read = bytes.maketrans(self.chars, values)
+        self.write = bytes.maketrans(values, self.chars)
 
-    def parse(self, value) -> list[int]:
+    def parse(self, value) -> bytes:
         _expect(value, str, f"a string of the digits {self.alphabet}")
-        if not self.chars.issuperset(value):
+        # An ASCII string encodes one byte per character; deleting the
+        # alphabet's bytes leaves any other character.
+        if not value.isascii() or (raw := value.encode()).translate(None, self.chars):
             raise _Refused(f"holds a character other than the digits {self.alphabet}")
-        return list(map(int, value))
+        return raw.translate(self.read)
 
     def emit(self, digits) -> str:
-        return "".join(map(str, digits))
+        return bytes(digits).translate(self.write).decode()
 
 
 class _List:
-    """A JSON list of `item` fields.  `length` = (label, rule): the entry
-    count `rule` reads from all the parsed fields.  `make` turns the parsed
-    entries into the checker's value, refusing them with a ValueError;
-    `emit`, if given, writes a builder's value in place of the item's."""
+    """A JSON list of `item` fields.  `length` = (label, rule): the JSON
+    entry count that `rule` reads from all the parsed fields.  `make` turns
+    the parsed entries into the checker's value, refusing them with a
+    ValueError; `emit`, if given, writes a builder's value in place of the
+    item's."""
 
     def __init__(self, item, length=None, nonempty: bool = False, make=None, emit=None):
         self.item, self.length, self.nonempty, self.make = item, length, nonempty, make
@@ -227,7 +243,7 @@ class _Record:
         if len(value) > len(values):
             raise _Refused("unknown field", f".{next(k for k in value if k not in values)}")
         for name, label, rule in self.lengths:
-            have, want = len(values[name]), rule(values)
+            have, want = len(value[name]), rule(values)
             if have != want:
                 raise _Refused(f"has {have} entries, not {label} = {want}", f".{name}")
         return values if self.make is None else _made(self.make, values)
@@ -243,25 +259,35 @@ def _made(make, values):
         raise _Refused(str(exc)) from None
 
 
-def _masses(masses: list[Fraction]) -> list[Fraction]:
-    if sum(masses) != 1:
+def _over_lcm(ratios: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """The numerators of the pairs (p, q), q > 0, over the lcm of their
+    denominators."""
+    den = lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios], den
+
+
+def _masses(masses: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """The masses as integers over their lcm, which they must sum to."""
+    nums, den = _over_lcm(masses)
+    if sum(nums) != den:
         raise ValueError("masses must sum to exactly 1")
-    return masses
+    return nums, den
 
 
-def _atom(pair: list[Fraction]) -> tuple[Fraction, Fraction]:
-    if len(pair) != 2 or pair[1] == 0:
+def _atom(pair: list[tuple[int, int]]) -> tuple[tuple[int, int], tuple[int, int]]:
+    if len(pair) != 2 or pair[1][0] == 0:
         raise ValueError("expected a location and a positive weight")
     return pair[0], pair[1]
 
 
-def _ratio_atoms(atoms: list[tuple[Fraction, Fraction]]) -> tuple[list[Fraction], list[int], int]:
+def _ratio_atoms(atoms: list) -> tuple[list[tuple[int, int]], list[int], int]:
     """pi's atoms held to the rules of a ratio measure (locations sorted and
     distinct, weights summing to 1): the locations, and the weights as
     integers over their lcm."""
-    if any(a >= b for (a, _), (b, _) in zip(atoms, atoms[1:])):
+    # a/b < c/d iff a*d < c*b, as b, d > 0.
+    if any(a * d >= c * b for ((a, b), _), ((c, d), _) in zip(atoms, atoms[1:])):
         raise ValueError("atom locations must be sorted and distinct")
-    weights, weight_den = over_lcm([w for _, w in atoms])
+    weights, weight_den = _over_lcm([w for _, w in atoms])
     if sum(weights) != weight_den:
         raise ValueError("atom weights must sum to exactly 1")
     return [q for q, _ in atoms], weights, weight_den
@@ -319,14 +345,15 @@ _INPUTS = {kind: _Record(fields) for kind, fields in {
         "steps": _POSITIVE,
         "cuts": _List(_RATIONAL, make=CellPartition),
     },
+    # mu and lambda read as (numerators, lcm); mu's count is len(numerators).
     "envelope": {
-        "mu": _List(_Rational("[0, 1]"), make=_masses),
-        "lambda": _List(_Rational("[0, 1]"), length=("len(mu)", lambda v: len(v["mu"])),
+        "mu": _List(_Ratio("[0, 1]"), make=_masses),
+        "lambda": _List(_Ratio("[0, 1]"), length=("len(mu)", lambda v: len(v["mu"][0])),
                         make=_masses),
         # A ratio measure writes its atoms from integers (`RatioMeasure.to_json`).
-        "pi": _List(_List(_Rational("[0, 1]"), make=_atom), make=_ratio_atoms,
+        "pi": _List(_List(_Ratio("[0, 1]"), make=_atom), make=_ratio_atoms,
                     emit=lambda pi: pi.to_json()),
-        "tol": _Rational("[0, inf)"),
+        "tol": _Ratio("[0, inf)"),
     },
 }.items()}
 
@@ -474,7 +501,7 @@ def zeroblock_certificate(
 ) -> dict:
     half, three_q = Fraction(1, 2), Fraction(3, 4)
     value = point.value
-    zeroed_ok = all(point.digits[pos - 1] == 0 for j in starts for pos in range(j, j * j + 1))
+    zeroed_ok = not any(any(point.digits[j - 1 : j * j]) for j in starts)
     claims = {
         "value-in-band": _claim("point-in-interval", 1, _fr(value),
                                 TorusInterval(half, three_q).to_json(), _fr(value),
@@ -709,16 +736,14 @@ def _verify_histogram(inp: dict, stated: dict):
 
 def _verify_avoid(inp: dict, stated: dict):
     alpha, eps, prefix, gaps = inp["alpha"], inp["eps"], inp["prefix"], inp["gaps"]
-    indices = list(prefix)
-    for g in gaps:
-        indices.append(indices[-1] + g)
+    indices = prefix[:-1] + list(accumulate(gaps, initial=prefix[-1]))
     # n*alpha mod 1 = (n*p mod q)/q, and r/q < eps iff
     # r * eps.denominator < eps.numerator * q.
     p, q = alpha.numerator, alpha.denominator
-    hits = sum(
-        1 for n in indices[len(prefix) :] if n * p % q * eps.denominator < eps.numerator * q
-    )
-    gaps_ok = all(g in (1, 2) for g in gaps) and all(
+    e_den, e_bound = eps.denominator, eps.numerator * q
+    hits = sum(1 for n in indices[len(prefix) :] if n * p % q * e_den < e_bound)
+    # The gaps are bytes: deleting the values 1 and 2 leaves any other gap.
+    gaps_ok = not gaps.translate(None, b"\1\2") and all(
         b - a in (1, 2) for a, b in zip(prefix, prefix[1:])
     )
     claims = {
@@ -738,24 +763,25 @@ def _verify_avoid(inp: dict, stated: dict):
 
 
 _WINDOW_ID = re.compile(r"window-([1-9][0-9]*)")
+_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _verify_zeroblock(inp: dict, stated: dict):
     base, starts, digits = inp["base"], inp["block_starts"], inp["digits"]
     length = len(digits)
-    want = list(binary_digits(base, length))
+    # Digit positions j..j^2 are the slice [j - 1, j^2) of the digit bytes.
+    want = bytearray(binary_digits(base, length))
     for j in starts:
-        for pos in range(j, j * j + 1):
-            want[pos - 1] = 0
+        want[j - 1 : j * j] = bytes(j * j - j + 1)
     failures = [] if want == digits else ["inputs.digits: not those of base with zeroed blocks"]
-    num, scale = int("".join(map(str, digits)), 2), 1 << length
+    num, scale = int(digits.translate(_BIT_CHARS), 2), 1 << length
     value = format_ratio(num, scale)
     band = TorusInterval(Fraction(1, 2), Fraction(3, 4))
     claims = {
         "value-in-band": _claim("point-in-interval", 1, value, band.to_json(), value,
                                 band.contains_residue(num, scale)),
-        "blocks-zeroed": _claim("digit-blocks-zero", all(
-            digits[pos - 1] == 0 for j in starts for pos in range(j, j * j + 1))),
+        "blocks-zeroed": _claim("digit-blocks-zero",
+                                not any(digits.count(1, j - 1, j * j) for j in starts)),
     }
     ends = {int(m[1]) for m in map(_WINDOW_ID.fullmatch, stated) if m}
     hits = 0
@@ -848,24 +874,25 @@ def _verify_envelope(inp: dict, stated: dict):
     """Re-derive the domination claim in integers from the echoed strings,
     without the construction code.
 
-    mu, lambda and the atom weights become integer numerators over the lcms
-    of their denominators, and F is read from integer prefix and suffix
-    sums over the atoms.  Every union of cells lies on or under the polygon
-    of the prefixes of the cells in decreasing mu/lambda order (zero-lambda
-    cells first, ties by index), and the region on or under the concave
-    F + tol is convex, so an ok verdict holds iff all s prefixes of that
-    order pass.  Otherwise the first violation in pre-order of the subset
-    tree is found by descent: child j of a node roots a subtree with a
-    violation iff the node's union with j, or that union joined to a prefix
-    of the cells after j, violates; so one pass over j = 0..s-1 either
-    returns the child's union, descends into it, or moves on to its sibling.
+    The input table hands over mu, lambda and the atom weights as integer
+    numerators over the lcms of their denominators, and the atom locations
+    and tol as integer pairs as written, not reduced.  F is read from
+    integer prefix and suffix sums over the atoms.  Every union of cells
+    lies on or under the polygon of the prefixes of the cells in decreasing
+    mu/lambda order (zero-lambda cells first, ties by index), and the
+    region on or under the concave F + tol is convex, so an ok verdict
+    holds iff all s prefixes of that order pass.  Otherwise the first
+    violation in pre-order of the subset tree is found by descent: child j
+    of a node roots a subtree with a violation iff the node's union with j,
+    or that union joined to a prefix of the cells after j, violates; so one
+    pass over j = 0..s-1 either returns the child's union, descends into
+    it, or moves on to its sibling.
     """
-    (locs, weights, weight_den), tol = inp["pi"], inp["tol"]
-    s = len(inp["mu"])
-    mu_num, mu_den = over_lcm(inp["mu"])
-    lam_num, lam_den = over_lcm(inp["lambda"])
-    keys, key_den = over_lcm(locs)
-    h = lcm(*(q.numerator for q in locs if q))
+    (locs, weights, weight_den), (tol_num, tol_den) = inp["pi"], inp["tol"]
+    (mu_num, mu_den), (lam_num, lam_den) = inp["mu"], inp["lambda"]
+    s = len(mu_num)
+    keys, key_den = _over_lcm(locs)
+    h = lcm(*(p for p, _ in locs if p))
     # Over f_den, an atom q = p/r <= t = l/lam_den adds its weight
     # c/weight_den to F(t), and one above t adds t * c * r/(weight_den * p).
     # The atoms are sorted, so those at or below t come first: F sums the
@@ -873,8 +900,7 @@ def _verify_envelope(inp: dict, stated: dict):
     f_den = weight_den * h * lam_den
     below = list(accumulate((c * h * lam_den for c in weights), initial=0))
     above = list(accumulate(
-        (c * q.denominator * (h // q.numerator) if q else 0
-         for q, c in zip(reversed(locs), reversed(weights))),
+        (c * r * (h // p) if p else 0 for (p, r), c in zip(reversed(locs), reversed(weights))),
         initial=0,
     ))[::-1]
 
@@ -884,8 +910,7 @@ def _verify_envelope(inp: dict, stated: dict):
 
     def exceeds(m: int, l: int) -> bool:
         # m/mu_den > bound_num(l)/f_den + tol
-        return (m * f_den * tol.denominator
-                > (bound_num(l) * tol.denominator + tol.numerator * f_den) * mu_den)
+        return m * f_den * tol_den > (bound_num(l) * tol_den + tol_num * f_den) * mu_den
 
     def before(i: int, j: int) -> int:
         if (lam_num[i] == 0) != (lam_num[j] == 0):

@@ -39,6 +39,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import TYPE_CHECKING
 
 from .exact import (
@@ -163,7 +164,37 @@ def _seed(opts: dict) -> int:
 
 
 def _write_json(obj: dict, path: str | None) -> None:
-    _write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
+    _write_text(_json_text(obj) + "\n", path)
+
+
+def _json_text(value, pad: str = "\n") -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)` of a value whose objects
+    have string keys, written here: with an indent, `json` falls back to its
+    pure-Python encoder.  Strings go through the C encoder `json` uses."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join([
+            _json_string(key) + ": " + _json_text(item, inner)
+            for key, item in sorted(value.items())]) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([
+            _json_text(item, inner) for item in value]) + pad + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)  # a float, or the TypeError of a value JSON has no form for
 
 
 def _write_text(text: str, path: str | None) -> None:

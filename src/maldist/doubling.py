@@ -44,6 +44,10 @@ __all__ = [
 ]
 
 
+_BITS = frozenset((0, 1))
+_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
+
+
 @dataclass(frozen=True)
 class BinaryPoint:
     """The dyadic rational with binary digits a_1 a_2 ... a_L: sum a_j 2^-j,
@@ -54,12 +58,12 @@ class BinaryPoint:
     def __post_init__(self):
         if len(self.digits) < 1:
             raise ValueError("need at least one digit")
-        if any(d not in (0, 1) for d in self.digits):
+        if not _BITS.issuperset(self.digits):
             raise ValueError("digits must be bits")
 
     @property
     def value(self) -> Fraction:
-        return Fraction(int("".join(map(str, self.digits)), 2), 1 << len(self.digits))
+        return Fraction(int(bytes(self.digits).translate(_BIT_CHARS), 2), 1 << len(self.digits))
 
 
 def doubling_orbit(alpha: Fraction, steps: int) -> Residues:

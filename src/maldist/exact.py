@@ -8,13 +8,13 @@ for display only) and a few small numeric helpers.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd, lcm
 
 __all__ = [
     "RationalParseError",
     "parse_rational",
+    "parse_ratio",
     "format_rational",
     "format_ratio",
     "decimal_str",
@@ -24,14 +24,6 @@ __all__ = [
     "is_dyadic",
     "over_lcm",
 ]
-
-_RATIONAL_RE = re.compile(
-    r"""^\s*(?P<sign>[-+]?)
-        (?P<int>\d+)
-        (?:(?P<slash>/)(?P<den>\d+)|\.(?P<frac>\d+))?
-        \s*$""",
-    re.VERBOSE,
-)
 
 
 class RationalParseError(ValueError):
@@ -45,33 +37,58 @@ class RationalParseError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", an integer, or a plain decimal string into an exact Fraction.
+    """Parse "p/q", an integer or a plain decimal string into an exact
+    Fraction; decimal input is exact (no binary float is involved).
 
-    Decimal input is exact (no binary float involved).  Anything else is
-    rejected with the offset of the first offending character.
+    The accepted grammar, a space being a character `str.isspace` accepts
+    and a digit one `str.isdecimal` accepts (any Unicode decimal digit):
+
+        text   = space* sign? digits ("/" digits | "." digits)? space*
+        sign   = "+" | "-"
+        digits = digit+
+
+    A zero denominator fails at the offset of its first digit.  Any other
+    text fails at the offset of the first character after its leading
+    spaces that is neither a `str.isdigit` character nor one of "+-./", or
+    at the end of those spaces when there is none; a value that is not a
+    `str` fails at offset 0.  Digits past the interpreter's int/str limit
+    raise `int`'s ValueError.
     """
+    return Fraction(*parse_ratio(text))
+
+
+def parse_ratio(text: str) -> tuple[int, int]:
+    """The integers (p, q), q > 0, of the text `parse_rational` reads, as
+    written and not reduced: "2/4" reads (2, 4), "-0.25" (-25, 100) and "7"
+    (7, 1).  It fails as `parse_rational` does."""
     if not isinstance(text, str):
         raise RationalParseError(repr(text), 0, "not a string")
-    m = _RATIONAL_RE.match(text)
-    if m is None:
-        stripped = text.lstrip()
-        pos = len(text) - len(stripped)
-        for i, ch in enumerate(stripped):
-            if not (ch.isdigit() or ch in "+-./"):
-                pos += i
-                break
-        raise RationalParseError(text, pos, "expected 'p/q', integer or decimal")
-    sign = -1 if m.group("sign") == "-" else 1
-    if m.group("slash"):
-        den = int(m.group("den"))
-        if den == 0:
-            raise RationalParseError(text, m.start("den"), "zero denominator")
-        return Fraction(sign * int(m.group("int")), den)
-    if m.group("frac") is not None:
-        frac = m.group("frac")
-        scale = 10 ** len(frac)
-        return Fraction(sign * (int(m.group("int")) * scale + int(frac)), scale)
-    return Fraction(sign * int(m.group("int")))
+    body = text.strip()
+    negative = body[:1] == "-"
+    if negative or body[:1] == "+":
+        body = body[1:]
+    head, sep, tail = body.partition("/")
+    if not sep:
+        head, sep, tail = body.partition(".")
+    if head.isdecimal() and (tail.isdecimal() or not sep):
+        if sep == "/":
+            den = int(tail)
+            if den == 0:
+                raise RationalParseError(text, text.index("/") + 1, "zero denominator")
+            num = int(head)
+        elif sep:
+            den = 10 ** len(tail)
+            num = int(head) * den + int(tail)
+        else:
+            num, den = int(head), 1
+        return (-num if negative else num), den
+    stripped = text.lstrip()
+    pos = len(text) - len(stripped)
+    for i, ch in enumerate(stripped):
+        if not (ch.isdigit() or ch in "+-./"):
+            pos += i
+            break
+    raise RationalParseError(text, pos, "expected 'p/q', integer or decimal")
 
 
 def format_rational(value: Fraction) -> str:
@@ -119,6 +136,9 @@ def mod1(value: Fraction) -> Fraction:
     return f - (f.numerator // f.denominator)
 
 
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
 def binary_digits(value: Fraction, length: int) -> tuple[int, ...]:
     """First `length` binary digits a_1..a_L of value in [0, 1), exact.
 
@@ -132,7 +152,7 @@ def binary_digits(value: Fraction, length: int) -> tuple[int, ...]:
     if length <= 0:
         return ()
     bits = (x.numerator << length) // x.denominator
-    return tuple(map(int, format(bits, f"0{length}b")))
+    return tuple(format(bits, f"0{length}b").encode().translate(_BIT_VALUES))
 
 
 def is_dyadic(value: Fraction) -> bool:

@@ -602,10 +602,9 @@ def zero_block_alpha(
     if starts[0] < 3:
         raise ValueError("blocks must not overlap the two leading digits")
     length = starts[-1] ** 2
-    digits = list(binary_digits(base, length))
+    digits = bytearray(binary_digits(base, length))
     for j in starts:
-        for pos in range(j, j * j + 1):
-            digits[pos - 1] = 0
+        digits[j - 1 : j * j] = bytes(j * j - j + 1)  # digit positions j..j^2
     point = BinaryPoint(tuple(digits))
     if not Fraction(1, 2) < point.value < Fraction(3, 4):
         raise ValueError("zeroing the blocks pushed the value out of (1/2, 3/4)")

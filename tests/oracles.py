@@ -20,6 +20,9 @@ program against.  None of it backs a `maldist` subcommand.
 - `stepwise_invariance_defect`: the invariance defect counted along the
   orbit one step at a time, the reference for the two-lookup identity
   `invariance_defect` and the invariance verifier use;
+- `regex_parse_rational`: the regular-expression parser `parse_rational`
+  was before it became a one-pass `str`-method parse, which the
+  differential test holds it to;
 - methods only the tests used: the ratio-measure constructors and sums
   (`ratio_measure_from_pairs`, `point_mass`, `mass_at_zero`, `mass_leq`,
   `harmonic_tail`, `tv_norm_distance`), the arc `midpoint`, the digit
@@ -32,6 +35,7 @@ collected by pytest (its name does not start with `test_`).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -42,7 +46,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from maldist.doubling import BinaryPoint
 from maldist.empirical import CellPartition, CheckpointScan, EmpiricalMeasure, Residues
 from maldist.envelope import BlockSpec, RatioMeasure
-from maldist.exact import mod1, over_lcm
+from maldist.exact import RationalParseError, mod1, over_lcm
 from maldist.subspace import ExtensionTarget, validate_membership
 from maldist.torus import TorusInterval
 
@@ -108,6 +112,45 @@ class SplitMix64:
         for i in range(len(items) - 1, 0, -1):
             j = self.randrange(i + 1)
             items[i], items[j] = items[j], items[i]
+
+
+# --- rational literals ------------------------------------------------------------
+
+
+_RATIONAL_RE = re.compile(
+    r"""^\s*(?P<sign>[-+]?)
+        (?P<int>\d+)
+        (?:(?P<slash>/)(?P<den>\d+)|\.(?P<frac>\d+))?
+        \s*$""",
+    re.VERBOSE,
+)
+
+
+def regex_parse_rational(text: str) -> Fraction:
+    """Parse "p/q", an integer or a plain decimal string by one regular
+    expression, failing with the offset of the first offending character."""
+    if not isinstance(text, str):
+        raise RationalParseError(repr(text), 0, "not a string")
+    m = _RATIONAL_RE.match(text)
+    if m is None:
+        stripped = text.lstrip()
+        pos = len(text) - len(stripped)
+        for i, ch in enumerate(stripped):
+            if not (ch.isdigit() or ch in "+-./"):
+                pos += i
+                break
+        raise RationalParseError(text, pos, "expected 'p/q', integer or decimal")
+    sign = -1 if m.group("sign") == "-" else 1
+    if m.group("slash"):
+        den = int(m.group("den"))
+        if den == 0:
+            raise RationalParseError(text, m.start("den"), "zero denominator")
+        return Fraction(sign * int(m.group("int")), den)
+    if m.group("frac") is not None:
+        frac = m.group("frac")
+        scale = 10 ** len(frac)
+        return Fraction(sign * (int(m.group("int")) * scale + int(frac)), scale)
+    return Fraction(sign * int(m.group("int")))
 
 
 # --- points: residues and Fraction lists -----------------------------------------

@@ -1,0 +1,198 @@
+"""Inputs read straight into the form their checks compute with: the one-pass
+rational parser against the regular-expression parser it replaced, the JSON
+writer against `json.dumps`, digit strings as bytes, and envelope inputs as
+integers over their lcm."""
+
+import copy
+import json
+import sys
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maldist import certificates as certs
+from maldist import cli
+from maldist.exact import RationalParseError, parse_ratio, parse_rational
+from tests.oracles import regex_parse_rational
+from tests.test_input_sweep import CERTIFICATES
+
+CERTS = dict(CERTIFICATES)
+
+
+def outcome(parse, text):
+    """The value `parse` reads, or its error's text, position and reason."""
+    try:
+        return parse(text)
+    except RationalParseError as exc:
+        return ("error", str(exc), exc.text, exc.position, exc.reason)
+
+
+# ASCII digits, Unicode Nd digits, a superscript that passes `isdigit` but not
+# `isdecimal`, the grammar's punctuation, the underscore `int` would accept,
+# and whitespace, ASCII and not.
+CHARS = [*"0123456789", "٣", "٤", "०", "²", *"+-./_", " ", "\n", " "]
+
+structured = st.builds(
+    lambda *parts: "".join(parts),
+    st.sampled_from(["", " ", "\n", "  "]),
+    st.sampled_from(["", "+", "-"]),
+    st.text(st.sampled_from(CHARS[:13]), min_size=0, max_size=4),
+    st.sampled_from(["", "/", "."]),
+    st.text(st.sampled_from(CHARS[:13]), min_size=0, max_size=4),
+    st.sampled_from(["", " ", "\n"]),
+)
+
+
+@settings(max_examples=3000)
+@given(st.one_of(st.text(st.sampled_from(CHARS), max_size=10), structured))
+def test_parser_matches_the_regex_parser(text):
+    want = outcome(regex_parse_rational, text)
+    assert outcome(parse_rational, text) == want
+    if not isinstance(want, tuple):
+        assert type(parse_rational(text)) is F
+        p, q = parse_ratio(text)
+        assert q > 0 and F(p, q) == want
+
+
+@pytest.mark.parametrize("text", ["1/0", "0/0", " -3/4 ", "1_0/3", "1/2.5", ".", "",
+                                  "٣/٤", "²", "+0.50", "-7", "3/ 4", None, 3, F(1, 2)])
+def test_parser_pinned_cases(text):
+    assert outcome(parse_rational, text) == outcome(regex_parse_rational, text)
+
+
+def test_parser_pinned_outcomes():
+    assert outcome(parse_rational, "1/0")[1:] == (
+        "bad rational '1/0' at position 2: zero denominator", "1/0", 2, "zero denominator")
+    assert outcome(parse_rational, " 0/0")[3] == 3
+    assert parse_rational(" -3/4 ") == F(-3, 4)
+    assert outcome(parse_rational, "1_0/3")[3] == 1
+    assert outcome(parse_rational, "1/2.5")[3] == 0
+    assert outcome(parse_rational, ".")[3] == 0
+    assert outcome(parse_rational, "")[1] == (
+        "bad rational '' at position 0: expected 'p/q', integer or decimal")
+    assert parse_ratio("2/4") == (2, 4)
+    assert parse_ratio("-0.25") == (-25, 100)
+    assert parse_ratio("٣") == (3, 1)
+
+
+# --- the JSON writer -------------------------------------------------------------
+
+HUGE = st.integers(min_value=10**4300, max_value=10**4400) | st.integers(
+    min_value=-(10**4400), max_value=-(10**4300))
+TRICKY = st.sampled_from(['"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é", "٣", " ",
+                          "\ud800", "😀", "a/b"])
+scalars = (st.none() | st.booleans() | st.integers() | HUGE | st.text() | TRICKY
+           | st.floats())
+json_values = st.recursive(
+    scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=5) | TRICKY, inner, max_size=4)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400)
+@given(json_values)
+def test_json_writer_matches_json_dumps(value):
+    # Integers past 4,300 digits convert only with the int/str limit lifted.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_json_writer_writes_the_indented_text_and_a_newline(tmp_path):
+    obj = {"b": [1, {"c": [], "a": {}}], "a": ["xé", None, True, False]}
+    cli._write_json(obj, str(tmp_path / "out.json"))
+    assert (tmp_path / "out.json").read_text(encoding="utf-8") == (
+        json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+# --- digit strings as bytes ------------------------------------------------------
+
+DIGIT_FIELDS = {"gaps": certs._INPUTS["avoid"].fields["gaps"],
+                "digits": certs._INPUTS["zeroblock"].fields["digits"]}
+
+
+@pytest.mark.parametrize("name", DIGIT_FIELDS)
+@given(data=st.data())
+def test_digits_survive_emit_then_parse(name, data):
+    field = DIGIT_FIELDS[name]
+    digits = data.draw(st.lists(st.integers(0, len(field.alphabet) - 1), max_size=40))
+    text = field.emit(digits)
+    assert text == "".join(map(str, digits))
+    assert field.parse(text) == bytes(digits)
+
+
+@pytest.mark.parametrize("name", DIGIT_FIELDS)
+def test_empty_digit_string_survives(name):
+    field = DIGIT_FIELDS[name]
+    assert field.emit(()) == ""
+    assert field.parse("") == b""
+
+
+@pytest.mark.parametrize("kind,field,bad", [
+    ("zeroblock", "digits", "2"), ("zeroblock", "digits", "٣"), ("zeroblock", "digits", "\ud800"),
+    ("avoid", "gaps", "a"), ("avoid", "gaps", "٣"), ("avoid", "gaps", "²"),
+])
+def test_digit_outside_the_alphabet_fails_by_name(kind, field, bad):
+    cert = copy.deepcopy(CERTS[kind])
+    text = cert["inputs"][field]
+    cert["inputs"][field] = text[:-1] + bad
+    alphabet = DIGIT_FIELDS[field].alphabet
+    assert certs.verify_certificate(cert).failures == (
+        f"inputs.{field}: holds a character other than the digits {alphabet}",)
+
+
+# --- envelope inputs in integers -------------------------------------------------
+
+
+def envelope():
+    return copy.deepcopy(CERTS["envelope"])
+
+
+def test_atom_locations_equal_after_reduction_fail():
+    cert = envelope()
+    cert["inputs"]["pi"] = [["1/2", "1/2"], ["2/4", "1/2"]]
+    assert certs.verify_certificate(cert).failures == (
+        "inputs.pi: atom locations must be sorted and distinct",)
+
+
+@pytest.mark.parametrize("field,values", [
+    ("mu", ["6/10", "4/10"]), ("mu", ["0.6", "2/5"]), ("lambda", ["2/4", "3/6"]),
+])
+def test_masses_summing_to_one_after_reduction_pass(field, values):
+    cert = envelope()
+    cert["inputs"][field] = values
+    assert certs.verify_certificate(cert).ok
+
+
+def scaled(value, k: int):
+    """Every "p/q" string inside `value` written as "kp/kq"."""
+    if isinstance(value, list):
+        return [scaled(v, k) for v in value]
+    p, q = parse_ratio(value)
+    return f"{k * p}/{k * q}"
+
+
+@pytest.mark.parametrize("name", ["envelope", "envelope-violating"])
+def test_unreduced_envelope_inputs_recompute_the_same_claim(name):
+    """Unreduced masses, weights, locations and tol give the claim that the
+    reduced ones do, the violating union's rationals included."""
+    cert = copy.deepcopy(CERTS[name])
+    for k, field in zip((3, 5, 7, 11), ("mu", "lambda", "pi", "tol")):
+        cert["inputs"][field] = scaled(cert["inputs"][field], k)
+    assert certs.verify_certificate(cert) == certs.VerificationResult(True, ())
+
+
+def test_lambda_length_follows_the_entry_count_of_mu():
+    cert = envelope()
+    cert["inputs"]["lambda"] = ["1/3", "1/3", "1/3"]
+    assert certs.verify_certificate(cert).failures == (
+        "inputs.lambda: has 3 entries, not len(mu) = 2",)
