@@ -44,7 +44,6 @@ _EXPORTS = {
     ),
     "exact": (
         "RationalParseError",
-        "decimal_str",
         "format_rational",
         "mod1",
         "parse_rational",
@@ -58,7 +57,6 @@ _EXPORTS = {
     "torus": (
         "TorusInterval",
         "interval_contains_interval",
-        "mul_mod1",
     ),
     "witness": (
         "AvoidanceResult",

@@ -32,7 +32,7 @@ from .exact import (
     mod1,
     parse_ratio,
 )
-from .torus import TorusInterval, interval_contains_interval, mul_mod1
+from .torus import TorusInterval, interval_contains_interval
 
 if TYPE_CHECKING:  # builders' argument types; the verifiers re-derive without them
     from .doubling import BinaryPoint, OrbitHitReport, WindowDensity
@@ -413,14 +413,15 @@ def _certificate(kind: str, claims: dict[str, dict], margins: dict | None = None
 
 def mixing_certificate(chain: MixingChain) -> dict:
     cfg, alpha, intervals = chain.config, chain.alpha, chain.intervals
+    p, q = alpha.numerator, alpha.denominator
     a = _fr(alpha)
     spans = [iv.to_json() for iv in intervals]
     claims = {"alpha-in-start": _claim("point-in-interval", 1, a, cfg.start.to_json(), a,
-                                       cfg.start.contains(alpha))}
+                                       cfg.start.contains_residue(p, q))}
     for k, (n_k, target) in enumerate(zip(cfg.multipliers, cfg.targets), start=1):
-        value, length = mul_mod1(n_k, alpha), cfg.eps / n_k
+        r, length = n_k * p % q, cfg.eps / n_k
         claims[f"containment-{k}"] = _claim("point-in-interval", n_k, a, target.to_json(),
-                                            _fr(value), target.contains(value))
+                                            format_ratio(r, q), target.contains_residue(r, q))
         claims[f"length-{k}"] = _claim("interval-length", spans[k], _fr(length),
                                        intervals[k].length == length)
         claims[f"nesting-{k}"] = _claim("interval-nested", spans[k - 1], spans[k],
@@ -435,12 +436,13 @@ def hitfreq_certificate(witness: HitFrequencyWitness, multipliers: Sequence[int]
     plan, alpha, interval = witness.plan, witness.alpha, witness.interval
     a, span = _fr(alpha), interval.to_json()
     eps, q, u, c = interval.length, plan.ratio, plan.u, plan.c
+    num, den = alpha.numerator, alpha.denominator
     claims = {}
     for p in witness.forced_positions:
         n_p = int(multipliers[p - 1])
-        value = mul_mod1(n_p, alpha)
-        claims[f"containment-{p}"] = _claim("point-in-interval", n_p, a, span, _fr(value),
-                                            interval.contains(value))
+        r = n_p * num % den
+        claims[f"containment-{p}"] = _claim("point-in-interval", n_p, a, span,
+                                            format_ratio(r, den), interval.contains_residue(r, den))
     claims["hit-frequency"] = _claim("hit-count-frequency", witness.hit_count, witness.horizon,
                                      _fr(witness.threshold),
                                      witness.frequency > witness.threshold)

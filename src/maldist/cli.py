@@ -209,43 +209,39 @@ def _write_text(text: str, path: str | None) -> None:
 # generators for block specs and multiplier sequences
 
 
-def _length_fn(desc: str, key: str):
-    if ":" in desc:
-        name, _, arg = desc.partition(":")
-    else:
-        name, arg = desc, None
+def _generator(desc: str, lengths=None):
+    """The block function j -> value that a --spec generator name gives:
+    linear[:o] (j + o), log (the bit length of j), const:c, and, for m given
+    the lengths, halfceil (ceil(b_j/2))."""
+    name, sep, arg = desc.partition(":")
     if name == "linear":
         offset = int(arg) if arg else 0
         return lambda j: j + offset
     if name == "log":
-        return lambda j: j.bit_length()
+        return int.bit_length
     if name == "const":
-        if arg is None:
-            raise CliError(f"--{key}: const needs a value, e.g. const:4")
+        if not sep:
+            raise CliError("--spec: const needs a value, e.g. const:4")
         c = int(arg)
         return lambda j: c
-    raise CliError(f"--{key}: unknown generator {name!r} (use linear[:o], log, const:c)")
-
-
-def _mult_fn(desc: str, key: str, lengths):
-    if ":" in desc:
-        name, _, arg = desc.partition(":")
-    else:
-        name, arg = desc, None
-    if name == "halfceil":
+    if name == "halfceil" and lengths is not None:
         return lambda j: (lengths(j) + 1) // 2
-    if name in ("linear", "log", "const"):
-        return _length_fn(desc, key)
-    raise CliError(f"--{key}: unknown generator {name!r} (use linear[:o], log, const:c, halfceil)")
+    names = "linear[:o], log, const:c" + ("" if lengths is None else ", halfceil")
+    raise CliError(f"--spec: unknown generator {name!r} (use {names})")
 
 
-def _spec_ints(values: list, key: str) -> list[int]:
-    """The entries of a --spec list, each a JSON integer: a float or a bool
-    is refused, not truncated."""
-    for v in values:
+def _block_side(value, key: str, lengths=None):
+    """One side of --spec as a function of the block index j >= 1: a list of
+    JSON integers (a float or a bool is refused, not truncated), or a
+    generator name."""
+    if isinstance(value, str):
+        return _generator(value, lengths)
+    if not isinstance(value, list):
+        raise CliError(f"--spec: '{key}' must be a list or generator name")
+    for v in value:
         if type(v) is not int:
             raise CliError(f"--spec: '{key}' entries must be JSON integers, got {json.dumps(v)}")
-    return values
+    return lambda j: value[j - 1]
 
 
 def _block_spec(opts: dict) -> BlockSpec:
@@ -259,22 +255,11 @@ def _block_spec(opts: dict) -> BlockSpec:
     if not isinstance(obj, dict) or set(obj) - {"b", "m"}:
         raise CliError("--spec: expected an object with keys 'b' and 'm'")
     b, m = obj.get("b"), obj.get("m")
+    b_fn = _block_side(b, "b")
+    m_fn = _block_side(m, "m", b_fn)
+    # Two lists make a list-backed spec, which names the block it runs out at.
     if isinstance(b, list) and isinstance(m, list):
-        return BlockSpec(_spec_ints(b, "b"), _spec_ints(m, "m"))
-    if isinstance(b, str):
-        b_fn = _length_fn(b, "spec")
-    elif isinstance(b, list):
-        blist = _spec_ints(b, "b")
-        b_fn = lambda j: blist[j - 1]
-    else:
-        raise CliError("--spec: 'b' must be a list or generator name")
-    if isinstance(m, str):
-        m_fn = _mult_fn(m, "spec", b_fn)
-    elif isinstance(m, list):
-        mlist = _spec_ints(m, "m")
-        m_fn = lambda j: mlist[j - 1]
-    else:
-        raise CliError("--spec: 'm' must be a list or generator name")
+        return BlockSpec(b, m)
     return BlockSpec(b_fn, m_fn)
 
 
@@ -306,23 +291,25 @@ def _multipliers(opts: dict, count: int) -> list[int]:
     raise CliError(f"--n-kind: unknown generator {name!r} (use pow:b or squarepow:b)")
 
 
-class _RotationResidues:
-    """n * p mod q for n = 1..count, each formed only when it is read, by
-    index or by slice."""
+class _OrbitResidues:
+    """The residues over q of x_n, n = 1..count, for alpha = p/q: n*p mod q
+    for a rotation, 2^n * p mod q for the doubling map.  Each is formed only
+    when it is read, by index or by slice."""
 
-    __slots__ = ("ns", "p", "q")
+    __slots__ = ("ns", "p", "q", "doubling")
 
-    def __init__(self, p: int, q: int, count: int):
-        self.ns, self.p, self.q = range(1, count + 1), p, q
+    def __init__(self, doubling: bool, p: int, q: int, count: int):
+        self.ns, self.p, self.q, self.doubling = range(1, count + 1), p, q, doubling
 
     def __len__(self) -> int:
         return len(self.ns)
 
     def __getitem__(self, key):
-        n = self.ns[key]
+        n, p, q = self.ns[key], self.p, self.q
         if isinstance(n, int):
-            return n * self.p % self.q
-        p, q = self.p, self.q
+            return (pow(2, n, q) if self.doubling else n) * p % q
+        if self.doubling:
+            return [pow(2, k, q) * p % q for k in n]
         return [k * p % q for k in n]
 
 
@@ -336,20 +323,16 @@ def _x_kind(opts: dict) -> str:
 def _points_source(opts: dict, count: int) -> Residues:
     """The first `count` points of the --x-kind orbit of --x-alpha, as
     residues, for the subspace greedy, which reads the cells of the indices
-    its picks need.  A doubling orbit is listed; a rotation's residues are
-    formed only when read (`_RotationResidues`).  A scan reads neither: it
-    counts a rotation by floor sums (`rotation_scan`) and a doubling orbit
-    over one period (`doubling_scan`)."""
-    kind = _x_kind(opts)
+    its picks need.  Both kinds form a residue only when it is read
+    (`_OrbitResidues`).  A scan reads neither: it counts a rotation by floor
+    sums (`rotation_scan`) and a doubling orbit over one period
+    (`doubling_scan`)."""
+    from .empirical import Residues
+
+    doubling = _x_kind(opts) == "doubling"
     alpha = _rational(opts, "x-alpha")
-    if kind == "rotation":
-        from .empirical import Residues
-
-        p, q = alpha.numerator, alpha.denominator
-        return Residues(_RotationResidues(p, q, count), q)
-    from .doubling import doubling_orbit
-
-    return doubling_orbit(alpha, count)
+    q = alpha.denominator
+    return Residues(_OrbitResidues(doubling, alpha.numerator, q, count), q)
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +445,28 @@ def _cmd_subspace(opts: dict) -> int:
     return 0
 
 
-def _cmd_witness(opts: dict) -> int:
+def _zero_block_point(opts: dict):
+    """The zero-block point of --base and --starts, with the two read."""
+    from .witness import zero_block_alpha
+
+    base = _rational(opts, "base")
+    starts = _int_list(_require(opts, "starts"), "starts")
+    return zero_block_alpha(base, starts), base, starts
+
+
+def _emit_certificate(cert: dict, opts: dict) -> int:
+    """Stamp the certificate's `rng` echo, write it to --out, and exit 1 if
+    one of its claims fails."""
     from . import certificates as certs
     from .rng import ALGORITHM
+
+    cert["rng"] = {"algorithm": ALGORITHM, "seed": _seed(opts)}
+    _write_json(cert, opts.get("out"))
+    return 0 if certs.certificate_ok(cert) else CLAIM_ERROR
+
+
+def _cmd_witness(opts: dict) -> int:
+    from . import certificates as certs
     from .witness import (
         HistogramTarget,
         MixingConfig,
@@ -473,7 +475,6 @@ def _cmd_witness(opts: dict) -> int:
         histogram_witness,
         hit_frequency_witness,
         mixing_chain,
-        zero_block_alpha,
     )
 
     mode = _require(opts, "mode")
@@ -521,15 +522,10 @@ def _cmd_witness(opts: dict) -> int:
         floor = _rational(opts, "discrepancy-floor", "0/1")
         cert = certs.avoidance_certificate(result, floor if floor > 0 else None)
     elif mode == "zeroblock":
-        base = _rational(opts, "base")
-        starts = _int_list(_require(opts, "starts"), "starts")
-        point = zero_block_alpha(base, starts)
-        cert = certs.zeroblock_certificate(point, base, starts)
+        cert = certs.zeroblock_certificate(*_zero_block_point(opts))
     else:
         raise CliError(f"--mode: unknown witness mode {mode!r}")
-    cert["rng"] = {"algorithm": ALGORITHM, "seed": _seed(opts)}
-    _write_json(cert, opts.get("out"))
-    return 0 if certs.certificate_ok(cert) else CLAIM_ERROR
+    return _emit_certificate(cert, opts)
 
 
 def _cmd_doubling(opts: dict) -> int:
@@ -542,7 +538,6 @@ def _cmd_doubling(opts: dict) -> int:
         zero_block_density,
     )
     from .empirical import CellPartition
-    from .rng import ALGORITHM
 
     mode = _require(opts, "mode")
     if mode == "orbit":
@@ -572,11 +567,7 @@ def _cmd_doubling(opts: dict) -> int:
         report = five_sixth_check(alpha, horizon)
         cert = certs.fivesixth_certificate(report, alpha)
     elif mode == "zeroblock":
-        from .witness import zero_block_alpha
-
-        base = _rational(opts, "base")
-        starts = _int_list(_require(opts, "starts"), "starts")
-        point = zero_block_alpha(base, starts)
+        point, base, starts = _zero_block_point(opts)
         windows = (
             _int_list(opts["windows"], "windows")
             if opts.get("windows")
@@ -586,9 +577,7 @@ def _cmd_doubling(opts: dict) -> int:
         cert = certs.zeroblock_certificate(point, base, starts, densities)
     else:
         raise CliError(f"--mode: unknown doubling mode {mode!r}")
-    cert["rng"] = {"algorithm": ALGORITHM, "seed": _seed(opts)}
-    _write_json(cert, opts.get("out"))
-    return 0 if certs.certificate_ok(cert) else CLAIM_ERROR
+    return _emit_certificate(cert, opts)
 
 
 def _cmd_scan(opts: dict) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, repeat
 
-from .exact import decimal_str, format_rational, is_dyadic, over_lcm
+from .exact import decimal_ratio, format_ratio, is_dyadic, over_lcm
 
 __all__ = [
     "CellPartition",
@@ -36,13 +36,14 @@ class Residues:
     """The points r/den for the integer numerators r in `nums`, over one
     shared denominator den > 0.
 
-    An orbit's points are held in this record (a doubling orbit as a list;
-    the rotation segment a subspace greedy steers as a sequence that forms
-    each residue when it is read), and every consumer reads the integers
+    An orbit's points are held in this record (the orbit segment a subspace
+    greedy steers, of a rotation or of the doubling map, as a sequence that
+    forms each residue when it is read; the doubling orbit that `doubling
+    --mode orbit` prints as a list), and every consumer reads the integers
     directly: a cell lookup or a discrepancy sweep builds no Fraction.  A
-    rotation scan reads no points (`rotation_scan`).  The
-    numerators need not be reduced against den.  A numerator outside
-    [0, den) is refused by the consumer that reads it.
+    scan reads no points (`rotation_scan`, `doubling_scan`).  The numerators
+    need not be reduced against den.  A numerator outside [0, den) is
+    refused by the consumer that reads it.
     """
 
     __slots__ = ("nums", "den")
@@ -147,7 +148,7 @@ class MeasureVector:
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Cell counts of N sample points; frequencies are counts/N, exact."""
+    """Cell counts of N sample points; the frequencies are counts/N."""
 
     counts: tuple[int, ...]
     sample_count: int
@@ -157,10 +158,6 @@ class EmpiricalMeasure:
             raise ValueError("sample count must be positive")
         if sum(self.counts) != self.sample_count:
             raise ValueError("counts must sum to the sample count")
-
-    @property
-    def frequencies(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.sample_count) for c in self.counts)
 
 
 def _cell_indices(nums: Sequence[int], bounds: Sequence[int], den: int) -> Iterator[int]:
@@ -300,7 +297,7 @@ def rotation_scan(
 
 def scan_to_csv(scan: CheckpointScan, digits: int = 12) -> str:
     """CSV of a scan: one row per checkpoint, decimal frequencies first,
-    exact "p/q" duplicates after."""
+    exact "p/q" duplicates after, each printed from its count over N."""
     s = len(scan.measures[0].counts)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -311,10 +308,10 @@ def scan_to_csv(scan: CheckpointScan, digits: int = 12) -> str:
     )
     writer.writerow(header)
     for cp, m in zip(scan.checkpoints, scan.measures):
-        freqs = m.frequencies
+        n = m.sample_count
         writer.writerow(
             [cp]
-            + [decimal_str(f, digits) for f in freqs]
-            + [format_rational(f) for f in freqs]
+            + [decimal_ratio(c, n, digits) for c in m.counts]
+            + [format_ratio(c, n) for c in m.counts]
         )
     return out.getvalue()

@@ -28,7 +28,7 @@ integer verifier in `certificates`, which shares no code with this module.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cmp_to_key
 from fractions import Fraction
@@ -120,13 +120,14 @@ class BlockSpec:
         return self._M[j]
 
     def block_of(self, n: int) -> int:
-        """Block index containing the integer n >= 1 (list specs must cover n)."""
+        """Block index containing the integer n >= 1 (list specs must cover
+        n): the block sums are extended until they pass n, once for all
+        calls, and the block is found by bisection on them."""
         if n < 1:
             raise ValueError("indices are positive")
-        j = 1
-        while self.a(j) < n:
-            j += 1
-        return j
+        while self._a[-1] < n:
+            self._extend_sums(len(self._a))
+        return bisect_left(self._a, n)
 
 
 class RatioMeasure:

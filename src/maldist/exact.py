@@ -1,9 +1,11 @@
 """Exact rational plumbing shared by every module.
 
 All quantities in this package are arbitrary-precision rationals
-(`fractions.Fraction`); nothing downstream is allowed to round.  This module
-holds the serialization conventions ("p/q" strings in JSON, decimal strings
-for display only) and a few small numeric helpers.
+(`fractions.Fraction`, or integer numerators over a shared denominator);
+nothing downstream is allowed to round.  This module holds the serialization
+conventions ("p/q" strings in JSON, decimal strings for display only), each
+written from the integers num/den (`format_ratio`, `decimal_ratio`) or from
+a Fraction (`format_rational`), and a few small numeric helpers.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ __all__ = [
     "parse_ratio",
     "format_rational",
     "format_ratio",
-    "decimal_str",
     "decimal_ratio",
     "mod1",
     "binary_digits",
@@ -104,19 +105,12 @@ def format_ratio(num: int, den: int) -> str:
     return f"{num // g}/{den // g}"
 
 
-def decimal_str(value: Fraction, digits: int = 12) -> str:
-    """Decimal rendering with `digits` places, round-half-away-from-zero.
-
-    Presentational only; exact values always travel alongside as "p/q".
-    """
-    f = value if isinstance(value, Fraction) else Fraction(value)
-    return decimal_ratio(f.numerator, f.denominator, digits)
-
-
 def decimal_ratio(num: int, den: int, digits: int = 12) -> str:
-    """`decimal_str` of num/den (den > 0, need not be reduced), in integers.
+    """Decimal rendering of num/den (den > 0, need not be reduced) with
+    `digits` places, round-half-away-from-zero, in integers.
 
-    A negative `digits` is refused: 10**digits would be a float.
+    Presentational only; exact values always travel alongside as "p/q".  A
+    negative `digits` is refused: 10**digits would be a float.
     """
     if digits < 0:
         raise ValueError(f"digits must be nonnegative, got {digits}")

@@ -1,10 +1,11 @@
-"""Exact arithmetic on the circle R/Z: points, open intervals, interval
-containment, and the multiplication maps x -> n*x mod 1.
+"""Exact open intervals on the circle R/Z and their containment.
 
-Points are plain `Fraction`s confined to [0, 1).  Intervals are open and may
-wrap through 0; a wrapping interval with fields (left, right) denotes the arc
-(left, 1) union [0, right).  Everything here is pure and immutable, and all
-membership/length statements are exact.
+Points of the circle are residues r/q in [0, 1), tested against an interval
+by cross-multiplication (`TorusInterval.contains_residue`); the point
+n*alpha mod 1 of alpha = p/q is the residue n*p mod q.  Intervals are open
+and may wrap through 0; a wrapping interval with fields (left, right)
+denotes the arc (left, 1) union [0, right).  Everything here is pure and
+immutable, and all membership/length statements are exact.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ from .exact import format_rational
 
 __all__ = [
     "TorusInterval",
-    "mul_mod1",
     "interval_contains_interval",
 ]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -31,7 +30,8 @@ class TorusInterval:
     Non-wrapping: (left, right) with 0 <= left < right <= 1.
     Wrapping:     (left, 1) union [0, right) with 0 < right < left < 1;
                   note 0 is an interior point of the arc.
-    Zero-length intervals are rejected at construction.
+    Zero-length intervals are rejected at construction.  The ends are
+    ordered by cross-multiplying their numerators and denominators.
     """
 
     left: Fraction
@@ -39,20 +39,23 @@ class TorusInterval:
     wraps: bool = False
 
     def __post_init__(self):
-        left = Fraction(self.left)
-        right = Fraction(self.right)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        left, right = self.left, self.right
+        if not isinstance(left, Fraction):
+            left = Fraction(left)
+            object.__setattr__(self, "left", left)
+        if not isinstance(right, Fraction):
+            right = Fraction(right)
+            object.__setattr__(self, "right", right)
+        ln, ld, rn, rd = left.numerator, left.denominator, right.numerator, right.denominator
         if self.wraps:
-            if not (_ZERO < right < left < _ONE):
+            if not (0 < rn and rn * ld < ln * rd and ln < ld):
                 raise ValueError(
                     f"wrapping interval needs 0 < right < left < 1, got ({left}, {right})"
                 )
-        else:
-            if not (_ZERO <= left < right <= _ONE):
-                raise ValueError(
-                    f"interval needs 0 <= left < right <= 1, got ({left}, {right})"
-                )
+        elif not (0 <= ln and ln * rd < rn * ld and rn <= rd):
+            raise ValueError(
+                f"interval needs 0 <= left < right <= 1, got ({left}, {right})"
+            )
 
     @property
     def length(self) -> Fraction:
@@ -60,23 +63,12 @@ class TorusInterval:
             return (_ONE - self.left) + self.right
         return self.right - self.left
 
-    def contains(self, x: Fraction) -> bool:
-        """Exact membership of a point in [0, 1)."""
-        x = Fraction(x)
-        return self.contains_residue(x.numerator, x.denominator)
-
     def contains_residue(self, r: int, q: int) -> bool:
         """Exact membership of the point r/q (q > 0) by cross-multiplication,
         without reducing r/q: for huge q no gcd is run."""
         above = self.left.numerator * q < r * self.left.denominator
         below = r * self.right.denominator < self.right.numerator * q
         return (above or below) if self.wraps else (above and below)
-
-    def lifted(self) -> tuple[Fraction, Fraction]:
-        """Endpoints (a, b) of the lift to R with 0 <= a < b <= a + 1."""
-        if self.wraps:
-            return self.left, self.right + 1
-        return self.left, self.right
 
     def to_json(self) -> dict:
         return {
@@ -86,19 +78,23 @@ class TorusInterval:
         }
 
 
-def mul_mod1(n: int, alpha: Fraction) -> Fraction:
-    """Fractional part of n*alpha, exact.  Requires n >= 1."""
-    if n < 1:
-        raise ValueError("multiplier must be a positive integer")
-    alpha = Fraction(alpha)
-    return Fraction(n * alpha.numerator % alpha.denominator, alpha.denominator)
-
-
 def interval_contains_interval(outer: TorusInterval, inner: TorusInterval) -> bool:
-    """True iff inner is a subset of outer (as open arcs, exact)."""
-    ia, ib = inner.lifted()
-    oa, ob = outer.lifted()
-    for shift in (-1, 0, 1):
-        if oa <= ia + shift and ib + shift <= ob:
-            return True
-    return False
+    """True iff inner is a subset of outer (as open arcs, exact).
+
+    Each arc lifts to (a, b) in R with 0 <= a < b <= a + 1, b = right + 1
+    for a wrapping arc; inner lies in outer iff some shift s in {-1, 0, 1}
+    gives a_out <= a_in + s and b_in + s <= b_out.  Both comparisons are
+    made on numerators and denominators, cross-multiplied.
+    """
+    oan, oad = outer.left.numerator, outer.left.denominator
+    obn, obd = outer.right.numerator, outer.right.denominator
+    ian, iad = inner.left.numerator, inner.left.denominator
+    ibn, ibd = inner.right.numerator, inner.right.denominator
+    if outer.wraps:
+        obn += obd
+    if inner.wraps:
+        ibn += ibd
+    # a_out <= a_in + s iff lo <= s * left_den; b_in + s <= b_out iff s * right_den <= hi.
+    lo, left_den = oan * iad - ian * oad, iad * oad
+    hi, right_den = obn * ibd - ibn * obd, ibd * obd
+    return any(lo <= s * left_den and s * right_den <= hi for s in (-1, 0, 1))

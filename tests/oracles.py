@@ -17,6 +17,11 @@ program against.  None of it backs a `maldist` subcommand.
   `fraction_star_discrepancy`, which the differential tests compare the
   integer kernels against, and `as_residues` and `fractions_of`, which
   convert between the two forms;
+- the Fraction twins the program dropped when its circle points and
+  decimals came from the integer kernels alone: `fraction_mul_mod1`,
+  `fraction_contains`, `lifted` and `fraction_contains_interval` on the
+  circle, and `frequencies`, `fraction_decimal_str` and
+  `fraction_scan_to_csv` for the scan CSV;
 - `stepwise_invariance_defect`: the invariance defect counted along the
   orbit one step at a time, the reference for the two-lookup identity
   `invariance_defect` and the invariance verifier use;
@@ -35,6 +40,8 @@ collected by pytest (its name does not start with `test_`).
 
 from __future__ import annotations
 
+import csv
+import io
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +53,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from maldist.doubling import BinaryPoint
 from maldist.empirical import CellPartition, CheckpointScan, EmpiricalMeasure, Residues
 from maldist.envelope import BlockSpec, RatioMeasure
-from maldist.exact import RationalParseError, mod1, over_lcm
+from maldist.exact import RationalParseError, decimal_ratio, format_rational, mod1, over_lcm
 from maldist.subspace import ExtensionTarget, validate_membership
 from maldist.torus import TorusInterval
 
@@ -234,6 +241,36 @@ def empirical_measure(points: Sequence[Fraction], partition: CellPartition) -> E
     return fraction_checkpoint_scan(points, partition, [len(points)]).measures[0]
 
 
+def frequencies(measure: EmpiricalMeasure) -> tuple[Fraction, ...]:
+    """The cell frequencies counts/N of an empirical measure, as Fractions."""
+    return tuple(Fraction(c, measure.sample_count) for c in measure.counts)
+
+
+def fraction_decimal_str(value: Fraction, digits: int = 12) -> str:
+    """Decimal rendering with `digits` places, round-half-away-from-zero,
+    of a Fraction: the integer kernel on its reduced terms."""
+    f = Fraction(value)
+    return decimal_ratio(f.numerator, f.denominator, digits)
+
+
+def fraction_scan_to_csv(scan: CheckpointScan, digits: int = 12) -> str:
+    """The scan CSV with every frequency built as a Fraction, then printed."""
+    s = len(scan.measures[0].counts)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(
+        ["N"] + [f"freq_{i}" for i in range(s)] + [f"freq_{i}_exact" for i in range(s)]
+    )
+    for cp, m in zip(scan.checkpoints, scan.measures):
+        freqs = frequencies(m)
+        writer.writerow(
+            [cp]
+            + [fraction_decimal_str(f, digits) for f in freqs]
+            + [format_rational(f) for f in freqs]
+        )
+    return out.getvalue()
+
+
 # --- ratio measures, arcs and binary points --------------------------------------
 
 
@@ -271,6 +308,32 @@ def tv_norm_distance(pi: RatioMeasure, other: RatioMeasure) -> Fraction:
     mine = dict(pi.atoms)
     theirs = dict(other.atoms)
     return sum((abs(mine.get(q, _ZERO) - theirs.get(q, _ZERO)) for q in locs), _ZERO)
+
+
+def fraction_mul_mod1(n: int, alpha: Fraction) -> Fraction:
+    """n*alpha mod 1 as a Fraction."""
+    return mod1(n * Fraction(alpha))
+
+
+def fraction_contains(interval: TorusInterval, x: Fraction) -> bool:
+    """Membership of the point x in [0, 1) by Fraction comparisons."""
+    if interval.wraps:
+        return x > interval.left or x < interval.right
+    return interval.left < x < interval.right
+
+
+def lifted(interval: TorusInterval) -> tuple[Fraction, Fraction]:
+    """Endpoints (a, b) of the arc's lift to R with 0 <= a < b <= a + 1."""
+    if interval.wraps:
+        return interval.left, interval.right + 1
+    return interval.left, interval.right
+
+
+def fraction_contains_interval(outer: TorusInterval, inner: TorusInterval) -> bool:
+    """Arc containment by Fraction sums and comparisons over three shifts."""
+    ia, ib = lifted(inner)
+    oa, ob = lifted(outer)
+    return any(oa <= ia + shift and ib + shift <= ob for shift in (-1, 0, 1))
 
 
 def midpoint(interval: TorusInterval) -> Fraction:

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import maldist
+import maldist.cli
 from maldist import certificates as certs
 from maldist.doubling import (
     five_sixth_check,
@@ -480,6 +481,38 @@ def test_cli_spec_lists_hold_only_json_integers(tmp_path, spec, entry):
                   "--out", str(tmp_path / "e.json"), "--table-out", str(tmp_path / "t.csv"))
     assert res.returncode == 2
     assert res.stderr == f"maldist envelope: --spec: {entry}\n"
+
+
+@pytest.mark.parametrize(
+    "spec,error",
+    [
+        ('{"b": "cubic", "m": "const:1"}',
+         "unknown generator 'cubic' (use linear[:o], log, const:c)"),
+        ('{"b": "halfceil", "m": "const:1"}',
+         "unknown generator 'halfceil' (use linear[:o], log, const:c)"),
+        ('{"b": "linear", "m": "quarter"}',
+         "unknown generator 'quarter' (use linear[:o], log, const:c, halfceil)"),
+        ('{"b": "const", "m": "const:1"}', "const needs a value, e.g. const:4"),
+        ('{"b": "linear", "m": "const"}', "const needs a value, e.g. const:4"),
+        ('{"b": 5, "m": "const:1"}', "'b' must be a list or generator name"),
+        ('{"b": "linear", "m": {"x": 1}}', "'m' must be a list or generator name"),
+        ('{"b": [3.5], "m": 7}', "'b' entries must be JSON integers, got 3.5"),
+        ('{"b": [2, 3], "m": [1, 1.5]}', "'m' entries must be JSON integers, got 1.5"),
+        ('{"b": "cubic", "m": [1.5]}',
+         "unknown generator 'cubic' (use linear[:o], log, const:c)"),
+    ],
+    ids=["unknown-b", "halfceil-b", "unknown-m", "const-b", "const-m", "number-b", "object-m",
+         "float-b-before-m", "float-m", "b-before-m"],
+)
+def test_cli_spec_usage_errors_and_their_order(tmp_path, capsys, spec, error):
+    """Each --spec usage error, as the CLI has printed it, with the b side
+    read before the m side."""
+    out = tmp_path / "e.json"
+    argv = ["envelope", "--spec", spec, "--blocks", "3", "--out", str(out)]
+    assert maldist.cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"maldist envelope: --spec: {error}\n")
+    assert not out.exists()
 
 
 def test_cli_config_file_flag_wins(tmp_path):

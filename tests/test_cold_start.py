@@ -23,10 +23,10 @@ EXPORTS = [
     "MixingConfigError", "OrbitHitReport", "RatioMeasure", "RationalParseError",
     "Residues", "TorusInterval", "WindowDensity", "WitnessPlan",
     "auto_plan", "avoidance_sequence", "check_admissible", "checkpoint_scan",
-    "decimal_str", "doubling_orbit", "doubling_period", "envelope_dominates",
+    "doubling_orbit", "doubling_period", "envelope_dominates",
     "five_sixth_check", "format_rational", "greedy_extension",
     "histogram_witness", "hit_frequency_witness", "interval_contains_interval",
-    "invariance_defect", "mixing_chain", "mod1", "mul_mod1", "parse_rational",
+    "invariance_defect", "mixing_chain", "mod1", "parse_rational",
     "pi_measure", "scan_to_csv", "star_discrepancy", "validate_membership",
     "zero_block_alpha", "zero_block_density",
 ]
@@ -85,7 +85,7 @@ def test_scan_rotation_loads_no_certificate_or_construction_layer(tmp_path):
 
 
 def test_all_is_the_pinned_export_set():
-    assert len(EXPORTS) == 49
+    assert len(EXPORTS) == 47
     assert sorted(maldist.__all__) == EXPORTS
 
 

@@ -23,6 +23,7 @@ from maldist.exact import mod1
 from maldist.torus import TorusInterval
 from tests.oracles import (
     fraction_checkpoint_scan,
+    fraction_contains,
     fractions_of,
     shift_value,
     stepwise_invariance_defect,
@@ -161,7 +162,7 @@ def reference_five_sixth_check(alpha, horizon):
         v = mod1(2 * v)
         in_minus = left < v <= F(1, 2)
         in_plus = F(1, 2) < v < right
-        assert wide.contains(mod1(v + alpha)) == (in_minus or in_plus)
+        assert fraction_contains(wide, mod1(v + alpha)) == (in_minus or in_plus)
         minus_flags.append(in_minus)
         plus_flags.append(in_plus)
     hits = sum(m or p for m, p in zip(minus_flags, plus_flags))
@@ -195,7 +196,7 @@ def reference_zero_block_hits(point, windows):
     for end in windows:
         while k < end:
             k += 1
-            if target.contains(mod1(shift_value(point, k) + alpha)):
+            if fraction_contains(target, mod1(shift_value(point, k) + alpha)):
                 hits += 1
         out.append(hits)
     return out

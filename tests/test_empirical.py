@@ -8,13 +8,22 @@ from hypothesis import strategies as st
 
 from maldist.empirical import (
     CellPartition,
+    CheckpointScan,
+    EmpiricalMeasure,
     Residues,
     checkpoint_scan,
+    rotation_scan,
     scan_to_csv,
     star_discrepancy,
 )
 from maldist.exact import mod1
-from tests.oracles import as_residues, cell_index, empirical_measure
+from tests.oracles import (
+    as_residues,
+    cell_index,
+    empirical_measure,
+    fraction_scan_to_csv,
+    frequencies,
+)
 
 
 def brute_force_star_discrepancy(points):
@@ -34,20 +43,20 @@ def brute_force_star_discrepancy(points):
 def test_empirical_thirds():
     p = CellPartition.uniform(3)
     m = empirical_measure([F(0), F(1, 3), F(2, 3)], p)
-    assert m.frequencies == (F(1, 3), F(1, 3), F(1, 3))
+    assert frequencies(m) == (F(1, 3), F(1, 3), F(1, 3))
 
 
 def test_empirical_halves_with_repeats():
     p = CellPartition.uniform(2)
     m = empirical_measure([F(0), F(0), F(0), F(1, 2)], p)
-    assert m.frequencies == (F(3, 4), F(1, 4))
+    assert frequencies(m) == (F(3, 4), F(1, 4))
 
 
 def test_empirical_periodic_orbit():
     p = CellPartition.uniform(5)
     pts = [mod1(n * F(1, 5)) for n in range(1, 6)]
     m = empirical_measure(pts, p)
-    assert m.frequencies == tuple([F(1, 5)] * 5)
+    assert frequencies(m) == tuple([F(1, 5)] * 5)
 
 
 def test_empirical_rejects_empty():
@@ -59,8 +68,8 @@ def test_frequencies_have_denominator_dividing_n():
     p = CellPartition.uniform(4)
     pts = [F(i, 7) for i in range(7)]
     m = empirical_measure(pts, p)
-    assert sum(m.frequencies) == 1
-    for f in m.frequencies:
+    assert sum(frequencies(m)) == 1
+    for f in frequencies(m):
         assert 7 % f.denominator == 0
 
 
@@ -115,7 +124,7 @@ def test_checkpoint_scan_periodic():
     pts = [mod1(n * F(1, 3)) for n in range(1, 10)]
     scan = checkpoint_scan(as_residues(pts), p, [3, 6, 9])
     for m in scan.measures:
-        assert m.frequencies == (F(1, 3), F(1, 3), F(1, 3))
+        assert frequencies(m) == (F(1, 3), F(1, 3), F(1, 3))
 
 
 def test_checkpoint_scan_matches_prefix_measure(golden_points, golden_residues):
@@ -130,7 +139,7 @@ def test_scan_reciprocal_sequence_first_cell():
     p = CellPartition((F(0), F(1, 10), F(1)))
     pts = [F(1, n + 1) for n in range(1, 2001)]
     scan = checkpoint_scan(as_residues(pts), p, [10, 100, 2000])
-    freqs = [m.frequencies[0] for m in scan.measures]
+    freqs = [frequencies(m)[0] for m in scan.measures]
     assert freqs[-1] > F(99, 100)
     assert freqs == sorted(freqs)
 
@@ -258,3 +267,31 @@ def test_cell_index_error_paths_unchanged():
 def test_star_discrepancy_matches_fraction_sweep(points, repeats, with_zero):
     points = points + points[:repeats] + ([F(0)] if with_zero else [])
     assert star_discrepancy(as_residues(points)) == reference_star_discrepancy(points)
+
+
+@st.composite
+def scans(draw):
+    """Checkpoint scans with up to 6 cells and checkpoints past 10^15, each
+    measure's counts a random split of its checkpoint."""
+    cells = draw(st.integers(1, 6))
+    cps = sorted(draw(st.lists(st.integers(1, 10**18), min_size=1, max_size=4, unique=True)))
+    measures = []
+    for n in cps:
+        splits = sorted(draw(st.lists(st.integers(0, n), min_size=cells - 1,
+                                      max_size=cells - 1)))
+        bounds = [0, *splits, n]
+        measures.append(EmpiricalMeasure(tuple(b - a for a, b in zip(bounds, bounds[1:])), n))
+    return CheckpointScan(tuple(cps), tuple(measures))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan=scans(), digits=st.integers(0, 15))
+def test_scan_csv_from_counts_matches_the_fraction_writer(scan, digits):
+    assert scan_to_csv(scan, digits) == fraction_scan_to_csv(scan, digits)
+
+
+@pytest.mark.parametrize("digits", [0, 1, 7, 12, 15])
+def test_rotation_scan_csv_past_10_15_matches_the_fraction_writer(digits):
+    scan = rotation_scan(832040, 1346269, CellPartition.uniform(12),
+                         [7, 10**15, 10**15 + 3, 2 * 10**16])
+    assert scan_to_csv(scan, digits) == fraction_scan_to_csv(scan, digits)

@@ -13,6 +13,7 @@ from maldist.envelope import (
     envelope_dominates,
     pi_measure,
 )
+from maldist.subspace import validate_membership
 from tests.oracles import (
     F_pi_eval,
     SplitMix64,
@@ -55,6 +56,69 @@ def test_block_spec_lazy_function_backed():
     assert F(spec.m(3), spec.b(3)) == F(1, 3)
     assert (spec.a(2), spec.a(3)) == (3, 6)
     assert spec.block_of(6) == 3
+
+
+def linear_block_of(lengths, n):
+    """The block of n by its definition: the first j with b_1 + ... + b_j >= n."""
+    end = 0
+    for j, b in enumerate(lengths, start=1):
+        end += b
+        if end >= n:
+            return j
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=30),
+       reads=st.lists(st.integers(1, 300), max_size=40))
+def test_block_of_matches_the_linear_definition(lengths, reads):
+    # One list-backed and one generator-backed spec, read in the same
+    # (unsorted) order, so the generator's sums are extended between reads.
+    listed = BlockSpec(lengths, [1] * len(lengths))
+    lazy = BlockSpec(lambda j: lengths[(j - 1) % len(lengths)], lambda j: 1)
+    cycle = lengths * (300 // len(lengths) + 1)
+    for n in reads:
+        assert lazy.block_of(n) == linear_block_of(cycle, n)
+        want = linear_block_of(lengths, n)
+        if want is not None:
+            assert listed.block_of(n) == want
+            continue
+        with pytest.raises(IndexError) as err:
+            listed.block_of(n)
+        assert str(err.value) == (
+            f"block {len(lengths) + 1} beyond the {len(lengths)} given lengths")
+
+
+def test_block_of_refuses_nonpositive_indices():
+    with pytest.raises(ValueError, match="indices are positive"):
+        BlockSpec([2], [1]).block_of(0)
+
+
+def test_validation_extends_the_block_sums_once(monkeypatch):
+    """Validating the first ceil((j+1)/2) indices of each block j = 1..400 of
+    b_j = j + 1 (40,400 indices) reads the block sums at most indices +
+    blocks times: each index is found by bisection on the sums, which are
+    extended once for all reads.  A walk from block 1 per index would read
+    them about 8 million times."""
+    spec = BlockSpec(lambda j: j + 1, lambda j: (j + 2) // 2)
+    blocks = 400
+    indices = [n for j in range(1, blocks + 1)
+               for n in range(j * (j + 1) // 2, j * (j + 1) // 2 + (j + 2) // 2)]
+    assert len(indices) == 40_400
+    budget = len(indices) + blocks
+    calls = 0
+    extend = BlockSpec._extend_sums
+
+    def counted(self, j):
+        nonlocal calls
+        calls += 1
+        if calls > budget:
+            raise AssertionError(f"block sums read more than {budget} times")
+        return extend(self, j)
+
+    monkeypatch.setattr(BlockSpec, "_extend_sums", counted)
+    assert validate_membership(indices, spec, blocks)
+    assert calls <= budget
 
 
 def test_admissible_linear():

@@ -1,3 +1,4 @@
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from maldist.exact import (
     RationalParseError,
     binary_digits,
-    decimal_str,
+    decimal_ratio,
     format_rational,
     is_dyadic,
     mod1,
@@ -45,17 +46,31 @@ def test_parse_format_round_trip(value):
 
 
 def test_decimal_str_rounding():
-    assert decimal_str(F(1, 3), 4) == "0.3333"
-    assert decimal_str(F(2, 3), 4) == "0.6667"
-    assert decimal_str(F(-1, 3), 4) == "-0.3333"
-    assert decimal_str(F(1, 2), 0) == "1"  # half away from zero
-    assert decimal_str(F(5), 2) == "5.00"
+    assert decimal_ratio(1, 3, 4) == "0.3333"
+    assert decimal_ratio(2, 3, 4) == "0.6667"
+    assert decimal_ratio(-1, 3, 4) == "-0.3333"
+    assert decimal_ratio(1, 2, 0) == "1"  # half away from zero
+    assert decimal_ratio(5, 1, 2) == "5.00"
 
 
 def test_decimal_str_refuses_negative_digits():
     with pytest.raises(ValueError, match="digits must be nonnegative"):
-        decimal_str(F(5, 6), -2)
-    assert decimal_str(F(5, 6), 0) == "1"
+        decimal_ratio(5, 6, -2)
+    assert decimal_ratio(5, 6, 0) == "1"
+
+
+@given(num=st.integers(-10**20, 10**20), den=st.integers(1, 10**20),
+       scale=st.integers(1, 10**6), digits=st.integers(0, 15))
+def test_decimal_ratio_matches_decimal_half_up(num, den, scale, digits):
+    # Independent of the scale of num/den, and equal to `decimal`'s rounding
+    # of ties away from zero at ample precision.
+    with localcontext() as ctx:
+        ctx.prec = 100
+        want = (Decimal(num) / Decimal(den)).quantize(Decimal(1).scaleb(-digits),
+                                                      rounding=ROUND_HALF_UP)
+    text = decimal_ratio(num, den, digits)
+    assert text == decimal_ratio(num * scale, den * scale, digits)
+    assert Decimal(text) == want
 
 
 def test_mod1():

@@ -24,19 +24,9 @@ from maldist.witness import (
     hit_frequency_witness,
     mixing_chain,
 )
-from tests.oracles import midpoint
+from tests.oracles import fraction_contains, fraction_mul_mod1, lifted, midpoint
 
 # --- Fraction references ------------------------------------------------------
-
-
-def fraction_mul_mod1(n, alpha):
-    return mod1(n * F(alpha))
-
-
-def fraction_contains(interval, x):
-    if interval.wraps:
-        return x > interval.left or x < interval.right
-    return interval.left < x < interval.right
 
 
 def fraction_validate(cfg):
@@ -65,10 +55,10 @@ def fraction_validate(cfg):
 
 
 def fraction_maps_into(n, interval, target):
-    lo, hi = interval.lifted()
+    lo, hi = lifted(interval)
     scaled_lo, scaled_hi = n * lo, n * hi
     j = scaled_lo.numerator // scaled_lo.denominator
-    ta, tb = target.lifted()
+    ta, tb = lifted(target)
     return scaled_lo - j >= ta and scaled_hi - j <= tb
 
 

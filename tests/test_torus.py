@@ -1,20 +1,36 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maldist import certificates as certs
-from maldist.torus import TorusInterval, interval_contains_interval, mul_mod1
-from tests.oracles import midpoint
+from maldist.torus import TorusInterval, interval_contains_interval
+from tests.oracles import (
+    fraction_contains,
+    fraction_contains_interval,
+    fraction_mul_mod1,
+    midpoint,
+)
+
+
+def residue(n: int, alpha: F) -> tuple[int, int]:
+    """n*alpha mod 1 in the residue form the certificate builders use."""
+    return n * alpha.numerator % alpha.denominator, alpha.denominator
 
 
 def test_mul_mod1_integer_product():
-    assert mul_mod1(3, F(1, 3)) == 0
+    r, q = residue(3, F(1, 3))
+    assert F(r, q) == fraction_mul_mod1(3, F(1, 3)) == 0
+    assert TorusInterval(F(9, 10), F(1, 10), wraps=True).contains_residue(r, q)
+    assert not TorusInterval(F(1, 10), F(1)).contains_residue(r, q)
 
 
 def test_mul_mod1_wraps():
-    assert mul_mod1(2, F(2, 3)) == F(1, 3)
+    r, q = residue(2, F(2, 3))
+    assert F(r, q) == fraction_mul_mod1(2, F(2, 3)) == F(1, 3)
+    assert TorusInterval(F(1, 4), F(1, 2)).contains_residue(r, q)
+    assert not TorusInterval(F(1, 2), F(1)).contains_residue(r, q)
 
 
 def test_mul_mod1_order_of_two_mod_17():
@@ -23,12 +39,9 @@ def test_mul_mod1_order_of_two_mod_17():
     for _ in range(8):
         value = (2 * value) % 17
     assert value == 1
-    assert mul_mod1(256, F(1, 17)) == F(1, 17)
-
-
-def test_mul_mod1_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        mul_mod1(0, F(1, 2))
+    assert residue(256, F(1, 17)) == (1, 17)
+    assert fraction_mul_mod1(256, F(1, 17)) == F(1, 17)
+    assert TorusInterval(F(1, 18), F(1, 16)).contains_residue(*residue(256, F(1, 17)))
 
 
 def test_interval_length_examples():
@@ -39,11 +52,10 @@ def test_interval_length_examples():
 
 def test_wrapping_membership_includes_zero():
     iv = TorusInterval(F(4, 5), F(1, 10), wraps=True)
-    assert iv.contains(F(0))
-    assert iv.contains(F(9, 10))
-    assert iv.contains(F(1, 20))
-    assert not iv.contains(F(1, 10))
-    assert not iv.contains(F(1, 2))
+    for x, inside in ((F(0), True), (F(9, 10), True), (F(1, 20), True),
+                      (F(1, 10), False), (F(1, 2), False)):
+        assert fraction_contains(iv, x) is inside
+        assert iv.contains_residue(x.numerator, x.denominator) is inside
 
 
 def test_degenerate_interval_rejected():
@@ -61,7 +73,12 @@ rationals01 = st.fractions(min_value=0, max_value=1, max_denominator=64)
     alpha=rationals01.filter(lambda x: x < 1),
 )
 def test_mul_semigroup(a, b, alpha):
-    assert mul_mod1(a * b, alpha) == mul_mod1(a, mul_mod1(b, alpha))
+    r, q = residue(a * b, alpha)
+    assert r == a * residue(b, alpha)[0] % q
+    point = fraction_mul_mod1(a, fraction_mul_mod1(b, alpha))
+    assert F(r, q) == fraction_mul_mod1(a * b, alpha) == point
+    for iv in (TorusInterval(F(1, 3), F(2, 3)), TorusInterval(F(5, 6), F(1, 6), wraps=True)):
+        assert iv.contains_residue(r, q) is fraction_contains(iv, point)
 
 
 def test_wrapping_midpoint_lands_on_zero():
@@ -69,7 +86,8 @@ def test_wrapping_midpoint_lands_on_zero():
     iv = TorusInterval(F(19, 20), F(1, 20), wraps=True)
     mid = midpoint(iv)
     assert mid == 0
-    assert iv.contains(mid)
+    assert fraction_contains(iv, mid)
+    assert iv.contains_residue(0, 1)
 
 
 def test_contains_interval_wrap_cases():
@@ -87,3 +105,74 @@ def test_json_round_trip():
     iv = TorusInterval(F(4, 5), F(1, 10), wraps=True)
     assert iv.to_json() == {"left": "4/5", "right": "1/10", "wraps": True}
     assert certs._INTERVAL.parse(iv.to_json()) == iv
+
+
+# --- the integer kernels against the Fraction references -------------------------
+
+# Small denominators make shared ends and ends at 0 and 1 common.
+ends = st.fractions(min_value=0, max_value=1, max_denominator=12)
+
+
+def fraction_valid(left, right, wraps):
+    return 0 < right < left < 1 if wraps else 0 <= left < right <= 1
+
+
+@st.composite
+def arcs(draw):
+    """An arc between two distinct ends; it wraps when asked and both ends
+    lie strictly inside (0, 1)."""
+    a, b = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    if draw(st.booleans()) and 0 < a and b < 1:
+        return TorusInterval(b, a, wraps=True)
+    return TorusInterval(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(left=ends, right=ends, wraps=st.booleans())
+@example(left=F(0), right=F(1), wraps=False)
+@example(left=F(0), right=F(1, 2), wraps=True)
+@example(left=F(1), right=F(1, 2), wraps=True)
+@example(left=F(1, 2), right=F(1, 2), wraps=True)
+@example(left=F(1), right=F(1), wraps=False)
+def test_interval_ends_ordered_as_by_fractions(left, right, wraps):
+    if fraction_valid(left, right, wraps):
+        iv = TorusInterval(left, right, wraps)
+        assert iv.length == ((1 - left) + right if wraps else right - left)
+        assert iv.to_json() == {"left": f"{left.numerator}/{left.denominator}",
+                                "right": f"{right.numerator}/{right.denominator}",
+                                "wraps": wraps}
+        return
+    with pytest.raises(ValueError) as err:
+        TorusInterval(left, right, wraps)
+    need = "wrapping interval needs 0 < right < left < 1" if wraps else (
+        "interval needs 0 <= left < right <= 1")
+    assert str(err.value) == f"{need}, got ({left}, {right})"
+
+
+def test_interval_ends_become_fractions():
+    iv = TorusInterval(0, 1)
+    assert type(iv.left) is F and type(iv.right) is F
+    assert iv == TorusInterval(F(0), F(1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(iv=arcs(), x=ends.filter(lambda v: v < 1), scale=st.integers(1, 10**12))
+@example(iv=TorusInterval(F(4, 5), F(1, 10), wraps=True), x=F(0), scale=7)
+@example(iv=TorusInterval(F(4, 5), F(1, 10), wraps=True), x=F(4, 5), scale=3)
+@example(iv=TorusInterval(F(0), F(1, 3)), x=F(0), scale=5)
+def test_contains_residue_matches_fraction_contains(iv, x, scale):
+    # The residue r/q is read unreduced, as k*r over k*q.
+    r, q = x.numerator * scale, x.denominator * scale
+    assert iv.contains_residue(r, q) is fraction_contains(iv, x)
+
+
+@settings(max_examples=250, deadline=None)
+@given(outer=arcs(), inner=arcs())
+@example(outer=TorusInterval(F(7, 10), F(2, 10), wraps=True),
+         inner=TorusInterval(F(8, 10), F(1, 10), wraps=True))
+@example(outer=TorusInterval(F(1, 2), F(1, 4), wraps=True), inner=TorusInterval(F(0), F(1, 4)))
+@example(outer=TorusInterval(F(1, 2), F(1, 4), wraps=True), inner=TorusInterval(F(1, 2), F(1)))
+@example(outer=TorusInterval(F(0), F(1)), inner=TorusInterval(F(3, 4), F(1, 4), wraps=True))
+@example(outer=TorusInterval(F(0), F(1)), inner=TorusInterval(F(0), F(1)))
+def test_contains_interval_matches_fraction_reference(outer, inner):
+    assert interval_contains_interval(outer, inner) is fraction_contains_interval(outer, inner)
