@@ -26,7 +26,6 @@ _EXPORTS = {
     "empirical": (
         "CellPartition",
         "CheckpointScan",
-        "EmpiricalMeasure",
         "MeasureVector",
         "Residues",
         "checkpoint_scan",

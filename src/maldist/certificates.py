@@ -863,7 +863,8 @@ def _verify_invariance(inp: dict, stated: dict):
     # telescopes to +1 in the cell of r_1 and -1 in that of r_{steps+1}.
     v = mod1(alpha)
     p, q = v.numerator, v.denominator
-    ends = partition.cell_of(2 * p % q, q), partition.cell_of(pow(2, steps + 1, q) * p % q, q)
+    bounds = partition.thresholds(q)[1:]
+    ends = bisect_right(bounds, 2 * p % q), bisect_right(bounds, pow(2, steps + 1, q) * p % q)
     defect = Fraction(int(ends[0] != ends[1]), steps)
     bound = Fraction(2, steps)
     return [], {

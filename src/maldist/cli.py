@@ -400,7 +400,6 @@ def _cmd_subspace(opts: dict) -> int:
     spec = _block_spec(opts)
     cuts = _rational_list(_require(opts, "cuts"), "cuts")
     partition = CellPartition(tuple(cuts))
-    lam = partition.lebesgue_masses()
     mu = MeasureVector(tuple(_rational_list(_require(opts, "mu"), "mu")))
     eps = _rational(opts, "eps", "1/10")
     if "pi" in opts:
@@ -416,7 +415,7 @@ def _cmd_subspace(opts: dict) -> int:
     # The greedy runs up to --blocks blocks past the prefix's last block.
     x = _points_source(opts, spec.a(_prefix_blocks(prefix, spec) + blocks))
     target = ExtensionTarget(mu=mu, eps=eps, pi=pi)
-    result = greedy_extension(prefix, spec, x, partition, lam, target, max_blocks=blocks)
+    result = greedy_extension(prefix, spec, x, partition, target, max_blocks=blocks)
     runs: list[list[int]] = []
     for n in result.indices:
         if runs and runs[-1][0] + runs[-1][1] == n:
@@ -470,7 +469,6 @@ def _cmd_witness(opts: dict) -> int:
     from .witness import (
         HistogramTarget,
         MixingConfig,
-        WitnessPlan,
         avoidance_sequence,
         histogram_witness,
         hit_frequency_witness,
@@ -496,15 +494,7 @@ def _cmd_witness(opts: dict) -> int:
         ratio = _rational(opts, "ratio")
         count = _int(opts, "count", 64)
         n = _multipliers(opts, count)
-        plan = None
-        if "plan-u" in opts:
-            plan = WitnessPlan(
-                ratio=ratio,
-                u=_int(opts, "plan-u"),
-                c=_int(opts, "plan-c"),
-                repeats=_int(opts, "plan-repeats", 1),
-            )
-        witness = hit_frequency_witness(n, interval, ratio, plan=plan)
+        witness = hit_frequency_witness(n, interval, ratio)
         cert = certs.hitfreq_certificate(witness, n)
     elif mode in ("salat3", "histogram"):
         weights = _int_list(_require(opts, "weights"), "weights")
@@ -650,9 +640,8 @@ _SUBCOMMANDS = {
         "explicit irregularity witnesses (mixing|salat2|salat3|avoid|zeroblock; "
         "hitfreq/histogram alias the middle two)",
         ("mode", "n", "n-kind", "eps", "delta", "start", "targets", "interval",
-         "ratio", "count", "plan-u", "plan-c", "plan-repeats", "weights", "eta",
-         "base", "alpha", "horizon", "prefix", "discrepancy-floor", "starts",
-         "seed", "out"),
+         "ratio", "count", "weights", "eta", "base", "alpha", "horizon", "prefix",
+         "discrepancy-floor", "starts", "seed", "out"),
         _cmd_witness,
     ),
     "doubling": (

@@ -17,6 +17,7 @@ period, not the horizon.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,6 @@ from .exact import mod1
 from .empirical import (
     CellPartition,
     CheckpointScan,
-    EmpiricalMeasure,
     Residues,
     _checked_checkpoints,
     checkpoint_scan,
@@ -160,14 +160,14 @@ def doubling_scan(
     ends = sorted({pre, n, *(end for _, end in folds)} - {0})
     walk = checkpoint_scan(Residues(residues, q), partition, ends)
     prefix = {0: (0,) * partition.size}
-    prefix.update(zip(ends, (m.counts for m in walk.measures)))
-    measures = []
-    for (whole, end), N in zip(folds, cps):
+    prefix.update(zip(ends, walk.counts))
+    scanned = []
+    for whole, end in folds:
         counts = prefix[end]
         if whole:
             counts = tuple(e + whole * (f - c) for e, f, c in zip(counts, prefix[n], prefix[pre]))
-        measures.append(EmpiricalMeasure(counts, N))
-    return CheckpointScan(tuple(cps), tuple(measures))
+        scanned.append(counts)
+    return CheckpointScan(tuple(cps), tuple(scanned))
 
 
 def invariance_defect(alpha: Fraction, steps: int, partition: CellPartition) -> Fraction:
@@ -191,8 +191,9 @@ def invariance_defect(alpha: Fraction, steps: int, partition: CellPartition) -> 
         raise ValueError("partition cut points must be dyadic rationals")
     v = mod1(Fraction(alpha))
     p, q = v.numerator, v.denominator
-    first = partition.cell_of(2 * p % q, q)
-    past = partition.cell_of(pow(2, steps + 1, q) * p % q, q)
+    bounds = partition.thresholds(q)[1:]
+    first = bisect_right(bounds, 2 * p % q)
+    past = bisect_right(bounds, pow(2, steps + 1, q) * p % q)
     return Fraction(int(first != past), steps)
 
 

@@ -1,10 +1,10 @@
 """Empirical measures over finite partitions of [0, 1).
 
-Covers the cell partition and its exact point lookup, measure and frequency
-vectors, points held as integer residues over one denominator, exact star
-discrepancy, and checkpoint scans of the prefix measures along a sequence
-with their CSV form: from a list of points, or for a rotation n*p/q mod 1 in
-closed form by floor sums, with no point list.
+Covers the cell partition and its integer thresholds (the one cell lookup),
+measure vectors, points held as integer residues over one denominator, exact
+star discrepancy, and checkpoint scans of the prefix cell counts along a
+sequence with their CSV form: from a list of points, or for a rotation
+n*p/q mod 1 in closed form by floor sums, with no point list.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .exact import decimal_ratio, format_ratio, is_dyadic, over_lcm
 __all__ = [
     "CellPartition",
     "MeasureVector",
-    "EmpiricalMeasure",
     "CheckpointScan",
     "Residues",
     "star_discrepancy",
@@ -66,7 +65,7 @@ class CellPartition:
     """Partition of [0, 1) into cells [t_{i-1}, t_i) by exact rational cuts.
 
     The cuts are also held as integer numerators over their lcm, so a lookup
-    is one `bisect` on integers, with no Fraction built or compared.
+    (`thresholds`) is one `bisect` on integers, with no Fraction built.
     """
 
     cuts: tuple[Fraction, ...]
@@ -96,24 +95,15 @@ class CellPartition:
     def dyadic(cls, level: int) -> "CellPartition":
         return cls.uniform(1 << level)
 
-    def cell_of(self, num: int, den: int) -> int:
-        """Index of the cell holding num/den (den > 0, need not be reduced).
-
-        Exact: t_i = c_i/D with integer c_i, so t_i <= num/den iff
-        c_i <= floor(num*D/den).
-        """
-        if not 0 <= num < den:
-            raise ValueError("points must lie in [0, 1)")
-        return bisect_right(self._scaled_cuts, num * self._den // den) - 1
-
     def thresholds(self, den: int) -> tuple[int, ...]:
         """The integer thresholds T_i = ceil(c_i*den/D) of the cuts t_i =
         c_i/D over the denominator den > 0: t_i <= r/den iff r >= T_i, so for
-        0 <= r < den, `bisect_right(T, r) - 1` equals `cell_of(r, den)`.
+        0 <= r < den, `bisect_right(T, r) - 1` is the index of the cell that
+        holds r/den.
 
         T_0 = 0 and the last threshold is den, so `bisect_right(T[1:], r)` is
         the cell index itself: one integer bisect per point, with no
-        multiplication or division.
+        multiplication or division.  This is the package's only cell lookup.
         """
         if den < 1:
             raise ValueError("denominator must be positive")
@@ -144,20 +134,6 @@ class MeasureVector:
     @property
     def size(self) -> int:
         return len(self.masses)
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Cell counts of N sample points; the frequencies are counts/N."""
-
-    counts: tuple[int, ...]
-    sample_count: int
-
-    def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError("sample count must be positive")
-        if sum(self.counts) != self.sample_count:
-            raise ValueError("counts must sum to the sample count")
 
 
 def _cell_indices(nums: Sequence[int], bounds: Sequence[int], den: int) -> Iterator[int]:
@@ -200,16 +176,11 @@ def star_discrepancy(points: Residues) -> Fraction:
 
 @dataclass(frozen=True)
 class CheckpointScan:
-    """Empirical measures of the sequence prefix at each checkpoint index."""
+    """Cell counts of the prefix x_1..x_N at each checkpoint N: `counts[k]`
+    sums to `checkpoints[k]`, and a frequency is a count over its N."""
 
     checkpoints: tuple[int, ...]
-    measures: tuple[EmpiricalMeasure, ...]
-
-    def __post_init__(self):
-        if any(a >= b for a, b in zip(self.checkpoints, self.checkpoints[1:])):
-            raise ValueError("checkpoints must be strictly increasing")
-        if len(self.checkpoints) != len(self.measures):
-            raise ValueError("one measure per checkpoint required")
+    counts: tuple[tuple[int, ...], ...]
 
 
 def _checked_checkpoints(checkpoints: Sequence[int]) -> list[int]:
@@ -229,7 +200,7 @@ def checkpoint_scan(
     """Scan of prefix measures; points past the last checkpoint are not read."""
     cps = _checked_checkpoints(checkpoints)
     counts = [0] * partition.size
-    measures = []
+    scanned = []
     cells = _cell_indices(points.nums[: cps[-1]], partition.thresholds(points.den)[1:],
                           points.den)
     seen = 0
@@ -239,8 +210,8 @@ def checkpoint_scan(
             seen += 1
         if seen < target:
             raise ValueError(f"point source exhausted before checkpoint {target}")
-        measures.append(EmpiricalMeasure(tuple(counts), seen))
-    return CheckpointScan(tuple(cps), tuple(measures))
+        scanned.append(tuple(counts))
+    return CheckpointScan(tuple(cps), tuple(scanned))
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -286,19 +257,18 @@ def rotation_scan(
         raise ValueError("denominator must be positive")
     p %= q
     inner = partition.thresholds(q)[1:-1]
-    measures = []
+    scanned = []
     for n in cps:
         base = _floor_sum(n, q, p, p)
         at_or_above = [n, *(_floor_sum(n, q, p, p + q - a) - base for a in inner), 0]
-        counts = tuple(x - y for x, y in zip(at_or_above, at_or_above[1:]))
-        measures.append(EmpiricalMeasure(counts, n))
-    return CheckpointScan(tuple(cps), tuple(measures))
+        scanned.append(tuple(x - y for x, y in zip(at_or_above, at_or_above[1:])))
+    return CheckpointScan(tuple(cps), tuple(scanned))
 
 
 def scan_to_csv(scan: CheckpointScan, digits: int = 12) -> str:
     """CSV of a scan: one row per checkpoint, decimal frequencies first,
     exact "p/q" duplicates after, each printed from its count over N."""
-    s = len(scan.measures[0].counts)
+    s = len(scan.counts[0])
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     header = (
@@ -307,11 +277,10 @@ def scan_to_csv(scan: CheckpointScan, digits: int = 12) -> str:
         + [f"freq_{i}_exact" for i in range(s)]
     )
     writer.writerow(header)
-    for cp, m in zip(scan.checkpoints, scan.measures):
-        n = m.sample_count
+    for n, counts in zip(scan.checkpoints, scan.counts):
         writer.writerow(
-            [cp]
-            + [decimal_ratio(c, n, digits) for c in m.counts]
-            + [format_ratio(c, n) for c in m.counts]
+            [n]
+            + [decimal_ratio(c, n, digits) for c in counts]
+            + [format_ratio(c, n) for c in counts]
         )
     return out.getvalue()

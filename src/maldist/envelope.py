@@ -52,6 +52,12 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
+def _block_index(j: int, first: int) -> int:
+    if j < first:
+        raise ValueError(f"block {j}: index must be at least {first}")
+    return j
+
+
 class BlockSpec:
     """Block lengths b_j and per-block multiplicities m_j (j is 1-based).
 
@@ -102,21 +108,21 @@ class BlockSpec:
             self._M.append(self._M[-1] + m)
 
     def b(self, j: int) -> int:
-        self._extend_sums(j)
+        self._extend_sums(_block_index(j, 1))
         return self._b[j - 1]
 
     def m(self, j: int) -> int:
-        self._extend_sums(j)
+        self._extend_sums(_block_index(j, 1))
         return self._m[j - 1]
 
     def a(self, j: int) -> int:
-        """End of block j: blocks are (a(j-1), a(j)]."""
-        self._extend_sums(j)
+        """End of block j >= 0: blocks are (a(j-1), a(j)], and a(0) = 0."""
+        self._extend_sums(_block_index(j, 0))
         return self._a[j]
 
     def M(self, j: int) -> int:
-        """Total multiplicity of blocks 1..j."""
-        self._extend_sums(j)
+        """Total multiplicity of blocks 1..j, for j >= 0."""
+        self._extend_sums(_block_index(j, 0))
         return self._M[j]
 
     def block_of(self, n: int) -> int:
@@ -131,7 +137,7 @@ class BlockSpec:
 
 
 class RatioMeasure:
-    """Finite discrete probability measure on [0, 1]: sorted distinct atom
+    """Finite discrete probability measure on [0, 1]: distinct atom
     locations with positive weights summing to exactly 1.
 
     The measure is held as integers.  Atom i sits at p_i/q_i in lowest
@@ -141,30 +147,16 @@ class RatioMeasure:
     the sum of weight/location over the atoms from i on (`_harmonic_from[i]`:
     the sum of w_j * q_j * (P // p_j), over W * P for the lcm P of the
     nonzero p_j).  A 0-atom adds nothing to the latter: F(t) reads it only
-    past the atoms <= t, and t >= 0.  `atoms`, the (location, weight)
-    Fraction pairs, is built on first access.
+    past the atoms <= t, and t >= 0.
     """
 
     __slots__ = ("_locs", "_weights", "_wden", "_scale", "_keys", "_mass_upto",
-                 "_hscale", "_harmonic_from", "_atoms")
+                 "_hscale", "_harmonic_from")
 
-    def __init__(self, atoms: Iterable[tuple[Fraction, Fraction]]):
-        atoms = tuple((Fraction(q), Fraction(w)) for q, w in atoms)
-        if any(not 0 <= q <= 1 for q, _ in atoms):
-            raise ValueError("atom locations must lie in [0, 1]")
-        if any(w <= 0 for _, w in atoms):
-            raise ValueError("atom weights must be positive")
-        if any(a >= b for (a, _), (b, _) in zip(atoms, atoms[1:])):
-            raise ValueError("atom locations must be sorted and distinct")
-        weights, wden = over_lcm([w for _, w in atoms])
-        if sum(weights) != wden:
-            raise ValueError("atom weights must sum to exactly 1")
-        self._set(zip(((q.numerator, q.denominator) for q, _ in atoms), weights), wden)
-        self._atoms = atoms
-
-    def _set(self, weighted: Iterable[tuple[tuple[int, int], int]], wden: int) -> None:
-        """Store distinct reduced locations (p, q) with positive integer
-        weights over wden that sum to wden, sorted by their keys."""
+    def __init__(self, weighted: Iterable[tuple[tuple[int, int], int]], wden: int):
+        """Weight w/wden at p/q for each ((p, q), w) in weighted, in any order:
+        distinct reduced locations in [0, 1], positive weights summing to
+        wden (not checked)."""
         weighted = list(weighted)
         scale = lcm(*(q for (_, q), _ in weighted))
         rows = sorted((p * (scale // q), p, q, w) for (p, q), w in weighted)
@@ -177,35 +169,6 @@ class RatioMeasure:
         self._mass_upto = tuple(accumulate(weights, initial=0))
         tails = [w * q * (hscale // p) if p else 0 for (p, q), w in zip(locs, weights)]
         self._harmonic_from = tuple(accumulate(reversed(tails), initial=0))[::-1]
-        self._atoms = None
-
-    @classmethod
-    def _from_counts(cls, counts: dict[tuple[int, int], int], total: int) -> "RatioMeasure":
-        """The measure with weight counts[(p, q)]/total at each reduced
-        location p/q; the counts are positive and sum to total."""
-        pi = cls.__new__(cls)
-        pi._set(counts.items(), total)
-        return pi
-
-    @property
-    def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        if self._atoms is None:
-            wden = self._wden
-            self._atoms = tuple(
-                (Fraction(p, q), Fraction(w, wden)) for (p, q), w in zip(self._locs, self._weights)
-            )
-        return self._atoms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatioMeasure):
-            return NotImplemented
-        return self.atoms == other.atoms
-
-    def __hash__(self) -> int:
-        return hash(self.atoms)
-
-    def __repr__(self) -> str:
-        return f"RatioMeasure(atoms={self.atoms!r})"
 
     def envelope_ratio(self, num: int, den: int) -> tuple[int, int]:
         """F(num/den) as an integer numerator over a positive denominator,
@@ -223,7 +186,20 @@ class RatioMeasure:
 
     @classmethod
     def from_json(cls, obj: list) -> "RatioMeasure":
-        return cls(tuple((parse_rational(q), parse_rational(w)) for q, w in obj))
+        """The measure of `[[q, w], ...]`, location and weight as "p/q"
+        strings, held to the rules of a ratio measure: locations in [0, 1],
+        sorted and distinct, and positive weights summing to exactly 1."""
+        atoms = [(parse_rational(q), parse_rational(w)) for q, w in obj]
+        if any(not 0 <= q <= 1 for q, _ in atoms):
+            raise ValueError("atom locations must lie in [0, 1]")
+        if any(w <= 0 for _, w in atoms):
+            raise ValueError("atom weights must be positive")
+        if any(a >= b for (a, _), (b, _) in zip(atoms, atoms[1:])):
+            raise ValueError("atom locations must be sorted and distinct")
+        weights, wden = over_lcm([w for _, w in atoms])
+        if sum(weights) != wden:
+            raise ValueError("atom weights must sum to exactly 1")
+        return cls(zip(((q.numerator, q.denominator) for q, _ in atoms), weights), wden)
 
 
 def pi_measure(spec: BlockSpec, horizon: int) -> RatioMeasure:
@@ -242,7 +218,7 @@ def pi_measure(spec: BlockSpec, horizon: int) -> RatioMeasure:
             g = gcd(m, b)
             loc = (m // g, b // g)
             counts[loc] = counts.get(loc, 0) + m
-    return RatioMeasure._from_counts(counts, total)
+    return RatioMeasure(counts.items(), total)
 
 
 @dataclass(frozen=True)

@@ -106,7 +106,6 @@ def greedy_extension(
     spec: BlockSpec,
     x: Residues,
     partition: CellPartition,
-    lam: MeasureVector,
     target: ExtensionTarget,
     max_blocks: int = 512,
     fixed_blocks: int | None = None,
@@ -114,7 +113,8 @@ def greedy_extension(
     """Extend a valid prefix block by block toward the target measure; x
     holds the points x_1, x_2, ... as `Residues`.
 
-    The target must lie under the envelope bound (ValueError otherwise).
+    The target must lie under the envelope bound over the partition's
+    Lebesgue masses (ValueError otherwise).
     Indices are picked one at a time: of the free indices in the cells with
     the largest remaining deficit, the smallest.  This is the design's
     steering rule with its high-deviation cell set Y recomputed at every
@@ -150,9 +150,12 @@ def greedy_extension(
     horizon map whole blocks.
     """
     s = partition.size
-    if lam.size != s or target.mu.size != s:
-        raise ValueError("partition, lambda and target sizes disagree")
-    verdict = envelope_dominates(target.mu, lam, target.pi)
+    if target.mu.size != s:
+        raise ValueError("partition and target sizes disagree")
+    blocks_budget = fixed_blocks if fixed_blocks is not None else max_blocks
+    if blocks_budget < 0:
+        raise ValueError("block budget must be nonnegative")
+    verdict = envelope_dominates(target.mu, partition.lebesgue_masses(), target.pi)
     if not verdict.ok:
         raise ValueError(
             f"target exceeds the envelope on cells {verdict.violation}: "
@@ -161,11 +164,11 @@ def greedy_extension(
     nums, x_den = x.nums, x.den
     j0 = _prefix_blocks(prefix, spec)
     chosen = list(prefix)
-    counts = [0] * s
-    for n in chosen:
-        counts[partition.cell_of(nums[n - 1], x_den)] += 1
     # bisect_right(bounds, r) is the cell of r/x_den, for 0 <= r < x_den.
     bounds = partition.thresholds(x_den)[1:]
+    counts = [0] * s
+    for c in _cell_indices([nums[n - 1] for n in chosen], bounds, x_den):
+        counts[c] += 1
     mu = target.mu.masses
     eps = target.eps
     # Deficits are held as integers over den; every pick of cell c lowers
@@ -184,7 +187,6 @@ def greedy_extension(
     achieved = False
     j = j0
     hi = spec.a(j0)
-    blocks_budget = fixed_blocks if fixed_blocks is not None else max_blocks
     final_total = spec.M(j0 + fixed_blocks) if fixed_blocks is not None else None
     forced_after: dict[int, list[int]] = {}
     if fixed_blocks is not None:

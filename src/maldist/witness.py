@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
 # Default start interval for chains whose witness may sit anywhere.
@@ -307,7 +306,6 @@ def hit_frequency_witness(
     multipliers: Sequence[int],
     interval: TorusInterval,
     ratio: Fraction,
-    plan: WitnessPlan | None = None,
 ) -> HitFrequencyWitness:
     """Point alpha whose orbit n_j * alpha hits the given short interval at
     every position j = c*k*, ..., 2c*k*, so the hit frequency among the first
@@ -316,6 +314,7 @@ def hit_frequency_witness(
     Requires n_{j+1}/n_j >= ratio for all j and interval length < 1/ratio.
     The subsampled multipliers n_{c*k*}, n_{c*(k*+1)}, ... grow by more than
     q^c > 2/eps per step, so the mixing chain applies to them directly.
+    c is `auto_plan`'s; k* rises until n_{c*k*} clears 2/delta.
     """
     ratio = Fraction(ratio)
     n = [int(v) for v in multipliers]
@@ -329,17 +328,13 @@ def hit_frequency_witness(
     for j in range(len(n) - 1):
         if n[j + 1] * ratio.denominator < ratio.numerator * n[j]:
             raise ValueError(f"growth fails at step {j + 1}: {n[j + 1]}/{n[j]} < {ratio}")
-    if plan is None:
-        plan = auto_plan(ratio, eps)
-    else:
-        plan.validate(eps)
+    plan = auto_plan(ratio, eps)
     c, repeats = plan.c, plan.repeats
     delta = _DEFAULT_START.length
     # Raise repeats until the first subsampled multiplier clears 2/delta.
     while repeats * c <= len(n) and n[repeats * c - 1] * delta <= 2:
         repeats += 1
-    if plan.repeats != repeats:
-        plan = WitnessPlan(ratio=ratio, u=plan.u, c=c, repeats=repeats)
+    plan = WitnessPlan(ratio=ratio, u=plan.u, c=c, repeats=repeats)
     horizon = 2 * repeats * c
     if len(n) < horizon:
         raise ValueError(f"need at least {horizon} multipliers, got {len(n)}")
@@ -404,7 +399,6 @@ class HistogramWitness:
     base: int  # N0
     horizon: int  # N0^2
     counts: tuple[int, ...]
-    frequencies: tuple[Fraction, ...]
     deviations: tuple[Fraction, ...]
 
 
@@ -456,7 +450,6 @@ def histogram_witness(
             base=base,
             horizon=horizon,
             counts=(horizon,),
-            frequencies=(_ONE,),
             deviations=(_ZERO,),
         )
     # Steered cell counts: exact shares of the base^2 - base steered slots.
@@ -487,10 +480,8 @@ def histogram_witness(
     counts = [0] * ell
     for r in _residues(n[:horizon], alpha):
         counts[r * ell // q] += 1
-    freqs = tuple(Fraction(cnt, horizon) for cnt in counts)
-    devs = tuple(
-        freqs[i] - Fraction(target.weights[i], e_total) for i in range(ell)
-    )
+    devs = tuple(Fraction(c, horizon) - Fraction(w, e_total)
+                 for c, w in zip(counts, target.weights))
     if not all(abs(d) < target.eta for d in devs):
         raise AssertionError("histogram deviations exceed eta")
     return HistogramWitness(
@@ -499,7 +490,6 @@ def histogram_witness(
         base=base,
         horizon=horizon,
         counts=tuple(counts),
-        frequencies=freqs,
         deviations=devs,
     )
 

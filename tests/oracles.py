@@ -10,13 +10,14 @@ program against.  None of it backs a `maldist` subcommand.
   `sample_uniform`: seeded uniform members of a block space (C9);
 - `max_checkpoint_fraction`: the max-over-checkpoints frequency of a target
   set, whose gap at a cell boundary C11 pins;
-- `empirical_measure` and `F_pi_eval`: the prefix measure of a whole point
+- `empirical_measure` and `F_pi_eval`: the cell counts of a whole point
   list and F at one Fraction;
 - the plain-Fraction paths the program dropped when `Residues` became its
-  only point type: `cell_index`, `fraction_checkpoint_scan` and
-  `fraction_star_discrepancy`, which the differential tests compare the
-  integer kernels against, and `as_residues` and `fractions_of`, which
-  convert between the two forms;
+  only point type: `cell_index` and `cell_indices` (the cell of a point
+  read off the Fraction cuts, the reference for `CellPartition.thresholds`),
+  `fraction_checkpoint_scan` and `fraction_star_discrepancy`, which the
+  differential tests compare the integer kernels against, and
+  `as_residues` and `fractions_of`, which convert between the two forms;
 - the Fraction twins the program dropped when its circle points and
   decimals came from the integer kernels alone: `fraction_mul_mod1`,
   `fraction_contains`, `lifted` and `fraction_contains_interval` on the
@@ -28,11 +29,12 @@ program against.  None of it backs a `maldist` subcommand.
 - `regex_parse_rational`: the regular-expression parser `parse_rational`
   was before it became a one-pass `str`-method parse, which the
   differential test holds it to;
-- methods only the tests used: the ratio-measure constructors and sums
-  (`ratio_measure_from_pairs`, `point_mass`, `mass_at_zero`, `mass_leq`,
-  `harmonic_tail`, `tv_norm_distance`), the arc `midpoint`, the digit
-  shift `shift_value` of a binary point, and the indices `block_range` of a
-  block.
+- methods only the tests used: the Fraction face of a ratio measure
+  (`ratio_measure` from its (location, weight) atoms and `ratio_atoms`
+  back), its constructors and sums (`ratio_measure_from_pairs`,
+  `point_mass`, `mass_at_zero`, `mass_leq`, `harmonic_tail`,
+  `tv_norm_distance`), the arc `midpoint`, the digit shift `shift_value` of
+  a binary point, and the indices `block_range` of a block.
 
 Nothing here imports a private name of the package.  This module is not
 collected by pytest (its name does not start with `test_`).
@@ -51,7 +53,7 @@ from math import comb, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from maldist.doubling import BinaryPoint
-from maldist.empirical import CellPartition, CheckpointScan, EmpiricalMeasure, Residues
+from maldist.empirical import CellPartition, CheckpointScan, Residues
 from maldist.envelope import BlockSpec, RatioMeasure
 from maldist.exact import RationalParseError, decimal_ratio, format_rational, mod1, over_lcm
 from maldist.subspace import ExtensionTarget, validate_membership
@@ -172,10 +174,27 @@ def fractions_of(points: Residues) -> list[Fraction]:
     return [Fraction(r, points.den) for r in points.nums]
 
 
+def cell_indices(partition: CellPartition, points: Iterable[Fraction]) -> Iterator[int]:
+    """The index of the half-open cell [t_{i-1}, t_i) holding each point x,
+    in order: the number of inner cuts t <= x, counted along the Fraction
+    cuts by their terms (t = a/b <= x = p/q iff a*q <= p*b)."""
+    inner = [(t.numerator, t.denominator) for t in partition.cuts[1:-1]]
+    for point in points:
+        x = point if isinstance(point, Fraction) else Fraction(point)
+        p, q = x.numerator, x.denominator
+        if not 0 <= p < q:
+            raise ValueError("points must lie in [0, 1)")
+        cell = 0
+        for a, b in inner:
+            if a * q > p * b:
+                break
+            cell += 1
+        yield cell
+
+
 def cell_index(partition: CellPartition, point: Fraction) -> int:
-    """Index of the half-open cell containing the point, exact."""
-    x = point if isinstance(point, Fraction) else Fraction(point)
-    return partition.cell_of(x.numerator, x.denominator)
+    """Index of the half-open cell containing the point (`cell_indices`)."""
+    return next(cell_indices(partition, [point]))
 
 
 def fraction_checkpoint_scan(
@@ -190,8 +209,8 @@ def fraction_checkpoint_scan(
     if any(a >= b for a, b in zip(cps, cps[1:])):
         raise ValueError("checkpoints must be strictly increasing")
     counts = [0] * partition.size
-    measures = []
-    cells: Iterator[int] = (cell_index(partition, p) for p in points)
+    scanned = []
+    cells = cell_indices(partition, points)
     seen = 0
     for target in cps:
         for c in islice(cells, target - seen):
@@ -199,8 +218,8 @@ def fraction_checkpoint_scan(
             seen += 1
         if seen < target:
             raise ValueError(f"point source exhausted before checkpoint {target}")
-        measures.append(EmpiricalMeasure(tuple(counts), seen))
-    return CheckpointScan(tuple(cps), tuple(measures))
+        scanned.append(tuple(counts))
+    return CheckpointScan(tuple(cps), tuple(scanned))
 
 
 def fraction_star_discrepancy(points: Sequence[Fraction]) -> Fraction:
@@ -236,14 +255,15 @@ def stepwise_invariance_defect(alpha: Fraction, steps: int, partition: CellParti
     return Fraction(max(abs(c) for c in counts), steps)
 
 
-def empirical_measure(points: Sequence[Fraction], partition: CellPartition) -> EmpiricalMeasure:
-    """Frequency vector of all the points over the partition cells."""
-    return fraction_checkpoint_scan(points, partition, [len(points)]).measures[0]
+def empirical_measure(points: Sequence[Fraction], partition: CellPartition) -> tuple[int, ...]:
+    """Cell counts of all the points over the partition cells."""
+    return fraction_checkpoint_scan(points, partition, [len(points)]).counts[0]
 
 
-def frequencies(measure: EmpiricalMeasure) -> tuple[Fraction, ...]:
-    """The cell frequencies counts/N of an empirical measure, as Fractions."""
-    return tuple(Fraction(c, measure.sample_count) for c in measure.counts)
+def frequencies(counts: Sequence[int]) -> tuple[Fraction, ...]:
+    """The cell frequencies count/N of cell counts of N points, as Fractions."""
+    n = sum(counts)
+    return tuple(Fraction(c, n) for c in counts)
 
 
 def fraction_decimal_str(value: Fraction, digits: int = 12) -> str:
@@ -255,14 +275,14 @@ def fraction_decimal_str(value: Fraction, digits: int = 12) -> str:
 
 def fraction_scan_to_csv(scan: CheckpointScan, digits: int = 12) -> str:
     """The scan CSV with every frequency built as a Fraction, then printed."""
-    s = len(scan.measures[0].counts)
+    s = len(scan.counts[0])
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(
         ["N"] + [f"freq_{i}" for i in range(s)] + [f"freq_{i}_exact" for i in range(s)]
     )
-    for cp, m in zip(scan.checkpoints, scan.measures):
-        freqs = frequencies(m)
+    for cp, counts in zip(scan.checkpoints, scan.counts):
+        freqs = frequencies(counts)
         writer.writerow(
             [cp]
             + [fraction_decimal_str(f, digits) for f in freqs]
@@ -274,6 +294,20 @@ def fraction_scan_to_csv(scan: CheckpointScan, digits: int = 12) -> str:
 # --- ratio measures, arcs and binary points --------------------------------------
 
 
+def ratio_measure(atoms: Iterable[tuple[Fraction, Fraction]]) -> RatioMeasure:
+    """The measure of (location, weight) Fraction atoms: distinct locations
+    in [0, 1], positive weights summing to 1."""
+    atoms = [(Fraction(q), Fraction(w)) for q, w in atoms]
+    weights, wden = over_lcm([w for _, w in atoms])
+    return RatioMeasure(zip(((q.numerator, q.denominator) for q, _ in atoms), weights), wden)
+
+
+def ratio_atoms(pi: RatioMeasure) -> tuple[tuple[Fraction, Fraction], ...]:
+    """pi's (location, weight) atoms as Fractions, locations increasing, read
+    from its JSON form."""
+    return tuple((Fraction(q), Fraction(w)) for q, w in pi.to_json())
+
+
 def ratio_measure_from_pairs(pairs: Iterable[tuple[Fraction, Fraction]]) -> RatioMeasure:
     """Build from unsorted pairs, merging weights at equal locations."""
     merged: dict[Fraction, Fraction] = {}
@@ -282,31 +316,32 @@ def ratio_measure_from_pairs(pairs: Iterable[tuple[Fraction, Fraction]]) -> Rati
         if w == 0:
             continue
         merged[q] = merged.get(q, _ZERO) + w
-    return RatioMeasure(tuple(sorted(merged.items())))
+    return ratio_measure(sorted(merged.items()))
 
 
 def point_mass(q: Fraction) -> RatioMeasure:
-    return RatioMeasure(((Fraction(q), _ONE),))
+    return ratio_measure([(q, _ONE)])
 
 
 def mass_at_zero(pi: RatioMeasure) -> Fraction:
-    return pi.atoms[0][1] if pi.atoms and pi.atoms[0][0] == 0 else _ZERO
+    atoms = ratio_atoms(pi)
+    return atoms[0][1] if atoms and atoms[0][0] == 0 else _ZERO
 
 
 def mass_leq(pi: RatioMeasure, t: Fraction) -> Fraction:
-    return sum((w for q, w in pi.atoms if q <= t), _ZERO)
+    return sum((w for q, w in ratio_atoms(pi) if q <= t), _ZERO)
 
 
 def harmonic_tail(pi: RatioMeasure, t: Fraction) -> Fraction:
     """sum of weight(q)/q over atoms with q > t (never touches q = 0)."""
-    return sum((w / q for q, w in pi.atoms if q > t), _ZERO)
+    return sum((w / q for q, w in ratio_atoms(pi) if q > t), _ZERO)
 
 
 def tv_norm_distance(pi: RatioMeasure, other: RatioMeasure) -> Fraction:
     """Total-variation norm sum_q |pi({q}) - other({q})| over all atoms."""
-    locs = {q for q, _ in pi.atoms} | {q for q, _ in other.atoms}
-    mine = dict(pi.atoms)
-    theirs = dict(other.atoms)
+    mine = dict(ratio_atoms(pi))
+    theirs = dict(ratio_atoms(other))
+    locs = set(mine) | set(theirs)
     return sum((abs(mine.get(q, _ZERO) - theirs.get(q, _ZERO)) for q in locs), _ZERO)
 
 

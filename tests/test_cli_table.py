@@ -3,6 +3,7 @@ do not leak from one `main` call to the next, config keys that are exactly a
 subcommand's flags, and the README's documented commands."""
 
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -174,3 +175,65 @@ def test_chained_multipliers_match_direct_powers(base, count):
 @pytest.mark.parametrize("kind, want", [("pow", [2, 4, 8]), ("squarepow", [5, 625, 5**9])])
 def test_multiplier_default_bases(kind, want):
     assert cli._multipliers({"n-kind": kind}, 3) == want
+
+
+def test_every_flag_is_used_by_some_test():
+    """Each option of each subcommand appears in some test as `--<key>` (a
+    flag) or `"<key>"` (a config or output key), so no flag goes untried."""
+    text = "\n".join(path.read_text(encoding="utf-8")
+                     for path in sorted(Path(__file__).parent.glob("test_*.py")))
+    untested = sorted(
+        {key for _, keys, _ in cli._SUBCOMMANDS.values() for key in keys
+         if not re.search(rf'(?<![\w-])--{re.escape(key)}(?![\w-])|"{re.escape(key)}"', text)}
+    )
+    assert untested == []
+
+
+SUBSPACE = ["subspace", "--spec", '{"b":"linear","m":"halfceil"}', "--cuts", "0,1/2,1",
+            "--mu", "2/3,1/3", "--x-alpha", "832040/1346269", "--blocks", "5"]
+
+
+def test_pi_blocks_sets_the_envelope_the_target_must_obey(tmp_path, capsys):
+    # Blocks 1..5 of b_j = j, m_j = ceil(j/2) give F(1/2) = 5/6 >= 2/3; block
+    # 1 alone gives the point mass at 1, F(t) = t, which 2/3 exceeds at 1/2.
+    out = tmp_path / "out.json"
+    assert cli.main([*SUBSPACE, "--pi-blocks", "5", "--out", str(out)]) == 0
+    assert cli.main([*SUBSPACE, "--out", str(tmp_path / "default.json")]) == 0
+    assert out.read_bytes() == (tmp_path / "default.json").read_bytes()
+    capsys.readouterr()
+    assert cli.main([*SUBSPACE, "--pi-blocks", "1"]) == cli.USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err == "maldist subspace: target exceeds the envelope on cells (0,): 2/3 > 1/2\n"
+    assert cli.main([*SUBSPACE, "--pi", '[["1/1", "1/1"]]']) == cli.USAGE_ERROR
+    assert capsys.readouterr().err == err
+
+
+def test_negative_block_budget_is_a_usage_error(capsys):
+    argv = [*SUBSPACE, "--pi-blocks", "5"]
+    argv[argv.index("--blocks") + 1] = "-1"
+    assert cli.main(argv) == cli.USAGE_ERROR
+    assert capsys.readouterr().err == "maldist subspace: block -1: index must be at least 0\n"
+    # Past a prefix the budget itself is refused.
+    assert cli.main([*argv, "--prefix", "1"]) == cli.USAGE_ERROR
+    assert capsys.readouterr().err == "maldist subspace: block budget must be nonnegative\n"
+
+
+@pytest.mark.parametrize("floor, code", [("1/5", 0), ("4/17", 0), ("1/4", cli.CLAIM_ERROR)])
+def test_discrepancy_floor_claim_holds_up_to_the_discrepancy(tmp_path, floor, code):
+    # The avoidance run below has star discrepancy 4/17 at its horizon.
+    out = tmp_path / "avoid.json"
+    argv = [*AVOID, "--horizon", "200", "--discrepancy-floor", floor, "--out", str(out)]
+    assert cli.main(argv) == code
+    claim = {c["id"]: c for c in json.loads(out.read_text())["claims"]}["star-discrepancy-floor"]
+    assert (claim["value"], claim["floor"], claim["verdict"]) == ("4/17", floor, code == 0)
+
+
+def test_windows_are_the_claimed_window_ends(tmp_path):
+    out = tmp_path / "zb.json"
+    argv = ["doubling", "--mode", "zeroblock", "--base", "2/3", "--starts", "4,10",
+            "--windows", "5,20,50", "--out", str(out)]
+    assert cli.main(argv) == 0
+    ids = [c["id"] for c in json.loads(out.read_text())["claims"]]
+    assert [i for i in ids if i.startswith("window-")] == ["window-5", "window-20", "window-50"]
+    assert cli.main(["verify", str(out), "--out", str(tmp_path / "v.json")]) == 0
+    assert json.loads((tmp_path / "v.json").read_text()) == {"ok": True, "failures": []}

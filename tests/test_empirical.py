@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from maldist.empirical import (
     CellPartition,
     CheckpointScan,
-    EmpiricalMeasure,
     Residues,
     checkpoint_scan,
     rotation_scan,
@@ -83,10 +82,10 @@ def test_concat_consistency(first, second):
     end, and the cellwise count sum of both parts at the end of the whole."""
     p = CellPartition.uniform(4)
     n, m = len(first), len(second)
-    head, whole = checkpoint_scan(as_residues(first + second), p, [n, n + m]).measures
+    head, whole = checkpoint_scan(as_residues(first + second), p, [n, n + m]).counts
     assert head == empirical_measure(first, p)
-    parts = zip(empirical_measure(first, p).counts, empirical_measure(second, p).counts)
-    assert whole.counts == tuple(a + b for a, b in parts)
+    parts = zip(empirical_measure(first, p), empirical_measure(second, p))
+    assert whole == tuple(a + b for a, b in parts)
     assert whole == empirical_measure(first + second, p)
 
 
@@ -123,15 +122,15 @@ def test_checkpoint_scan_periodic():
     p = CellPartition.uniform(3)
     pts = [mod1(n * F(1, 3)) for n in range(1, 10)]
     scan = checkpoint_scan(as_residues(pts), p, [3, 6, 9])
-    for m in scan.measures:
-        assert frequencies(m) == (F(1, 3), F(1, 3), F(1, 3))
+    for counts in scan.counts:
+        assert frequencies(counts) == (F(1, 3), F(1, 3), F(1, 3))
 
 
 def test_checkpoint_scan_matches_prefix_measure(golden_points, golden_residues):
     p = CellPartition.uniform(4)
     scan = checkpoint_scan(golden_residues, p, [10, 37, 100])
-    for cp, m in zip(scan.checkpoints, scan.measures):
-        assert m == empirical_measure(golden_points[:cp], p)
+    for cp, counts in zip(scan.checkpoints, scan.counts):
+        assert counts == empirical_measure(golden_points[:cp], p)
 
 
 def test_scan_reciprocal_sequence_first_cell():
@@ -139,7 +138,7 @@ def test_scan_reciprocal_sequence_first_cell():
     p = CellPartition((F(0), F(1, 10), F(1)))
     pts = [F(1, n + 1) for n in range(1, 2001)]
     scan = checkpoint_scan(as_residues(pts), p, [10, 100, 2000])
-    freqs = [frequencies(m)[0] for m in scan.measures]
+    freqs = [frequencies(counts)[0] for counts in scan.counts]
     assert freqs[-1] > F(99, 100)
     assert freqs == sorted(freqs)
 
@@ -210,7 +209,8 @@ def test_cell_lookup_matches_fraction_bisection(cuts, data):
         want = reference_cell_index(cuts, x)
         assert cell_index(partition, x) == want
         # Unreduced r/q locates the same cell.
-        assert partition.cell_of(x.numerator * scale, x.denominator * scale) == want
+        den = x.denominator * scale
+        assert bisect_right(partition.thresholds(den)[1:], x.numerator * scale) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -219,9 +219,10 @@ def test_cell_lookup_matches_fraction_bisection(cuts, data):
 @example(cuts=(F(0), F(1, 97), F(1, 2), F(96, 97), F(1)), den=2, on_cuts=True)
 @given(mixed_cuts(), st.integers(min_value=1, max_value=300), st.booleans())
 def test_thresholds_bisect_matches_cell_of(cuts, den, on_cuts):
-    """bisect_right(thresholds(den), r) - 1 is cell_of(r, den) for every
-    residue 0 <= r < den, whether or not den is a multiple of the cuts' lcm D;
-    with on_cuts, den is one, so every cut is itself a residue."""
+    """bisect_right(thresholds(den), r) - 1 is the cell of r/den read off
+    the Fraction cuts (`cell_index`), for every residue 0 <= r < den, whether
+    or not den is a multiple of the cuts' lcm D; with on_cuts, den is one,
+    so every cut is itself a residue."""
     partition = CellPartition(cuts)
     lcm_den = lcm(*(t.denominator for t in cuts))
     if on_cuts and lcm_den * den <= 20_000:
@@ -230,7 +231,7 @@ def test_thresholds_bisect_matches_cell_of(cuts, den, on_cuts):
     assert len(thresholds) == len(cuts)
     assert (thresholds[0], thresholds[-1]) == (0, den)
     for r in range(den):
-        want = partition.cell_of(r, den)
+        want = cell_index(partition, F(r, den))
         assert bisect_right(thresholds, r) - 1 == want
         assert bisect_right(thresholds[1:], r) == want
     if den % lcm_den == 0:
@@ -249,7 +250,7 @@ def test_cell_index_error_paths_unchanged():
     partition = CellPartition((F(0), F(1, 4), F(2, 3), F(1)))
     for bad in (F(-1, 3), F(1)):
         with pytest.raises(ValueError) as info:
-            partition.cell_of(bad.numerator, bad.denominator)
+            checkpoint_scan(Residues([bad.numerator], bad.denominator), partition, [1])
         assert type(info.value) is ValueError
         assert str(info.value) == "points must lie in [0, 1)"
     with pytest.raises(ValueError, match=r"^points must lie in \[0, 1\)$"):
@@ -272,16 +273,16 @@ def test_star_discrepancy_matches_fraction_sweep(points, repeats, with_zero):
 @st.composite
 def scans(draw):
     """Checkpoint scans with up to 6 cells and checkpoints past 10^15, each
-    measure's counts a random split of its checkpoint."""
+    checkpoint's counts a random split of it."""
     cells = draw(st.integers(1, 6))
     cps = sorted(draw(st.lists(st.integers(1, 10**18), min_size=1, max_size=4, unique=True)))
-    measures = []
+    counts = []
     for n in cps:
         splits = sorted(draw(st.lists(st.integers(0, n), min_size=cells - 1,
                                       max_size=cells - 1)))
         bounds = [0, *splits, n]
-        measures.append(EmpiricalMeasure(tuple(b - a for a, b in zip(bounds, bounds[1:])), n))
-    return CheckpointScan(tuple(cps), tuple(measures))
+        counts.append(tuple(b - a for a, b in zip(bounds, bounds[1:])))
+    return CheckpointScan(tuple(cps), tuple(counts))
 
 
 @settings(max_examples=150, deadline=None)

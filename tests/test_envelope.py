@@ -21,6 +21,7 @@ from tests.oracles import (
     mass_at_zero,
     mass_leq,
     point_mass,
+    ratio_atoms,
     ratio_measure_from_pairs,
     tv_norm_distance,
 )
@@ -94,6 +95,22 @@ def test_block_of_refuses_nonpositive_indices():
         BlockSpec([2], [1]).block_of(0)
 
 
+@pytest.mark.parametrize("make", [lambda: BlockSpec([2, 3, 4], [1, 1, 2]),
+                                  lambda: BlockSpec(lambda j: j + 1, lambda j: 1)],
+                         ids=["lists", "functions"])
+def test_block_indices_below_the_first_block_are_refused(make):
+    """b and m are indexed from block 1, a and M from block 0 (a(0) = M(0) =
+    0); a smaller index names its block in a ValueError instead of reading
+    a list from its end."""
+    spec = make()
+    for read, j, first in [(spec.b, 0, 1), (spec.m, 0, 1), (spec.b, -2, 1),
+                           (spec.a, -1, 0), (spec.M, -1, 0), (spec.M, -3, 0)]:
+        with pytest.raises(ValueError) as err:
+            read(j)
+        assert str(err.value) == f"block {j}: index must be at least {first}"
+    assert (spec.a(0), spec.M(0), spec.b(1), spec.m(1)) == (0, 0, 2, 1)
+
+
 def test_validation_extends_the_block_sums_once(monkeypatch):
     """Validating the first ceil((j+1)/2) indices of each block j = 1..400 of
     b_j = j + 1 (40,400 indices) reads the block sums at most indices +
@@ -144,17 +161,17 @@ def test_admissible_half_ratio_trend():
 
 def test_pi_measure_merges_atoms():
     pi = pi_measure(BlockSpec([2, 2, 4], [1, 2, 2]), 3)
-    assert pi.atoms == ((F(1, 2), F(3, 5)), (F(1), F(2, 5)))
+    assert ratio_atoms(pi) == ((F(1, 2), F(3, 5)), (F(1), F(2, 5)))
 
 
 def test_pi_measure_full_sequence():
     pi = pi_measure(BlockSpec([3, 5, 7], [3, 5, 7]), 3)
-    assert pi.atoms == ((F(1), F(1)),)
+    assert ratio_atoms(pi) == ((F(1), F(1)),)
 
 
 def test_pi_measure_two_blocks():
     pi = pi_measure(BlockSpec([10, 10], [1, 9]), 2)
-    assert pi.atoms == ((F(1, 10), F(1, 10)), (F(9, 10), F(9, 10)))
+    assert ratio_atoms(pi) == ((F(1, 10), F(1, 10)), (F(9, 10), F(9, 10)))
 
 
 def test_pi_measure_rejects_all_zero():
@@ -191,7 +208,7 @@ def test_atom_merge_preserves_envelope():
         [(F(1, 3), F(1, 4)), (F(1, 3), F(1, 4)), (F(2, 3), F(1, 2))]
     )
     merged = ratio_measure_from_pairs([(F(1, 3), F(1, 2)), (F(2, 3), F(1, 2))])
-    assert split == merged
+    assert ratio_atoms(split) == ratio_atoms(merged)
     for t in (F(0), F(1, 5), F(1, 3), F(1, 2), F(1)):
         assert F_pi_eval(split, t) == F_pi_eval(merged, t)
 
@@ -218,7 +235,7 @@ def test_F_pi_eval_matches_reference_sums(seed):
     # The prefix/suffix-sum evaluation against the plain sums over all atoms.
     rng = SplitMix64(seed)
     pi = random_ratio_measure(rng)
-    points = [F(0), F(1)] + [q for q, _ in pi.atoms]
+    points = [F(0), F(1)] + [q for q, _ in ratio_atoms(pi)]
     points += [rng.fraction(1000, closed_top=True) for _ in range(10)]
     for t in points:
         assert F_pi_eval(pi, t) == mass_leq(pi, t) + t * harmonic_tail(pi, t)
@@ -235,11 +252,11 @@ def test_envelope_uniform_convergence_bound():
     last = None
     for n in range(2, 12):
         mixed = ratio_measure_from_pairs(
-            [(q, w * (1 - F(1, n))) for q, w in base.atoms] + [(spike, F(1, n))]
+            [(q, w * (1 - F(1, n))) for q, w in ratio_atoms(base)] + [(spike, F(1, n))]
         )
         dev = max(abs(F_pi_eval(mixed, t) - v) for t, v in zip(grid, base_vals))
         tv = tv_norm_distance(mixed, base)
-        min_loc = min(q for q, _ in mixed.atoms if q > 0)
+        min_loc = min(q for q, _ in ratio_atoms(mixed) if q > 0)
         assert dev <= tv * max(F(1), 1 / min_loc)
         if last is not None:
             assert dev <= last

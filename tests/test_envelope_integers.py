@@ -24,12 +24,11 @@ from maldist.envelope import (
     AdmissibilityReport,
     BlockSpec,
     DominationResult,
-    RatioMeasure,
     check_admissible,
     envelope_dominates,
     pi_measure,
 )
-from tests.oracles import F_pi_eval, point_mass
+from tests.oracles import F_pi_eval, point_mass, ratio_atoms, ratio_measure
 
 # --- test-local copies of the plain-Fraction code -----------------------
 
@@ -161,7 +160,7 @@ def spec_lists(pairs):
 
 
 @st.composite
-def ratio_atoms(draw):
+def atom_tuples(draw):
     """Atoms with locations of small denominators, often at 0 and 1."""
     locs = draw(st.sets(st.fractions(0, 1, max_denominator=24), min_size=1, max_size=7))
     locs |= set(draw(st.sampled_from([(), (F(0),), (F(1),), (F(0), F(1))])))
@@ -180,7 +179,7 @@ def ratio_measures(draw):
     if kind == "spec":
         b, m = spec_lists(draw(blocks))
         return pi_measure(BlockSpec(b, m), len(b))
-    return RatioMeasure(draw(ratio_atoms()))
+    return ratio_measure(draw(atom_tuples()))
 
 
 @st.composite
@@ -215,8 +214,7 @@ def test_pi_measure_matches_fraction_code(pairs, data):
         return
     pi = pi_measure(BlockSpec(b, m), horizon)
     atoms = ref_pi_atoms(b, m, horizon)
-    assert pi.atoms == atoms
-    assert pi == RatioMeasure(atoms) and hash(pi) == hash(RatioMeasure(atoms))
+    assert ratio_atoms(pi) == atoms
     assert pi.to_json() == [[ref_format(q), ref_format(w)] for q, w in atoms]
     env = RefEnvelope(atoms)
     for t in [F(0), F(1)] + [q for q, _ in atoms] + [F(i, 7) for i in range(8)]:
@@ -224,9 +222,9 @@ def test_pi_measure_matches_fraction_code(pairs, data):
 
 
 @settings(max_examples=120)
-@given(ratio_atoms(), st.lists(st.fractions(0, 1, max_denominator=10**6), max_size=10))
+@given(atom_tuples(), st.lists(st.fractions(0, 1, max_denominator=10**6), max_size=10))
 def test_F_matches_fraction_code(atoms, ts):
-    pi = RatioMeasure(atoms)
+    pi = ratio_measure(atoms)
     env = RefEnvelope(atoms)
     assert pi.to_json() == [[ref_format(q), ref_format(w)] for q, w in atoms]
     for t in [F(0), F(1)] + [q for q, _ in atoms] + ts:
@@ -281,7 +279,7 @@ def test_check_admissible_long_horizon_matches_fraction_code():
 def test_walk_matches_fraction_code(pair, pi, tol):
     mu, lam = pair
     got = envelope_dominates(mu, lam, pi, tol=tol)
-    assert got == ref_walk(mu.masses, lam.masses, RefEnvelope(pi.atoms), tol)
+    assert got == ref_walk(mu.masses, lam.masses, RefEnvelope(ratio_atoms(pi)), tol)
 
 
 # --- the integer certificate verifier -------------------------------------------
@@ -299,7 +297,7 @@ def restate(cert, cells, union_mass, bound):
 @given(measure_pairs(max_cells=6), ratio_measures(), tolerances)
 def test_envelope_verifier_matches_enumeration(pair, pi, tol):
     mu, lam = pair
-    found, clean = violations_in_preorder(mu.masses, lam.masses, RefEnvelope(pi.atoms), tol)
+    found, clean = violations_in_preorder(mu.masses, lam.masses, RefEnvelope(ratio_atoms(pi)), tol)
     result = DominationResult(True) if not found else DominationResult(False, *found[0])
     cert = certs.envelope_certificate(mu, lam, pi, result, tol)
     assert cert == certs.envelope_certificate(mu, lam, pi, envelope_dominates(mu, lam, pi, tol=tol), tol)

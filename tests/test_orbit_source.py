@@ -66,13 +66,12 @@ def test_points_source_reads_over_alphas_denominator(kind):
 def test_greedy_over_the_lazy_doubling_source_matches_the_listed_orbit(alpha):
     spec = BlockSpec(lambda j: j + 40, lambda j: 2)
     partition = CellPartition((F(0), F(1, 7), F(1, 2), F(1)))
-    lam = partition.lebesgue_masses()
     mu = MeasureVector((F(1, 10), F(2, 5), F(1, 2)))
     target = ExtensionTarget(mu=mu, eps=F(1, 1000), pi=pi_measure(spec, 30))
     count = spec.a(30)
     lazy = cli._points_source({"x-kind": "doubling", "x-alpha": alpha}, count)
     results = [
-        greedy_extension([], spec, x, partition, lam, target, max_blocks=30)
+        greedy_extension([], spec, x, partition, target, max_blocks=30)
         for x in (lazy, doubling_orbit(F(alpha), count))
     ]
     assert results[0] == results[1]

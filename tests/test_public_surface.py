@@ -1,6 +1,7 @@
 """The public surface carries no dead code: every function and class a
 layer module lists in `__all__`, and every method and property of a class
-that another package module references, has a caller inside the package."""
+that another package module references, has a caller inside the package,
+and every public field of such a class has a reader."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import maldist
 
 SRC = Path(maldist.__file__).resolve().parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -119,5 +121,54 @@ def test_every_method_of_a_shared_class_has_a_caller_in_the_package():
                 if name not in elsewhere and name not in referenced_names(tree, skip=node):
                     uncalled.append(f"{module}.{cls.name}.{name}")
     assert {"empirical.Residues", "empirical.CellPartition", "envelope.RatioMeasure",
-            "envelope.BlockSpec", "torus.TorusInterval", "witness.WitnessPlan"} <= set(shared)
+            "envelope.BlockSpec", "torus.TorusInterval", "witness.HitFrequencyWitness"} <= set(shared)
     assert uncalled == []
+
+
+def attribute_reads(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """The attribute names read (`obj.name` in a load) in `tree`, outside
+    `skip`."""
+    reads: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return reads
+
+
+def test_every_field_of_a_shared_class_has_a_reader():
+    """Each public annotated field of a class that some other module of the
+    package references is read as an attribute somewhere in the package, or
+    in the benchmark's tracer, outside the class itself.
+
+    A field that is only written (set by the constructor and never read)
+    carries a value no caller uses; one only the tests read is a test's
+    reference and belongs in `tests/oracles.py`, computed from the fields
+    the program does read.  Private fields (a leading underscore) are the
+    class's own state and are exempt.
+    """
+    trees = package_trees()
+    tracer = ast.parse(TRACER.read_text(encoding="utf-8"))
+    everywhere = {module: referenced_names(tree) for module, tree in trees.items()}
+    shared, unread = [], []
+    for module, tree in trees.items():
+        elsewhere = set().union(*(names for m, names in everywhere.items() if m != module))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name not in elsewhere:
+                continue
+            shared.append(f"{module}.{cls.name}")
+            reads = attribute_reads(tracer).union(
+                *(attribute_reads(other, skip=cls) for other in trees.values()))
+            for node in cls.body:
+                if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
+                    continue
+                name = node.target.id
+                if not name.startswith("_") and name not in reads:
+                    unread.append(f"{module}.{cls.name}.{name}")
+    assert {"empirical.CheckpointScan", "envelope.DominationResult",
+            "witness.HistogramWitness"} <= set(shared)
+    assert unread == []

@@ -123,7 +123,7 @@ def test_checkpoint_scan_matches_fraction_list(triple, data):
 def test_empirical_measure_matches_fraction_list(triple):
     residues, points, partition = triple
     scan = checkpoint_scan(residues, partition, [len(points)])
-    assert scan.measures[0] == empirical_measure(points, partition)
+    assert scan.counts[0] == empirical_measure(points, partition)
 
 
 @given(orbits())
@@ -161,9 +161,9 @@ def test_greedy_extension_matches_fraction_list(data):
     # as the Fraction lookup finds it, represented by the cell's left cut,
     # it must run exactly as on the residues themselves.
     cells = as_residues([partition.cuts[cell_index(partition, p)] for p in points])
-    want = greedy_extension([], spec, cells, partition, lam, target,
+    want = greedy_extension([], spec, cells, partition, target,
                             max_blocks=len(b), fixed_blocks=fixed)
-    got = greedy_extension([], spec, residues, partition, lam, target,
+    got = greedy_extension([], spec, residues, partition, target,
                            max_blocks=len(b), fixed_blocks=fixed)
     assert got == want
 
@@ -191,13 +191,13 @@ def test_greedy_rejects_out_of_range_numerator():
     lam = partition.lebesgue_masses()
     target = ExtensionTarget(mu=lam, eps=F(1, 10), pi=pi_measure(spec, 1))
     with pytest.raises(ValueError, match=POINTS_ERROR):
-        greedy_extension([], spec, Residues([1, 4], 4), partition, lam, target)
+        greedy_extension([], spec, Residues([1, 4], 4), partition, target)
 
 
 def test_scan_stops_at_the_last_checkpoint():
     """Like a Fraction list, a residue past the last checkpoint is never read."""
     partition = CellPartition.uniform(2)
-    assert checkpoint_scan(Residues([1, 7], 5), partition, [1]).measures[0].counts == (1, 0)
-    assert fraction_checkpoint_scan([F(1, 5), F(7, 5)], partition, [1]).measures[0].counts == (1, 0)
+    assert checkpoint_scan(Residues([1, 7], 5), partition, [1]).counts[0] == (1, 0)
+    assert fraction_checkpoint_scan([F(1, 5), F(7, 5)], partition, [1]).counts[0] == (1, 0)
     with pytest.raises(ValueError, match="exhausted before checkpoint 3"):
         checkpoint_scan(Residues([1, 2], 5), partition, [1, 3])

@@ -120,10 +120,10 @@ def test_large_rotation_scan_lists_no_points(monkeypatch):
     n, partition = 10**15, CellPartition.uniform(64)
     scan = rotation_scan(a, b, partition, [1000, n])
     assert len(calls) == 2 * 64
-    small, large = scan.measures
-    assert small == checkpoint_scan(listed(a, b, 1000), partition, [1000]).measures[0]
-    assert sum(large.counts) == n
-    assert all(abs(64 * count - n) <= 64 * 100 for count in large.counts)
+    small, large = scan.counts
+    assert small == checkpoint_scan(listed(a, b, 1000), partition, [1000]).counts[0]
+    assert sum(large) == n
+    assert all(abs(64 * count - n) <= 64 * 100 for count in large)
 
 
 # --- the command line -------------------------------------------------------------

@@ -119,7 +119,7 @@ def test_greedy_alternating_example():
         mu=MeasureVector((F(1), F(0))), eps=F(1, 10), pi=point_mass(F(1, 2))
     )
     result = greedy_extension(
-        [], spec, residues(alternating, spec, 5), HALVES, UNIFORM2, target, fixed_blocks=5
+        [], spec, residues(alternating, spec, 5), HALVES, target, fixed_blocks=5
     )
     # Every block contributes its two odd (cell-0) indices.
     assert result.indices == (1, 3, 5, 7, 9, 11, 13, 15, 17, 19)
@@ -134,7 +134,7 @@ def test_greedy_reaches_lambda_target(golden_residues):
     lam = partition.lebesgue_masses()
     target = ExtensionTarget(mu=lam, eps=F(1, 20), pi=pi_measure(spec, 64))
     result = greedy_extension(
-        [], spec, golden_residues, partition, lam, target, max_blocks=64
+        [], spec, golden_residues, partition, target, max_blocks=64
     )
     assert result.achieved
     assert result.max_abs_dev < F(1, 20)
@@ -148,7 +148,7 @@ def test_greedy_rejects_envelope_violating_target():
     )
     with pytest.raises(ValueError):
         greedy_extension(
-            [], spec, residues(alternating, spec, 3), HALVES, UNIFORM2, target, fixed_blocks=3
+            [], spec, residues(alternating, spec, 3), HALVES, target, fixed_blocks=3
         )
 
 
@@ -159,7 +159,7 @@ def test_greedy_respects_prefix():
     )
     # Prefix takes the two even (cell-1) indices of block 1.
     result = greedy_extension(
-        [2, 4], spec, residues(alternating, spec, 5), HALVES, UNIFORM2, target, fixed_blocks=4
+        [2, 4], spec, residues(alternating, spec, 5), HALVES, target, fixed_blocks=4
     )
     assert result.indices[:2] == (2, 4)
     assert validate_membership(result.indices, spec, blocks=result.blocks) is True
@@ -174,7 +174,7 @@ def test_greedy_accepts_prefix_ending_inside_its_block():
         mu=MeasureVector((F(1), F(0))), eps=F(1, 10), pi=point_mass(F(1, 2))
     )
     result = greedy_extension(
-        [1, 3], spec, residues(alternating, spec, 3), HALVES, UNIFORM2, target, fixed_blocks=2
+        [1, 3], spec, residues(alternating, spec, 3), HALVES, target, fixed_blocks=2
     )
     assert result.indices == (1, 3, 5, 7, 9, 11)
     assert [entry.block for entry in result.trace] == [2, 3]
@@ -187,10 +187,18 @@ def test_greedy_budget_exhaustion_reports_partial():
         mu=MeasureVector((F(0), F(1))), eps=F(1, 100), pi=point_mass(F(1, 2))
     )
     result = greedy_extension(
-        [], spec, residues(lambda n: F(1, 4), spec, 6), HALVES, UNIFORM2, target, max_blocks=6
+        [], spec, residues(lambda n: F(1, 4), spec, 6), HALVES, target, max_blocks=6
     )
     assert not result.achieved
     assert result.blocks == 6
+
+
+@pytest.mark.parametrize("budget", [{"max_blocks": -1}, {"fixed_blocks": -2}])
+def test_greedy_refuses_a_negative_block_budget(budget):
+    spec = BlockSpec(lambda j: 2, lambda j: 1)
+    target = ExtensionTarget(mu=UNIFORM2, eps=F(1, 10), pi=point_mass(F(1, 2)))
+    with pytest.raises(ValueError, match="^block budget must be nonnegative$"):
+        greedy_extension([1], spec, residues(alternating, spec, 2), HALVES, target, **budget)
 
 
 class CountingNums(Sequence):
@@ -222,13 +230,13 @@ def test_greedy_reads_only_the_cells_its_picks_need(golden_residues):
     target = ExtensionTarget(mu=mu, eps=F(1, 10**6), pi=point_mass(min(lam.masses)))
     nums = CountingNums(golden_residues.nums)
     x = Residues(nums, golden_residues.den)
-    result = greedy_extension([], spec, x, partition, lam, target, max_blocks=40)
+    result = greedy_extension([], spec, x, partition, target, max_blocks=40)
     assert (result.blocks, len(result.indices)) == (40, 80)
     assert validate_membership(result.indices, spec, blocks=40) is True
     assert nums.reads < spec.a(40) // 4
     # The same picks as on the plain residues.
     assert result == greedy_extension(
-        [], spec, golden_residues, partition, lam, target, max_blocks=40
+        [], spec, golden_residues, partition, target, max_blocks=40
     )
 
 
@@ -386,7 +394,7 @@ def test_greedy_matches_pool_scan_reference(case):
     j0 = spec.block_of(prefix[-1]) if prefix else 0
     kwargs = {"fixed_blocks": budget} if fixed else {"max_blocks": budget}
     points = residues(x, spec, len(blocks))
-    result = greedy_extension(prefix, spec, points, partition, lam, target, **kwargs)
+    result = greedy_extension(prefix, spec, points, partition, target, **kwargs)
     want = pool_scan_greedy(
         prefix, j0, spec, x, partition, target,
         max_blocks=budget, fixed_blocks=budget if fixed else None,
@@ -425,7 +433,7 @@ def test_greedy_matches_pool_scan_reference_on_long_blocks(case):
     x = lambda n: F(levels[(n - 1) % len(levels)], 96)
     budget = len(blocks)
     kwargs = {"fixed_blocks": budget} if fixed else {"max_blocks": budget}
-    result = greedy_extension([], spec, residues(x, spec, budget), partition, lam, target, **kwargs)
+    result = greedy_extension([], spec, residues(x, spec, budget), partition, target, **kwargs)
     want = pool_scan_greedy(
         (), 0, spec, x, partition, target,
         max_blocks=budget, fixed_blocks=budget if fixed else None,
@@ -461,7 +469,7 @@ def test_greedy_stopping_rule_at_its_boundaries(cuts, eps, levels, prefix, block
     target = ExtensionTarget(mu=lam, eps=eps, pi=point_mass(min(lam.masses)))
     x = lambda n: levels[(n - 1) % len(levels)]
     points = residues(x, ONE_A_BLOCK, 20)
-    result = greedy_extension(prefix, ONE_A_BLOCK, points, partition, lam, target, max_blocks=12)
+    result = greedy_extension(prefix, ONE_A_BLOCK, points, partition, target, max_blocks=12)
     want = pool_scan_greedy(
         prefix, len(prefix), ONE_A_BLOCK, x, partition, target, max_blocks=12, fixed_blocks=None
     )
@@ -512,7 +520,7 @@ def test_brute_force_matches_greedy_on_alternating():
     )
     brute = brute_force_extension([], spec, alternating, HALVES, target, j1=3)
     greedy = greedy_extension(
-        [], spec, residues(alternating, spec, 3), HALVES, UNIFORM2, target, fixed_blocks=3
+        [], spec, residues(alternating, spec, 3), HALVES, target, fixed_blocks=3
     )
     assert brute.total_abs_dev == 0
     assert greedy.total_abs_dev == brute.total_abs_dev
@@ -554,11 +562,10 @@ def test_greedy_block_allocations_swap_optimal(golden_points, golden_residues):
     # unchosen one may lower the boundary total |deviation|.
     spec = BlockSpec(lambda j: j + 2, lambda j: (j + 2) // 2)
     partition = CellPartition.uniform(3)
-    lam = partition.lebesgue_masses()
     mu = MeasureVector((F(1, 2), F(1, 3), F(1, 6)))
     target = ExtensionTarget(mu=mu, eps=F(1, 50), pi=pi_measure(spec, 40))
     result = greedy_extension(
-        [], spec, golden_residues, partition, lam, target, max_blocks=40
+        [], spec, golden_residues, partition, target, max_blocks=40
     )
     counts = [0, 0, 0]
     chosen = set(result.indices)
@@ -600,7 +607,7 @@ def test_greedy_output_respects_envelope_at_checkpoints(golden_points, golden_re
     blocks = 48
     target = ExtensionTarget(mu=lam, eps=F(1, 20), pi=pi_measure(spec, blocks))
     result = greedy_extension(
-        [], spec, golden_residues, partition, lam, target, fixed_blocks=blocks
+        [], spec, golden_residues, partition, target, fixed_blocks=blocks
     )
     cells = [cell_index(partition, p) for p in golden_points[: spec.a(blocks)]]
     block_defect = []

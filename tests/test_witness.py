@@ -123,7 +123,7 @@ def test_hit_frequency_visible_in_checkpoint_scan():
     partition = CellPartition((F(0), interval.left, interval.right, F(1)))
     points = [fraction_mul_mod1(m, witness.alpha) for m in n[: witness.horizon]]
     scan = checkpoint_scan(as_residues(points), partition, [witness.horizon])
-    assert frequencies(scan.measures[0])[1] > F(1, 2 * witness.plan.c)
+    assert frequencies(scan.counts[0])[1] > F(1, 2 * witness.plan.c)
 
 
 def test_hit_frequency_rejects_wide_interval():
@@ -144,7 +144,8 @@ def test_histogram_witness_two_even_cells():
 def test_histogram_witness_single_cell():
     target = HistogramTarget(weights=(1,), eta=F(1, 4))
     witness = histogram_witness([5 ** (k * k) for k in range(1, 17)], target, base=4)
-    assert witness.frequencies == (F(1),)
+    assert witness.counts == (witness.horizon,)
+    assert witness.deviations == (F(0),)
 
 
 def test_histogram_witness_three_one():
