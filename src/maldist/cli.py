@@ -402,15 +402,16 @@ def _cmd_subspace(opts: dict) -> int:
     partition = CellPartition(tuple(cuts))
     mu = MeasureVector(tuple(_rational_list(_require(opts, "mu"), "mu")))
     eps = _rational(opts, "eps", "1/10")
+    blocks = _int(opts, "blocks", 64)
+    if blocks < 0:
+        raise CliError(f"--blocks: expected a nonnegative integer, got {opts['blocks']!r}")
     if "pi" in opts:
         try:
             pi = RatioMeasure.from_json(json.loads(opts["pi"]))
         except (json.JSONDecodeError, TypeError) as exc:
             raise CliError(f"--pi: expected JSON [[q, w], ...] pairs ({exc})")
     else:
-        pi_blocks = _int(opts, "pi-blocks", _int(opts, "blocks", 64))
-        pi = pi_measure(spec, pi_blocks)
-    blocks = _int(opts, "blocks", 64)
+        pi = pi_measure(spec, _int(opts, "pi-blocks", blocks))
     prefix = _int_list(opts.get("prefix", ""), "prefix") if opts.get("prefix") else []
     # The greedy runs up to --blocks blocks past the prefix's last block.
     x = _points_source(opts, spec.a(_prefix_blocks(prefix, spec) + blocks))

@@ -304,25 +304,37 @@ def zero_block_density(point: BinaryPoint, windows: list[int]) -> list[WindowDen
     if windows[0] < 1:
         raise ValueError("window ends must be positive")
     # The point is num/2^L, and 2^k point mod 1 = (num << k mod 2^L)/2^L (0
-    # once k >= L), so (2^k + 1) point mod 1 = s/2^L with the integer s
-    # below; s/2^L > 1/2 iff s > floor(2^L/2), and s/2^L < 3/4 iff
-    # s < ceil(3 * 2^L/4).
-    length = len(point.digits)
+    # once k passes the last 1 digit), so (2^k + 1) point mod 1 = s/2^L with
+    # the integer s below; s/2^L > 1/2 iff s > floor(2^L/2), and s/2^L < 3/4
+    # iff s < ceil(3 * 2^L/4).
+    digits = bytes(point.digits)
+    length = len(digits)
     scale = 1 << length
-    alpha = point.value
-    num = alpha.numerator * (scale // alpha.denominator)
+    num = int(digits.translate(_BIT_CHARS), 2)
     lo = scale // 2
     hi = -(-3 * scale // 4)
     if not lo < num < hi:
         raise ValueError("the point itself must lie in the target arc")
+    # Every tail t < hi - num hits, as s = num + t then stays in (lo, hi); a
+    # tail whose first r digits are 0 is below 2^(L - r) <= hi - num.  So
+    # only the steps whose tail starts with fewer than r zeros can miss, and
+    # those (fewer than L, and none past the last window) are tested.
+    r = length - (hi - num).bit_length() + 1
+    zeros = bytes(r)
+    last = min(len(digits.rstrip(b"\0")), windows[-1] + 1)
+    misses = []
+    k = 1
+    while k < last:
+        run = digits.find(zeros, k, last)
+        for step in range(k, last if run < 0 else run):
+            s = ((num << step) + num) & (scale - 1)
+            if not lo < s < hi:
+                misses.append(step)
+        if run < 0:
+            break
+        k = digits.find(1, run) - r + 1  # steps run .. k - 1 start r zeros
     out = []
-    hits = 0
-    k = 0
     for end in windows:
-        while k < end:
-            k += 1
-            s = ((num << k) + num) & (scale - 1) if k < length else num
-            if lo < s < hi:
-                hits += 1
+        hits = end - bisect_right(misses, end)
         out.append(WindowDensity(window_end=end, hits=hits, density=Fraction(hits, end)))
     return out

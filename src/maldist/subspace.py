@@ -35,6 +35,8 @@ def validate_membership(indices: Sequence[int], spec: BlockSpec, blocks: int) ->
     """Exact per-block membership check of a strictly increasing prefix of
     blocks 1..blocks: each of those blocks holds exactly m_j indices, and no
     index lies past the end of block `blocks`."""
+    if blocks < 0:
+        raise ValueError("blocks must be nonnegative")
     idx = list(indices)
     if any(n < 1 for n in idx):
         raise ValueError("indices must be positive")

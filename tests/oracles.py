@@ -26,6 +26,10 @@ program against.  None of it backs a `maldist` subcommand.
 - `stepwise_invariance_defect`: the invariance defect counted along the
   orbit one step at a time, the reference for the two-lookup identity
   `invariance_defect` and the invariance verifier use;
+- `stepwise_window_hits`: the zero-block window hits counted one step k
+  at a time up to the last window end, the loop the zero-block verifier
+  ran before it folded the steps inside zero runs, and the reference for
+  that fold on both the build and the verify side;
 - `regex_parse_rational`: the regular-expression parser `parse_rational`
   was before it became a one-pass `str`-method parse, which the
   differential test holds it to;
@@ -253,6 +257,27 @@ def stepwise_invariance_defect(alpha: Fraction, steps: int, partition: CellParti
         counts[cell_index(partition, x)] += 1
         counts[cell_index(partition, mod1(2 * x))] -= 1
     return Fraction(max(abs(c) for c in counts), steps)
+
+
+def stepwise_window_hits(digits: Sequence[int], ends: Iterable[int]) -> dict[int, int]:
+    """end -> the number of steps k = 1..end at which (2^k + 1) * x mod 1
+    lies in (1/2, 3/4), for x = 0.d_1 d_2 ... d_L in binary: each step
+    shifts and masks the whole digit integer."""
+    ends = set(ends)
+    length = len(digits)
+    num, scale = int("".join(map(str, digits)), 2), 1 << length
+    out, hits = {}, 0
+    for k in range(1, max(ends) + 1):
+        # 2^k * x mod 1 = ((num << k) mod 2^L)/2^L, and (2^k + 1) * x mod 1
+        # = s/2^L lies in (1/2, 3/4) iff 2s > 2^L and 4s < 3 * 2^L.
+        s = ((num << k) & (scale - 1)) + num
+        if s >= scale:
+            s -= scale
+        if 2 * s > scale and 4 * s < 3 * scale:
+            hits += 1
+        if k in ends:
+            out[k] = hits
+    return out
 
 
 def empirical_measure(points: Sequence[Fraction], partition: CellPartition) -> tuple[int, ...]:

@@ -195,6 +195,16 @@ def test_hitfreq_forced_positions_follow_the_plan():
     )
 
 
+def test_hitfreq_plan_of_a_trillion_repeats_is_refused_by_length():
+    # The plan would list 10**12 + 1 positions; the echoed list is compared
+    # with it by length, and nothing of that size is built.
+    cert = certificate_of("hitfreq")
+    cert["inputs"]["plan"].update(c=1, repeats=10**12)
+    assert "inputs.forced_positions: not c*repeats .. 2*c*repeats step c" in (
+        certs.verify_certificate(cert).failures
+    )
+
+
 def test_hitfreq_containment_claims_speak_of_the_echoed_inputs():
     cert = certificate_of("hitfreq")
     p = cert["inputs"]["forced_positions"][0]

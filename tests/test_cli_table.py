@@ -209,13 +209,13 @@ def test_pi_blocks_sets_the_envelope_the_target_must_obey(tmp_path, capsys):
 
 
 def test_negative_block_budget_is_a_usage_error(capsys):
-    argv = [*SUBSPACE, "--pi-blocks", "5"]
+    # The flag is refused by name, with or without --pi-blocks or a prefix.
+    argv = list(SUBSPACE)
     argv[argv.index("--blocks") + 1] = "-1"
-    assert cli.main(argv) == cli.USAGE_ERROR
-    assert capsys.readouterr().err == "maldist subspace: block -1: index must be at least 0\n"
-    # Past a prefix the budget itself is refused.
-    assert cli.main([*argv, "--prefix", "1"]) == cli.USAGE_ERROR
-    assert capsys.readouterr().err == "maldist subspace: block budget must be nonnegative\n"
+    err = "maldist subspace: --blocks: expected a nonnegative integer, got '-1'\n"
+    for extra in ([], ["--pi-blocks", "5"], ["--pi-blocks", "5", "--prefix", "1"]):
+        assert cli.main([*argv, *extra]) == cli.USAGE_ERROR
+        assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("floor, code", [("1/5", 0), ("4/17", 0), ("1/4", cli.CLAIM_ERROR)])

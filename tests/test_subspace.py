@@ -74,6 +74,13 @@ def test_membership_rejects_index_past_the_checked_blocks():
     assert validate_membership([1, 3, 6], spec, blocks=3) is True
 
 
+def test_membership_rejects_a_negative_block_count():
+    # With no indices there is nothing else to refuse them by.
+    for indices in ([], [1]):
+        with pytest.raises(ValueError, match="blocks must be nonnegative"):
+            validate_membership(indices, BlockSpec([2, 2], [1, 1]), blocks=-3)
+
+
 def test_membership_rejects_nonincreasing():
     with pytest.raises(ValueError):
         validate_membership([3, 3], BlockSpec([4], [2]), blocks=1)
