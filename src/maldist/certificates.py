@@ -772,46 +772,6 @@ _WINDOW_ID = re.compile(r"window-([1-9][0-9]*)")
 _BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _zeroblock_singles(digits: bytes, num: int, stop: int) -> tuple[list[int], list[int]]:
-    """The steps k = 1..stop of a zero-block recount that are tested one by
-    one, and those of them that hit; every other step has the verdict of
-    the value itself.
-
-    2^k * value mod 1 is the digit string after its first k digits, t/2^L
-    with t = (num << k) mod 2^L (0 once k passes the last 1 digit, as the
-    expansion is exact), so (2^k + 1) * value mod 1 = s/2^L with s = (t +
-    num) mod 2^L; it lies in (1/2, 3/4) iff 2s > 2^L and 4s < 3 * 2^L.  As
-    t runs up from 0, s enters the band only past t = U = (2^L/2 - num) mod
-    2^L and leaves it only at t = V = (ceil(3 * 2^L/4) - num) mod 2^L, so
-    every t below m = min(U, V) has the verdict of t = 0.  A tail whose
-    first r = L - bitlen(m) + 1 digits are 0 is below 2^(bitlen(m) - 1) <=
-    m: only the steps whose tail starts with fewer than r zeros, fewer than
-    L, are tested.
-    """
-    length = len(digits)
-    scale = 1 << length
-    mask = scale - 1
-    m = min((scale // 2 - num) % scale, (-(-3 * scale // 4) - num) % scale)
-    r = length - m.bit_length() + 1  # L + 1 when m = 0: no run folds
-    zeros = bytes(r)
-    last = min(len(digits.rstrip(b"\0")), stop + 1)
-    tested, hits = [], []
-    k = 1
-    while k < last:
-        run = digits.find(zeros, k, last)  # the next step that starts r zeros
-        for step in range(k, last if run < 0 else run):
-            tested.append(step)
-            s = ((num << step) & mask) + num
-            if s >= scale:
-                s -= scale
-            if 2 * s > scale and 4 * s < 3 * scale:
-                hits.append(step)
-        if run < 0:
-            break
-        k = digits.find(1, run) - r + 1  # steps run .. k - 1 start r zeros
-    return tested, hits
-
-
 def _verify_zeroblock(inp: dict, stated: dict):
     base, starts, digits = inp["base"], inp["block_starts"], inp["digits"]
     length = len(digits)
@@ -831,10 +791,17 @@ def _verify_zeroblock(inp: dict, stated: dict):
     }
     ends = sorted({int(m[1]) for m in map(_WINDOW_ID.fullmatch, stated) if m})
     if ends:
-        tested, hits = _zeroblock_singles(digits, num, ends[-1])
+        # 2^k * value mod 1 is the digit string after its first k digits,
+        # ((num << k) mod 2^L)/2^L, so (2^k + 1) * value mod 1 = ((num << k)
+        # + num) mod 2^L over 2^L.  From the last 1 digit on the tail is 0
+        # and a step has the verdict of the value itself: only the steps
+        # before it are tested, and `flips` keeps those whose verdict differs.
+        last = min(len(digits.rstrip(b"\0")), ends[-1] + 1)
+        flips = [k for k in range(1, last)
+                 if band.contains_residue(((num << k) + num) & (scale - 1), scale) != in_band]
         for end in ends:
-            # The untested steps up to `end` share the value's own verdict.
-            count = bisect_right(hits, end) + in_band * (end - bisect_right(tested, end))
+            flipped = bisect_right(flips, end)
+            count = end - flipped if in_band else flipped
             claims[f"window-{end}"] = _claim("window-density", end, count,
                                              format_ratio(count, end), True)
     return failures, claims

@@ -305,8 +305,8 @@ def zero_block_density(point: BinaryPoint, windows: list[int]) -> list[WindowDen
         raise ValueError("window ends must be positive")
     # The point is num/2^L, and 2^k point mod 1 = (num << k mod 2^L)/2^L (0
     # once k passes the last 1 digit), so (2^k + 1) point mod 1 = s/2^L with
-    # the integer s below; s/2^L > 1/2 iff s > floor(2^L/2), and s/2^L < 3/4
-    # iff s < ceil(3 * 2^L/4).
+    # s = ((num << k) + num) mod 2^L; s/2^L > 1/2 iff s > floor(2^L/2), and
+    # s/2^L < 3/4 iff s < ceil(3 * 2^L/4).
     digits = bytes(point.digits)
     length = len(digits)
     scale = 1 << length
@@ -315,24 +315,10 @@ def zero_block_density(point: BinaryPoint, windows: list[int]) -> list[WindowDen
     hi = -(-3 * scale // 4)
     if not lo < num < hi:
         raise ValueError("the point itself must lie in the target arc")
-    # Every tail t < hi - num hits, as s = num + t then stays in (lo, hi); a
-    # tail whose first r digits are 0 is below 2^(L - r) <= hi - num.  So
-    # only the steps whose tail starts with fewer than r zeros can miss, and
-    # those (fewer than L, and none past the last window) are tested.
-    r = length - (hi - num).bit_length() + 1
-    zeros = bytes(r)
+    # From the last 1 digit on the tail is 0 and s = num, a hit: only the
+    # steps before it (none past the last window) can miss, and are tested.
     last = min(len(digits.rstrip(b"\0")), windows[-1] + 1)
-    misses = []
-    k = 1
-    while k < last:
-        run = digits.find(zeros, k, last)
-        for step in range(k, last if run < 0 else run):
-            s = ((num << step) + num) & (scale - 1)
-            if not lo < s < hi:
-                misses.append(step)
-        if run < 0:
-            break
-        k = digits.find(1, run) - r + 1  # steps run .. k - 1 start r zeros
+    misses = [k for k in range(1, last) if not lo < ((num << k) + num) & (scale - 1) < hi]
     out = []
     for end in windows:
         hits = end - bisect_right(misses, end)

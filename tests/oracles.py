@@ -28,8 +28,8 @@ program against.  None of it backs a `maldist` subcommand.
   `invariance_defect` and the invariance verifier use;
 - `stepwise_window_hits`: the zero-block window hits counted one step k
   at a time up to the last window end, the loop the zero-block verifier
-  ran before it folded the steps inside zero runs, and the reference for
-  that fold on both the build and the verify side;
+  ran before it folded the steps past the last 1 digit, and the reference
+  for that fold on both the build and the verify side;
 - `regex_parse_rational`: the regular-expression parser `parse_rational`
   was before it became a one-pass `str`-method parse, which the
   differential test holds it to;

@@ -1,8 +1,8 @@
-"""The zero-block window counts fold the steps whose digit tail starts inside
-a long zero run, and every step past the digit length, into runs of one
-verdict.  Both sides, `zero_block_density` and the `zeroblock` verifier, are
-held here to the one-step-at-a-time count of `tests.oracles`, on digit
-strings with zero runs shorter and longer than the fold needs, values on
+"""The zero-block window counts test one by one only the steps before the
+last 1 digit, and give every later step, where the digit tail is 0, the
+verdict of the value itself.  Both sides, `zero_block_density` and the
+`zeroblock` verifier, are held here to the one-step-at-a-time count of
+`tests.oracles`, on digit strings with short and long zero runs, values on
 and off the band (1/2, 3/4), the band's ends, and window ends up to 10**18.
 """
 
@@ -18,6 +18,7 @@ from maldist import certificates as certs
 from maldist import cli
 from maldist.doubling import BinaryPoint, zero_block_density
 from maldist.exact import format_rational
+from maldist.torus import TorusInterval
 from tests.oracles import stepwise_window_hits
 
 
@@ -31,8 +32,8 @@ def window_hits(digits, ends):
     return {e: near[e] if e in near else near[length + 1] + past * (e - length - 1) for e in ends}
 
 
-# Digit strings of bits and zero runs; the runs are long enough that some
-# fold and some do not, whatever the value's distance to the band ends.
+# Digit strings of bits and zero runs, short ones and ones longer than the
+# value's distance to the band ends needs for a run of one verdict.
 chunks = st.one_of(
     st.lists(st.sampled_from((0, 1)), min_size=1, max_size=8),
     st.integers(1, 60).map(lambda n: [0] * n),
@@ -101,25 +102,24 @@ def test_folded_density_matches_the_stepwise_count(digits, data):
 
 
 @pytest.mark.parametrize("pattern", ["1", "10", "110", "1011"])
-def test_digits_without_a_long_zero_run_take_at_most_one_step_per_digit(monkeypatch, pattern):
+def test_digits_without_a_zero_run_take_fewer_steps_than_digits(monkeypatch, pattern):
     # 256 digits whose zero runs are short: the verifier tests fewer steps
-    # than there are digits one by one, and none more for the window end
-    # 10**18.
-    digits = (pattern * 256)[:256]
-    tested = []
-    real = certs._zeroblock_singles
-
-    def counted(*args):
-        steps, hits = real(*args)
-        tested.extend(steps)
-        return steps, hits
-
-    monkeypatch.setattr(certs, "_zeroblock_singles", counted)
-    bits = [int(ch) for ch in digits]
-    want = window_hits(bits, [100, 10**18])
+    # than there are digits, each one band test, and none more for the
+    # window end 10**18.
+    digits = [int(ch) for ch in (pattern * 256)[:256]]
+    want = window_hits(digits, [100, 10**18])
     claims = [window_claim(end, want[end]) for end in (100, 10**18)]
-    assert window_failures(bits, claims) == []
-    assert 0 < len(tested) < len(digits)
+    real = TorusInterval.contains_residue
+    tests = []
+
+    def counted(self, r, q):
+        tests.append(r)
+        return real(self, r, q)
+
+    monkeypatch.setattr(TorusInterval, "contains_residue", counted)
+    assert window_failures(digits, claims) == []
+    steps = len(tests) - 1  # one band test is the value's own
+    assert 0 < steps < len(digits)
 
 
 ZEROBLOCK = ["doubling", "--mode", "zeroblock", "--base", "1417/2169", "--starts", "13,18,39"]
