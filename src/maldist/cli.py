@@ -170,31 +170,38 @@ def _write_json(obj: dict, path: str | None) -> None:
 def _json_text(value, pad: str = "\n") -> str:
     """`json.dumps(value, sort_keys=True, indent=2)` of a value whose objects
     have string keys, written here: with an indent, `json` falls back to its
-    pure-Python encoder.  Strings go through the C encoder `json` uses."""
-    if isinstance(value, str):
-        return _json_string(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = pad + "  "
-        return "{" + inner + ("," + inner).join([
-            _json_string(key) + ": " + _json_text(item, inner)
-            for key, item in sorted(value.items())]) + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = pad + "  "
-        return "[" + inner + ("," + inner).join([
-            _json_text(item, inner) for item in value]) + pad + "]"
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
+    pure-Python encoder.  Strings go through the C encoder `json` uses.
+    Plain ints and lists, most of the values written, are told by their exact
+    type first; every other value goes down the isinstance chain, whose list
+    and tuple cases join the plain lists at the end."""
+    kind = type(value)
+    if kind is int:
         return int.__repr__(value)
-    return json.dumps(value)  # a float, or the TypeError of a value JSON has no form for
+    if kind is not list:
+        if isinstance(value, str):
+            return _json_string(value)
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            inner = pad + "  "
+            return "{" + inner + ("," + inner).join([
+                _json_string(key) + ": " + _json_text(item, inner)
+                for key, item in sorted(value.items())]) + pad + "}"
+        if not isinstance(value, (list, tuple)):
+            if value is None:
+                return "null"
+            if value is True:
+                return "true"
+            if value is False:
+                return "false"
+            if isinstance(value, int):
+                return int.__repr__(value)
+            return json.dumps(value)  # a float, or the TypeError of a value JSON has no form for
+    if not value:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join([
+        _json_text(item, inner) for item in value]) + pad + "]"
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -346,6 +353,8 @@ def _cmd_envelope(opts: dict) -> int:
 
     spec = _block_spec(opts)
     blocks = _int(opts, "blocks")
+    if blocks < 1:
+        raise CliError(f"--blocks: expected a positive integer, got {opts['blocks']!r}")
     grid = _int(opts, "grid", 101)
     if grid < 2:
         raise CliError("--grid: need at least 2 points")
@@ -411,7 +420,15 @@ def _cmd_subspace(opts: dict) -> int:
         except (json.JSONDecodeError, TypeError) as exc:
             raise CliError(f"--pi: expected JSON [[q, w], ...] pairs ({exc})")
     else:
-        pi = pi_measure(spec, _int(opts, "pi-blocks", blocks))
+        pi_blocks = _int(opts, "pi-blocks", blocks)
+        if pi_blocks < 1:
+            # Without --pi-blocks, the horizon is --blocks.
+            if "pi-blocks" in opts:
+                raise CliError(
+                    f"--pi-blocks: expected a positive integer, got {opts['pi-blocks']!r}")
+            raise CliError("--blocks: expected a positive integer when it sets --pi-blocks, "
+                           f"got {opts['blocks']!r}")
+        pi = pi_measure(spec, pi_blocks)
     prefix = _int_list(opts.get("prefix", ""), "prefix") if opts.get("prefix") else []
     # The greedy runs up to --blocks blocks past the prefix's last block.
     x = _points_source(opts, spec.a(_prefix_blocks(prefix, spec) + blocks))
@@ -427,8 +444,9 @@ def _cmd_subspace(opts: dict) -> int:
     writer = csv.writer(trace_out, lineterminator="\n")
     writer.writerow(["block", "M"] + [f"d_{i}" for i in range(partition.size)])
     for entry in result.trace:
+        den = entry.denominator
         writer.writerow(
-            [entry.block, entry.cumulative] + [format_rational(d) for d in entry.deviations]
+            [entry.block, entry.cumulative] + [format_ratio(num, den) for num in entry.numerators]
         )
     _write_text(trace_out.getvalue(), opts.get("trace-out"))
     _write_json(

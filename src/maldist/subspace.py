@@ -28,8 +28,6 @@ __all__ = [
     "greedy_extension",
 ]
 
-_ZERO = Fraction(0)
-
 
 def validate_membership(indices: Sequence[int], spec: BlockSpec, blocks: int) -> bool:
     """Exact per-block membership check of a strictly increasing prefix of
@@ -67,10 +65,17 @@ class ExtensionTarget:
 
 @dataclass(frozen=True)
 class BlockTrace:
+    """The state after one block: the block j, the indices it took, the
+    number M of indices chosen through it, and the cell deviations
+    mu_i - c_i/M as integer numerators over the one denominator den*M (den
+    the lcm of mu's denominators; mu itself, over den, while M = 0).  They
+    are not reduced: `format_ratio(num, denominator)` prints a cell."""
+
     block: int
     chosen: tuple[int, ...]
     cumulative: int
-    deviations: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
 
 @dataclass(frozen=True)
@@ -150,6 +155,12 @@ def greedy_extension(
     cell tied at the largest deficit, and a cell with no free index left in
     the block drops out of it.  Only the forced-pick counts of a fixed
     horizon map whole blocks.
+
+    Deviations stay integers until they are reported: after each block the
+    numerators mu_i*den*M - c_i*den over den*M (den the lcm of mu's
+    denominators) feed the stopping test and the block's `BlockTrace` as
+    they are.  Fractions are built only for the three values the result
+    reports: `deviations`, `total_abs_dev` and `max_abs_dev`.
     """
     s = partition.size
     if target.mu.size != s:
@@ -179,12 +190,11 @@ def greedy_extension(
     trace: list[BlockTrace] = []
     prefix_mass = spec.M(j0)
 
-    def deviations() -> tuple[list[int], tuple[Fraction, ...]]:
+    def deviations() -> tuple[tuple[int, ...], int]:
         """mu_i - counts_i/M for the M indices chosen so far, as integer
-        numerators over den*M and as Fractions; mu itself when M = 0."""
+        numerators over den*M; mu itself, over den, when M = 0."""
         total = len(chosen) or 1
-        over = [mu_scaled[i] * total - counts[i] * den for i in range(s)]
-        return over, tuple(Fraction(d, den * total) for d in over)
+        return tuple([mu_scaled[i] * total - counts[i] * den for i in range(s)]), den * total
 
     achieved = False
     j = j0
@@ -257,29 +267,28 @@ def greedy_extension(
             head[pick], start[pick] = None, best + 1
         picked.sort()
         chosen.extend(picked)
-        dev_nums, devs_after = deviations()
-        trace.append(BlockTrace(j, tuple(picked), len(chosen), devs_after))
+        dev_nums, dev_den = deviations()
+        trace.append(BlockTrace(j, tuple(picked), len(chosen), dev_nums, dev_den))
         if fixed_blocks is None:
             # prefix_mass/len(chosen) < eps/(3s), and every |deviation| < eps.
             washout = (
                 prefix_mass == 0
                 or prefix_mass * 3 * s * eps.denominator < eps.numerator * len(chosen)
             )
-            if washout and (
-                max(map(abs, dev_nums)) * eps.denominator
-                < eps.numerator * den * (len(chosen) or 1)
-            ):
+            if washout and max(map(abs, dev_nums)) * eps.denominator < eps.numerator * dev_den:
                 achieved = True
                 break
-    final = deviations()[1]
+    # The reported values are the only Fractions the run builds.
+    dev_nums, dev_den = deviations()
+    max_abs_dev = Fraction(max(map(abs, dev_nums)), dev_den)
     if fixed_blocks is not None:
-        achieved = max(abs(d) for d in final) < eps
+        achieved = max_abs_dev < eps
     return ExtensionResult(
         indices=tuple(chosen),
         blocks=j,
-        deviations=final,
-        total_abs_dev=sum((abs(d) for d in final), _ZERO),
-        max_abs_dev=max(abs(d) for d in final),
+        deviations=tuple(Fraction(d, dev_den) for d in dev_nums),
+        total_abs_dev=Fraction(sum(map(abs, dev_nums)), dev_den),
+        max_abs_dev=max_abs_dev,
         achieved=achieved,
         trace=tuple(trace),
     )

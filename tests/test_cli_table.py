@@ -218,6 +218,40 @@ def test_negative_block_budget_is_a_usage_error(capsys):
         assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_pi_blocks_is_refused_by_its_flag(tmp_path, capsys, value):
+    out = tmp_path / "out.json"
+    assert cli.main([*SUBSPACE, "--pi-blocks", value, "--out", str(out)]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"maldist subspace: --pi-blocks: expected a positive integer, got '{value}'\n")
+    assert (captured.out, out.exists()) == ("", False)
+
+
+def test_zero_blocks_is_refused_only_where_it_sets_pi_blocks(tmp_path, capsys):
+    # --blocks 0 extends by no block; it fails only as the envelope's horizon.
+    argv = list(SUBSPACE)
+    argv[argv.index("--blocks") + 1] = "0"
+    assert cli.main(argv) == cli.USAGE_ERROR
+    assert capsys.readouterr().err == (
+        "maldist subspace: --blocks: expected a positive integer when it sets --pi-blocks, "
+        "got '0'\n")
+    for extra in (["--pi-blocks", "5"], ["--pi", '[["1/2", "1/1"]]']):
+        out = tmp_path / "out.json"
+        assert cli.main([*argv, *extra, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["blocks"] == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_envelope_blocks_is_refused_by_its_flag(tmp_path, capsys, value):
+    out = tmp_path / "out.json"
+    argv = ["envelope", "--spec", '{"b": [6], "m": [5]}', "--blocks", value, "--out", str(out)]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"maldist envelope: --blocks: expected a positive integer, got '{value}'\n"
+    assert (captured.out, out.exists()) == ("", False)
+
+
 @pytest.mark.parametrize("floor, code", [("1/5", 0), ("4/17", 0), ("1/4", cli.CLAIM_ERROR)])
 def test_discrepancy_floor_claim_holds_up_to_the_discrepancy(tmp_path, floor, code):
     # The avoidance run below has star discrepancy 4/17 at its horizon.

@@ -1,8 +1,13 @@
+import csv
 import hashlib
+import json
+import tempfile
 import tracemalloc
 from collections.abc import Sequence
 from fractions import Fraction as F
 from itertools import combinations, product
+from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -11,6 +16,7 @@ from hypothesis import strategies as st
 from maldist import cli
 from maldist.empirical import CellPartition, MeasureVector, Residues
 from maldist.envelope import BlockSpec, pi_measure
+from maldist.exact import format_ratio, format_rational
 from maldist.subspace import (
     BlockTrace,
     ExtensionResult,
@@ -131,7 +137,7 @@ def test_greedy_alternating_example():
     # Every block contributes its two odd (cell-0) indices.
     assert result.indices == (1, 3, 5, 7, 9, 11, 13, 15, 17, 19)
     for entry in result.trace:
-        assert entry.deviations == (F(0), F(0))
+        assert entry.numerators == (0, 0)
     assert result.achieved
 
 
@@ -271,10 +277,122 @@ def test_long_steering_run_forms_only_the_residues_it_reads(tmp_path, monkeypatc
         "5622e01435d27ea76f7ca8e14c1a8a40f45aa9bd86c6b471b8390143798fa327")
 
 
+def recounted_cells(indices, m, mu, partition, point):
+    """The trace cells after the first m indices, from a Fraction recount:
+    format_rational(mu_i - c_i/m), or of mu_i while m = 0."""
+    counts = [0] * partition.size
+    for n in indices[:m]:
+        counts[cell_index(partition, point(n))] += 1
+    return [format_rational(w - F(c, m) if m else w) for w, c in zip(mu, counts)]
+
+
+def traced_cells(case):
+    """Every trace cell of the case's open-horizon `maldist subspace` run
+    and of its fixed-horizon greedy over the same blocks, each checked
+    against `recounted_cells`."""
+    den, cuts, blocks, weights, p, q, eps = case
+    if sum(weights) == 0:
+        weights = (1,) + weights[1:]
+    mu = [F(w, sum(weights)) for w in weights]
+    partition = CellPartition((F(0),) + tuple(F(k, den) for k in cuts) + (F(1),))
+    widest = min(partition.lebesgue_masses().masses)
+    spec = {"b": [b for b, _ in blocks], "m": [m for _, m in blocks]}
+    point = lambda n: F(n * p % q, q)
+    cells = []
+    with tempfile.TemporaryDirectory() as tmp:
+        out, trace = Path(tmp, "out.json"), Path(tmp, "trace.csv")
+        argv = ["subspace", "--spec", json.dumps(spec), "--cuts", ",".join(map(str, partition.cuts)),
+                "--mu", ",".join(map(str, mu)), "--eps", str(eps), "--blocks", str(len(blocks)),
+                # F(t) = 1 from the smallest cell length on: every target is admissible.
+                "--pi", json.dumps([[str(widest), "1/1"]]), "--x-alpha", f"{p}/{q}",
+                "--out", str(out), "--trace-out", str(trace)]
+        assert cli.main(argv) == 0
+        indices = [n + k for n, run in json.loads(out.read_text())["indices_runlength"]
+                   for k in range(run)]
+        rows = list(csv.reader(trace.read_text().splitlines()))
+    assert rows[0] == ["block", "M"] + [f"d_{i}" for i in range(partition.size)]
+    for row in rows[1:]:
+        assert row[2:] == recounted_cells(indices, int(row[1]), mu, partition, point)
+        cells += row[2:]
+    target = ExtensionTarget(mu=MeasureVector(tuple(mu)), eps=eps, pi=point_mass(widest))
+    block_spec = BlockSpec(spec["b"], spec["m"])
+    x = Residues([n * p % q for n in range(1, block_spec.a(len(blocks)) + 1)], q)
+    result = greedy_extension([], block_spec, x, partition, target, fixed_blocks=len(blocks))
+    for entry in result.trace:
+        row = [format_ratio(num, entry.denominator) for num in entry.numerators]
+        assert row == recounted_cells(result.indices, entry.cumulative, mu, partition, point)
+        cells += row
+    return cells
+
+
+@st.composite
+def trace_cases(draw):
+    s = draw(st.integers(1, 4))
+    den = draw(st.integers(max(s, 2), 40))
+    cuts = tuple(sorted(draw(st.sets(st.integers(1, den - 1), min_size=s - 1, max_size=s - 1))))
+    block = st.integers(1, 5).flatmap(lambda b: st.tuples(st.just(b), st.integers(0, b)))
+    blocks = tuple(draw(st.lists(block, min_size=1, max_size=8)))
+    weights = tuple(draw(st.lists(st.integers(0, 4), min_size=s, max_size=s)))
+    q = draw(st.integers(1, 50))
+    p = draw(st.integers(0, q - 1))
+    eps = draw(st.sampled_from([F(1, 1000), F(1, 10), F(1, 2)]))
+    return den, cuts, blocks, weights, p, q, eps
+
+
+# Halves and x_n = n/2 mod 1: block 1 takes its cell-1 index (-1/2 in cell
+# 1), block 2 its cell-0 index (0/1 in both cells).
+ZERO_AND_NEGATIVE = (2, (1,), ((2, 1),) * 4, (1, 1), 1, 2, F(1, 100))
+# Only cell 0 is wanted, every block is taken whole: cell 1 stays negative.
+ALL_NEGATIVE = (4, (1,), ((3, 3),) * 3, (1, 0), 1, 4, F(1, 10))
+
+
+@example(ZERO_AND_NEGATIVE)
+@example(ALL_NEGATIVE)
+@given(trace_cases())
+def test_trace_cells_are_the_reduced_recounted_deviations(case):
+    traced_cells(case)
+
+
+def test_trace_cases_draw_zero_and_negative_cells():
+    cells = traced_cells(ZERO_AND_NEGATIVE)
+    assert "0/1" in cells and "-1/2" in cells
+    assert any(c.startswith("-") for c in traced_cells(ALL_NEGATIVE))
+
+
+SIX_CELLS = CellPartition(
+    (F(0), F(17, 101), F(34, 103), F(51, 107), F(68, 109), F(85, 113), F(1)))
+
+
+def test_greedy_builds_fractions_only_for_the_values_it_reports(golden_residues, monkeypatch):
+    # Six cells of widths over 101..113: no M <= 400 meets the target, so
+    # every block runs; the Fractions built do not grow with the blocks.
+    spec = BlockSpec(lambda j: j + 2, lambda j: 2)
+    lam = SIX_CELLS.lebesgue_masses()
+    target = ExtensionTarget(mu=lam, eps=F(1, 10**12), pi=point_mass(min(lam.masses)))
+    built = []
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
+    counts = []
+    for blocks in (20, 200):
+        built.clear()
+        result = greedy_extension([], spec, golden_residues, SIX_CELLS, target, max_blocks=blocks)
+        assert (result.blocks, len(result.trace)) == (blocks, blocks)
+        counts.append(len(built))
+    monkeypatch.undo()
+    assert counts[0] == counts[1] <= 10 * SIX_CELLS.size
+
+
 def pool_scan_greedy(prefix, j0, spec, x, partition, target, max_blocks, fixed_blocks):
     """Reference greedy with Fraction deficits: each pick recomputes the gap
     set Y and scans every free index of the block for the least key
-    (not (in Y with deficit > 0), -deficit, index)."""
+    (not (in Y with deficit > 0), -deficit, index).  Its trace packages each
+    block's Fraction deviations as `BlockTrace` does, as integers over
+    den * M (den the lcm of mu's denominators; over den while M = 0)."""
     s = partition.size
     counts = [0] * s
     for n in prefix:
@@ -282,6 +400,7 @@ def pool_scan_greedy(prefix, j0, spec, x, partition, target, max_blocks, fixed_b
     chosen = list(prefix)
     mu = target.mu.masses
     eps = target.eps
+    mu_den = lcm(*(m.denominator for m in mu))
     trace = []
     prefix_mass = spec.M(j0)
 
@@ -339,7 +458,10 @@ def pool_scan_greedy(prefix, j0, spec, x, partition, target, max_blocks, fixed_b
         picked.sort()
         chosen.extend(picked)
         devs_after = deviations(len(chosen))
-        trace.append(BlockTrace(j, tuple(picked), len(chosen), devs_after))
+        over = mu_den * (len(chosen) or 1)
+        assert all((d * over).denominator == 1 for d in devs_after)
+        nums = tuple(int(d * over) for d in devs_after)
+        trace.append(BlockTrace(j, tuple(picked), len(chosen), nums, over))
         if fixed_blocks is None:
             washout = prefix_mass == 0 or F(prefix_mass, len(chosen)) < eps / (3 * s)
             if washout and max(abs(d) for d in devs_after) < eps:
@@ -582,7 +704,7 @@ def test_greedy_block_allocations_swap_optimal(golden_points, golden_residues):
         m_here = entry.cumulative
         base = sum(abs(mu.masses[i] - F(counts[i], m_here)) for i in range(3))
         # trace deviations agree with an independent recount
-        assert entry.deviations == tuple(
+        assert tuple(F(d, entry.denominator) for d in entry.numerators) == tuple(
             mu.masses[i] - F(counts[i], m_here) for i in range(3)
         )
         for n_out in entry.chosen:

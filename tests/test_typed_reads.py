@@ -83,12 +83,28 @@ HUGE = st.integers(min_value=10**4300, max_value=10**4400) | st.integers(
     min_value=-(10**4400), max_value=-(10**4300))
 TRICKY = st.sampled_from(['"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é", "٣", " ",
                           "\ud800", "😀", "a/b"])
-scalars = (st.none() | st.booleans() | st.integers() | HUGE | st.text() | TRICKY
-           | st.floats())
+
+
+class Int(int):
+    pass
+
+
+class Str(str):
+    pass
+
+
+INTS = st.integers() | HUGE
+scalars = (st.none() | st.booleans() | INTS | st.text() | TRICKY | st.floats()
+           | st.builds(Int, INTS) | st.builds(Str, st.text() | TRICKY))
+# The shapes the type-first path takes: flat int lists, bools among ints (a
+# bool is an int that must print as true/false), and runs of [n, len] pairs.
+int_lists = (st.lists(INTS, max_size=30) | st.lists(INTS | st.booleans(), max_size=10)
+             | st.lists(st.lists(INTS, min_size=2, max_size=2), max_size=10))
 json_values = st.recursive(
-    scalars,
+    scalars | int_lists,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
-                   | st.dictionaries(st.text(max_size=5) | TRICKY, inner, max_size=4)),
+                   | st.dictionaries(st.text(max_size=5) | TRICKY | st.builds(Str, st.text(max_size=5)),
+                                     inner, max_size=4)),
     max_leaves=25,
 )
 
