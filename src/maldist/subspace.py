@@ -278,7 +278,6 @@ def greedy_extension(
             if washout and max(map(abs, dev_nums)) * eps.denominator < eps.numerator * dev_den:
                 achieved = True
                 break
-    # The reported values are the only Fractions the run builds.
     dev_nums, dev_den = deviations()
     max_abs_dev = Fraction(max(map(abs, dev_nums)), dev_den)
     if fixed_blocks is not None:
