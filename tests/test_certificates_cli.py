@@ -338,6 +338,68 @@ def test_zeroblock_verifier_recounts_window_hits(base, starts, data):
 # --- CLI ---------------------------------------------------------------------
 
 
+# One small certificate of each kind, built through `cli.main`: its exit code,
+# the sha256 digest of the file --out writes, and the exit code and `ok` of
+# `maldist verify` on the certificate.  The avoid floor 1/2 lies above the
+# orbit's D*, and mu = (3/5, 2/5) exceeds the identity envelope on cell 0: both
+# state a false verdict.  The zero-block windows pass the 100 digits.
+PINNED_CERTIFICATES = {
+    "mixing": (
+        ["witness", "--mode", "mixing", "--n", "100,10000,1000000", "--eps", "1/10",
+         "--delta", "1/20", "--start", "3/10,9/25",
+         "--targets", "9/20,11/20;9/20,11/20;9/20,11/20"],
+        0, "5980ea0086566101fdbbd1b4f0265d994344fc473a1002dd3880fa40491a60ac"),
+    "hitfreq": (
+        ["witness", "--mode", "salat2", "--n-kind", "pow:2", "--count", "30",
+         "--interval", "1/2,33/64", "--ratio", "2"],
+        0, "5ae1911830454d2b82c544d71d72b9c43859ec8749bb4ada7e0f2e90ad7b9ce6"),
+    "histogram": (
+        ["witness", "--mode", "salat3", "--n-kind", "squarepow:3", "--weights", "3,1",
+         "--eta", "1/4", "--base", "4"],
+        0, "389b1ebf19ffe1f62005e941c091f86730a7118992a4bd4d78d639013e3a092e"),
+    "avoid": (
+        ["witness", "--mode", "avoid", "--alpha", "832040/1346269", "--eps", "1/10",
+         "--horizon", "200", "--discrepancy-floor", "1/2"],
+        1, "e5afba9a776ed1944c2263c2f48213220e63d7de6cc0372eada99fe7db666727"),
+    "zeroblock": (
+        ["witness", "--mode", "zeroblock", "--base", "2/3", "--starts", "4,10"],
+        0, "b905c3ba730f328e5ab586fca95751b967b194e0f491dd4ce77398a8b37b253d"),
+    "zeroblock-windows": (
+        ["doubling", "--mode", "zeroblock", "--base", "2/3", "--starts", "4,10",
+         "--windows", "5,16,50,100,1000"],
+        0, "bdcf69421392c8ad7367fcd8fa37eedadb5b6d3e840e7c88e2d1332e7416ac04"),
+    "fivesixth": (
+        ["doubling", "--mode", "fivesixth", "--alpha", "3/61", "--horizon", "1000"],
+        0, "469c46540b6abd2a50edcf4b29bd0e5d57cee195a41e146dfe08e3be7a3a05ef"),
+    "invariance": (
+        ["doubling", "--mode", "invariance", "--alpha", "5/24", "--steps", "40", "--level", "3"],
+        0, "9176ec470b62d48d4ca3ad18460a91b02b0c167452e5738e280c9a06f4bdff02"),
+    "envelope": (
+        ["envelope", "--spec", '{"b": [2, 2], "m": [2, 2]}', "--blocks", "2",
+         "--mu", "3/5,2/5", "--lam", "1/2,1/2"],
+        1, "6f3f5d7ea8826dfd4cc3c5bb8bb7132e283229728a6c07e0bb7b065be85eae22"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CERTIFICATES)
+def test_certificate_bytes_are_pinned(tmp_path, monkeypatch, name):
+    import hashlib
+
+    monkeypatch.delenv("MALDIST_SEED", raising=False)
+    argv, code, digest = PINNED_CERTIFICATES[name]
+    out, table = tmp_path / "out.json", tmp_path / "table.csv"
+    extra = ["--table-out", str(table)] if argv[0] == "envelope" else []
+    assert maldist.cli.main([*argv, *extra, "--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    cert = json.loads(out.read_text())
+    if argv[0] == "envelope":
+        cert = cert["certificate"]
+    cert_path, report = tmp_path / "cert.json", tmp_path / "verify.json"
+    cert_path.write_text(json.dumps(cert))
+    assert maldist.cli.main(["verify", str(cert_path), "--out", str(report)]) == code
+    assert json.loads(report.read_text()) == {"ok": code == 0, "failures": []}
+
+
 def test_cli_witness_salat2_and_verify(tmp_path):
     out = tmp_path / "cert.json"
     res = run_cli(

@@ -1,9 +1,11 @@
 """The public surface carries no dead code: every function and class a
 layer module lists in `__all__`, and every method and property of a class
 that another package module references, has a caller inside the package,
-and every public field of such a class has a reader."""
+and every public field of such a class has a reader; and `certificates`
+imports none of the construction code its verifiers must not call."""
 
 import ast
+import sys
 from pathlib import Path
 
 import maldist
@@ -172,3 +174,41 @@ def test_every_field_of_a_shared_class_has_a_reader():
     assert {"empirical.CheckpointScan", "envelope.DominationResult",
             "witness.HistogramWitness"} <= set(shared)
     assert unread == []
+
+
+def test_certificates_imports_only_the_primitive_layers():
+    """The verifiers re-derive every claim without the construction code:
+    outside its `TYPE_CHECKING` block (the builders' argument types),
+    `certificates` imports at module level from the package only `exact`,
+    `torus` and `empirical`, and otherwise only the standard library; and no
+    function in it imports a module, by statement or by `__import__` or
+    `importlib`."""
+    tree = ast.parse((SRC / "certificates.py").read_text(encoding="utf-8"))
+    guarded = [node for node in tree.body
+               if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"]
+    assert len(guarded) == 1
+    package, outside = set(), set()
+    stack = [node for node in tree.body if node is not guarded[0]]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.ImportFrom):
+            if node.level or node.module.split(".")[0] == "maldist":
+                package.add(node.module.removeprefix("maldist."))
+            else:
+                outside.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            outside.update(alias.name.split(".")[0] for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    assert package == {"exact", "torus", "empirical"}
+    assert "maldist" not in outside
+    assert outside <= set(sys.stdlib_module_names) | {"__future__"}
+    in_functions = [
+        f"{func.name}: line {node.lineno}"
+        for func in ast.walk(tree) if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        or (isinstance(node, ast.Name) and node.id in ("__import__", "importlib"))
+    ]
+    assert in_functions == []
