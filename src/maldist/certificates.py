@@ -2,14 +2,17 @@
 re-verification.
 
 Each kind's format is declared once, here: its input fields and their types
-in `_INPUTS`, and each claim kind's fields in `_CLAIM_FIELDS`.  Builders
-write through both.  `verify_certificate` reads the echoed inputs through
-the same table into typed values, recomputes from them alone the whole
-claims they imply, through the primitive operations (modular arithmetic,
-interval membership, direct counting) rather than the construction code,
-and compares them with the stated claims field by field; each difference
-names its claim and field.  Certificates therefore stay checkable long after
-the run that produced them.
+in `_INPUTS`, each claim kind's fields in `_CLAIM_FIELDS`, and its claims in
+one writer (`_mixing_claims`, ...; `envelope` has a single claim).  Builders
+write through all three.  `verify_certificate` reads the echoed inputs
+through the same table into typed values, recounts from them alone the
+numbers the claims state, through the primitive operations (modular
+arithmetic, interval membership, direct counting) rather than the
+construction code, has the same writer turn them into the whole claims, and
+compares those with the stated claims field by field; each difference names
+its claim and field.  The builder and the verifier thus derive each number
+on their own code and share only its format.  Certificates therefore stay
+checkable long after the run that produced them.
 """
 
 from __future__ import annotations
@@ -392,6 +395,117 @@ def _claim(kind: str, *values) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# claim writers: a kind's claims (ids, claim kinds, texts and verdict rules)
+# from the numbers they state.  A builder passes the numbers its construction
+# found and a checker those it recounted from the echoed inputs, so only the
+# format is shared; a writer calls no construction code.
+
+
+_BAND = TorusInterval(Fraction(1, 2), Fraction(3, 4))  # the zero-block target arc
+
+
+def _mixing_claims(alpha: Fraction, multipliers: Sequence[int], eps: Fraction,
+                   start: TorusInterval, targets: Sequence[TorusInterval],
+                   intervals: Sequence[TorusInterval]) -> dict[str, dict]:
+    p, q = alpha.numerator, alpha.denominator
+    a = _fr(alpha)
+    spans = [iv.to_json() for iv in intervals]
+    claims = {"alpha-in-start": _claim("point-in-interval", 1, a, start.to_json(), a,
+                                       start.contains_residue(p, q))}
+    for k, (n, target) in enumerate(zip(multipliers, targets), start=1):
+        r, length = n * p % q, eps / n
+        claims[f"containment-{k}"] = _claim("point-in-interval", n, a, target.to_json(),
+                                            format_ratio(r, q), target.contains_residue(r, q))
+        claims[f"length-{k}"] = _claim("interval-length", spans[k], _fr(length),
+                                       intervals[k].length == length)
+        claims[f"nesting-{k}"] = _claim("interval-nested", spans[k - 1], spans[k],
+                                        interval_contains_interval(intervals[k - 1], intervals[k]))
+    return claims
+
+
+def _hitfreq_claims(alpha: Fraction, multipliers: Sequence[int], interval: TorusInterval,
+                    ratio: Fraction, u: int, c: int, positions: Sequence[int], hits: int,
+                    horizon: int) -> dict[str, dict]:
+    p, q = alpha.numerator, alpha.denominator
+    a, span, eps = _fr(alpha), interval.to_json(), interval.length
+    claims = {}
+    for pos in positions:
+        n = multipliers[pos - 1]
+        r = n * p % q
+        claims[f"containment-{pos}"] = _claim("point-in-interval", n, a, span, format_ratio(r, q),
+                                              interval.contains_residue(r, q))
+    threshold = Fraction(1, 2 * c)
+    quality, stride, gap = ratio ** (u - 2), ratio**c, ratio**c * eps**u
+    claims["hit-frequency"] = _claim("hit-count-frequency", hits, horizon, _fr(threshold),
+                                     Fraction(hits, horizon) > threshold)
+    claims["plan-quality"] = _claim("rational-power-gt", "ratio^(u-2) > 2", _fr(quality), "2/1",
+                                    quality > 2)
+    claims["plan-stride-low"] = _claim("rational-power-gt", "ratio^c > 2/eps", _fr(stride),
+                                       _fr(2 / eps), stride > 2 / eps)
+    # Exact form of: 1/(2c) exceeds 2*quality / log_ratio(1/eps).
+    claims["threshold-vs-quality"] = _claim("rational-power-lt", "ratio^c * eps^u < 1", _fr(gap),
+                                            "1/1", gap < 1)
+    return claims
+
+
+def _histogram_claims(counts: Sequence[int], horizon: int, weights: Sequence[int],
+                      eta: Fraction) -> dict[str, dict]:
+    total, eta_text = sum(weights), _fr(eta)
+    claims = {}
+    for i, (count, w) in enumerate(zip(counts, weights)):
+        share = Fraction(w, total)
+        claims[f"cell-{i}"] = _claim("cell-frequency-within", i, count, horizon, _fr(share),
+                                     eta_text, abs(Fraction(count, horizon) - share) < eta)
+    return claims
+
+
+def _avoid_claims(gaps_ok: bool, hits: int, disc: Fraction | None,
+                  floor: Fraction | None) -> dict[str, dict]:
+    """The floor claim is written when a floor is given, with the D* `disc`."""
+    claims = {
+        "gap-structure": _claim("gaps-in-one-two", gaps_ok),
+        "zero-hits": _claim("orbit-avoids-interval", hits, hits == 0),
+    }
+    if floor is not None:
+        claims["star-discrepancy-floor"] = _claim("star-discrepancy-at-least", _fr(disc),
+                                                  _fr(floor), disc >= floor)
+    return claims
+
+
+def _zeroblock_claims(num: int, den: int, in_band: bool, zeroed: bool,
+                      windows: list[tuple[int, int]]) -> dict[str, dict]:
+    """The claims of the point num/den, with `windows` the (end, hits)
+    pairs."""
+    value = format_ratio(num, den)
+    claims = {
+        "value-in-band": _claim("point-in-interval", 1, value, _BAND.to_json(), value, in_band),
+        "blocks-zeroed": _claim("digit-blocks-zero", zeroed),
+    }
+    for end, hits in windows:
+        claims[f"window-{end}"] = _claim("window-density", end, hits, format_ratio(hits, end),
+                                         True)
+    return claims
+
+
+def _fivesixth_claims(horizon: int, hits: int, minus: int, plus: int,
+                      spacing_ok: bool) -> dict[str, dict]:
+    density, bound = Fraction(hits, horizon), Fraction(5, 6) + Fraction(3, horizon)
+    return {
+        "hit-count": _claim("widened-interval-hits", hits, minus, plus, True),
+        "density-bound": _claim("density-at-most", _fr(density), _fr(bound), density <= bound),
+        "spacing": _claim("hit-spacing", spacing_ok),
+    }
+
+
+def _invariance_claims(defect: Fraction, steps: int) -> dict[str, dict]:
+    bound = Fraction(2, steps)
+    return {
+        "invariance-defect": _claim("invariance-defect-equals", _fr(defect), True),
+        "defect-bound": _claim("defect-at-most", _fr(defect), _fr(bound), defect <= bound),
+    }
+
+
+# ---------------------------------------------------------------------------
 # builders
 
 
@@ -413,19 +527,7 @@ def _certificate(kind: str, claims: dict[str, dict], margins: dict | None = None
 
 def mixing_certificate(chain: MixingChain) -> dict:
     cfg, alpha, intervals = chain.config, chain.alpha, chain.intervals
-    p, q = alpha.numerator, alpha.denominator
-    a = _fr(alpha)
-    spans = [iv.to_json() for iv in intervals]
-    claims = {"alpha-in-start": _claim("point-in-interval", 1, a, cfg.start.to_json(), a,
-                                       cfg.start.contains_residue(p, q))}
-    for k, (n_k, target) in enumerate(zip(cfg.multipliers, cfg.targets), start=1):
-        r, length = n_k * p % q, cfg.eps / n_k
-        claims[f"containment-{k}"] = _claim("point-in-interval", n_k, a, target.to_json(),
-                                            format_ratio(r, q), target.contains_residue(r, q))
-        claims[f"length-{k}"] = _claim("interval-length", spans[k], _fr(length),
-                                       intervals[k].length == length)
-        claims[f"nesting-{k}"] = _claim("interval-nested", spans[k - 1], spans[k],
-                                        interval_contains_interval(intervals[k - 1], intervals[k]))
+    claims = _mixing_claims(alpha, cfg.multipliers, cfg.eps, cfg.start, cfg.targets, intervals)
     margins = {"witness_interval_radius": _fr(intervals[-1].length / 2)}
     return _certificate("mixing", claims, margins, alpha=alpha, multipliers=cfg.multipliers,
                         eps=cfg.eps, delta=cfg.delta, start=cfg.start, targets=cfg.targets,
@@ -434,41 +536,20 @@ def mixing_certificate(chain: MixingChain) -> dict:
 
 def hitfreq_certificate(witness: HitFrequencyWitness, multipliers: Sequence[int]) -> dict:
     plan, alpha, interval = witness.plan, witness.alpha, witness.interval
-    a, span = _fr(alpha), interval.to_json()
-    eps, q, u, c = interval.length, plan.ratio, plan.u, plan.c
-    num, den = alpha.numerator, alpha.denominator
-    claims = {}
-    for p in witness.forced_positions:
-        n_p = int(multipliers[p - 1])
-        r = n_p * num % den
-        claims[f"containment-{p}"] = _claim("point-in-interval", n_p, a, span,
-                                            format_ratio(r, den), interval.contains_residue(r, den))
-    claims["hit-frequency"] = _claim("hit-count-frequency", witness.hit_count, witness.horizon,
-                                     _fr(witness.threshold),
-                                     witness.frequency > witness.threshold)
-    claims["plan-quality"] = _claim("rational-power-gt", "ratio^(u-2) > 2", _fr(q ** (u - 2)),
-                                    "2/1", q ** (u - 2) > 2)
-    claims["plan-stride-low"] = _claim("rational-power-gt", "ratio^c > 2/eps", _fr(q**c),
-                                       _fr(2 / eps), q**c > 2 / eps)
-    # Exact form of: 1/(2c) exceeds 2*quality / log_ratio(1/eps).
-    claims["threshold-vs-quality"] = _claim("rational-power-lt", "ratio^c * eps^u < 1",
-                                            _fr(q**c * eps**u), "1/1", q**c * eps**u < 1)
+    claims = _hitfreq_claims(alpha, multipliers, interval, plan.ratio, plan.u, plan.c,
+                             witness.forced_positions, witness.hit_count, witness.horizon)
     margins = {
         "frequency": _fr(witness.frequency),
         "frequency_margin": _fr(witness.frequency - witness.threshold),
     }
     return _certificate("hitfreq", claims, margins, alpha=alpha,
-                        multipliers=multipliers[: witness.horizon], interval=interval, ratio=q,
-                        plan=plan, forced_positions=witness.forced_positions)
+                        multipliers=multipliers[: witness.horizon], interval=interval,
+                        ratio=plan.ratio, plan=plan, forced_positions=witness.forced_positions)
 
 
 def histogram_certificate(witness: HistogramWitness, multipliers: Sequence[int]) -> dict:
     t = witness.target
-    claims = {
-        f"cell-{i}": _claim("cell-frequency-within", i, count, witness.horizon,
-                            _fr(Fraction(t.weights[i], t.total)), _fr(t.eta), abs(dev) < t.eta)
-        for i, (count, dev) in enumerate(zip(witness.counts, witness.deviations))
-    }
+    claims = _histogram_claims(witness.counts, witness.horizon, t.weights, t.eta)
     margins = {"max_cell_deviation": _fr(max(abs(d) for d in witness.deviations))}
     return _certificate("histogram", claims, margins, alpha=witness.alpha,
                         multipliers=multipliers[: witness.horizon], weights=t.weights,
@@ -476,19 +557,13 @@ def histogram_certificate(witness: HistogramWitness, multipliers: Sequence[int])
 
 
 def avoidance_certificate(result: AvoidanceResult, discrepancy_floor: Fraction | None = None) -> dict:
-    hits = result.hits_after_prefix
-    claims = {
-        "gap-structure": _claim("gaps-in-one-two", all(g in (1, 2) for g in result.gaps)),
-        "zero-hits": _claim("orbit-avoids-interval", hits, hits == 0),
-    }
-    margins = {}
+    disc, margins = None, {}
     if discrepancy_floor is not None:
         p, q = result.alpha.numerator, result.alpha.denominator
         disc = star_discrepancy(Residues([n * p % q for n in result.indices], q))
-        floor = discrepancy_floor
-        claims["star-discrepancy-floor"] = _claim("star-discrepancy-at-least", _fr(disc),
-                                                  _fr(floor), disc >= floor)
         margins["star_discrepancy"] = _fr(disc)
+    claims = _avoid_claims(all(g in (1, 2) for g in result.gaps), result.hits_after_prefix,
+                           disc, discrepancy_floor)
     return _certificate("avoid", claims, margins, alpha=result.alpha, eps=result.eps,
                         prefix=result.indices[: result.prefix_length],
                         gaps=result.gaps[result.prefix_length - 1 :],
@@ -501,30 +576,18 @@ def zeroblock_certificate(
     starts: Sequence[int],
     windows: Sequence[WindowDensity] = (),
 ) -> dict:
-    half, three_q = Fraction(1, 2), Fraction(3, 4)
     value = point.value
-    zeroed_ok = not any(any(point.digits[j - 1 : j * j]) for j in starts)
-    claims = {
-        "value-in-band": _claim("point-in-interval", 1, _fr(value),
-                                TorusInterval(half, three_q).to_json(), _fr(value),
-                                half < value < three_q),
-        "blocks-zeroed": _claim("digit-blocks-zero", zeroed_ok),
-    }
-    for w in windows:
-        claims[f"window-{w.window_end}"] = _claim("window-density", w.window_end, w.hits,
-                                                  _fr(w.density), True)
+    zeroed = not any(any(point.digits[j - 1 : j * j]) for j in starts)
+    claims = _zeroblock_claims(value.numerator, value.denominator,
+                               Fraction(1, 2) < value < Fraction(3, 4), zeroed,
+                               [(w.window_end, w.hits) for w in windows])
     return _certificate("zeroblock", claims, base=Fraction(base), block_starts=starts,
                         digits=point.digits)
 
 
 def fivesixth_certificate(report: OrbitHitReport, alpha: Fraction) -> dict:
-    claims = {
-        "hit-count": _claim("widened-interval-hits", report.hits, report.minus_hits,
-                            report.plus_hits, True),
-        "density-bound": _claim("density-at-most", _fr(report.density),
-                                _fr(report.density_bound), report.bound_ok),
-        "spacing": _claim("hit-spacing", report.spacing_ok),
-    }
+    claims = _fivesixth_claims(report.horizon, report.hits, report.minus_hits,
+                               report.plus_hits, report.spacing_ok)
     margins = {"density_margin": _fr(report.density_bound - report.density)}
     return _certificate("fivesixth", claims, margins, alpha=Fraction(alpha),
                         horizon=report.horizon)
@@ -533,13 +596,8 @@ def fivesixth_certificate(report: OrbitHitReport, alpha: Fraction) -> dict:
 def invariance_certificate(
     alpha: Fraction, steps: int, partition: CellPartition, defect: Fraction
 ) -> dict:
-    bound = Fraction(2, steps)
-    claims = {
-        "invariance-defect": _claim("invariance-defect-equals", _fr(defect), True),
-        "defect-bound": _claim("defect-at-most", _fr(defect), _fr(bound), defect <= bound),
-    }
-    return _certificate("invariance", claims, alpha=Fraction(alpha), steps=steps,
-                        cuts=partition.cuts)
+    return _certificate("invariance", _invariance_claims(defect, steps), alpha=Fraction(alpha),
+                        steps=steps, cuts=partition.cuts)
 
 
 def envelope_certificate(
@@ -656,21 +714,7 @@ def _verify_mixing(inp: dict, stated: dict):
         failures.append(f"inputs.delta: {_fr(delta)} exceeds the start interval's length")
     if multipliers and multipliers[0] * delta.numerator <= 2 * delta.denominator:
         failures.append(f"inputs.delta: n_1 = {multipliers[0]} does not exceed 2/delta")
-    p, q = alpha.numerator, alpha.denominator
-    a = _fr(alpha)
-    spans = [iv.to_json() for iv in intervals]
-    claims = {"alpha-in-start": _claim("point-in-interval", 1, a, start.to_json(), a,
-                                       start.contains_residue(p, q))}
-    for k, (n, target) in enumerate(zip(multipliers, targets), start=1):
-        r = n * p % q
-        length = eps / n
-        claims[f"containment-{k}"] = _claim("point-in-interval", n, a, target.to_json(),
-                                            format_ratio(r, q), target.contains_residue(r, q))
-        claims[f"length-{k}"] = _claim("interval-length", spans[k], _fr(length),
-                                       intervals[k].length == length)
-        claims[f"nesting-{k}"] = _claim("interval-nested", spans[k - 1], spans[k],
-                                        interval_contains_interval(intervals[k - 1], intervals[k]))
-    return failures, claims
+    return failures, _mixing_claims(alpha, multipliers, eps, start, targets, intervals)
 
 
 def _chained_residues(multipliers: Sequence[int], p: int, q: int):
@@ -690,7 +734,7 @@ def _verify_hitfreq(inp: dict, stated: dict):
                                            inp["ratio"])
     u, c, repeats = inp["plan"]["u"], inp["plan"]["c"], inp["plan"]["repeats"]
     positions = inp["forced_positions"]
-    eps, horizon = interval.length, len(multipliers)
+    horizon = len(multipliers)
     if max(positions, default=1) > horizon:
         return [f"inputs.forced_positions: positions must lie in 1..{horizon}"], None
     failures = [f"inputs.multipliers: growth fails at step {j + 1}" for j in range(horizon - 1)
@@ -702,42 +746,20 @@ def _verify_hitfreq(inp: dict, stated: dict):
     ):
         failures.append("inputs.forced_positions: not c*repeats .. 2*c*repeats step c")
     p, q = alpha.numerator, alpha.denominator
-    a, span = _fr(alpha), interval.to_json()
-    claims = {}
-    for pos in positions:
-        n = multipliers[pos - 1]
-        r = n * p % q
-        claims[f"containment-{pos}"] = _claim("point-in-interval", n, a, span, format_ratio(r, q),
-                                              interval.contains_residue(r, q))
     count = sum(interval.contains_residue(r, q) for r in _chained_residues(multipliers, p, q))
-    threshold = Fraction(1, 2 * c)
-    quality, stride, gap = ratio ** (u - 2), ratio**c, ratio**c * eps**u
-    claims["hit-frequency"] = _claim("hit-count-frequency", count, horizon, _fr(threshold),
-                                     Fraction(count, horizon) > threshold)
-    claims["plan-quality"] = _claim("rational-power-gt", "ratio^(u-2) > 2", _fr(quality), "2/1",
-                                    quality > 2)
-    claims["plan-stride-low"] = _claim("rational-power-gt", "ratio^c > 2/eps", _fr(stride),
-                                       _fr(2 / eps), stride > 2 / eps)
-    claims["threshold-vs-quality"] = _claim("rational-power-lt", "ratio^c * eps^u < 1", _fr(gap),
-                                            "1/1", gap < 1)
-    return failures, claims
+    return failures, _hitfreq_claims(alpha, multipliers, interval, ratio, u, c, positions,
+                                     count, horizon)
 
 
 def _verify_histogram(inp: dict, stated: dict):
     alpha, multipliers, weights, eta = inp["alpha"], inp["multipliers"], inp["weights"], inp["eta"]
-    ell, total, horizon = len(weights), sum(weights), len(multipliers)
+    ell, horizon = len(weights), len(multipliers)
     # The cell of n*alpha mod 1 = r/q is r*ell // q.
     p, q = alpha.numerator, alpha.denominator
     counts = [0] * ell
     for r in _chained_residues(multipliers, p, q):
         counts[r * ell // q] += 1
-    eta_text = _fr(eta)
-    claims = {}
-    for i, (count, w) in enumerate(zip(counts, weights)):
-        share = Fraction(w, total)
-        claims[f"cell-{i}"] = _claim("cell-frequency-within", i, count, horizon, _fr(share),
-                                     eta_text, abs(Fraction(count, horizon) - share) < eta)
-    return [], claims
+    return [], _histogram_claims(counts, horizon, weights, eta)
 
 
 def _verify_avoid(inp: dict, stated: dict):
@@ -752,10 +774,7 @@ def _verify_avoid(inp: dict, stated: dict):
     gaps_ok = not gaps.translate(None, b"\1\2") and all(
         b - a in (1, 2) for a, b in zip(prefix, prefix[1:])
     )
-    claims = {
-        "gap-structure": _claim("gaps-in-one-two", gaps_ok),
-        "zero-hits": _claim("orbit-avoids-interval", hits, hits == 0),
-    }
+    disc = floor = None
     if "star-discrepancy-floor" in stated:
         # The floor is the claim's own input, typed as an echoed rational.
         try:
@@ -763,9 +782,7 @@ def _verify_avoid(inp: dict, stated: dict):
         except _Refused as exc:
             return [f"star-discrepancy-floor: floor: {exc.reason}"], None
         disc = star_discrepancy(Residues([n * p % q for n in indices], q))
-        claims["star-discrepancy-floor"] = _claim("star-discrepancy-at-least", _fr(disc),
-                                                  _fr(floor), disc >= floor)
-    return [], claims
+    return [], _avoid_claims(gaps_ok, hits, disc, floor)
 
 
 _WINDOW_ID = re.compile(r"window-([1-9][0-9]*)")
@@ -781,15 +798,9 @@ def _verify_zeroblock(inp: dict, stated: dict):
         want[j - 1 : j * j] = bytes(j * j - j + 1)
     failures = [] if want == digits else ["inputs.digits: not those of base with zeroed blocks"]
     num, scale = int(digits.translate(_BIT_CHARS), 2), 1 << length
-    value = format_ratio(num, scale)
-    band = TorusInterval(Fraction(1, 2), Fraction(3, 4))
-    in_band = band.contains_residue(num, scale)
-    claims = {
-        "value-in-band": _claim("point-in-interval", 1, value, band.to_json(), value, in_band),
-        "blocks-zeroed": _claim("digit-blocks-zero",
-                                not any(digits.count(1, j - 1, j * j) for j in starts)),
-    }
+    in_band = _BAND.contains_residue(num, scale)
     ends = sorted({int(m[1]) for m in map(_WINDOW_ID.fullmatch, stated) if m})
+    windows = []
     if ends:
         # 2^k * value mod 1 is the digit string after its first k digits,
         # ((num << k) mod 2^L)/2^L, so (2^k + 1) * value mod 1 = ((num << k)
@@ -798,13 +809,12 @@ def _verify_zeroblock(inp: dict, stated: dict):
         # before it are tested, and `flips` keeps those whose verdict differs.
         last = min(len(digits.rstrip(b"\0")), ends[-1] + 1)
         flips = [k for k in range(1, last)
-                 if band.contains_residue(((num << k) + num) & (scale - 1), scale) != in_band]
+                 if _BAND.contains_residue(((num << k) + num) & (scale - 1), scale) != in_band]
         for end in ends:
             flipped = bisect_right(flips, end)
-            count = end - flipped if in_band else flipped
-            claims[f"window-{end}"] = _claim("window-density", end, count,
-                                             format_ratio(count, end), True)
-    return failures, claims
+            windows.append((end, end - flipped if in_band else flipped))
+    zeroed = not any(digits.count(1, j - 1, j * j) for j in starts)
+    return failures, _zeroblock_claims(num, scale, in_band, zeroed, windows)
 
 
 _MINUS_TWO_APART = re.compile("1.1")
@@ -850,13 +860,7 @@ def _verify_fivesixth(inp: dict, stated: dict):
         plus = part.count("2") + whole * period.count("2")
         window = (codes + period + period)[:min(horizon, len(codes) + 2)]
     spacing_ok = not ("11" in window or "22" in window or _MINUS_TWO_APART.search(window))
-    hits = minus + plus
-    density, bound = Fraction(hits, horizon), Fraction(5, 6) + Fraction(3, horizon)
-    return [], {
-        "hit-count": _claim("widened-interval-hits", hits, minus, plus, True),
-        "density-bound": _claim("density-at-most", _fr(density), _fr(bound), density <= bound),
-        "spacing": _claim("hit-spacing", spacing_ok),
-    }
+    return [], _fivesixth_claims(horizon, minus + plus, minus, plus, spacing_ok)
 
 
 def _verify_invariance(inp: dict, stated: dict):
@@ -870,12 +874,7 @@ def _verify_invariance(inp: dict, stated: dict):
     p, q = v.numerator, v.denominator
     bounds = partition.thresholds(q)[1:]
     ends = bisect_right(bounds, 2 * p % q), bisect_right(bounds, pow(2, steps + 1, q) * p % q)
-    defect = Fraction(int(ends[0] != ends[1]), steps)
-    bound = Fraction(2, steps)
-    return [], {
-        "invariance-defect": _claim("invariance-defect-equals", _fr(defect), True),
-        "defect-bound": _claim("defect-at-most", _fr(defect), _fr(bound), defect <= bound),
-    }
+    return [], _invariance_claims(Fraction(int(ends[0] != ends[1]), steps), steps)
 
 
 def _verify_envelope(inp: dict, stated: dict):

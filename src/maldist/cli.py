@@ -567,6 +567,8 @@ def _cmd_doubling(opts: dict) -> int:
         # By default one preperiod and one period, found only then.
         steps = _int(opts, "steps") if "steps" in opts else sum(doubling_period(alpha))
         level = _int(opts, "level", 3)
+        if level < 0:
+            raise CliError(f"--level: expected a nonnegative integer, got {opts['level']!r}")
         partition = CellPartition.dyadic(level)
         defect = invariance_defect(alpha, steps, partition)
         cert = certs.invariance_certificate(alpha, steps, partition, defect)

@@ -207,7 +207,6 @@ class OrbitHitReport:
     minus_hits: int
     plus_hits: int
     density_bound: Fraction
-    bound_ok: bool
     spacing_ok: bool
 
 
@@ -236,9 +235,9 @@ def five_sixth_check(alpha: Fraction, horizon: int) -> OrbitHitReport:
     I- = (1/2 - 4a/3, 1/2] and I+ = (1/2, 3/4 - 2a/3) exclude their own
     near-future: a hit of I- blocks the next two k from I-, a hit of I+
     blocks the next k from I+.  That spacing caps the count at
-    5/6 * horizon + O(1); the report asserts density <= 5/6 + 3/horizon and
-    verifies the spacing patterns k,k+1 / k,k+2 in I- and k,k+1 in I+
-    exactly along the orbit.
+    5/6 * horizon + O(1); the report gives the density and the bound
+    5/6 + 3/horizon, and verifies the spacing patterns k,k+1 / k,k+2 in I-
+    and k,k+1 in I+ exactly along the orbit.
 
     The orbit is walked over its preperiod and one period at most: the
     counts at the horizon are folded from those steps (`_fold`), and the
@@ -269,16 +268,13 @@ def five_sixth_check(alpha: Fraction, horizon: int) -> OrbitHitReport:
     minus_hits = codes[:end].count(1) + whole * codes[pre:].count(1)
     plus_hits = codes[:end].count(2) + whole * codes[pre:].count(2)
     hits = minus_hits + plus_hits
-    density = Fraction(hits, horizon)
-    bound = Fraction(5, 6) + Fraction(3, horizon)
     return OrbitHitReport(
         horizon=horizon,
         hits=hits,
-        density=density,
+        density=Fraction(hits, horizon),
         minus_hits=minus_hits,
         plus_hits=plus_hits,
-        density_bound=bound,
-        bound_ok=density <= bound,
+        density_bound=Fraction(5, 6) + Fraction(3, horizon),
         spacing_ok=_spacing_ok(codes, pre, horizon),
     )
 
@@ -287,12 +283,12 @@ def five_sixth_check(alpha: Fraction, horizon: int) -> OrbitHitReport:
 class WindowDensity:
     window_end: int
     hits: int
-    density: Fraction
 
 
 def zero_block_density(point: BinaryPoint, windows: list[int]) -> list[WindowDensity]:
-    """Per-window hit densities of (2^k + 1)*point mod 1 in the target arc
-    (1/2, 3/4) for k = 1..N, N running over the window ends.
+    """Per-window hit counts of (2^k + 1)*point mod 1 in the target arc
+    (1/2, 3/4) for k = 1..N, N running over the window ends; the window's
+    density is hits/N.
 
     Inside a zero block of the expansion the shifted point vanishes, so the
     sum collapses to the point itself, which lies in the target; the window
@@ -319,8 +315,5 @@ def zero_block_density(point: BinaryPoint, windows: list[int]) -> list[WindowDen
     # steps before it (none past the last window) can miss, and are tested.
     last = min(len(digits.rstrip(b"\0")), windows[-1] + 1)
     misses = [k for k in range(1, last) if not lo < ((num << k) + num) & (scale - 1) < hi]
-    out = []
-    for end in windows:
-        hits = end - bisect_right(misses, end)
-        out.append(WindowDensity(window_end=end, hits=hits, density=Fraction(hits, end)))
-    return out
+    return [WindowDensity(window_end=end, hits=end - bisect_right(misses, end))
+            for end in windows]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -383,8 +384,6 @@ PINNED_CERTIFICATES = {
 
 @pytest.mark.parametrize("name", PINNED_CERTIFICATES)
 def test_certificate_bytes_are_pinned(tmp_path, monkeypatch, name):
-    import hashlib
-
     monkeypatch.delenv("MALDIST_SEED", raising=False)
     argv, code, digest = PINNED_CERTIFICATES[name]
     out, table = tmp_path / "out.json", tmp_path / "table.csv"

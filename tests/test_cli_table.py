@@ -218,6 +218,20 @@ def test_negative_block_budget_is_a_usage_error(capsys):
         assert capsys.readouterr().err == err
 
 
+def test_negative_level_is_refused_by_its_flag(tmp_path, capsys):
+    # Not as the shift 1 << level of the dyadic partition would fail.
+    out = tmp_path / "out.json"
+    argv = ["doubling", "--mode", "invariance", "--alpha", "1/17", "--level", "-1",
+            "--out", str(out)]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "maldist doubling: --level: expected a nonnegative integer, got '-1'\n"
+    assert (captured.out, out.exists()) == ("", False)
+    argv[argv.index("--level") + 1] = "0"
+    assert cli.main(argv) == 0
+    assert json.loads(out.read_text())["inputs"]["cuts"] == ["0/1", "1/1"]
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_nonpositive_pi_blocks_is_refused_by_its_flag(tmp_path, capsys, value):
     out = tmp_path / "out.json"

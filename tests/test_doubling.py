@@ -102,12 +102,12 @@ def test_five_sixth_one_seventeenth_full_period():
     assert report.hits == 2
     assert report.density == F(1, 4)
     assert report.density <= F(5, 6)
-    assert report.bound_ok and report.spacing_ok
+    assert report.density <= report.density_bound and report.spacing_ok
 
 
 def test_five_sixth_even_denominator():
     report = five_sixth_check(F(1, 100), 22)
-    assert report.bound_ok and report.spacing_ok
+    assert report.density <= report.density_bound and report.spacing_ok
     long_report = five_sixth_check(F(1, 100), 2000)
     assert long_report.density <= F(5, 6) + F(3, 2000)
 
@@ -124,14 +124,14 @@ def test_zero_block_density_short_block():
     point = BinaryPoint((1, 0, 0, 0, 1))
     densities = zero_block_density(point, [4])
     assert densities[0].hits == 2
-    assert densities[0].density == F(1, 2)
+    assert F(densities[0].hits, densities[0].window_end) == F(1, 2)
 
 
 def test_zero_block_density_no_blocks_stays_low():
     # 0.101010... pattern: no long zero runs, density stays away from 1.
     point = BinaryPoint(tuple([1, 0] * 20))
     densities = zero_block_density(point, [39])
-    assert densities[0].density <= F(3, 5)
+    assert F(densities[0].hits, 39) <= F(3, 5)
 
 
 def test_zero_block_density_requires_target_membership():
@@ -175,16 +175,13 @@ def reference_five_sixth_check(alpha, horizon):
                 spacing_ok = False
         if plus_flags[k] and k + 1 < horizon and plus_flags[k + 1]:
             spacing_ok = False
-    density = F(hits, horizon)
-    bound = F(5, 6) + F(3, horizon)
     return OrbitHitReport(
         horizon=horizon,
         hits=hits,
-        density=density,
+        density=F(hits, horizon),
         minus_hits=sum(minus_flags),
         plus_hits=sum(plus_flags),
-        density_bound=bound,
-        bound_ok=density <= bound,
+        density_bound=F(5, 6) + F(3, horizon),
         spacing_ok=spacing_ok,
     )
 

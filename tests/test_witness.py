@@ -204,7 +204,7 @@ def test_zero_block_density_windows():
     point = zero_block_alpha(F(2, 3), (4, 20))
     assert len(point.digits) == 400
     densities = zero_block_density(point, [400])
-    assert densities[0].density >= F(9, 10)
+    assert F(densities[0].hits, 400) >= F(9, 10)
 
 
 def test_zero_block_rejects_leading_overlap():
