@@ -358,6 +358,11 @@ PINNED_CERTIFICATES = {
         ["witness", "--mode", "salat3", "--n-kind", "squarepow:3", "--weights", "3,1",
          "--eta", "1/4", "--base", "4"],
         0, "389b1ebf19ffe1f62005e941c091f86730a7118992a4bd4d78d639013e3a092e"),
+    # 64 multipliers 12^(k^2) up to 14,685 bits, written as a chain (`cli._chained_int_texts`).
+    "histogram-squarepow": (
+        ["witness", "--mode", "salat3", "--n-kind", "squarepow:12", "--weights", "3,1",
+         "--eta", "1/10", "--base", "8"],
+        0, "58c379a630af2855dd4e35c1434ba1b76e0d1a180df44c8c941adddeb1859236"),
     "avoid": (
         ["witness", "--mode", "avoid", "--alpha", "832040/1346269", "--eps", "1/10",
          "--horizon", "200", "--discrepancy-floor", "1/2"],
