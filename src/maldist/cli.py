@@ -173,7 +173,9 @@ def _json_text(value, pad: str = "\n") -> str:
     pure-Python encoder.  Strings go through the C encoder `json` uses.
     Plain ints and lists, most of the values written, are told by their exact
     type first; every other value goes down the isinstance chain, whose list
-    and tuple cases join the plain lists at the end."""
+    and tuple cases join the plain lists at the end.  A list of plain ints
+    whose last term has more than `_CHAINED_BITS` bits, such as the
+    multipliers n_k, is written by `_chained_int_texts`."""
     kind = type(value)
     if kind is int:
         return int.__repr__(value)
@@ -200,8 +202,40 @@ def _json_text(value, pad: str = "\n") -> str:
     if not value:
         return "[]"
     inner = pad + "  "
-    return "[" + inner + ("," + inner).join([
-        _json_text(item, inner) for item in value]) + pad + "]"
+    last = value[-1]
+    if (type(last) is int and last.bit_length() > _CHAINED_BITS
+            and all(type(item) is int for item in value)):
+        texts = _chained_int_texts(value)
+    else:
+        texts = [_json_text(item, inner) for item in value]
+    return "[" + inner + ("," + inner).join(texts) + pad + "]"
+
+
+# Below about this many bits, int.__repr__ of every term is as fast as the chain.
+_CHAINED_BITS = 3000
+
+
+def _chained_int_texts(values) -> list[str]:
+    """The decimal texts of plain ints.  Where a positive term divides the
+    next with a quotient of at most a quarter of the next's bits, the next
+    text is their exact decimal product, in time linear in the digits, not
+    quadratic as in `int.__repr__`, which writes (and restarts from) the rest."""
+    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
+
+    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
+    texts, prev, dec = [], 0, None
+    for v in values:
+        bits = v.bit_length()
+        q, r = divmod(v, prev) if 0 < prev and bits - prev.bit_length() <= bits >> 2 else (0, 1)
+        if r:
+            dec = None
+            texts.append(int.__repr__(v))
+        else:
+            # None after a term int.__repr__ wrote, else the previous term (> 0).
+            dec = ctx.multiply(dec or Decimal(texts[-1]), Decimal(q))
+            texts.append(str(dec))
+        prev = v
+    return texts
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -566,6 +600,8 @@ def _cmd_doubling(opts: dict) -> int:
         alpha = _rational(opts, "alpha")
         # By default one preperiod and one period, found only then.
         steps = _int(opts, "steps") if "steps" in opts else sum(doubling_period(alpha))
+        if steps < 1:
+            raise CliError(f"--steps: expected a positive integer, got {opts['steps']!r}")
         level = _int(opts, "level", 3)
         if level < 0:
             raise CliError(f"--level: expected a nonnegative integer, got {opts['level']!r}")

@@ -461,9 +461,8 @@ def histogram_witness(
     for i, cnt in enumerate(shares):
         assignment.extend([i] * cnt)
     eps = Fraction(1, ell)
-    targets = tuple(
-        TorusInterval(Fraction(i, ell), Fraction(i + 1, ell)) for i in assignment
-    )
+    cells = [TorusInterval(Fraction(i, ell), Fraction(i + 1, ell)) for i in range(ell)]
+    targets = tuple(cells[i] for i in assignment)
     config = MixingConfig(
         multipliers=tuple(n[base : horizon]),
         eps=eps,

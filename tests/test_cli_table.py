@@ -232,6 +232,21 @@ def test_negative_level_is_refused_by_its_flag(tmp_path, capsys):
     assert json.loads(out.read_text())["inputs"]["cuts"] == ["0/1", "1/1"]
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_nonpositive_invariance_steps_is_refused_by_its_flag(tmp_path, capsys, value):
+    # Not as the library's empty orbit segment or negative step count.
+    out = tmp_path / "out.json"
+    argv = ["doubling", "--mode", "invariance", "--alpha", "1/17", "--out", str(out)]
+    assert cli.main([*argv, "--steps", value]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"maldist doubling: --steps: expected a positive integer, got '{value}'\n")
+    assert (captured.out, out.exists()) == ("", False)
+    # Without --steps, one preperiod and one period: 8 steps for 1/17.
+    assert cli.main(argv) == 0
+    assert json.loads(out.read_text())["inputs"]["steps"] == 8
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_nonpositive_pi_blocks_is_refused_by_its_flag(tmp_path, capsys, value):
     out = tmp_path / "out.json"

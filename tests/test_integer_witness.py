@@ -12,6 +12,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from maldist import certificates as certs
+from maldist import witness as witness_module
 from maldist.doubling import BinaryPoint
 from maldist.exact import format_rational, mod1
 from maldist.torus import TorusInterval, interval_contains_interval
@@ -290,6 +291,24 @@ def test_histogram_counts_match_fraction_reference(weights, base, explicit, data
         n.append(grow(data.draw, n[-1], F(2 * ell)) if explicit else n[-1] * (2 * ell + 1))
     witness = histogram_witness(n, HistogramTarget(weights, F(1)), base)
     assert list(witness.counts) == fraction_cell_counts(n[: base * base], witness.alpha, ell)
+
+
+@pytest.mark.parametrize("weights,base", [((3, 1), 4), ((1, 2, 1), 8), ((1, 1, 1, 1), 4)])
+def test_histogram_chain_targets_are_the_assigned_cells(monkeypatch, weights, base):
+    # Steered position j aims at the j-th cell of the assignment: one interval per position.
+    configs = []
+
+    def recording_chain(config):
+        configs.append(config)
+        return mixing_chain(config)
+
+    monkeypatch.setattr(witness_module, "mixing_chain", recording_chain)
+    ell, steered = len(weights), base * base - base
+    n = [(2 * ell + 1) ** k for k in range(1, base * base + 1)]
+    histogram_witness(n, HistogramTarget(weights, F(1)), base)
+    assignment = [i for i, w in enumerate(weights) for _ in range(w * steered // sum(weights))]
+    assert configs[0].targets == tuple(
+        TorusInterval(F(i, ell), F(i + 1, ell)) for i in assignment)
 
 
 # --- verifier recounts ------------------------------------------------------------

@@ -3,8 +3,10 @@ rational parser against the regular-expression parser it replaced, the JSON
 writer against `json.dumps`, digit strings as bytes, and envelope inputs as
 integers over their lcm."""
 
+import contextlib
 import copy
 import json
+import math
 import sys
 from fractions import Fraction as F
 
@@ -96,10 +98,52 @@ class Str(str):
 INTS = st.integers() | HUGE
 scalars = (st.none() | st.booleans() | INTS | st.text() | TRICKY | st.floats()
            | st.builds(Int, INTS) | st.builds(Str, st.text() | TRICKY))
+
+
+@st.composite
+def chained_int_lists(draw):
+    """Lists whose last term is a plain int past `cli._CHAINED_BITS` bits: the
+    terms b^k or b^(k^2) of a stretch of k, or products of small factors of
+    either sign, each term a multiple of the one before; then perhaps a term
+    off the chain, a square (whose quotient is above the small-quotient
+    bound), a prefix from 0 and negative values, all terms negated, or a
+    bool, a nested list or an int subclass before the last term."""
+    b = draw(st.integers(2, 1100))
+    count = draw(st.integers(1, 24))
+    need = cli._CHAINED_BITS // (b.bit_length() - 1) + 1  # b^need passes the bound
+    shape = draw(st.sampled_from(["pow", "squarepow", "factors"]))
+    if shape == "pow":
+        k0 = need - draw(st.integers(0, count))
+        values = [b ** k for k in range(k0, k0 + count + 1)]
+    elif shape == "squarepow":
+        k0 = max(1, math.isqrt(need) + 1 - draw(st.integers(0, count)))
+        values = [b ** (k * k) for k in range(k0, k0 + count + 1)]
+    else:
+        values = [draw(st.integers(1, 2**64)) << cli._CHAINED_BITS]
+        for f in draw(st.lists(st.integers(2, 2**64) | st.integers(-(2**64), -2),
+                               min_size=1, max_size=count)):
+            values.append(values[-1] * f)
+    last = len(values) - 1
+    if draw(st.booleans()):
+        values[draw(st.integers(0, last))] += draw(st.integers(1, 10**6))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, last))
+        values.insert(i + 1, values[i] * values[i])
+    values = draw(st.lists(st.integers(-(10**30), 0), max_size=2)) + values
+    if draw(st.booleans()):
+        values = [-v for v in values]
+    if draw(st.booleans()):
+        off_type = st.booleans() | st.lists(INTS, max_size=2) | st.builds(Int, INTS)
+        values.insert(draw(st.integers(0, len(values) - 1)), draw(off_type))
+    return values
+
+
 # The shapes the type-first path takes: flat int lists, bools among ints (a
-# bool is an int that must print as true/false), and runs of [n, len] pairs.
+# bool is an int that must print as true/false), runs of [n, len] pairs, and
+# lists of chained multipliers.
 int_lists = (st.lists(INTS, max_size=30) | st.lists(INTS | st.booleans(), max_size=10)
-             | st.lists(st.lists(INTS, min_size=2, max_size=2), max_size=10))
+             | st.lists(st.lists(INTS, min_size=2, max_size=2), max_size=10)
+             | chained_int_lists())
 json_values = st.recursive(
     scalars | int_lists,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
@@ -109,18 +153,31 @@ json_values = st.recursive(
 )
 
 
-@settings(max_examples=400)
-@given(json_values)
-def test_json_writer_matches_json_dumps(value):
+@contextlib.contextmanager
+def no_int_digit_limit():
     # Integers past 4,300 digits convert only with the int/str limit lifted.
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+        yield
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+
+
+@settings(max_examples=400)
+@given(json_values)
+def test_json_writer_matches_json_dumps(value):
+    with no_int_digit_limit():
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_json_writer_matches_json_dumps_on_squarepow_multipliers():
+    n = cli._multipliers({"n-kind": "squarepow:12"}, 64)
+    assert n[-1].bit_length() > cli._CHAINED_BITS
+    with no_int_digit_limit():
+        assert cli._json_text(n) == json.dumps(n, sort_keys=True, indent=2)
 
 
 def test_json_writer_writes_the_indented_text_and_a_newline(tmp_path):
