@@ -23,7 +23,12 @@ environment variable, else 0, is written with the name of the pinned
 generator (`maldist.rng.ALGORITHM`, SplitMix64) into the `rng` field of each
 JSON output, and changes nothing else.  Integer lists in --spec must hold
 JSON integers; `verify` reads a certificate's inputs through its kind's
-declared fields, so a malformed input exits 1 with a named failure.
+declared fields, so a malformed input exits 1 with a named failure.  Long
+chained integers, such as the multipliers n_k of `pow:b` and `squarepow:b`,
+cross the certificate in time linear in their digits both ways: the writer
+forms each from its predecessor's decimal text (`_chained_int_texts`), and
+`verify` reads each as its predecessor's value times a small quotient once
+their exact decimal product matches its text (`_chained_int_reader`).
 
 Exit codes: 0 success, 1 a certificate claim failed (or verification found a
 mismatch), 2 usage error.
@@ -114,15 +119,24 @@ def _rational(opts: dict, key: str, default: str | None = None) -> Fraction:
         raise CliError(f"--{key}: {exc}")
 
 
-def _int(opts: dict, key: str, default: int | None = None) -> int:
+_AT_LEAST = {0: "a nonnegative integer", 1: "a positive integer"}
+
+
+def _int(opts: dict, key: str, default: int | None = None, low: int | None = None) -> int:
+    """The integer value of --key, else `default`; a value below `low` is
+    refused by its flag."""
     if key not in opts:
         if default is None:
             raise CliError(f"missing required option --{key}")
         return default
     try:
-        return int(opts[key])
+        value = int(opts[key])
     except ValueError:
         raise CliError(f"--{key}: expected an integer, got {opts[key]!r}")
+    if low is not None and value < low:
+        expected = _AT_LEAST.get(low, f"an integer of at least {low}")
+        raise CliError(f"--{key}: expected {expected}, got {opts[key]!r}")
+    return value
 
 
 def _int_list(text: str, key: str) -> list[int]:
@@ -236,6 +250,49 @@ def _chained_int_texts(values) -> list[str]:
             texts.append(str(dec))
         prev = v
     return texts
+
+
+# The decimal digits of a `_CHAINED_BITS`-bit int, about.
+_CHAINED_DIGITS = _CHAINED_BITS * 3 // 10
+# `verify` reads a certificate of more characters than this through
+# `_chained_int_reader`: below, a hook call per int costs more than the chain saves.
+_CHAINED_GATE = 64 * _CHAINED_DIGITS
+
+
+def _chained_int_reader():
+    """A `parse_int` hook for `json.loads` that reads what `_chained_int_texts`
+    writes in time linear in the digits.  A positive text of more than
+    `_CHAINED_DIGITS` digits, and at most a quarter more than the previous
+    such text's, is read as that text's value P times q, where q is estimated
+    from the leading digits of both and accepted only if the exact decimal
+    product of the two is the text, character for character.  Every other
+    text is read by `int`, quadratic in the digits on CPython 3.10 and 3.11,
+    and a long one restarts the chain.  Either way the value is `int(text)`."""
+    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
+
+    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
+    prev_text, prev, dec = "", 0, None
+
+    def read(text: str) -> int:
+        nonlocal prev_text, prev, dec
+        digits = len(text)
+        if digits <= _CHAINED_DIGITS:
+            return int(text)
+        extra = digits - len(prev_text)
+        if prev > 0 and text[0] != "-" and 0 <= extra <= digits >> 2:
+            # Leading digits at the same scale; q < 10^(extra + 1), so 12
+            # more digits place text/prev_text within 10^-10 of q.
+            head = int(prev_text[:extra + 12])
+            q = (2 * int(text[:2 * extra + 12]) + head) // (2 * head)
+            # None after a text `int` read, else the previous text's value.
+            product = ctx.multiply(dec or Decimal(prev_text), q)
+            if str(product) == text:
+                prev_text, prev, dec = text, prev * q, product
+                return prev
+        prev_text, prev, dec = text, int(text), None
+        return prev
+
+    return read
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -386,9 +443,7 @@ def _cmd_envelope(opts: dict) -> int:
     from .rng import ALGORITHM
 
     spec = _block_spec(opts)
-    blocks = _int(opts, "blocks")
-    if blocks < 1:
-        raise CliError(f"--blocks: expected a positive integer, got {opts['blocks']!r}")
+    blocks = _int(opts, "blocks", low=1)
     grid = _int(opts, "grid", 101)
     if grid < 2:
         raise CliError("--grid: need at least 2 points")
@@ -445,21 +500,16 @@ def _cmd_subspace(opts: dict) -> int:
     partition = CellPartition(tuple(cuts))
     mu = MeasureVector(tuple(_rational_list(_require(opts, "mu"), "mu")))
     eps = _rational(opts, "eps", "1/10")
-    blocks = _int(opts, "blocks", 64)
-    if blocks < 0:
-        raise CliError(f"--blocks: expected a nonnegative integer, got {opts['blocks']!r}")
+    blocks = _int(opts, "blocks", 64, low=0)
     if "pi" in opts:
         try:
             pi = RatioMeasure.from_json(json.loads(opts["pi"]))
         except (json.JSONDecodeError, TypeError) as exc:
             raise CliError(f"--pi: expected JSON [[q, w], ...] pairs ({exc})")
     else:
-        pi_blocks = _int(opts, "pi-blocks", blocks)
+        pi_blocks = _int(opts, "pi-blocks", blocks, low=1)
         if pi_blocks < 1:
             # Without --pi-blocks, the horizon is --blocks.
-            if "pi-blocks" in opts:
-                raise CliError(
-                    f"--pi-blocks: expected a positive integer, got {opts['pi-blocks']!r}")
             raise CliError("--blocks: expected a positive integer when it sets --pi-blocks, "
                            f"got {opts['blocks']!r}")
         pi = pi_measure(spec, pi_blocks)
@@ -552,14 +602,14 @@ def _cmd_witness(opts: dict) -> int:
     elif mode in ("salat3", "histogram"):
         weights = _int_list(_require(opts, "weights"), "weights")
         eta = _rational(opts, "eta")
-        base = _int(opts, "base")
+        base = _int(opts, "base", low=2)
         n = _multipliers(opts, base * base)
         witness = histogram_witness(n, HistogramTarget(tuple(weights), eta), base)
         cert = certs.histogram_certificate(witness, n)
     elif mode == "avoid":
         alpha = _rational(opts, "alpha")
         eps = _rational(opts, "eps")
-        horizon = _int(opts, "horizon", 10_000)
+        horizon = _int(opts, "horizon", 10_000, low=1)
         prefix = _int_list(opts.get("prefix", "1"), "prefix") if opts.get("prefix") else [1]
         result = avoidance_sequence(alpha, eps, prefix=prefix, horizon=horizon)
         floor = _rational(opts, "discrepancy-floor", "0/1")
@@ -585,7 +635,7 @@ def _cmd_doubling(opts: dict) -> int:
     mode = _require(opts, "mode")
     if mode == "orbit":
         alpha = _rational(opts, "alpha")
-        steps = _int(opts, "steps")
+        steps = _int(opts, "steps", low=0)
         digits = _int(opts, "digits", 12)
         orbit = doubling_orbit(alpha, steps)
         q = orbit.den
@@ -599,18 +649,14 @@ def _cmd_doubling(opts: dict) -> int:
     if mode == "invariance":
         alpha = _rational(opts, "alpha")
         # By default one preperiod and one period, found only then.
-        steps = _int(opts, "steps") if "steps" in opts else sum(doubling_period(alpha))
-        if steps < 1:
-            raise CliError(f"--steps: expected a positive integer, got {opts['steps']!r}")
-        level = _int(opts, "level", 3)
-        if level < 0:
-            raise CliError(f"--level: expected a nonnegative integer, got {opts['level']!r}")
+        steps = _int(opts, "steps", low=1) if "steps" in opts else sum(doubling_period(alpha))
+        level = _int(opts, "level", 3, low=0)
         partition = CellPartition.dyadic(level)
         defect = invariance_defect(alpha, steps, partition)
         cert = certs.invariance_certificate(alpha, steps, partition, defect)
     elif mode == "fivesixth":
         alpha = _rational(opts, "alpha")
-        horizon = _int(opts, "horizon") if "horizon" in opts else sum(doubling_period(alpha))
+        horizon = _int(opts, "horizon", low=1) if "horizon" in opts else sum(doubling_period(alpha))
         report = five_sixth_check(alpha, horizon)
         cert = certs.fivesixth_certificate(report, alpha)
     elif mode == "zeroblock":
@@ -660,7 +706,9 @@ def _cmd_verify(opts: dict) -> int:
     path = _require(opts, "certificate")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cert = json.load(fh)
+            text = fh.read()
+        reader = _chained_int_reader() if len(text) > _CHAINED_GATE else None
+        cert = json.loads(text, parse_int=reader)
     except OSError as exc:
         raise CliError(f"cannot read certificate: {exc}")
     except json.JSONDecodeError as exc:

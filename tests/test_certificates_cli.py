@@ -404,6 +404,63 @@ def test_certificate_bytes_are_pinned(tmp_path, monkeypatch, name):
     assert json.loads(report.read_text()) == {"ok": code == 0, "failures": []}
 
 
+def verify_text(tmp_path, text: str) -> tuple[int, dict]:
+    """The exit code and report of `maldist verify` on a certificate text."""
+    path, report = tmp_path / "cert.json", tmp_path / "verify.json"
+    path.write_text(text)
+    code = maldist.cli.main(["verify", str(path), "--out", str(report)])
+    return code, json.loads(report.read_text())
+
+
+def salat3_text(tmp_path, *argv: str) -> str:
+    out = tmp_path / "salat3.json"
+    assert maldist.cli.main([*argv, "--out", str(out)]) == 0
+    return out.read_text()
+
+
+def change_a_digit(text: str, value: int) -> str:
+    """The certificate text with the middle digit of the int `value` changed."""
+    old = str(value)
+    assert text.count(old) == 1
+    mid = len(old) // 2
+    return text.replace(old, old[:mid] + str((int(old[mid]) + 1) % 10) + old[mid + 1:])
+
+
+def test_chained_reads_give_the_reports_of_plain_reads(tmp_path, monkeypatch):
+    # The pinned base-8 certificate passes the size gate, so `verify` reads
+    # its multipliers as chained products; with the gate out of reach, by
+    # `int` alone.  The middle digit changed in n_41 leaves its point in its
+    # cell; changed in n_63, it moves the point to the other cell.
+    text = salat3_text(tmp_path, *PINNED_CERTIFICATES["histogram-squarepow"][0])
+    assert len(text) > maldist.cli._CHAINED_GATE
+    n = json.loads(text)["inputs"]["multipliers"]
+    assert len(str(n[40])) > maldist.cli._CHAINED_DIGITS
+    texts = [text, change_a_digit(text, n[40]), change_a_digit(text, n[62])]
+    chained = [verify_text(tmp_path, t) for t in texts]
+    monkeypatch.setattr(maldist.cli, "_CHAINED_GATE", len(text) + 1)
+    assert chained == [verify_text(tmp_path, t) for t in texts]
+    assert chained[:2] == [(0, {"ok": True, "failures": []})] * 2
+    assert chained[2] == (1, {"ok": False, "failures": ["cell-0: count is 50, recomputed 51",
+                                                        "cell-1: count is 14, recomputed 13"]})
+
+
+@pytest.mark.parametrize("tamper", [False, True])
+def test_certificates_either_side_of_the_size_gate_verify_alike(tmp_path, monkeypatch, tamper):
+    # 36 multipliers 12^(k^2), the last 8 past the digit bound, padded with
+    # trailing spaces to the gate (read by `int`) and one past it (chained).
+    text = salat3_text(tmp_path, "witness", "--mode", "salat3", "--n-kind", "squarepow:12",
+                       "--weights", "1,1", "--eta", "1/11", "--base", "6")
+    n = json.loads(text)["inputs"]["multipliers"]
+    assert len(str(n[-8])) > maldist.cli._CHAINED_DIGITS
+    if tamper:
+        text = change_a_digit(text, n[-3])
+    gate, reader, readers = maldist.cli._CHAINED_GATE, maldist.cli._chained_int_reader, []
+    monkeypatch.setattr(maldist.cli, "_chained_int_reader", lambda: readers.append(1) or reader())
+    reports = [verify_text(tmp_path, text.ljust(size)) for size in (gate, gate + 1)]
+    assert len(text) < gate and readers == [1]
+    assert reports[0] == reports[1] and reports[0][0] == (1 if tamper else 0)
+
+
 def test_cli_witness_salat2_and_verify(tmp_path):
     out = tmp_path / "cert.json"
     res = run_cli(

@@ -281,6 +281,32 @@ def test_nonpositive_envelope_blocks_is_refused_by_its_flag(tmp_path, capsys, va
     assert (captured.out, out.exists()) == ("", False)
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value, expected",
+    [
+        (["doubling", "--mode", "orbit", "--alpha", "1/17"], "--steps", "-3",
+         "a nonnegative integer"),
+        (["doubling", "--mode", "fivesixth", "--alpha", "1/17"], "--horizon", "0",
+         "a positive integer"),
+        (["doubling", "--mode", "fivesixth", "--alpha", "1/17"], "--horizon", "-2",
+         "a positive integer"),
+        (AVOID, "--horizon", "0", "a positive integer"),
+        (["witness", "--mode", "salat3", "--n-kind", "squarepow:3", "--weights", "1,1",
+          "--eta", "1/2"], "--base", "1", "an integer of at least 2"),
+    ],
+    ids=["orbit-steps", "fivesixth-horizon-0", "fivesixth-horizon-negative", "avoid-horizon",
+         "salat3-base"],
+)
+def test_out_of_range_values_are_refused_by_their_flag(tmp_path, capsys, argv, flag, value,
+                                                       expected):
+    # Not as the library's step count, horizon, prefix or base check would fail.
+    out = tmp_path / "out"
+    assert cli.main([*argv, flag, value, "--out", str(out)]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"maldist {argv[0]}: {flag}: expected {expected}, got '{value}'\n"
+    assert (captured.out, out.exists()) == ("", False)
+
+
 @pytest.mark.parametrize("floor, code", [("1/5", 0), ("4/17", 0), ("1/4", cli.CLAIM_ERROR)])
 def test_discrepancy_floor_claim_holds_up_to_the_discrepancy(tmp_path, floor, code):
     # The avoidance run below has star discrepancy 4/17 at its horizon.

@@ -187,6 +187,94 @@ def test_json_writer_writes_the_indented_text_and_a_newline(tmp_path):
         json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+# --- the JSON reader -------------------------------------------------------------
+
+
+def near(x: int):
+    """Ints whose text is close to that of a positive x: x +- 1, x with its
+    middle or last digit changed, its text with a digit more or less, -x and
+    0."""
+    text = str(x)
+    return st.builds(
+        lambda digit, step: int(text[:digit] + str((int(text[digit]) + step) % 10)
+                                + text[digit + 1:]),
+        st.sampled_from([len(text) // 2, len(text) - 1]), st.integers(1, 9),
+    ) | st.sampled_from([x + 1, x - 1, x * 10 + 7, x // 10, -x, 0])
+
+
+@st.composite
+def near_chains(draw):
+    """Lists of long ints (past `cli._CHAINED_DIGITS` digits) that a reader
+    of chained products could misread: a chain b^k or b^(k^2), where a term
+    P*q may be replaced by an int `near` it, by one shorter than P, or by
+    P^2 (whose quotient is above the quarter bound), or may follow an int
+    near P, an unrelated long int, or an int near it and the product of that
+    int and b."""
+    b = draw(st.integers(2, 1100))
+    need = cli._CHAINED_DIGITS * 10 // 3 // (b.bit_length() - 1) + 1  # b^need has enough digits
+    if draw(st.booleans()):
+        chain = [b ** k for k in range(need, need + draw(st.integers(2, 12)))]
+    else:
+        k0 = math.isqrt(need) + 1
+        chain = [b ** (k * k) for k in range(k0, k0 + draw(st.integers(2, 8)))]
+    values = chain[:1]
+    for p, v in zip(chain, chain[1:]):
+        how = draw(st.sampled_from(["keep", "replace", "after-near", "after-unrelated",
+                                    "after-product"]))
+        if how == "replace":
+            values.append(draw(near(v) | st.sampled_from([p // 10**3, p * p])))
+            continue
+        if how == "after-near":
+            values.append(draw(near(p)))
+        elif how == "after-unrelated":
+            digits = cli._CHAINED_DIGITS
+            values.append(draw(st.integers(10**digits, 10 ** (2 * digits))))
+        elif how == "after-product":
+            m = draw(near(v))
+            values += [m, m * b]
+        values.append(v)
+    return values
+
+
+def int_types(value):
+    """The types of the ints in a loaded JSON value, bools aside."""
+    if isinstance(value, list):
+        return [kind for item in value for kind in int_types(item)]
+    if isinstance(value, dict):
+        return int_types(list(value.values()))
+    return [type(value)] if isinstance(value, int) and not isinstance(value, bool) else []
+
+
+@settings(max_examples=400)
+@given(json_values | near_chains())
+def test_chained_reader_matches_json_loads(value):
+    with no_int_digit_limit():
+        text = cli._json_text(value)
+        loaded = json.loads(text, parse_int=cli._chained_int_reader())
+        # In a list, as a NaN equals itself only as the same object.
+        assert [loaded] == [json.loads(text)]
+    assert set(int_types(loaded)) <= {int}
+
+
+def test_chained_reader_reads_squarepow_multipliers_as_products(monkeypatch):
+    # Of the 64 terms 12^(k^2), those past the digit bound are read by `int`
+    # only at the first: each later one is its predecessor's product.
+    n = cli._multipliers({"n-kind": "squarepow:12"}, 64)
+    long_reads = []
+
+    def counting_int(text):
+        if len(text) > cli._CHAINED_DIGITS:
+            long_reads.append(text)
+        return int(text)
+
+    with no_int_digit_limit():
+        texts, text = [str(v) for v in n], cli._json_text(n)
+        monkeypatch.setattr(cli, "int", counting_int, raising=False)
+        assert json.loads(text, parse_int=cli._chained_int_reader()) == n
+    long_texts = [text for text in texts if len(text) > cli._CHAINED_DIGITS]
+    assert len(long_texts) > 30 and long_reads == long_texts[:1]
+
+
 # --- digit strings as bytes ------------------------------------------------------
 
 DIGIT_FIELDS = {"gaps": certs._INPUTS["avoid"].fields["gaps"],
