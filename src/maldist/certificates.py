@@ -141,7 +141,8 @@ class _Rational:
 
 class _Ratio(_Rational):
     """A `_Rational` read as its integers (p, q), q > 0, as written: the
-    envelope's checks add and compare them by cross-multiplication."""
+    envelope's checks add and compare them by cross-multiplication, and the
+    histogram's recount reads residues mod q, so no gcd is run."""
 
     parse = _Rational.ratio
 
@@ -322,7 +323,7 @@ _INPUTS = {kind: _Record(fields) for kind, fields in {
         "forced_positions": _List(_POSITIVE),
     },
     "histogram": {
-        "alpha": _RATIONAL,
+        "alpha": _Ratio(),
         "multipliers": _List(_POSITIVE, length=("base^2", lambda v: v["base"] ** 2)),
         "weights": _List(_POSITIVE, nonempty=True),
         "eta": _RATIONAL,
@@ -752,10 +753,10 @@ def _verify_hitfreq(inp: dict, stated: dict):
 
 
 def _verify_histogram(inp: dict, stated: dict):
-    alpha, multipliers, weights, eta = inp["alpha"], inp["multipliers"], inp["weights"], inp["eta"]
+    (p, q), multipliers = inp["alpha"], inp["multipliers"]
+    weights, eta = inp["weights"], inp["eta"]
     ell, horizon = len(weights), len(multipliers)
-    # The cell of n*alpha mod 1 = r/q is r*ell // q.
-    p, q = alpha.numerator, alpha.denominator
+    # The cell of n*alpha mod 1 = r/q is r*ell // q, for alpha = p/q as written.
     counts = [0] * ell
     for r in _chained_residues(multipliers, p, q):
         counts[r * ell // q] += 1

@@ -122,9 +122,10 @@ def _rational(opts: dict, key: str, default: str | None = None) -> Fraction:
 _AT_LEAST = {0: "a nonnegative integer", 1: "a positive integer"}
 
 
-def _int(opts: dict, key: str, default: int | None = None, low: int | None = None) -> int:
-    """The integer value of --key, else `default`; a value below `low` is
-    refused by its flag."""
+def _int(opts: dict, key: str, default: int | None = None, low: int | None = None,
+         high: int | None = None) -> int:
+    """The integer value of --key, else `default`; a value below `low` or
+    above `high` is refused by its flag."""
     if key not in opts:
         if default is None:
             raise CliError(f"missing required option --{key}")
@@ -136,6 +137,8 @@ def _int(opts: dict, key: str, default: int | None = None, low: int | None = Non
     if low is not None and value < low:
         expected = _AT_LEAST.get(low, f"an integer of at least {low}")
         raise CliError(f"--{key}: expected {expected}, got {opts[key]!r}")
+    if high is not None and value > high:
+        raise CliError(f"--{key}: expected an integer of at most {high}, got {opts[key]!r}")
     return value
 
 
@@ -650,7 +653,8 @@ def _cmd_doubling(opts: dict) -> int:
         alpha = _rational(opts, "alpha")
         # By default one preperiod and one period, found only then.
         steps = _int(opts, "steps", low=1) if "steps" in opts else sum(doubling_period(alpha))
-        level = _int(opts, "level", 3, low=0)
+        # The certificate echoes all 2^level + 1 cuts: 1.34 MB at level 16.
+        level = _int(opts, "level", 3, low=0, high=16)
         partition = CellPartition.dyadic(level)
         defect = invariance_defect(alpha, steps, partition)
         cert = certs.invariance_certificate(alpha, steps, partition, defect)

@@ -10,8 +10,9 @@ sequence, one forcing an entire histogram shape at horizon N0^2), the
 gap-{1,2} avoidance extension that keeps an orbit out of a fixed interval
 forever, and the zero-block digit surgery used by the doubling-map analysis.
 
-Every construction re-verifies its own claims through independent exact
-arithmetic before returning.
+Each result ships in a certificate (`maldist.certificates`) whose claims
+carry the checks, and `verify` rechecks them on its own code; so the mixing
+chain is built once and not re-checked here.
 """
 
 from __future__ import annotations
@@ -102,7 +103,10 @@ class MixingConfig:
         for k, t in enumerate(self.targets, start=1):
             if t.wraps:
                 raise MixingConfigError(k, "target intervals must not wrap")
-            if t.length < self.eps:
+            # right - left < eps, as (rn*ld - ln*rd) * e_den < e_num * ld*rd.
+            a, b = t.left, t.right
+            ld, rd = a.denominator, b.denominator
+            if (b.numerator * ld - a.numerator * rd) * e_den < e_num * ld * rd:
                 raise MixingConfigError(k, f"target {k} shorter than eps={self.eps}")
 
 
@@ -142,8 +146,10 @@ def mixing_chain(config: MixingConfig) -> MixingChain:
     I_{k-1}, and maps into target k under multiplication by n_k.
 
     The returned alpha (midpoint of the last interval) therefore satisfies
-    alpha in start and n_k * alpha mod 1 in target_k for every k; all
-    containments are re-verified before returning.
+    alpha in start and n_k * alpha mod 1 in target_k for every k.  The chain
+    is not re-checked here: its `mixing` certificate states alpha in the
+    start and every containment, length and nesting, and `verify` rechecks
+    them.
 
     The chain runs on integers: interval k's ends are numerators over
     lo_den * n_k and hi_den * n_k (see `_ends`; the start has n_0 = 1).
@@ -174,54 +180,7 @@ def mixing_chain(config: MixingConfig) -> MixingChain:
         lo, lo_den, hi, hi_den = _ends(target.left, eps, j)
         prev = n_k
     alpha = Fraction(lo * hi_den + hi * lo_den, 2 * lo_den * hi_den * prev)
-    _verify_chain(config, cells, alpha)
     return MixingChain(config=config, cells=tuple(cells), alpha=alpha)
-
-
-def _verify_chain(config: MixingConfig, cells: Sequence[int], alpha: Fraction) -> None:
-    """Re-check the chain by cross-multiplication: alpha in the start, and for
-    every k the length eps/n_k, nesting in interval k-1, n_k * alpha mod 1 in
-    target k, and the whole interval k mapping into target k.
-
-    n_k * alpha mod 1 = r_k/q runs on chained residues: when n_{k-1} divides
-    n_k, r_k = (n_k/n_{k-1}) * r_{k-1} mod q, else r_k = n_k * p mod q.
-    """
-    eps = config.eps
-    p, q = alpha.numerator, alpha.denominator
-    if not config.start.contains_residue(p, q):
-        raise AssertionError("alpha escaped the start interval")
-    left, right = config.start.left, config.start.right
-    outer = (left.numerator, left.denominator, right.numerator, right.denominator)
-    prev, r = 1, p
-    for k, (n_k, target, j) in enumerate(
-        zip(config.multipliers, config.targets, cells), start=1
-    ):
-        lo, lo_den, hi, hi_den = _ends(target.left, eps, j)
-        if (hi * lo_den - lo * hi_den) * eps.denominator != eps.numerator * lo_den * hi_den:
-            raise AssertionError(f"interval {k} has wrong length")
-        ratio, rem = divmod(n_k, prev)
-        r = n_k * p % q if rem else ratio * r % q
-        # Interval k-1 over n_k: its numerators times n_k/prev = up/down.
-        up, down = (n_k, prev) if rem else (ratio, 1)
-        o_lo, o_lo_den, o_hi, o_hi_den = outer
-        if not (
-            o_lo * lo_den * up <= lo * o_lo_den * down
-            and hi * o_hi_den * down <= o_hi * hi_den * up
-        ):
-            raise AssertionError(f"interval {k} not nested in its predecessor")
-        if not target.contains_residue(r, q):
-            raise AssertionError(f"containment {k} fails: {Fraction(r, q)} outside target")
-        # The whole interval must map into the target, not just alpha:
-        # n_k * interval k = (lo/lo_den, hi/hi_den), shifted down by the
-        # integer part w of its left end.
-        w = lo // lo_den
-        ta, tb = target.left, target.right
-        if not (
-            (lo - w * lo_den) * ta.denominator >= ta.numerator * lo_den
-            and (hi - w * hi_den) * tb.denominator <= tb.numerator * hi_den
-        ):
-            raise AssertionError(f"interval {k} is not inside the preimage of target {k}")
-        outer, prev = (lo, lo_den, hi, hi_den), n_k
 
 
 def _residues(multipliers: Sequence[int], alpha: Fraction):

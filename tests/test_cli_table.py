@@ -232,6 +232,20 @@ def test_negative_level_is_refused_by_its_flag(tmp_path, capsys):
     assert json.loads(out.read_text())["inputs"]["cuts"] == ["0/1", "1/1"]
 
 
+def test_level_above_sixteen_is_refused_by_its_flag(tmp_path, capsys):
+    # The certificate echoes all 2^level + 1 cuts, growing 4x per two levels.
+    out = tmp_path / "out.json"
+    argv = ["doubling", "--mode", "invariance", "--alpha", "1/17", "--level", "17",
+            "--out", str(out)]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "maldist doubling: --level: expected an integer of at most 16, got '17'\n"
+    assert (captured.out, out.exists()) == ("", False)
+    argv[argv.index("--level") + 1] = "16"
+    assert cli.main(argv) == 0
+    assert len(json.loads(out.read_text())["inputs"]["cuts"]) == 2**16 + 1
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_nonpositive_invariance_steps_is_refused_by_its_flag(tmp_path, capsys, value):
     # Not as the library's empty orbit segment or negative step count.

@@ -4,6 +4,7 @@ recounts of the hit-frequency and histogram witnesses, the recounts of the
 hitfreq, histogram and zero-block verifiers, and `BinaryPoint.value`.
 """
 
+import json
 from fractions import Fraction as F
 from math import isqrt
 
@@ -12,6 +13,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from maldist import certificates as certs
+from maldist import cli
 from maldist import witness as witness_module
 from maldist.doubling import BinaryPoint
 from maldist.exact import format_rational, mod1
@@ -19,8 +21,8 @@ from maldist.torus import TorusInterval, interval_contains_interval
 from maldist.witness import (
     HistogramTarget,
     MixingConfig,
+    MixingChain,
     MixingConfigError,
-    _verify_chain,
     histogram_witness,
     hit_frequency_witness,
     mixing_chain,
@@ -159,8 +161,9 @@ def chain_configs(draw):
         n = grow(draw, n, 2 / eps)
     targets = []
     for _ in range(steps):
-        # Length exactly eps, or longer, with ends on 0 and 1 as well.
-        length = min(F(1), eps * F(draw(st.sampled_from([4, 4, 5, 8])), 4))
+        # Length exactly eps, or longer, with ends on 0 and 1 as well;
+        # sometimes shorter, which `validate` refuses.
+        length = min(F(1), eps * F(draw(st.sampled_from([3, 4, 4, 5, 8])), 4))
         left = draw(st.sampled_from([F(0), F(1) - length, F(draw(st.integers(0, 30)), 31)]))
         targets.append(TorusInterval(min(left, 1 - length), min(left, 1 - length) + length))
     return MixingConfig(tuple(multipliers), eps, delta, start, tuple(targets))
@@ -225,38 +228,66 @@ def eps_chain(nonint=False):
     return config, mixing_chain(config)
 
 
+def false_claims(chain):
+    cert = certs.mixing_certificate(chain)
+    return cert, [c["id"] for c in cert["claims"] if not c["verdict"]]
+
+
+def verify_exit_code(tmp_path, cert):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert), encoding="utf-8")
+    return cli.main(["verify", str(path), "--out", str(tmp_path / "report.json")])
+
+
 @pytest.mark.parametrize("nonint", [False, True])
-def test_verify_chain_rejects_a_cell_off_the_nesting(nonint):
+def test_moved_cell_gives_a_false_nesting_claim(tmp_path, nonint):
     config, chain = eps_chain(nonint)
     # Any cell keeps the length and maps into the target, and alpha still
     # lands in the target; only the nesting breaks.
     cells = list(chain.cells)
     cells[1] += 5
-    with pytest.raises(AssertionError, match="interval 2 not nested"):
-        _verify_chain(config, cells, chain.alpha)
+    cert, false = false_claims(MixingChain(config, tuple(cells), chain.alpha))
+    assert false == ["nesting-2", "nesting-3"]
+    assert certs.verify_certificate(cert).ok
+    assert verify_exit_code(tmp_path, cert) == cli.CLAIM_ERROR
 
 
 @pytest.mark.parametrize("nonint", [False, True])
-def test_verify_chain_rejects_an_interval_not_mapping_into_its_target(nonint):
-    config, chain = eps_chain(nonint)
-    # The last target shrinks to (a, a + 3 eps/4): alpha's image a + eps/2
-    # still lies in it, but the image of the whole last interval does not.
+def test_target_shorter_than_eps_is_refused_by_validate(nonint):
+    config, _ = eps_chain(nonint)
+    # The last target shrinks to (a, a + 3 eps/4): no interval of length eps
+    # maps into it, and no claim states maps-into, so `validate` refuses it.
     a = config.targets[-1].left
     short = TorusInterval(a, a + config.eps * F(3, 4))
     shrunk = MixingConfig(
         config.multipliers, config.eps, config.delta, config.start, config.targets[:-1] + (short,)
     )
-    with pytest.raises(AssertionError, match="interval 4 is not inside the preimage"):
-        _verify_chain(shrunk, chain.cells, chain.alpha)
+    with pytest.raises(MixingConfigError, match="target 4 shorter than eps=1/8") as info:
+        mixing_chain(shrunk)
+    assert info.value.index == 4
 
 
-def test_verify_chain_rejects_alpha_outside_a_target():
+def test_alpha_off_the_chain_gives_false_containment_claims(tmp_path):
     config, chain = eps_chain()
     # The right end of the last interval maps onto the target's right end.
-    with pytest.raises(AssertionError, match="containment 4 fails"):
-        _verify_chain(config, chain.cells, chain.intervals[-1].right)
-    with pytest.raises(AssertionError, match="escaped the start"):
-        _verify_chain(config, chain.cells, F(3, 4))
+    cert, false = false_claims(MixingChain(config, chain.cells, chain.intervals[-1].right))
+    assert false == ["containment-4"]
+    assert verify_exit_code(tmp_path, cert) == cli.CLAIM_ERROR
+    cert, false = false_claims(MixingChain(config, chain.cells, F(3, 4)))
+    assert "alpha-in-start" in false
+    assert verify_exit_code(tmp_path, cert) == cli.CLAIM_ERROR
+
+
+@given(chain_configs())
+def test_every_built_chain_has_a_true_verified_certificate(config):
+    # The build does not re-check its chain: its certificate does.
+    try:
+        chain = mixing_chain(config)
+    except MixingConfigError:
+        assume(False)
+    cert = certs.mixing_certificate(chain)
+    assert all(claim["verdict"] is True for claim in cert["claims"])
+    assert certs.verify_certificate(cert) == certs.VerificationResult(True, ())
 
 
 # --- witness recounts -------------------------------------------------------------
@@ -380,6 +411,22 @@ def test_histogram_verifier_recount_matches_fraction_reference(case, weights, da
     cell = data.draw(st.integers(0, len(weights) - 1))
     claims[cell]["count"] += 1
     assert claim_failures(cert, f"cell-{cell}")
+
+
+@pytest.mark.parametrize("tamper", [False, True])
+def test_histogram_report_is_the_same_for_an_unreduced_alpha(tamper):
+    # The histogram checker reads alpha's p and q as written: 2p/2q doubles
+    # every residue and its modulus, so every cell and report is unchanged.
+    n = [5**k for k in range(1, 17)]
+    cert = certs.histogram_certificate(histogram_witness(n, HistogramTarget((3, 1), F(1)), 4), n)
+    if tamper:
+        cert["claims"][0]["count"] += 1
+    p, q = map(int, cert["inputs"]["alpha"].split("/"))
+    doubled = json.loads(json.dumps(cert))
+    doubled["inputs"]["alpha"] = f"{2 * p}/{2 * q}"
+    report = certs.verify_certificate(cert)
+    assert report.ok is not tamper
+    assert certs.verify_certificate(doubled) == report
 
 
 @pytest.mark.parametrize("start", [1, 2, 3])
