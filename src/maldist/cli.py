@@ -96,9 +96,9 @@ def _merge_config(args: argparse.Namespace, keys: tuple[str, ...]) -> dict[str, 
         flag_val = getattr(args, key.replace("-", "_"))
         if flag_val is not None:
             values[key] = flag_val
-    # verify's positional path is the weakest source of --certificate.
-    if sub == "verify" and args.certificate_path and "certificate" not in values:
-        values["certificate"] = args.certificate_path
+    # verify's certificate path is its positional argument, not a flag.
+    if sub == "verify":
+        values["certificate"] = args.certificate
     return values
 
 
@@ -595,14 +595,14 @@ def _cmd_witness(opts: dict) -> int:
         )
         chain = mixing_chain(config)
         cert = certs.mixing_certificate(chain)
-    elif mode in ("salat2", "hitfreq"):
+    elif mode == "salat2":
         interval = _interval(_require(opts, "interval"), "interval")
         ratio = _rational(opts, "ratio")
         count = _int(opts, "count", 64)
         n = _multipliers(opts, count)
         witness = hit_frequency_witness(n, interval, ratio)
         cert = certs.hitfreq_certificate(witness, n)
-    elif mode in ("salat3", "histogram"):
+    elif mode == "salat3":
         weights = _int_list(_require(opts, "weights"), "weights")
         eta = _rational(opts, "eta")
         base = _int(opts, "base", low=2)
@@ -707,9 +707,8 @@ def _cmd_scan(opts: dict) -> int:
 def _cmd_verify(opts: dict) -> int:
     from . import certificates as certs
 
-    path = _require(opts, "certificate")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(opts["certificate"], "r", encoding="utf-8") as fh:
             text = fh.read()
         reader = _chained_int_reader() if len(text) > _CHAINED_GATE else None
         cert = json.loads(text, parse_int=reader)
@@ -746,8 +745,7 @@ _SUBCOMMANDS = {
         _cmd_subspace,
     ),
     "witness": (
-        "explicit irregularity witnesses (mixing|salat2|salat3|avoid|zeroblock; "
-        "hitfreq/histogram alias the middle two)",
+        "explicit irregularity witnesses (mixing|salat2|salat3|avoid|zeroblock)",
         ("mode", "n", "n-kind", "eps", "delta", "start", "targets", "interval",
          "ratio", "count", "weights", "eta", "base", "alpha", "horizon", "prefix",
          "discrepancy-floor", "starts", "seed", "out"),
@@ -766,7 +764,7 @@ _SUBCOMMANDS = {
     ),
     "verify": (
         "re-check a certificate from its echoed inputs",
-        ("certificate", "seed", "out"),
+        ("seed", "out"),
         _cmd_verify,
     ),
 }
@@ -783,8 +781,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = subs.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="key=value option file (flags win)")
         if name == "verify":
-            p.add_argument("certificate_path", nargs="?", default=None,
-                           help="certificate JSON file (alternative to --certificate)")
+            p.add_argument("certificate", help="certificate JSON file")
         for key in keys:
             p.add_argument(f"--{key}", default=None)
     return parser

@@ -242,7 +242,8 @@ def five_sixth_check(alpha: Fraction, horizon: int) -> OrbitHitReport:
     The orbit is walked over its preperiod and one period at most: the
     counts at the horizon are folded from those steps (`_fold`), and the
     spacing is read over them and the period's 2-step wrap
-    (`_spacing_ok`).
+    (`_spacing_ok`).  Its `fivesixth` certificate's verifier recounts the
+    hits through I' itself.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < Fraction(1, 16):
@@ -250,20 +251,15 @@ def five_sixth_check(alpha: Fraction, horizon: int) -> OrbitHitReport:
     if horizon < 1:
         raise ValueError("horizon must be positive")
     # With alpha = p/q and v = 2^k alpha = r/q, the intervals in integers:
-    # I-: 6r > 3q - 8p and 2r <= q; I+: 2r > q and 12r < 9q - 8p;
-    # I' holds s = (r + p) mod q iff 6s > 3q - 2p and 12s < 9q + 4p.  For
-    # an integer r, 6r > a iff r > a // 6, and 12r < b iff r <= (b - 1) // 12.
+    # I-: 6r > 3q - 8p and 2r <= q; I+: 2r > q and 12r < 9q - 8p.  For an
+    # integer r, 6r > a iff r > a // 6, and 12r < b iff r <= (b - 1) // 12.
     p, q = alpha.numerator, alpha.denominator
     half = q // 2
     minus_lo, plus_hi = (3 * q - 8 * p) // 6, (9 * q - 8 * p - 1) // 12
-    wide_lo, wide_hi = (3 * q - 2 * p) // 6, (9 * q + 4 * p - 1) // 12
     residues, pre = _orbit_to_cycle(p, q, horizon)
-    codes = bytearray()  # per step: 1 a hit of I-, 2 a hit of I+, 0 a miss
-    for r in residues:
-        code = 1 if minus_lo < r <= half else 2 if half < r <= plus_hi else 0
-        if (wide_lo < (r + p) % q <= wide_hi) != (code != 0):
-            raise AssertionError("shifted-orbit identity failed")  # unreachable
-        codes.append(code)
+    # Per step: 1 a hit of I-, 2 a hit of I+, 0 a miss.
+    codes = bytes(1 if minus_lo < r <= half else 2 if half < r <= plus_hi else 0
+                  for r in residues)
     whole, end = _fold(len(codes), pre, horizon)
     minus_hits = codes[:end].count(1) + whole * codes[pre:].count(1)
     plus_hits = codes[:end].count(2) + whole * codes[pre:].count(2)

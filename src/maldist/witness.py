@@ -11,8 +11,8 @@ gap-{1,2} avoidance extension that keeps an orbit out of a fixed interval
 forever, and the zero-block digit surgery used by the doubling-map analysis.
 
 Each result ships in a certificate (`maldist.certificates`) whose claims
-carry the checks, and `verify` rechecks them on its own code; so the mixing
-chain is built once and not re-checked here.
+carry the checks, and `verify` rechecks them on its own code; so the builders
+here check their inputs and re-check nothing they build.
 """
 
 from __future__ import annotations
@@ -132,15 +132,6 @@ class MixingChain:
         return tuple(chain)
 
 
-def _ends(left: Fraction, eps: Fraction, j: int) -> tuple[int, int, int, int]:
-    """(lo, lo_den, hi, hi_den) with interval k = (lo/(lo_den*n_k),
-    hi/(hi_den*n_k)) = ((a + j)/n_k, (a + eps + j)/n_k) for a = left: the
-    denominators are small, and the numerators no larger than n_k times them."""
-    lo, lo_den = left.numerator + j * left.denominator, left.denominator
-    hi_den = lo_den * eps.denominator
-    return lo, lo_den, lo * eps.denominator + eps.numerator * lo_den, hi_den
-
-
 def mixing_chain(config: MixingConfig) -> MixingChain:
     """Build the nested chain: I_k has exact length eps/n_k, sits inside
     I_{k-1}, and maps into target k under multiplication by n_k.
@@ -152,32 +143,33 @@ def mixing_chain(config: MixingConfig) -> MixingChain:
     them.
 
     The chain runs on integers: interval k's ends are numerators over
-    lo_den * n_k and hi_den * n_k (see `_ends`; the start has n_0 = 1).
-    When n_{k-1} divides n_k, the next cell comes from the small ratio
-    n_k / n_{k-1}, at a cost linear in the bits of n_k.
+    lo_den * n_k and hi_den * n_k, with small denominators (the start has
+    n_0 = 1).  When n_{k-1} divides n_k, the next cell comes from the small
+    ratio n_k / n_{k-1}, at a cost linear in the bits of n_k.
     """
     config.validate()
-    eps = config.eps
+    e_num, e_den = config.eps.numerator, config.eps.denominator
     start = config.start
     lo, lo_den = start.left.numerator, start.left.denominator
     hi, hi_den = start.right.numerator, start.right.denominator
     prev = 1
     cells = []
-    for k, (n_k, target) in enumerate(zip(config.multipliers, config.targets), start=1):
-        # Interval k-1 over n_k is (lo*scale/(lo_den*n_k), hi*scale/(hi_den*n_k)),
-        # with scale = n_k/prev when prev divides n_k.  A full closed cell
-        # [j/n_k, (j+1)/n_k] fits strictly inside it because its length
-        # exceeds 2/n_k; take the smallest such j.
+    for n_k, target in zip(config.multipliers, config.targets):
+        # Interval k-1 over n_k has left end lo*scale/(lo_den*n_k), with
+        # scale = n_k/prev when prev divides n_k.  It is longer than 2/n_k
+        # (n_1 > 2/delta and n_k > (2/eps) n_{k-1}), so the cell
+        # [j/n_k, (j+1)/n_k] of the smallest j above its left end fits
+        # strictly inside it.
         scale, rem = divmod(n_k, prev)
         if rem:
-            scale, lo_den, hi_den = n_k, lo_den * prev, hi_den * prev
-        lo_scaled = lo * scale
-        j = lo_scaled // lo_den + 1
-        if not (lo_scaled < j * lo_den and (j + 1) * hi_den < hi * scale):
-            raise MixingConfigError(k, "internal: no full preimage cell fits")
+            scale, lo_den = n_k, lo_den * prev
+        j = lo * scale // lo_den + 1
         cells.append(j)
-        # Trim the target to its leading sub-interval of length exactly eps.
-        lo, lo_den, hi, hi_den = _ends(target.left, eps, j)
+        # Interval k is ((a + j)/n_k, (a + eps + j)/n_k) for a = target.left:
+        # the preimage in cell j of the target's leading eps.
+        a = target.left
+        lo, lo_den = a.numerator + j * a.denominator, a.denominator
+        hi, hi_den = lo * e_den + e_num * lo_den, lo_den * e_den
         prev = n_k
     alpha = Fraction(lo * hi_den + hi * lo_den, 2 * lo_den * hi_den * prev)
     return MixingChain(config=config, cells=tuple(cells), alpha=alpha)
@@ -203,7 +195,8 @@ class WitnessPlan:
 
     quality = 1/(4u) for a positive integer u; c is the subsampling stride;
     repeats (k*) counts the forced hit positions c*repeats .. 2c*repeats.
-    The defining inequalities are checked exactly in rational arithmetic:
+    The defining inequalities, which `auto_plan`'s choice makes true and
+    the `hitfreq` certificate states as exact claims:
         q^(u-2) > 2            (the quality constant is small enough)
         q^c > 2/eps            (stride large enough for mixing)
         q^c * eps^u < 1        (stride below the upper end; equivalently
@@ -215,23 +208,12 @@ class WitnessPlan:
     c: int
     repeats: int
 
-    def validate(self, eps: Fraction) -> None:
-        q, u, c = self.ratio, self.u, self.c
-        if q <= 1:
-            raise ValueError("ratio must exceed 1")
-        if u < 1 or c < 1 or self.repeats < 1:
-            raise ValueError("u, c and repeats must be positive")
-        if not q ** (u - 2) > 2:
-            raise ValueError(f"quality constant too large: q^(u-2) = {q ** (u - 2)} <= 2")
-        if not q**c > 2 / eps:
-            raise ValueError(f"stride too small: q^c = {q ** c} <= 2/eps")
-        if not q**c * eps**u < 1:
-            raise ValueError(f"stride too large: q^c * eps^u = {q ** c * eps ** u} >= 1")
-
 
 def auto_plan(ratio: Fraction, eps: Fraction) -> WitnessPlan:
     """Smallest-constant plan: minimal u with q^(u-2) > 2, then minimal c
-    with q^c > 2/eps (always below the upper end, whose distance exceeds one)."""
+    with q^c > 2/eps.  That c is below the upper end: q^(c-1) <= 2/eps by
+    minimality, so q^c eps^u <= 2q eps^(u-1) < 2q^(2-u) < 1, using
+    eps < 1/q and q^(u-2) > 2."""
     ratio = Fraction(ratio)
     eps = Fraction(eps)
     if ratio <= 1:
@@ -244,9 +226,7 @@ def auto_plan(ratio: Fraction, eps: Fraction) -> WitnessPlan:
     c = 1
     while not ratio**c > 2 / eps:
         c += 1
-    plan = WitnessPlan(ratio=ratio, u=u, c=c, repeats=1)
-    plan.validate(eps)
-    return plan
+    return WitnessPlan(ratio=ratio, u=u, c=c, repeats=1)
 
 
 @dataclass(frozen=True)
@@ -310,10 +290,6 @@ def hit_frequency_witness(
     alpha = chain.alpha
     q = alpha.denominator
     hits = sum(1 for r in _residues(n[:horizon], alpha) if interval.contains_residue(r, q))
-    freq = Fraction(hits, horizon)
-    threshold = Fraction(1, 2 * c)
-    if not freq > threshold:
-        raise AssertionError("forced frequency failed to clear the threshold")
     return HitFrequencyWitness(
         alpha=alpha,
         plan=plan,
@@ -321,8 +297,8 @@ def hit_frequency_witness(
         forced_positions=positions,
         horizon=horizon,
         hit_count=hits,
-        frequency=freq,
-        threshold=threshold,
+        frequency=Fraction(hits, horizon),
+        threshold=Fraction(1, 2 * c),
     )
 
 
@@ -411,11 +387,10 @@ def histogram_witness(
             counts=(horizon,),
             deviations=(_ZERO,),
         )
-    # Steered cell counts: exact shares of the base^2 - base steered slots.
+    # Steered cell counts: exact shares of the base^2 - base steered slots
+    # (e_total divides base).
     steered = horizon - base
     shares = [w * steered // e_total for w in target.weights]
-    if sum(shares) != steered:
-        raise ValueError("internal: steered shares do not sum up")
     assignment: list[int] = []
     for i, cnt in enumerate(shares):
         assignment.extend([i] * cnt)
@@ -438,17 +413,14 @@ def histogram_witness(
     counts = [0] * ell
     for r in _residues(n[:horizon], alpha):
         counts[r * ell // q] += 1
-    devs = tuple(Fraction(c, horizon) - Fraction(w, e_total)
-                 for c, w in zip(counts, target.weights))
-    if not all(abs(d) < target.eta for d in devs):
-        raise AssertionError("histogram deviations exceed eta")
     return HistogramWitness(
         alpha=alpha,
         target=target,
         base=base,
         horizon=horizon,
         counts=tuple(counts),
-        deviations=devs,
+        deviations=tuple(Fraction(c, horizon) - Fraction(w, e_total)
+                         for c, w in zip(counts, target.weights)),
     )
 
 
@@ -476,7 +448,8 @@ def avoidance_sequence(
     so gaps of 1 or 2 always suffice.  The avoided set includes 0 itself
     (slightly more than the open interval), which also keeps the orbit off
     the endpoint and is what forces the star discrepancy up to about eps.
-    Both the gap structure and the zero-hit claim are re-verified exactly.
+    The gaps and the recounted hits after the prefix (0 by the induction)
+    are claims of the `avoid` certificate, which `verify` rechecks.
     """
     alpha = mod1(Fraction(alpha))
     eps = Fraction(eps)
@@ -509,15 +482,9 @@ def avoidance_sequence(
             idx.append(n + 1)
             value = step1
         else:
-            step2 = (step1 + p) % q
-            if step2 * e_den < e_bound:
-                raise AssertionError("disjointness failed along the run")
             idx.append(n + 2)
-            value = step2
-    # Independent verification of the construction's claims.
+            value = (step1 + p) % q
     hits = sum(1 for n in idx[prefix_length:] if n * p % q * e_den < e_bound)
-    if hits:
-        raise AssertionError("avoidance failed: orbit entered the interval")
     gaps = tuple(b - a for a, b in zip(idx, idx[1:]))
     return AvoidanceResult(
         alpha=alpha,

@@ -732,16 +732,32 @@ def test_cli_subspace_run(tmp_path):
 
 
 def test_cli_witness_mode_aliases(tmp_path):
-    a = run_cli(
-        "witness", "--mode", "hitfreq", "--n-kind", "pow:2", "--count", "30",
-        "--interval", "1/2,33/64", "--ratio", "2", "--out", str(tmp_path / "a.json"),
-    )
-    b = run_cli(
-        "witness", "--mode", "salat2", "--n-kind", "pow:2", "--count", "30",
-        "--interval", "1/2,33/64", "--ratio", "2", "--out", str(tmp_path / "b.json"),
-    )
-    assert a.returncode == b.returncode == 0
-    assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+    # salat2 and salat3 are the only names of their modes.
+    for alias in ("hitfreq", "histogram"):
+        res = run_cli(
+            "witness", "--mode", alias, "--n-kind", "pow:2", "--count", "30",
+            "--interval", "1/2,33/64", "--ratio", "2", "--out", str(tmp_path / "a.json"),
+        )
+        assert res.returncode == 2
+        assert res.stderr == f"maldist witness: --mode: unknown witness mode {alias!r}\n"
+        assert not (tmp_path / "a.json").exists()
+
+
+def test_cli_verify_takes_its_path_positionally(tmp_path):
+    out = tmp_path / "five.json"
+    assert run_cli("doubling", "--mode", "fivesixth", "--alpha", "1/17",
+                   "--out", str(out)).returncode == 0
+    missing = run_cli("verify")
+    assert missing.returncode == 2
+    assert missing.stderr.endswith("error: the following arguments are required: certificate\n")
+    flag = run_cli("verify", "--certificate", str(out))
+    assert flag.returncode == 2
+    assert "unrecognized arguments: --certificate" in flag.stderr
+    config = tmp_path / "run.conf"
+    config.write_text(f"certificate = {out}\n")
+    keyed = run_cli("verify", str(out), "--config", str(config))
+    assert keyed.returncode == 2
+    assert keyed.stderr == f"maldist verify: {config}:1: unknown key 'certificate' for 'verify'\n"
 
 
 # 12^(64^2) has about 4400 decimal digits, past Python's default limit of
@@ -797,7 +813,7 @@ def test_cli_doubling_fivesixth_roundtrip(tmp_path):
     out = tmp_path / "five.json"
     res = run_cli("doubling", "--mode", "fivesixth", "--alpha", "1/17", "--out", str(out))
     assert res.returncode == 0, res.stderr
-    check = run_cli("verify", "--certificate", str(out))
+    check = run_cli("verify", str(out))
     assert check.returncode == 0
 
 

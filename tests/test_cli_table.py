@@ -59,15 +59,20 @@ def test_no_options_leak_between_calls(tmp_path):
     assert (plain["rng"]["seed"], plain["inputs"]["horizon"]) == (0, 10_000)
 
 
+# verify's certificate path is positional and required, and no config key.
+POSITIONAL = {"verify": {"certificate": "cert.json"}}
+
+
 @pytest.mark.parametrize("sub", list(cli._SUBCOMMANDS))
 def test_every_flag_is_a_config_key(tmp_path, sub):
     keys = cli._SUBCOMMANDS[sub][1]
     parser = cli._build_parser()
+    positional = POSITIONAL.get(sub, {})
     for key in keys:
         config = tmp_path / "run.conf"
         config.write_text(f"{key} = zz\n")
-        args = parser.parse_args([sub, "--config", str(config)])
-        assert cli._merge_config(args, keys) == {key: "zz"}
+        args = parser.parse_args([sub, *positional.values(), "--config", str(config)])
+        assert cli._merge_config(args, keys) == {key: "zz", **positional}
 
 
 @pytest.mark.parametrize("sub", list(cli._SUBCOMMANDS))
@@ -76,7 +81,8 @@ def test_another_subcommands_key_rejected(tmp_path, capsys, sub):
     foreign = min({k for _, ks, _ in cli._SUBCOMMANDS.values() for k in ks} - set(keys))
     config = tmp_path / "run.conf"
     config.write_text(f"{foreign} = 1\n")
-    assert cli.main([sub, "--config", str(config)]) == cli.USAGE_ERROR
+    argv = [sub, *POSITIONAL.get(sub, {}).values(), "--config", str(config)]
+    assert cli.main(argv) == cli.USAGE_ERROR
     assert capsys.readouterr().err == (
         f"maldist {sub}: {config}:1: unknown key {foreign!r} for {sub!r}\n"
     )

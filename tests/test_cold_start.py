@@ -114,10 +114,11 @@ def test_unknown_attribute_names_module_and_attribute():
 
 # sha256 of each text as printed before the handlers imported their own
 # layers (argparse at 80 columns, Python 3.11), `witness --help` since its
-# three --plan-* flags went; (arguments, stream, exit code).
+# three --plan-* flags went, `--help` and `verify --help` since the witness
+# mode aliases and `verify --certificate` went; (arguments, stream, exit code).
 HELP_TEXTS = [
     (["--help"], "stdout", 0,
-     "701fcaaef396c0e511824f198c5bc67d063e956adae1bc6edefb35cd69555a05"),
+     "0eaa838ba2ba1ecd413463e92437aff38435a0d4ea261c63174420bf6b2f2254"),
     (["envelope", "--help"], "stdout", 0,
      "b9233444d8993479a8bd7cb9ff2ead363bf02d0c3645b33c8fd8d1428908b08b"),
     (["subspace", "--help"], "stdout", 0,
@@ -129,7 +130,7 @@ HELP_TEXTS = [
     (["scan", "--help"], "stdout", 0,
      "beeb3fcfd436914d255ae4c39dbc524180c0fd57f04146b6671a9bc2aedf85a4"),
     (["verify", "--help"], "stdout", 0,
-     "5ccc8487556945a9225b75549e2eaaa4165a682b4eb8af4aee6eb5ed91724ade"),
+     "2135b348cd9d3190b0063983d11c7896c085f53c6028bbbf3a1edb83277b1f40"),
     ([], "stderr", 2,
      "1980a3ae5a8cd40c704f1bd6491d32fcce78121e13aaf0c33348a7a2378956b5"),
 ]

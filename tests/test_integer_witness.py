@@ -1,7 +1,10 @@
 """Differential tests of the integer witness kernels against test-local copies
 of the Fraction code they replaced: the nested-interval chain, the orbit
 recounts of the hit-frequency and histogram witnesses, the recounts of the
-hitfreq, histogram and zero-block verifiers, and `BinaryPoint.value`.
+hitfreq, histogram and zero-block verifiers, and `BinaryPoint.value`.  The
+builders re-check nothing they build, so every built chain, hit-frequency,
+histogram, avoidance and 5/6 result is also shown to have a certificate whose
+claims are all true and verify.
 """
 
 import json
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 from maldist import certificates as certs
 from maldist import cli
 from maldist import witness as witness_module
-from maldist.doubling import BinaryPoint
+from maldist.doubling import BinaryPoint, doubling_period, five_sixth_check
 from maldist.exact import format_rational, mod1
 from maldist.torus import TorusInterval, interval_contains_interval
 from maldist.witness import (
@@ -23,6 +26,7 @@ from maldist.witness import (
     MixingConfig,
     MixingChain,
     MixingConfigError,
+    avoidance_sequence,
     histogram_witness,
     hit_frequency_witness,
     mixing_chain,
@@ -278,6 +282,11 @@ def test_alpha_off_the_chain_gives_false_containment_claims(tmp_path):
     assert verify_exit_code(tmp_path, cert) == cli.CLAIM_ERROR
 
 
+def assert_true_and_verified(cert):
+    assert all(claim["verdict"] is True for claim in cert["claims"])
+    assert certs.verify_certificate(cert) == certs.VerificationResult(True, ())
+
+
 @given(chain_configs())
 def test_every_built_chain_has_a_true_verified_certificate(config):
     # The build does not re-check its chain: its certificate does.
@@ -285,9 +294,80 @@ def test_every_built_chain_has_a_true_verified_certificate(config):
         chain = mixing_chain(config)
     except MixingConfigError:
         assume(False)
-    cert = certs.mixing_certificate(chain)
-    assert all(claim["verdict"] is True for claim in cert["claims"])
-    assert certs.verify_certificate(cert) == certs.VerificationResult(True, ())
+    assert_true_and_verified(certs.mixing_certificate(chain))
+
+
+@st.composite
+def hitfreq_builds(draw):
+    """A hit-frequency witness: a ratio q > 1, multipliers growing by at
+    least q (by exactly q or more), and an interval shorter than 1/q."""
+    ratio = draw(st.sampled_from([F(2), F(3), F(7), F(3, 2), F(7, 4)]))
+    eps = F(1, draw(st.integers(1, 20))) / ratio * F(draw(st.integers(1, 9)), 10)
+    left = draw(st.sampled_from([F(0), 1 - eps, F(draw(st.integers(0, 30)), 31)]))
+    interval = TorusInterval(min(left, 1 - eps), min(left, 1 - eps) + eps)
+    n = [draw(st.integers(1, 20))]
+    for _ in range(draw(st.integers(40, 120))):
+        n.append(-(-n[-1] * ratio.numerator // ratio.denominator) + draw(st.integers(0, n[-1])))
+    try:
+        witness = hit_frequency_witness(n, interval, ratio)
+    except ValueError:  # too few multipliers for the plan
+        assume(False)
+    return certs.hitfreq_certificate(witness, n)
+
+
+@st.composite
+def histogram_builds(draw):
+    """A histogram witness at an eta just above its worst-case slack, with
+    arbitrary first `base` multipliers and steered ones growing past 2*cells."""
+    weights = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    ell, total = len(weights), sum(weights)
+    base = total * draw(st.integers(-(-2 // total), max(1, 12 // total)))
+    slack = max(max(F(w, total), 1 - F(w, total)) for w in weights) / base
+    eta = slack + F(1, draw(st.integers(1, 10**6)))
+    n = draw(st.lists(st.integers(1, 10**6), min_size=base, max_size=base))
+    n.append(draw(st.integers(5, 50)))
+    while len(n) < base * base:
+        n.append(grow(draw, n[-1], F(2 * ell)))
+    witness = histogram_witness(n, HistogramTarget(weights, eta), base)
+    return certs.histogram_certificate(witness, n)
+
+
+@st.composite
+def avoidance_builds(draw):
+    """An avoidance run: eps <= alpha <= 1 - eps, and a gap-{1,2} prefix."""
+    q = draw(st.integers(2, 300))
+    alpha = F(draw(st.integers(1, q - 1)), q)
+    bound = min(alpha, 1 - alpha)
+    eps = bound * F(draw(st.integers(1, 8)), 8)
+    prefix = [draw(st.integers(1, 5))]
+    for gap in draw(st.lists(st.sampled_from([1, 2]), max_size=6)):
+        prefix.append(prefix[-1] + gap)
+    horizon = len(prefix) + draw(st.integers(0, 400))
+    return certs.avoidance_certificate(avoidance_sequence(alpha, eps, prefix, horizon))
+
+
+@st.composite
+def fivesixth_builds(draw):
+    """A 5/6 report for alpha in (0, 1/16), at a horizon inside the first
+    period or past it by whole periods and a part of one."""
+    q = draw(st.integers(17, 5000))
+    alpha = F(draw(st.integers(1, (q - 1) // 16)), q)
+    pre, period = doubling_period(alpha)
+    horizon = draw(st.one_of(
+        st.integers(1, pre + period),
+        st.builds(lambda whole, rest: pre + whole * period + rest,
+                  st.integers(1, 10**12), st.integers(0, period)),
+    ))
+    return certs.fivesixth_certificate(five_sixth_check(alpha, horizon), alpha)
+
+
+@pytest.mark.parametrize(
+    "builds", [hitfreq_builds, histogram_builds, avoidance_builds, fivesixth_builds]
+)
+@given(data=st.data())
+def test_every_built_witness_has_a_true_verified_certificate(builds, data):
+    # The builders do not re-check their results: their certificates do.
+    assert_true_and_verified(data.draw(builds()))
 
 
 # --- witness recounts -------------------------------------------------------------

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from maldist.doubling import zero_block_density
@@ -13,7 +13,6 @@ from maldist.witness import (
     HistogramTarget,
     MixingConfig,
     MixingConfigError,
-    WitnessPlan,
     auto_plan,
     avoidance_sequence,
     histogram_witness,
@@ -83,11 +82,17 @@ def test_auto_plan_power_of_two():
     assert F(2) ** plan.c * F(1, 64) ** plan.u < 1
 
 
-def test_plan_rejects_large_quality():
-    # u = 2 gives quality 1/8, violating q^(u-2) > 2 for q = 2.
-    plan = WitnessPlan(ratio=F(2), u=2, c=8, repeats=1)
-    with pytest.raises(ValueError):
-        plan.validate(F(1, 64))
+@given(st.integers(1, 20), st.integers(1, 80), st.integers(1, 99), st.integers(0, 9))
+# q = 2 and eps = 1/8: q^4 = 2/eps meets the stride bound with equality.
+@example(1, 1, 25, 0)
+def test_auto_plan_meets_its_three_inequalities(den, excess, share, scale):
+    # Any ratio q > 1 and eps in (0, 1/q); the plan is built unchecked.
+    q = F(den + excess, den)
+    eps = F(share, 100 * 10**scale) / q
+    plan = auto_plan(q, eps)
+    assert q ** (plan.u - 2) > 2
+    assert q**plan.c > 2 / eps
+    assert q**plan.c * eps**plan.u < 1
 
 
 def test_hit_frequency_witness_powers_of_two():
