@@ -18,11 +18,11 @@ checkable long after the run that produced them.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import lcm
 from typing import TYPE_CHECKING, Sequence
 
@@ -765,12 +765,13 @@ def _verify_histogram(inp: dict, stated: dict):
 
 def _verify_avoid(inp: dict, stated: dict):
     alpha, eps, prefix, gaps = inp["alpha"], inp["eps"], inp["prefix"], inp["gaps"]
-    indices = prefix[:-1] + list(accumulate(gaps, initial=prefix[-1]))
-    # n*alpha mod 1 = (n*p mod q)/q, and r/q < eps iff
-    # r * eps.denominator < eps.numerator * q.
+    # r/q < eps iff r < ceil(eps*q): the sorted residues n*p mod q give the
+    # hits after the prefix by bisection, less the prefix's own, and D*.
     p, q = alpha.numerator, alpha.denominator
-    e_den, e_bound = eps.denominator, eps.numerator * q
-    hits = sum(1 for n in indices[len(prefix) :] if n * p % q * e_den < e_bound)
+    bound = -(-eps.numerator * q // eps.denominator)
+    indices = chain(prefix[:-1], accumulate(gaps, initial=prefix[-1]))
+    residues = sorted([n * p % q for n in indices])
+    hits = bisect_left(residues, bound) - sum(n * p % q < bound for n in prefix)
     # The gaps are bytes: deleting the values 1 and 2 leaves any other gap.
     gaps_ok = not gaps.translate(None, b"\1\2") and all(
         b - a in (1, 2) for a, b in zip(prefix, prefix[1:])
@@ -782,7 +783,7 @@ def _verify_avoid(inp: dict, stated: dict):
             floor = _RATIONAL.parse(stated["star-discrepancy-floor"].get("floor"))
         except _Refused as exc:
             return [f"star-discrepancy-floor: floor: {exc.reason}"], None
-        disc = star_discrepancy(Residues([n * p % q for n in indices], q))
+        disc = star_discrepancy(Residues(residues, q))
     return [], _avoid_claims(gaps_ok, hits, disc, floor)
 
 

@@ -153,8 +153,10 @@ def star_discrepancy(points: Residues) -> Fraction:
 
     The sup is attained (in the limit) at one of the 2N empirical-CDF
     breakpoints, so a sweep over the sorted sample is exact.  The sweep runs
-    on the integer numerators r over the shared denominator q: with x = r/q,
-    i/N - x = (i*q - r*N)/(N*q).
+    on the integer numerators r over the shared denominator q, and one
+    sequence carries both sides of it: for the i-th smallest point r_(i)/q,
+    hi_i = i*q - r_(i)*N is N*q times i/N - r_(i)/q, and N*q times
+    r_(i)/q - (i-1)/N is q - hi_i.  Already sorted `nums` sort in one pass.
     """
     n = len(points)
     if n == 0:
@@ -163,15 +165,8 @@ def star_discrepancy(points: Residues) -> Fraction:
     rs = sorted(points.nums)
     if not (0 <= rs[0] and rs[-1] < q):
         raise ValueError("points must lie in [0, 1)")
-    best = 0
-    for i, r in enumerate(rs, start=1):
-        hi = i * q - r * n
-        lo = r * n - (i - 1) * q
-        if hi > best:
-            best = hi
-        if lo > best:
-            best = lo
-    return Fraction(best, n * q)
+    hi = [iq - r * n for iq, r in zip(range(q, (n + 1) * q, q), rs)]
+    return Fraction(max(0, max(hi), q - min(hi)), n * q)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import accumulate
+from math import ceil
 from pathlib import Path
 
 import pytest
@@ -31,7 +33,7 @@ from maldist.witness import (
     mixing_chain,
     zero_block_alpha,
 )
-from tests.oracles import point_mass, shift_value
+from tests.oracles import fraction_star_discrepancy, point_mass, shift_value
 
 
 # Directory holding the maldist package this test process imported: src/ in a
@@ -299,6 +301,67 @@ def test_fivesixth_verifier_recounts_the_hits(p, q, horizon):
     cert["claims"][0]["minus_hits"] += 1
     cert["claims"][0]["plus_hits"] -= 1
     assert not certs.verify_certificate(cert).ok
+
+
+@st.composite
+def avoid_certificates_with_hits(draw):
+    """An `avoid` certificate whose gaps string has some digits changed, and
+    its inputs.  q runs below and above the horizon (residues repeat below),
+    eps*q is an integer or not, the prefix of 1-4 indices may start on a
+    residue below ceil(eps*q), and one gap is steered, where a digit can,
+    onto residue ceil(eps*q) - 1, the largest hit."""
+    alpha = mod1(F(draw(st.integers(1, 10**4)),
+                   draw(st.one_of(st.integers(3, 30), st.integers(31, 3000)))))
+    assume(alpha != 0)
+    p, q = alpha.numerator, alpha.denominator
+    room = min(alpha, 1 - alpha)  # the builder's precondition: eps <= room
+    if draw(st.booleans()):
+        eps = F(draw(st.integers(1, room * q)), q)
+    else:
+        eps = room * F(draw(st.integers(1, 199)), 200)
+        assume((eps * q).denominator != 1)
+    bound = ceil(eps * q)
+    below = [n for n in range(1, q + 1) if n * p % q < bound]
+    prefix = [draw(st.one_of(st.integers(1, 2 * q), st.sampled_from(below)))]
+    for g in draw(st.lists(st.sampled_from((1, 2)), max_size=3)):
+        prefix.append(prefix[-1] + g)
+    horizon = len(prefix) + draw(st.integers(1, 120))
+    floor = draw(st.one_of(st.none(), st.sampled_from((F(1, 100), eps / 2, eps))))
+    cert = certs.avoidance_certificate(avoidance_sequence(alpha, eps, prefix, horizon), floor)
+    gaps = list(map(int, cert["inputs"]["gaps"]))
+    for pos, digit in draw(st.lists(st.tuples(st.integers(0, len(gaps) - 1), st.integers(0, 9)),
+                                    min_size=1, max_size=6)):
+        gaps[pos] = digit
+    k = draw(st.integers(0, len(gaps) - 1))
+    start = prefix[-1] + sum(gaps[:k])
+    gaps[k] = next((g for g in range(10) if (start + g) * p % q == bound - 1), gaps[k])
+    cert["inputs"]["gaps"] = "".join(map(str, gaps))
+    return cert, alpha, eps, prefix, gaps, floor
+
+
+@settings(max_examples=150, deadline=None)
+@given(avoid_certificates_with_hits())
+def test_avoid_verifier_recounts_the_hits(drawn):
+    """The verifier's numbers are those of a direct Fraction recount, n*alpha
+    mod 1 < eps index by index, and of the Fraction D* sweep."""
+    cert, alpha, eps, prefix, gaps, floor = drawn
+    indices = prefix[:-1] + list(accumulate(gaps, initial=prefix[-1]))
+    points = [mod1(n * alpha) for n in indices]
+    hits = sum(1 for x in points[len(prefix):] if x < eps)
+    gaps_ok = all(b - a in (1, 2) for a, b in zip(indices, indices[1:]))
+    cert["claims"] = [
+        {"id": "gap-structure", "kind": "gaps-in-one-two", "verdict": gaps_ok},
+        {"id": "zero-hits", "kind": "orbit-avoids-interval", "hits": hits, "verdict": hits == 0},
+    ]
+    if floor is not None:
+        disc = fraction_star_discrepancy(points)
+        cert["claims"].append({"id": "star-discrepancy-floor", "kind": "star-discrepancy-at-least",
+                               "value": format_rational(disc), "floor": format_rational(floor),
+                               "verdict": disc >= floor})
+    assert certs.verify_certificate(cert).failures == ()
+    claim(cert, "zero-hits")["hits"] = hits + 1
+    assert f"zero-hits: hits is {hits + 1}, recomputed {hits}" in (
+        certs.verify_certificate(cert).failures)
 
 
 def shift_window_hits(point, end):

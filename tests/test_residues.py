@@ -13,7 +13,7 @@ gcd(r, den) > 1, and with r = 0 wherever the orbit meets 0.
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maldist.doubling import doubling_orbit
@@ -40,10 +40,10 @@ POINTS_ERROR = r"^points must lie in \[0, 1\)$"
 
 
 @st.composite
-def orbits(draw, min_size=1, max_size=60):
+def orbits(draw, min_size=1, max_size=60, max_den=300):
     """(Residues, the equal Fraction list) of a rotation or doubling orbit
     segment, numerators scaled by a factor >= 1 (unreduced when > 1)."""
-    q = draw(st.integers(min_value=1, max_value=300))
+    q = draw(st.integers(min_value=1, max_value=max_den))
     p = draw(st.integers(min_value=0, max_value=3 * q))
     count = draw(st.integers(min_value=min_size, max_value=max_size))
     if draw(st.booleans()):
@@ -126,8 +126,14 @@ def test_empirical_measure_matches_fraction_list(triple):
     assert scan.counts[0] == empirical_measure(points, partition)
 
 
-@given(orbits())
+@given(st.one_of(orbits(), orbits(max_den=4)))
+@example((Residues([0], 1), [F(0)]))
+@example((Residues([0, 0, 0], 1), [F(0)] * 3))
+@example((Residues([3], 6), [F(1, 2)]))
+@example((Residues([2, 1, 2, 1, 0, 2, 0], 3), [F(2, 3), F(1, 3), F(2, 3), F(1, 3), F(0), F(2, 3), F(0)]))
 def test_star_discrepancy_matches_fraction_list(pair):
+    """Over any q, and over q <= 4, where the orbit repeats its residues
+    (N > q); the examples add q = 1, N = 1 and residue 0."""
     residues, points = pair
     assert star_discrepancy(residues) == fraction_star_discrepancy(points)
 
