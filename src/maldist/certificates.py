@@ -18,7 +18,7 @@ checkable long after the run that produced them.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -765,13 +765,13 @@ def _verify_histogram(inp: dict, stated: dict):
 
 def _verify_avoid(inp: dict, stated: dict):
     alpha, eps, prefix, gaps = inp["alpha"], inp["eps"], inp["prefix"], inp["gaps"]
-    # r/q < eps iff r < ceil(eps*q): the sorted residues n*p mod q give the
-    # hits after the prefix by bisection, less the prefix's own, and D*.
+    # Each residue n*p mod q is formed once, and for an integer r,
+    # r/q < eps iff r < ceil(eps*q); only the D* claim sorts them.
     p, q = alpha.numerator, alpha.denominator
     bound = -(-eps.numerator * q // eps.denominator)
     indices = chain(prefix[:-1], accumulate(gaps, initial=prefix[-1]))
-    residues = sorted([n * p % q for n in indices])
-    hits = bisect_left(residues, bound) - sum(n * p % q < bound for n in prefix)
+    residues = [n * p % q for n in indices]
+    hits = len([r for r in residues[len(prefix) :] if r < bound])
     # The gaps are bytes: deleting the values 1 and 2 leaves any other gap.
     gaps_ok = not gaps.translate(None, b"\1\2") and all(
         b - a in (1, 2) for a, b in zip(prefix, prefix[1:])

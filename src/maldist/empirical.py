@@ -148,6 +148,9 @@ def _cell_indices(nums: Sequence[int], bounds: Sequence[int], den: int) -> Itera
     return map(bisect_right, repeat(bounds), nums)
 
 
+_SWEEP_BLOCK = 4096
+
+
 def star_discrepancy(points: Residues) -> Fraction:
     """Exact D*_N = sup_t |#{n: x_n < t}/N - t| over t in (0, 1].
 
@@ -156,7 +159,8 @@ def star_discrepancy(points: Residues) -> Fraction:
     on the integer numerators r over the shared denominator q, and one
     sequence carries both sides of it: for the i-th smallest point r_(i)/q,
     hi_i = i*q - r_(i)*N is N*q times i/N - r_(i)/q, and N*q times
-    r_(i)/q - (i-1)/N is q - hi_i.  Already sorted `nums` sort in one pass.
+    r_(i)/q - (i-1)/N is q - hi_i.  The sequence is read in blocks of
+    `_SWEEP_BLOCK` points, so no list of N sweep values is held.
     """
     n = len(points)
     if n == 0:
@@ -165,8 +169,12 @@ def star_discrepancy(points: Residues) -> Fraction:
     rs = sorted(points.nums)
     if not (0 <= rs[0] and rs[-1] < q):
         raise ValueError("points must lie in [0, 1)")
-    hi = [iq - r * n for iq, r in zip(range(q, (n + 1) * q, q), rs)]
-    return Fraction(max(0, max(hi), q - min(hi)), n * q)
+    top, low = 0, q
+    for k in range(0, n, _SWEEP_BLOCK):
+        hi = [iq - r * n for iq, r in zip(range((k + 1) * q, (n + 1) * q, q),
+                                          rs[k : k + _SWEEP_BLOCK])]
+        top, low = max(top, max(hi)), min(low, min(hi))
+    return Fraction(max(top, q - low), n * q)
 
 
 @dataclass(frozen=True)

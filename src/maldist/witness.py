@@ -474,7 +474,7 @@ def avoidance_sequence(
     e_den, e_bound = eps.denominator, eps.numerator * q
 
     prefix_length = len(idx)
-    value, walk = idx[-1] * p % q, []
+    value, hits = idx[-1] * p % q, 0
     while len(idx) < horizon:
         n = idx[-1]
         step1 = (value + p) % q
@@ -484,8 +484,7 @@ def avoidance_sequence(
         else:
             idx.append(n + 2)
             value = (step1 + p) % q
-        walk.append(value)
-    hits = sum(1 for r in walk if r * e_den < e_bound)
+        hits += value * e_den < e_bound
     gaps = tuple(b - a for a, b in zip(idx, idx[1:]))
     return AvoidanceResult(
         alpha=alpha,

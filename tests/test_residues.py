@@ -126,14 +126,18 @@ def test_empirical_measure_matches_fraction_list(triple):
     assert scan.counts[0] == empirical_measure(points, partition)
 
 
-@given(st.one_of(orbits(), orbits(max_den=4)))
+@given(st.one_of(orbits(), orbits(max_den=4), orbits(min_size=4090, max_size=3 * 4096 + 3)))
+@example((Residues([0] * 4096, 7), [F(0)] * 4096))
+@example((Residues([0] * 4097, 7), [F(0)] * 4097))
 @example((Residues([0], 1), [F(0)]))
 @example((Residues([0, 0, 0], 1), [F(0)] * 3))
 @example((Residues([3], 6), [F(1, 2)]))
 @example((Residues([2, 1, 2, 1, 0, 2, 0], 3), [F(2, 3), F(1, 3), F(2, 3), F(1, 3), F(0), F(2, 3), F(0)]))
 def test_star_discrepancy_matches_fraction_list(pair):
-    """Over any q, and over q <= 4, where the orbit repeats its residues
-    (N > q); the examples add q = 1, N = 1 and residue 0."""
+    """Over any q, over q <= 4, where the orbit repeats its residues
+    (N > q), and over N of one to three sweep blocks; the examples put the
+    largest sweep value at a block's last and next point, and add q = 1,
+    N = 1 and residue 0."""
     residues, points = pair
     assert star_discrepancy(residues) == fraction_star_discrepancy(points)
 
