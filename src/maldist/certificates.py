@@ -563,7 +563,7 @@ def avoidance_certificate(result: AvoidanceResult, discrepancy_floor: Fraction |
         p, q = result.alpha.numerator, result.alpha.denominator
         disc = star_discrepancy(Residues([n * p % q for n in result.indices], q))
         margins["star_discrepancy"] = _fr(disc)
-    claims = _avoid_claims(all(g in (1, 2) for g in result.gaps), result.hits_after_prefix,
+    claims = _avoid_claims(set(result.gaps) <= {1, 2}, result.hits_after_prefix,
                            disc, discrepancy_floor)
     return _certificate("avoid", claims, margins, alpha=result.alpha, eps=result.eps,
                         prefix=result.indices[: result.prefix_length],
@@ -773,9 +773,8 @@ def _verify_avoid(inp: dict, stated: dict):
     residues = [n * p % q for n in indices]
     hits = len([r for r in residues[len(prefix) :] if r < bound])
     # The gaps are bytes: deleting the values 1 and 2 leaves any other gap.
-    gaps_ok = not gaps.translate(None, b"\1\2") and all(
-        b - a in (1, 2) for a, b in zip(prefix, prefix[1:])
-    )
+    gaps_ok = not gaps.translate(None, b"\1\2") and (
+        {b - a for a, b in zip(prefix, prefix[1:])} <= {1, 2})
     disc = floor = None
     if "star-discrepancy-floor" in stated:
         # The floor is the claim's own input, typed as an echoed rational.

@@ -614,8 +614,11 @@ def _cmd_witness(opts: dict) -> int:
         eps = _rational(opts, "eps")
         horizon = _int(opts, "horizon", 10_000, low=1)
         prefix = _int_list(opts.get("prefix", "1"), "prefix") if opts.get("prefix") else [1]
-        result = avoidance_sequence(alpha, eps, prefix=prefix, horizon=horizon)
         floor = _rational(opts, "discrepancy-floor", "0/1")
+        if floor < 0:
+            raise CliError("--discrepancy-floor: expected a nonnegative rational, "
+                           f"got {opts['discrepancy-floor']!r}")
+        result = avoidance_sequence(alpha, eps, prefix=prefix, horizon=horizon)
         cert = certs.avoidance_certificate(result, floor if floor > 0 else None)
     elif mode == "zeroblock":
         cert = certs.zeroblock_certificate(*_zero_block_point(opts))

@@ -15,7 +15,8 @@ from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
+from math import isqrt
 
 from .exact import decimal_ratio, format_ratio, is_dyadic, over_lcm
 
@@ -148,19 +149,21 @@ def _cell_indices(nums: Sequence[int], bounds: Sequence[int], den: int) -> Itera
     return map(bisect_right, repeat(bounds), nums)
 
 
-_SWEEP_BLOCK = 4096
+_SWEEP_BLOCK, _SWEEP_RUN = 32, 4096
 
 
 def star_discrepancy(points: Residues) -> Fraction:
     """Exact D*_N = sup_t |#{n: x_n < t}/N - t| over t in (0, 1].
 
     The sup is attained (in the limit) at one of the 2N empirical-CDF
-    breakpoints, so a sweep over the sorted sample is exact.  The sweep runs
-    on the integer numerators r over the shared denominator q, and one
-    sequence carries both sides of it: for the i-th smallest point r_(i)/q,
-    hi_i = i*q - r_(i)*N is N*q times i/N - r_(i)/q, and N*q times
-    r_(i)/q - (i-1)/N is q - hi_i.  The sequence is read in blocks of
-    `_SWEEP_BLOCK` points, so no list of N sweep values is held.
+    breakpoints, so a sweep over the sorted sample is exact.  It runs on
+    the integer numerators r over the shared denominator q: for the i-th
+    smallest point r_(i)/q, hi_i = i*q - r_(i)*N is N*q times i/N - r_(i)/q,
+    and N*q times r_(i)/q - (i-1)/N is q - hi_i.  In a block of B points
+    from rank i0 to the point r_last, every hi_i lies between
+    i0*q - N*r_last and hi_i0 + (B-1)*q.  So with B = max(32, sqrt N), only
+    the blocks whose bounds pass the extremes of the N/B first values are
+    read in full, in runs of at most `_SWEEP_RUN` points.
     """
     n = len(points)
     if n == 0:
@@ -169,10 +172,17 @@ def star_discrepancy(points: Residues) -> Fraction:
     rs = sorted(points.nums)
     if not (0 <= rs[0] and rs[-1] < q):
         raise ValueError("points must lie in [0, 1)")
-    top, low = 0, q
-    for k in range(0, n, _SWEEP_BLOCK):
-        hi = [iq - r * n for iq, r in zip(range((k + 1) * q, (n + 1) * q, q),
-                                          rs[k : k + _SWEEP_BLOCK])]
+    block = max(_SWEEP_BLOCK, isqrt(n))
+    heads = [iq - r * n for iq, r in zip(range(q, (n + 1) * q, block * q), rs[::block])]
+    top, low = max(0, max(heads)), min(q, min(heads))
+    cut, runs = top - (block - 1) * q, []
+    for k, head, last in zip(range(0, n, block), heads, chain(rs[block - 1 :: block], rs[-1:])):
+        if head > cut or (k + 1) * q - last * n < low:
+            if not (runs and runs[-1][1] == k and k + block - runs[-1][0] <= _SWEEP_RUN):
+                runs.append([k, k])
+            runs[-1][1] += block
+    for a, b in runs:
+        hi = [iq - r * n for iq, r in zip(range((a + 1) * q, (n + 1) * q, q), rs[a:b])]
         top, low = max(top, max(hi)), min(low, min(hi))
     return Fraction(max(top, q - low), n * q)
 

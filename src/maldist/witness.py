@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, islice, repeat
+from operator import mod, sub
 from typing import Sequence
 
 from .doubling import BinaryPoint
@@ -100,7 +102,10 @@ class MixingConfig:
                     k + 2,
                     f"n_{k + 2}={n[k + 1]} must exceed (2/eps) n_{k + 1}={2 * n[k] / self.eps}",
                 )
+        first = {}  # each target object is checked at its first index only
         for k, t in enumerate(self.targets, start=1):
+            if first.setdefault(id(t), k) != k:
+                continue
             if t.wraps:
                 raise MixingConfigError(k, "target intervals must not wrap")
             # right - left < eps, as (rn*ld - ln*rd) * e_den < e_num * ld*rd.
@@ -278,14 +283,9 @@ def hit_frequency_witness(
     if len(n) < horizon:
         raise ValueError(f"need at least {horizon} multipliers, got {len(n)}")
     positions = tuple(range(repeats * c, horizon + 1, c))
-    sub = [n[p - 1] for p in positions]
-    config = MixingConfig(
-        multipliers=tuple(sub),
-        eps=eps,
-        delta=delta,
-        start=_DEFAULT_START,
-        targets=tuple(interval for _ in sub),
-    )
+    picked = tuple(n[p - 1] for p in positions)
+    config = MixingConfig(multipliers=picked, eps=eps, delta=delta, start=_DEFAULT_START,
+                          targets=(interval,) * len(picked))
     chain = mixing_chain(config)
     alpha = chain.alpha
     q = alpha.denominator
@@ -397,13 +397,8 @@ def histogram_witness(
     eps = Fraction(1, ell)
     cells = [TorusInterval(Fraction(i, ell), Fraction(i + 1, ell)) for i in range(ell)]
     targets = tuple(cells[i] for i in assignment)
-    config = MixingConfig(
-        multipliers=tuple(n[base : horizon]),
-        eps=eps,
-        delta=_DEFAULT_START.length,
-        start=_DEFAULT_START,
-        targets=targets,
-    )
+    config = MixingConfig(multipliers=tuple(n[base:horizon]), eps=eps,
+                          delta=_DEFAULT_START.length, start=_DEFAULT_START, targets=targets)
     chain = mixing_chain(config)
     alpha = chain.alpha
     # The chain's hypotheses covered the steered multipliers, not the first base.
@@ -440,16 +435,14 @@ def avoidance_sequence(
     prefix: Sequence[int] = (1,),
     horizon: int = 10_000,
 ) -> AvoidanceResult:
-    """Gap-{1,2} extension of the prefix whose orbit never enters [0, eps)
-    after the prefix.
+    """Gap-{1,2} extension of the prefix: after its last index n_0, the m
+    whose point m*alpha mod 1 lies outside [0, eps) (0 included, which
+    forces the star discrepancy up to about eps), so no hit follows.
 
-    Induction: if (n+1)*alpha mod 1 lands in [0, eps), then (n+2)*alpha lands
-    in [alpha, alpha+eps), which is disjoint from [0, eps) by precondition,
-    so gaps of 1 or 2 always suffice.  The avoided set includes 0 itself
-    (slightly more than the open interval), which also keeps the orbit off
-    the endpoint and is what forces the star discrepancy up to about eps.
-    The gaps and the recounted hits after the prefix (0 by the induction)
-    are claims of the `avoid` certificate, which `verify` rechecks.
+    If m*alpha mod 1 lands in [0, eps), then (m+1)*alpha lands in
+    [alpha, alpha+eps), disjoint from [0, eps) by precondition, so the gaps
+    are 1 or 2.  The gaps and the hits are claims of the `avoid`
+    certificate, which `verify` rechecks.
     """
     alpha = mod1(Fraction(alpha))
     eps = Fraction(eps)
@@ -468,31 +461,25 @@ def avoidance_sequence(
     if len(idx) > horizon:
         raise ValueError("prefix longer than the requested horizon")
 
-    # The orbit runs on residues: n*alpha mod 1 = (n*p mod q)/q, and r/q lies
-    # in [0, eps) iff r * eps.denominator < eps.numerator * q.
+    # m*alpha mod 1 = (m*p mod q)/q, and for an integer r, r/q < eps iff
+    # r < ceil(eps*q).  A span of m is sized from the count still needed,
+    # up to 2^14 indices.
     p, q = alpha.numerator, alpha.denominator
-    e_den, e_bound = eps.denominator, eps.numerator * q
-
-    prefix_length = len(idx)
-    value, hits = idx[-1] * p % q, 0
+    bound = -(-eps.numerator * q // eps.denominator)
+    prefix_length, m = len(idx), idx[-1] + 1
     while len(idx) < horizon:
-        n = idx[-1]
-        step1 = (value + p) % q
-        if not step1 * e_den < e_bound:
-            idx.append(n + 1)
-            value = step1
-        else:
-            idx.append(n + 2)
-            value = (step1 + p) % q
-        hits += value * e_den < e_bound
-    gaps = tuple(b - a for a, b in zip(idx, idx[1:]))
+        need = horizon - len(idx)
+        stop = m + min(-(-need * q // (q - bound)), 1 << 14)
+        residues = map(mod, range(m * p, stop * p, p), repeat(q))
+        idx.extend(islice(compress(range(m, stop), map(bound.__le__, residues)), need))
+        m = stop
     return AvoidanceResult(
         alpha=alpha,
         eps=eps,
         indices=tuple(idx),
-        gaps=gaps,
+        gaps=tuple(map(sub, islice(idx, 1, None), idx)),
         prefix_length=prefix_length,
-        hits_after_prefix=hits,
+        hits_after_prefix=0,
     )
 
 

@@ -30,6 +30,9 @@ program against.  None of it backs a `maldist` subcommand.
   at a time up to the last window end, the loop the zero-block verifier
   ran before it folded the steps past the last 1 digit, and the reference
   for that fold on both the build and the verify side;
+- `walked_avoidance_sequence`: the gap-{1,2} avoidance run walked one
+  index at a time on integer residues, as `avoidance_sequence` built it
+  before it took the indices by their rule;
 - `regex_parse_rational`: the regular-expression parser `parse_rational`
   was before it became a one-pass `str`-method parse, which the
   differential test holds it to;
@@ -62,6 +65,7 @@ from maldist.envelope import BlockSpec, RatioMeasure
 from maldist.exact import RationalParseError, decimal_ratio, format_rational, mod1, over_lcm
 from maldist.subspace import ExtensionTarget, validate_membership
 from maldist.torus import TorusInterval
+from maldist.witness import AvoidanceResult
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -278,6 +282,44 @@ def stepwise_window_hits(digits: Sequence[int], ends: Iterable[int]) -> dict[int
         if k in ends:
             out[k] = hits
     return out
+
+
+def walked_avoidance_sequence(
+    alpha: Fraction, eps: Fraction, prefix: Sequence[int], horizon: int
+) -> AvoidanceResult:
+    """The avoidance run walked index by index (input checks left out): from
+    the last index n it takes n+1 when (n+1)*alpha mod 1 lies outside
+    [0, eps), else n+2, and counts the hits of the indices it takes."""
+    alpha = mod1(Fraction(alpha))
+    eps = Fraction(eps)
+    idx = [int(v) for v in prefix]
+
+    # The orbit runs on residues: n*alpha mod 1 = (n*p mod q)/q, and r/q lies
+    # in [0, eps) iff r * eps.denominator < eps.numerator * q.
+    p, q = alpha.numerator, alpha.denominator
+    e_den, e_bound = eps.denominator, eps.numerator * q
+
+    prefix_length = len(idx)
+    value, hits = idx[-1] * p % q, 0
+    while len(idx) < horizon:
+        n = idx[-1]
+        step1 = (value + p) % q
+        if not step1 * e_den < e_bound:
+            idx.append(n + 1)
+            value = step1
+        else:
+            idx.append(n + 2)
+            value = (step1 + p) % q
+        hits += value * e_den < e_bound
+    gaps = tuple(b - a for a, b in zip(idx, idx[1:]))
+    return AvoidanceResult(
+        alpha=alpha,
+        eps=eps,
+        indices=tuple(idx),
+        gaps=gaps,
+        prefix_length=prefix_length,
+        hits_after_prefix=hits,
+    )
 
 
 def empirical_measure(points: Sequence[Fraction], partition: CellPartition) -> tuple[int, ...]:

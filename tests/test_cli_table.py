@@ -327,6 +327,22 @@ def test_out_of_range_values_are_refused_by_their_flag(tmp_path, capsys, argv, f
     assert (captured.out, out.exists()) == ("", False)
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_discrepancy_floor_is_refused_by_its_flag(tmp_path, capsys, source):
+    # Not as a certificate with no floor claim; 0 keeps meaning no claim.
+    out, config = tmp_path / "avoid.json", tmp_path / "run.conf"
+    config.write_text("discrepancy-floor = -1/2\n")
+    floor = ["--discrepancy-floor=-1/2"] if source == "flag" else ["--config", str(config)]
+    assert cli.main([*AVOID, *floor, "--out", str(out)]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "maldist witness: --discrepancy-floor: expected a nonnegative rational, got '-1/2'\n")
+    assert (captured.out, out.exists()) == ("", False)
+    assert cli.main([*AVOID, "--discrepancy-floor", "0", "--out", str(out)]) == 0
+    ids = [c["id"] for c in json.loads(out.read_text())["claims"]]
+    assert "star-discrepancy-floor" not in ids
+
+
 @pytest.mark.parametrize("floor, code", [("1/5", 0), ("4/17", 0), ("1/4", cli.CLAIM_ERROR)])
 def test_discrepancy_floor_claim_holds_up_to_the_discrepancy(tmp_path, floor, code):
     # The avoidance run below has star discrepancy 4/17 at its horizon.

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from maldist.doubling import doubling_orbit
 from maldist.empirical import (
+    _SWEEP_BLOCK,
     CellPartition,
     MeasureVector,
     Residues,
@@ -126,18 +127,47 @@ def test_empirical_measure_matches_fraction_list(triple):
     assert scan.counts[0] == empirical_measure(points, partition)
 
 
-@given(st.one_of(orbits(), orbits(max_den=4), orbits(min_size=4090, max_size=3 * 4096 + 3)))
+def listed(nums, q):
+    """(Residues, the equal Fraction list) of the numerators nums over q."""
+    return Residues(nums, q), [F(r, q) for r in nums]
+
+
+B = _SWEEP_BLOCK
+# 3B points: B + B/2 at 1/10 and the rest at 8/10, so the largest sweep
+# value sits at rank B + B/2 and the smallest at the next rank, in one block.
+TWO_VALUES = [1] * (B + B // 2) + [8] * (2 * B - B // 2)
+
+
+@given(st.one_of(orbits(), orbits(max_den=4), orbits(min_size=B - 1, max_size=8 * B + 1),
+                 orbits(min_size=4090, max_size=3 * 4096 + 3)))
 @example((Residues([0] * 4096, 7), [F(0)] * 4096))
 @example((Residues([0] * 4097, 7), [F(0)] * 4097))
 @example((Residues([0], 1), [F(0)]))
 @example((Residues([0, 0, 0], 1), [F(0)] * 3))
 @example((Residues([3], 6), [F(1, 2)]))
 @example((Residues([2, 1, 2, 1, 0, 2, 0], 3), [F(2, 3), F(1, 3), F(2, 3), F(1, 3), F(0), F(2, 3), F(0)]))
+@example(listed([n * 5 % 17 for n in range(1, B)], 17))
+@example(listed([n * 5 % 17 for n in range(1, B + 1)], 17))
+@example(listed([n * 5 % 17 for n in range(1, B + 2)], 17))
+@example(listed([n * 5 % 17 for n in range(1, 2 * B + 2)], 17))
+@example(listed([0] * B, 7))
+@example(listed([0] * (B + 1), 7))
+@example(listed(TWO_VALUES, 10))
+@example(listed([0] * B + [75] + [60 * B] * (B - 1), 100 * B))
+@example(listed([3] * 7 + [6] * (B - 4) + [7] * B + [9], 10))
+@example(listed([5] * (2 * B + 1), 9))
+@example(listed([0] * (2 * B + 1), 1))
 def test_star_discrepancy_matches_fraction_list(pair):
     """Over any q, over q <= 4, where the orbit repeats its residues
-    (N > q), and over N of one to three sweep blocks; the examples put the
-    largest sweep value at a block's last and next point, and add q = 1,
-    N = 1 and residue 0."""
+    (N > q), and over N of one to eight sweep blocks B and of 4,090-12,291
+    points.  The examples put the largest sweep value at the last point of
+    a block of 4096 and of B and at the next point, take B - 1, B, B + 1
+    and 2B + 1 points of a rotation, and put the largest and smallest sweep
+    values in one block.  Two more hold an extreme that only a block's
+    exact bound finds: the largest value at the last point of a block,
+    equal to that block's bound, with the next block's first value just
+    below it, and the smallest where only the block's last point bounds it.  The rest are
+    all-equal residues, q = 1, N = 1 and residue 0."""
     residues, points = pair
     assert star_discrepancy(residues) == fraction_star_discrepancy(points)
 

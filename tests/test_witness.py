@@ -26,6 +26,7 @@ from tests.oracles import (
     fraction_mul_mod1,
     frequencies,
     midpoint,
+    walked_avoidance_sequence,
 )
 
 
@@ -70,6 +71,18 @@ def test_mixing_chain_rejects_slow_growth():
     with pytest.raises(MixingConfigError) as err:
         mixing_chain(config)
     assert err.value.index == 2
+
+
+def test_repeated_short_target_fails_at_its_first_index():
+    # Each target object is checked once, at the first index that holds it.
+    start = TorusInterval(F(3, 10), F(9, 25))
+    wide, short = TorusInterval(F(0), F(1, 2)), TorusInterval(F(9, 20), F(19, 40))
+    targets = (wide, wide, short, wide, short, short)
+    config = MixingConfig([100 * 30**k for k in range(6)], F(1, 10), F(1, 20), start, targets)
+    with pytest.raises(MixingConfigError) as err:
+        config.validate()
+    assert err.value.index == 3
+    assert str(err.value) == "mixing hypothesis fails at k=3: target 3 shorter than eps=1/10"
 
 
 def test_auto_plan_power_of_two():
@@ -268,3 +281,46 @@ def test_avoidance_matches_fraction_reference(p, q, eps, prefix_gaps, first, ext
     horizon = len(prefix) + extra
     got = avoidance_sequence(alpha, eps, prefix=prefix, horizon=horizon)
     assert got == reference_avoidance_sequence(alpha, eps, prefix, horizon)
+
+
+@st.composite
+def avoidance_runs(draw):
+    """(alpha, eps, prefix, horizon) with q <= 10^4: eps*q an integer, a
+    half-integer or any rational, p/q near 1/2 in a third of the draws
+    (eps then near 1/2, where a span holds about half its indices), a
+    prefix that may hold points of [0, eps), and horizons from the
+    prefix's own length to several spans."""
+    q = draw(st.integers(2, 10**4))
+    p = draw(st.one_of(st.integers(1, q - 1), st.integers(max(1, q // 2 - 3), (q + 1) // 2)))
+    limit = min(p, q - p)
+    eps = draw(st.one_of(
+        st.builds(lambda b: F(b, q), st.integers(1, limit)),
+        st.builds(lambda b: F(2 * b - 1, 2 * q), st.integers(1, limit)),
+        st.builds(lambda k: F(limit * k, 97 * q), st.integers(1, 96)),
+        st.just(F(limit, q)),
+    ))
+    bound = -(-eps.numerator * q // eps.denominator)
+    offsets = [0]
+    for gap in draw(st.lists(st.sampled_from((1, 2)), max_size=6)):
+        offsets.append(offsets[-1] + gap)
+    if draw(st.booleans()):
+        # Place one prefix point on an index whose point lies in [0, eps).
+        j = draw(st.sampled_from(offsets))
+        inside = [m for m in range(j + 1, j + 2 * q + 1) if m * p % q < bound]
+        first = draw(st.sampled_from(inside)) - j
+    else:
+        first = draw(st.integers(1, 30))
+    prefix = [first + o for o in offsets]
+    # A span holds at most 2^14 indices.
+    extra = draw(st.one_of(st.just(0), st.integers(0, 400), st.integers(1 << 13, 3 << 14)))
+    return F(p, q), eps, prefix, len(prefix) + extra
+
+
+@settings(max_examples=150, deadline=None)
+@given(avoidance_runs())
+def test_avoidance_takes_the_walks_indices(run):
+    """The indices taken by their rule are those of the index-by-index
+    walk, with the same gaps and no hit after the prefix."""
+    alpha, eps, prefix, horizon = run
+    got = avoidance_sequence(alpha, eps, prefix=prefix, horizon=horizon)
+    assert got == walked_avoidance_sequence(alpha, eps, prefix, horizon)
