@@ -17,18 +17,20 @@ therefore loads only its own subcommand's layers: `verify` loads
 rotation `scan` loads `empirical` alone.
 
 Outputs are JSON certificates (stable key order) and CSV tables; identical
-configuration reproduces identical bytes.  No subcommand draws a random
-number.  The seed is a reserved echo: --seed, else the MALDIST_SEED
-environment variable, else 0, is written with the name of the pinned
-generator (`maldist.rng.ALGORITHM`, SplitMix64) into the `rng` field of each
-JSON output, and changes nothing else.  Integer lists in --spec must hold
-JSON integers; `verify` reads a certificate's inputs through its kind's
-declared fields, so a malformed input exits 1 with a named failure.  Long
-chained integers, such as the multipliers n_k of `pow:b` and `squarepow:b`,
-cross the certificate in time linear in their digits both ways: the writer
-forms each from its predecessor's decimal text (`_chained_int_texts`), and
-`verify` reads each as its predecessor's value times a small quotient once
-their exact decimal product matches its text (`_chained_int_reader`).
+configuration reproduces identical bytes: every output byte comes from the
+command line and its config file, never from the environment.  No
+subcommand draws a random number.  The `rng` field of every JSON output but
+`verify`'s is a reserved echo (`_rng_echo`) of the pinned generator's name
+(`maldist.rng.ALGORITHM`, SplitMix64) and a seed, which is `envelope --seed`
+in an envelope output and 0 in every other, and changes nothing else.
+Integer lists in --spec must hold JSON integers; `verify` reads a
+certificate's inputs through its kind's declared fields, so a malformed
+input exits 1 with a named failure.  Long chained integers, such as the
+multipliers n_k of `pow:b` and `squarepow:b`, cross the certificate in time
+linear in their digits both ways: the writer forms each from its
+predecessor's decimal text (`_chained_int_texts`), and `verify` reads each
+as its predecessor's value times a small quotient once their exact decimal
+product matches its text (`_chained_int_reader`).
 
 Exit codes: 0 success, 1 a certificate claim failed (or verification found a
 mismatch), 2 usage error.
@@ -41,7 +43,6 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
@@ -168,16 +169,12 @@ def _interval(text: str, key: str) -> TorusInterval:
     return TorusInterval(vals[0], vals[1])
 
 
-def _seed(opts: dict) -> int:
-    if "seed" in opts:
-        return _int(opts, "seed")
-    env = os.environ.get("MALDIST_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(f"MALDIST_SEED must be an integer, got {env!r}")
-    return 0
+def _rng_echo(seed: int = 0) -> dict:
+    """The reserved `rng` field of a JSON output: the pinned generator's name
+    and a seed that changes nothing else."""
+    from .rng import ALGORITHM
+
+    return {"algorithm": ALGORITHM, "seed": seed}
 
 
 def _write_json(obj: dict, path: str | None) -> None:
@@ -332,9 +329,9 @@ def _generator(desc: str, lengths=None):
 
 
 def _block_side(value, key: str, lengths=None):
-    """One side of --spec as a function of the block index j >= 1: a list of
-    JSON integers (a float or a bool is refused, not truncated), or a
-    generator name."""
+    """One side of --spec: a list of JSON integers (a float or a bool is
+    refused, not truncated), or the function of the block index j >= 1 that
+    a generator name gives."""
     if isinstance(value, str):
         return _generator(value, lengths)
     if not isinstance(value, list):
@@ -342,7 +339,7 @@ def _block_side(value, key: str, lengths=None):
     for v in value:
         if type(v) is not int:
             raise CliError(f"--spec: '{key}' entries must be JSON integers, got {json.dumps(v)}")
-    return lambda j: value[j - 1]
+    return value
 
 
 def _block_spec(opts: dict) -> BlockSpec:
@@ -355,13 +352,11 @@ def _block_spec(opts: dict) -> BlockSpec:
         raise CliError(f"--spec: invalid JSON ({exc})")
     if not isinstance(obj, dict) or set(obj) - {"b", "m"}:
         raise CliError("--spec: expected an object with keys 'b' and 'm'")
-    b, m = obj.get("b"), obj.get("m")
-    b_fn = _block_side(b, "b")
-    m_fn = _block_side(m, "m", b_fn)
-    # Two lists make a list-backed spec, which names the block it runs out at.
-    if isinstance(b, list) and isinstance(m, list):
-        return BlockSpec(b, m)
-    return BlockSpec(b_fn, m_fn)
+    # A list side stays a list, so that the spec names the block it runs out
+    # at.  halfceil may read a list b by index: BlockSpec forms b_j before m_j.
+    b = _block_side(obj.get("b"), "b")
+    m = _block_side(obj.get("m"), "m", b if callable(b) else lambda j: b[j - 1])
+    return BlockSpec(b, m)
 
 
 def _multipliers(opts: dict, count: int) -> list[int]:
@@ -443,7 +438,6 @@ def _points_source(opts: dict, count: int) -> Residues:
 def _cmd_envelope(opts: dict) -> int:
     from .empirical import MeasureVector
     from .envelope import check_admissible, envelope_dominates, pi_measure
-    from .rng import ALGORITHM
 
     spec = _block_spec(opts)
     blocks = _int(opts, "blocks", low=1)
@@ -474,7 +468,7 @@ def _cmd_envelope(opts: dict) -> int:
             "ratio_stalled_flag": report.ratio_stalled_flag,
         },
         "pi": pi.to_json(),
-        "rng": {"algorithm": ALGORITHM, "seed": _seed(opts)},
+        "rng": _rng_echo(_int(opts, "seed", 0)),
     }
     exit_code = 0
     if "mu" in opts:
@@ -495,7 +489,6 @@ def _cmd_envelope(opts: dict) -> int:
 def _cmd_subspace(opts: dict) -> int:
     from .empirical import CellPartition, MeasureVector
     from .envelope import RatioMeasure, pi_measure
-    from .rng import ALGORITHM
     from .subspace import ExtensionTarget, _prefix_blocks, greedy_extension
 
     spec = _block_spec(opts)
@@ -543,7 +536,7 @@ def _cmd_subspace(opts: dict) -> int:
             "achieved": result.achieved,
             "max_abs_deviation": format_rational(result.max_abs_dev),
             "total_abs_deviation": format_rational(result.total_abs_dev),
-            "rng": {"algorithm": ALGORITHM, "seed": _seed(opts)},
+            "rng": _rng_echo(),
         },
         opts.get("out"),
     )
@@ -563,9 +556,8 @@ def _emit_certificate(cert: dict, opts: dict) -> int:
     """Stamp the certificate's `rng` echo, write it to --out, and exit 1 if
     one of its claims fails."""
     from . import certificates as certs
-    from .rng import ALGORITHM
 
-    cert["rng"] = {"algorithm": ALGORITHM, "seed": _seed(opts)}
+    cert["rng"] = _rng_echo()
     _write_json(cert, opts.get("out"))
     return 0 if certs.certificate_ok(cert) else CLAIM_ERROR
 
@@ -744,30 +736,30 @@ _SUBCOMMANDS = {
     "subspace": (
         "greedy extension toward a target measure",
         ("spec", "cuts", "mu", "eps", "pi", "pi-blocks", "blocks", "prefix",
-         "x-kind", "x-alpha", "seed", "out", "trace-out"),
+         "x-kind", "x-alpha", "out", "trace-out"),
         _cmd_subspace,
     ),
     "witness": (
         "explicit irregularity witnesses (mixing|salat2|salat3|avoid|zeroblock)",
         ("mode", "n", "n-kind", "eps", "delta", "start", "targets", "interval",
          "ratio", "count", "weights", "eta", "base", "alpha", "horizon", "prefix",
-         "discrepancy-floor", "starts", "seed", "out"),
+         "discrepancy-floor", "starts", "out"),
         _cmd_witness,
     ),
     "doubling": (
         "doubling-map orbits and hit reports (orbit|invariance|fivesixth|zeroblock)",
         ("mode", "alpha", "steps", "level", "horizon", "base", "starts", "windows",
-         "digits", "seed", "out"),
+         "digits", "out"),
         _cmd_doubling,
     ),
     "scan": (
         "checkpoint scan of a point sequence as CSV",
-        ("x-kind", "x-alpha", "cuts", "cells", "checkpoints", "digits", "seed", "out"),
+        ("x-kind", "x-alpha", "cuts", "cells", "checkpoints", "digits", "out"),
         _cmd_scan,
     ),
     "verify": (
         "re-check a certificate from its echoed inputs",
-        ("seed", "out"),
+        ("out",),
         _cmd_verify,
     ),
 }

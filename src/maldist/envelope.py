@@ -79,11 +79,8 @@ class BlockSpec:
             raise ValueError("lengths and multiplicities must have equal length")
         self._a: list[int] = [0]
         self._M: list[int] = [0]
-        self._check_prefix(min(len(self._b), len(self._m)) or 0)
-
-    def _check_prefix(self, upto: int) -> None:
-        for j in range(1, upto + 1):
-            self._extend_sums(j)
+        # Two lists are checked whole here; a generator side, as it is read.
+        self._extend_sums(min(len(self._b), len(self._m)))
 
     def _materialize(self, j: int) -> None:
         while len(self._b) < j:

@@ -456,7 +456,9 @@ def avoidance_sequence(
     idx = [int(v) for v in prefix]
     if not idx:
         raise ValueError("prefix must contain at least one index")
-    if idx[0] < 1 or any(b - a not in (1, 2) for a, b in zip(idx, idx[1:])):
+    if idx[0] < 1:
+        raise ValueError("prefix indices must be positive")
+    if any(b - a not in (1, 2) for a, b in zip(idx, idx[1:])):
         raise ValueError("prefix gaps must lie in {1, 2}")
     if len(idx) > horizon:
         raise ValueError("prefix longer than the requested horizon")

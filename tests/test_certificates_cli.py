@@ -46,10 +46,9 @@ def cli_env(**extra):
     """Environment for a CLI child process.
 
     The child imports the same maldist as this process (its root goes first on
-    PYTHONPATH) and sees no MALDIST_SEED from the caller, so it runs with the
-    default seed 0 unless ``extra`` sets one.
+    PYTHONPATH), with ``extra`` set on top of the caller's environment.
     """
-    env = {k: v for k, v in os.environ.items() if k != "MALDIST_SEED"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (MALDIST_ROOT, env.get("PYTHONPATH")) if p
     )
@@ -121,6 +120,20 @@ def test_round_trip(kind, cert):
     # JSON serialization round-trips losslessly.
     reparsed = json.loads(json.dumps(cert, sort_keys=True))
     assert certs.verify_certificate(reparsed).ok
+
+
+@pytest.mark.parametrize("kind,cert", list(all_certificates()))
+def test_verify_ignores_the_rng_echo(kind, cert):
+    """The `rng` echo is no input: removing it or changing its seed or
+    algorithm leaves the verification result as it is."""
+    echoed = {**cert, "rng": {"algorithm": "splitmix64", "seed": 0}}
+    want = certs.verify_certificate(echoed)
+    assert want.ok, want.failures
+    for rng in ({"algorithm": "splitmix64", "seed": 7}, {"algorithm": "pcg64", "seed": 0}, None):
+        variant = {key: value for key, value in echoed.items() if key != "rng"}
+        if rng is not None:
+            variant["rng"] = rng
+        assert certs.verify_certificate(variant) == want, (kind, rng)
 
 
 def test_tampered_containment_fails():
@@ -462,8 +475,7 @@ PINNED_CERTIFICATES = {
 
 
 @pytest.mark.parametrize("name", PINNED_CERTIFICATES)
-def test_certificate_bytes_are_pinned(tmp_path, monkeypatch, name):
-    monkeypatch.delenv("MALDIST_SEED", raising=False)
+def test_certificate_bytes_are_pinned(tmp_path, name):
     argv, code, digest = PINNED_CERTIFICATES[name]
     out, table = tmp_path / "out.json", tmp_path / "table.csv"
     extra = ["--table-out", str(table)] if argv[0] == "envelope" else []
@@ -925,16 +937,6 @@ def test_cli_doubling_at_horizon_ten_to_the_fifteen(tmp_path, capsys):
     last = capsys.readouterr().out.splitlines()[-1].split(",")
     cells = {16 * (pow(2, k, 17)) // 17 for k in range(1, 9)}
     assert last[17:] == ["1/8" if c in cells else "0/1" for c in range(16)]
-
-
-def test_cli_env_seed_echoed(tmp_path):
-    out = tmp_path / "cert.json"
-    res = run_cli(
-        "witness", "--mode", "avoid", "--alpha", "5/17", "--eps", "1/5",
-        "--horizon", "50", "--out", str(out), MALDIST_SEED="42",
-    )
-    assert res.returncode == 0, res.stderr
-    assert json.loads(out.read_text())["rng"]["seed"] == 42
 
 
 def test_cli_unknown_flag_exits_two():

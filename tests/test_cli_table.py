@@ -20,11 +20,6 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 AVOID = ["witness", "--mode", "avoid", "--alpha", "5/17", "--eps", "1/5"]
 
 
-@pytest.fixture(autouse=True)
-def no_env_seed(monkeypatch):
-    monkeypatch.delenv("MALDIST_SEED", raising=False)
-
-
 def test_parser_not_built_at_import():
     code = "import maldist.cli as c; print(c._build_parser.cache_info().misses)"
     res = subprocess.run(
@@ -43,20 +38,32 @@ def test_parser_built_once_per_process(tmp_path):
     assert cli._build_parser.cache_info().misses == 1
 
 
+ENVELOPE = ["envelope", "--spec", '{"b": [2, 2], "m": [2, 2]}', "--blocks", "2"]
+
+
 def test_no_options_leak_between_calls(tmp_path):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    table = ["--table-out", str(tmp_path / "t.csv")]
+
+    def seeds(*extra):
+        assert cli.main([*ENVELOPE, *table, *extra, "--out", str(first)]) == 0
+        assert cli.main([*ENVELOPE, *table, "--out", str(second)]) == 0
+        return [json.loads(path.read_text())["rng"]["seed"] for path in (first, second)]
+
+    def avoid_inputs(*extra):
+        assert cli.main([*AVOID, *extra, "--out", str(first)]) == 0
+        assert cli.main([*AVOID, "--out", str(second)]) == 0
+        return [(cert["inputs"]["horizon"], cert["inputs"]["prefix"], len(cert["claims"]))
+                for cert in (json.loads(path.read_text()) for path in (first, second))]
+
     config = tmp_path / "run.conf"
-    config.write_text("seed = 7\nhorizon = 30\n")
-    first, second, third = (tmp_path / f"{n}.json" for n in ("a", "b", "c"))
-    assert cli.main([*AVOID, "--horizon", "50", "--seed", "5", "--out", str(first)]) == 0
-    assert cli.main([*AVOID, "--horizon", "50", "--out", str(second)]) == 0
-    assert json.loads(first.read_text())["rng"]["seed"] == 5
-    assert json.loads(second.read_text())["rng"]["seed"] == 0
-    assert cli.main([*AVOID, "--config", str(config), "--out", str(first)]) == 0
-    assert cli.main([*AVOID, "--out", str(third)]) == 0
-    from_config = json.loads(first.read_text())
-    assert (from_config["rng"]["seed"], from_config["inputs"]["horizon"]) == (7, 30)
-    plain = json.loads(third.read_text())
-    assert (plain["rng"]["seed"], plain["inputs"]["horizon"]) == (0, 10_000)
+    config.write_text("seed = 7\n")
+    assert seeds("--seed", "5") == [5, 0]
+    assert seeds("--config", str(config)) == [7, 0]
+    config.write_text("horizon = 30\nprefix = 2,3\n")
+    plain = (10_000, [1], 2)
+    assert avoid_inputs("--horizon", "50", "--discrepancy-floor", "1/10") == [(50, [1], 3), plain]
+    assert avoid_inputs("--config", str(config)) == [(30, [2, 3], 2), plain]
 
 
 # verify's certificate path is positional and required, and no config key.
@@ -105,6 +112,66 @@ def test_readme_commands_exit_zero(tmp_path, monkeypatch, capsys):
     # In order: `verify cert.json` reads the certificate salat2 writes.
     for argv in commands:
         assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
+
+
+def test_environment_seed_changes_no_output(tmp_path, monkeypatch, capsys):
+    """An exported MALDIST_SEED, integer or not, changes no output byte and
+    no exit code: every output comes from the command line."""
+    commands = [*readme_commands(), [*ENVELOPE, "--seed", "3"],
+                [*ENVELOPE, "--mu", "3/5,2/5", "--lam", "1/2,1/2"],
+                [*AVOID, "--prefix", "0,1"]]
+
+    def run_all(name):
+        where = tmp_path / name
+        where.mkdir()
+        monkeypatch.chdir(where)
+        codes = [cli.main(argv) for argv in commands]
+        return codes, capsys.readouterr(), {p.name: p.read_bytes() for p in where.iterdir()}
+
+    monkeypatch.delenv("MALDIST_SEED", raising=False)
+    plain = run_all("unset")
+    assert plain[0].count(0) == len(commands) - 2 and plain[0][-2:] == [1, 2]
+    for value in ("7", "abc", ""):
+        monkeypatch.setenv("MALDIST_SEED", value)
+        assert run_all(f"set-{value}") == plain, value
+
+
+@pytest.mark.parametrize("sub", [sub for sub in cli._SUBCOMMANDS if sub != "envelope"])
+def test_seed_is_an_envelope_option_only(tmp_path, capsys, sub):
+    positional = list(POSITIONAL.get(sub, {}).values())
+    with pytest.raises(SystemExit) as exc:
+        cli.main([sub, *positional, "--seed", "0"])
+    assert exc.value.code == cli.USAGE_ERROR
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+    config = tmp_path / "run.conf"
+    config.write_text("seed = 0\n")
+    assert cli.main([sub, *positional, "--config", str(config)]) == cli.USAGE_ERROR
+    assert capsys.readouterr().err == (
+        f"maldist {sub}: {config}:1: unknown key 'seed' for {sub!r}\n"
+    )
+
+
+@pytest.mark.parametrize("spec, lists, side", [
+    ({"b": [3, 3, 3], "m": "halfceil"}, {"b": [3, 3, 3], "m": [2, 2, 2]}, "lengths"),
+    ({"b": "linear:1", "m": [1, 1, 1]}, {"b": [2, 3, 4], "m": [1, 1, 1]}, "multiplicities"),
+], ids=["list-b", "list-m"])
+@pytest.mark.parametrize("argv", [
+    ["envelope", "--table-out", "t.csv"],
+    ["subspace", "--cuts", "0,1/2,1", "--mu", "1/2,1/2", "--x-alpha", "1/3", "--trace-out", "t.csv"],
+], ids=["envelope", "subspace"])
+def test_mixed_spec_names_the_block_it_runs_out_at(tmp_path, monkeypatch, capsys, spec, lists,
+                                                   side, argv):
+    """A list side of --spec next to a generator side reads as that list:
+    through its blocks the spec matches the two lists, and past them it is
+    a usage error that names the first missing block."""
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for given in (spec, lists):
+        assert cli.main([*argv, "--spec", json.dumps(given), "--blocks", "3"]) == 0
+        outputs.append((capsys.readouterr().out, (tmp_path / "t.csv").read_text()))
+    assert outputs[0] == outputs[1]
+    assert cli.main([*argv, "--spec", json.dumps(spec), "--blocks", "5"]) == cli.USAGE_ERROR
+    assert capsys.readouterr() == ("", f"maldist {argv[0]}: block 5 beyond the 3 given {side}\n")
 
 
 @pytest.mark.parametrize("checkpoints", [",", ", ,", ""])

@@ -115,22 +115,23 @@ def test_unknown_attribute_names_module_and_attribute():
 # sha256 of each text as printed before the handlers imported their own
 # layers (argparse at 80 columns, Python 3.11), `witness --help` since its
 # three --plan-* flags went, `--help` and `verify --help` since the witness
-# mode aliases and `verify --certificate` went; (arguments, stream, exit code).
+# mode aliases and `verify --certificate` went, and the help of every
+# subcommand but `envelope` since its --seed went; (arguments, stream, exit code).
 HELP_TEXTS = [
     (["--help"], "stdout", 0,
      "0eaa838ba2ba1ecd413463e92437aff38435a0d4ea261c63174420bf6b2f2254"),
     (["envelope", "--help"], "stdout", 0,
      "b9233444d8993479a8bd7cb9ff2ead363bf02d0c3645b33c8fd8d1428908b08b"),
     (["subspace", "--help"], "stdout", 0,
-     "e4c847b75e68a6207994fcd73de4f299f1792cf74768ded6bad08f06b7afe69e"),
+     "9ffb2d751637f313945aefae7fad8fba8ad2ebf399e0f08fd27db99a8331380f"),
     (["witness", "--help"], "stdout", 0,
-     "87de9549a054c4d8989cd0b6b9719abbb36d0fe39d90d38a5662a15c650f4168"),
+     "138e89f58f607b2b748101a28b2938023328135e8feafc4238b1d0badd85df55"),
     (["doubling", "--help"], "stdout", 0,
-     "116073421fab211f49e874552d5978996254c32efec39bc2a7419282663fe4fe"),
+     "eb38d44ad3ad8039c5baa3761c3b812d68e544a92dca53402dd7517f1288d2b7"),
     (["scan", "--help"], "stdout", 0,
-     "beeb3fcfd436914d255ae4c39dbc524180c0fd57f04146b6671a9bc2aedf85a4"),
+     "ccbfbf8cb2f6f108db2ea29a82928e6826119c8ca749d2b14bb2b00589fefe09"),
     (["verify", "--help"], "stdout", 0,
-     "2135b348cd9d3190b0063983d11c7896c085f53c6028bbbf3a1edb83277b1f40"),
+     "4749d0c8f16cf7b4961aa3a1b48a10ed7ce2eee9327f42f292e9b023298b8ccf"),
     ([], "stderr", 2,
      "1980a3ae5a8cd40c704f1bd6491d32fcce78121e13aaf0c33348a7a2378956b5"),
 ]

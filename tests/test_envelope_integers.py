@@ -351,9 +351,7 @@ PINNED_TABLE = "5cea9d4e6f0e19203a87021757d38df55375116a5deacf124777542c76ecdab6
     ],
     ids=["admissible", "violating"],
 )
-def test_envelope_bytes_at_2000_blocks_and_grid_1001(tmp_path, monkeypatch, mu, lam, exit_code,
-                                                     out_digest):
-    monkeypatch.delenv("MALDIST_SEED", raising=False)
+def test_envelope_bytes_at_2000_blocks_and_grid_1001(tmp_path, mu, lam, exit_code, out_digest):
     table, out = tmp_path / "table.csv", tmp_path / "out.json"
     argv = ["envelope", "--spec", PINNED_SPEC, "--blocks", "2000", "--grid", "1001",
             "--mu", mu, "--lam", lam, "--table-out", str(table), "--out", str(out)]

@@ -253,11 +253,10 @@ def test_greedy_reads_only_the_cells_its_picks_need(golden_residues):
     )
 
 
-def test_long_steering_run_forms_only_the_residues_it_reads(tmp_path, monkeypatch):
+def test_long_steering_run_forms_only_the_residues_it_reads(tmp_path):
     # Two picks from each of 100 blocks of 2,001-2,100 indices: listing the
     # 205,050 rotation residues alone would peak at about 9 MB.  The outputs
     # are pinned by digest.
-    monkeypatch.delenv("MALDIST_SEED", raising=False)
     out, trace = tmp_path / "steer.json", tmp_path / "trace.csv"
     argv = ["subspace", "--spec", '{"b": "linear:2000", "m": "const:2"}',
             "--cuts", "0,1/7,1/2,1", "--mu", "1/1000,499/1000,1/2", "--eps", "1/1000000",

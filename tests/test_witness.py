@@ -210,6 +210,12 @@ def test_avoidance_rejects_bad_prefix():
         avoidance_sequence(F(5, 17), F(1, 5), prefix=(1, 5), horizon=100)
 
 
+@pytest.mark.parametrize("prefix", [(0, 1), (-1,), (-2, -1, 1)])
+def test_avoidance_rejects_nonpositive_prefix_index(prefix):
+    with pytest.raises(ValueError, match="^prefix indices must be positive$"):
+        avoidance_sequence(F(5, 17), F(1, 5), prefix=prefix, horizon=100)
+
+
 def test_zero_block_basic():
     point = zero_block_alpha(F(5, 8), (4,))
     assert len(point.digits) == 16
