@@ -163,7 +163,7 @@ def test_mixed_spec_names_the_block_it_runs_out_at(tmp_path, monkeypatch, capsys
                                                    side, argv):
     """A list side of --spec next to a generator side reads as that list:
     through its blocks the spec matches the two lists, and past them it is
-    a usage error that names the first missing block."""
+    a usage error that names the block asked for."""
     monkeypatch.chdir(tmp_path)
     outputs = []
     for given in (spec, lists):
