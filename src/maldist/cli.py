@@ -45,7 +45,9 @@ import io
 import json
 import sys
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
 from json.encoder import encode_basestring_ascii as _json_string
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .exact import (
@@ -60,6 +62,7 @@ if TYPE_CHECKING:
     from .empirical import Residues
     from .envelope import BlockSpec
     from .torus import TorusInterval
+    from .witness import Multipliers
 
 USAGE_ERROR = 2
 CLAIM_ERROR = 1
@@ -233,21 +236,25 @@ def _chained_int_texts(values) -> list[str]:
     """The decimal texts of plain ints.  Where a positive term divides the
     next with a quotient of at most a quarter of the next's bits, the next
     text is their exact decimal product, in time linear in the digits, not
-    quadratic as in `int.__repr__`, which writes (and restarts from) the rest."""
+    quadratic as in `int.__repr__`, which writes (and restarts from) the rest.
+    The quotients are the ratios of `Multipliers`: those a rule formed the
+    terms with, or one divmod per term of any other list."""
     from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 
+    from .witness import Multipliers
+
+    values = Multipliers(values)
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
     texts, prev, dec = [], 0, None
-    for v in values:
+    for v, q in zip(values, values.ratios):
         bits = v.bit_length()
-        q, r = divmod(v, prev) if 0 < prev and bits - prev.bit_length() <= bits >> 2 else (0, 1)
-        if r:
-            dec = None
-            texts.append(int.__repr__(v))
-        else:
+        if q and 0 < prev and bits - prev.bit_length() <= bits >> 2:
             # None after a term int.__repr__ wrote, else the previous term (> 0).
             dec = ctx.multiply(dec or Decimal(texts[-1]), Decimal(q))
             texts.append(str(dec))
+        else:
+            dec = None
+            texts.append(int.__repr__(v))
         prev = v
     return texts
 
@@ -359,32 +366,34 @@ def _block_spec(opts: dict) -> BlockSpec:
     return BlockSpec(b, m)
 
 
-def _multipliers(opts: dict, count: int) -> list[int]:
+def _multipliers(opts: dict, count: int) -> Multipliers:
+    """The first `count` terms of --n, or of the --n-kind rule: pow:b gives
+    n_k = b^k with each ratio b, squarepow:b gives n_k = b^(k^2) with ratio
+    b^(2k-1).  A rule's terms carry the ratios it forms them with; an
+    explicit list's come from one divmod per term."""
+    from .witness import Multipliers
+
     if "n" in opts:
         values = _int_list(opts["n"], "n")
         if len(values) < count:
             raise CliError(f"--n: need at least {count} values")
-        return values[:count]
+        return Multipliers(values[:count])
     kind = opts.get("n-kind")
     if kind is None:
         raise CliError("need --n or --n-kind")
     name, _, arg = kind.partition(":")
+    default = {"pow": 2, "squarepow": 5}.get(name)
+    if default is None:
+        raise CliError(f"--n-kind: unknown generator {name!r} (use pow:b or squarepow:b)")
+    try:
+        base = int(arg) if arg else default
+    except ValueError:
+        raise CliError(f"--n-kind: expected an integer base, got {kind!r}")
     if name == "pow":
-        base = int(arg or 2)
-        out, power = [], 1
-        for _ in range(count):
-            power *= base
-            out.append(power)
-        return out
-    if name == "squarepow":
-        base = int(arg or 5)
-        out, power, step = [], 1, base
-        for _ in range(count):
-            power *= step  # b^((k+1)^2) = b^(k^2) * b^(2k+1)
-            step *= base * base
-            out.append(power)
-        return out
-    raise CliError(f"--n-kind: unknown generator {name!r} (use pow:b or squarepow:b)")
+        ratios = [base] * count
+    else:  # b^((k+1)^2) = b^(k^2) * b^(2k+1): each ratio is b^2 times the last
+        ratios = list(islice(accumulate(repeat(base * base), mul, initial=base), count))
+    return Multipliers(accumulate(ratios, mul), ratios)
 
 
 class _OrbitResidues:
@@ -552,12 +561,17 @@ def _zero_block_point(opts: dict):
     return zero_block_alpha(base, starts), base, starts
 
 
-def _emit_certificate(cert: dict, opts: dict) -> int:
+def _emit_certificate(cert: dict, opts: dict, multipliers: Multipliers | None = None) -> int:
     """Stamp the certificate's `rng` echo, write it to --out, and exit 1 if
-    one of its claims fails."""
+    one of its claims fails.  The echoed multipliers are written from
+    `multipliers`, the sequence the build read, so that the writer chains
+    their texts by its ratios."""
     from . import certificates as certs
 
     cert["rng"] = _rng_echo()
+    if multipliers is not None:
+        inputs = cert["inputs"]
+        inputs["multipliers"] = multipliers[: len(inputs["multipliers"])]
     _write_json(cert, opts.get("out"))
     return 0 if certs.certificate_ok(cert) else CLAIM_ERROR
 
@@ -574,6 +588,7 @@ def _cmd_witness(opts: dict) -> int:
     )
 
     mode = _require(opts, "mode")
+    n = None  # the multipliers of a chained mode
     if mode == "mixing":
         eps = _rational(opts, "eps")
         delta = _rational(opts, "delta")
@@ -583,14 +598,14 @@ def _cmd_witness(opts: dict) -> int:
         )
         n = _multipliers(opts, len(targets))
         config = MixingConfig(
-            multipliers=tuple(n), eps=eps, delta=delta, start=start, targets=targets
+            multipliers=n, eps=eps, delta=delta, start=start, targets=targets
         )
         chain = mixing_chain(config)
         cert = certs.mixing_certificate(chain)
     elif mode == "salat2":
         interval = _interval(_require(opts, "interval"), "interval")
         ratio = _rational(opts, "ratio")
-        count = _int(opts, "count", 64)
+        count = _int(opts, "count", 64, low=1)
         n = _multipliers(opts, count)
         witness = hit_frequency_witness(n, interval, ratio)
         cert = certs.hitfreq_certificate(witness, n)
@@ -616,7 +631,7 @@ def _cmd_witness(opts: dict) -> int:
         cert = certs.zeroblock_certificate(*_zero_block_point(opts))
     else:
         raise CliError(f"--mode: unknown witness mode {mode!r}")
-    return _emit_certificate(cert, opts)
+    return _emit_certificate(cert, opts, n)
 
 
 def _cmd_doubling(opts: dict) -> int:

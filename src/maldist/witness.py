@@ -13,6 +13,12 @@ forever, and the zero-block digit surgery used by the doubling-map analysis.
 Each result ships in a certificate (`maldist.certificates`) whose claims
 carry the checks, and `verify` rechecks them on its own code; so the builders
 here check their inputs and re-check nothing they build.
+
+Multipliers travel as `Multipliers`, a tuple of the terms that carries each
+ratio n_k / n_{k-1}: a rule such as `pow:b` gives its ratios as it forms its
+terms, and any other sequence gets them from one `divmod` per term.  The
+chain, the residues and the certificate writer read these ratios, so no
+builder divides two multipliers.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, islice, repeat
+from math import prod
 from operator import mod, sub
 from typing import Sequence
 
@@ -52,6 +59,47 @@ _HALF = Fraction(1, 2)
 _DEFAULT_START = TorusInterval(_ZERO, _HALF)
 
 
+class Multipliers(tuple):
+    """Integer multipliers n_1, n_2, ... with their ratios: `ratios[k]` is
+    n_{k+1} / n_k when n_k is nonzero and divides n_{k+1}, else 0, and
+    `ratios[0]` is n_1 itself (the ratio over n_0 = 1).
+
+    A rule passes the ratios it forms its (int) terms with; without them, the
+    terms are read by `int` and the ratios come from one `divmod` per term.  A slice is a `Multipliers` whose first ratio
+    is over 1 again; with a step s, each later ratio is the product of the s
+    ratios it spans, unless one of those is 0.  `Multipliers(m)` of a
+    `Multipliers` m is m.
+    """
+
+    def __new__(cls, terms=(), ratios=None):
+        if ratios is None and type(terms) is cls:
+            return terms
+        self = super().__new__(cls, map(int, terms) if ratios is None else terms)
+        if ratios is None:
+            ratios, prev = [], 1
+            for n in self:
+                ratio, rem = divmod(n, prev) if prev else (0, 1)
+                ratios.append(0 if rem else ratio)
+                prev = n
+        self.ratios = tuple(ratios)
+        if len(self.ratios) != len(self):
+            raise ValueError("need one ratio per multiplier")
+        return self
+
+    def __getitem__(self, key):
+        terms = tuple.__getitem__(self, key)
+        if not isinstance(key, slice):
+            return terms
+        start, stop, step = key.indices(len(self))
+        r = self.ratios
+        if not terms or step < 0:
+            return Multipliers(terms)
+        if step == 1:
+            return Multipliers(terms, (terms[0], *r[start + 1 : stop]))
+        later = [prod(r[i - step + 1 : i + 1]) for i in range(start + step, stop, step)]
+        return Multipliers(terms, (terms[0], *later)) if all(later) else Multipliers(terms)
+
+
 class MixingConfigError(ValueError):
     """A growth or size hypothesis of a chain configuration fails; carries the
     index of the first offending multiplier (0 for the initial-size check)."""
@@ -71,14 +119,14 @@ class MixingConfig:
     n_1 > 2/delta.
     """
 
-    multipliers: tuple[int, ...]
+    multipliers: Multipliers
     eps: Fraction
     delta: Fraction
     start: TorusInterval
     targets: tuple[TorusInterval, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "multipliers", tuple(int(n) for n in self.multipliers))
+        object.__setattr__(self, "multipliers", Multipliers(self.multipliers))
         object.__setattr__(self, "eps", Fraction(self.eps))
         object.__setattr__(self, "delta", Fraction(self.delta))
         object.__setattr__(self, "targets", tuple(self.targets))
@@ -96,12 +144,13 @@ class MixingConfig:
         if n and n[0] * self.delta.numerator <= 2 * self.delta.denominator:
             raise MixingConfigError(1, f"n_1={n[0]} must exceed 2/delta={2 / self.delta}")
         e_num, e_den = self.eps.numerator, self.eps.denominator
-        for k in range(len(n) - 1):
-            if n[k + 1] * e_num <= 2 * n[k] * e_den:
+        # n_{k-1} > 0 here (n_1 > 2/delta, and each step grows), so an exact
+        # ratio n_k / n_{k-1} decides the growth alone.
+        steps = zip(n, islice(n, 1, None), islice(n.ratios, 1, None))
+        for k, (prev, nxt, ratio) in enumerate(steps, start=2):
+            if (ratio * e_num <= 2 * e_den) if ratio else (nxt * e_num <= 2 * prev * e_den):
                 raise MixingConfigError(
-                    k + 2,
-                    f"n_{k + 2}={n[k + 1]} must exceed (2/eps) n_{k + 1}={2 * n[k] / self.eps}",
-                )
+                    k, f"n_{k}={nxt} must exceed (2/eps) n_{k - 1}={2 * prev / self.eps}")
         first = {}  # each target object is checked at its first index only
         for k, t in enumerate(self.targets, start=1):
             if first.setdefault(id(t), k) != k:
@@ -149,24 +198,26 @@ def mixing_chain(config: MixingConfig) -> MixingChain:
 
     The chain runs on integers: interval k's ends are numerators over
     lo_den * n_k and hi_den * n_k, with small denominators (the start has
-    n_0 = 1).  When n_{k-1} divides n_k, the next cell comes from the small
-    ratio n_k / n_{k-1}, at a cost linear in the bits of n_k.
+    n_0 = 1).  Where the multipliers carry the ratio n_k / n_{k-1}
+    (`Multipliers.ratios`), the next cell comes from it, at a cost linear in
+    the bits of n_k; the chain divides no multiplier by another.
     """
     config.validate()
     e_num, e_den = config.eps.numerator, config.eps.denominator
     start = config.start
     lo, lo_den = start.left.numerator, start.left.denominator
     hi, hi_den = start.right.numerator, start.right.denominator
+    n = config.multipliers
     prev = 1
     cells = []
-    for n_k, target in zip(config.multipliers, config.targets):
+    for n_k, ratio, target in zip(n, n.ratios, config.targets):
         # Interval k-1 over n_k has left end lo*scale/(lo_den*n_k), with
-        # scale = n_k/prev when prev divides n_k.  It is longer than 2/n_k
-        # (n_1 > 2/delta and n_k > (2/eps) n_{k-1}), so the cell
+        # scale = n_k/prev, the ratio, when prev divides n_k.  It is longer
+        # than 2/n_k (n_1 > 2/delta and n_k > (2/eps) n_{k-1}), so the cell
         # [j/n_k, (j+1)/n_k] of the smallest j above its left end fits
         # strictly inside it.
-        scale, rem = divmod(n_k, prev)
-        if rem:
+        scale = ratio
+        if not ratio:
             scale, lo_den = n_k, lo_den * prev
         j = lo * scale // lo_den + 1
         cells.append(j)
@@ -180,17 +231,15 @@ def mixing_chain(config: MixingConfig) -> MixingChain:
     return MixingChain(config=config, cells=tuple(cells), alpha=alpha)
 
 
-def _residues(multipliers: Sequence[int], alpha: Fraction):
-    """n * p mod q for each multiplier n and alpha = p/q, in order.  When the
-    previous multiplier divides n, the residue is (n/n_prev) * r_prev mod q,
-    which for a small ratio costs time linear in the bits of q; otherwise it
-    is one product and one modulo."""
+def _residues(multipliers: Multipliers, alpha: Fraction):
+    """n * p mod q for each multiplier n and alpha = p/q, in order.  Where
+    the multipliers carry the ratio n/n_prev, the residue is that ratio times
+    r_prev mod q, which for a small ratio costs time linear in the bits of q;
+    otherwise it is one product and one modulo."""
     p, q = alpha.numerator, alpha.denominator
-    prev, r = 1, p
-    for n in multipliers:
-        ratio, rem = divmod(n, prev)
-        r = n * p % q if rem else ratio * r % q
-        prev = n
+    r = p
+    for n, ratio in zip(multipliers, multipliers.ratios):
+        r = ratio * r % q if ratio else n * p % q
         yield r
 
 
@@ -261,7 +310,7 @@ def hit_frequency_witness(
     c is `auto_plan`'s; k* rises until n_{c*k*} clears 2/delta.
     """
     ratio = Fraction(ratio)
-    n = [int(v) for v in multipliers]
+    n = Multipliers(multipliers)
     eps = interval.length
     if interval.wraps:
         raise ValueError("target interval must not wrap")
@@ -269,9 +318,9 @@ def hit_frequency_witness(
         raise ValueError("interval length must be below 1/ratio")
     if any(v < 1 for v in n):
         raise ValueError("multiplier must be a positive integer")
-    for j in range(len(n) - 1):
-        if n[j + 1] * ratio.denominator < ratio.numerator * n[j]:
-            raise ValueError(f"growth fails at step {j + 1}: {n[j + 1]}/{n[j]} < {ratio}")
+    for j, (prev, nxt) in enumerate(zip(n, islice(n, 1, None)), start=1):
+        if nxt * ratio.denominator < ratio.numerator * prev:
+            raise ValueError(f"growth fails at step {j}: {nxt}/{prev} < {ratio}")
     plan = auto_plan(ratio, eps)
     c, repeats = plan.c, plan.repeats
     delta = _DEFAULT_START.length
@@ -283,7 +332,7 @@ def hit_frequency_witness(
     if len(n) < horizon:
         raise ValueError(f"need at least {horizon} multipliers, got {len(n)}")
     positions = tuple(range(repeats * c, horizon + 1, c))
-    picked = tuple(n[p - 1] for p in positions)
+    picked = n[repeats * c - 1 : horizon : c]  # n_p for p in positions
     config = MixingConfig(multipliers=picked, eps=eps, delta=delta, start=_DEFAULT_START,
                           targets=(interval,) * len(picked))
     chain = mixing_chain(config)
@@ -354,6 +403,11 @@ def histogram_witness(
     (checked upfront; this is the sharp form of the crude base > 1/eta
     requirement).  Requires total | base and n_{j+1}/n_j > 2*cells along the
     steered range.
+
+    The counts of the steered positions are those of the assignment: the
+    chain puts each n_j * alpha mod 1 inside its open target cell.  Residues
+    are formed for the first `base` positions only, from the multipliers'
+    ratios.  The `histogram` certificate's verifier recounts all base^2.
     """
     ell = target.cells
     e_total = target.total
@@ -370,7 +424,7 @@ def histogram_witness(
                 f"eta too small: worst-case slack {worst_share}/{base} >= {target.eta}"
             )
     horizon = base * base
-    n = [int(v) for v in multipliers]
+    n = Multipliers(multipliers)
     if len(n) < horizon:
         raise ValueError(f"need at least {horizon} multipliers, got {len(n)}")
     if ell == 1:
@@ -397,16 +451,18 @@ def histogram_witness(
     eps = Fraction(1, ell)
     cells = [TorusInterval(Fraction(i, ell), Fraction(i + 1, ell)) for i in range(ell)]
     targets = tuple(cells[i] for i in assignment)
-    config = MixingConfig(multipliers=tuple(n[base:horizon]), eps=eps,
+    config = MixingConfig(multipliers=n[base:horizon], eps=eps,
                           delta=_DEFAULT_START.length, start=_DEFAULT_START, targets=targets)
     chain = mixing_chain(config)
     alpha = chain.alpha
     # The chain's hypotheses covered the steered multipliers, not the first base.
     if any(v < 1 for v in n[:base]):
         raise ValueError("multiplier must be a positive integer")
+    # Each steered n_j * alpha mod 1 lies inside its open target cell, so the
+    # steered positions count as assigned; the first `base` are recounted.
     q = alpha.denominator
-    counts = [0] * ell
-    for r in _residues(n[:horizon], alpha):
+    counts = shares
+    for r in _residues(n[:base], alpha):
         counts[r * ell // q] += 1
     return HistogramWitness(
         alpha=alpha,

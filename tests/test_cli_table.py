@@ -18,6 +18,8 @@ from tests.test_certificates_cli import cli_env
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 AVOID = ["witness", "--mode", "avoid", "--alpha", "5/17", "--eps", "1/5"]
+SALAT2 = ["witness", "--mode", "salat2", "--n-kind", "pow:4", "--interval", "0,1/10",
+          "--ratio", "4"]
 
 
 def test_parser_not_built_at_import():
@@ -240,14 +242,14 @@ def test_negative_digits_is_a_usage_error(tmp_path, capsys, argv):
 @pytest.mark.parametrize("base", [-3, 0, 1, 2, 5, 12])
 def test_chained_multipliers_match_direct_powers(base, count):
     pow_n = cli._multipliers({"n-kind": f"pow:{base}"}, count)
-    assert pow_n == [base**k for k in range(1, count + 1)]
+    assert list(pow_n) == [base**k for k in range(1, count + 1)]
     square_n = cli._multipliers({"n-kind": f"squarepow:{base}"}, count)
-    assert square_n == [base ** (k * k) for k in range(1, count + 1)]
+    assert list(square_n) == [base ** (k * k) for k in range(1, count + 1)]
 
 
 @pytest.mark.parametrize("kind, want", [("pow", [2, 4, 8]), ("squarepow", [5, 625, 5**9])])
 def test_multiplier_default_bases(kind, want):
-    assert cli._multipliers({"n-kind": kind}, 3) == want
+    assert list(cli._multipliers({"n-kind": kind}, 3)) == want
 
 
 def test_every_flag_is_used_by_some_test():
@@ -380,9 +382,11 @@ def test_nonpositive_envelope_blocks_is_refused_by_its_flag(tmp_path, capsys, va
         (AVOID, "--horizon", "0", "a positive integer"),
         (["witness", "--mode", "salat3", "--n-kind", "squarepow:3", "--weights", "1,1",
           "--eta", "1/2"], "--base", "1", "an integer of at least 2"),
+        (SALAT2, "--count", "0", "a positive integer"),
+        (SALAT2, "--count", "-1", "a positive integer"),
     ],
     ids=["orbit-steps", "fivesixth-horizon-0", "fivesixth-horizon-negative", "avoid-horizon",
-         "salat3-base"],
+         "salat3-base", "salat2-count-0", "salat2-count-negative"],
 )
 def test_out_of_range_values_are_refused_by_their_flag(tmp_path, capsys, argv, flag, value,
                                                        expected):
@@ -391,6 +395,19 @@ def test_out_of_range_values_are_refused_by_their_flag(tmp_path, capsys, argv, f
     assert cli.main([*argv, flag, value, "--out", str(out)]) == cli.USAGE_ERROR
     captured = capsys.readouterr()
     assert captured.err == f"maldist {argv[0]}: {flag}: expected {expected}, got '{value}'\n"
+    assert (captured.out, out.exists()) == ("", False)
+
+
+@pytest.mark.parametrize("kind", ["pow:x", "squarepow:1.5", "pow:2/3"])
+def test_malformed_n_kind_base_is_refused_by_its_flag(tmp_path, capsys, kind):
+    # Not as int()'s own message.
+    out = tmp_path / "out.json"
+    argv = [*SALAT2, "--out", str(out)]
+    argv[argv.index("--n-kind") + 1] = kind
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"maldist witness: --n-kind: expected an integer base, got '{kind}'\n")
     assert (captured.out, out.exists()) == ("", False)
 
 

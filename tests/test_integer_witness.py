@@ -184,6 +184,37 @@ def mixed_multipliers(draw, size):
     return out
 
 
+# --- the multipliers' ratios ---------------------------------------------------
+
+
+def divmod_ratios(terms):
+    """n_k / n_{k-1} where n_{k-1} is nonzero and divides n_k, else 0 (n_0 = 1)."""
+    out, prev = [], 1
+    for n in terms:
+        q, r = divmod(n, prev) if prev else (0, 1)
+        out.append(0 if r else q)
+        prev = n
+    return out
+
+
+@given(st.sampled_from(["pow", "squarepow", "explicit"]), st.integers(-3, 12), st.data())
+def test_multiplier_ratios_are_the_quotients_of_consecutive_terms(kind, b, data):
+    # The chain, the residues and the writer read these ratios in place of a divmod.
+    count = data.draw(st.integers(0, 40))
+    if kind == "explicit":
+        # Some steps divide and some do not.
+        terms = mixed_multipliers(data.draw, count + 1)[:count]
+        n = cli._multipliers({"n": ",".join(map(str, terms))}, count)
+    else:
+        n = cli._multipliers({"n-kind": f"{kind}:{b}"}, count)
+    assert list(n.ratios) == divmod_ratios(n)
+    # A slice such as n[base:] starts over 1; a stepped one is what salat2 steers.
+    start, step = data.draw(st.integers(0, count)), data.draw(st.sampled_from([1, 1, 2, 3, -1]))
+    part = n[start::step]
+    assert list(part) == list(n)[start::step]
+    assert list(part.ratios) == divmod_ratios(part)
+
+
 # --- the chain ------------------------------------------------------------------
 
 
@@ -392,14 +423,21 @@ def test_hit_frequency_count_matches_fraction_reference(b, explicit, data):
 @given(
     st.sampled_from([(1, 1), (3, 1), (1, 2, 1), (1, 1, 1, 1)]),
     st.sampled_from([4, 8]),
-    st.booleans(),
+    st.sampled_from(["explicit", "multiples", "pow", "squarepow"]),
     st.data(),
 )
-def test_histogram_counts_match_fraction_reference(weights, base, explicit, data):
+def test_histogram_counts_match_fraction_reference(weights, base, source, data):
+    # The builder counts the steered positions from their assigned cells.
     ell = len(weights)
-    n = [data.draw(st.integers(1, 20))]
-    while len(n) < base * base:
-        n.append(grow(data.draw, n[-1], F(2 * ell)) if explicit else n[-1] * (2 * ell + 1))
+    if source in ("pow", "squarepow"):
+        # The chain needs a ratio above 2 * ell; squarepow's ratios b^(2k+1) have it.
+        b = data.draw(st.integers(2 * ell + 1 if source == "pow" else 2, 12))
+        n = cli._multipliers({"n-kind": f"{source}:{b}"}, base * base)
+    else:
+        n = [data.draw(st.integers(1, 20))]
+        while len(n) < base * base:
+            n.append(grow(data.draw, n[-1], F(2 * ell)) if source == "explicit"
+                     else n[-1] * (2 * ell + 1))
     witness = histogram_witness(n, HistogramTarget(weights, F(1)), base)
     assert list(witness.counts) == fraction_cell_counts(n[: base * base], witness.alpha, ell)
 

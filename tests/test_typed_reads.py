@@ -270,7 +270,7 @@ def test_chained_reader_reads_squarepow_multipliers_as_products(monkeypatch):
     with no_int_digit_limit():
         texts, text = [str(v) for v in n], cli._json_text(n)
         monkeypatch.setattr(cli, "int", counting_int, raising=False)
-        assert json.loads(text, parse_int=cli._chained_int_reader()) == n
+        assert json.loads(text, parse_int=cli._chained_int_reader()) == list(n)
     long_texts = [text for text in texts if len(text) > cli._CHAINED_DIGITS]
     assert len(long_texts) > 30 and long_reads == long_texts[:1]
 
