@@ -160,12 +160,14 @@ class _Positive:
         return value
 
 
-class _Bool:
-    emit = bool
+class _False:
+    """A JSON bool that must be false: an interval's `wraps` in format /1."""
 
     def parse(self, value) -> bool:
         if type(value) is not bool:
             _expect(value, bool, "a bool")
+        if value:
+            raise _Refused("wrapping intervals are not supported")
         return value
 
 
@@ -225,10 +227,12 @@ class _List:
 class _Record:
     """A JSON object with exactly the named fields, read as a dict or as
     make(dict) once every field parses and every list's length rule holds;
-    a builder's value gives the fields as attributes."""
+    a builder's value gives the fields as attributes, or `emit` writes it."""
 
-    def __init__(self, fields: dict, make=None):
+    def __init__(self, fields: dict, make=None, emit=None):
         self.fields, self.make = fields, make
+        if emit is not None:
+            self.emit = emit
         self.lengths = [(name, *field.length) for name, field in fields.items()
                         if getattr(field, "length", None)]
 
@@ -299,8 +303,9 @@ def _ratio_atoms(atoms: list) -> tuple[list[tuple[int, int]], list[int], int]:
 
 _RATIONAL = _Rational()
 _POSITIVE = _Positive()
-_INTERVAL = _Record({"left": _RATIONAL, "right": _RATIONAL, "wraps": _Bool()},
-                    lambda ends: TorusInterval(**ends))
+_INTERVAL = _Record({"left": _RATIONAL, "right": _RATIONAL, "wraps": _False()},
+                    lambda ends: TorusInterval(ends["left"], ends["right"]),
+                    emit=TorusInterval.to_json)
 
 # kind -> its input fields, in the order a certificate echoes them
 _INPUTS = {kind: _Record(fields) for kind, fields in {

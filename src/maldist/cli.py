@@ -169,7 +169,10 @@ def _interval(text: str, key: str) -> TorusInterval:
     vals = _rational_list(text, key)
     if len(vals) != 2:
         raise CliError(f"--{key}: expected 'left,right'")
-    return TorusInterval(vals[0], vals[1])
+    try:
+        return TorusInterval(vals[0], vals[1])
+    except ValueError as exc:
+        raise CliError(f"--{key}: {exc}")
 
 
 def _rng_echo(seed: int = 0) -> dict:
@@ -319,16 +322,16 @@ def _generator(desc: str, lengths=None):
     linear[:o] (j + o), log (the bit length of j), const:c, and, for m given
     the lengths, halfceil (ceil(b_j/2))."""
     name, sep, arg = desc.partition(":")
-    if name == "linear":
-        offset = int(arg) if arg else 0
-        return lambda j: j + offset
     if name == "log":
         return int.bit_length
-    if name == "const":
-        if not sep:
-            raise CliError("--spec: const needs a value, e.g. const:4")
-        c = int(arg)
-        return lambda j: c
+    if name == "const" and not sep:
+        raise CliError("--spec: const needs a value, e.g. const:4")
+    if name in ("linear", "const"):
+        try:
+            c = int(arg) if arg or name == "const" else 0
+        except ValueError:
+            raise CliError(f"--spec: expected an integer after '{name}:', got {desc!r}")
+        return (lambda j: j + c) if name == "linear" else (lambda j: c)
     if name == "halfceil" and lengths is not None:
         return lambda j: (lengths(j) + 1) // 2
     names = "linear[:o], log, const:c" + ("" if lengths is None else ", halfceil")
@@ -509,8 +512,10 @@ def _cmd_subspace(opts: dict) -> int:
     if "pi" in opts:
         try:
             pi = RatioMeasure.from_json(json.loads(opts["pi"]))
-        except (json.JSONDecodeError, TypeError) as exc:
+        except json.JSONDecodeError as exc:
             raise CliError(f"--pi: expected JSON [[q, w], ...] pairs ({exc})")
+        except ValueError as exc:
+            raise CliError(f"--pi: {exc}")
     else:
         pi_blocks = _int(opts, "pi-blocks", blocks, low=1)
         if pi_blocks < 1:

@@ -186,6 +186,9 @@ class RatioMeasure:
         """The measure of `[[q, w], ...]`, location and weight as "p/q"
         strings, held to the rules of a ratio measure: locations in [0, 1],
         sorted and distinct, and positive weights summing to exactly 1."""
+        # A string of two characters would unpack as a pair.
+        if type(obj) is not list or any(type(pair) is not list or len(pair) != 2 for pair in obj):
+            raise ValueError("expected JSON [[q, w], ...] pairs")
         atoms = [(parse_rational(q), parse_rational(w)) for q, w in obj]
         if any(not 0 <= q <= 1 for q, _ in atoms):
             raise ValueError("atom locations must lie in [0, 1]")

@@ -82,7 +82,6 @@ class BlockTrace:
 class ExtensionResult:
     indices: tuple[int, ...]
     blocks: int
-    deviations: tuple[Fraction, ...]
     total_abs_dev: Fraction
     max_abs_dev: Fraction
     achieved: bool
@@ -159,8 +158,8 @@ def greedy_extension(
     Deviations stay integers until they are reported: after each block the
     numerators mu_i*den*M - c_i*den over den*M (den the lcm of mu's
     denominators) feed the stopping test and the block's `BlockTrace` as
-    they are.  Fractions are built only for the three values the result
-    reports: `deviations`, `total_abs_dev` and `max_abs_dev`.
+    they are.  Fractions are built only for the two values the result
+    reports: `total_abs_dev` and `max_abs_dev`.
     """
     s = partition.size
     if target.mu.size != s:
@@ -285,7 +284,6 @@ def greedy_extension(
     return ExtensionResult(
         indices=tuple(chosen),
         blocks=j,
-        deviations=tuple(Fraction(d, dev_den) for d in dev_nums),
         total_abs_dev=Fraction(sum(map(abs, dev_nums)), dev_den),
         max_abs_dev=max_abs_dev,
         achieved=achieved,

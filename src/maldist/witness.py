@@ -138,8 +138,6 @@ class MixingConfig:
             raise MixingConfigError(0, "need one target interval per multiplier")
         if self.start.length < self.delta:
             raise MixingConfigError(0, f"start interval shorter than delta={self.delta}")
-        if self.start.wraps:
-            raise MixingConfigError(0, "start interval must not wrap")
         n = self.multipliers
         if n and n[0] * self.delta.numerator <= 2 * self.delta.denominator:
             raise MixingConfigError(1, f"n_1={n[0]} must exceed 2/delta={2 / self.delta}")
@@ -155,8 +153,6 @@ class MixingConfig:
         for k, t in enumerate(self.targets, start=1):
             if first.setdefault(id(t), k) != k:
                 continue
-            if t.wraps:
-                raise MixingConfigError(k, "target intervals must not wrap")
             # right - left < eps, as (rn*ld - ln*rd) * e_den < e_num * ld*rd.
             a, b = t.left, t.right
             ld, rd = a.denominator, b.denominator
@@ -312,8 +308,6 @@ def hit_frequency_witness(
     ratio = Fraction(ratio)
     n = Multipliers(multipliers)
     eps = interval.length
-    if interval.wraps:
-        raise ValueError("target interval must not wrap")
     if not eps < 1 / ratio:
         raise ValueError("interval length must be below 1/ratio")
     if any(v < 1 for v in n):

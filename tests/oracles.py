@@ -20,9 +20,9 @@ program against.  None of it backs a `maldist` subcommand.
   `as_residues` and `fractions_of`, which convert between the two forms;
 - the Fraction twins the program dropped when its circle points and
   decimals came from the integer kernels alone: `fraction_mul_mod1`,
-  `fraction_contains`, `lifted` and `fraction_contains_interval` on the
-  circle, and `frequencies`, `fraction_decimal_str` and
-  `fraction_scan_to_csv` for the scan CSV;
+  `fraction_contains` and `fraction_contains_interval` on the circle, and
+  `frequencies`, `fraction_decimal_str` and `fraction_scan_to_csv` for the
+  scan CSV;
 - `stepwise_invariance_defect`: the invariance defect counted along the
   orbit one step at a time, the reference for the two-lookup identity
   `invariance_defect` and the invariance verifier use;
@@ -40,8 +40,8 @@ program against.  None of it backs a `maldist` subcommand.
   (`ratio_measure` from its (location, weight) atoms and `ratio_atoms`
   back), its constructors and sums (`ratio_measure_from_pairs`,
   `point_mass`, `mass_at_zero`, `mass_leq`, `harmonic_tail`,
-  `tv_norm_distance`), the arc `midpoint`, the digit shift `shift_value` of
-  a binary point, and the indices `block_range` of a block.
+  `tv_norm_distance`), the interval `midpoint`, the digit shift
+  `shift_value` of a binary point, and the indices `block_range` of a block.
 
 Nothing here imports a private name of the package.  This module is not
 collected by pytest (its name does not start with `test_`).
@@ -419,28 +419,17 @@ def fraction_mul_mod1(n: int, alpha: Fraction) -> Fraction:
 
 def fraction_contains(interval: TorusInterval, x: Fraction) -> bool:
     """Membership of the point x in [0, 1) by Fraction comparisons."""
-    if interval.wraps:
-        return x > interval.left or x < interval.right
     return interval.left < x < interval.right
 
 
-def lifted(interval: TorusInterval) -> tuple[Fraction, Fraction]:
-    """Endpoints (a, b) of the arc's lift to R with 0 <= a < b <= a + 1."""
-    if interval.wraps:
-        return interval.left, interval.right + 1
-    return interval.left, interval.right
-
-
 def fraction_contains_interval(outer: TorusInterval, inner: TorusInterval) -> bool:
-    """Arc containment by Fraction sums and comparisons over three shifts."""
-    ia, ib = lifted(inner)
-    oa, ob = lifted(outer)
-    return any(oa <= ia + shift and ib + shift <= ob for shift in (-1, 0, 1))
+    """Interval containment by Fraction comparisons of the ends."""
+    return outer.left <= inner.left and inner.right <= outer.right
 
 
 def midpoint(interval: TorusInterval) -> Fraction:
-    """Arc midpoint, reduced to [0, 1)."""
-    return mod1(interval.left + interval.length / 2)
+    """The interval's midpoint."""
+    return (interval.left + interval.right) / 2
 
 
 def shift_value(point: BinaryPoint, k: int) -> Fraction:

@@ -637,6 +637,53 @@ def test_cli_verify_names_malformed_inputs(tmp_path, kind, edit, failure):
     assert json.loads(check.stdout) == {"ok": False, "failures": [failure]}
 
 
+class WrappingArc:
+    """The arc (left, 1) union [0, right) through 0, 0 < right < left < 1,
+    as format /1's interval object can state it; membership by Fraction
+    comparisons."""
+
+    def __init__(self, left: F, right: F):
+        self.left, self.right = left, right
+        self.length = 1 - left + right
+
+    def contains_residue(self, r: int, q: int) -> bool:
+        return not self.right <= F(r, q) <= self.left
+
+    def to_json(self) -> dict:
+        return {"left": format_rational(self.left), "right": format_rational(self.right),
+                "wraps": True}
+
+
+def wrapping_hitfreq_certificate() -> dict:
+    """A hitfreq certificate whose interval is the arc (9/10, 1/10) through
+    0, its claims recounted over that arc: every one of them holds."""
+    n = [2**k for k in range(1, 30)]
+    witness = hit_frequency_witness(n, TorusInterval(F(0), F(1, 10)), F(2))
+    cert = certs.hitfreq_certificate(witness, n)
+    arc, alpha, plan = WrappingArc(F(9, 10), F(1, 10)), witness.alpha, witness.plan
+    horizon = witness.horizon
+    hits = sum(arc.contains_residue(m * alpha.numerator % alpha.denominator, alpha.denominator)
+               for m in n[:horizon])
+    claims = certs._hitfreq_claims(alpha, n[:horizon], arc, plan.ratio, plan.u, plan.c,
+                                   witness.forced_positions, hits, horizon)
+    cert["inputs"]["interval"] = arc.to_json()
+    cert["claims"] = [{"id": cid, **claim} for cid, claim in claims.items()]
+    return cert
+
+
+def test_cli_verify_refuses_a_wrapping_interval_by_name(tmp_path):
+    # No construction builds an arc through 0, so the verifier reads none.
+    cert = wrapping_hitfreq_certificate()
+    assert all(claim["verdict"] for claim in cert["claims"])
+    failure = "inputs.interval.wraps: wrapping intervals are not supported"
+    assert certs.verify_certificate(cert).failures == (failure,)
+    out = tmp_path / "cert.json"
+    out.write_text(json.dumps(cert))
+    check = run_cli("verify", str(out))
+    assert check.returncode == 1, check.stderr
+    assert json.loads(check.stdout) == {"ok": False, "failures": [failure]}
+
+
 def test_cli_byte_identical_reruns(tmp_path):
     args = (
         "witness", "--mode", "mixing", "--n", "100,10000,1000000",

@@ -411,6 +411,64 @@ def test_malformed_n_kind_base_is_refused_by_its_flag(tmp_path, capsys, kind):
     assert (captured.out, out.exists()) == ("", False)
 
 
+MIXING = ["witness", "--mode", "mixing", "--n", "100,10000", "--eps", "1/10", "--delta", "1/20",
+          "--start", "3/10,9/25", "--targets", "9/20,11/20;9/20,11/20"]
+
+
+@pytest.mark.parametrize("argv, flag", [(MIXING, "--start"), (MIXING, "--targets"),
+                                        (SALAT2, "--interval")],
+                         ids=["start", "targets", "interval"])
+def test_reversed_interval_is_refused_by_its_flag(tmp_path, capsys, argv, flag):
+    # An arc through 0 such as (9/10, 1/10) reads as a reversed pair.
+    out = tmp_path / "out.json"
+    argv = [*argv, "--out", str(out)]
+    assert cli.main(argv) == 0
+    argv[argv.index(flag) + 1] = "9/10,1/10"
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"maldist witness: {flag}: interval needs 0 <= left < right <= 1, got (9/10, 1/10)\n")
+
+
+@pytest.mark.parametrize("spec, error", [
+    ('{"b": "linear:x", "m": "const:1"}', "expected an integer after 'linear:', got 'linear:x'"),
+    ('{"b": "linear", "m": "const:y"}', "expected an integer after 'const:', got 'const:y'"),
+    ('{"b": "linear", "m": "const:"}', "expected an integer after 'const:', got 'const:'"),
+], ids=["linear-x", "const-y", "const-empty"])
+def test_malformed_generator_argument_is_refused_by_spec(tmp_path, capsys, spec, error):
+    # Not as int()'s own message.
+    out = tmp_path / "out.json"
+    assert cli.main(["envelope", "--spec", spec, "--blocks", "2", "--out", str(out)]) == (
+        cli.USAGE_ERROR)
+    captured = capsys.readouterr()
+    assert captured.err == f"maldist envelope: --spec: {error}\n"
+    assert (captured.out, out.exists()) == ("", False)
+
+
+PAIRS = "expected JSON [[q, w], ...] pairs"
+
+
+@pytest.mark.parametrize("pi, error", [
+    ('[["1/2"]]', PAIRS),
+    ('{"a": 1}', PAIRS),
+    ('{"11": 1}', PAIRS),
+    ('["11"]', PAIRS),
+    ("5", PAIRS),
+    ('[["x", "1"]]', "bad rational 'x' at position 0: expected 'p/q', integer or decimal"),
+    ('[[1, "1"]]', "bad rational '1' at position 0: not a string"),
+    ('[["1/2", "1/2"]]', "atom weights must sum to exactly 1"),
+    ("[]", "atom weights must sum to exactly 1"),
+    ('[["1/2", "0"]]', "atom weights must be positive"),
+], ids=["one-entry", "object", "object-of-pairs", "string-pair", "number", "bad-rational",
+        "integer", "half-weight", "empty", "zero-weight"])
+def test_malformed_pi_is_refused_by_its_flag(tmp_path, capsys, pi, error):
+    out = tmp_path / "out.json"
+    assert cli.main([*SUBSPACE, "--pi", pi, "--out", str(out)]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"maldist subspace: --pi: {error}\n"
+    assert (captured.out, out.exists()) == ("", False)
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_negative_discrepancy_floor_is_refused_by_its_flag(tmp_path, capsys, source):
     # Not as a certificate with no floor claim; 0 keeps meaning no claim.

@@ -140,3 +140,19 @@ def test_every_input_feeds_a_claim_or_a_named_check():
             if other_values(value_at(cert, path)):
                 detected.setdefault(field, False)
     assert [field for field, seen in detected.items() if not seen] == []
+
+
+def test_a_wrapping_interval_fails_alone_by_its_path():
+    """`wraps` set true in any interval input fails alone, named by its path:
+    format /1 keeps the field, but no interval wraps through 0."""
+    wrapped = set()
+    for _, cert in CERTIFICATES:
+        for path in paths(cert["inputs"]):
+            if path and path[-1] == "wraps":
+                def wrap(container, key):
+                    container[key] = True
+
+                wrapped.add(cert["kind"])
+                assert failures_of(edited(cert, path, wrap)) == (
+                    f"{render(path)}: wrapping intervals are not supported",)
+    assert wrapped == {"mixing", "hitfreq"}

@@ -31,7 +31,7 @@ from maldist.witness import (
     hit_frequency_witness,
     mixing_chain,
 )
-from tests.oracles import fraction_contains, fraction_mul_mod1, lifted, midpoint
+from tests.oracles import fraction_contains, fraction_mul_mod1, midpoint
 
 # --- Fraction references ------------------------------------------------------
 
@@ -43,8 +43,6 @@ def fraction_validate(cfg):
         raise MixingConfigError(0, "need one target interval per multiplier")
     if cfg.start.length < cfg.delta:
         raise MixingConfigError(0, f"start interval shorter than delta={cfg.delta}")
-    if cfg.start.wraps:
-        raise MixingConfigError(0, "start interval must not wrap")
     n = cfg.multipliers
     if n and n[0] * cfg.delta <= 2:
         raise MixingConfigError(1, f"n_1={n[0]} must exceed 2/delta={2 / cfg.delta}")
@@ -55,18 +53,14 @@ def fraction_validate(cfg):
                 f"n_{k + 2}={n[k + 1]} must exceed (2/eps) n_{k + 1}={2 * n[k] / cfg.eps}",
             )
     for k, t in enumerate(cfg.targets, start=1):
-        if t.wraps:
-            raise MixingConfigError(k, "target intervals must not wrap")
         if t.length < cfg.eps:
             raise MixingConfigError(k, f"target {k} shorter than eps={cfg.eps}")
 
 
 def fraction_maps_into(n, interval, target):
-    lo, hi = lifted(interval)
-    scaled_lo, scaled_hi = n * lo, n * hi
+    scaled_lo, scaled_hi = n * interval.left, n * interval.right
     j = scaled_lo.numerator // scaled_lo.denominator
-    ta, tb = lifted(target)
-    return scaled_lo - j >= ta and scaled_hi - j <= tb
+    return scaled_lo - j >= target.left and scaled_hi - j <= target.right
 
 
 def fraction_chain(cfg):
@@ -479,8 +473,6 @@ def residue_cases(draw):
 def test_hitfreq_verifier_recount_matches_fraction_reference(case, data):
     alpha, n = case
     iv = data.draw(unit_intervals())
-    if data.draw(st.booleans()) and 0 < iv.left and iv.right < 1:
-        iv = TorusInterval(iv.right, iv.left, wraps=True)
     count = fraction_hits(n, alpha, iv)
     cert = {
         "format": certs.FORMAT,

@@ -472,7 +472,6 @@ def pool_scan_greedy(prefix, j0, spec, x, partition, target, max_blocks, fixed_b
     return ExtensionResult(
         indices=tuple(chosen),
         blocks=j,
-        deviations=final,
         total_abs_dev=sum(abs(d) for d in final),
         max_abs_dev=max(abs(d) for d in final),
         achieved=achieved,

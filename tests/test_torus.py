@@ -10,7 +10,6 @@ from tests.oracles import (
     fraction_contains,
     fraction_contains_interval,
     fraction_mul_mod1,
-    midpoint,
 )
 
 
@@ -22,7 +21,8 @@ def residue(n: int, alpha: F) -> tuple[int, int]:
 def test_mul_mod1_integer_product():
     r, q = residue(3, F(1, 3))
     assert F(r, q) == fraction_mul_mod1(3, F(1, 3)) == 0
-    assert TorusInterval(F(9, 10), F(1, 10), wraps=True).contains_residue(r, q)
+    # 0 is an end of (0, 1/10), not a point of the open interval.
+    assert not TorusInterval(F(0), F(1, 10)).contains_residue(r, q)
     assert not TorusInterval(F(1, 10), F(1)).contains_residue(r, q)
 
 
@@ -46,16 +46,7 @@ def test_mul_mod1_order_of_two_mod_17():
 
 def test_interval_length_examples():
     assert TorusInterval(F(1, 4), F(3, 4)).length == F(1, 2)
-    assert TorusInterval(F(4, 5), F(1, 10), wraps=True).length == F(3, 10)
     assert TorusInterval(F(1, 3), F(1, 2)).length == F(1, 6)
-
-
-def test_wrapping_membership_includes_zero():
-    iv = TorusInterval(F(4, 5), F(1, 10), wraps=True)
-    for x, inside in ((F(0), True), (F(9, 10), True), (F(1, 20), True),
-                      (F(1, 10), False), (F(1, 2), False)):
-        assert fraction_contains(iv, x) is inside
-        assert iv.contains_residue(x.numerator, x.denominator) is inside
 
 
 def test_degenerate_interval_rejected():
@@ -77,33 +68,14 @@ def test_mul_semigroup(a, b, alpha):
     assert r == a * residue(b, alpha)[0] % q
     point = fraction_mul_mod1(a, fraction_mul_mod1(b, alpha))
     assert F(r, q) == fraction_mul_mod1(a * b, alpha) == point
-    for iv in (TorusInterval(F(1, 3), F(2, 3)), TorusInterval(F(5, 6), F(1, 6), wraps=True)):
+    for iv in (TorusInterval(F(1, 3), F(2, 3)), TorusInterval(F(0), F(1, 6))):
         assert iv.contains_residue(r, q) is fraction_contains(iv, point)
-
-
-def test_wrapping_midpoint_lands_on_zero():
-    # The arc midpoint the chain tests compare alpha against.
-    iv = TorusInterval(F(19, 20), F(1, 20), wraps=True)
-    mid = midpoint(iv)
-    assert mid == 0
-    assert fraction_contains(iv, mid)
-    assert iv.contains_residue(0, 1)
-
-
-def test_contains_interval_wrap_cases():
-    outer = TorusInterval(F(7, 10), F(2, 10), wraps=True)
-    inner = TorusInterval(F(8, 10), F(1, 10), wraps=True)
-    assert interval_contains_interval(outer, inner)
-    assert not interval_contains_interval(inner, outer)
-    plain = TorusInterval(F(75, 100), F(95, 100))
-    assert interval_contains_interval(outer, plain)
-    assert not interval_contains_interval(plain, outer)
 
 
 def test_json_round_trip():
     # Certificates read an interval back through their declared input field.
-    iv = TorusInterval(F(4, 5), F(1, 10), wraps=True)
-    assert iv.to_json() == {"left": "4/5", "right": "1/10", "wraps": True}
+    iv = TorusInterval(F(1, 10), F(4, 5))
+    assert iv.to_json() == {"left": "1/10", "right": "4/5", "wraps": False}
     assert certs._INTERVAL.parse(iv.to_json()) == iv
 
 
@@ -113,40 +85,30 @@ def test_json_round_trip():
 ends = st.fractions(min_value=0, max_value=1, max_denominator=12)
 
 
-def fraction_valid(left, right, wraps):
-    return 0 < right < left < 1 if wraps else 0 <= left < right <= 1
-
-
 @st.composite
-def arcs(draw):
-    """An arc between two distinct ends; it wraps when asked and both ends
-    lie strictly inside (0, 1)."""
+def intervals(draw):
+    """An interval between two distinct ends."""
     a, b = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
-    if draw(st.booleans()) and 0 < a and b < 1:
-        return TorusInterval(b, a, wraps=True)
     return TorusInterval(a, b)
 
 
 @settings(max_examples=200, deadline=None)
-@given(left=ends, right=ends, wraps=st.booleans())
-@example(left=F(0), right=F(1), wraps=False)
-@example(left=F(0), right=F(1, 2), wraps=True)
-@example(left=F(1), right=F(1, 2), wraps=True)
-@example(left=F(1, 2), right=F(1, 2), wraps=True)
-@example(left=F(1), right=F(1), wraps=False)
-def test_interval_ends_ordered_as_by_fractions(left, right, wraps):
-    if fraction_valid(left, right, wraps):
-        iv = TorusInterval(left, right, wraps)
-        assert iv.length == ((1 - left) + right if wraps else right - left)
+@given(left=ends, right=ends)
+@example(left=F(0), right=F(1))
+@example(left=F(1), right=F(1, 2))
+@example(left=F(1, 2), right=F(1, 2))
+@example(left=F(1), right=F(1))
+def test_interval_ends_ordered_as_by_fractions(left, right):
+    if 0 <= left < right <= 1:
+        iv = TorusInterval(left, right)
+        assert iv.length == right - left
         assert iv.to_json() == {"left": f"{left.numerator}/{left.denominator}",
                                 "right": f"{right.numerator}/{right.denominator}",
-                                "wraps": wraps}
+                                "wraps": False}
         return
     with pytest.raises(ValueError) as err:
-        TorusInterval(left, right, wraps)
-    need = "wrapping interval needs 0 < right < left < 1" if wraps else (
-        "interval needs 0 <= left < right <= 1")
-    assert str(err.value) == f"{need}, got ({left}, {right})"
+        TorusInterval(left, right)
+    assert str(err.value) == f"interval needs 0 <= left < right <= 1, got ({left}, {right})"
 
 
 def test_interval_ends_become_fractions():
@@ -156,9 +118,7 @@ def test_interval_ends_become_fractions():
 
 
 @settings(max_examples=150, deadline=None)
-@given(iv=arcs(), x=ends.filter(lambda v: v < 1), scale=st.integers(1, 10**12))
-@example(iv=TorusInterval(F(4, 5), F(1, 10), wraps=True), x=F(0), scale=7)
-@example(iv=TorusInterval(F(4, 5), F(1, 10), wraps=True), x=F(4, 5), scale=3)
+@given(iv=intervals(), x=ends.filter(lambda v: v < 1), scale=st.integers(1, 10**12))
 @example(iv=TorusInterval(F(0), F(1, 3)), x=F(0), scale=5)
 def test_contains_residue_matches_fraction_contains(iv, x, scale):
     # The residue r/q is read unreduced, as k*r over k*q.
@@ -167,12 +127,7 @@ def test_contains_residue_matches_fraction_contains(iv, x, scale):
 
 
 @settings(max_examples=250, deadline=None)
-@given(outer=arcs(), inner=arcs())
-@example(outer=TorusInterval(F(7, 10), F(2, 10), wraps=True),
-         inner=TorusInterval(F(8, 10), F(1, 10), wraps=True))
-@example(outer=TorusInterval(F(1, 2), F(1, 4), wraps=True), inner=TorusInterval(F(0), F(1, 4)))
-@example(outer=TorusInterval(F(1, 2), F(1, 4), wraps=True), inner=TorusInterval(F(1, 2), F(1)))
-@example(outer=TorusInterval(F(0), F(1)), inner=TorusInterval(F(3, 4), F(1, 4), wraps=True))
+@given(outer=intervals(), inner=intervals())
 @example(outer=TorusInterval(F(0), F(1)), inner=TorusInterval(F(0), F(1)))
 def test_contains_interval_matches_fraction_reference(outer, inner):
     assert interval_contains_interval(outer, inner) is fraction_contains_interval(outer, inner)
