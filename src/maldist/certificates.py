@@ -565,8 +565,7 @@ def histogram_certificate(witness: HistogramWitness, multipliers: Sequence[int])
 def avoidance_certificate(result: AvoidanceResult, discrepancy_floor: Fraction | None = None) -> dict:
     disc, margins = None, {}
     if discrepancy_floor is not None:
-        p, q = result.alpha.numerator, result.alpha.denominator
-        disc = star_discrepancy(Residues([n * p % q for n in result.indices], q))
+        disc = star_discrepancy(Residues(result.residues, result.alpha.denominator))
         margins["star_discrepancy"] = _fr(disc)
     claims = _avoid_claims(set(result.gaps) <= {1, 2}, result.hits_after_prefix,
                            disc, discrepancy_floor)

@@ -39,9 +39,7 @@ mismatch), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from fractions import Fraction
@@ -52,10 +50,11 @@ from typing import TYPE_CHECKING
 
 from .exact import (
     RationalParseError,
-    decimal_ratio,
-    format_ratio,
+    csv_text,
+    decimal_row,
     format_rational,
     parse_rational,
+    ratio_row,
 )
 
 if TYPE_CHECKING:
@@ -355,6 +354,17 @@ def _block_side(value, key: str, lengths=None):
 def _block_spec(opts: dict) -> BlockSpec:
     from .envelope import BlockSpec
 
+    class FlagSpec(BlockSpec):
+        """The spec of --spec: a block it refuses, when a list is read or
+        when a generator gives it, is refused by the flag.  (A block past a
+        list's end keeps its own message, which names the block and side.)"""
+
+        def _extend_sums(self, j: int) -> None:
+            try:
+                super()._extend_sums(j)
+            except ValueError as exc:
+                raise CliError(f"--spec: {exc}") from None
+
     spec_text = _require(opts, "spec")
     try:
         obj = json.loads(spec_text)
@@ -366,7 +376,10 @@ def _block_spec(opts: dict) -> BlockSpec:
     # at.  halfceil may read a list b by index: BlockSpec forms b_j before m_j.
     b = _block_side(obj.get("b"), "b")
     m = _block_side(obj.get("m"), "m", b if callable(b) else lambda j: b[j - 1])
-    return BlockSpec(b, m)
+    try:
+        return FlagSpec(b, m)
+    except ValueError as exc:
+        raise CliError(f"--spec: {exc}")
 
 
 def _multipliers(opts: dict, count: int) -> Multipliers:
@@ -458,17 +471,16 @@ def _cmd_envelope(opts: dict) -> int:
         raise CliError("--grid: need at least 2 points")
     digits = _int(opts, "digits", 12)
     pi = pi_measure(spec, blocks)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["t", "F", "t_exact", "F_exact"])
+    # Each column shares one denominator: t = i/steps, and F(t) over
+    # `envelope_ratio`'s denominator for steps.
     steps = grid - 1
-    for i in range(grid):
-        num, den = pi.envelope_ratio(i, steps)
-        writer.writerow(
-            [decimal_ratio(i, steps, digits), decimal_ratio(num, den, digits),
-             format_ratio(i, steps), format_ratio(num, den)]
-        )
-    _write_text(out.getvalue(), opts.get("table-out"))
+    f_nums = [pi.envelope_ratio(i, steps)[0] for i in range(grid)]
+    f_den = pi.envelope_ratio(0, steps)[1]
+    t_nums = range(grid)
+    table = csv_text([("t", "F", "t_exact", "F_exact"),
+                      *zip(decimal_row(t_nums, steps, digits), decimal_row(f_nums, f_den, digits),
+                           ratio_row(t_nums, steps), ratio_row(f_nums, f_den))])
+    _write_text(table, opts.get("table-out"))
     report = check_admissible(spec, blocks)
     result = {
         "admissibility": {
@@ -534,15 +546,11 @@ def _cmd_subspace(opts: dict) -> int:
             runs[-1][1] += 1
         else:
             runs.append([n, 1])
-    trace_out = io.StringIO()
-    writer = csv.writer(trace_out, lineterminator="\n")
-    writer.writerow(["block", "M"] + [f"d_{i}" for i in range(partition.size)])
-    for entry in result.trace:
-        den = entry.denominator
-        writer.writerow(
-            [entry.block, entry.cumulative] + [format_ratio(num, den) for num in entry.numerators]
-        )
-    _write_text(trace_out.getvalue(), opts.get("trace-out"))
+    trace = csv_text([("block", "M", *(f"d_{i}" for i in range(partition.size))),
+                      *([str(entry.block), str(entry.cumulative),
+                         *ratio_row(entry.numerators, entry.denominator)]
+                        for entry in result.trace)])
+    _write_text(trace, opts.get("trace-out"))
     _write_json(
         {
             "indices_runlength": runs,
@@ -657,12 +665,10 @@ def _cmd_doubling(opts: dict) -> int:
         digits = _int(opts, "digits", 12)
         orbit = doubling_orbit(alpha, steps)
         q = orbit.den
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["k", "value", "value_exact"])
-        for k, r in enumerate(orbit.nums, start=1):
-            writer.writerow([k, decimal_ratio(r, q, digits), format_ratio(r, q)])
-        _write_text(out.getvalue(), opts.get("out"))
+        table = csv_text([("k", "value", "value_exact"),
+                          *zip(map(str, range(1, len(orbit) + 1)),
+                               decimal_row(orbit.nums, q, digits), ratio_row(orbit.nums, q))])
+        _write_text(table, opts.get("out"))
         return 0
     if mode == "invariance":
         alpha = _rational(opts, "alpha")

@@ -4,13 +4,13 @@ Covers the cell partition and its integer thresholds (the one cell lookup),
 measure vectors, points held as integer residues over one denominator, exact
 star discrepancy, and checkpoint scans of the prefix cell counts along a
 sequence with their CSV form: from a list of points, or for a rotation
-n*p/q mod 1 in closed form by floor sums, with no point list.
+n*p/q mod 1 in closed form by floor sums, with no point list.  A rotation
+scan forms the Euclid expansion of p/q once and walks it for every floor
+sum; a scan's CSV row is printed from its integer counts over N.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import chain, islice, repeat
 from math import isqrt
 
-from .exact import decimal_ratio, format_ratio, is_dyadic, over_lcm
+from .exact import csv_text, decimal_row, over_lcm, ratio_row
 
 __all__ = [
     "CellPartition",
@@ -65,8 +65,11 @@ class Residues:
 class CellPartition:
     """Partition of [0, 1) into cells [t_{i-1}, t_i) by exact rational cuts.
 
-    The cuts are also held as integer numerators over their lcm, so a lookup
-    (`thresholds`) is one `bisect` on integers, with no Fraction built.
+    The cuts are also held as integer numerators over their lcm D, so a
+    lookup (`thresholds`) is one `bisect` on integers, with no Fraction
+    built, and the cuts are all dyadic iff D is a power of 2.  `uniform` and
+    `dyadic` start from those integers (the cuts i/s over D = s) and run no
+    Fraction comparison and no lcm.
     """
 
     cuts: tuple[Fraction, ...]
@@ -90,7 +93,14 @@ class CellPartition:
 
     @classmethod
     def uniform(cls, s: int) -> "CellPartition":
-        return cls(tuple(Fraction(i, s) for i in range(s + 1)))
+        cuts = tuple(Fraction(i, s) for i in range(s + 1))
+        if s < 1:
+            return cls(cuts)  # s < 0 leaves no cuts, which the constructor refuses
+        partition = object.__new__(cls)
+        object.__setattr__(partition, "cuts", cuts)
+        object.__setattr__(partition, "_den", s)
+        object.__setattr__(partition, "_scaled_cuts", tuple(range(s + 1)))
+        return partition
 
     @classmethod
     def dyadic(cls, level: int) -> "CellPartition":
@@ -115,7 +125,7 @@ class CellPartition:
         return MeasureVector(tuple(b - a for a, b in zip(self.cuts, self.cuts[1:])))
 
     def is_dyadic(self) -> bool:
-        return all(is_dyadic(t) for t in self.cuts)
+        return self._den & (self._den - 1) == 0
 
 
 @dataclass(frozen=True)
@@ -227,25 +237,38 @@ def checkpoint_scan(
     return CheckpointScan(tuple(cps), tuple(scanned))
 
 
-def _floor_sum(n: int, m: int, a: int, b: int) -> int:
-    """sum_{i=0}^{n-1} floor((a*i + b)/m) for n >= 0 and m >= 1, in O(log m)
-    integer steps.
+def _euclid_steps(a: int, m: int) -> tuple[tuple[int, int, int], ...]:
+    """The steps (m_k, a_k mod m_k, a_k div m_k) of Euclid's algorithm on
+    (m, a) = (m_0, a_0), m >= 1: m_{k+1} = a_k mod m_k and a_{k+1} = m_k,
+    up to the step whose remainder is 0.  For a/m = p/q there are
+    O(log q) steps, formed once for every floor sum over p/q."""
+    steps = []
+    while m:
+        qa, r = divmod(a, m)
+        steps.append((m, r, qa))
+        m, a = r, m
+    return tuple(steps)
 
-    Euclid's recursion on (m, a): once 0 <= a, b < m, the sum counts the
-    lattice points under the line y = (a*x + b)/m, which is the same count
-    with the axes swapped, a sum of floor((m*j + y_max mod m)/a) over
-    j < y_max div m for y_max = a*n + b.
+
+def _stepped_floor_sum(steps: tuple[tuple[int, int, int], ...], n: int, b: int) -> int:
+    """sum_{i=0}^{n-1} floor((a*i + b)/m) for n >= 0, with steps =
+    `_euclid_steps(a, m)`: Euclid's recursion on (m, a), one step each.
+
+    Once a = a_k mod m_k and b are reduced mod m_k, the sum counts the
+    lattice points under the line y = (a*x + b)/m_k, which is the same count
+    with the axes swapped: a sum of floor((m_k*j + y_max mod m_k)/a) over
+    j < y_max div m_k for y_max = a*n + b, the next step's sum.  The step
+    whose remainder a is 0 always ends the walk.
     """
     total = 0
-    while True:
-        qa, a = divmod(a, m)
+    for m, a, qa in steps:
         qb, b = divmod(b, m)
         total += qa * (n * (n - 1) // 2) + qb * n
         y_max = a * n + b
         if y_max < m:
-            return total
+            break
         n, b = divmod(y_max, m)
-        m, a = a, m
+    return total
 
 
 def rotation_scan(
@@ -262,38 +285,29 @@ def rotation_scan(
     least its threshold a_i = ceil(c_i*q/D) (`CellPartition.thresholds`).  With
     S(b) = sum_{n=1..N} floor((n*p + b)/q), the term of S(q - a) - S(0) for
     n is 1 iff r_n >= a, so #{n <= N: r_n >= a} = S(q - a) - S(0), and a
-    cell count is the difference of its two cuts' counts.  A scan costs
-    O(cells * checkpoints * log q) integer steps, whatever N is.
+    cell count is the difference of its two cuts' counts.  Every S walks the
+    one Euclid expansion of p/q, so a scan costs O(cells * checkpoints *
+    log q) integer steps, whatever N is.
     """
     cps = _checked_checkpoints(checkpoints)
     if q < 1:
         raise ValueError("denominator must be positive")
     p %= q
+    steps = _euclid_steps(p, q)
     inner = partition.thresholds(q)[1:-1]
     scanned = []
     for n in cps:
-        base = _floor_sum(n, q, p, p)
-        at_or_above = [n, *(_floor_sum(n, q, p, p + q - a) - base for a in inner), 0]
+        base = _stepped_floor_sum(steps, n, p)
+        at_or_above = [n, *(_stepped_floor_sum(steps, n, p + q - a) - base for a in inner), 0]
         scanned.append(tuple(x - y for x, y in zip(at_or_above, at_or_above[1:])))
     return CheckpointScan(tuple(cps), tuple(scanned))
 
 
 def scan_to_csv(scan: CheckpointScan, digits: int = 12) -> str:
     """CSV of a scan: one row per checkpoint, decimal frequencies first,
-    exact "p/q" duplicates after, each printed from its count over N."""
+    exact "p/q" duplicates after, each row printed from its counts over N
+    in one pass (`decimal_row`, `ratio_row`)."""
     s = len(scan.counts[0])
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    header = (
-        ["N"]
-        + [f"freq_{i}" for i in range(s)]
-        + [f"freq_{i}_exact" for i in range(s)]
-    )
-    writer.writerow(header)
-    for n, counts in zip(scan.checkpoints, scan.counts):
-        writer.writerow(
-            [n]
-            + [decimal_ratio(c, n, digits) for c in counts]
-            + [format_ratio(c, n) for c in counts]
-        )
-    return out.getvalue()
+    header = ["N", *(f"freq_{i}" for i in range(s)), *(f"freq_{i}_exact" for i in range(s))]
+    return csv_text([header, *([str(n), *decimal_row(counts, n, digits), *ratio_row(counts, n)]
+                               for n, counts in zip(scan.checkpoints, scan.counts))])

@@ -170,7 +170,8 @@ class RatioMeasure:
     def envelope_ratio(self, num: int, den: int) -> tuple[int, int]:
         """F(num/den) as an integer numerator over a positive denominator,
         not reduced, for 0 <= num/den <= 1 (den > 0; not checked): atom i
-        lies at or below num/den iff k_i <= floor(num * L / den)."""
+        lies at or below num/den iff k_i <= floor(num * L / den).  The
+        denominator depends on den alone, so F on a grid i/den shares it."""
         i = bisect_right(self._keys, num * self._scale // den)
         hscale_den = self._hscale * den
         return (self._mass_upto[i] * hscale_den + num * self._harmonic_from[i],

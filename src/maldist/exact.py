@@ -4,13 +4,17 @@ All quantities in this package are arbitrary-precision rationals
 (`fractions.Fraction`, or integer numerators over a shared denominator);
 nothing downstream is allowed to round.  This module holds the serialization
 conventions ("p/q" strings in JSON, decimal strings for display only), each
-written from the integers num/den (`format_ratio`, `decimal_ratio`) or from
-a Fraction (`format_rational`), and a few small numeric helpers.
+written from a Fraction (`format_rational`), from the integers num/den
+(`format_ratio`), or as a row of numerators over one denominator in one pass
+(`ratio_row`, `decimal_row`), and the CSV text of such rows (`csv_text`),
+which every CSV table is printed with; and a few small numeric helpers.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 
 __all__ = [
@@ -19,10 +23,11 @@ __all__ = [
     "parse_ratio",
     "format_rational",
     "format_ratio",
-    "decimal_ratio",
+    "ratio_row",
+    "decimal_row",
+    "csv_text",
     "mod1",
     "binary_digits",
-    "is_dyadic",
     "over_lcm",
 ]
 
@@ -105,23 +110,41 @@ def format_ratio(num: int, den: int) -> str:
     return f"{num // g}/{den // g}"
 
 
-def decimal_ratio(num: int, den: int, digits: int = 12) -> str:
-    """Decimal rendering of num/den (den > 0, need not be reduced) with
-    `digits` places, round-half-away-from-zero, in integers.
+def ratio_row(nums: Sequence[int], den: int) -> list[str]:
+    """`format_ratio(num, den)` of each num in nums over the one denominator
+    den > 0, in one pass: one `gcd` map, then each reduced pair."""
+    return [f"{num // g}/{den // g}" for num, g in zip(nums, map(gcd, nums, repeat(den)))]
+
+
+def decimal_row(nums: Sequence[int], den: int, digits: int = 12) -> list[str]:
+    """Decimal renderings of num/den for each num in nums over the one
+    denominator den > 0 (need not be reduced), with `digits` places,
+    round-half-away-from-zero, in integers: |num|/den rounds to the floor
+    division (2*|num|*10**digits + den) // (2*den), printed with its point.
 
     Presentational only; exact values always travel alongside as "p/q".  A
     negative `digits` is refused: 10**digits would be a float.
     """
     if digits < 0:
         raise ValueError(f"digits must be nonnegative, got {digits}")
-    neg = num < 0
-    num = -num if neg else num
-    q, r = divmod(num * 10**digits, den)
-    if 2 * r >= den:
-        q += 1
-    whole, frac = divmod(q, 10**digits)
-    body = f"{whole}.{frac:0{digits}d}" if digits > 0 else str(whole)
-    return "-" + body if neg else body
+    scale, twice = 10**digits, 2 * den
+    rounded = [(2 * abs(num) * scale + den) // twice for num in nums]
+    if digits:
+        fmt = f"%d.%0{digits}d"
+        texts = [fmt % pair for pair in map(divmod, rounded, repeat(scale))]
+    else:
+        texts = list(map(str, rounded))
+    if nums and min(nums) < 0:
+        return ["-" + text if num < 0 else text for num, text in zip(nums, texts)]
+    return texts
+
+
+def csv_text(rows: Iterable[Sequence[str]]) -> str:
+    """The CSV lines, each ended by "\\n", of rows of column names and
+    number texts ("p/q", decimals, integers): none holds a comma, a quote or
+    a line break, so no field is quoted, and the text is what `csv.writer`
+    writes for them."""
+    return "".join([",".join(row) + "\n" for row in rows])
 
 
 def mod1(value: Fraction) -> Fraction:
@@ -147,11 +170,6 @@ def binary_digits(value: Fraction, length: int) -> tuple[int, ...]:
         return ()
     bits = (x.numerator << length) // x.denominator
     return tuple(format(bits, f"0{length}b").encode().translate(_BIT_VALUES))
-
-
-def is_dyadic(value: Fraction) -> bool:
-    den = Fraction(value).denominator
-    return den & (den - 1) == 0
 
 
 def over_lcm(values) -> tuple[list[int], int]:

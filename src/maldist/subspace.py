@@ -69,7 +69,7 @@ class BlockTrace:
     number M of indices chosen through it, and the cell deviations
     mu_i - c_i/M as integer numerators over the one denominator den*M (den
     the lcm of mu's denominators; mu itself, over den, while M = 0).  They
-    are not reduced: `format_ratio(num, denominator)` prints a cell."""
+    are not reduced: `ratio_row(numerators, denominator)` prints them."""
 
     block: int
     chosen: tuple[int, ...]

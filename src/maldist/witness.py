@@ -471,9 +471,13 @@ def histogram_witness(
 
 @dataclass(frozen=True)
 class AvoidanceResult:
+    """The indices of an avoidance run, with the residues n*p mod q of their
+    points n*alpha mod 1 = (n*p mod q)/q over alpha = p/q."""
+
     alpha: Fraction
     eps: Fraction
     indices: tuple[int, ...]
+    residues: tuple[int, ...]
     gaps: tuple[int, ...]
     prefix_length: int
     hits_after_prefix: int
@@ -515,20 +519,24 @@ def avoidance_sequence(
 
     # m*alpha mod 1 = (m*p mod q)/q, and for an integer r, r/q < eps iff
     # r < ceil(eps*q).  A span of m is sized from the count still needed,
-    # up to 2^14 indices.
+    # up to 2^14 indices; the residues of the indices taken are kept.
     p, q = alpha.numerator, alpha.denominator
     bound = -(-eps.numerator * q // eps.denominator)
     prefix_length, m = len(idx), idx[-1] + 1
+    residues = [n * p % q for n in idx]
     while len(idx) < horizon:
         need = horizon - len(idx)
         stop = m + min(-(-need * q // (q - bound)), 1 << 14)
-        residues = map(mod, range(m * p, stop * p, p), repeat(q))
-        idx.extend(islice(compress(range(m, stop), map(bound.__le__, residues)), need))
+        span = list(map(mod, range(m * p, stop * p, p), repeat(q)))
+        taken = list(map(bound.__le__, span))
+        idx.extend(islice(compress(range(m, stop), taken), need))
+        residues.extend(islice(compress(span, taken), need))
         m = stop
     return AvoidanceResult(
         alpha=alpha,
         eps=eps,
         indices=tuple(idx),
+        residues=tuple(residues),
         gaps=tuple(map(sub, islice(idx, 1, None), idx)),
         prefix_length=prefix_length,
         hits_after_prefix=0,

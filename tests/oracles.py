@@ -23,6 +23,10 @@ program against.  None of it backs a `maldist` subcommand.
   `fraction_contains` and `fraction_contains_interval` on the circle, and
   `frequencies`, `fraction_decimal_str` and `fraction_scan_to_csv` for the
   scan CSV;
+- the one-value forms the program dropped when its CSV tables came from
+  rows over one denominator: `decimal_ratio`, the decimal of one num/den
+  that `exact.decimal_row` is held to, and `is_dyadic` of one Fraction,
+  the reference for `CellPartition.is_dyadic`;
 - `stepwise_invariance_defect`: the invariance defect counted along the
   orbit one step at a time, the reference for the two-lookup identity
   `invariance_defect` and the invariance verifier use;
@@ -32,7 +36,8 @@ program against.  None of it backs a `maldist` subcommand.
   for that fold on both the build and the verify side;
 - `walked_avoidance_sequence`: the gap-{1,2} avoidance run walked one
   index at a time on integer residues, as `avoidance_sequence` built it
-  before it took the indices by their rule;
+  before it took the indices by their rule, with the residue of each index
+  it takes;
 - `regex_parse_rational`: the regular-expression parser `parse_rational`
   was before it became a one-pass `str`-method parse, which the
   differential test holds it to;
@@ -62,7 +67,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from maldist.doubling import BinaryPoint
 from maldist.empirical import CellPartition, CheckpointScan, Residues
 from maldist.envelope import BlockSpec, RatioMeasure
-from maldist.exact import RationalParseError, decimal_ratio, format_rational, mod1, over_lcm
+from maldist.exact import RationalParseError, format_rational, mod1, over_lcm
 from maldist.subspace import ExtensionTarget, validate_membership
 from maldist.torus import TorusInterval
 from maldist.witness import AvoidanceResult
@@ -252,7 +257,7 @@ def stepwise_invariance_defect(alpha: Fraction, steps: int, partition: CellParti
     its cell and -1 in the cell of its image."""
     if steps < 1:
         raise ValueError("empty orbit segment")
-    if not partition.is_dyadic():
+    if not all(is_dyadic(t) for t in partition.cuts):
         raise ValueError("partition cut points must be dyadic rationals")
     counts = [0] * partition.size
     x = mod1(Fraction(alpha))
@@ -300,7 +305,8 @@ def walked_avoidance_sequence(
     e_den, e_bound = eps.denominator, eps.numerator * q
 
     prefix_length = len(idx)
-    value, hits = idx[-1] * p % q, 0
+    residues = [n * p % q for n in idx]
+    value, hits = residues[-1], 0
     while len(idx) < horizon:
         n = idx[-1]
         step1 = (value + p) % q
@@ -310,12 +316,14 @@ def walked_avoidance_sequence(
         else:
             idx.append(n + 2)
             value = (step1 + p) % q
+        residues.append(value)
         hits += value * e_den < e_bound
     gaps = tuple(b - a for a, b in zip(idx, idx[1:]))
     return AvoidanceResult(
         alpha=alpha,
         eps=eps,
         indices=tuple(idx),
+        residues=tuple(residues),
         gaps=gaps,
         prefix_length=prefix_length,
         hits_after_prefix=hits,
@@ -331,6 +339,29 @@ def frequencies(counts: Sequence[int]) -> tuple[Fraction, ...]:
     """The cell frequencies count/N of cell counts of N points, as Fractions."""
     n = sum(counts)
     return tuple(Fraction(c, n) for c in counts)
+
+
+def decimal_ratio(num: int, den: int, digits: int = 12) -> str:
+    """Decimal rendering of num/den (den > 0, need not be reduced) with
+    `digits` places, round-half-away-from-zero, in integers: one divmod and
+    a comparison of twice the remainder with den.  A negative `digits` is
+    refused."""
+    if digits < 0:
+        raise ValueError(f"digits must be nonnegative, got {digits}")
+    neg = num < 0
+    num = -num if neg else num
+    q, r = divmod(num * 10**digits, den)
+    if 2 * r >= den:
+        q += 1
+    whole, frac = divmod(q, 10**digits)
+    body = f"{whole}.{frac:0{digits}d}" if digits > 0 else str(whole)
+    return "-" + body if neg else body
+
+
+def is_dyadic(value: Fraction) -> bool:
+    """Whether the Fraction's denominator is a power of 2."""
+    den = Fraction(value).denominator
+    return den & (den - 1) == 0
 
 
 def fraction_decimal_str(value: Fraction, digits: int = 12) -> str:

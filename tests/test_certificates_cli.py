@@ -382,7 +382,8 @@ def test_avoid_builder_states_a_gap_outside_one_two_as_false():
     # The rule never makes a gap of 3; a result that holds one is stated as
     # it is, and verify recomputes the same false verdict.
     result = AvoidanceResult(alpha=F(5, 17), eps=F(1, 5), indices=(1, 2, 5, 6),
-                             gaps=(1, 3, 1), prefix_length=1, hits_after_prefix=0)
+                             residues=(5, 10, 8, 13), gaps=(1, 3, 1), prefix_length=1,
+                             hits_after_prefix=0)
     cert = certs.avoidance_certificate(result)
     assert claim(cert, "gap-structure")["verdict"] is False
     assert certs.verify_certificate(cert).failures == ()

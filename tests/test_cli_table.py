@@ -445,6 +445,29 @@ def test_malformed_generator_argument_is_refused_by_spec(tmp_path, capsys, spec,
     assert (captured.out, out.exists()) == ("", False)
 
 
+@pytest.mark.parametrize("spec, error", [
+    ('{"b": "linear:-5", "m": "const:1"}', "block 1: length -4 must be >= 1"),
+    ('{"b": "linear", "m": "const:-1"}', "block 1: multiplicity -1 violates 0 <= m <= b (1)"),
+    ('{"b": [1, 0, 2], "m": [1, 0, 1]}', "block 2: length 0 must be >= 1"),
+    ('{"b": [2, 2, 2], "m": [1, 3, 1]}', "block 2: multiplicity 3 violates 0 <= m <= b (2)"),
+    ('{"b": "linear", "m": [1, -1, 1]}', "block 2: multiplicity -1 violates 0 <= m <= b (2)"),
+    ('{"b": [1, 2], "m": [1]}', "lengths and multiplicities must have equal length"),
+], ids=["generator-b", "generator-m", "list-b", "list-m", "mixed-m",
+        "list-lengths"])
+@pytest.mark.parametrize("argv", [
+    ["envelope", "--table-out", "t.csv"],
+    ["subspace", "--cuts", "0,1/2,1", "--mu", "1/2,1/2", "--x-alpha", "1/3", "--trace-out", "t.csv"],
+], ids=["envelope", "subspace"])
+def test_spec_refusals_name_the_flag(tmp_path, monkeypatch, capsys, spec, error, argv):
+    """A block the spec refuses, from a list or as a generator gives it, is
+    refused by --spec, and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    argv = [*argv, "--spec", spec, "--blocks", "3", "--out", "out.json"]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    assert capsys.readouterr() == ("", f"maldist {argv[0]}: --spec: {error}\n")
+    assert not (tmp_path / "out.json").exists() and not (tmp_path / "t.csv").exists()
+
+
 PAIRS = "expected JSON [[q, w], ...] pairs"
 
 

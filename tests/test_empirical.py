@@ -22,6 +22,7 @@ from tests.oracles import (
     empirical_measure,
     fraction_scan_to_csv,
     frequencies,
+    is_dyadic,
 )
 
 
@@ -238,6 +239,53 @@ def test_thresholds_bisect_matches_cell_of(cuts, den, on_cuts):
         for t in cuts[:-1]:
             r = t.numerator * (den // t.denominator)
             assert bisect_right(thresholds, r) - 1 == cuts.index(t)
+
+
+def fraction_uniform(s: int) -> CellPartition:
+    """The uniform partition built from its Fraction cuts i/s."""
+    return CellPartition(tuple(F(i, s) for i in range(s + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@example(s=1, den=1)
+@example(s=64, den=131151201344081895336534324866)
+@example(s=1 << 12, den=3)
+@given(st.one_of(st.integers(1, 80), st.sampled_from([1 << k for k in range(11)])),
+       st.one_of(st.integers(1, 400), st.integers(1, 10**30)))
+def test_integer_built_uniform_matches_the_fraction_built(s, den):
+    """`uniform`, built from the integers 0..s over s, has the Fraction-built
+    partition's cuts, thresholds, equality, hash and dyadic verdict."""
+    got, want = CellPartition.uniform(s), fraction_uniform(s)
+    assert got == want and hash(got) == hash(want)
+    assert got.cuts == want.cuts and got.size == want.size == s
+    assert got.thresholds(den) == want.thresholds(den)
+    assert got.lebesgue_masses() == want.lebesgue_masses()
+    assert got.is_dyadic() == want.is_dyadic() == all(is_dyadic(t) for t in want.cuts)
+    assert got.is_dyadic() == (s & (s - 1) == 0)
+
+
+@pytest.mark.parametrize("level", range(8))
+def test_integer_built_dyadic_matches_the_fraction_built(level):
+    got, want = CellPartition.dyadic(level), fraction_uniform(1 << level)
+    assert got == want and got.thresholds(97) == want.thresholds(97)
+    assert got.is_dyadic() and want.is_dyadic()
+
+
+@settings(max_examples=100, deadline=None)
+@example(cuts=(F(0), F(1, 4), F(3, 8), F(1)))
+@example(cuts=(F(0), F(1, 4), F(1, 3), F(1)))
+@given(mixed_cuts())
+def test_is_dyadic_reads_the_cuts_lcm(cuts):
+    assert CellPartition(cuts).is_dyadic() == all(is_dyadic(t) for t in cuts)
+
+
+@pytest.mark.parametrize("s", [0, -1, -2, -7])
+def test_uniform_refuses_a_nonpositive_count_as_before(s):
+    with pytest.raises((ValueError, ZeroDivisionError)) as want:
+        fraction_uniform(s)
+    with pytest.raises(type(want.value)) as got:
+        CellPartition.uniform(s)
+    assert str(got.value) == str(want.value)
 
 
 def test_thresholds_refuse_a_nonpositive_denominator():

@@ -1,3 +1,5 @@
+import csv
+import io
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction as F
 
@@ -8,12 +10,15 @@ from hypothesis import strategies as st
 from maldist.exact import (
     RationalParseError,
     binary_digits,
-    decimal_ratio,
+    csv_text,
+    decimal_row,
+    format_ratio,
     format_rational,
-    is_dyadic,
     mod1,
     parse_rational,
+    ratio_row,
 )
+from tests.oracles import decimal_ratio, is_dyadic
 
 
 def test_parse_forms():
@@ -46,17 +51,19 @@ def test_parse_format_round_trip(value):
 
 
 def test_decimal_str_rounding():
-    assert decimal_ratio(1, 3, 4) == "0.3333"
-    assert decimal_ratio(2, 3, 4) == "0.6667"
-    assert decimal_ratio(-1, 3, 4) == "-0.3333"
-    assert decimal_ratio(1, 2, 0) == "1"  # half away from zero
-    assert decimal_ratio(5, 1, 2) == "5.00"
+    assert decimal_row([1, 2, -1], 3, 4) == ["0.3333", "0.6667", "-0.3333"]
+    assert decimal_row([1, -1, 3], 2, 0) == ["1", "-1", "2"]  # half away from zero
+    assert decimal_row([5], 1, 2) == ["5.00"]
+    assert decimal_row([-1, 0], 10**6, 2) == ["-0.00", "0.00"]
+    assert decimal_row([], 7) == []
 
 
 def test_decimal_str_refuses_negative_digits():
     with pytest.raises(ValueError, match="digits must be nonnegative"):
-        decimal_ratio(5, 6, -2)
-    assert decimal_ratio(5, 6, 0) == "1"
+        decimal_row([5], 6, -2)
+    with pytest.raises(ValueError, match="digits must be nonnegative"):
+        decimal_row([], 6, -1)
+    assert decimal_row([5], 6, 0) == ["1"]
 
 
 @given(num=st.integers(-10**20, 10**20), den=st.integers(1, 10**20),
@@ -68,9 +75,45 @@ def test_decimal_ratio_matches_decimal_half_up(num, den, scale, digits):
         ctx.prec = 100
         want = (Decimal(num) / Decimal(den)).quantize(Decimal(1).scaleb(-digits),
                                                       rounding=ROUND_HALF_UP)
-    text = decimal_ratio(num, den, digits)
-    assert text == decimal_ratio(num * scale, den * scale, digits)
+    [text] = decimal_row([num], den, digits)
+    assert [text] == decimal_row([num * scale], den * scale, digits)
     assert Decimal(text) == want
+
+
+# Numerators over one denominator as a CSV row prints them: zero and negative
+# ones, denominators that need not be reduced against them, up to 30 digits.
+numerator_rows = st.lists(st.one_of(st.integers(-50, 50), st.integers(-10**31, 10**31)),
+                          max_size=12)
+row_denominators = st.one_of(st.integers(1, 60), st.integers(1, 10**30),
+                             st.integers(1, 10**6).map(lambda d: d * 10**24))
+
+
+@given(numerator_rows, row_denominators, st.integers(0, 15))
+def test_decimal_row_matches_the_one_value_form(nums, den, digits):
+    assert decimal_row(nums, den, digits) == [decimal_ratio(n, den, digits) for n in nums]
+
+
+@given(numerator_rows, row_denominators)
+def test_ratio_row_matches_the_one_value_forms(nums, den):
+    row = ratio_row(nums, den)
+    assert row == [format_ratio(n, den) for n in nums]
+    assert row == [format_rational(F(n, den)) for n in nums]
+
+
+def test_ratio_rows_of_ranges_and_scales():
+    assert ratio_row(range(5), 4) == ["0/1", "1/4", "1/2", "3/4", "1/1"]
+    assert ratio_row([-6, 0, 9], 12) == ["-1/2", "0/1", "3/4"]
+    assert decimal_row(range(3), 2, 1) == ["0.0", "0.5", "1.0"]
+
+
+@given(st.lists(st.tuples(numerator_rows.filter(bool), row_denominators, st.integers(0, 15)),
+                max_size=4))
+def test_csv_text_is_what_csv_writer_writes(rows):
+    lines = [["N", "freq_0"], *([str(den), *ratio_row(nums, den), *decimal_row(nums, den, d)]
+                                for nums, den, d in rows)]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(lines)
+    assert csv_text(lines) == out.getvalue()
 
 
 def test_mod1():

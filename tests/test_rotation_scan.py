@@ -37,7 +37,19 @@ def listed(p: int, q: int, count: int) -> Residues:
     st.integers(min_value=-300, max_value=300),
 )
 def test_floor_sum_matches_brute_force(n, m, a, b):
-    assert empirical._floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+    steps = empirical._euclid_steps(a, m)
+    assert empirical._stepped_floor_sum(steps, n, b) == sum((a * i + b) // m for i in range(n))
+
+
+@given(st.integers(min_value=-10**30, max_value=10**30), st.integers(min_value=1, max_value=10**30))
+def test_euclid_steps_are_the_expansion_of_a_over_m(a, m):
+    """Each step holds m_k, a_k mod m_k and a_k div m_k, the next step runs
+    on (a_k mod m_k, m_k), and the last remainder is 0."""
+    steps = empirical._euclid_steps(a, m)
+    assert steps[0][0] == m and steps[-1][1] == 0
+    assert steps[0][2] * m + steps[0][1] == a
+    for (m0, r0, _), (m1, r1, q1) in zip(steps, steps[1:]):
+        assert m1 == r0 and q1 * m1 + r1 == m0 and 0 <= r1 < m1
 
 
 # --- against the listed residues --------------------------------------------------
@@ -103,23 +115,31 @@ def test_rotation_scan_needs_a_positive_denominator():
 
 def test_large_rotation_scan_lists_no_points(monkeypatch):
     """N = 10^15 points, which no list could hold, over a 30-digit
-    denominator: one floor sum per cell and checkpoint, and counts that sum
-    to N.  The alpha is a Fibonacci ratio, close to the golden rotation, so
-    every count is within a few dozen of N/64."""
+    denominator: one floor sum per cell and checkpoint, each a walk of the
+    one Euclid expansion, and counts that sum to N.  The alpha is a
+    Fibonacci ratio, close to the golden rotation, so every count is within
+    a few dozen of N/64."""
     a, b = 1, 1
     while b < 10**29:
         a, b = b, a + b
     assert len(str(b)) == 30
-    floor_sum, calls = empirical._floor_sum, []
+    floor_sum, calls = empirical._stepped_floor_sum, []
+    euclid_steps, expansions = empirical._euclid_steps, []
 
     def counted(*args):
         calls.append(args)
         return floor_sum(*args)
 
-    monkeypatch.setattr(empirical, "_floor_sum", counted)
+    def formed(*args):
+        expansions.append(args)
+        return euclid_steps(*args)
+
+    monkeypatch.setattr(empirical, "_stepped_floor_sum", counted)
+    monkeypatch.setattr(empirical, "_euclid_steps", formed)
     n, partition = 10**15, CellPartition.uniform(64)
     scan = rotation_scan(a, b, partition, [1000, n])
     assert len(calls) == 2 * 64
+    assert expansions == [(a, b)]
     small, large = scan.counts
     assert small == checkpoint_scan(listed(a, b, 1000), partition, [1000]).counts[0]
     assert sum(large) == n

@@ -263,6 +263,7 @@ def reference_avoidance_sequence(alpha, eps, prefix, horizon):
         alpha=alpha,
         eps=eps,
         indices=tuple(idx),
+        residues=tuple(int(mod1(n * alpha) * alpha.denominator) for n in idx),
         gaps=tuple(b - a for a, b in zip(idx, idx[1:])),
         prefix_length=len(prefix),
         hits_after_prefix=hits,
@@ -326,7 +327,10 @@ def avoidance_runs(draw):
 @given(avoidance_runs())
 def test_avoidance_takes_the_walks_indices(run):
     """The indices taken by their rule are those of the index-by-index
-    walk, with the same gaps and no hit after the prefix."""
+    walk, with the same residues and gaps and no hit after the prefix, and
+    the residue kept for each index n is n*p mod q."""
     alpha, eps, prefix, horizon = run
     got = avoidance_sequence(alpha, eps, prefix=prefix, horizon=horizon)
     assert got == walked_avoidance_sequence(alpha, eps, prefix, horizon)
+    p, q = alpha.numerator, alpha.denominator
+    assert got.residues == tuple(n * p % q for n in got.indices)
