@@ -359,9 +359,9 @@ def _block_spec(opts: dict) -> BlockSpec:
         when a generator gives it, is refused by the flag.  (A block past a
         list's end keeps its own message, which names the block and side.)"""
 
-        def _extend_sums(self, j: int) -> None:
+        def _form(self, j: int, first: int) -> None:
             try:
-                super()._extend_sums(j)
+                super()._form(j, first)
             except ValueError as exc:
                 raise CliError(f"--spec: {exc}") from None
 
@@ -373,7 +373,8 @@ def _block_spec(opts: dict) -> BlockSpec:
     if not isinstance(obj, dict) or set(obj) - {"b", "m"}:
         raise CliError("--spec: expected an object with keys 'b' and 'm'")
     # A list side stays a list, so that the spec names the block it runs out
-    # at.  halfceil may read a list b by index: BlockSpec forms b_j before m_j.
+    # at.  halfceil may read a list b by index: BlockSpec calls neither side
+    # for a block past a list's end.
     b = _block_side(obj.get("b"), "b")
     m = _block_side(obj.get("m"), "m", b if callable(b) else lambda j: b[j - 1])
     try:
@@ -466,10 +467,8 @@ def _cmd_envelope(opts: dict) -> int:
 
     spec = _block_spec(opts)
     blocks = _int(opts, "blocks", low=1)
-    grid = _int(opts, "grid", 101)
-    if grid < 2:
-        raise CliError("--grid: need at least 2 points")
-    digits = _int(opts, "digits", 12)
+    grid = _int(opts, "grid", 101, low=2)
+    digits = _int(opts, "digits", 12, low=0)
     pi = pi_measure(spec, blocks)
     # Each column shares one denominator: t = i/steps, and F(t) over
     # `envelope_ratio`'s denominator for steps.
@@ -662,7 +661,7 @@ def _cmd_doubling(opts: dict) -> int:
     if mode == "orbit":
         alpha = _rational(opts, "alpha")
         steps = _int(opts, "steps", low=0)
-        digits = _int(opts, "digits", 12)
+        digits = _int(opts, "digits", 12, low=0)
         orbit = doubling_orbit(alpha, steps)
         q = orbit.den
         table = csv_text([("k", "value", "value_exact"),
@@ -707,21 +706,17 @@ def _cmd_scan(opts: dict) -> int:
     if "cuts" in opts:
         partition = CellPartition(tuple(_rational_list(opts["cuts"], "cuts")))
     else:
-        cells = _int(opts, "cells", 10)
-        if cells == 0:
-            # A negative count is refused by the partition, whose cuts cannot
-            # run from 0 to 1.
-            raise CliError("--cells: need at least 1 cell")
-        partition = CellPartition.uniform(cells)
+        partition = CellPartition.uniform(_int(opts, "cells", 10, low=1))
     kind = _x_kind(opts)
     alpha = _rational(opts, "x-alpha")
+    digits = _int(opts, "digits", 12, low=0)
     if kind == "rotation":
         scan = rotation_scan(alpha.numerator, alpha.denominator, partition, checkpoints)
     else:
         from .doubling import doubling_scan
 
         scan = doubling_scan(alpha, partition, checkpoints)
-    _write_text(scan_to_csv(scan, digits=_int(opts, "digits", 12)), opts.get("out"))
+    _write_text(scan_to_csv(scan, digits=digits), opts.get("out"))
     return 0
 
 

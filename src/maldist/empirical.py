@@ -93,9 +93,9 @@ class CellPartition:
 
     @classmethod
     def uniform(cls, s: int) -> "CellPartition":
-        cuts = tuple(Fraction(i, s) for i in range(s + 1))
         if s < 1:
-            return cls(cuts)  # s < 0 leaves no cuts, which the constructor refuses
+            raise ValueError(f"cell count must be at least 1, got {s}")
+        cuts = tuple(Fraction(i, s) for i in range(s + 1))
         partition = object.__new__(cls)
         object.__setattr__(partition, "cuts", cuts)
         object.__setattr__(partition, "_den", s)

@@ -52,84 +52,77 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
-def _block_index(j: int, first: int) -> int:
-    if j < first:
-        raise ValueError(f"block {j}: index must be at least {first}")
-    return j
-
-
 class BlockSpec:
-    """Block lengths b_j and per-block multiplicities m_j (j is 1-based).
+    """Block lengths b_j and per-block multiplicities m_j (j is 1-based),
+    each side a finite list or a function of j.  `_form` forms blocks in
+    order for both kinds of side, checking b_j >= 1 and 0 <= m_j <= b_j, and
+    keeps only the block ends a_j and totals M_j.  Two lists are formed
+    whole at construction and a function side as far as it is read, so each
+    side runs once per formed block, and a read of a formed block is a
+    bounds test and a list index."""
 
-    Lengths/multiplicities may be finite lists or generator functions of j;
-    function-backed specs are materialized lazily and cached.  Invariants
-    0 <= m_j <= b_j and b_j >= 1 are enforced as blocks materialize.
-    """
-
-    def __init__(
-        self,
-        lengths: Sequence[int] | Callable[[int], int],
-        multiplicities: Sequence[int] | Callable[[int], int],
-    ):
-        self._b_fn = lengths if callable(lengths) else None
-        self._m_fn = multiplicities if callable(multiplicities) else None
-        self._b: list[int] = [] if callable(lengths) else [int(b) for b in lengths]
-        self._m: list[int] = [] if callable(multiplicities) else [int(m) for m in multiplicities]
-        if self._b_fn is None and self._m_fn is None and len(self._b) != len(self._m):
-            raise ValueError("lengths and multiplicities must have equal length")
+    def __init__(self, lengths: Sequence[int] | Callable[[int], int],
+                 multiplicities: Sequence[int] | Callable[[int], int]):
         self._a: list[int] = [0]
         self._M: list[int] = [0]
-        # Two lists are checked whole here; a generator side, as it is read.
-        self._extend_sums(min(len(self._b), len(self._m)))
+        # A list side is copied, led by a 0 so that block j is entry j.
+        sides = [(side if callable(side) else (0, *side), name)
+                 for side, name in ((lengths, "lengths"), (multiplicities, "multiplicities"))]
+        self._given = [(len(side) - 1, name) for side, name in sides if not callable(side)]
+        self._b_at, self._m_at = (side if callable(side) else side.__getitem__ for side, _ in sides)
+        if len({count for count, _ in self._given}) > 1:
+            raise ValueError("lengths and multiplicities must have equal length")
+        if len(self._given) == 2:
+            self._form(self._given[0][0], 0)
 
-    def _materialize(self, j: int) -> None:
-        while len(self._b) < j:
-            if self._b_fn is None:
-                raise IndexError(f"block {j} beyond the {len(self._b)} given lengths")
-            self._b.append(int(self._b_fn(len(self._b) + 1)))
-        while len(self._m) < j:
-            if self._m_fn is None:
-                raise IndexError(f"block {j} beyond the {len(self._m)} given multiplicities")
-            self._m.append(int(self._m_fn(len(self._m) + 1)))
-
-    def _extend_sums(self, j: int) -> None:
-        self._materialize(j)
-        while len(self._a) <= j:
-            i = len(self._a)  # block index being summed
-            b, m = self._b[i - 1], self._m[i - 1]
+    def _form(self, j: int, first: int) -> None:
+        """Form blocks up to j for a read indexed from block `first` on,
+        refusing a block past a list's end before either side is called."""
+        if j < first:
+            raise ValueError(f"block {j}: index must be at least {first}")
+        for count, name in self._given:
+            if j > count:
+                raise IndexError(f"block {j} beyond the {count} given {name}")
+        a, M, b_at, m_at = self._a, self._M, self._b_at, self._m_at
+        for i in range(len(a), j + 1):
+            b, m = int(b_at(i)), int(m_at(i))
             if b < 1:
                 raise ValueError(f"block {i}: length {b} must be >= 1")
             if not 0 <= m <= b:
                 raise ValueError(f"block {i}: multiplicity {m} violates 0 <= m <= b ({b})")
-            self._a.append(self._a[-1] + b)
-            self._M.append(self._M[-1] + m)
+            a.append(a[-1] + b)
+            M.append(M[-1] + m)
 
     def b(self, j: int) -> int:
-        self._extend_sums(_block_index(j, 1))
-        return self._b[j - 1]
+        if not 0 < j < len(self._a):
+            self._form(j, 1)
+        return self._a[j] - self._a[j - 1]
 
     def m(self, j: int) -> int:
-        self._extend_sums(_block_index(j, 1))
-        return self._m[j - 1]
+        if not 0 < j < len(self._M):
+            self._form(j, 1)
+        return self._M[j] - self._M[j - 1]
 
     def a(self, j: int) -> int:
         """End of block j >= 0: blocks are (a(j-1), a(j)], and a(0) = 0."""
-        self._extend_sums(_block_index(j, 0))
+        if not 0 <= j < len(self._a):
+            self._form(j, 0)
         return self._a[j]
 
     def M(self, j: int) -> int:
         """Total multiplicity of blocks 1..j, for j >= 0."""
-        self._extend_sums(_block_index(j, 0))
+        if not 0 <= j < len(self._M):
+            self._form(j, 0)
         return self._M[j]
 
     def block_of(self, n: int) -> int:
         """Block index containing the integer n >= 1 (list specs must cover
-        n): the block sums are extended until they pass n, once for all
-        calls, and the block is found by bisection on them."""
+        n): blocks are formed until their ends pass n, and the block is found
+        by bisection on the ends."""
         if n < 1:
             raise ValueError("indices are positive")
         while self._a[-1] < n:
-            self._extend_sums(len(self._a))
+            self._form(len(self._a), 1)
         return bisect_left(self._a, n)
 
 
@@ -210,12 +203,14 @@ def pi_measure(spec: BlockSpec, horizon: int) -> RatioMeasure:
     g = gcd(m_j, b_j)."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    total = spec.M(horizon)  # validates every block up to the horizon
+    total = spec.M(horizon)  # forms every block up to the horizon
     if total == 0:
         raise ValueError("all multiplicities are zero up to the horizon")
+    a, M = spec._a, spec._M
     counts: dict[tuple[int, int], int] = {}
-    for b, m in zip(spec._b[:horizon], spec._m[:horizon]):
-        if m:
+    for j in range(1, horizon + 1):
+        if m := M[j] - M[j - 1]:
+            b = a[j] - a[j - 1]
             g = gcd(m, b)
             loc = (m // g, b // g)
             counts[loc] = counts.get(loc, 0) + m
@@ -245,19 +240,19 @@ def check_admissible(spec: BlockSpec, horizon: int) -> AdmissibilityReport:
     BlockSpec itself) and report divergence/vanishing trends."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    spec.M(horizon)  # forces validation of every block up to the horizon
+    spec.M(horizon)  # forms every block up to the horizon
     anchors = sorted({1, max(1, horizon // 4), max(1, horizon // 2), max(1, (3 * horizon) // 4)})
-    b, m, M = spec._b, spec._m, spec._M
+    a, M = spec._a, spec._M
     # One pass down from the horizon keeps the tail minimum of b_j and the
     # tail maximum of m_j/M_j (1 where M_j = 0) as an integer pair, compared
     # by cross-multiplication; a Fraction is built only at the anchors.
     b_tail_min: list[int] = []
     ratio_tail_max: list[Fraction] = []
-    low, top_num, top_den = b[horizon - 1], -1, 1
+    low, top_num, top_den = a[horizon], -1, 1
     pending = anchors[::-1]
     for j in range(horizon, 0, -1):
-        low = min(low, b[j - 1])
-        num, den = (m[j - 1], M[j]) if M[j] > 0 else (1, 1)
+        low = min(low, a[j] - a[j - 1])
+        num, den = (M[j] - M[j - 1], M[j]) if M[j] > 0 else (1, 1)
         if num * top_den > top_num * den:
             top_num, top_den = num, den
         if j == pending[0]:

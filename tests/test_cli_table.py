@@ -185,18 +185,14 @@ def test_scan_rejects_empty_checkpoint_list(capsys, checkpoints):
     assert captured.err == "maldist scan: --checkpoints: expected at least one checkpoint\n"
 
 
-@pytest.mark.parametrize(
-    "cells, message",
-    # A negative count keeps the partition's own refusal.
-    [("0", "--cells: need at least 1 cell"), ("-2", "cuts must run from 0 to 1")],
-)
+@pytest.mark.parametrize("cells", ["0", "-2"])
 @pytest.mark.parametrize("kind", ["rotation", "doubling"])
-def test_scan_refuses_fewer_than_one_cell(capsys, kind, cells, message):
+def test_scan_refuses_fewer_than_one_cell(capsys, kind, cells):
     argv = ["scan", "--x-kind", kind, "--x-alpha", "1/3", "--cells", cells, "--checkpoints", "3"]
     assert cli.main(argv) == cli.USAGE_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"maldist scan: {message}\n"
+    assert captured.err == f"maldist scan: --cells: expected a positive integer, got '{cells}'\n"
 
 
 def test_subspace_prefix_runs_its_blocks_past_the_prefix(tmp_path, capsys):
@@ -229,12 +225,13 @@ def test_subspace_prefix_runs_its_blocks_past_the_prefix(tmp_path, capsys):
     ids=lambda argv: argv[0],
 )
 def test_negative_digits_is_a_usage_error(tmp_path, capsys, argv):
-    # 10**digits would be a float; nothing is written and the exit code is 2.
+    # 10**digits would be a float; the flag is refused before any work runs,
+    # nothing is written and the exit code is 2.
     out = tmp_path / "out"
     assert cli.main([*argv, "--digits", "-2", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"maldist {argv[0]}: digits must be nonnegative, got -2\n"
+    assert captured.err == f"maldist {argv[0]}: --digits: expected a nonnegative integer, got '-2'\n"
     assert not out.exists()
 
 
@@ -384,9 +381,11 @@ def test_nonpositive_envelope_blocks_is_refused_by_its_flag(tmp_path, capsys, va
           "--eta", "1/2"], "--base", "1", "an integer of at least 2"),
         (SALAT2, "--count", "0", "a positive integer"),
         (SALAT2, "--count", "-1", "a positive integer"),
+        (["envelope", "--spec", '{"b": [6], "m": [5]}', "--blocks", "1"], "--grid", "1",
+         "an integer of at least 2"),
     ],
     ids=["orbit-steps", "fivesixth-horizon-0", "fivesixth-horizon-negative", "avoid-horizon",
-         "salat3-base", "salat2-count-0", "salat2-count-negative"],
+         "salat3-base", "salat2-count-0", "salat2-count-negative", "envelope-grid"],
 )
 def test_out_of_range_values_are_refused_by_their_flag(tmp_path, capsys, argv, flag, value,
                                                        expected):

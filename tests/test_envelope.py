@@ -1,5 +1,7 @@
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -44,7 +46,7 @@ def random_ratio_measure(rng: SplitMix64) -> RatioMeasure:
 def test_block_spec_rejects_m_above_b():
     with pytest.raises(ValueError):
         BlockSpec([2, 3], [1, 4])
-    # Function-backed specs fail as soon as the bad block materializes.
+    # Function-backed specs fail as soon as the bad block is formed.
     lazy = BlockSpec(lambda j: 2, lambda j: j)
     with pytest.raises(ValueError):
         lazy.M(3)
@@ -111,31 +113,105 @@ def test_block_indices_below_the_first_block_are_refused(make):
     assert (spec.a(0), spec.M(0), spec.b(1), spec.m(1)) == (0, 0, 2, 1)
 
 
-def test_validation_extends_the_block_sums_once(monkeypatch):
-    """Validating the first ceil((j+1)/2) indices of each block j = 1..400 of
-    b_j = j + 1 (40,400 indices) reads the block sums at most indices +
-    blocks times: each index is found by bisection on the sums, which are
-    extended once for all reads.  A walk from block 1 per index would read
-    them about 8 million times."""
-    spec = BlockSpec(lambda j: j + 1, lambda j: (j + 2) // 2)
+def test_each_side_runs_once_per_formed_block():
+    """The admissibility report through block 100, pi through block 200, a
+    check of the first ceil((j+1)/2) indices of each block j = 1..400 of
+    b_j = j + 1 (40,400 indices) and a read of every block again call each
+    side function once per block: each forms only blocks not yet formed."""
+    calls = Counter()
+
+    def lengths(j):
+        calls["b", j] += 1
+        return j + 1
+
+    def multiplicities(j):
+        calls["m", j] += 1
+        return (j + 2) // 2
+
+    spec = BlockSpec(lengths, multiplicities)
     blocks = 400
     indices = [n for j in range(1, blocks + 1)
                for n in range(j * (j + 1) // 2, j * (j + 1) // 2 + (j + 2) // 2)]
     assert len(indices) == 40_400
-    budget = len(indices) + blocks
-    calls = 0
-    extend = BlockSpec._extend_sums
-
-    def counted(self, j):
-        nonlocal calls
-        calls += 1
-        if calls > budget:
-            raise AssertionError(f"block sums read more than {budget} times")
-        return extend(self, j)
-
-    monkeypatch.setattr(BlockSpec, "_extend_sums", counted)
+    check_admissible(spec, 100)
+    pi_measure(spec, 200)
     assert validate_membership(indices, spec, blocks)
-    assert calls <= budget
+    pi_measure(spec, blocks)
+    check_admissible(spec, blocks)
+    for j in range(1, blocks + 1):
+        assert (spec.b(j), spec.m(j), spec.a(j), spec.M(j)) == (
+            j + 1, (j + 2) // 2, spec.a(j - 1) + j + 1, spec.M(j - 1) + (j + 2) // 2)
+        assert spec.block_of(spec.a(j)) == j
+    assert calls == Counter({(side, j): 1 for side in "bm" for j in range(1, blocks + 1)})
+
+
+@st.composite
+def block_lists(draw):
+    """Lengths and multiplicities of a valid spec of 1-12 blocks."""
+    b = draw(st.lists(st.integers(1, 9), min_size=1, max_size=12))
+    return b, [draw(st.integers(0, bj)) for bj in b]
+
+
+def make_spec(b, m, kinds):
+    """The spec of the lists b and m with each side a list ("list") or a
+    function ("fn") that repeats its list."""
+    def side(values, kind):
+        return values if kind == "list" else lambda j: values[(j - 1) % len(values)]
+    return BlockSpec(side(b, kinds[0]), side(m, kinds[1]))
+
+
+KINDS = [("list", "list"), ("list", "fn"), ("fn", "list"), ("fn", "fn")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sides=block_lists(), kinds=st.sampled_from(KINDS),
+       reads=st.lists(st.tuples(st.sampled_from(["b", "m", "a", "M", "block_of"]),
+                                st.integers(-2, 60)), max_size=40),
+       data=st.data())
+def test_list_and_function_sides_form_blocks_alike(sides, kinds, reads, data):
+    """Reads in any order through b, m, a, M and block_of match the prefix
+    sums of the lists, a function side repeating its list; a read past a
+    list side's end names the block asked for, and a bad block gives the
+    same message from a list side as from a function side."""
+    b, m = sides
+    spec = make_spec(b, m, kinds)
+    given = len(b) if "list" in kinds else None
+    side = "lengths" if kinds[0] == "list" else "multiplicities"
+    repeated = 70
+    ends = list(accumulate((b * repeated)[:repeated], initial=0))
+    totals = list(accumulate((m * repeated)[:repeated], initial=0))
+    want = {"b": lambda j: ends[j] - ends[j - 1], "m": lambda j: totals[j] - totals[j - 1],
+            "a": ends.__getitem__, "M": totals.__getitem__,
+            "block_of": lambda n: bisect_left(ends, n)}
+    for read, j in reads:
+        first = 0 if read in ("a", "M") else 1
+        if j < first:
+            error = "indices are positive" if read == "block_of" else (
+                f"block {j}: index must be at least {first}")
+            with pytest.raises(ValueError) as err:
+                getattr(spec, read)(j)
+            assert str(err.value) == error
+            continue
+        block = want["block_of"](j) if read == "block_of" else j
+        if given is not None and block > given:
+            with pytest.raises(IndexError) as err:
+                getattr(spec, read)(j)
+            # block_of asks for one block past the list, the others for j.
+            asked = given + 1 if read == "block_of" else j
+            assert str(err.value) == f"block {asked} beyond the {given} given {side}"
+            continue
+        assert getattr(spec, read)(j) == want[read](j)
+
+    at = data.draw(st.integers(0, len(b) - 1))
+    bad_b, bad_m = list(b), list(m)
+    bad_b[at], bad_m[at], error = data.draw(st.sampled_from([
+        (0, 0, "length 0 must be >= 1"), (-3, 0, "length -3 must be >= 1"),
+        (2, 3, "multiplicity 3 violates 0 <= m <= b (2)"),
+        (2, -1, "multiplicity -1 violates 0 <= m <= b (2)")]))
+    for bad_kinds in KINDS:
+        with pytest.raises(ValueError) as err:
+            make_spec(bad_b, bad_m, bad_kinds).M(len(b))
+        assert str(err.value) == f"block {at + 1}: {error}"
 
 
 def test_admissible_linear():
