@@ -468,7 +468,6 @@ def _cmd_envelope(opts: dict) -> int:
     spec = _block_spec(opts)
     blocks = _int(opts, "blocks", low=1)
     grid = _int(opts, "grid", 101, low=2)
-    digits = _int(opts, "digits", 12, low=0)
     pi = pi_measure(spec, blocks)
     # Each column shares one denominator: t = i/steps, and F(t) over
     # `envelope_ratio`'s denominator for steps.
@@ -477,7 +476,7 @@ def _cmd_envelope(opts: dict) -> int:
     f_den = pi.envelope_ratio(0, steps)[1]
     t_nums = range(grid)
     table = csv_text([("t", "F", "t_exact", "F_exact"),
-                      *zip(decimal_row(t_nums, steps, digits), decimal_row(f_nums, f_den, digits),
+                      *zip(decimal_row(t_nums, steps), decimal_row(f_nums, f_den),
                            ratio_row(t_nums, steps), ratio_row(f_nums, f_den))])
     _write_text(table, opts.get("table-out"))
     report = check_admissible(spec, blocks)
@@ -511,7 +510,7 @@ def _cmd_envelope(opts: dict) -> int:
 
 def _cmd_subspace(opts: dict) -> int:
     from .empirical import CellPartition, MeasureVector
-    from .envelope import RatioMeasure, pi_measure
+    from .envelope import pi_measure
     from .subspace import ExtensionTarget, _prefix_blocks, greedy_extension
 
     spec = _block_spec(opts)
@@ -520,20 +519,12 @@ def _cmd_subspace(opts: dict) -> int:
     mu = MeasureVector(tuple(_rational_list(_require(opts, "mu"), "mu")))
     eps = _rational(opts, "eps", "1/10")
     blocks = _int(opts, "blocks", 64, low=0)
-    if "pi" in opts:
-        try:
-            pi = RatioMeasure.from_json(json.loads(opts["pi"]))
-        except json.JSONDecodeError as exc:
-            raise CliError(f"--pi: expected JSON [[q, w], ...] pairs ({exc})")
-        except ValueError as exc:
-            raise CliError(f"--pi: {exc}")
-    else:
-        pi_blocks = _int(opts, "pi-blocks", blocks, low=1)
-        if pi_blocks < 1:
-            # Without --pi-blocks, the horizon is --blocks.
-            raise CliError("--blocks: expected a positive integer when it sets --pi-blocks, "
-                           f"got {opts['blocks']!r}")
-        pi = pi_measure(spec, pi_blocks)
+    pi_blocks = _int(opts, "pi-blocks", blocks, low=1)
+    if pi_blocks < 1:
+        # Without --pi-blocks, the horizon is --blocks.
+        raise CliError("--blocks: expected a positive integer when it sets --pi-blocks, "
+                       f"got {opts['blocks']!r}")
+    pi = pi_measure(spec, pi_blocks)
     prefix = _int_list(opts.get("prefix", ""), "prefix") if opts.get("prefix") else []
     # The greedy runs up to --blocks blocks past the prefix's last block.
     x = _points_source(opts, spec.a(_prefix_blocks(prefix, spec) + blocks))
@@ -661,12 +652,11 @@ def _cmd_doubling(opts: dict) -> int:
     if mode == "orbit":
         alpha = _rational(opts, "alpha")
         steps = _int(opts, "steps", low=0)
-        digits = _int(opts, "digits", 12, low=0)
         orbit = doubling_orbit(alpha, steps)
         q = orbit.den
         table = csv_text([("k", "value", "value_exact"),
                           *zip(map(str, range(1, len(orbit) + 1)),
-                               decimal_row(orbit.nums, q, digits), ratio_row(orbit.nums, q))])
+                               decimal_row(orbit.nums, q), ratio_row(orbit.nums, q))])
         _write_text(table, opts.get("out"))
         return 0
     if mode == "invariance":
@@ -709,14 +699,13 @@ def _cmd_scan(opts: dict) -> int:
         partition = CellPartition.uniform(_int(opts, "cells", 10, low=1))
     kind = _x_kind(opts)
     alpha = _rational(opts, "x-alpha")
-    digits = _int(opts, "digits", 12, low=0)
     if kind == "rotation":
         scan = rotation_scan(alpha.numerator, alpha.denominator, partition, checkpoints)
     else:
         from .doubling import doubling_scan
 
         scan = doubling_scan(alpha, partition, checkpoints)
-    _write_text(scan_to_csv(scan, digits=digits), opts.get("out"))
+    _write_text(scan_to_csv(scan), opts.get("out"))
     return 0
 
 
@@ -750,13 +739,12 @@ def _cmd_verify(opts: dict) -> int:
 _SUBCOMMANDS = {
     "envelope": (
         "ratio measure, envelope table and domination verdict",
-        ("spec", "blocks", "grid", "mu", "lam", "tol", "digits", "seed", "out",
-         "table-out"),
+        ("spec", "blocks", "grid", "mu", "lam", "tol", "seed", "out", "table-out"),
         _cmd_envelope,
     ),
     "subspace": (
         "greedy extension toward a target measure",
-        ("spec", "cuts", "mu", "eps", "pi", "pi-blocks", "blocks", "prefix",
+        ("spec", "cuts", "mu", "eps", "pi-blocks", "blocks", "prefix",
          "x-kind", "x-alpha", "out", "trace-out"),
         _cmd_subspace,
     ),
@@ -770,12 +758,12 @@ _SUBCOMMANDS = {
     "doubling": (
         "doubling-map orbits and hit reports (orbit|invariance|fivesixth|zeroblock)",
         ("mode", "alpha", "steps", "level", "horizon", "base", "starts", "windows",
-         "digits", "out"),
+         "out"),
         _cmd_doubling,
     ),
     "scan": (
         "checkpoint scan of a point sequence as CSV",
-        ("x-kind", "x-alpha", "cuts", "cells", "checkpoints", "digits", "out"),
+        ("x-kind", "x-alpha", "cuts", "cells", "checkpoints", "out"),
         _cmd_scan,
     ),
     "verify": (
@@ -794,7 +782,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, keys, _) in _SUBCOMMANDS.items():
-        p = subs.add_parser(name, help=help_text)
+        # A flag is its whole name, as a config key is: an abbreviation such as
+        # --pi would pass for --pi-blocks.
+        p = subs.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", default=None, help="key=value option file (flags win)")
         if name == "verify":
             p.add_argument("certificate", help="certificate JSON file")

@@ -104,6 +104,8 @@ class CellPartition:
 
     @classmethod
     def dyadic(cls, level: int) -> "CellPartition":
+        if level < 0:
+            raise ValueError(f"level must be nonnegative, got {level}")
         return cls.uniform(1 << level)
 
     def thresholds(self, den: int) -> tuple[int, ...]:

@@ -37,7 +37,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .empirical import MeasureVector
-from .exact import format_ratio, over_lcm, parse_rational
+from .exact import format_ratio, over_lcm
 
 __all__ = [
     "BlockSpec",
@@ -174,26 +174,6 @@ class RatioMeasure:
         wden = self._wden
         return [[format_ratio(p, q), format_ratio(w, wden)]
                 for (p, q), w in zip(self._locs, self._weights)]
-
-    @classmethod
-    def from_json(cls, obj: list) -> "RatioMeasure":
-        """The measure of `[[q, w], ...]`, location and weight as "p/q"
-        strings, held to the rules of a ratio measure: locations in [0, 1],
-        sorted and distinct, and positive weights summing to exactly 1."""
-        # A string of two characters would unpack as a pair.
-        if type(obj) is not list or any(type(pair) is not list or len(pair) != 2 for pair in obj):
-            raise ValueError("expected JSON [[q, w], ...] pairs")
-        atoms = [(parse_rational(q), parse_rational(w)) for q, w in obj]
-        if any(not 0 <= q <= 1 for q, _ in atoms):
-            raise ValueError("atom locations must lie in [0, 1]")
-        if any(w <= 0 for _, w in atoms):
-            raise ValueError("atom weights must be positive")
-        if any(a >= b for (a, _), (b, _) in zip(atoms, atoms[1:])):
-            raise ValueError("atom locations must be sorted and distinct")
-        weights, wden = over_lcm([w for _, w in atoms])
-        if sum(weights) != wden:
-            raise ValueError("atom weights must sum to exactly 1")
-        return cls(zip(((q.numerator, q.denominator) for q, _ in atoms), weights), wden)
 
 
 def pi_measure(spec: BlockSpec, horizon: int) -> RatioMeasure:

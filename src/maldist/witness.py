@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, islice, repeat
-from math import prod
 from operator import mod, sub
 from typing import Sequence
 
@@ -65,10 +64,11 @@ class Multipliers(tuple):
     `ratios[0]` is n_1 itself (the ratio over n_0 = 1).
 
     A rule passes the ratios it forms its (int) terms with; without them, the
-    terms are read by `int` and the ratios come from one `divmod` per term.  A slice is a `Multipliers` whose first ratio
-    is over 1 again; with a step s, each later ratio is the product of the s
-    ratios it spans, unless one of those is 0.  `Multipliers(m)` of a
-    `Multipliers` m is m.
+    terms are read by `int` and the ratios come from one `divmod` per term.  A
+    slice is a `Multipliers` whose first ratio is over 1 again: a contiguous
+    slice keeps the ratios it spans, and a stepped or reversed one gets its
+    ratios by one `divmod` per term.  `Multipliers(m)` of a `Multipliers` m
+    is m.
     """
 
     def __new__(cls, terms=(), ratios=None):
@@ -91,13 +91,9 @@ class Multipliers(tuple):
         if not isinstance(key, slice):
             return terms
         start, stop, step = key.indices(len(self))
-        r = self.ratios
-        if not terms or step < 0:
-            return Multipliers(terms)
-        if step == 1:
-            return Multipliers(terms, (terms[0], *r[start + 1 : stop]))
-        later = [prod(r[i - step + 1 : i + 1]) for i in range(start + step, stop, step)]
-        return Multipliers(terms, (terms[0], *later)) if all(later) else Multipliers(terms)
+        if terms and step == 1:
+            return Multipliers(terms, (terms[0], *self.ratios[start + 1 : stop]))
+        return Multipliers(terms)
 
 
 class MixingConfigError(ValueError):

@@ -115,21 +115,23 @@ def test_unknown_attribute_names_module_and_attribute():
 # sha256 of each text as printed before the handlers imported their own
 # layers (argparse at 80 columns, Python 3.11), `witness --help` since its
 # three --plan-* flags went, `--help` and `verify --help` since the witness
-# mode aliases and `verify --certificate` went, and the help of every
-# subcommand but `envelope` since its --seed went; (arguments, stream, exit code).
+# mode aliases and `verify --certificate` went, the help of every
+# subcommand but `envelope` since its --seed went, and the help of
+# `envelope`, `subspace`, `doubling` and `scan` since `subspace --pi` and
+# their --digits went; (arguments, stream, exit code).
 HELP_TEXTS = [
     (["--help"], "stdout", 0,
      "0eaa838ba2ba1ecd413463e92437aff38435a0d4ea261c63174420bf6b2f2254"),
     (["envelope", "--help"], "stdout", 0,
-     "b9233444d8993479a8bd7cb9ff2ead363bf02d0c3645b33c8fd8d1428908b08b"),
+     "9eaad5ed51b071d12248b4fe73bd825cbc3d2a8574bfe073fc21676470b33568"),
     (["subspace", "--help"], "stdout", 0,
-     "9ffb2d751637f313945aefae7fad8fba8ad2ebf399e0f08fd27db99a8331380f"),
+     "17d1767f4be6874eae90cbef6a3de688ac7ce5c4ccc0855dc2896a4af9f23e7c"),
     (["witness", "--help"], "stdout", 0,
      "138e89f58f607b2b748101a28b2938023328135e8feafc4238b1d0badd85df55"),
     (["doubling", "--help"], "stdout", 0,
-     "eb38d44ad3ad8039c5baa3761c3b812d68e544a92dca53402dd7517f1288d2b7"),
+     "0bd6df9674cc9192a30bc9c00a2def86f502100c44162f27a59cb069cc0b5e8f"),
     (["scan", "--help"], "stdout", 0,
-     "ccbfbf8cb2f6f108db2ea29a82928e6826119c8ca749d2b14bb2b00589fefe09"),
+     "d7848431420fad9cffcc8bf22dfecd9bbd68d18c7c3e5ba9b163d8abd72c97ec"),
     (["verify", "--help"], "stdout", 0,
      "4749d0c8f16cf7b4961aa3a1b48a10ed7ce2eee9327f42f292e9b023298b8ccf"),
     ([], "stderr", 2,

@@ -286,6 +286,14 @@ def test_uniform_refuses_a_nonpositive_count_by_name(s):
     assert str(err.value) == f"cell count must be at least 1, got {s}"
 
 
+@pytest.mark.parametrize("level", [-1, -2, -7])
+def test_dyadic_refuses_a_negative_level_by_name(level):
+    # Not inside the shift 1 << level.
+    with pytest.raises(ValueError) as err:
+        CellPartition.dyadic(level)
+    assert str(err.value) == f"level must be nonnegative, got {level}"
+
+
 def test_thresholds_refuse_a_nonpositive_denominator():
     for den in (0, -3):
         with pytest.raises(ValueError, match="^denominator must be positive$"):

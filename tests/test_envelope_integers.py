@@ -234,8 +234,8 @@ def test_F_matches_fraction_code(atoms, ts):
 
 
 @settings(max_examples=60)
-@given(blocks, st.integers(2, 40), st.integers(0, 15), st.data())
-def test_cli_table_and_admissibility_match_fraction_code(pairs, grid, digits, data):
+@given(blocks, st.integers(2, 40), st.data())
+def test_cli_table_and_admissibility_match_fraction_code(pairs, grid, data):
     b, m = spec_lists(pairs)
     horizon = data.draw(st.integers(1, len(b)))
     if not any(m[:horizon]):
@@ -243,11 +243,11 @@ def test_cli_table_and_admissibility_match_fraction_code(pairs, grid, digits, da
     with tempfile.TemporaryDirectory() as tmp:
         table, out = Path(tmp, "t.csv"), Path(tmp, "e.json")
         argv = ["envelope", "--spec", json.dumps({"b": b, "m": m}), "--blocks", str(horizon),
-                "--grid", str(grid), "--digits", str(digits), "--seed", "0",
+                "--grid", str(grid), "--seed", "0",
                 "--table-out", str(table), "--out", str(out)]
         assert cli.main(argv) == 0
         atoms = ref_pi_atoms(b, m, horizon)
-        assert table.read_text() == ref_table(atoms, grid, digits)
+        assert table.read_text() == ref_table(atoms, grid, 12)
         payload = json.loads(out.read_text())
     assert payload["pi"] == [[ref_format(q), ref_format(w)] for q, w in atoms]
     want = ref_check_admissible(b, m, horizon)

@@ -156,7 +156,7 @@ def test_large_rotation_scan_lists_no_points(monkeypatch):
 def test_cli_rotation_scan_writes_the_listed_path_bytes(tmp_path, alpha, cells, checkpoints):
     out = tmp_path / "scan.csv"
     argv = ["scan", "--x-kind", "rotation", f"--x-alpha={alpha}", *cells,
-            "--checkpoints", checkpoints, "--digits", "9", "--out", str(out)]
+            "--checkpoints", checkpoints, "--out", str(out)]
     assert cli.main(argv) == 0
     cps = [int(c) for c in checkpoints.split(",")]
     if cells[0] == "--cells":
@@ -164,7 +164,7 @@ def test_cli_rotation_scan_writes_the_listed_path_bytes(tmp_path, alpha, cells, 
     else:
         partition = CellPartition(tuple(F(t) for t in cells[1].split(",")))
     points = cli._points_source({"x-kind": "rotation", "x-alpha": alpha}, cps[-1])
-    assert out.read_bytes() == scan_to_csv(checkpoint_scan(points, partition, cps), 9).encode()
+    assert out.read_bytes() == scan_to_csv(checkpoint_scan(points, partition, cps), 12).encode()
 
 
 @pytest.mark.parametrize(

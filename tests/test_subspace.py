@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from maldist import cli
 from maldist.empirical import CellPartition, MeasureVector, Residues
-from maldist.envelope import BlockSpec, pi_measure
+from maldist.envelope import BlockSpec, envelope_dominates, pi_measure
 from maldist.exact import format_ratio, format_rational
 from maldist.subspace import (
     BlockTrace,
@@ -294,27 +294,35 @@ def traced_cells(case):
         weights = (1,) + weights[1:]
     mu = [F(w, sum(weights)) for w in weights]
     partition = CellPartition((F(0),) + tuple(F(k, den) for k in cuts) + (F(1),))
-    widest = min(partition.lebesgue_masses().masses)
+    lam = partition.lebesgue_masses()
     spec = {"b": [b for b, _ in blocks], "m": [m for _, m in blocks]}
-    point = lambda n: F(n * p % q, q)
-    cells = []
-    with tempfile.TemporaryDirectory() as tmp:
-        out, trace = Path(tmp, "out.json"), Path(tmp, "trace.csv")
-        argv = ["subspace", "--spec", json.dumps(spec), "--cuts", ",".join(map(str, partition.cuts)),
-                "--mu", ",".join(map(str, mu)), "--eps", str(eps), "--blocks", str(len(blocks)),
-                # F(t) = 1 from the smallest cell length on: every target is admissible.
-                "--pi", json.dumps([[str(widest), "1/1"]]), "--x-alpha", f"{p}/{q}",
-                "--out", str(out), "--trace-out", str(trace)]
-        assert cli.main(argv) == 0
-        indices = [n + k for n, run in json.loads(out.read_text())["indices_runlength"]
-                   for k in range(run)]
-        rows = list(csv.reader(trace.read_text().splitlines()))
-    assert rows[0] == ["block", "M"] + [f"d_{i}" for i in range(partition.size)]
-    for row in rows[1:]:
-        assert row[2:] == recounted_cells(indices, int(row[1]), mu, partition, point)
-        cells += row[2:]
-    target = ExtensionTarget(mu=MeasureVector(tuple(mu)), eps=eps, pi=point_mass(widest))
     block_spec = BlockSpec(spec["b"], spec["m"])
+    point = lambda n: F(n * p % q, q)
+    argv = ["subspace", "--spec", json.dumps(spec), "--cuts", ",".join(map(str, partition.cuts)),
+            "--eps", str(eps), "--blocks", str(len(blocks)), "--x-alpha", f"{p}/{q}"]
+    cells = []
+    if not any(spec["m"]):
+        # No block takes an index: the spec has no ratio measure to check with.
+        assert cli.main([*argv, "--mu", ",".join(map(str, mu))]) == cli.USAGE_ERROR
+    else:
+        # The CLI holds the target to the spec's own envelope: the case's
+        # target where that admits it, else the cell widths, which every
+        # envelope admits (F(t) >= t).
+        pi = pi_measure(block_spec, len(blocks))
+        cli_mu = mu if envelope_dominates(MeasureVector(tuple(mu)), lam, pi).ok else lam.masses
+        with tempfile.TemporaryDirectory() as tmp:
+            out, trace = Path(tmp, "out.json"), Path(tmp, "trace.csv")
+            assert cli.main([*argv, "--mu", ",".join(map(str, cli_mu)),
+                             "--out", str(out), "--trace-out", str(trace)]) == 0
+            indices = [n + k for n, run in json.loads(out.read_text())["indices_runlength"]
+                       for k in range(run)]
+            rows = list(csv.reader(trace.read_text().splitlines()))
+        assert rows[0] == ["block", "M"] + [f"d_{i}" for i in range(partition.size)]
+        for row in rows[1:]:
+            assert row[2:] == recounted_cells(indices, int(row[1]), cli_mu, partition, point)
+            cells += row[2:]
+    # F(t) = 1 from the narrowest cell's length on: every target is admissible.
+    target = ExtensionTarget(mu=MeasureVector(tuple(mu)), eps=eps, pi=point_mass(min(lam.masses)))
     x = Residues([n * p % q for n in range(1, block_spec.a(len(blocks)) + 1)], q)
     result = greedy_extension([], block_spec, x, partition, target, fixed_blocks=len(blocks))
     for entry in result.trace:
