@@ -5,8 +5,12 @@ declared once, in the `_SUBCOMMANDS` table: its help text, its option names
 and its handler.  Options may also come from a key=value config file
 (--config) whose keys are exactly the subcommand's flags; an explicit flag
 wins over the file, unknown keys are rejected, and every rational is parsed
-exactly ("p/q" or decimal string).  The parser is built on the first `main`
-call and reused for the rest of the process.
+exactly ("p/q" or decimal string).  A plain command line, a subcommand and
+whole `--name value` pairs of its flags (and `verify`'s one certificate
+path), is read from the flag table (`_plain_args`).  argparse is imported,
+and its parser built, only for `--help`, the usage text and any other
+command line, which argparse reads or refuses; the parser is then reused
+for the rest of the process.
 
 At module level the CLI imports only the standard library and `exact`, which
 option parsing needs.  Each `_cmd_*` handler imports the layers it calls when
@@ -38,7 +42,6 @@ mismatch), 2 usage error.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
@@ -46,6 +49,7 @@ from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import mul
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .exact import (
@@ -58,6 +62,8 @@ from .exact import (
 )
 
 if TYPE_CHECKING:
+    import argparse
+
     from .empirical import Residues
     from .envelope import BlockSpec
     from .torus import TorusInterval
@@ -75,7 +81,8 @@ class CliError(Exception):
 # option plumbing: flags + config file, flag wins, unknown keys rejected
 
 
-def _merge_config(args: argparse.Namespace, keys: tuple[str, ...]) -> dict[str, str]:
+def _merge_config(args: argparse.Namespace | SimpleNamespace,
+                  keys: tuple[str, ...]) -> dict[str, str]:
     sub = args.command
     values: dict[str, str] = {}
     if args.config:
@@ -461,6 +468,16 @@ def _points_source(opts: dict, count: int) -> Residues:
 # subcommands
 
 
+def _to_horizon(flag: str, read, *args):
+    """`read(*args)`, a read of the block spec up to a horizon, refused by
+    `flag`, the flag that set the horizon, where the spec fails there: a
+    list side it runs past, or multiplicities all zero up to it."""
+    try:
+        return read(*args)
+    except (ValueError, IndexError) as exc:
+        raise CliError(f"{flag}: {exc}") from None
+
+
 def _cmd_envelope(opts: dict) -> int:
     from .empirical import MeasureVector
     from .envelope import check_admissible, envelope_dominates, pi_measure
@@ -468,7 +485,8 @@ def _cmd_envelope(opts: dict) -> int:
     spec = _block_spec(opts)
     blocks = _int(opts, "blocks", low=1)
     grid = _int(opts, "grid", 101, low=2)
-    pi = pi_measure(spec, blocks)
+    pi = _to_horizon("--blocks", pi_measure, spec, blocks)
+    report = _to_horizon("--blocks", check_admissible, spec, blocks)
     # Each column shares one denominator: t = i/steps, and F(t) over
     # `envelope_ratio`'s denominator for steps.
     steps = grid - 1
@@ -479,7 +497,6 @@ def _cmd_envelope(opts: dict) -> int:
                       *zip(decimal_row(t_nums, steps), decimal_row(f_nums, f_den),
                            ratio_row(t_nums, steps), ratio_row(f_nums, f_den))])
     _write_text(table, opts.get("table-out"))
-    report = check_admissible(spec, blocks)
     result = {
         "admissibility": {
             "horizon": report.horizon,
@@ -524,10 +541,12 @@ def _cmd_subspace(opts: dict) -> int:
         # Without --pi-blocks, the horizon is --blocks.
         raise CliError("--blocks: expected a positive integer when it sets --pi-blocks, "
                        f"got {opts['blocks']!r}")
-    pi = pi_measure(spec, pi_blocks)
+    pi_flag = "--pi-blocks" if "pi-blocks" in opts else "--blocks"
+    pi = _to_horizon(pi_flag, pi_measure, spec, pi_blocks)
     prefix = _int_list(opts.get("prefix", ""), "prefix") if opts.get("prefix") else []
     # The greedy runs up to --blocks blocks past the prefix's last block.
-    x = _points_source(opts, spec.a(_prefix_blocks(prefix, spec) + blocks))
+    end = _to_horizon("--blocks", spec.a, _prefix_blocks(prefix, spec) + blocks)
+    x = _points_source(opts, end)
     target = ExtensionTarget(mu=mu, eps=eps, pi=pi)
     result = greedy_extension(prefix, spec, x, partition, target, max_blocks=blocks)
     runs: list[list[int]] = []
@@ -774,8 +793,43 @@ _SUBCOMMANDS = {
 }
 
 
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes `_build_parser().parse_args(argv)` gives, read from the
+    flag table, for a plain argv: a subcommand name, then whole `--name
+    value` pairs of its flags or --config, no value starting with "-", the
+    last of a repeated flag winning, and exactly one other token, the
+    certificate path, for `verify` and none for the rest.  None for any other
+    argv, which argparse reads, or refuses with its usage text."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    command = argv[0]
+    dests = {"--config": "config"}
+    for key in _SUBCOMMANDS[command][1]:
+        dests["--" + key] = key.replace("-", "_")
+    attrs = dict.fromkeys(dests.values())
+    attrs["command"] = command
+    bare = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            # A flag with no token after it reads as one with a "-" value.
+            dest, value = dests.get(token), next(tokens, "-")
+            if dest is None or value.startswith("-"):
+                return None
+            attrs[dest] = value
+        else:
+            bare.append(token)
+    if len(bare) != (command == "verify"):
+        return None
+    if bare:
+        attrs["certificate"] = bare[0]
+    return SimpleNamespace(**attrs)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="maldist",
         description="Exact witnesses and envelope bounds for irregular distribution mod 1.",
@@ -794,7 +848,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv) or _build_parser().parse_args(argv)
     # Integers in inputs, outputs and certificates may run past the default
     # limit on int<->str conversion digits (Python >= 3.10.7).  The limit stays
     # lifted after main returns, so that a caller in the same process can

@@ -1,15 +1,22 @@
-"""The subcommand table in `maldist.cli`: one parser per process, options that
-do not leak from one `main` call to the next, config keys that are exactly a
-subcommand's flags, and the README's documented commands."""
+"""The subcommand table in `maldist.cli`: plain command lines read from the
+flag table as argparse reads them, argparse built only for help, usage and
+the command lines the table leaves to it, options that do not leak from one
+`main` call to the next, config keys that are exactly a subcommand's flags,
+and the README's documented commands."""
 
+import io
 import json
 import re
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maldist import cli
 
@@ -31,13 +38,79 @@ def test_parser_not_built_at_import():
     assert res.stdout.strip() == "0"
 
 
-def test_parser_built_once_per_process(tmp_path):
+def test_parser_built_once_per_process(tmp_path, capsys):
+    # Plain command lines are read from the flag table; the first refused
+    # one builds the parser, and the next reuses it.
     cli._build_parser.cache_clear()
     assert cli.main([*AVOID, "--horizon", "20", "--out", str(tmp_path / "a.json")]) == 0
     assert cli.main(["verify", str(tmp_path / "a.json"), "--out", str(tmp_path / "v.json")]) == 0
     assert cli.main(["scan", "--x-alpha", "1/3", "--checkpoints", "3",
                      "--out", str(tmp_path / "s.csv")]) == 0
-    assert cli._build_parser.cache_info().misses == 1
+    assert cli._build_parser.cache_info().misses == 0
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([*SUBSPACE, "--pi", "5"])
+        assert exit_.value.code == cli.USAGE_ERROR
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: --pi 5\n")
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+FLAGS = sorted({f"--{key}" for _, keys, _ in cli._SUBCOMMANDS.values() for key in keys}
+               | {"--config"})
+VALUES = ["a.json", "1/3", "0,1/2,1", "x=y", '{"b": [2], "m": [1]}', "verify", ""]
+HOSTILE = ["-h", "--help", "--", "-", "-1/2", "-3", "--out=x", "--pi", "second.json", "nosuch"]
+
+
+def parsed_by_argparse(argv: list[str]) -> dict | None:
+    """The attributes argparse reads from argv, or None where it exits."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return vars(cli._build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A subcommand, or a hostile first token, and whole pairs of its flags,
+    with up to three hostile groups among them: a pair of any flag and any
+    value, or a lone token."""
+    first = draw(st.sampled_from([*cli._SUBCOMMANDS, "nosuch", "-h", "--help"]))
+    keys = cli._SUBCOMMANDS[first][1] if first in cli._SUBCOMMANDS else ()
+    own = [f"--{key}" for key in ("config", *keys)]
+    groups = draw(st.lists(st.tuples(st.sampled_from(own), st.sampled_from(VALUES)), max_size=5))
+    hostile = st.one_of(st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES + HOSTILE)),
+                        st.tuples(st.sampled_from(FLAGS)), st.tuples(st.sampled_from(VALUES)),
+                        st.tuples(st.sampled_from(HOSTILE)))
+    for group in draw(st.lists(hostile, max_size=3)):
+        groups.insert(draw(st.integers(0, len(groups))), group)
+    return [first, *chain.from_iterable(groups)]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(command_lines())
+def test_table_reader_reads_as_argparse_or_defers(argv):
+    # Either the reader leaves the command line to argparse, or argparse
+    # accepts it and reads the same attributes.
+    plain = cli._plain_args(argv)
+    assert plain is None or vars(plain) == parsed_by_argparse(argv), argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_table_reader_reads_every_plain_command_line(data):
+    # A subcommand and whole pairs of its flags, and verify's one path
+    # between any two pairs, are read from the table.
+    sub = data.draw(st.sampled_from(list(cli._SUBCOMMANDS)))
+    flags = [f"--{key}" for key in ("config", *cli._SUBCOMMANDS[sub][1])]
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(flags), st.sampled_from(VALUES)),
+                               max_size=6))
+    if sub == "verify":
+        pairs.insert(data.draw(st.integers(0, len(pairs))), (data.draw(st.sampled_from(VALUES)),))
+    argv = [sub, *chain.from_iterable(pairs)]
+    plain = cli._plain_args(argv)
+    assert plain is not None and vars(plain) == parsed_by_argparse(argv), argv
 
 
 ENVELOPE = ["envelope", "--spec", '{"b": [2, 2], "m": [2, 2]}', "--blocks", "2"]
@@ -165,7 +238,7 @@ def test_mixed_spec_names_the_block_it_runs_out_at(tmp_path, monkeypatch, capsys
                                                    side, argv):
     """A list side of --spec next to a generator side reads as that list:
     through its blocks the spec matches the two lists, and past them it is
-    a usage error that names the block asked for."""
+    a usage error that names the horizon's flag and the block asked for."""
     monkeypatch.chdir(tmp_path)
     outputs = []
     for given in (spec, lists):
@@ -173,7 +246,39 @@ def test_mixed_spec_names_the_block_it_runs_out_at(tmp_path, monkeypatch, capsys
         outputs.append((capsys.readouterr().out, (tmp_path / "t.csv").read_text()))
     assert outputs[0] == outputs[1]
     assert cli.main([*argv, "--spec", json.dumps(spec), "--blocks", "5"]) == cli.USAGE_ERROR
-    assert capsys.readouterr() == ("", f"maldist {argv[0]}: block 5 beyond the 3 given {side}\n")
+    assert capsys.readouterr() == (
+        "", f"maldist {argv[0]}: --blocks: block 5 beyond the 3 given {side}\n")
+
+
+ZERO_SPEC = ["--spec", '{"b": [2, 2], "m": [0, 0]}']
+
+
+@pytest.mark.parametrize("argv", [
+    ["envelope", "--table-out", "t.csv"],
+    ["subspace", "--cuts", "0,1", "--mu", "1", "--x-alpha", "1/3", "--trace-out", "t.csv"],
+], ids=["envelope", "subspace"])
+def test_all_zero_multiplicities_are_refused_by_the_horizon_flag(tmp_path, monkeypatch, capsys,
+                                                                 argv):
+    # The ratio measure of blocks with no pick has no mass to spread.
+    monkeypatch.chdir(tmp_path)
+    argv = [*argv, *ZERO_SPEC, "--blocks", "2", "--out", "out.json"]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    assert capsys.readouterr() == (
+        "", f"maldist {argv[0]}: --blocks: all multiplicities are zero up to the horizon\n")
+    assert not (tmp_path / "out.json").exists() and not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("m, extra, error", [
+    ([0, 0], ["--pi-blocks", "2"], "--pi-blocks: all multiplicities are zero up to the horizon"),
+    ([1, 1], ["--pi-blocks", "5"], "--pi-blocks: block 5 beyond the 2 given lengths"),
+    ([1, 1], ["--blocks", "5", "--pi-blocks", "1"], "--blocks: block 5 beyond the 2 given lengths"),
+], ids=["zero", "pi-blocks-past-the-list", "blocks-past-the-list"])
+def test_subspace_horizon_refusals_name_the_flag_that_set_them(capsys, m, extra, error):
+    # --pi-blocks sets the envelope's horizon, --blocks the greedy's.
+    spec = json.dumps({"b": [2, 2], "m": m})
+    argv = ["subspace", "--cuts", "0,1", "--mu", "1", "--x-alpha", "1/3", "--spec", spec, *extra]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    assert capsys.readouterr() == ("", f"maldist subspace: {error}\n")
 
 
 @pytest.mark.parametrize("checkpoints", [",", ", ,", ""])

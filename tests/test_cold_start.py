@@ -34,11 +34,11 @@ EXPORTS = [
 AVOID = ["witness", "--mode", "avoid", "--alpha", "5/17", "--eps", "1/5", "--horizon", "200"]
 
 
-def loaded_modules(code: str) -> set[str]:
-    """The maldist modules a fresh interpreter holds after running `code`."""
+def loaded_modules(code: str, package: str = "maldist") -> set[str]:
+    """The modules of `package` a fresh interpreter holds after running `code`."""
     probe = (
         f"{code}\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'maldist')))"
+        f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))"
     )
     res = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=cli_env()
@@ -56,6 +56,16 @@ def main_call(argv: list[str]) -> str:
 
 def test_import_cli_loads_only_the_command_line():
     assert loaded_modules("import maldist.cli") == {"maldist", "maldist.cli", "maldist.exact"}
+
+
+def test_argparse_loads_only_for_help(tmp_path):
+    # A plain command line is read from the flag table.
+    argv = ["scan", "--x-alpha", "1/3", "--checkpoints", "3", "--out", str(tmp_path / "scan.csv")]
+    assert loaded_modules("import maldist.cli", "argparse") == set()
+    assert loaded_modules(main_call(argv), "argparse") == set()
+    help_call = ("import contextlib, maldist.cli\n"
+                 "with contextlib.suppress(SystemExit): maldist.cli.main(['scan', '--help'])")
+    assert loaded_modules(help_call, "argparse") == {"argparse"}
 
 
 def test_import_package_loads_no_layer():
