@@ -13,17 +13,27 @@ compares those with the stated claims field by field; each difference names
 its claim and field.  The builder and the verifier thus derive each number
 on their own code and share only its format.  Certificates therefore stay
 checkable long after the run that produced them.
+
+A list field whose entries are all plain "p/q" texts (ASCII digits, no
+sign, space or leading zero) or all JSON integers of at least 1 is read in
+one pass (`plain_list`, `_plain_ints`), and `envelope`'s atoms as rows of
+four integers checked by map passes (`_Atoms`).  Any other list goes entry
+by entry through the one-value read, which alone writes refusals, so the
+values accepted, the typed values and every refusal are the same either
+way.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from math import lcm
+from operator import floordiv, ge, gt, lt, mul
 from typing import TYPE_CHECKING, Sequence
 
 from .empirical import CellPartition, Residues, star_discrepancy
@@ -138,6 +148,32 @@ class _Rational:
                 raise _Refused(f"{value} is outside {self.bounds}")
         return p, q
 
+    def plain_list(self, texts: list) -> list | None:
+        """The typed values of a list of plain "p/q" texts, read in one pass
+        (`_plain_ints`); None for a list the one-value read must see, one
+        with an entry not plain or out of range."""
+        ints = _plain_ints(texts)
+        if ints is None or not self.within(ints):
+            return None
+        return self.typed(ints[::2], ints[1::2])
+
+    def within(self, ints: list[int]) -> bool:
+        """Whether every p/q of the pairs p, q in `ints` lies in the bounds,
+        by `ratio`'s cross-multiplications in map passes.  A plain p is at
+        least 0, so a closed lower end at 0 needs no pass."""
+        if not self.bounds:
+            return True
+        a, b, lo_in, c, d, hi_in, open_top = self.ends
+        ps, qs = ints[::2], ints[1::2]
+        return ((a == 0 and lo_in or all(map(ge if lo_in else gt, map(mul, ps, repeat(b)),
+                                             map(mul, qs, repeat(a)))))
+                and (open_top or all(map(ge if hi_in else gt, map(mul, qs, repeat(c)),
+                                         map(mul, ps, repeat(d))))))
+
+    @staticmethod
+    def typed(ps: list[int], qs: list[int]) -> list:
+        return list(map(Fraction, ps, qs))
+
 
 class _Ratio(_Rational):
     """A `_Rational` read as its integers (p, q), q > 0, as written: the
@@ -145,6 +181,32 @@ class _Ratio(_Rational):
     histogram's recount reads residues mod q, so no gcd is run."""
 
     parse = _Rational.ratio
+
+    @staticmethod
+    def typed(ps: list[int], qs: list[int]) -> list:
+        return list(zip(ps, qs))
+
+
+# Plain "p/q" texts joined by commas: ASCII digits, no sign, space or leading
+# zero, and a nonzero denominator.
+_PLAIN_RATIOS = re.compile(r"(?:0|[1-9][0-9]*)/[1-9][0-9]*(?:,(?:0|[1-9][0-9]*)/[1-9][0-9]*)*")
+
+
+def _plain_ints(texts: list) -> list[int] | None:
+    """p_1, q_1, p_2, q_2, ... of a nonempty list of plain "p/q" texts, one
+    regular-expression test of their joined text and one `json.loads` of it;
+    None when an entry is not such a text, or has more digits than the
+    interpreter's int/str limit lets `int` convert."""
+    if not texts or set(map(type, texts)) != {str}:
+        return None
+    joined = ",".join(texts)
+    # An entry holding a comma would pass as two texts.
+    if joined.count(",") != len(texts) - 1 or not _PLAIN_RATIOS.fullmatch(joined):
+        return None
+    try:
+        return json.loads(f"[{joined.replace('/', ',')}]")
+    except ValueError:  # past the limit: the one-value read raises int's error in its place
+        return None
 
 
 class _Positive:
@@ -158,6 +220,13 @@ class _Positive:
         if value < 1:
             raise _Refused(f"{value} is outside [1, inf)")
         return value
+
+    def plain_list(self, values: list) -> list[int] | None:
+        """A list of JSON integers of at least 1, read by one type test and
+        `min`; None for a list the one-value read must see."""
+        if values and set(map(type, values)) == {int} and min(values) >= 1:
+            return list(values)
+        return None
 
 
 class _False:
@@ -198,10 +267,12 @@ class _List:
     entry count that `rule` reads from all the parsed fields.  `make` turns
     the parsed entries into the checker's value, refusing them with a
     ValueError; `emit`, if given, writes a builder's value in place of the
-    item's."""
+    item's.  An item with a `plain_list` reads a list of plain entries in
+    one pass; any other list, and every refusal, is read entry by entry."""
 
     def __init__(self, item, length=None, nonempty: bool = False, make=None, emit=None):
         self.item, self.length, self.nonempty, self.make = item, length, nonempty, make
+        self.read_plain = getattr(item, "plain_list", None)
         if emit is not None:
             self.emit = emit
 
@@ -210,13 +281,15 @@ class _List:
             _expect(value, list, "a list")
         if self.nonempty and not value:
             raise _Refused("expected at least one entry")
-        parse, out = self.item.parse, []
-        for i, v in enumerate(value):
-            try:
-                out.append(parse(v))
-            except _Refused as exc:
-                exc.path = f"[{i}]{exc.path}"
-                raise
+        out = self.read_plain(value) if self.read_plain else None
+        if out is None:
+            parse, out = self.item.parse, []
+            for i, v in enumerate(value):
+                try:
+                    out.append(parse(v))
+                except _Refused as exc:
+                    exc.path = f"[{i}]{exc.path}"
+                    raise
         return out if self.make is None else _made(self.make, out)
 
     def emit(self, values) -> list:
@@ -301,6 +374,44 @@ def _ratio_atoms(atoms: list) -> tuple[list[tuple[int, int]], list[int], int]:
     return [q for q, _ in atoms], weights, weight_den
 
 
+class _Atoms:
+    """pi's atoms, [location, weight] pairs of `_Ratio("[0, 1]")` texts,
+    read into `_ratio_atoms`'s value.  When every text is plain they are
+    rows of four ints checked by map passes: weights positive, locations
+    sorted and distinct, the weights summing to 1 over their lcm, and the
+    last location at most 1, which with the rest puts every text in [0, 1].
+    Any other list, and every refusal, goes through `each`, the one-value
+    read."""
+
+    pair = _List(_Ratio("[0, 1]"), make=_atom)
+    pair.read_plain = None  # two texts: the one-value read is the quicker
+    each = _List(pair, make=_ratio_atoms)
+
+    @staticmethod
+    def emit(pi) -> list:
+        return pi.to_json()  # a ratio measure writes its atoms from integers
+
+    def parse(self, value):
+        return self.plain_atoms(value) or self.each.parse(value)
+
+    @staticmethod
+    def plain_atoms(value):
+        if (type(value) is not list or set(map(type, value)) != {list}
+                or set(map(len, value)) != {2}):
+            return None
+        ints = _plain_ints(list(chain.from_iterable(value)))
+        if ints is None:
+            return None
+        lp, lq, wp, wq = ints[::4], ints[1::4], ints[2::4], ints[3::4]
+        # a/b < c/d iff a*d < c*b, as b, d > 0.
+        if (not all(wp) or lp[-1] > lq[-1]
+                or not all(map(lt, map(mul, lp, lq[1:]), map(mul, lp[1:], lq)))):
+            return None
+        den = lcm(*wq)
+        weights = list(map(mul, wp, map(floordiv, repeat(den), wq)))
+        return (list(zip(lp, lq)), weights, den) if sum(weights) == den else None
+
+
 _RATIONAL = _Rational()
 _POSITIVE = _Positive()
 _INTERVAL = _Record({"left": _RATIONAL, "right": _RATIONAL, "wraps": _False()},
@@ -359,9 +470,7 @@ _INPUTS = {kind: _Record(fields) for kind, fields in {
         "mu": _List(_Ratio("[0, 1]"), make=_masses),
         "lambda": _List(_Ratio("[0, 1]"), length=("len(mu)", lambda v: len(v["mu"][0])),
                         make=_masses),
-        # A ratio measure writes its atoms from integers (`RatioMeasure.to_json`).
-        "pi": _List(_List(_Ratio("[0, 1]"), make=_atom), make=_ratio_atoms,
-                    emit=lambda pi: pi.to_json()),
+        "pi": _Atoms(),
         "tol": _Ratio("[0, inf)"),
     },
 }.items()}

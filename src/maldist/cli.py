@@ -271,8 +271,24 @@ def _chained_int_texts(values) -> list[str]:
 # The decimal digits of a `_CHAINED_BITS`-bit int, about.
 _CHAINED_DIGITS = _CHAINED_BITS * 3 // 10
 # `verify` reads a certificate of more characters than this through
-# `_chained_int_reader`: below, a hook call per int costs more than the chain saves.
+# `_chained_int_reader` when its longest integer text passes `_CHAINED_DIGITS`
+# (`_long_ints`): below either, a hook call per int costs more than the chain saves.
 _CHAINED_GATE = 64 * _CHAINED_DIGITS
+_MULTIPLIERS = '"multipliers": ['
+
+
+def _long_ints(text: str) -> bool:
+    """Whether the certificate text's longest integer text, the last entry
+    of its `multipliers` list (the only integers that grow long, and they
+    grow), has more than `_CHAINED_DIGITS` characters.  Three searches find
+    it, as a scan of every digit would cost what the reader saves."""
+    at = text.find(_MULTIPLIERS)
+    if at < 0:
+        return False
+    start = at + len(_MULTIPLIERS)
+    end = text.find("]", start)
+    last = max(text.rfind(",", start, end) + 1, start)
+    return len(text[last:end].strip()) > _CHAINED_DIGITS
 
 
 def _chained_int_reader():
@@ -312,9 +328,11 @@ def _chained_int_reader():
 
 
 def _write_text(text: str, path: str | None) -> None:
+    """Write the text to the file at `path` as its UTF-8 bytes, with no
+    newline translation on any platform, or to stdout."""
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(text.encode())
     else:
         sys.stdout.write(text)
 
@@ -358,20 +376,25 @@ def _block_side(value, key: str, lengths=None):
     return value
 
 
-def _block_spec(opts: dict) -> BlockSpec:
+@functools.cache
+def _flag_spec() -> type:
+    """The BlockSpec of --spec, defined once, when a spec is first read: a
+    block it refuses, when a list is read or when a generator gives it, is
+    refused by the flag.  (A block past a list's end keeps its own message,
+    which names the block and side.)"""
     from .envelope import BlockSpec
 
     class FlagSpec(BlockSpec):
-        """The spec of --spec: a block it refuses, when a list is read or
-        when a generator gives it, is refused by the flag.  (A block past a
-        list's end keeps its own message, which names the block and side.)"""
-
         def _form(self, j: int, first: int) -> None:
             try:
                 super()._form(j, first)
             except ValueError as exc:
                 raise CliError(f"--spec: {exc}") from None
 
+    return FlagSpec
+
+
+def _block_spec(opts: dict) -> BlockSpec:
     spec_text = _require(opts, "spec")
     try:
         obj = json.loads(spec_text)
@@ -385,7 +408,7 @@ def _block_spec(opts: dict) -> BlockSpec:
     b = _block_side(obj.get("b"), "b")
     m = _block_side(obj.get("m"), "m", b if callable(b) else lambda j: b[j - 1])
     try:
-        return FlagSpec(b, m)
+        return _flag_spec()(b, m)
     except ValueError as exc:
         raise CliError(f"--spec: {exc}")
 
@@ -544,8 +567,12 @@ def _cmd_subspace(opts: dict) -> int:
     pi_flag = "--pi-blocks" if "pi-blocks" in opts else "--blocks"
     pi = _to_horizon(pi_flag, pi_measure, spec, pi_blocks)
     prefix = _int_list(opts.get("prefix", ""), "prefix") if opts.get("prefix") else []
+    try:
+        last = _prefix_blocks(prefix, spec)
+    except IndexError as exc:  # an index past a list side's blocks
+        raise CliError(f"--prefix: {exc}") from None
     # The greedy runs up to --blocks blocks past the prefix's last block.
-    end = _to_horizon("--blocks", spec.a, _prefix_blocks(prefix, spec) + blocks)
+    end = _to_horizon("--blocks", spec.a, last + blocks)
     x = _points_source(opts, end)
     target = ExtensionTarget(mu=mu, eps=eps, pi=pi)
     result = greedy_extension(prefix, spec, x, partition, target, max_blocks=blocks)
@@ -734,7 +761,7 @@ def _cmd_verify(opts: dict) -> int:
     try:
         with open(opts["certificate"], "r", encoding="utf-8") as fh:
             text = fh.read()
-        reader = _chained_int_reader() if len(text) > _CHAINED_GATE else None
+        reader = _chained_int_reader() if len(text) > _CHAINED_GATE and _long_ints(text) else None
         cert = json.loads(text, parse_int=reader)
     except OSError as exc:
         raise CliError(f"cannot read certificate: {exc}")

@@ -139,9 +139,11 @@ class MeasureVector:
     def __post_init__(self):
         masses = tuple(Fraction(m) for m in self.masses)
         object.__setattr__(self, "masses", masses)
-        if any(m < 0 for m in masses):
+        # Checked as integers over the lcm: no Fraction is compared or summed.
+        nums, den = over_lcm(masses)
+        if nums and min(nums) < 0:
             raise ValueError("masses must be nonnegative")
-        if sum(masses) != 1:
+        if sum(nums) != den:
             raise ValueError("masses must sum to exactly 1")
 
     @property

@@ -548,6 +548,20 @@ def test_certificates_either_side_of_the_size_gate_verify_alike(tmp_path, monkey
     assert reports[0] == reports[1] and reports[0][0] == (1 if tamper else 0)
 
 
+def test_long_certificates_of_short_integers_skip_the_chained_reader(tmp_path, monkeypatch):
+    # 256 multipliers 1000^k, the longest of 769 digits: past the size gate,
+    # but with no integer the reader would chain.
+    text = salat3_text(tmp_path, "witness", "--mode", "salat3", "--n-kind", "pow:1000",
+                       "--weights", "1,1", "--eta", "1/15", "--base", "16")
+    n = json.loads(text)["inputs"]["multipliers"]
+    assert len(text) > maldist.cli._CHAINED_GATE
+    assert max(len(str(v)) for v in n) == len(str(n[-1])) <= maldist.cli._CHAINED_DIGITS
+    reader, readers = maldist.cli._chained_int_reader, []
+    monkeypatch.setattr(maldist.cli, "_chained_int_reader", lambda: readers.append(1) or reader())
+    assert verify_text(tmp_path, text) == (0, {"ok": True, "failures": []})
+    assert readers == []
+
+
 def test_cli_witness_salat2_and_verify(tmp_path):
     out = tmp_path / "cert.json"
     res = run_cli(

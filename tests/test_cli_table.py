@@ -272,9 +272,12 @@ def test_all_zero_multiplicities_are_refused_by_the_horizon_flag(tmp_path, monke
     ([0, 0], ["--pi-blocks", "2"], "--pi-blocks: all multiplicities are zero up to the horizon"),
     ([1, 1], ["--pi-blocks", "5"], "--pi-blocks: block 5 beyond the 2 given lengths"),
     ([1, 1], ["--blocks", "5", "--pi-blocks", "1"], "--blocks: block 5 beyond the 2 given lengths"),
-], ids=["zero", "pi-blocks-past-the-list", "blocks-past-the-list"])
+    ([1, 1], ["--blocks", "1", "--pi-blocks", "2", "--prefix", "1,3,5"],
+     "--prefix: block 3 beyond the 2 given lengths"),
+], ids=["zero", "pi-blocks-past-the-list", "blocks-past-the-list", "prefix-past-the-list"])
 def test_subspace_horizon_refusals_name_the_flag_that_set_them(capsys, m, extra, error):
-    # --pi-blocks sets the envelope's horizon, --blocks the greedy's.
+    # --pi-blocks sets the envelope's horizon, --blocks the greedy's, and
+    # --prefix the blocks it must lie in.
     spec = json.dumps({"b": [2, 2], "m": m})
     argv = ["subspace", "--cuts", "0,1", "--mu", "1", "--x-alpha", "1/3", "--spec", spec, *extra]
     assert cli.main(argv) == cli.USAGE_ERROR

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from maldist.empirical import (
     CellPartition,
     CheckpointScan,
+    MeasureVector,
     Residues,
     checkpoint_scan,
     rotation_scan,
@@ -350,3 +351,24 @@ def test_rotation_scan_csv_past_10_15_matches_the_fraction_writer(digits):
     scan = rotation_scan(832040, 1346269, CellPartition.uniform(12),
                          [7, 10**15, 10**15 + 3, 2 * 10**16])
     assert scan_to_csv(scan, digits) == fraction_scan_to_csv(scan, digits)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=30), max_size=8),
+       st.booleans())
+def test_measure_vector_checks_its_masses_as_fractions_do(masses, complete):
+    """The checks in integers over the lcm refuse what Fraction comparisons
+    and a Fraction sum refuse, negative masses first, and keep the entries
+    as Fractions."""
+    if complete:
+        masses.append(1 - sum(masses))
+    if any(m < 0 for m in masses):
+        want = "masses must be nonnegative"
+    elif sum(masses) != 1:
+        want = "masses must sum to exactly 1"
+    else:
+        assert MeasureVector(tuple(masses)).masses == tuple(masses)
+        assert all(type(m) is F for m in MeasureVector(tuple(masses)).masses)
+        return
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        MeasureVector(tuple(masses))

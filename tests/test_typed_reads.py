@@ -1,7 +1,7 @@
 """Inputs read straight into the form their checks compute with: the one-pass
 rational parser against the regular-expression parser it replaced, the JSON
-writer against `json.dumps`, digit strings as bytes, and envelope inputs as
-integers over their lcm."""
+writer against `json.dumps`, digit strings as bytes, envelope inputs as
+integers over their lcm, and one-pass list reads against the one-value read."""
 
 import contextlib
 import copy
@@ -357,3 +357,157 @@ def test_lambda_length_follows_the_entry_count_of_mu():
     cert["inputs"]["lambda"] = ["1/3", "1/3", "1/3"]
     assert certs.verify_certificate(cert).failures == (
         "inputs.lambda: has 3 entries, not len(mu) = 2",)
+
+
+# --- one-pass list reads ---------------------------------------------------------
+
+
+def one_value(field):
+    """The field's read with every list read entry by entry."""
+    if isinstance(field, certs._Atoms):
+        return field.each.parse
+    slow = copy.copy(field)
+    slow.read_plain = None
+    return slow.parse
+
+
+def read(parse, value):
+    """What `parse` reads (by repr, so that types count), or its refusal's
+    path and reason, or the text of another ValueError."""
+    try:
+        got = parse(value)
+    except certs._Refused as exc:
+        return ("refused", exc.path, exc.reason)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("value", repr(got))
+
+
+def variants(text: str):
+    """JSON values for a "p/q" text, half of them near the plain form: a
+    plain text of another value (0, 1, past 1), texts with a leading zero, a
+    zero denominator, a second slash or a comma; the others with a sign, a
+    space, a decimal point, no slash or Unicode digits, and values of other
+    JSON types."""
+    p, q = text.split("/")
+    near = [text, "0/1", "1/1", f"{int(p) + int(q)}/{q}", f"{p}/{q}0", f"0{p}/{q}", f"{p}/0{q}",
+            f"{p}/0", f"{text}/3", f"{text},{text}", f"{text},"]
+    other = [f"+{text}", f"-{text}", f" {text}", f"{text}\n", f"{p}.5", p, "٣/٤", "",
+             int(p), float(p), None, True, [text], {"p": text}]
+    return st.sampled_from(near) | st.sampled_from(other)
+
+
+@st.composite
+def ratio_texts(draw, pairs, edits: int = 2):
+    """The "p/q" texts of `pairs`, each scaled by a drawn factor, with up to
+    `edits` entries replaced by one of their variants."""
+    texts = [f"{p * k}/{q * k}" for (p, q), k in zip(pairs, draw(st.lists(
+        st.sampled_from([1, 1, 2, 3, 10]), min_size=len(pairs), max_size=len(pairs))))]
+    for i in draw(st.lists(st.integers(0, len(texts) - 1), max_size=edits, unique=True)):
+        texts[i] = draw(variants(texts[i]))
+    return texts
+
+
+@st.composite
+def masses(draw):
+    """Texts of masses summing to 1 over a drawn total, some then edited."""
+    counts = draw(st.lists(st.integers(0, 40), min_size=1, max_size=12))
+    counts[0] += not any(counts)
+    return draw(ratio_texts([(c, sum(counts)) for c in counts]))
+
+
+@st.composite
+def cuts(draw):
+    """Texts of cuts from 0 to 1 on a drawn grid, some then edited."""
+    den = draw(st.integers(1, 64))
+    inner = draw(st.lists(st.integers(1, den), unique=True, max_size=10)) if den > 1 else []
+    return draw(ratio_texts([(k, den) for k in [0, *sorted(inner), den]]))
+
+
+@st.composite
+def atoms(draw):
+    """pi's atoms: sorted distinct locations with positive weights summing
+    to 1, some texts edited, then perhaps two atoms out of order, an atom
+    that is not a pair, a location past 1 or a weight of 0."""
+    den = draw(st.integers(1, 40))
+    spots = sorted(draw(st.lists(st.integers(0, den), min_size=1, max_size=10, unique=True)))
+    counts = draw(st.lists(st.integers(1, 9), min_size=len(spots), max_size=len(spots)))
+    flat = draw(ratio_texts([pair for k, c in zip(spots, counts)
+                             for pair in ((k, den), (c, sum(counts)))], edits=1))
+    value = [flat[i:i + 2] for i in range(0, len(flat), 2)]
+    edit = draw(st.sampled_from(["none", "none", "swap", "triple", "single", "flat",
+                                 "past-one", "zero-weight", "zero-weight-atom"]))
+    if edit == "swap" and len(value) > 1:
+        i = draw(st.integers(0, len(value) - 2))
+        value[i], value[i + 1] = value[i + 1], value[i]
+    elif edit == "triple":
+        value[-1] = [*value[-1], "1/2"]
+    elif edit == "single":
+        value[0] = value[0][:1]
+    elif edit == "flat":
+        value[0] = value[0][0]
+    elif edit == "past-one":
+        value[-1][0] = f"{den + 1}/{den}"
+    elif edit == "zero-weight":
+        value[0][1] = "0/1"
+    elif edit == "zero-weight-atom" and spots[-1] < den:  # the weights still sum to 1
+        value.append([f"{den + 1}/{den + 1}", "0/1"])
+    elif edit == "zero-weight-atom" and spots[0] > 0:
+        value.insert(0, [f"0/{den}", "0/1"])
+    return value
+
+
+positives = st.lists(st.integers(1, 10**30) | st.sampled_from(
+    [0, -1, True, False, 1.0, "1", None, [1], Int(3)]), max_size=12)
+
+LIST_FIELDS = {
+    f"{kind}.{name}": (certs._INPUTS[kind].fields[name], values)
+    for kind, name, values in [("envelope", "mu", masses()), ("envelope", "pi", atoms()),
+                               ("invariance", "cuts", cuts()),
+                               ("hitfreq", "multipliers", positives),
+                               ("mixing", "multipliers", positives)]
+}
+
+
+@settings(max_examples=2000)
+@given(st.data())
+def test_one_pass_list_reads_match_the_one_value_read(data):
+    """The one-pass read gives the typed value the one-value read gives, or
+    the same first refusal with its path: what it cannot read is left to
+    the one-value read."""
+    field, values = LIST_FIELDS[data.draw(st.sampled_from(sorted(LIST_FIELDS)))]
+    value = data.draw(values)
+    assert read(field.parse, value) == read(one_value(field), value)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("envelope.mu", ["1/4", "3/4"]), ("envelope.mu", ["0/5", "10/10"]),
+    ("envelope.pi", [["0/1", "1/3"], ["1/2", "2/3"]]), ("envelope.pi", [["1/1", "1/1"]]),
+    ("invariance.cuts", ["0/1", "1/3", "1/1"]), ("hitfreq.multipliers", [1, 2, 10**40]),
+])
+def test_plain_lists_take_the_one_pass_read(name, value):
+    field = LIST_FIELDS[name][0]
+    plain = field.plain_atoms if isinstance(field, certs._Atoms) else field.read_plain
+    assert plain(value) is not None
+    assert read(field.parse, value) == read(one_value(field), value)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
+@pytest.mark.parametrize("name,value", [
+    ("envelope.mu", [f"1{'0' * 5000}/1{'0' * 5000}"]),
+    ("envelope.mu", ["2/1", f"1/1{'0' * 5000}"]),
+    ("envelope.pi", [["1/2", f"1{'0' * 5000}/1{'0' * 5000}"]]),
+    ("invariance.cuts", ["0/1", f"1/1{'0' * 5000}", "1/1"]),
+])
+def test_over_limit_digits_read_alike_under_the_default_limit(name, value):
+    """A library caller that has not lifted the int/str limit gets `int`'s
+    error, or the refusal of an entry before it, from both reads."""
+    field = LIST_FIELDS[name][0]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        want = read(one_value(field), value)
+        assert read(field.parse, value) == want
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert want[0] in ("error", "refused")
