@@ -53,10 +53,7 @@ _EXPORTS = {
         "greedy_extension",
         "validate_membership",
     ),
-    "torus": (
-        "TorusInterval",
-        "interval_contains_interval",
-    ),
+    "torus": ("TorusInterval",),
     "witness": (
         "AvoidanceResult",
         "HistogramTarget",

@@ -1,18 +1,32 @@
 """Self-contained certificates for every construction, and their independent
 re-verification.
 
+The module holds both sides.  The builders (`mixing_certificate`, ...) read
+the numbers a construction derived from its result objects, by attribute,
+and write them as claims.  The verifier (`verify_certificate`) reads the
+echoed inputs alone, recounts from them every number the claims state, and
+compares.  So that "verified" means recomputed on other code than the
+construction's, the module imports from the package only `exact`, whose
+text forms ("p/q", digit strings) both sides must share, and otherwise only
+the standard library: no construction layer, not `torus` or `empirical`,
+and no `dataclasses`.  The builders' argument types are named for type
+checkers only.  A `maldist verify` process therefore loads this module and
+`exact`, and no float enters it.
+
 Each kind's format is declared once, here: its input fields and their types
 in `_INPUTS`, each claim kind's fields in `_CLAIM_FIELDS`, and its claims in
 one writer (`_mixing_claims`, ...; `envelope` has a single claim).  Builders
 write through all three.  `verify_certificate` reads the echoed inputs
-through the same table into typed values, recounts from them alone the
-numbers the claims state, through the primitive operations (modular
-arithmetic, interval membership, direct counting) rather than the
-construction code, has the same writer turn them into the whole claims, and
-compares those with the stated claims field by field; each difference names
-its claim and field.  The builder and the verifier thus derive each number
-on their own code and share only its format.  Certificates therefore stay
-checkable long after the run that produced them.
+through the same table into typed values: rationals, integers, intervals as
+their ends (left, right), cuts as integer numerators over their lcm, digit
+strings as bytes.  It recounts from them alone the numbers the claims state,
+by modular arithmetic, interval membership by cross-multiplication and
+direct counting, with its own D* sweep for `avoid`; has the same writer
+turn them into the whole claims; and compares those with the stated claims
+field by field, each difference naming its claim and field.  The builder and
+the verifier thus derive each number on their own code and share only its
+format.  Certificates therefore stay checkable long after the run that
+produced them.
 
 A list field whose entries are all plain "p/q" texts (ASCII digits, no
 sign, space or leading zero) or all JSON integers of at least 1 is read in
@@ -28,15 +42,13 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate, chain, repeat
-from math import lcm
+from math import gcd, isqrt, lcm
 from operator import floordiv, ge, gt, lt, mul
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .empirical import CellPartition, Residues, star_discrepancy
 from .exact import (
     RationalParseError,
     binary_digits,
@@ -45,11 +57,10 @@ from .exact import (
     mod1,
     parse_ratio,
 )
-from .torus import TorusInterval, interval_contains_interval
 
-if TYPE_CHECKING:  # builders' argument types; the verifiers re-derive without them
+if TYPE_CHECKING:  # builders' argument types, read by attribute; the verifiers use none
     from .doubling import BinaryPoint, OrbitHitReport, WindowDensity
-    from .empirical import MeasureVector
+    from .empirical import CellPartition, MeasureVector
     from .envelope import DominationResult, RatioMeasure
     from .witness import (
         AvoidanceResult,
@@ -78,8 +89,7 @@ FORMAT = "maldist-certificate/1"
 _fr = format_rational
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     ok: bool
     failures: tuple[str, ...]
 
@@ -412,11 +422,53 @@ class _Atoms:
         return (list(zip(lp, lq)), weights, den) if sum(weights) == den else None
 
 
+def _interval(ends: dict) -> tuple[Fraction, Fraction]:
+    """An interval's ends (left, right), held to 0 <= left < right <= 1 by
+    cross-multiplication."""
+    left, right = ends["left"], ends["right"]
+    ln, ld, rn, rd = left.numerator, left.denominator, right.numerator, right.denominator
+    if not (0 <= ln and ln * rd < rn * ld and rn <= rd):
+        raise ValueError(f"interval needs 0 <= left < right <= 1, got ({left}, {right})")
+    return left, right
+
+
+def _interval_json(ends: tuple[Fraction, Fraction]) -> dict:
+    # Format /1 keeps an always-false `wraps`.
+    return {"left": _fr(ends[0]), "right": _fr(ends[1]), "wraps": False}
+
+
+def _holds(ends: tuple[Fraction, Fraction], r: int, q: int) -> bool:
+    """Whether the point r/q (q > 0, not reduced) lies in the open interval
+    (left, right), by cross-multiplication: for huge q no gcd is run."""
+    left, right = ends
+    return left.numerator * q < r * left.denominator and r * right.denominator < right.numerator * q
+
+
+def _nested(outer: tuple[Fraction, Fraction], inner: tuple[Fraction, Fraction]) -> bool:
+    """Whether inner lies in outer: outer's left <= inner's left and inner's
+    right <= outer's right, each by cross-multiplication."""
+    (a, d), (b, c) = outer, inner
+    return (a.numerator * b.denominator <= b.numerator * a.denominator
+            and c.numerator * d.denominator <= d.numerator * c.denominator)
+
+
+def _cuts(cuts: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """The cuts as integer numerators c_i over the lcm D of their reduced
+    denominators, held to run strictly increasing from 0 to 1: the cut c/D
+    lies at or below r/q iff r >= ceil(c*q/D), and the cuts are all dyadic
+    iff D is a power of 2."""
+    nums, den = _over_lcm([(p // g, q // g) for p, q in cuts for g in (gcd(p, q),)])
+    if len(nums) < 2 or nums[0] != 0 or nums[-1] != den:
+        raise ValueError("cuts must run from 0 to 1")
+    if not all(map(lt, nums, nums[1:])):
+        raise ValueError("cuts must be strictly increasing")
+    return nums, den
+
+
 _RATIONAL = _Rational()
 _POSITIVE = _Positive()
-_INTERVAL = _Record({"left": _RATIONAL, "right": _RATIONAL, "wraps": _False()},
-                    lambda ends: TorusInterval(ends["left"], ends["right"]),
-                    emit=TorusInterval.to_json)
+_INTERVAL = _Record({"left": _RATIONAL, "right": _RATIONAL, "wraps": _False()}, _interval,
+                    emit=_interval_json)
 
 # kind -> its input fields, in the order a certificate echoes them
 _INPUTS = {kind: _Record(fields) for kind, fields in {
@@ -463,7 +515,7 @@ _INPUTS = {kind: _Record(fields) for kind, fields in {
     "invariance": {
         "alpha": _RATIONAL,
         "steps": _POSITIVE,
-        "cuts": _List(_RATIONAL, make=CellPartition),
+        "cuts": _List(_Ratio(), make=_cuts),
     },
     # mu and lambda read as (numerators, lcm); mu's count is len(numerators).
     "envelope": {
@@ -513,42 +565,44 @@ def _claim(kind: str, *values) -> dict:
 # claim writers: a kind's claims (ids, claim kinds, texts and verdict rules)
 # from the numbers they state.  A builder passes the numbers its construction
 # found and a checker those it recounted from the echoed inputs, so only the
-# format is shared; a writer calls no construction code.
+# format is shared; a writer calls no construction code.  An interval is the
+# pair of its ends (left, right).
 
 
-_BAND = TorusInterval(Fraction(1, 2), Fraction(3, 4))  # the zero-block target arc
+_BAND = (Fraction(1, 2), Fraction(3, 4))  # the zero-block target arc
 
 
 def _mixing_claims(alpha: Fraction, multipliers: Sequence[int], eps: Fraction,
-                   start: TorusInterval, targets: Sequence[TorusInterval],
-                   intervals: Sequence[TorusInterval]) -> dict[str, dict]:
+                   start: tuple, targets: Sequence[tuple],
+                   intervals: Sequence[tuple]) -> dict[str, dict]:
     p, q = alpha.numerator, alpha.denominator
     a = _fr(alpha)
-    spans = [iv.to_json() for iv in intervals]
-    claims = {"alpha-in-start": _claim("point-in-interval", 1, a, start.to_json(), a,
-                                       start.contains_residue(p, q))}
+    spans = [_interval_json(iv) for iv in intervals]
+    claims = {"alpha-in-start": _claim("point-in-interval", 1, a, _interval_json(start), a,
+                                       _holds(start, p, q))}
     for k, (n, target) in enumerate(zip(multipliers, targets), start=1):
         r, length = n * p % q, eps / n
-        claims[f"containment-{k}"] = _claim("point-in-interval", n, a, target.to_json(),
-                                            format_ratio(r, q), target.contains_residue(r, q))
+        left, right = intervals[k]
+        claims[f"containment-{k}"] = _claim("point-in-interval", n, a, _interval_json(target),
+                                            format_ratio(r, q), _holds(target, r, q))
         claims[f"length-{k}"] = _claim("interval-length", spans[k], _fr(length),
-                                       intervals[k].length == length)
+                                       right - left == length)
         claims[f"nesting-{k}"] = _claim("interval-nested", spans[k - 1], spans[k],
-                                        interval_contains_interval(intervals[k - 1], intervals[k]))
+                                        _nested(intervals[k - 1], intervals[k]))
     return claims
 
 
-def _hitfreq_claims(alpha: Fraction, multipliers: Sequence[int], interval: TorusInterval,
+def _hitfreq_claims(alpha: Fraction, multipliers: Sequence[int], interval: tuple,
                     ratio: Fraction, u: int, c: int, positions: Sequence[int], hits: int,
                     horizon: int) -> dict[str, dict]:
     p, q = alpha.numerator, alpha.denominator
-    a, span, eps = _fr(alpha), interval.to_json(), interval.length
+    a, span, eps = _fr(alpha), _interval_json(interval), interval[1] - interval[0]
     claims = {}
     for pos in positions:
         n = multipliers[pos - 1]
         r = n * p % q
         claims[f"containment-{pos}"] = _claim("point-in-interval", n, a, span, format_ratio(r, q),
-                                              interval.contains_residue(r, q))
+                                              _holds(interval, r, q))
     threshold = Fraction(1, 2 * c)
     quality, stride, gap = ratio ** (u - 2), ratio**c, ratio**c * eps**u
     claims["hit-frequency"] = _claim("hit-count-frequency", hits, horizon, _fr(threshold),
@@ -593,7 +647,8 @@ def _zeroblock_claims(num: int, den: int, in_band: bool, zeroed: bool,
     pairs."""
     value = format_ratio(num, den)
     claims = {
-        "value-in-band": _claim("point-in-interval", 1, value, _BAND.to_json(), value, in_band),
+        "value-in-band": _claim("point-in-interval", 1, value, _interval_json(_BAND), value,
+                                in_band),
         "blocks-zeroed": _claim("digit-blocks-zero", zeroed),
     }
     for end, hits in windows:
@@ -621,7 +676,12 @@ def _invariance_claims(defect: Fraction, steps: int) -> dict[str, dict]:
 
 
 # ---------------------------------------------------------------------------
-# builders
+# builders: each reads the numbers its construction derived, by attribute, and
+# passes them to the kind's claim writer
+
+
+def _ends(interval) -> tuple[Fraction, Fraction]:
+    return interval.left, interval.right
 
 
 def _certificate(kind: str, claims: dict[str, dict], margins: dict | None = None,
@@ -641,16 +701,18 @@ def _certificate(kind: str, claims: dict[str, dict], margins: dict | None = None
 
 
 def mixing_certificate(chain: MixingChain) -> dict:
-    cfg, alpha, intervals = chain.config, chain.alpha, chain.intervals
-    claims = _mixing_claims(alpha, cfg.multipliers, cfg.eps, cfg.start, cfg.targets, intervals)
-    margins = {"witness_interval_radius": _fr(intervals[-1].length / 2)}
+    cfg, alpha = chain.config, chain.alpha
+    start, targets = _ends(cfg.start), list(map(_ends, cfg.targets))
+    intervals = list(map(_ends, chain.intervals))
+    claims = _mixing_claims(alpha, cfg.multipliers, cfg.eps, start, targets, intervals)
+    margins = {"witness_interval_radius": _fr(chain.intervals[-1].length / 2)}
     return _certificate("mixing", claims, margins, alpha=alpha, multipliers=cfg.multipliers,
-                        eps=cfg.eps, delta=cfg.delta, start=cfg.start, targets=cfg.targets,
+                        eps=cfg.eps, delta=cfg.delta, start=start, targets=targets,
                         intervals=intervals)
 
 
 def hitfreq_certificate(witness: HitFrequencyWitness, multipliers: Sequence[int]) -> dict:
-    plan, alpha, interval = witness.plan, witness.alpha, witness.interval
+    plan, alpha, interval = witness.plan, witness.alpha, _ends(witness.interval)
     claims = _hitfreq_claims(alpha, multipliers, interval, plan.ratio, plan.u, plan.c,
                              witness.forced_positions, witness.hit_count, witness.horizon)
     margins = {
@@ -674,7 +736,7 @@ def histogram_certificate(witness: HistogramWitness, multipliers: Sequence[int])
 def avoidance_certificate(result: AvoidanceResult, discrepancy_floor: Fraction | None = None) -> dict:
     disc, margins = None, {}
     if discrepancy_floor is not None:
-        disc = star_discrepancy(Residues(result.residues, result.alpha.denominator))
+        disc = result.star_discrepancy()
         margins["star_discrepancy"] = _fr(disc)
     claims = _avoid_claims(set(result.gaps) <= {1, 2}, result.hits_after_prefix,
                            disc, discrepancy_floor)
@@ -824,7 +886,7 @@ def _verify_mixing(inp: dict, stated: dict):
     multipliers, targets, intervals = inp["multipliers"], inp["targets"], inp["intervals"]
     failures = [] if intervals[0] == start else ["inputs.intervals[0] is not the start interval"]
     # The chain's hypotheses on its start width (as `MixingConfig.validate`).
-    if start.length < delta:
+    if start[1] - start[0] < delta:
         failures.append(f"inputs.delta: {_fr(delta)} exceeds the start interval's length")
     if multipliers and multipliers[0] * delta.numerator <= 2 * delta.denominator:
         failures.append(f"inputs.delta: n_1 = {multipliers[0]} does not exceed 2/delta")
@@ -860,7 +922,7 @@ def _verify_hitfreq(inp: dict, stated: dict):
     ):
         failures.append("inputs.forced_positions: not c*repeats .. 2*c*repeats step c")
     p, q = alpha.numerator, alpha.denominator
-    count = sum(interval.contains_residue(r, q) for r in _chained_residues(multipliers, p, q))
+    count = sum(_holds(interval, r, q) for r in _chained_residues(multipliers, p, q))
     return failures, _hitfreq_claims(alpha, multipliers, interval, ratio, u, c, positions,
                                      count, horizon)
 
@@ -895,12 +957,53 @@ def _verify_avoid(inp: dict, stated: dict):
             floor = _RATIONAL.parse(stated["star-discrepancy-floor"].get("floor"))
         except _Refused as exc:
             return [f"star-discrepancy-floor: floor: {exc.reason}"], None
-        disc = star_discrepancy(Residues(residues, q))
+        disc = _star_discrepancy(residues, q)
     return [], _avoid_claims(gaps_ok, hits, disc, floor)
+
+
+def _star_discrepancy(residues: list[int], q: int) -> Fraction:
+    """D*_N = sup over t in (0, 1] of |#{i: r_i/q < t}/N - t| for the N >= 1
+    points r_i/q, 0 <= r_i < q.
+
+    The sup is reached at the points themselves: for the k-th smallest
+    point s_k/q, N*q times k/N - s_k/q is h_k = k*q - N*s_k, and N*q times
+    s_k/q - (k-1)/N is q - h_k, so D*_N = max(max h, q - min h)/(N*q).  As s
+    does not decrease, h rises by at most q from one rank to the next: over
+    the ranks a+1..b, h lies between (a+1)*q - N*s_b and h_{a+1} + (b-a-1)*q.
+    The sweep forms h at the first rank of each block of B = max(32, sqrt N)
+    ranks, and in full only in the blocks whose bounds (with b - a - 1 taken
+    as B - 1) pass the extremes found so far.
+    """
+    n, s = len(residues), sorted(residues)
+    block = max(32, isqrt(n))
+    heads = [kq - n * r for kq, r in zip(range(q, (n + 1) * q, block * q), s[::block])]
+    top, low, rise = max(heads), min(heads), (block - 1) * q
+    for a, head, last in zip(range(0, n, block), heads, s[block - 1 :: block] + s[-1:]):
+        if head + rise > top or (a + 1) * q - n * last < low:
+            h = [kq - n * r for kq, r in zip(range((a + 1) * q, (n + 1) * q, q), s[a : a + block])]
+            top, low = max(top, max(h)), min(low, min(h))
+    return Fraction(max(top, q - low), n * q)
 
 
 _WINDOW_ID = re.compile(r"window-([1-9][0-9]*)")
 _BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _tail_order(digits: bytes, k: int, end: bytes) -> int:
+    """The sign of T - E, for T = 0.d_{k+1}...d_L the digit tail of `digits`
+    after place k, and E in [0, 1) the value with the binary digits `end`,
+    at least L - k of them.  The bytes are compared in runs that double
+    from 8, up to the run that holds their first difference; past d_L the
+    tail is 0."""
+    n, i, run = len(digits) - k, 0, 8
+    while i < n:
+        j = min(i + run, n)
+        tail, head = digits[k + i : k + j], end[i:j]
+        if tail != head:
+            return 1 if tail > head else -1
+        i, run = j, 2 * run
+    return -1 if end.find(1, n) >= 0 else 0
 
 
 def _verify_zeroblock(inp: dict, stated: dict):
@@ -912,18 +1015,28 @@ def _verify_zeroblock(inp: dict, stated: dict):
         want[j - 1 : j * j] = bytes(j * j - j + 1)
     failures = [] if want == digits else ["inputs.digits: not those of base with zeroed blocks"]
     num, scale = int(digits.translate(_BIT_CHARS), 2), 1 << length
-    in_band = _BAND.contains_residue(num, scale)
+    in_band = _holds(_BAND, num, scale)
     ends = sorted({int(m[1]) for m in map(_WINDOW_ID.fullmatch, stated) if m})
     windows = []
     if ends:
-        # 2^k * value mod 1 is the digit string after its first k digits,
-        # ((num << k) mod 2^L)/2^L, so (2^k + 1) * value mod 1 = ((num << k)
-        # + num) mod 2^L over 2^L.  From the last 1 digit on the tail is 0
-        # and a step has the verdict of the value itself: only the steps
-        # before it are tested, and `flips` keeps those whose verdict differs.
+        # Step k's value (2^k + 1) * x mod 1 is (x + T_k) mod 1, for T_k =
+        # 2^k * x mod 1 the digit tail after place k.  It lies in the band
+        # iff T_k lies in the arc (U, V) of U = (1/2 - x) mod 1 and V = (3/4
+        # - x) mod 1, which passes through 0 when U > V; U and V have L + 2
+        # digits.  From the last 1 digit on the tail is 0 and a step has the
+        # verdict of the value itself: only the steps before it are tested,
+        # and `flips` keeps those whose verdict differs.
+        x = num << 2
+        u, v = ((2 << length) - x) % (4 << length), ((3 << length) - x) % (4 << length)
+        u_digits, v_digits = (format(e, f"0{length + 2}b").encode().translate(_BIT_VALUES)
+                              for e in (u, v))
         last = min(len(digits.rstrip(b"\0")), ends[-1] + 1)
-        flips = [k for k in range(1, last)
-                 if _BAND.contains_residue(((num << k) + num) & (scale - 1), scale) != in_band]
+        flips = []
+        for k in range(1, last):
+            above = _tail_order(digits, k, u_digits) > 0
+            below = _tail_order(digits, k, v_digits) < 0
+            if ((above or below) if u > v else (above and below)) != in_band:
+                flips.append(k)
         for end in ends:
             flipped = bisect_right(flips, end)
             windows.append((end, end - flipped if in_band else flipped))
@@ -978,15 +1091,15 @@ def _verify_fivesixth(inp: dict, stated: dict):
 
 
 def _verify_invariance(inp: dict, stated: dict):
-    alpha, steps, partition = inp["alpha"], inp["steps"], inp["cuts"]
-    if not partition.is_dyadic():
+    alpha, steps, (cuts, den) = inp["alpha"], inp["steps"], inp["cuts"]
+    if den & (den - 1):
         return ["invariance-defect: partition cut points must be dyadic rationals"], None
     # Along the residues r_k = 2^k p mod q, k = 1..steps, each point counts
     # +1 in its cell and -1 in the cell of its image r_{k+1}; the sum
     # telescopes to +1 in the cell of r_1 and -1 in that of r_{steps+1}.
     v = mod1(alpha)
     p, q = v.numerator, v.denominator
-    bounds = partition.thresholds(q)[1:]
+    bounds = [-(-c * q // den) for c in cuts[1:]]
     ends = bisect_right(bounds, 2 * p % q), bisect_right(bounds, pow(2, steps + 1, q) * p % q)
     return [], _invariance_claims(Fraction(int(ends[0] != ends[1]), steps), steps)
 

@@ -17,8 +17,8 @@ option parsing needs.  Each `_cmd_*` handler imports the layers it calls when
 it runs, a layer only one mode needs inside that mode's branch, and
 `_interval`, `_block_spec` and `_points_source` do likewise.  A process
 therefore loads only its own subcommand's layers: `verify` loads
-`certificates` and the primitives its verifiers recount with, and a
-rotation `scan` loads `empirical` alone.
+`certificates` alone, whose verifiers recount on their own code with
+`exact`, and a rotation `scan` loads `empirical` alone.
 
 Outputs are JSON certificates (stable key order) and CSV tables; identical
 configuration reproduces identical bytes: every output byte comes from the

@@ -1,4 +1,4 @@
-"""Exact open intervals in [0, 1) and their containment.
+"""Exact open intervals in [0, 1) and the points they contain.
 
 Points of the circle R/Z are residues r/q in [0, 1), tested against an
 interval by cross-multiplication (`TorusInterval.contains_residue`); the
@@ -12,12 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import format_rational
-
-__all__ = [
-    "TorusInterval",
-    "interval_contains_interval",
-]
+__all__ = ["TorusInterval"]
 
 
 @dataclass(frozen=True)
@@ -50,16 +45,3 @@ class TorusInterval:
         without reducing r/q: for huge q no gcd is run."""
         return (self.left.numerator * q < r * self.left.denominator
                 and r * self.right.denominator < self.right.numerator * q)
-
-    def to_json(self) -> dict:
-        # Format /1 keeps an always-false `wraps`.
-        return {"left": format_rational(self.left), "right": format_rational(self.right),
-                "wraps": False}
-
-
-def interval_contains_interval(outer: TorusInterval, inner: TorusInterval) -> bool:
-    """True iff inner is a subset of outer: outer.left <= inner.left and
-    inner.right <= outer.right, each by cross-multiplication."""
-    a, b, c, d = outer.left, inner.left, inner.right, outer.right
-    return (a.numerator * b.denominator <= b.numerator * a.denominator
-            and c.numerator * d.denominator <= d.numerator * c.denominator)

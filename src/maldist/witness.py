@@ -31,6 +31,7 @@ from operator import mod, sub
 from typing import Sequence
 
 from .doubling import BinaryPoint
+from .empirical import Residues, star_discrepancy
 from .exact import binary_digits, mod1
 from .torus import TorusInterval
 
@@ -468,15 +469,20 @@ def histogram_witness(
 @dataclass(frozen=True)
 class AvoidanceResult:
     """The indices of an avoidance run, with the residues n*p mod q of their
-    points n*alpha mod 1 = (n*p mod q)/q over alpha = p/q."""
+    points n*alpha mod 1 = (n*p mod q)/q over alpha = p/q, kept for the
+    run's star discrepancy."""
 
     alpha: Fraction
     eps: Fraction
     indices: tuple[int, ...]
-    residues: tuple[int, ...]
+    _residues: tuple[int, ...]
     gaps: tuple[int, ...]
     prefix_length: int
     hits_after_prefix: int
+
+    def star_discrepancy(self) -> Fraction:
+        """D* of the points n*alpha mod 1 over all the indices."""
+        return star_discrepancy(Residues(self._residues, self.alpha.denominator))
 
 
 def avoidance_sequence(
@@ -532,7 +538,7 @@ def avoidance_sequence(
         alpha=alpha,
         eps=eps,
         indices=tuple(idx),
-        residues=tuple(residues),
+        _residues=tuple(residues),
         gaps=tuple(map(sub, islice(idx, 1, None), idx)),
         prefix_length=prefix_length,
         hits_after_prefix=0,

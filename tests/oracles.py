@@ -20,7 +20,8 @@ program against.  None of it backs a `maldist` subcommand.
   `as_residues` and `fractions_of`, which convert between the two forms;
 - the Fraction twins the program dropped when its circle points and
   decimals came from the integer kernels alone: `fraction_mul_mod1`,
-  `fraction_contains` and `fraction_contains_interval` on the circle, and
+  `fraction_contains` and `fraction_contains_interval` on the circle,
+  `interval_json`, the JSON object a certificate writes for an interval, and
   `frequencies`, `fraction_decimal_str` and `fraction_scan_to_csv` for the
   scan CSV;
 - the one-value forms the program dropped when its CSV tables came from
@@ -34,6 +35,10 @@ program against.  None of it backs a `maldist` subcommand.
   at a time up to the last window end, the loop the zero-block verifier
   ran before it folded the steps past the last 1 digit, and the reference
   for that fold on both the build and the verify side;
+- `shift_and_mask_window_hits`: the same counts as the zero-block
+  verifier folded them before it compared digit tails, one shift and mask
+  of the whole digit integer per step before the last 1 digit, the
+  reference for the tail comparison;
 - `walked_avoidance_sequence`: the gap-{1,2} avoidance run walked one
   index at a time on integer residues, as `avoidance_sequence` built it
   before it took the indices by their rule, with the residue of each index
@@ -289,6 +294,26 @@ def stepwise_window_hits(digits: Sequence[int], ends: Iterable[int]) -> dict[int
     return out
 
 
+def shift_and_mask_window_hits(digits: Sequence[int], ends: Iterable[int]) -> dict[int, int]:
+    """end -> the hits of steps 1..end as the zero-block verifier counted
+    them before it compared digit tails: each step before the last 1 digit
+    shifts and masks the whole digit integer, s = ((num << k) + num) mod 2^L,
+    and every later step, where the tail is 0, takes the verdict of the value
+    itself.  Quadratic in L on digits whose last 1 is near the end."""
+    ends = sorted(set(ends))
+    length = len(digits)
+    num, scale = int("".join(map(str, digits)), 2), 1 << length
+
+    def in_band(s: int) -> bool:
+        return 2 * s > scale and 4 * s < 3 * scale
+
+    own = in_band(num)
+    last = min(len("".join(map(str, digits)).rstrip("0")), ends[-1] + 1)
+    flips = [k for k in range(1, last) if in_band(((num << k) + num) & (scale - 1)) != own]
+    return {end: end - flipped if own else flipped
+            for end in ends for flipped in (sum(1 for k in flips if k <= end),)}
+
+
 def walked_avoidance_sequence(
     alpha: Fraction, eps: Fraction, prefix: Sequence[int], horizon: int
 ) -> AvoidanceResult:
@@ -323,7 +348,7 @@ def walked_avoidance_sequence(
         alpha=alpha,
         eps=eps,
         indices=tuple(idx),
-        residues=tuple(residues),
+        _residues=tuple(residues),
         gaps=gaps,
         prefix_length=prefix_length,
         hits_after_prefix=hits,
@@ -456,6 +481,14 @@ def fraction_contains(interval: TorusInterval, x: Fraction) -> bool:
 def fraction_contains_interval(outer: TorusInterval, inner: TorusInterval) -> bool:
     """Interval containment by Fraction comparisons of the ends."""
     return outer.left <= inner.left and inner.right <= outer.right
+
+
+def interval_json(interval: TorusInterval) -> dict:
+    """The JSON object a certificate writes for an interval: its ends in
+    lowest terms and an always-false `wraps`."""
+    left, right = interval.left, interval.right
+    return {"left": f"{left.numerator}/{left.denominator}",
+            "right": f"{right.numerator}/{right.denominator}", "wraps": False}
 
 
 def midpoint(interval: TorusInterval) -> Fraction:

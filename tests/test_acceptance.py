@@ -305,34 +305,49 @@ def _c10_instance(seed):
     return spec, partition, points, target, blocks
 
 
+# The open-horizon count measured on the 200 instances (189/200), pinned as
+# a floor: C10's 95% bar is for the fixed horizon.
+C10_OPEN_FLOOR = 189
+
+
 def test_c10_greedy_versus_oracle():
     """200 seeded small instances: the exhaustive minimizer never admits an
     improving in-block swap toward its high-deviation set (the exchange
     structure, 100%), and the greedy lands within 0.1 of the optimum on at
-    least 95%."""
+    least 95% with the horizon fixed (`fixed_blocks`).  On the open horizon
+    the CLI runs (`max_blocks`, stopping at the first block where the target
+    is met), the greedy is compared with the optimum at its own stopping
+    block and must stay within 0.1 on at least `C10_OPEN_FLOOR`."""
     within = 0
+    open_within = 0
     exchange_ok = 0
     literal_ok = 0
     total = 200
     for i in range(total):
         spec, partition, points, target, blocks = _c10_instance(1000 + i)
         x = lambda n: points[n - 1]
+        residues = as_residues(points)
         brute = brute_force_extension([], spec, x, partition, target, j1=blocks)
-        greedy = greedy_extension(
-            [], spec, as_residues(points), partition, target, fixed_blocks=blocks
-        )
+        greedy = greedy_extension([], spec, residues, partition, target, fixed_blocks=blocks)
         if greedy.total_abs_dev <= brute.total_abs_dev + F(1, 10):
             within += 1
+        opened = greedy_extension([], spec, residues, partition, target, max_blocks=blocks)
+        at_stop = brute if opened.blocks == blocks else brute_force_extension(
+            [], spec, x, partition, target, j1=opened.blocks)
+        if opened.total_abs_dev <= at_stop.total_abs_dev + F(1, 10):
+            open_within += 1
         facts = exchange_facts(brute.indices, spec, x, partition, target, 0, blocks)
         if (not facts.applicable) or facts.exchange_ok:
             exchange_ok += 1
         if (not facts.applicable) or facts.literal_ok:
             literal_ok += 1
-    ok = exchange_ok == total and within >= int(0.95 * total)
+    ok = (exchange_ok == total and within >= int(0.95 * total)
+          and open_within >= C10_OPEN_FLOOR)
     report(
         "C10 greedy vs oracle",
         ok,
-        f"greedy within 0.1 on {within}/200, exchange facts {exchange_ok}/200 "
+        f"greedy within 0.1 on {within}/200 at the fixed horizon and {open_within}/200 at "
+        f"the open horizon's stopping block, exchange facts {exchange_ok}/200 "
         f"(literal form {literal_ok}/200)",
     )
 

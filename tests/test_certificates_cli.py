@@ -34,7 +34,7 @@ from maldist.witness import (
     mixing_chain,
     zero_block_alpha,
 )
-from tests.oracles import fraction_star_discrepancy, point_mass, shift_value
+from tests.oracles import fraction_star_discrepancy, interval_json, point_mass, shift_value
 
 
 # Directory holding the maldist package this test process imported: src/ in a
@@ -181,21 +181,22 @@ def test_mixing_claims_must_speak_of_the_echoed_intervals():
     for the echoed chain, fail by name; so does a chain that does not start
     at the echoed start interval."""
     cert = certificate_of("mixing")
-    claim(cert, "nesting-1")["outer"] = TorusInterval(F(0), F(1)).to_json()
-    claim(cert, "nesting-1")["inner"] = TorusInterval(F(1, 4), F(1, 2)).to_json()
+    claim(cert, "nesting-1")["outer"] = interval_json(TorusInterval(F(0), F(1)))
+    claim(cert, "nesting-1")["inner"] = interval_json(TorusInterval(F(1, 4), F(1, 2)))
     # The right length, eps/n_1 = 1/1000, on the wrong interval.
-    claim(cert, "length-1")["interval"] = TorusInterval(F(0), F(1, 1000)).to_json()
+    claim(cert, "length-1")["interval"] = interval_json(TorusInterval(F(0), F(1, 1000)))
     chain = cert["inputs"]["intervals"]
     assert certs.verify_certificate(cert).failures == (
-        f"length-1: interval is {TorusInterval(F(0), F(1, 1000)).to_json()!r}, "
+        f"length-1: interval is {interval_json(TorusInterval(F(0), F(1, 1000)))!r}, "
         f"recomputed {chain[1]!r}",
-        f"nesting-1: outer is {TorusInterval(F(0), F(1)).to_json()!r}, recomputed {chain[0]!r}",
-        f"nesting-1: inner is {TorusInterval(F(1, 4), F(1, 2)).to_json()!r}, "
+        f"nesting-1: outer is {interval_json(TorusInterval(F(0), F(1)))!r}, "
+        f"recomputed {chain[0]!r}",
+        f"nesting-1: inner is {interval_json(TorusInterval(F(1, 4), F(1, 2)))!r}, "
         f"recomputed {chain[1]!r}",
     )
 
     cert = certificate_of("mixing")
-    wider = TorusInterval(F(1, 4), F(1, 2)).to_json()
+    wider = interval_json(TorusInterval(F(1, 4), F(1, 2)))
     cert["inputs"]["intervals"][0] = wider
     claim(cert, "nesting-1")["outer"] = wider
     assert certs.verify_certificate(cert).failures == (
@@ -382,7 +383,7 @@ def test_avoid_builder_states_a_gap_outside_one_two_as_false():
     # The rule never makes a gap of 3; a result that holds one is stated as
     # it is, and verify recomputes the same false verdict.
     result = AvoidanceResult(alpha=F(5, 17), eps=F(1, 5), indices=(1, 2, 5, 6),
-                             residues=(5, 10, 8, 13), gaps=(1, 3, 1), prefix_length=1,
+                             _residues=(5, 10, 8, 13), gaps=(1, 3, 1), prefix_length=1,
                              hits_after_prefix=0)
     cert = certs.avoidance_certificate(result)
     assert claim(cert, "gap-structure")["verdict"] is False
@@ -679,8 +680,15 @@ def wrapping_hitfreq_certificate() -> dict:
     horizon = witness.horizon
     hits = sum(arc.contains_residue(m * alpha.numerator % alpha.denominator, alpha.denominator)
                for m in n[:horizon])
-    claims = certs._hitfreq_claims(alpha, n[:horizon], arc, plan.ratio, plan.u, plan.c,
-                                   witness.forced_positions, hits, horizon)
+    # The writer takes an interval of [0, 1) as its ends: (0, 1/5) has the
+    # arc's length, and its containment claims are restated for the arc.
+    claims = certs._hitfreq_claims(alpha, n[:horizon], (F(0), arc.length), plan.ratio, plan.u,
+                                   plan.c, witness.forced_positions, hits, horizon)
+    for claim in claims.values():
+        if claim["kind"] == "point-in-interval":
+            value = F(claim["value"])
+            claim.update(interval=arc.to_json(),
+                         verdict=arc.contains_residue(value.numerator, value.denominator))
     cert["inputs"]["interval"] = arc.to_json()
     cert["claims"] = [{"id": cid, **claim} for cid, claim in claims.items()]
     return cert

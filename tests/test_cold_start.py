@@ -12,7 +12,7 @@ import pytest
 
 import maldist
 
-from tests.test_certificates_cli import cli_env, run_cli
+from tests.test_certificates_cli import PINNED_CERTIFICATES, cli_env, run_cli
 
 # The package's re-exports, pinned here independently of its own table.
 EXPORTS = [
@@ -25,8 +25,7 @@ EXPORTS = [
     "auto_plan", "avoidance_sequence", "check_admissible", "checkpoint_scan",
     "doubling_orbit", "doubling_period", "envelope_dominates",
     "five_sixth_check", "format_rational", "greedy_extension",
-    "histogram_witness", "hit_frequency_witness", "interval_contains_interval",
-    "invariance_defect", "mixing_chain", "mod1", "parse_rational",
+    "histogram_witness", "hit_frequency_witness", "invariance_defect", "mixing_chain", "mod1", "parse_rational",
     "pi_measure", "scan_to_csv", "star_discrepancy", "validate_membership",
     "zero_block_alpha", "zero_block_density",
 ]
@@ -82,6 +81,22 @@ def test_verify_avoid_loads_no_construction_layer(tmp_path):
     assert json.loads((tmp_path / "v.json").read_text()) == {"ok": True, "failures": []}
 
 
+@pytest.mark.parametrize("name", PINNED_CERTIFICATES)
+def test_verify_loads_only_certificates_and_exact(tmp_path, name):
+    # The verifiers recount on their own code: no construction layer, not
+    # `torus` or `empirical`, and no `dataclasses`.
+    argv, code, _ = PINNED_CERTIFICATES[name]
+    cert, report = tmp_path / "cert.json", tmp_path / "report.json"
+    assert run_cli(*argv, "--out", str(cert)).returncode == code
+    if argv[0] == "envelope":  # the certificate sits inside the output
+        cert.write_text(json.dumps(json.loads(cert.read_text())["certificate"]))
+    call = ("import maldist.cli\n"
+            f"assert maldist.cli.main(['verify', {str(cert)!r}, '--out', {str(report)!r}]) == {code}")
+    assert loaded_modules(call) == {"maldist", "maldist.cli", "maldist.exact",
+                                    "maldist.certificates"}
+    assert loaded_modules(call, "dataclasses") == set()
+
+
 def test_scan_rotation_loads_no_certificate_or_construction_layer(tmp_path):
     argv = ["scan", "--x-kind", "rotation", "--x-alpha", "1/3", "--cells", "3",
             "--checkpoints", "3,6,9", "--out", str(tmp_path / "scan.csv")]
@@ -95,7 +110,7 @@ def test_scan_rotation_loads_no_certificate_or_construction_layer(tmp_path):
 
 
 def test_all_is_the_pinned_export_set():
-    assert len(EXPORTS) == 46
+    assert len(EXPORTS) == 45
     assert sorted(maldist.__all__) == EXPORTS
 
 

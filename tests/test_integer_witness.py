@@ -20,7 +20,7 @@ from maldist import cli
 from maldist import witness as witness_module
 from maldist.doubling import BinaryPoint, doubling_period, five_sixth_check
 from maldist.exact import format_rational, mod1
-from maldist.torus import TorusInterval, interval_contains_interval
+from maldist.torus import TorusInterval
 from maldist.witness import (
     HistogramTarget,
     MixingConfig,
@@ -31,7 +31,13 @@ from maldist.witness import (
     hit_frequency_witness,
     mixing_chain,
 )
-from tests.oracles import fraction_contains, fraction_mul_mod1, midpoint
+from tests.oracles import (
+    fraction_contains,
+    fraction_contains_interval,
+    fraction_mul_mod1,
+    interval_json,
+    midpoint,
+)
 
 # --- Fraction references ------------------------------------------------------
 
@@ -81,7 +87,7 @@ def fraction_chain(cfg):
     assert fraction_contains(cfg.start, alpha)
     for k, (n_k, target) in enumerate(zip(cfg.multipliers, cfg.targets), start=1):
         assert chain[k].length == eps / n_k
-        assert interval_contains_interval(chain[k - 1], chain[k])
+        assert fraction_contains_interval(chain[k - 1], chain[k])
         assert fraction_contains(target, fraction_mul_mod1(n_k, alpha))
         assert fraction_maps_into(n_k, chain[k], target)
     return alpha, tuple(chain)
@@ -478,7 +484,7 @@ def test_hitfreq_verifier_recount_matches_fraction_reference(case, data):
         "format": certs.FORMAT,
         "kind": "hitfreq",
         "inputs": {
-            "alpha": format_rational(alpha), "multipliers": n, "interval": iv.to_json(),
+            "alpha": format_rational(alpha), "multipliers": n, "interval": interval_json(iv),
             "ratio": "1/1", "plan": {"u": 1, "c": 1, "repeats": 1}, "forced_positions": [],
         },
         "claims": [{

@@ -2,7 +2,8 @@
 layer module lists in `__all__`, and every method and property of a class
 that another package module references, has a caller inside the package,
 and every public field of such a class has a reader; and `certificates`
-imports none of the construction code its verifiers must not call."""
+imports none of the construction code its verifiers must not call, defines
+no dataclass and holds no float."""
 
 import ast
 import sys
@@ -179,8 +180,8 @@ def test_every_field_of_a_shared_class_has_a_reader():
 def test_certificates_imports_only_the_primitive_layers():
     """The verifiers re-derive every claim without the construction code:
     outside its `TYPE_CHECKING` block (the builders' argument types),
-    `certificates` imports at module level from the package only `exact`,
-    `torus` and `empirical`, and otherwise only the standard library; and no
+    `certificates` imports from the package only `exact`, whose text forms
+    both sides share, and otherwise only the standard library; and no
     function in it imports a module, by statement or by `__import__` or
     `importlib`."""
     tree = ast.parse((SRC / "certificates.py").read_text(encoding="utf-8"))
@@ -201,7 +202,7 @@ def test_certificates_imports_only_the_primitive_layers():
         elif isinstance(node, ast.Import):
             outside.update(alias.name.split(".")[0] for alias in node.names)
         stack.extend(ast.iter_child_nodes(node))
-    assert package == {"exact", "torus", "empirical"}
+    assert package == {"exact"}
     assert "maldist" not in outside
     assert outside <= set(sys.stdlib_module_names) | {"__future__"}
     in_functions = [
@@ -212,3 +213,20 @@ def test_certificates_imports_only_the_primitive_layers():
         or (isinstance(node, ast.Name) and node.id in ("__import__", "importlib"))
     ]
     assert in_functions == []
+
+
+def test_certificates_has_no_dataclass_and_no_float():
+    """`certificates` names no `dataclass` (whose import pulls `inspect`
+    and `ast` into a `verify` process), writes no float literal and calls
+    no `float`: no float may enter a verification path.  (The type `float`
+    may be named, as a JSON value a field refuses.)"""
+    tree = ast.parse((SRC / "certificates.py").read_text(encoding="utf-8"))
+    found = [
+        f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+        if (isinstance(node, ast.Constant) and type(node.value) in (float, complex))
+        or (isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "float")
+        or (isinstance(node, ast.Name) and node.id in ("dataclass", "dataclasses"))
+        or (isinstance(node, ast.Attribute) and node.attr == "dataclass")
+        or (isinstance(node, ast.alias) and node.name.split(".")[0] == "dataclasses")
+    ]
+    assert found == []

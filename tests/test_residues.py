@@ -3,7 +3,8 @@ Fractions.
 
 `Residues` is the program's only point type.  Every consumer reads its
 integer numerators directly (`checkpoint_scan`, `star_discrepancy`,
-`greedy_extension`) and must give exactly what the
+`greedy_extension`), as the `avoid` verifier's own D* sweep reads its
+residues, and each must give exactly what the
 plain-Fraction reference in `tests/oracles.py` gives on the equal Fraction
 list, whose points it takes apart one at a time.  The sources are rotation
 and doubling orbits, taken from any start, with numerators scaled so that
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from maldist import certificates as certs
 from maldist.doubling import doubling_orbit
 from maldist.empirical import (
     _SWEEP_BLOCK,
@@ -167,9 +169,12 @@ def test_star_discrepancy_matches_fraction_list(pair):
     exact bound finds: the largest value at the last point of a block,
     equal to that block's bound, with the next block's first value just
     below it, and the smallest where only the block's last point bounds it.  The rest are
-    all-equal residues, q = 1, N = 1 and residue 0."""
+    all-equal residues, q = 1, N = 1 and residue 0.  The `avoid` verifier's
+    own sweep, which blocks the ranks alike, gives the same value."""
     residues, points = pair
-    assert star_discrepancy(residues) == fraction_star_discrepancy(points)
+    want = fraction_star_discrepancy(points)
+    assert star_discrepancy(residues) == want
+    assert certs._star_discrepancy(list(residues.nums), residues.den) == want
 
 
 @given(orbits(), orbits())

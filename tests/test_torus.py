@@ -5,11 +5,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maldist import certificates as certs
-from maldist.torus import TorusInterval, interval_contains_interval
+from maldist.torus import TorusInterval
 from tests.oracles import (
     fraction_contains,
     fraction_contains_interval,
     fraction_mul_mod1,
+    interval_json,
 )
 
 
@@ -73,10 +74,11 @@ def test_mul_semigroup(a, b, alpha):
 
 
 def test_json_round_trip():
-    # Certificates read an interval back through their declared input field.
-    iv = TorusInterval(F(1, 10), F(4, 5))
-    assert iv.to_json() == {"left": "1/10", "right": "4/5", "wraps": False}
-    assert certs._INTERVAL.parse(iv.to_json()) == iv
+    # Certificates write an interval as its ends and read it back through
+    # their declared input field as the pair (left, right).
+    ends = (F(1, 10), F(4, 5))
+    assert certs._INTERVAL.emit(ends) == {"left": "1/10", "right": "4/5", "wraps": False}
+    assert certs._INTERVAL.parse(certs._INTERVAL.emit(ends)) == ends
 
 
 # --- the integer kernels against the Fraction references -------------------------
@@ -99,16 +101,23 @@ def intervals(draw):
 @example(left=F(1, 2), right=F(1, 2))
 @example(left=F(1), right=F(1))
 def test_interval_ends_ordered_as_by_fractions(left, right):
+    # The construction's intervals and the verifier's interval reader hold
+    # the ends to the same order, with the same refusal.
+    echoed = {"left": f"{left.numerator}/{left.denominator}",
+              "right": f"{right.numerator}/{right.denominator}", "wraps": False}
     if 0 <= left < right <= 1:
         iv = TorusInterval(left, right)
         assert iv.length == right - left
-        assert iv.to_json() == {"left": f"{left.numerator}/{left.denominator}",
-                                "right": f"{right.numerator}/{right.denominator}",
-                                "wraps": False}
+        assert certs._INTERVAL.emit((iv.left, iv.right)) == interval_json(iv) == echoed
+        assert certs._INTERVAL.parse(echoed) == (left, right)
         return
+    text = f"interval needs 0 <= left < right <= 1, got ({left}, {right})"
     with pytest.raises(ValueError) as err:
         TorusInterval(left, right)
-    assert str(err.value) == f"interval needs 0 <= left < right <= 1, got ({left}, {right})"
+    assert str(err.value) == text
+    with pytest.raises(certs._Refused) as refused:
+        certs._INTERVAL.parse(echoed)
+    assert refused.value.reason == text
 
 
 def test_interval_ends_become_fractions():
@@ -124,10 +133,13 @@ def test_contains_residue_matches_fraction_contains(iv, x, scale):
     # The residue r/q is read unreduced, as k*r over k*q.
     r, q = x.numerator * scale, x.denominator * scale
     assert iv.contains_residue(r, q) is fraction_contains(iv, x)
+    assert certs._holds((iv.left, iv.right), r, q) is fraction_contains(iv, x)
 
 
 @settings(max_examples=250, deadline=None)
 @given(outer=intervals(), inner=intervals())
 @example(outer=TorusInterval(F(0), F(1)), inner=TorusInterval(F(0), F(1)))
 def test_contains_interval_matches_fraction_reference(outer, inner):
-    assert interval_contains_interval(outer, inner) is fraction_contains_interval(outer, inner)
+    # The verifier's nesting test on the intervals' ends.
+    nested = certs._nested((outer.left, outer.right), (inner.left, inner.right))
+    assert nested is fraction_contains_interval(outer, inner)

@@ -1,7 +1,8 @@
 """Inputs read straight into the form their checks compute with: the one-pass
 rational parser against the regular-expression parser it replaced, the JSON
-writer against `json.dumps`, digit strings as bytes, envelope inputs as
-integers over their lcm, and one-pass list reads against the one-value read."""
+writer against `json.dumps`, digit strings as bytes, envelope inputs and
+cuts as integers over their lcm (cuts against `CellPartition`), and one-pass
+list reads against the one-value read."""
 
 import contextlib
 import copy
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from maldist import certificates as certs
 from maldist import cli
+from maldist.empirical import CellPartition
 from maldist.exact import RationalParseError, parse_ratio, parse_rational
 from tests.oracles import regex_parse_rational
 from tests.test_input_sweep import CERTIFICATES
@@ -511,3 +513,24 @@ def test_over_limit_digits_read_alike_under_the_default_limit(name, value):
     finally:
         sys.set_int_max_str_digits(limit)
     assert want[0] in ("error", "refused")
+
+
+@settings(max_examples=500)
+@given(cuts(), st.integers(1, 10**6))
+def test_cuts_read_as_a_cell_partition_reads_them(texts, q):
+    """The verifier reads cuts into integers over their lcm D with the
+    refusals of `CellPartition`, and its thresholds ceil(c*q/D) and its
+    dyadic test (D a power of 2) agree with the partition's."""
+    field = certs._INPUTS["invariance"].fields["cuts"]
+    try:
+        points = [parse_rational(text) for text in texts]
+    except (RationalParseError, TypeError):
+        return
+    try:
+        partition = CellPartition(points)
+    except ValueError as exc:
+        assert read(field.parse, texts) == ("refused", "", str(exc))
+        return
+    nums, den = field.parse(texts)
+    assert [-(-c * q // den) for c in nums] == list(partition.thresholds(q))
+    assert (den & (den - 1) == 0) is partition.is_dyadic()

@@ -263,7 +263,7 @@ def reference_avoidance_sequence(alpha, eps, prefix, horizon):
         alpha=alpha,
         eps=eps,
         indices=tuple(idx),
-        residues=tuple(int(mod1(n * alpha) * alpha.denominator) for n in idx),
+        _residues=tuple(int(mod1(n * alpha) * alpha.denominator) for n in idx),
         gaps=tuple(b - a for a, b in zip(idx, idx[1:])),
         prefix_length=len(prefix),
         hits_after_prefix=hits,
@@ -333,4 +333,4 @@ def test_avoidance_takes_the_walks_indices(run):
     got = avoidance_sequence(alpha, eps, prefix=prefix, horizon=horizon)
     assert got == walked_avoidance_sequence(alpha, eps, prefix, horizon)
     p, q = alpha.numerator, alpha.denominator
-    assert got.residues == tuple(n * p % q for n in got.indices)
+    assert got._residues == tuple(n * p % q for n in got.indices)

@@ -3,7 +3,10 @@ last 1 digit, and give every later step, where the digit tail is 0, the
 verdict of the value itself.  Both sides, `zero_block_density` and the
 `zeroblock` verifier, are held here to the one-step-at-a-time count of
 `tests.oracles`, on digit strings with short and long zero runs, values on
-and off the band (1/2, 3/4), the band's ends, and window ends up to 10**18.
+and off the band (1/2, 3/4), the band's ends, and window ends up to 10**18;
+and the verifier's comparison of each digit tail with the arc ends to the
+shift-and-mask recount it replaced, on random digits, zero blocks and
+tails that run along an end.
 """
 
 import json
@@ -17,9 +20,8 @@ from hypothesis import strategies as st
 from maldist import certificates as certs
 from maldist import cli
 from maldist.doubling import BinaryPoint, zero_block_density
-from maldist.exact import format_rational
-from maldist.torus import TorusInterval
-from tests.oracles import stepwise_window_hits
+from maldist.exact import binary_digits, format_rational
+from tests.oracles import shift_and_mask_window_hits, stepwise_window_hits
 
 
 def window_hits(digits, ends):
@@ -104,22 +106,72 @@ def test_folded_density_matches_the_stepwise_count(digits, data):
 @pytest.mark.parametrize("pattern", ["1", "10", "110", "1011"])
 def test_digits_without_a_zero_run_take_fewer_steps_than_digits(monkeypatch, pattern):
     # 256 digits whose zero runs are short: the verifier tests fewer steps
-    # than there are digits, each one band test, and none more for the
-    # window end 10**18.
+    # than there are digits, each one comparison of the tail with each arc
+    # end at most, and none more for the window end 10**18.
     digits = [int(ch) for ch in (pattern * 256)[:256]]
     want = window_hits(digits, [100, 10**18])
     claims = [window_claim(end, want[end]) for end in (100, 10**18)]
-    real = TorusInterval.contains_residue
+    real = certs._tail_order
     tests = []
 
-    def counted(self, r, q):
-        tests.append(r)
-        return real(self, r, q)
+    def counted(digits, k, end):
+        tests.append(k)
+        return real(digits, k, end)
 
-    monkeypatch.setattr(TorusInterval, "contains_residue", counted)
+    monkeypatch.setattr(certs, "_tail_order", counted)
     assert window_failures(digits, claims) == []
-    steps = len(tests) - 1  # one band test is the value's own
+    steps = len(set(tests))
     assert 0 < steps < len(digits)
+    assert len(tests) <= 2 * steps
+
+
+# Digits whose tails run along an arc end U = (1/2 - x) mod 1 or V = (3/4 -
+# x) mod 1 for long stretches: the first L digits of a value x with (2^k + 1)
+# * x = 1/2 or 3/4 mod 1, of square length L as a certificate holds them.
+@st.composite
+def digits_along_an_end(draw):
+    k, side = draw(st.integers(1, 8)), draw(st.integers(1, 17))
+    end, j = draw(st.sampled_from((F(1, 2), F(3, 4)))), draw(st.integers(0, 2**k))
+    return list(binary_digits((end + j) / (2**k + 1) % 1, side * side))
+
+
+random_digits = st.integers(1, 17).flatmap(
+    lambda side: st.lists(st.sampled_from((0, 1)), min_size=side * side, max_size=side * side))
+
+
+@given(st.one_of(random_digits, mixed_digits.map(square_digits), digits_along_an_end()),
+       st.data())
+# The value is 1/4, 1/2 or 3/4: every step's value lies on a band end.
+@example([0, 1, 0, 0], None)
+@example([1, 0, 0, 0, 0, 0, 0, 0, 0], None)
+@example([1, 1] + [0] * 287, None)
+def test_tail_comparison_matches_the_shift_and_mask_recount(digits, data):
+    length = len(digits)
+    if data is None:
+        ends = [1, 2, length - 1, length, length + 1, 10**18]
+    else:
+        ends = data.draw(st.lists(st.one_of(ends_near, ends_far, st.just(length)),
+                                  min_size=1, max_size=6, unique=True))
+    ends = [e for e in ends if e >= 1]
+    want = shift_and_mask_window_hits(digits, ends)
+    assert window_failures(digits, [window_claim(end, want[end]) for end in ends]) == []
+
+
+@given(st.lists(st.sampled_from((0, 1)), min_size=2, max_size=300), st.data())
+def test_tail_order_matches_fraction_comparison(digits, data):
+    # The end is drawn as the tail itself (with more zero digits or a 1
+    # after it), the tail with one digit flipped, or any digits.
+    k = data.draw(st.integers(1, len(digits) - 1))
+    tail = digits[k:]
+    end = data.draw(st.one_of(
+        st.tuples(st.just(tail), st.lists(st.sampled_from((0, 1)), max_size=4))
+        .map(lambda t: t[0] + t[1]),
+        st.integers(0, len(tail) - 1).map(lambda i: tail[:i] + [1 - tail[i]] + tail[i + 1:]),
+        st.lists(st.sampled_from((0, 1)), min_size=len(tail), max_size=len(tail) + 4),
+    ))
+    value = lambda ds: sum(F(d, 2 ** (i + 1)) for i, d in enumerate(ds))
+    t, e = value(tail), value(end)
+    assert certs._tail_order(bytes(digits), k, bytes(end)) == (t > e) - (t < e)
 
 
 ZEROBLOCK = ["doubling", "--mode", "zeroblock", "--base", "1417/2169", "--starts", "13,18,39"]
