@@ -961,6 +961,10 @@ def _verify_avoid(inp: dict, stated: dict):
     return [], _avoid_claims(gaps_ok, hits, disc, floor)
 
 
+# The most ranks the D* sweep reads in one list pass.
+_SWEEP_RUN = 4096
+
+
 def _star_discrepancy(residues: list[int], q: int) -> Fraction:
     """D*_N = sup over t in (0, 1] of |#{i: r_i/q < t}/N - t| for the N >= 1
     points r_i/q, 0 <= r_i < q.
@@ -972,16 +976,23 @@ def _star_discrepancy(residues: list[int], q: int) -> Fraction:
     the ranks a+1..b, h lies between (a+1)*q - N*s_b and h_{a+1} + (b-a-1)*q.
     The sweep forms h at the first rank of each block of B = max(32, sqrt N)
     ranks, and in full only in the blocks whose bounds (with b - a - 1 taken
-    as B - 1) pass the extremes found so far.
+    as B - 1) pass the extremes of those first values; consecutive such
+    blocks are read in one list pass, in runs of at most `_SWEEP_RUN` ranks.
     """
     n, s = len(residues), sorted(residues)
     block = max(32, isqrt(n))
     heads = [kq - n * r for kq, r in zip(range(q, (n + 1) * q, block * q), s[::block])]
-    top, low, rise = max(heads), min(heads), (block - 1) * q
+    top, low = max(heads), min(heads)
+    cut, runs = top - (block - 1) * q, []
     for a, head, last in zip(range(0, n, block), heads, s[block - 1 :: block] + s[-1:]):
-        if head + rise > top or (a + 1) * q - n * last < low:
-            h = [kq - n * r for kq, r in zip(range((a + 1) * q, (n + 1) * q, q), s[a : a + block])]
-            top, low = max(top, max(h)), min(low, min(h))
+        if head > cut or (a + 1) * q - n * last < low:
+            if runs and runs[-1][1] == a and a + block - runs[-1][0] <= _SWEEP_RUN:
+                runs[-1][1] += block
+            else:
+                runs.append([a, a + block])
+    for a, b in runs:
+        h = [kq - n * r for kq, r in zip(range((a + 1) * q, (n + 1) * q, q), s[a:b])]
+        top, low = max(top, max(h)), min(low, min(h))
     return Fraction(max(top, q - low), n * q)
 
 

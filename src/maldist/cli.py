@@ -46,7 +46,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import mul
 from types import SimpleNamespace
@@ -201,7 +201,9 @@ def _json_text(value, pad: str = "\n") -> str:
     type first; every other value goes down the isinstance chain, whose list
     and tuple cases join the plain lists at the end.  A list of plain ints
     whose last term has more than `_CHAINED_BITS` bits, such as the
-    multipliers n_k, is written by `_chained_int_texts`."""
+    multipliers n_k, is written by `_chained_int_texts`.  A list of pairs of
+    plain ints, such as `subspace`'s runs [start, length], is written in one
+    `%` format of all its terms, with no call per pair."""
     kind = type(value)
     if kind is int:
         return int.__repr__(value)
@@ -232,6 +234,12 @@ def _json_text(value, pad: str = "\n") -> str:
     if (type(last) is int and last.bit_length() > _CHAINED_BITS
             and all(type(item) is int for item in value)):
         texts = _chained_int_texts(value)
+    elif (type(last) is list and len(last) == 2 and type(last[0]) is int
+          and set(map(type, value)) == {list} and set(map(len, value)) == {2}
+          and set(map(type, flat := list(chain.from_iterable(value)))) == {int}):
+        deep = inner + "  "
+        pair = "[" + deep + "%d," + deep + "%d" + inner + "]"
+        return "[" + inner + ("," + inner).join([pair] * len(value)) % tuple(flat) + pad + "]"
     else:
         texts = [_json_text(item, inner) for item in value]
     return "[" + inner + ("," + inner).join(texts) + pad + "]"
@@ -529,7 +537,6 @@ def _cmd_envelope(opts: dict) -> int:
             "b_bounded_flag": report.b_bounded_flag,
             "ratio_stalled_flag": report.ratio_stalled_flag,
         },
-        "pi": pi.to_json(),
         "rng": _rng_echo(_int(opts, "seed", 0)),
     }
     exit_code = 0
@@ -541,9 +548,12 @@ def _cmd_envelope(opts: dict) -> int:
         tol = _rational(opts, "tol", "0/1")
         verdict = envelope_dominates(mu, lam, pi, tol=tol)
         cert = certs.envelope_certificate(mu, lam, pi, verdict, tol)
-        result["certificate"] = cert
+        # The certificate echoes pi's atoms: the top level writes that list.
+        result["pi"], result["certificate"] = cert["inputs"]["pi"], cert
         if not certs.certificate_ok(cert):
             exit_code = CLAIM_ERROR
+    else:
+        result["pi"] = pi.to_json()
     _write_json(result, opts.get("out"))
     return exit_code
 

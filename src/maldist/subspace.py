@@ -7,14 +7,16 @@ a valid prefix block by block toward a target measure that the envelope
 bound allows, preferring indices whose points lie in the cells the target
 still under-serves.  Its work per block follows the picks and the cells they
 need, not the block length: each point lookup is one integer `bisect` on
-the partition's thresholds, made only when a pick needs the point.
+the partition's thresholds, made only when a pick needs the point, and a
+pick with one cell at the largest deficit scans no other cell.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .empirical import CellPartition, MeasureVector, Residues, _cell_indices
 from .envelope import BlockSpec, RatioMeasure, envelope_dominates
@@ -63,8 +65,7 @@ class ExtensionTarget:
             raise ValueError("eps must be positive")
 
 
-@dataclass(frozen=True)
-class BlockTrace:
+class BlockTrace(NamedTuple):
     """The state after one block: the block j, the indices it took, the
     number M of indices chosen through it, and the cell deviations
     mu_i - c_i/M as integer numerators over the one denominator den*M (den
@@ -150,10 +151,12 @@ def greedy_extension(
     lookup is one integer `bisect` on the partition's thresholds over x's
     denominator (`CellPartition.thresholds`).  A block's points are mapped
     to cells only as far as its picks need them, in chunks that double in
-    size; a pick searches the mapped cells for the next free index of each
-    cell tied at the largest deficit, and a cell with no free index left in
-    the block drops out of it.  Only the forced-pick counts of a fixed
-    horizon map whole blocks.
+    size, and each chunk appends its indices to per-cell queues, so a
+    cell's next free index is its queue's head.  A pick reads it for the
+    cell alone at the largest deficit, with no scan of the others, or for
+    each cell tied there, the smallest winning; a cell with no free index
+    left in the block drops out of it.  Only the forced-pick counts of a
+    fixed horizon map whole blocks.
 
     Deviations stay integers until they are reported: after each block the
     numerators mu_i*den*M - c_i*den over den*M (den the lcm of mu's
@@ -181,24 +184,21 @@ def greedy_extension(
     counts = [0] * s
     for c in _cell_indices([nums[n - 1] for n in chosen], bounds, x_den):
         counts[c] += 1
-    mu = target.mu.masses
     eps = target.eps
+    eps_num, eps_den = eps.numerator, eps.denominator
     # Deficits are held as integers over den; every pick of cell c lowers
     # deficit[c] by den.
-    mu_scaled, den = over_lcm(mu)
+    mu_scaled, den = over_lcm(target.mu.masses)
     trace: list[BlockTrace] = []
     prefix_mass = spec.M(j0)
-
-    def deviations() -> tuple[tuple[int, ...], int]:
-        """mu_i - counts_i/M for the M indices chosen so far, as integer
-        numerators over den*M; mu itself, over den, when M = 0."""
-        total = len(chosen) or 1
-        return tuple([mu_scaled[i] * total - counts[i] * den for i in range(s)]), den * total
-
+    # The open horizon's washout, prefix_mass/M < eps/(3s), reads
+    # washed < eps_num * M; an empty prefix has washed out at every M.
+    washed = prefix_mass * 3 * s * eps_den if prefix_mass else -1
     achieved = False
-    j = j0
+    j, picked = j0, []
     hi = spec.a(j0)
     final_total = spec.M(j0 + fixed_blocks) if fixed_blocks is not None else None
+    zeros = [0] * s
     forced_after: dict[int, list[int]] = {}
     if fixed_blocks is not None:
         # forced_after[j][i]: picks of cell i that blocks after j will force
@@ -212,11 +212,25 @@ def greedy_extension(
             for i in range(s):
                 suffix[i] += max(0, m_jj - (len(cells) - cells.count(i)))
             forced_after[jj - 1] = list(suffix)
-    while j - j0 < blocks_budget:
+    while True:
+        # The deviations mu_i - counts_i/M of the M indices chosen so far, as
+        # numerators over den*M; mu itself, over den, while M = 0.
+        total = len(chosen) or 1
+        dev_nums = tuple([mu_scaled[i] * total - counts[i] * den for i in range(s)])
+        dev_den = den * total
+        if j > j0:
+            trace.append(BlockTrace(j, tuple(picked), len(chosen), dev_nums, dev_den))
+            # prefix_mass/M < eps/(3s), and every |deviation| < eps.
+            if (fixed_blocks is None and washed < eps_num * len(chosen)
+                    and max(map(abs, dev_nums)) * eps_den < eps_num * dev_den):
+                achieved = True
+                break
+        if j - j0 == blocks_budget:
+            break
         j += 1
         m_j = spec.m(j)
         steer_total = final_total if final_total is not None else len(chosen) + m_j
-        future = forced_after.get(j, [0] * s)
+        future = forced_after.get(j, zeros)
         deficit = [mu_scaled[i] * steer_total - (counts[i] + future[i]) * den for i in range(s)]
         # Below every deficit the block can reach: the mark of a cell with no
         # free index left in it.
@@ -224,60 +238,35 @@ def greedy_extension(
         lo, hi = hi, spec.a(j)
         if len(nums) < hi:
             raise ValueError(f"x lists {len(nums)} points, fewer than the {hi} the blocks need")
-        # cells[k] is the cell of index lo + 1 + k, for the points read so far;
-        # head[c] is the position of cell c's smallest free index once found
-        # (-1: none left), and start[c] where the search for it begins.
-        cells = []
+        # at[c] holds, in order, the free indices of cell c among the block's
+        # points read so far.
+        at = [deque() for _ in range(s)]
         read, chunk = lo, _FIRST_READ
-        head: list[int | None] = [None] * s
-        start = [0] * s
-
-        def find(c: int, k: int) -> int:
-            nonlocal read, chunk
-            while True:
-                try:
-                    return cells.index(c, k)
-                except ValueError:
-                    if read == hi:
-                        return -1
-                    k = max(k, len(cells))
-                    cells.extend(_cell_indices(nums[read : min(read + chunk, hi)], bounds, x_den))
-                    read = lo + len(cells)
-                    chunk *= 2
-
-        picked: list[int] = []
+        picked = []
         for _ in range(m_j):
-            best = -1
-            while best < 0:
+            best = 0
+            while not best:
                 top = max(deficit)
-                for c in range(s):
+                c = deficit.index(top)
+                for c in (c,) if deficit.count(top) == 1 else range(c, s):
                     if deficit[c] != top:
                         continue
-                    k = head[c]
-                    if k is None:
-                        k = head[c] = find(c, start[c])
-                    if k < 0:
+                    ahead = at[c]
+                    while not ahead and read < hi:
+                        end = min(read + chunk, hi)
+                        for n, cell in enumerate(_cell_indices(nums[read:end], bounds, x_den), read + 1):
+                            at[cell].append(n)
+                        read, chunk = end, chunk * 2
+                    if not ahead:
                         deficit[c] = spent
-                    elif best < 0 or k < best:
-                        best, pick = k, c
-            picked.append(lo + 1 + best)
+                    elif not best or ahead[0] < best:
+                        best, pick = ahead[0], c
+            picked.append(best)
             counts[pick] += 1
             deficit[pick] -= den
-            head[pick], start[pick] = None, best + 1
+            at[pick].popleft()
         picked.sort()
         chosen.extend(picked)
-        dev_nums, dev_den = deviations()
-        trace.append(BlockTrace(j, tuple(picked), len(chosen), dev_nums, dev_den))
-        if fixed_blocks is None:
-            # prefix_mass/len(chosen) < eps/(3s), and every |deviation| < eps.
-            washout = (
-                prefix_mass == 0
-                or prefix_mass * 3 * s * eps.denominator < eps.numerator * len(chosen)
-            )
-            if washout and max(map(abs, dev_nums)) * eps.denominator < eps.numerator * dev_den:
-                achieved = True
-                break
-    dev_nums, dev_den = deviations()
     max_abs_dev = Fraction(max(map(abs, dev_nums)), dev_den)
     if fixed_blocks is not None:
         achieved = max_abs_dev < eps

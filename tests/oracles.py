@@ -43,6 +43,11 @@ program against.  None of it backs a `maldist` subcommand.
   index at a time on integer residues, as `avoidance_sequence` built it
   before it took the indices by their rule, with the residue of each index
   it takes;
+- `chunk_search_greedy_extension`: `greedy_extension` as it searched a
+  block's mapped cells with `list.index` in a `find` closure, one call per
+  cell tied at the largest deficit, before it kept per-cell queues and
+  picked a lone top cell without a scan; the differential test holds the
+  new loop to it, with its own copies of the helpers it called;
 - `regex_parse_rational`: the regular-expression parser `parse_rational`
   was before it became a one-pass `str`-method parse, which the
   differential test holds it to;
@@ -62,18 +67,19 @@ from __future__ import annotations
 import csv
 import io
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import islice
+from itertools import islice, repeat
 from math import comb, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from maldist.doubling import BinaryPoint
 from maldist.empirical import CellPartition, CheckpointScan, Residues
-from maldist.envelope import BlockSpec, RatioMeasure
+from maldist.envelope import BlockSpec, RatioMeasure, envelope_dominates
 from maldist.exact import RationalParseError, format_rational, mod1, over_lcm
-from maldist.subspace import ExtensionTarget, validate_membership
+from maldist.subspace import BlockTrace, ExtensionResult, ExtensionTarget, validate_membership
 from maldist.torus import TorusInterval
 from maldist.witness import AvoidanceResult
 
@@ -826,3 +832,164 @@ def exchange_facts(
             )
         )
     return ExchangeFactsReport(y_cells=y_cells, applicable=True, blocks=tuple(checks))
+
+
+# --- the greedy's chunk-search loop ------------------------------------------------
+
+# The reference greedy's own copies of the package helpers it called.
+_FIRST_READ = 8
+
+
+def _cell_indices(nums: Sequence[int], bounds: Sequence[int], den: int) -> Iterator[int]:
+    if nums and not (0 <= min(nums) and max(nums) < den):
+        raise ValueError("points must lie in [0, 1)")
+    return map(bisect_right, repeat(bounds), nums)
+
+
+def _prefix_blocks(prefix: Sequence[int], spec: BlockSpec) -> int:
+    """The block of the prefix's last index, 0 for an empty prefix; the
+    program checks the prefix before the reference sees it."""
+    return spec.block_of(prefix[-1]) if prefix else 0
+
+
+def chunk_search_greedy_extension(
+    prefix: Sequence[int],
+    spec: BlockSpec,
+    x: Residues,
+    partition: CellPartition,
+    target: ExtensionTarget,
+    max_blocks: int = 512,
+    fixed_blocks: int | None = None,
+) -> ExtensionResult:
+    """`greedy_extension` as it searched a block's mapped cells with
+    `list.index`, with one `find` call per cell tied at the largest
+    deficit: the reference the per-cell queue loop is held to, pick for pick
+    and trace field for trace field."""
+    s = partition.size
+    if target.mu.size != s:
+        raise ValueError("partition and target sizes disagree")
+    blocks_budget = fixed_blocks if fixed_blocks is not None else max_blocks
+    if blocks_budget < 0:
+        raise ValueError("block budget must be nonnegative")
+    verdict = envelope_dominates(target.mu, partition.lebesgue_masses(), target.pi)
+    if not verdict.ok:
+        raise ValueError(
+            f"target exceeds the envelope on cells {verdict.violation}: "
+            f"{verdict.union_mass} > {verdict.bound}"
+        )
+    nums, x_den = x.nums, x.den
+    j0 = _prefix_blocks(prefix, spec)
+    chosen = list(prefix)
+    # bisect_right(bounds, r) is the cell of r/x_den, for 0 <= r < x_den.
+    bounds = partition.thresholds(x_den)[1:]
+    counts = [0] * s
+    for c in _cell_indices([nums[n - 1] for n in chosen], bounds, x_den):
+        counts[c] += 1
+    mu = target.mu.masses
+    eps = target.eps
+    # Deficits are held as integers over den; every pick of cell c lowers
+    # deficit[c] by den.
+    mu_scaled, den = over_lcm(mu)
+    trace: list[BlockTrace] = []
+    prefix_mass = spec.M(j0)
+
+    def deviations() -> tuple[tuple[int, ...], int]:
+        """mu_i - counts_i/M for the M indices chosen so far, as integer
+        numerators over den*M; mu itself, over den, when M = 0."""
+        total = len(chosen) or 1
+        return tuple([mu_scaled[i] * total - counts[i] * den for i in range(s)]), den * total
+
+    achieved = False
+    j = j0
+    hi = spec.a(j0)
+    final_total = spec.M(j0 + fixed_blocks) if fixed_blocks is not None else None
+    forced_after: dict[int, list[int]] = {}
+    if fixed_blocks is not None:
+        # forced_after[j][i]: picks of cell i that blocks after j will force
+        # because their other cells cannot absorb the block multiplicity.
+        last = j0 + fixed_blocks
+        suffix = [0] * s
+        forced_after[last] = list(suffix)
+        for jj in range(last, j0, -1):
+            cells = list(_cell_indices(nums[spec.a(jj - 1) : spec.a(jj)], bounds, x_den))
+            m_jj = spec.m(jj)
+            for i in range(s):
+                suffix[i] += max(0, m_jj - (len(cells) - cells.count(i)))
+            forced_after[jj - 1] = list(suffix)
+    while j - j0 < blocks_budget:
+        j += 1
+        m_j = spec.m(j)
+        steer_total = final_total if final_total is not None else len(chosen) + m_j
+        future = forced_after.get(j, [0] * s)
+        deficit = [mu_scaled[i] * steer_total - (counts[i] + future[i]) * den for i in range(s)]
+        # Below every deficit the block can reach: the mark of a cell with no
+        # free index left in it.
+        spent = min(deficit) - m_j * den - 1
+        lo, hi = hi, spec.a(j)
+        if len(nums) < hi:
+            raise ValueError(f"x lists {len(nums)} points, fewer than the {hi} the blocks need")
+        # cells[k] is the cell of index lo + 1 + k, for the points read so far;
+        # head[c] is the position of cell c's smallest free index once found
+        # (-1: none left), and start[c] where the search for it begins.
+        cells = []
+        read, chunk = lo, _FIRST_READ
+        head: list[int | None] = [None] * s
+        start = [0] * s
+
+        def find(c: int, k: int) -> int:
+            nonlocal read, chunk
+            while True:
+                try:
+                    return cells.index(c, k)
+                except ValueError:
+                    if read == hi:
+                        return -1
+                    k = max(k, len(cells))
+                    cells.extend(_cell_indices(nums[read : min(read + chunk, hi)], bounds, x_den))
+                    read = lo + len(cells)
+                    chunk *= 2
+
+        picked: list[int] = []
+        for _ in range(m_j):
+            best = -1
+            while best < 0:
+                top = max(deficit)
+                for c in range(s):
+                    if deficit[c] != top:
+                        continue
+                    k = head[c]
+                    if k is None:
+                        k = head[c] = find(c, start[c])
+                    if k < 0:
+                        deficit[c] = spent
+                    elif best < 0 or k < best:
+                        best, pick = k, c
+            picked.append(lo + 1 + best)
+            counts[pick] += 1
+            deficit[pick] -= den
+            head[pick], start[pick] = None, best + 1
+        picked.sort()
+        chosen.extend(picked)
+        dev_nums, dev_den = deviations()
+        trace.append(BlockTrace(j, tuple(picked), len(chosen), dev_nums, dev_den))
+        if fixed_blocks is None:
+            # prefix_mass/len(chosen) < eps/(3s), and every |deviation| < eps.
+            washout = (
+                prefix_mass == 0
+                or prefix_mass * 3 * s * eps.denominator < eps.numerator * len(chosen)
+            )
+            if washout and max(map(abs, dev_nums)) * eps.denominator < eps.numerator * dev_den:
+                achieved = True
+                break
+    dev_nums, dev_den = deviations()
+    max_abs_dev = Fraction(max(map(abs, dev_nums)), dev_den)
+    if fixed_blocks is not None:
+        achieved = max_abs_dev < eps
+    return ExtensionResult(
+        indices=tuple(chosen),
+        blocks=j,
+        total_abs_dev=Fraction(sum(map(abs, dev_nums)), dev_den),
+        max_abs_dev=max_abs_dev,
+        achieved=achieved,
+        trace=tuple(trace),
+    )

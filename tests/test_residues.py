@@ -12,6 +12,7 @@ gcd(r, den) > 1, and with r = 0 wherever the orbit meets 0.
 """
 
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -175,6 +176,23 @@ def test_star_discrepancy_matches_fraction_list(pair):
     want = fraction_star_discrepancy(points)
     assert star_discrepancy(residues) == want
     assert certs._star_discrepancy(list(residues.nums), residues.den) == want
+
+
+@pytest.mark.parametrize("n", [600, 9000])
+@pytest.mark.parametrize("shift", [-4, 4])
+def test_star_discrepancy_finds_one_extreme_at_every_block_edge(n, shift):
+    """The residues 10i + 5 over q = 10N give the one sweep value 5N at
+    every rank, so every block passes the first values' bound and both
+    sweeps read the blocks in merged runs (cut at 4,096 ranks when N =
+    9,000).  One residue moved by -4 or +4 makes its rank the one largest
+    or smallest value, and D* = 9/(10N); at each rank beside a block edge,
+    the first and the last, both sweeps must find it."""
+    block = max(32, isqrt(n))
+    for k in sorted({e + d for e in range(block, n, block) for d in (-1, 0)} | {0, n - 1}):
+        nums = [10 * i + 5 for i in range(n)]
+        nums[k] += shift
+        assert certs._star_discrepancy(nums, 10 * n) == F(9, 10 * n)
+        assert star_discrepancy(Residues(nums, 10 * n)) == F(9, 10 * n)
 
 
 @given(orbits(), orbits())

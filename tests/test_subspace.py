@@ -30,6 +30,7 @@ from tests.oracles import (
     block_range,
     brute_force_extension,
     cell_index,
+    chunk_search_greedy_extension,
     empirical_measure,
     exchange_facts,
     frequencies,
@@ -610,6 +611,65 @@ def test_greedy_stopping_rule_at_its_boundaries(cuts, eps, levels, prefix, block
     )
     assert result == want
     assert (result.blocks, result.achieved) == (blocks, achieved)
+
+
+@st.composite
+def loop_cases(draw):
+    """Greedy runs the per-cell queue loop must pick alike with the
+    chunk-search loop: equal cells with equal masses (every pick starts
+    tied) or cuts and weights drawn freely; blocks longer than the first
+    read, blocks that take every index (m_j = b_j) or none; point levels
+    whose period (up to 120 indices) leaves cells without a free index in a
+    block; the open or the fixed horizon; a list or a generator spec; and a
+    prefix of up to three blocks."""
+    s = draw(st.integers(1, 6))
+    tied = draw(st.booleans())
+    if tied:
+        cuts, weights = tuple(96 * k // s for k in range(1, s)), (1,) * s
+    else:
+        cuts = tuple(sorted(draw(st.sets(st.integers(1, 95), min_size=s - 1, max_size=s - 1))))
+        weights = tuple(draw(st.lists(st.integers(0, 5), min_size=s, max_size=s)))
+    levels = tuple(draw(st.lists(st.integers(0, 95), min_size=1, max_size=120)))
+    j0 = draw(st.integers(0, 3))
+    budget = draw(st.integers(0, 5))
+    block = st.integers(1, 40).flatmap(
+        lambda b: st.tuples(st.just(b), st.integers(0, min(b, 4)) | st.just(b))
+    )
+    blocks = tuple(draw(st.lists(block, min_size=j0 + budget + 1, max_size=j0 + budget + 1)))
+    eps = draw(st.sampled_from([F(1, 1000), F(1, 20), F(1, 3)]))
+    return (cuts, weights, levels, j0, budget, blocks, eps, draw(st.booleans()),
+            draw(st.booleans()), draw(st.integers(0, 2**16)))
+
+
+# Four equal cells, equal masses and points spread over all four: the
+# picks tie at every block's start.
+@example(((24, 48, 72), (1,) * 4, tuple(range(0, 96, 5)), 0, 5, ((30, 12),) * 6,
+          F(1, 1000), False, False, 0))
+# Blocks that take every index, after a prefix, on the fixed horizon.
+@example(((48,), (1, 1), (10, 60, 70), 2, 3, ((6, 6),) * 6, F(1, 20), True, True, 3))
+# Every point in cell 0 of three: cells 1 and 2 have no free index at all.
+@example(((32, 64), (1, 1, 1), (5,), 1, 4, ((20, 3),) * 6, F(1, 1000), False, True, 1))
+@given(loop_cases())
+def test_greedy_matches_the_chunk_search_loop(case):
+    cuts, weights, levels, j0, budget, blocks, eps, fixed, generated, seed = case
+    partition = CellPartition((F(0),) + tuple(F(k, 96) for k in cuts) + (F(1),))
+    lam = partition.lebesgue_masses()
+    if generated:
+        spec = BlockSpec(lambda j: blocks[(j - 1) % len(blocks)][0],
+                         lambda j: blocks[(j - 1) % len(blocks)][1])
+    else:
+        spec = BlockSpec([b for b, _ in blocks], [m for _, m in blocks])
+    if sum(weights) == 0:
+        weights = (1,) + weights[1:]
+    mu = MeasureVector(tuple(F(w, sum(weights)) for w in weights))
+    target = ExtensionTarget(mu=mu, eps=eps, pi=point_mass(min(lam.masses)))
+    points = residues(lambda n: F(levels[(n - 1) % len(levels)], 96), spec, len(blocks))
+    prefix = sample_uniform(spec, j0, seed) if j0 else ()
+    kwargs = {"fixed_blocks": budget} if fixed else {"max_blocks": budget}
+    result = greedy_extension(prefix, spec, points, partition, target, **kwargs)
+    assert result == chunk_search_greedy_extension(prefix, spec, points, partition, target,
+                                                   **kwargs)
+    assert all(type(entry) is BlockTrace for entry in result.trace)
 
 
 # --- brute force and exchange facts -----------------------------------------

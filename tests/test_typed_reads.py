@@ -140,12 +140,28 @@ def chained_int_lists(draw):
     return values
 
 
+@st.composite
+def near_pairs(draw):
+    """Lists of [int, int] pairs, the runs `subspace` writes, with perhaps
+    one entry that is no such pair: a pair holding a bool, an int subclass,
+    a string or a list, a tuple pair, or a list of one or three ints."""
+    pairs = draw(st.lists(st.lists(INTS, min_size=2, max_size=2), min_size=1, max_size=10))
+    if draw(st.booleans()):
+        off = st.sampled_from([True, False, "7", []]) | st.builds(Int, INTS)
+        entry = draw(st.lists(INTS, min_size=2, max_size=2))
+        entry[draw(st.integers(0, 1))] = draw(off)
+        entry = draw(st.sampled_from([entry, (1, 2), [3], [4, 5, 6]]))
+        pairs.insert(draw(st.integers(0, len(pairs))), entry)
+    return pairs
+
+
 # The shapes the type-first path takes: flat int lists, bools among ints (a
-# bool is an int that must print as true/false), runs of [n, len] pairs, and
-# lists of chained multipliers.
+# bool is an int that must print as true/false), runs of [n, len] pairs and
+# lists that are almost such runs (one of them a one-list and a three-list,
+# as many ints as two pairs), and lists of chained multipliers.
 int_lists = (st.lists(INTS, max_size=30) | st.lists(INTS | st.booleans(), max_size=10)
              | st.lists(st.lists(INTS, min_size=2, max_size=2), max_size=10)
-             | chained_int_lists())
+             | near_pairs() | st.just([[1], [2, 3, 4]]) | chained_int_lists())
 json_values = st.recursive(
     scalars | int_lists,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
