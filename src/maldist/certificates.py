@@ -28,13 +28,13 @@ the verifier thus derive each number on their own code and share only its
 format.  Certificates therefore stay checkable long after the run that
 produced them.
 
-A list field whose entries are all plain "p/q" texts (ASCII digits, no
-sign, space or leading zero) or all JSON integers of at least 1 is read in
-one pass (`plain_list`, `_plain_ints`), and `envelope`'s atoms as rows of
-four integers checked by map passes (`_Atoms`).  Any other list goes entry
-by entry through the one-value read, which alone writes refusals, so the
-values accepted, the typed values and every refusal are the same either
-way.
+A list field of `_Ratio` entries that are all plain "p/q" texts (ASCII
+digits, no sign, space or leading zero), or of `_Positive` entries that are
+all JSON integers of at least 1, is read in one pass (their `plain_list`,
+`_plain_ints`), and `envelope`'s atoms as rows of four integers checked by
+map passes (`_Atoms`).  Any other list goes entry by entry through the
+one-value read, which alone writes refusals, so the values accepted, the
+typed values and every refusal are the same either way.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ from operator import floordiv, ge, gt, lt, mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .exact import (
+    _BIT_CHARS,
+    _BIT_VALUES,
     RationalParseError,
     binary_digits,
     format_ratio,
@@ -158,14 +160,22 @@ class _Rational:
                 raise _Refused(f"{value} is outside {self.bounds}")
         return p, q
 
+
+class _Ratio(_Rational):
+    """A `_Rational` read as its integers (p, q), q > 0, as written: the
+    envelope's checks add and compare them by cross-multiplication, and the
+    histogram's recount reads residues mod q, so no gcd is run."""
+
+    parse = _Rational.ratio
+
     def plain_list(self, texts: list) -> list | None:
-        """The typed values of a list of plain "p/q" texts, read in one pass
+        """The pairs (p, q) of a list of plain "p/q" texts, read in one pass
         (`_plain_ints`); None for a list the one-value read must see, one
         with an entry not plain or out of range."""
         ints = _plain_ints(texts)
         if ints is None or not self.within(ints):
             return None
-        return self.typed(ints[::2], ints[1::2])
+        return list(zip(ints[::2], ints[1::2]))
 
     def within(self, ints: list[int]) -> bool:
         """Whether every p/q of the pairs p, q in `ints` lies in the bounds,
@@ -179,22 +189,6 @@ class _Rational:
                                              map(mul, qs, repeat(a)))))
                 and (open_top or all(map(ge if hi_in else gt, map(mul, qs, repeat(c)),
                                          map(mul, ps, repeat(d))))))
-
-    @staticmethod
-    def typed(ps: list[int], qs: list[int]) -> list:
-        return list(map(Fraction, ps, qs))
-
-
-class _Ratio(_Rational):
-    """A `_Rational` read as its integers (p, q), q > 0, as written: the
-    envelope's checks add and compare them by cross-multiplication, and the
-    histogram's recount reads residues mod q, so no gcd is run."""
-
-    parse = _Rational.ratio
-
-    @staticmethod
-    def typed(ps: list[int], qs: list[int]) -> list:
-        return list(zip(ps, qs))
 
 
 # Plain "p/q" texts joined by commas: ASCII digits, no sign, space or leading
@@ -268,8 +262,8 @@ class _Digits:
             raise _Refused(f"holds a character other than the digits {self.alphabet}")
         return raw.translate(self.read)
 
-    def emit(self, digits) -> str:
-        return bytes(digits).translate(self.write).decode()
+    def emit(self, digits: bytes) -> str:
+        return digits.translate(self.write).decode()
 
 
 class _List:
@@ -738,8 +732,8 @@ def avoidance_certificate(result: AvoidanceResult, discrepancy_floor: Fraction |
     if discrepancy_floor is not None:
         disc = result.star_discrepancy()
         margins["star_discrepancy"] = _fr(disc)
-    claims = _avoid_claims(set(result.gaps) <= {1, 2}, result.hits_after_prefix,
-                           disc, discrepancy_floor)
+    claims = _avoid_claims(not result.gaps.translate(None, b"\1\2"),
+                           result.hits_after_prefix, disc, discrepancy_floor)
     return _certificate("avoid", claims, margins, alpha=result.alpha, eps=result.eps,
                         prefix=result.indices[: result.prefix_length],
                         gaps=result.gaps[result.prefix_length - 1 :],
@@ -753,7 +747,7 @@ def zeroblock_certificate(
     windows: Sequence[WindowDensity] = (),
 ) -> dict:
     value = point.value
-    zeroed = not any(any(point.digits[j - 1 : j * j]) for j in starts)
+    zeroed = not any(point.digits.count(1, j - 1, j * j) for j in starts)
     claims = _zeroblock_claims(value.numerator, value.denominator,
                                Fraction(1, 2) < value < Fraction(3, 4), zeroed,
                                [(w.window_end, w.hits) for w in windows])
@@ -997,8 +991,6 @@ def _star_discrepancy(residues: list[int], q: int) -> Fraction:
 
 
 _WINDOW_ID = re.compile(r"window-([1-9][0-9]*)")
-_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
-_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 def _tail_order(digits: bytes, k: int, end: bytes) -> int:

@@ -276,12 +276,10 @@ def _chained_int_texts(values) -> list[str]:
     return texts
 
 
-# The decimal digits of a `_CHAINED_BITS`-bit int, about.
+# The decimal digits of a `_CHAINED_BITS`-bit int, about: `verify` reads a
+# certificate whose longest integer text passes it (`_long_ints`) through
+# `_chained_int_reader`, whose hook call per int costs more below it.
 _CHAINED_DIGITS = _CHAINED_BITS * 3 // 10
-# `verify` reads a certificate of more characters than this through
-# `_chained_int_reader` when its longest integer text passes `_CHAINED_DIGITS`
-# (`_long_ints`): below either, a hook call per int costs more than the chain saves.
-_CHAINED_GATE = 64 * _CHAINED_DIGITS
 _MULTIPLIERS = '"multipliers": ['
 
 
@@ -771,7 +769,7 @@ def _cmd_verify(opts: dict) -> int:
     try:
         with open(opts["certificate"], "r", encoding="utf-8") as fh:
             text = fh.read()
-        reader = _chained_int_reader() if len(text) > _CHAINED_GATE and _long_ints(text) else None
+        reader = _chained_int_reader() if _long_ints(text) else None
         cert = json.loads(text, parse_int=reader)
     except OSError as exc:
         raise CliError(f"cannot read certificate: {exc}")

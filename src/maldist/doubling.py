@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import mod1
+from .exact import _BIT_CHARS, mod1
 from .empirical import (
     CellPartition,
     CheckpointScan,
@@ -44,26 +44,27 @@ __all__ = [
 ]
 
 
-_BITS = frozenset((0, 1))
-_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
-
-
 @dataclass(frozen=True)
 class BinaryPoint:
-    """The dyadic rational with binary digits a_1 a_2 ... a_L: sum a_j 2^-j,
-    every digit beyond L being 0."""
+    """The dyadic rational sum a_j 2^-j of the binary digits a_1 ... a_L, held
+    as bytes: any other sequence of 0s and 1s is copied into bytes once."""
 
-    digits: tuple[int, ...]
+    digits: bytes
 
     def __post_init__(self):
         if len(self.digits) < 1:
             raise ValueError("need at least one digit")
-        if not _BITS.issuperset(self.digits):
+        try:  # bytes() refuses an entry that is no int in range(256)
+            digits = bytes(self.digits)
+        except (TypeError, ValueError):
+            raise ValueError("digits must be bits") from None
+        if digits.translate(None, b"\0\1"):  # deleting the bits leaves any other digit
             raise ValueError("digits must be bits")
+        object.__setattr__(self, "digits", digits)
 
     @property
     def value(self) -> Fraction:
-        return Fraction(int(bytes(self.digits).translate(_BIT_CHARS), 2), 1 << len(self.digits))
+        return Fraction(int(self.digits.translate(_BIT_CHARS), 2), 1 << len(self.digits))
 
 
 def doubling_orbit(alpha: Fraction, steps: int) -> Residues:
@@ -299,10 +300,8 @@ def zero_block_density(point: BinaryPoint, windows: list[int]) -> list[WindowDen
     # once k passes the last 1 digit), so (2^k + 1) point mod 1 = s/2^L with
     # s = ((num << k) + num) mod 2^L; s/2^L > 1/2 iff s > floor(2^L/2), and
     # s/2^L < 3/4 iff s < ceil(3 * 2^L/4).
-    digits = bytes(point.digits)
-    length = len(digits)
-    scale = 1 << length
-    num = int(digits.translate(_BIT_CHARS), 2)
+    digits = point.digits
+    num, scale = int(digits.translate(_BIT_CHARS), 2), 1 << len(digits)
     lo = scale // 2
     hi = -(-3 * scale // 4)
     if not lo < num < hi:

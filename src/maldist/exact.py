@@ -8,6 +8,8 @@ written from a Fraction (`format_rational`), from the integers num/den
 (`format_ratio`), or as a row of numerators over one denominator in one pass
 (`ratio_row`, `decimal_row`), and the CSV text of such rows (`csv_text`),
 which every CSV table is printed with; and a few small numeric helpers.
+A binary digit string is the bytes of its digit values from `binary_digits`
+to a certificate's reader; `_BIT_CHARS` and `_BIT_VALUES` write and read it.
 """
 
 from __future__ import annotations
@@ -153,11 +155,12 @@ def mod1(value: Fraction) -> Fraction:
     return f - (f.numerator // f.denominator)
 
 
+_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
-def binary_digits(value: Fraction, length: int) -> tuple[int, ...]:
-    """First `length` binary digits a_1..a_L of value in [0, 1), exact.
+def binary_digits(value: Fraction, length: int) -> bytes:
+    """First `length` binary digits a_1..a_L of value in [0, 1), exact, as bytes.
 
     For value = p/q the digits are the L-bit binary expansion of
     floor(p * 2^L / q), one integer division, so periodic expansions are
@@ -167,9 +170,9 @@ def binary_digits(value: Fraction, length: int) -> tuple[int, ...]:
     if not 0 <= x < 1:
         raise ValueError("binary_digits requires a value in [0, 1)")
     if length <= 0:
-        return ()
+        return b""
     bits = (x.numerator << length) // x.denominator
-    return tuple(format(bits, f"0{length}b").encode().translate(_BIT_VALUES))
+    return format(bits, f"0{length}b").encode().translate(_BIT_VALUES)
 
 
 def over_lcm(values) -> tuple[list[int], int]:

@@ -470,13 +470,13 @@ def histogram_witness(
 class AvoidanceResult:
     """The indices of an avoidance run, with the residues n*p mod q of their
     points n*alpha mod 1 = (n*p mod q)/q over alpha = p/q, kept for the
-    run's star discrepancy."""
+    run's star discrepancy, and the gaps between indices as bytes (1 or 2)."""
 
     alpha: Fraction
     eps: Fraction
     indices: tuple[int, ...]
     _residues: tuple[int, ...]
-    gaps: tuple[int, ...]
+    gaps: bytes
     prefix_length: int
     hits_after_prefix: int
 
@@ -539,7 +539,7 @@ def avoidance_sequence(
         eps=eps,
         indices=tuple(idx),
         _residues=tuple(residues),
-        gaps=tuple(map(sub, islice(idx, 1, None), idx)),
+        gaps=bytes(map(sub, islice(idx, 1, None), idx)),
         prefix_length=prefix_length,
         hits_after_prefix=0,
     )
@@ -569,7 +569,7 @@ def zero_block_alpha(
     digits = bytearray(binary_digits(base, length))
     for j in starts:
         digits[j - 1 : j * j] = bytes(j * j - j + 1)  # digit positions j..j^2
-    point = BinaryPoint(tuple(digits))
+    point = BinaryPoint(digits)
     if not Fraction(1, 2) < point.value < Fraction(3, 4):
         raise ValueError("zeroing the blocks pushed the value out of (1/2, 3/4)")
     return point

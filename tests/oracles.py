@@ -349,7 +349,7 @@ def walked_avoidance_sequence(
             value = (step1 + p) % q
         residues.append(value)
         hits += value * e_den < e_bound
-    gaps = tuple(b - a for a, b in zip(idx, idx[1:]))
+    gaps = bytes(b - a for a, b in zip(idx, idx[1:]))
     return AvoidanceResult(
         alpha=alpha,
         eps=eps,

@@ -383,7 +383,7 @@ def test_avoid_builder_states_a_gap_outside_one_two_as_false():
     # The rule never makes a gap of 3; a result that holds one is stated as
     # it is, and verify recomputes the same false verdict.
     result = AvoidanceResult(alpha=F(5, 17), eps=F(1, 5), indices=(1, 2, 5, 6),
-                             _residues=(5, 10, 8, 13), gaps=(1, 3, 1), prefix_length=1,
+                             _residues=(5, 10, 8, 13), gaps=b"\1\3\1", prefix_length=1,
                              hits_after_prefix=0)
     cert = certs.avoidance_certificate(result)
     assert claim(cert, "gap-structure")["verdict"] is False
@@ -515,18 +515,22 @@ def change_a_digit(text: str, value: int) -> str:
 
 
 def test_chained_reads_give_the_reports_of_plain_reads(tmp_path, monkeypatch):
-    # The pinned base-8 certificate passes the size gate, so `verify` reads
-    # its multipliers as chained products; with the gate out of reach, by
-    # `int` alone.  The middle digit changed in n_41 leaves its point in its
-    # cell; changed in n_63, it moves the point to the other cell.
+    # The pinned base-8 certificate's longest integer passes the digit bound
+    # of `_long_ints`, so `verify` reads its multipliers as chained products;
+    # with `_long_ints` answering no, by `int` alone.  The middle digit
+    # changed in n_41 leaves its point in its cell; changed in n_63, it moves
+    # the point to the other cell.
     text = salat3_text(tmp_path, *PINNED_CERTIFICATES["histogram-squarepow"][0])
-    assert len(text) > maldist.cli._CHAINED_GATE
+    assert maldist.cli._long_ints(text)
     n = json.loads(text)["inputs"]["multipliers"]
     assert len(str(n[40])) > maldist.cli._CHAINED_DIGITS
     texts = [text, change_a_digit(text, n[40]), change_a_digit(text, n[62])]
+    reader, readers = maldist.cli._chained_int_reader, []
+    monkeypatch.setattr(maldist.cli, "_chained_int_reader", lambda: readers.append(1) or reader())
     chained = [verify_text(tmp_path, t) for t in texts]
-    monkeypatch.setattr(maldist.cli, "_CHAINED_GATE", len(text) + 1)
+    monkeypatch.setattr(maldist.cli, "_long_ints", lambda text: False)
     assert chained == [verify_text(tmp_path, t) for t in texts]
+    assert readers == [1, 1, 1]
     assert chained[:2] == [(0, {"ok": True, "failures": []})] * 2
     assert chained[2] == (1, {"ok": False, "failures": ["cell-0: count is 50, recomputed 51",
                                                         "cell-1: count is 14, recomputed 13"]})
@@ -534,28 +538,33 @@ def test_chained_reads_give_the_reports_of_plain_reads(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("tamper", [False, True])
 def test_certificates_either_side_of_the_size_gate_verify_alike(tmp_path, monkeypatch, tamper):
-    # 36 multipliers 12^(k^2), the last 8 past the digit bound, padded with
-    # trailing spaces to the gate (read by `int`) and one past it (chained).
+    # 36 multipliers 12^(k^2), the last 8 past the digit bound, in a short
+    # certificate.  The size gate is `_long_ints`, the digit count of the
+    # longest integer: the text as written passes it (chained), and the same
+    # JSON with no space after the "multipliers" key does not (read by `int`).
     text = salat3_text(tmp_path, "witness", "--mode", "salat3", "--n-kind", "squarepow:12",
                        "--weights", "1,1", "--eta", "1/11", "--base", "6")
     n = json.loads(text)["inputs"]["multipliers"]
     assert len(str(n[-8])) > maldist.cli._CHAINED_DIGITS
     if tamper:
         text = change_a_digit(text, n[-3])
-    gate, reader, readers = maldist.cli._CHAINED_GATE, maldist.cli._chained_int_reader, []
+    unspaced = text.replace('"multipliers": [', '"multipliers":[')
+    assert json.loads(unspaced) == json.loads(text)
+    reader, readers = maldist.cli._chained_int_reader, []
     monkeypatch.setattr(maldist.cli, "_chained_int_reader", lambda: readers.append(1) or reader())
-    reports = [verify_text(tmp_path, text.ljust(size)) for size in (gate, gate + 1)]
-    assert len(text) < gate and readers == [1]
+    reports = [verify_text(tmp_path, t) for t in (unspaced, text)]
+    assert len(text) < 25_000 and readers == [1]
+    assert not maldist.cli._long_ints(unspaced) and maldist.cli._long_ints(text)
     assert reports[0] == reports[1] and reports[0][0] == (1 if tamper else 0)
 
 
 def test_long_certificates_of_short_integers_skip_the_chained_reader(tmp_path, monkeypatch):
-    # 256 multipliers 1000^k, the longest of 769 digits: past the size gate,
-    # but with no integer the reader would chain.
+    # 256 multipliers 1000^k, the longest of 769 digits: a certificate of
+    # over 100,000 characters with no integer the reader would chain.
     text = salat3_text(tmp_path, "witness", "--mode", "salat3", "--n-kind", "pow:1000",
                        "--weights", "1,1", "--eta", "1/15", "--base", "16")
     n = json.loads(text)["inputs"]["multipliers"]
-    assert len(text) > maldist.cli._CHAINED_GATE
+    assert len(text) > 100_000 and not maldist.cli._long_ints(text)
     assert max(len(str(v)) for v in n) == len(str(n[-1])) <= maldist.cli._CHAINED_DIGITS
     reader, readers = maldist.cli._chained_int_reader, []
     monkeypatch.setattr(maldist.cli, "_chained_int_reader", lambda: readers.append(1) or reader())

@@ -53,6 +53,33 @@ def test_exact_point_shifts_past_length():
     assert fractions_of(doubling_orbit(point.value, 5)) == [F(1, 4), F(1, 2), F(0), F(0), F(0)]
 
 
+@given(st.lists(st.sampled_from((0, 1)), min_size=1, max_size=64))
+def test_binary_point_holds_its_digits_as_bytes(bits):
+    """Tuples, lists, bytes and bytearrays of the same bits give equal
+    points, each holding bytes, with the value the bits denote."""
+    points = [BinaryPoint(form(bits)) for form in (tuple, list, bytes, bytearray)]
+    assert all(point == points[0] for point in points)
+    assert {type(point.digits) for point in points} == {bytes}
+    assert points[0].digits == bytes(bits)
+    assert points[0].value == sum(F(d, 2**j) for j, d in enumerate(bits, start=1))
+
+
+@given(st.lists(st.sampled_from((0, 1)), max_size=8), st.data())
+def test_binary_point_refuses_an_empty_string_or_a_non_bit(bits, data):
+    for form in (tuple, list, bytes, bytearray):
+        with pytest.raises(ValueError, match="^need at least one digit$"):
+            BinaryPoint(form(()))
+    bad = data.draw(st.one_of(st.integers(2, 255), st.integers(256, 10**6), st.integers(-9, -1),
+                              st.sampled_from(("1", None, b"\1"))))
+    at = data.draw(st.integers(0, len(bits)))
+    digits = [*bits[:at], bad, *bits[at:]]
+    # bytes() itself refuses what no byte holds.
+    byte = type(bad) is int and 0 <= bad < 256
+    for form in (tuple, list, bytes, bytearray) if byte else (tuple, list):
+        with pytest.raises(ValueError, match="^digits must be bits$"):
+            BinaryPoint(form(digits))
+
+
 def test_period_divides_multiplicative_order():
     for den in (3, 17, 33, 257, 5, 11):
         pre, period = doubling_period(F(1, den))

@@ -123,14 +123,14 @@ def test_mod1():
 
 
 def test_binary_digits_periodic():
-    assert binary_digits(F(1, 3), 6) == (0, 1, 0, 1, 0, 1)
-    assert binary_digits(F(5, 8), 5) == (1, 0, 1, 0, 0)
+    assert binary_digits(F(1, 3), 6) == b"\0\1\0\1\0\1"
+    assert binary_digits(F(5, 8), 5) == b"\1\0\1\0\0"
     with pytest.raises(ValueError):
         binary_digits(F(3, 2), 4)
     with pytest.raises(ValueError):
         binary_digits(F(-1, 3), 4)
-    assert binary_digits(F(1, 3), 0) == ()
-    assert binary_digits(F(0), 0) == ()
+    assert binary_digits(F(1, 3), 0) == b""
+    assert binary_digits(F(0), 0) == b""
 
 
 def doubling_digits(value, length):
@@ -142,7 +142,7 @@ def doubling_digits(value, length):
         d = x.numerator // x.denominator
         out.append(d)
         x -= d
-    return tuple(out)
+    return bytes(out)
 
 
 @settings(max_examples=300)

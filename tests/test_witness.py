@@ -219,7 +219,7 @@ def test_avoidance_rejects_nonpositive_prefix_index(prefix):
 def test_zero_block_basic():
     point = zero_block_alpha(F(5, 8), (4,))
     assert len(point.digits) == 16
-    assert point.digits[:3] == (1, 0, 1)
+    assert point.digits[:3] == b"\1\0\1"
     assert all(d == 0 for d in point.digits[3:])
     assert point.value == F(5, 8)
 
@@ -264,7 +264,7 @@ def reference_avoidance_sequence(alpha, eps, prefix, horizon):
         eps=eps,
         indices=tuple(idx),
         _residues=tuple(int(mod1(n * alpha) * alpha.denominator) for n in idx),
-        gaps=tuple(b - a for a, b in zip(idx, idx[1:])),
+        gaps=bytes(b - a for a, b in zip(idx, idx[1:])),
         prefix_length=len(prefix),
         hits_after_prefix=hits,
     )
