@@ -28,13 +28,15 @@ the verifier thus derive each number on their own code and share only its
 format.  Certificates therefore stay checkable long after the run that
 produced them.
 
-A list field of `_Ratio` entries that are all plain "p/q" texts (ASCII
-digits, no sign, space or leading zero), or of `_Positive` entries that are
-all JSON integers of at least 1, is read in one pass (their `plain_list`,
+A list field of unbounded `_Ratio` entries (cuts) or of ones held to
+[0, 1] (mu and lambda) whose texts are all plain "p/q" (ASCII digits, no
+sign, space or leading zero), or of `_Positive` entries that are all JSON
+integers of at least 1, is read in one pass (their `plain_list`,
 `_plain_ints`), and `envelope`'s atoms as rows of four integers checked by
-map passes (`_Atoms`).  Any other list goes entry by entry through the
-one-value read, which alone writes refusals, so the values accepted, the
-typed values and every refusal are the same either way.
+map passes (`_Atoms`).  Any other list, and a list of `_Ratio` entries with
+other bounds, goes entry by entry through the one-value read, which alone
+writes refusals, so the values accepted, the typed values and every refusal
+are the same either way.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate, chain, repeat
 from math import gcd, isqrt, lcm
-from operator import floordiv, ge, gt, lt, mul
+from operator import floordiv, ge, lt, mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .exact import (
@@ -179,16 +181,12 @@ class _Ratio(_Rational):
 
     def within(self, ints: list[int]) -> bool:
         """Whether every p/q of the pairs p, q in `ints` lies in the bounds,
-        by `ratio`'s cross-multiplications in map passes.  A plain p is at
-        least 0, so a closed lower end at 0 needs no pass."""
+        which the one-pass read takes only unbounded (cuts) or "[0, 1]" (mu
+        and lambda): a plain p is at least 0, so [0, 1] is p <= q, in one
+        map pass.  Other bounds are left to the one-value read."""
         if not self.bounds:
             return True
-        a, b, lo_in, c, d, hi_in, open_top = self.ends
-        ps, qs = ints[::2], ints[1::2]
-        return ((a == 0 and lo_in or all(map(ge if lo_in else gt, map(mul, ps, repeat(b)),
-                                             map(mul, qs, repeat(a)))))
-                and (open_top or all(map(ge if hi_in else gt, map(mul, qs, repeat(c)),
-                                         map(mul, ps, repeat(d))))))
+        return self.bounds == "[0, 1]" and all(map(ge, ints[1::2], ints[::2]))
 
 
 # Plain "p/q" texts joined by commas: ASCII digits, no sign, space or leading
@@ -248,7 +246,7 @@ class _Digits:
     """A string of the digits in `alphabet`, read as the bytes of their
     values by one translate; `length` as for `_List`."""
 
-    def __init__(self, alphabet: str, length=None):
+    def __init__(self, alphabet: str, length):
         self.alphabet, self.length, self.chars = alphabet, length, alphabet.encode()
         values = bytes(map(int, alphabet))
         self.read = bytes.maketrans(self.chars, values)
@@ -270,15 +268,13 @@ class _List:
     """A JSON list of `item` fields.  `length` = (label, rule): the JSON
     entry count that `rule` reads from all the parsed fields.  `make` turns
     the parsed entries into the checker's value, refusing them with a
-    ValueError; `emit`, if given, writes a builder's value in place of the
-    item's.  An item with a `plain_list` reads a list of plain entries in
-    one pass; any other list, and every refusal, is read entry by entry."""
+    ValueError.  An item with a `plain_list` reads a list of plain entries
+    in one pass; any other list, and every refusal, is read entry by
+    entry."""
 
-    def __init__(self, item, length=None, nonempty: bool = False, make=None, emit=None):
+    def __init__(self, item, length=None, nonempty: bool = False, make=None):
         self.item, self.length, self.nonempty, self.make = item, length, nonempty, make
         self.read_plain = getattr(item, "plain_list", None)
-        if emit is not None:
-            self.emit = emit
 
     def parse(self, value):
         if type(value) is not list:
@@ -727,13 +723,14 @@ def histogram_certificate(witness: HistogramWitness, multipliers: Sequence[int])
                         eta=t.eta, base=witness.base)
 
 
-def avoidance_certificate(result: AvoidanceResult, discrepancy_floor: Fraction | None = None) -> dict:
+def avoidance_certificate(result: AvoidanceResult, discrepancy_floor: Fraction | None) -> dict:
     disc, margins = None, {}
     if discrepancy_floor is not None:
         disc = result.star_discrepancy()
         margins["star_discrepancy"] = _fr(disc)
-    claims = _avoid_claims(not result.gaps.translate(None, b"\1\2"),
-                           result.hits_after_prefix, disc, discrepancy_floor)
+    # The run takes past its prefix only indices whose points avoid [0, eps):
+    # it states no hits, and `verify` recounts them.
+    claims = _avoid_claims(not result.gaps.translate(None, b"\1\2"), 0, disc, discrepancy_floor)
     return _certificate("avoid", claims, margins, alpha=result.alpha, eps=result.eps,
                         prefix=result.indices[: result.prefix_length],
                         gaps=result.gaps[result.prefix_length - 1 :],
@@ -775,7 +772,7 @@ def envelope_certificate(
     lam: MeasureVector,
     pi: RatioMeasure,
     result: DominationResult,
-    tol: Fraction = Fraction(0),
+    tol: Fraction,
 ) -> dict:
     if result.ok:
         claim = _claim("envelope-domination", None, None, None, True)

@@ -574,7 +574,7 @@ def _cmd_subspace(opts: dict) -> int:
                        f"got {opts['blocks']!r}")
     pi_flag = "--pi-blocks" if "pi-blocks" in opts else "--blocks"
     pi = _to_horizon(pi_flag, pi_measure, spec, pi_blocks)
-    prefix = _int_list(opts.get("prefix", ""), "prefix") if opts.get("prefix") else []
+    prefix = _int_list(opts["prefix"], "prefix") if opts.get("prefix") else []
     try:
         last = _prefix_blocks(prefix, spec)
     except IndexError as exc:  # an index past a list side's blocks
@@ -583,7 +583,7 @@ def _cmd_subspace(opts: dict) -> int:
     end = _to_horizon("--blocks", spec.a, last + blocks)
     x = _points_source(opts, end)
     target = ExtensionTarget(mu=mu, eps=eps, pi=pi)
-    result = greedy_extension(prefix, spec, x, partition, target, max_blocks=blocks)
+    result = greedy_extension(prefix, spec, x, partition, target, blocks)
     runs: list[list[int]] = []
     for n in result.indices:
         if runs and runs[-1][0] + runs[-1][1] == n:
@@ -677,12 +677,12 @@ def _cmd_witness(opts: dict) -> int:
         alpha = _rational(opts, "alpha")
         eps = _rational(opts, "eps")
         horizon = _int(opts, "horizon", 10_000, low=1)
-        prefix = _int_list(opts.get("prefix", "1"), "prefix") if opts.get("prefix") else [1]
+        prefix = _int_list(opts["prefix"], "prefix") if opts.get("prefix") else [1]
         floor = _rational(opts, "discrepancy-floor", "0/1")
         if floor < 0:
             raise CliError("--discrepancy-floor: expected a nonnegative rational, "
                            f"got {opts['discrepancy-floor']!r}")
-        result = avoidance_sequence(alpha, eps, prefix=prefix, horizon=horizon)
+        result = avoidance_sequence(alpha, eps, prefix, horizon)
         cert = certs.avoidance_certificate(result, floor if floor > 0 else None)
     elif mode == "zeroblock":
         cert = certs.zeroblock_certificate(*_zero_block_point(opts))

@@ -307,11 +307,11 @@ def rotation_scan(
     return CheckpointScan(tuple(cps), tuple(scanned))
 
 
-def scan_to_csv(scan: CheckpointScan, digits: int = 12) -> str:
+def scan_to_csv(scan: CheckpointScan) -> str:
     """CSV of a scan: one row per checkpoint, decimal frequencies first,
     exact "p/q" duplicates after, each row printed from its counts over N
     in one pass (`decimal_row`, `ratio_row`)."""
     s = len(scan.counts[0])
     header = ["N", *(f"freq_{i}" for i in range(s)), *(f"freq_{i}_exact" for i in range(s))]
-    return csv_text([header, *([str(n), *decimal_row(counts, n, digits), *ratio_row(counts, n)]
+    return csv_text([header, *([str(n), *decimal_row(counts, n), *ratio_row(counts, n)]
                                for n, counts in zip(scan.checkpoints, scan.counts))])

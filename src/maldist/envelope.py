@@ -264,21 +264,51 @@ class DominationResult:
     unions_checked: int = 0
 
 
-def _dfs_first_violation(
-    mu: Sequence[Fraction], lam: Sequence[Fraction], pi: RatioMeasure, tol: Fraction
+def envelope_dominates(
+    mu: MeasureVector,
+    lam: MeasureVector,
+    pi: RatioMeasure,
+    tol: Fraction = _ZERO,
 ) -> DominationResult:
-    """First violating union in lexicographic order of the sorted index
-    tuples (the pre-order of the subset tree), found by descending only into
-    subtrees that the density-order prefixes show to hold a violation.
+    """Check mu(A) <= F(lambda(A)) + tol for every union A of partition cells
+    and report the first violation in lexicographic order of the sorted
+    index tuples (the pre-order of the subset tree), with its masses and the
+    number of unions checked.
+
+    The check is exact without visiting all 2^s - 1 unions.  Fix a node C
+    of the subset tree (the root is the empty union) and order the cells
+    after its last index by decreasing mu_i/lambda_i, zero-lambda cells
+    first, ties by index.  For every union S of those cells the point
+    (lambda(S), mu(S)) lies on or under the polygon through the points
+    (lambda(P), mu(P)) of the prefixes P of that order: the
+    fractional-knapsack bound (Dantzig 1957).  Because F is concave, the
+    region on or under F + tol is convex.  So if C and every C + P satisfy
+    the bound, that region holds the polygon shifted by C, and with it every
+    C + S.  Hence C's subtree holds a violation iff C or one of its at most
+    s prefixes does, and no breakpoint of F needs a check of its own.
+
+    The walk checks the root's prefixes (s checks settle an ok verdict).
+    Otherwise it descends only into subtrees that the density-order prefixes
+    show to hold a violation: to the first child that violates or whose
+    prefixes show a violation below it, which gives the first violation of
+    the full pre-order walk.  Each cell is tried as a child at most once, at
+    a cost of at most s - j checks for cell j, so at most s(s + 3)/2 unions
+    are checked, within (s + 1)^3.  A negative tol is refused: the empty
+    root could then lie above F + tol, and the argument needs it on or under.
 
     Masses travel as integer numerators over the lcms mu_den and lam_den of
     mu's and lambda's denominators.  With F(l/lam_den) = f/(W * P * lam_den)
     from `RatioMeasure.envelope_ratio`, the test mu(A) > F(lambda(A)) + tol
     is decided by cross-multiplication.
     """
-    s = len(mu)
-    mu_num, mu_den = over_lcm(mu)
-    lam_num, lam_den = over_lcm(lam)
+    s = mu.size
+    if lam.size != s:
+        raise ValueError("mu, lambda and partition disagree on the cell count")
+    tol = Fraction(tol)
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
+    mu_num, mu_den = over_lcm(mu.masses)
+    lam_num, lam_den = over_lcm(lam.masses)
     tol_num, tol_den = tol.numerator, tol.denominator
     f_den = pi._wden * pi._hscale * lam_den
     mu_scale, f_scale, tol_term = f_den * tol_den, tol_den * mu_den, tol_num * f_den * mu_den
@@ -322,42 +352,3 @@ def _dfs_first_violation(
         if violation_below(j, m_j, l_j):
             cells, m, l = cells + (j,), m_j, l_j
     raise AssertionError("the prefixes showed a violation the descent did not reach")
-
-
-def envelope_dominates(
-    mu: MeasureVector,
-    lam: MeasureVector,
-    pi: RatioMeasure,
-    tol: Fraction = _ZERO,
-) -> DominationResult:
-    """Check mu(A) <= F(lambda(A)) + tol for every union A of partition cells
-    and report the first violation in lexicographic order of the sorted
-    index tuples, with its masses and the number of unions checked.
-
-    The check is exact without visiting all 2^s - 1 unions.  Fix a node C
-    of the subset tree (the root is the empty union) and order the cells
-    after its last index by decreasing mu_i/lambda_i, zero-lambda cells
-    first, ties by index.  For every union S of those cells the point
-    (lambda(S), mu(S)) lies on or under the polygon through the points
-    (lambda(P), mu(P)) of the prefixes P of that order: the
-    fractional-knapsack bound (Dantzig 1957).  Because F is concave, the
-    region on or under F + tol is convex.  So if C and every C + P satisfy
-    the bound, that region holds the polygon shifted by C, and with it every
-    C + S.  Hence C's subtree holds a violation iff C or one of its at most
-    s prefixes does, and no breakpoint of F needs a check of its own.
-
-    The walk checks the root's prefixes (s checks settle an ok verdict).
-    Otherwise it descends to the first child that violates or whose
-    prefixes show a violation below it, which gives the first violation of
-    the full pre-order walk.  Each cell is tried as a child at most once, at
-    a cost of at most s - j checks for cell j, so at most s(s + 3)/2 unions
-    are checked, within (s + 1)^3.  A negative tol is refused: the empty
-    root could then lie above F + tol, and the argument needs it on or under.
-    """
-    s = mu.size
-    if lam.size != s:
-        raise ValueError("mu, lambda and partition disagree on the cell count")
-    tol = Fraction(tol)
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    return _dfs_first_violation(mu.masses, lam.masses, pi, tol)

@@ -6,8 +6,9 @@ nothing downstream is allowed to round.  This module holds the serialization
 conventions ("p/q" strings in JSON, decimal strings for display only), each
 written from a Fraction (`format_rational`), from the integers num/den
 (`format_ratio`), or as a row of numerators over one denominator in one pass
-(`ratio_row`, `decimal_row`), and the CSV text of such rows (`csv_text`),
-which every CSV table is printed with; and a few small numeric helpers.
+(`ratio_row`, and `decimal_row` with 12 places), and the CSV text of such
+rows (`csv_text`), which every CSV table is printed with; and a few small
+numeric helpers.
 A binary digit string is the bytes of its digit values from `binary_digits`
 to a certificate's reader; `_BIT_CHARS` and `_BIT_VALUES` write and read it.
 """
@@ -118,24 +119,20 @@ def ratio_row(nums: Sequence[int], den: int) -> list[str]:
     return [f"{num // g}/{den // g}" for num, g in zip(nums, map(gcd, nums, repeat(den)))]
 
 
-def decimal_row(nums: Sequence[int], den: int, digits: int = 12) -> list[str]:
-    """Decimal renderings of num/den for each num in nums over the one
-    denominator den > 0 (need not be reduced), with `digits` places,
-    round-half-away-from-zero, in integers: |num|/den rounds to the floor
-    division (2*|num|*10**digits + den) // (2*den), printed with its point.
+# Every displayed decimal has 12 places.
+_SCALE = 10**12
 
-    Presentational only; exact values always travel alongside as "p/q".  A
-    negative `digits` is refused: 10**digits would be a float.
+
+def decimal_row(nums: Sequence[int], den: int) -> list[str]:
+    """Decimal renderings of num/den for each num in nums over the one
+    denominator den > 0 (need not be reduced), with 12 places,
+    round-half-away-from-zero, in integers: |num|/den rounds to the floor
+    division (2*|num|*10**12 + den) // (2*den), printed with its point.
+
+    Presentational only; exact values always travel alongside as "p/q".
     """
-    if digits < 0:
-        raise ValueError(f"digits must be nonnegative, got {digits}")
-    scale, twice = 10**digits, 2 * den
-    rounded = [(2 * abs(num) * scale + den) // twice for num in nums]
-    if digits:
-        fmt = f"%d.%0{digits}d"
-        texts = [fmt % pair for pair in map(divmod, rounded, repeat(scale))]
-    else:
-        texts = list(map(str, rounded))
+    twice = 2 * den
+    texts = ["%d.%012d" % divmod((2 * abs(num) * _SCALE + den) // twice, _SCALE) for num in nums]
     if nums and min(nums) < 0:
         return ["-" + text if num < 0 else text for num, text in zip(nums, texts)]
     return texts

@@ -5,10 +5,12 @@ A member sequence takes exactly m_j indices from block j.  A prefix is
 checked block by block by `validate_membership`; `greedy_extension` extends
 a valid prefix block by block toward a target measure that the envelope
 bound allows, preferring indices whose points lie in the cells the target
-still under-serves.  Its work per block follows the picks and the cells they
-need, not the block length: each point lookup is one integer `bisect` on
-the partition's thresholds, made only when a pick needs the point, and a
-pick with one cell at the largest deficit scans no other cell.
+still under-serves.  It takes one block budget: at most that many blocks
+past the prefix on an open horizon, which stops once the target is met, and
+exactly that many on a fixed one.  Its work per block follows the picks and
+the cells they need, not the block length: each point lookup is one integer
+`bisect` on the partition's thresholds, made only when a pick needs the
+point, and a pick with one cell at the largest deficit scans no other cell.
 """
 
 from __future__ import annotations
@@ -114,8 +116,8 @@ def greedy_extension(
     x: Residues,
     partition: CellPartition,
     target: ExtensionTarget,
-    max_blocks: int = 512,
-    fixed_blocks: int | None = None,
+    blocks: int,
+    fixed_horizon: bool = False,
 ) -> ExtensionResult:
     """Extend a valid prefix block by block toward the target measure; x
     holds the points x_1, x_2, ... as `Residues`.
@@ -136,16 +138,16 @@ def greedy_extension(
 
     Steering measures deviations against the sample size where the result
     will be judged: the end of the current block on an open horizon, or the
-    end of the prefix's blocks plus `fixed_blocks` when the horizon is
-    fixed.  A fixed horizon also discounts picks that later blocks will
-    force regardless (blocks whose other-cell supply cannot absorb their
+    end of the prefix's blocks plus `blocks` when the horizon is fixed.  A
+    fixed horizon also discounts picks that later blocks will force
+    regardless (blocks whose other-cell supply cannot absorb their
     multiplicity), since chasing mass that arrives anyway gives away
     accuracy the remaining blocks cannot return.
 
-    With `fixed_blocks` the extension runs exactly that many blocks past the
+    With `fixed_horizon` the extension runs exactly `blocks` blocks past the
     prefix; otherwise it stops at the first block boundary where every
     |deviation| < eps and the prefix mass has washed out to below eps/(3s),
-    or gives a partial result once `max_blocks` is exhausted.
+    or gives a partial result once `blocks` blocks are exhausted.
 
     Work per block follows the picks, not the block length.  Each point
     lookup is one integer `bisect` on the partition's thresholds over x's
@@ -167,8 +169,7 @@ def greedy_extension(
     s = partition.size
     if target.mu.size != s:
         raise ValueError("partition and target sizes disagree")
-    blocks_budget = fixed_blocks if fixed_blocks is not None else max_blocks
-    if blocks_budget < 0:
+    if blocks < 0:
         raise ValueError("block budget must be nonnegative")
     verdict = envelope_dominates(target.mu, partition.lebesgue_masses(), target.pi)
     if not verdict.ok:
@@ -197,13 +198,13 @@ def greedy_extension(
     achieved = False
     j, picked = j0, []
     hi = spec.a(j0)
-    final_total = spec.M(j0 + fixed_blocks) if fixed_blocks is not None else None
     zeros = [0] * s
     forced_after: dict[int, list[int]] = {}
-    if fixed_blocks is not None:
+    if fixed_horizon:
+        last = j0 + blocks
+        final_total = spec.M(last)
         # forced_after[j][i]: picks of cell i that blocks after j will force
         # because their other cells cannot absorb the block multiplicity.
-        last = j0 + fixed_blocks
         suffix = [0] * s
         forced_after[last] = list(suffix)
         for jj in range(last, j0, -1):
@@ -221,15 +222,15 @@ def greedy_extension(
         if j > j0:
             trace.append(BlockTrace(j, tuple(picked), len(chosen), dev_nums, dev_den))
             # prefix_mass/M < eps/(3s), and every |deviation| < eps.
-            if (fixed_blocks is None and washed < eps_num * len(chosen)
+            if (not fixed_horizon and washed < eps_num * len(chosen)
                     and max(map(abs, dev_nums)) * eps_den < eps_num * dev_den):
                 achieved = True
                 break
-        if j - j0 == blocks_budget:
+        if j - j0 == blocks:
             break
         j += 1
         m_j = spec.m(j)
-        steer_total = final_total if final_total is not None else len(chosen) + m_j
+        steer_total = final_total if fixed_horizon else len(chosen) + m_j
         future = forced_after.get(j, zeros)
         deficit = [mu_scaled[i] * steer_total - (counts[i] + future[i]) * den for i in range(s)]
         # Below every deficit the block can reach: the mark of a cell with no
@@ -268,7 +269,7 @@ def greedy_extension(
         picked.sort()
         chosen.extend(picked)
     max_abs_dev = Fraction(max(map(abs, dev_nums)), dev_den)
-    if fixed_blocks is not None:
+    if fixed_horizon:
         achieved = max_abs_dev < eps
     return ExtensionResult(
         indices=tuple(chosen),

@@ -419,13 +419,10 @@ def histogram_witness(
     if len(n) < horizon:
         raise ValueError(f"need at least {horizon} multipliers, got {len(n)}")
     if ell == 1:
-        # One cell holds everything; any point in the start interval works.
-        chain = mixing_chain(
-            MixingConfig(multipliers=(), eps=_HALF, delta=_DEFAULT_START.length,
-                         start=_DEFAULT_START, targets=())
-        )
+        # One cell holds everything; any point in the start interval works,
+        # and its midpoint is the alpha a chain of no steps would return.
         return HistogramWitness(
-            alpha=chain.alpha,
+            alpha=(_DEFAULT_START.left + _DEFAULT_START.right) / 2,
             target=target,
             base=base,
             horizon=horizon,
@@ -478,7 +475,6 @@ class AvoidanceResult:
     _residues: tuple[int, ...]
     gaps: bytes
     prefix_length: int
-    hits_after_prefix: int
 
     def star_discrepancy(self) -> Fraction:
         """D* of the points n*alpha mod 1 over all the indices."""
@@ -488,8 +484,8 @@ class AvoidanceResult:
 def avoidance_sequence(
     alpha: Fraction,
     eps: Fraction,
-    prefix: Sequence[int] = (1,),
-    horizon: int = 10_000,
+    prefix: Sequence[int],
+    horizon: int,
 ) -> AvoidanceResult:
     """Gap-{1,2} extension of the prefix: after its last index n_0, the m
     whose point m*alpha mod 1 lies outside [0, eps) (0 included, which
@@ -541,7 +537,6 @@ def avoidance_sequence(
         _residues=tuple(residues),
         gaps=bytes(map(sub, islice(idx, 1, None), idx)),
         prefix_length=prefix_length,
-        hits_after_prefix=0,
     )
 
 

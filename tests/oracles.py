@@ -42,7 +42,8 @@ program against.  None of it backs a `maldist` subcommand.
 - `walked_avoidance_sequence`: the gap-{1,2} avoidance run walked one
   index at a time on integer residues, as `avoidance_sequence` built it
   before it took the indices by their rule, with the residue of each index
-  it takes;
+  it takes, and `hits_after_prefix`, the count of its indices after the
+  prefix whose points lie in [0, eps), which the run no longer states;
 - `chunk_search_greedy_extension`: `greedy_extension` as it searched a
   block's mapped cells with `list.index` in a `find` closure, one call per
   cell tied at the largest deficit, before it kept per-cell queues and
@@ -325,7 +326,7 @@ def walked_avoidance_sequence(
 ) -> AvoidanceResult:
     """The avoidance run walked index by index (input checks left out): from
     the last index n it takes n+1 when (n+1)*alpha mod 1 lies outside
-    [0, eps), else n+2, and counts the hits of the indices it takes."""
+    [0, eps), else n+2."""
     alpha = mod1(Fraction(alpha))
     eps = Fraction(eps)
     idx = [int(v) for v in prefix]
@@ -337,7 +338,7 @@ def walked_avoidance_sequence(
 
     prefix_length = len(idx)
     residues = [n * p % q for n in idx]
-    value, hits = residues[-1], 0
+    value = residues[-1]
     while len(idx) < horizon:
         n = idx[-1]
         step1 = (value + p) % q
@@ -348,7 +349,6 @@ def walked_avoidance_sequence(
             idx.append(n + 2)
             value = (step1 + p) % q
         residues.append(value)
-        hits += value * e_den < e_bound
     gaps = bytes(b - a for a, b in zip(idx, idx[1:]))
     return AvoidanceResult(
         alpha=alpha,
@@ -357,8 +357,16 @@ def walked_avoidance_sequence(
         _residues=tuple(residues),
         gaps=gaps,
         prefix_length=prefix_length,
-        hits_after_prefix=hits,
     )
+
+
+def hits_after_prefix(result: AvoidanceResult) -> int:
+    """The indices n after an avoidance run's prefix whose points
+    n*alpha mod 1 lie in [0, eps), recounted from the indices alone: for
+    alpha = p/q, those with n*p mod q < ceil(eps*q)."""
+    p, q = result.alpha.numerator, result.alpha.denominator
+    bound = -(-result.eps.numerator * q // result.eps.denominator)
+    return sum(1 for n in result.indices[result.prefix_length :] if n * p % q < bound)
 
 
 def empirical_measure(points: Sequence[Fraction], partition: CellPartition) -> tuple[int, ...]:
@@ -372,20 +380,17 @@ def frequencies(counts: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, n) for c in counts)
 
 
-def decimal_ratio(num: int, den: int, digits: int = 12) -> str:
-    """Decimal rendering of num/den (den > 0, need not be reduced) with
-    `digits` places, round-half-away-from-zero, in integers: one divmod and
-    a comparison of twice the remainder with den.  A negative `digits` is
-    refused."""
-    if digits < 0:
-        raise ValueError(f"digits must be nonnegative, got {digits}")
+def decimal_ratio(num: int, den: int) -> str:
+    """Decimal rendering of num/den (den > 0, need not be reduced) with 12
+    places, round-half-away-from-zero, in integers: one divmod and a
+    comparison of twice the remainder with den."""
     neg = num < 0
     num = -num if neg else num
-    q, r = divmod(num * 10**digits, den)
+    q, r = divmod(num * 10**12, den)
     if 2 * r >= den:
         q += 1
-    whole, frac = divmod(q, 10**digits)
-    body = f"{whole}.{frac:0{digits}d}" if digits > 0 else str(whole)
+    whole, frac = divmod(q, 10**12)
+    body = f"{whole}.{frac:012d}"
     return "-" + body if neg else body
 
 
@@ -395,14 +400,14 @@ def is_dyadic(value: Fraction) -> bool:
     return den & (den - 1) == 0
 
 
-def fraction_decimal_str(value: Fraction, digits: int = 12) -> str:
-    """Decimal rendering with `digits` places, round-half-away-from-zero,
-    of a Fraction: the integer kernel on its reduced terms."""
+def fraction_decimal_str(value: Fraction) -> str:
+    """Decimal rendering with 12 places, round-half-away-from-zero, of a
+    Fraction: the integer kernel on its reduced terms."""
     f = Fraction(value)
-    return decimal_ratio(f.numerator, f.denominator, digits)
+    return decimal_ratio(f.numerator, f.denominator)
 
 
-def fraction_scan_to_csv(scan: CheckpointScan, digits: int = 12) -> str:
+def fraction_scan_to_csv(scan: CheckpointScan) -> str:
     """The scan CSV with every frequency built as a Fraction, then printed."""
     s = len(scan.counts[0])
     out = io.StringIO()
@@ -414,7 +419,7 @@ def fraction_scan_to_csv(scan: CheckpointScan, digits: int = 12) -> str:
         freqs = frequencies(counts)
         writer.writerow(
             [cp]
-            + [fraction_decimal_str(f, digits) for f in freqs]
+            + [fraction_decimal_str(f) for f in freqs]
             + [format_rational(f) for f in freqs]
         )
     return out.getvalue()
@@ -858,8 +863,8 @@ def chunk_search_greedy_extension(
     x: Residues,
     partition: CellPartition,
     target: ExtensionTarget,
-    max_blocks: int = 512,
-    fixed_blocks: int | None = None,
+    blocks: int,
+    fixed_horizon: bool = False,
 ) -> ExtensionResult:
     """`greedy_extension` as it searched a block's mapped cells with
     `list.index`, with one `find` call per cell tied at the largest
@@ -868,8 +873,7 @@ def chunk_search_greedy_extension(
     s = partition.size
     if target.mu.size != s:
         raise ValueError("partition and target sizes disagree")
-    blocks_budget = fixed_blocks if fixed_blocks is not None else max_blocks
-    if blocks_budget < 0:
+    if blocks < 0:
         raise ValueError("block budget must be nonnegative")
     verdict = envelope_dominates(target.mu, partition.lebesgue_masses(), target.pi)
     if not verdict.ok:
@@ -902,12 +906,12 @@ def chunk_search_greedy_extension(
     achieved = False
     j = j0
     hi = spec.a(j0)
-    final_total = spec.M(j0 + fixed_blocks) if fixed_blocks is not None else None
+    final_total = spec.M(j0 + blocks) if fixed_horizon else None
     forced_after: dict[int, list[int]] = {}
-    if fixed_blocks is not None:
+    if fixed_horizon:
         # forced_after[j][i]: picks of cell i that blocks after j will force
         # because their other cells cannot absorb the block multiplicity.
-        last = j0 + fixed_blocks
+        last = j0 + blocks
         suffix = [0] * s
         forced_after[last] = list(suffix)
         for jj in range(last, j0, -1):
@@ -916,7 +920,7 @@ def chunk_search_greedy_extension(
             for i in range(s):
                 suffix[i] += max(0, m_jj - (len(cells) - cells.count(i)))
             forced_after[jj - 1] = list(suffix)
-    while j - j0 < blocks_budget:
+    while j - j0 < blocks:
         j += 1
         m_j = spec.m(j)
         steer_total = final_total if final_total is not None else len(chosen) + m_j
@@ -972,7 +976,7 @@ def chunk_search_greedy_extension(
         chosen.extend(picked)
         dev_nums, dev_den = deviations()
         trace.append(BlockTrace(j, tuple(picked), len(chosen), dev_nums, dev_den))
-        if fixed_blocks is None:
+        if not fixed_horizon:
             # prefix_mass/len(chosen) < eps/(3s), and every |deviation| < eps.
             washout = (
                 prefix_mass == 0
@@ -983,7 +987,7 @@ def chunk_search_greedy_extension(
                 break
     dev_nums, dev_den = deviations()
     max_abs_dev = Fraction(max(map(abs, dev_nums)), dev_den)
-    if fixed_blocks is not None:
+    if fixed_horizon:
         achieved = max_abs_dev < eps
     return ExtensionResult(
         indices=tuple(chosen),

@@ -43,6 +43,7 @@ from tests.oracles import (
     fraction_contains,
     fraction_mul_mod1,
     frequencies,
+    hits_after_prefix,
     mass_at_zero,
     max_checkpoint_fraction,
     point_mass,
@@ -153,7 +154,7 @@ def test_c04_avoidance_run():
     points = [mod1(n * result.alpha) for n in result.indices]
     disc = star_discrepancy(as_residues(points))
     ok = (
-        result.hits_after_prefix == 0
+        hits_after_prefix(result) == 0
         and set(result.gaps) <= {1, 2}
         and disc >= F(1, 5) - F(1, 100)
     )
@@ -314,10 +315,10 @@ def test_c10_greedy_versus_oracle():
     """200 seeded small instances: the exhaustive minimizer never admits an
     improving in-block swap toward its high-deviation set (the exchange
     structure, 100%), and the greedy lands within 0.1 of the optimum on at
-    least 95% with the horizon fixed (`fixed_blocks`).  On the open horizon
-    the CLI runs (`max_blocks`, stopping at the first block where the target
-    is met), the greedy is compared with the optimum at its own stopping
-    block and must stay within 0.1 on at least `C10_OPEN_FLOOR`."""
+    least 95% with the horizon fixed (`fixed_horizon`).  On the open horizon
+    the CLI runs (stopping at the first block where the target is met), the
+    greedy is compared with the optimum at its own stopping block and must
+    stay within 0.1 on at least `C10_OPEN_FLOOR`."""
     within = 0
     open_within = 0
     exchange_ok = 0
@@ -328,10 +329,10 @@ def test_c10_greedy_versus_oracle():
         x = lambda n: points[n - 1]
         residues = as_residues(points)
         brute = brute_force_extension([], spec, x, partition, target, j1=blocks)
-        greedy = greedy_extension([], spec, residues, partition, target, fixed_blocks=blocks)
+        greedy = greedy_extension([], spec, residues, partition, target, blocks, fixed_horizon=True)
         if greedy.total_abs_dev <= brute.total_abs_dev + F(1, 10):
             within += 1
-        opened = greedy_extension([], spec, residues, partition, target, max_blocks=blocks)
+        opened = greedy_extension([], spec, residues, partition, target, blocks)
         at_stop = brute if opened.blocks == blocks else brute_force_extension(
             [], spec, x, partition, target, j1=opened.blocks)
         if opened.total_abs_dev <= at_stop.total_abs_dev + F(1, 10):

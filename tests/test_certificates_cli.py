@@ -108,7 +108,7 @@ def all_certificates():
     lam = MeasureVector((F(1, 2), F(1, 2)))
     pi = point_mass(F(1, 2))
     res = envelope_dominates(mu, lam, pi)
-    yield "envelope", certs.envelope_certificate(mu, lam, pi, res)
+    yield "envelope", certs.envelope_certificate(mu, lam, pi, res, F(0))
 
 
 @pytest.mark.parametrize("kind,cert", list(all_certificates()))
@@ -240,7 +240,7 @@ def test_hitfreq_containment_claims_speak_of_the_echoed_inputs():
 
 def test_horizon_beyond_inputs_rejected():
     avoid = avoidance_sequence(F(5, 17), F(1, 5), prefix=(1,), horizon=200)
-    cert = json.loads(json.dumps(certs.avoidance_certificate(avoid)))
+    cert = json.loads(json.dumps(certs.avoidance_certificate(avoid, None)))
     cert["inputs"]["horizon"] = 9_999
     result = certs.verify_certificate(cert)
     assert not result.ok
@@ -383,9 +383,8 @@ def test_avoid_builder_states_a_gap_outside_one_two_as_false():
     # The rule never makes a gap of 3; a result that holds one is stated as
     # it is, and verify recomputes the same false verdict.
     result = AvoidanceResult(alpha=F(5, 17), eps=F(1, 5), indices=(1, 2, 5, 6),
-                             _residues=(5, 10, 8, 13), gaps=b"\1\3\1", prefix_length=1,
-                             hits_after_prefix=0)
-    cert = certs.avoidance_certificate(result)
+                             _residues=(5, 10, 8, 13), gaps=b"\1\3\1", prefix_length=1)
+    cert = certs.avoidance_certificate(result, None)
     assert claim(cert, "gap-structure")["verdict"] is False
     assert certs.verify_certificate(cert).failures == ()
 

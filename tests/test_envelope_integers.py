@@ -322,7 +322,7 @@ def test_envelope_verifier_names_malformed_violations(violation):
     mu = MeasureVector((F(3, 5), F(2, 5)))
     lam = MeasureVector((F(1, 2), F(1, 2)))
     pi = point_mass(F(1, 2))
-    cert = certs.envelope_certificate(mu, lam, pi, envelope_dominates(mu, lam, pi))
+    cert = certs.envelope_certificate(mu, lam, pi, envelope_dominates(mu, lam, pi), F(0))
     assert certs.verify_certificate(cert).ok
     cert["claims"][0]["violation"] = violation
     assert certs.verify_certificate(cert).failures == (

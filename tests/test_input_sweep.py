@@ -26,7 +26,7 @@ def violating_envelope():
     pi = point_mass(F(1, 2))
     result = envelope_dominates(mu, lam, pi)
     assert not result.ok
-    return certs.envelope_certificate(mu, lam, pi, result)
+    return certs.envelope_certificate(mu, lam, pi, result, F(0))
 
 
 CERTIFICATES = [*all_certificates(), ("envelope-violating", violating_envelope())]

@@ -374,7 +374,7 @@ def avoidance_builds(draw):
     for gap in draw(st.lists(st.sampled_from([1, 2]), max_size=6)):
         prefix.append(prefix[-1] + gap)
     horizon = len(prefix) + draw(st.integers(0, 400))
-    return certs.avoidance_certificate(avoidance_sequence(alpha, eps, prefix, horizon))
+    return certs.avoidance_certificate(avoidance_sequence(alpha, eps, prefix, horizon), None)
 
 
 @st.composite

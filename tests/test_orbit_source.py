@@ -71,7 +71,7 @@ def test_greedy_over_the_lazy_doubling_source_matches_the_listed_orbit(alpha):
     count = spec.a(30)
     lazy = cli._points_source({"x-kind": "doubling", "x-alpha": alpha}, count)
     results = [
-        greedy_extension([], spec, x, partition, target, max_blocks=30)
+        greedy_extension([], spec, x, partition, target, 30)
         for x in (lazy, doubling_orbit(F(alpha), count))
     ]
     assert results[0] == results[1]

@@ -1,9 +1,10 @@
 """The public surface carries no dead code: every function and class a
 layer module lists in `__all__`, and every method and property of a class
 that another package module references, has a caller inside the package,
-and every public field of such a class has a reader; and `certificates`
-imports none of the construction code its verifiers must not call, defines
-no dataclass and holds no float."""
+every public field of such a class has a reader, and every defaulted
+parameter of a public function has a caller that leaves it; and
+`certificates` imports none of the construction code its verifiers must not
+call, defines no dataclass and holds no float."""
 
 import ast
 import sys
@@ -230,3 +231,72 @@ def test_certificates_has_no_dataclass_and_no_float():
         or (isinstance(node, ast.alias) and node.name.split(".")[0] == "dataclasses")
     ]
     assert found == []
+
+
+def defaulted_parameters(tree: ast.Module) -> dict[str, list[tuple[int | None, str]]]:
+    """The defaulted parameters of each function the module lists in
+    `__all__`, and of each `def __init__`/`__new__` of a class listed there
+    (under the class's name), as (position, name) pairs: position is the
+    index among the arguments a call passes (self or cls left out), None for
+    a keyword-only parameter."""
+    public = set(declared_all(tree) or ())
+    defs = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in public:
+            defs.append((node.name, node.args, 0))
+        elif isinstance(node, ast.ClassDef) and node.name in public:
+            defs.extend((node.name, item.args, 1) for item in node.body
+                        if isinstance(item, ast.FunctionDef) and item.name in ("__init__", "__new__"))
+    found: dict[str, list[tuple[int | None, str]]] = {}
+    for name, args, skip in defs:
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        params = [(i - skip, arg.arg) for i, arg in enumerate(positional) if i >= first]
+        params += [(None, arg.arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                   if default is not None]
+        if params:
+            found.setdefault(name, []).extend(params)
+    return found
+
+
+def omits(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether the call leaves the parameter to its default; a call that
+    unpacks *args or **kwargs counts as leaving it."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    keywords = {kw.arg for kw in call.keywords}
+    if None in keywords:
+        return True
+    return name not in keywords and (position is None or position >= len(call.args))
+
+
+def test_every_default_is_left_by_some_caller_in_the_package():
+    """Each defaulted parameter of a function in a layer's `__all__`, or of a
+    `def __init__`/`__new__` of a class listed there, is left to its default
+    by at least one call in the package.
+
+    A default every caller overrides restates a value its callers own (the
+    command line owns every flag default), and may disagree with it; a
+    parameter no caller sets is a constant.  Either way the parameter goes:
+    with one value in use the value is a constant, with several each caller
+    states its own.  A call is matched by name, as `name(...)` or
+    `obj.name(...)`, and a test is not a caller.
+    """
+    trees = package_trees()
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    defaulted, always_set = [], []
+    for module, tree in trees.items():
+        for name, params in defaulted_parameters(tree).items():
+            for position, param in params:
+                defaulted.append(f"{module}.{name}({param})")
+                if not any(omits(call, position, param) for call in calls.get(name, ())):
+                    always_set.append(defaulted[-1])
+    assert {"certificates.zeroblock_certificate(windows)",
+            "envelope.envelope_dominates(tol)"} <= set(defaulted)
+    assert always_set == []

@@ -219,15 +219,13 @@ def test_greedy_extension_matches_fraction_list(data):
     # F(t) = 1 from the smallest cell length on, so every target is admissible.
     pi = point_mass(min(lam.masses))
     target = ExtensionTarget(mu=mu, eps=data.draw(st.sampled_from((F(1, 3), F(1, 1000)))), pi=pi)
-    fixed = data.draw(st.sampled_from((None, len(b))))
+    fixed = data.draw(st.booleans())
     # The greedy reads only the cells of the points, so on each point's cell
     # as the Fraction lookup finds it, represented by the cell's left cut,
     # it must run exactly as on the residues themselves.
     cells = as_residues([partition.cuts[cell_index(partition, p)] for p in points])
-    want = greedy_extension([], spec, cells, partition, target,
-                            max_blocks=len(b), fixed_blocks=fixed)
-    got = greedy_extension([], spec, residues, partition, target,
-                           max_blocks=len(b), fixed_blocks=fixed)
+    want = greedy_extension([], spec, cells, partition, target, len(b), fixed)
+    got = greedy_extension([], spec, residues, partition, target, len(b), fixed)
     assert got == want
 
 
@@ -254,7 +252,7 @@ def test_greedy_rejects_out_of_range_numerator():
     lam = partition.lebesgue_masses()
     target = ExtensionTarget(mu=lam, eps=F(1, 10), pi=pi_measure(spec, 1))
     with pytest.raises(ValueError, match=POINTS_ERROR):
-        greedy_extension([], spec, Residues([1, 4], 4), partition, target)
+        greedy_extension([], spec, Residues([1, 4], 4), partition, target, 1)
 
 
 def test_scan_stops_at_the_last_checkpoint():

@@ -164,7 +164,7 @@ def test_cli_rotation_scan_writes_the_listed_path_bytes(tmp_path, alpha, cells, 
     else:
         partition = CellPartition(tuple(F(t) for t in cells[1].split(",")))
     points = cli._points_source({"x-kind": "rotation", "x-alpha": alpha}, cps[-1])
-    assert out.read_bytes() == scan_to_csv(checkpoint_scan(points, partition, cps), 12).encode()
+    assert out.read_bytes() == scan_to_csv(checkpoint_scan(points, partition, cps)).encode()
 
 
 @pytest.mark.parametrize(

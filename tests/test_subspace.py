@@ -133,7 +133,7 @@ def test_greedy_alternating_example():
         mu=MeasureVector((F(1), F(0))), eps=F(1, 10), pi=point_mass(F(1, 2))
     )
     result = greedy_extension(
-        [], spec, residues(alternating, spec, 5), HALVES, target, fixed_blocks=5
+        [], spec, residues(alternating, spec, 5), HALVES, target, 5, fixed_horizon=True
     )
     # Every block contributes its two odd (cell-0) indices.
     assert result.indices == (1, 3, 5, 7, 9, 11, 13, 15, 17, 19)
@@ -148,7 +148,7 @@ def test_greedy_reaches_lambda_target(golden_residues):
     lam = partition.lebesgue_masses()
     target = ExtensionTarget(mu=lam, eps=F(1, 20), pi=pi_measure(spec, 64))
     result = greedy_extension(
-        [], spec, golden_residues, partition, target, max_blocks=64
+        [], spec, golden_residues, partition, target, 64
     )
     assert result.achieved
     assert result.max_abs_dev < F(1, 20)
@@ -162,7 +162,7 @@ def test_greedy_rejects_envelope_violating_target():
     )
     with pytest.raises(ValueError):
         greedy_extension(
-            [], spec, residues(alternating, spec, 3), HALVES, target, fixed_blocks=3
+            [], spec, residues(alternating, spec, 3), HALVES, target, 3, fixed_horizon=True
         )
 
 
@@ -173,7 +173,7 @@ def test_greedy_respects_prefix():
     )
     # Prefix takes the two even (cell-1) indices of block 1.
     result = greedy_extension(
-        [2, 4], spec, residues(alternating, spec, 5), HALVES, target, fixed_blocks=4
+        [2, 4], spec, residues(alternating, spec, 5), HALVES, target, 4, fixed_horizon=True
     )
     assert result.indices[:2] == (2, 4)
     assert validate_membership(result.indices, spec, blocks=result.blocks) is True
@@ -188,7 +188,7 @@ def test_greedy_accepts_prefix_ending_inside_its_block():
         mu=MeasureVector((F(1), F(0))), eps=F(1, 10), pi=point_mass(F(1, 2))
     )
     result = greedy_extension(
-        [1, 3], spec, residues(alternating, spec, 3), HALVES, target, fixed_blocks=2
+        [1, 3], spec, residues(alternating, spec, 3), HALVES, target, 2, fixed_horizon=True
     )
     assert result.indices == (1, 3, 5, 7, 9, 11)
     assert [entry.block for entry in result.trace] == [2, 3]
@@ -201,13 +201,13 @@ def test_greedy_budget_exhaustion_reports_partial():
         mu=MeasureVector((F(0), F(1))), eps=F(1, 100), pi=point_mass(F(1, 2))
     )
     result = greedy_extension(
-        [], spec, residues(lambda n: F(1, 4), spec, 6), HALVES, target, max_blocks=6
+        [], spec, residues(lambda n: F(1, 4), spec, 6), HALVES, target, 6
     )
     assert not result.achieved
     assert result.blocks == 6
 
 
-@pytest.mark.parametrize("budget", [{"max_blocks": -1}, {"fixed_blocks": -2}])
+@pytest.mark.parametrize("budget", [{"blocks": -1}, {"blocks": -2, "fixed_horizon": True}])
 def test_greedy_refuses_a_negative_block_budget(budget):
     spec = BlockSpec(lambda j: 2, lambda j: 1)
     target = ExtensionTarget(mu=UNIFORM2, eps=F(1, 10), pi=point_mass(F(1, 2)))
@@ -244,13 +244,13 @@ def test_greedy_reads_only_the_cells_its_picks_need(golden_residues):
     target = ExtensionTarget(mu=mu, eps=F(1, 10**6), pi=point_mass(min(lam.masses)))
     nums = CountingNums(golden_residues.nums)
     x = Residues(nums, golden_residues.den)
-    result = greedy_extension([], spec, x, partition, target, max_blocks=40)
+    result = greedy_extension([], spec, x, partition, target, 40)
     assert (result.blocks, len(result.indices)) == (40, 80)
     assert validate_membership(result.indices, spec, blocks=40) is True
     assert nums.reads < spec.a(40) // 4
     # The same picks as on the plain residues.
     assert result == greedy_extension(
-        [], spec, golden_residues, partition, target, max_blocks=40
+        [], spec, golden_residues, partition, target, 40
     )
 
 
@@ -325,7 +325,7 @@ def traced_cells(case):
     # F(t) = 1 from the narrowest cell's length on: every target is admissible.
     target = ExtensionTarget(mu=MeasureVector(tuple(mu)), eps=eps, pi=point_mass(min(lam.masses)))
     x = Residues([n * p % q for n in range(1, block_spec.a(len(blocks)) + 1)], q)
-    result = greedy_extension([], block_spec, x, partition, target, fixed_blocks=len(blocks))
+    result = greedy_extension([], block_spec, x, partition, target, len(blocks), fixed_horizon=True)
     for entry in result.trace:
         row = [format_ratio(num, entry.denominator) for num in entry.numerators]
         assert row == recounted_cells(result.indices, entry.cumulative, mu, partition, point)
@@ -388,14 +388,14 @@ def test_greedy_builds_fractions_only_for_the_values_it_reports(golden_residues,
     counts = []
     for blocks in (20, 200):
         built.clear()
-        result = greedy_extension([], spec, golden_residues, SIX_CELLS, target, max_blocks=blocks)
+        result = greedy_extension([], spec, golden_residues, SIX_CELLS, target, blocks)
         assert (result.blocks, len(result.trace)) == (blocks, blocks)
         counts.append(len(built))
     monkeypatch.undo()
     assert counts[0] == counts[1] <= 10 * SIX_CELLS.size
 
 
-def pool_scan_greedy(prefix, j0, spec, x, partition, target, max_blocks, fixed_blocks):
+def pool_scan_greedy(prefix, j0, spec, x, partition, target, blocks, fixed_horizon):
     """Reference greedy with Fraction deficits: each pick recomputes the gap
     set Y and scans every free index of the block for the least key
     (not (in Y with deficit > 0), -deficit, index).  Its trace packages each
@@ -428,11 +428,10 @@ def pool_scan_greedy(prefix, j0, spec, x, partition, target, max_blocks, fixed_b
 
     achieved = False
     j = j0
-    budget = fixed_blocks if fixed_blocks is not None else max_blocks
-    final_total = spec.M(j0 + fixed_blocks) if fixed_blocks is not None else None
+    final_total = spec.M(j0 + blocks) if fixed_horizon else None
     forced_after = {}
-    if fixed_blocks is not None:
-        last = j0 + fixed_blocks
+    if fixed_horizon:
+        last = j0 + blocks
         suffix = [0] * s
         forced_after[last] = list(suffix)
         for jj in range(last, j0, -1):
@@ -442,7 +441,7 @@ def pool_scan_greedy(prefix, j0, spec, x, partition, target, max_blocks, fixed_b
             for i in range(s):
                 suffix[i] += max(0, spec.m(jj) - (sum(avail) - avail[i]))
             forced_after[jj - 1] = list(suffix)
-    while j - j0 < budget:
+    while j - j0 < blocks:
         j += 1
         m_j = spec.m(j)
         steer_total = final_total if final_total is not None else len(chosen) + m_j
@@ -470,13 +469,13 @@ def pool_scan_greedy(prefix, j0, spec, x, partition, target, max_blocks, fixed_b
         assert all((d * over).denominator == 1 for d in devs_after)
         nums = tuple(int(d * over) for d in devs_after)
         trace.append(BlockTrace(j, tuple(picked), len(chosen), nums, over))
-        if fixed_blocks is None:
+        if not fixed_horizon:
             washout = prefix_mass == 0 or F(prefix_mass, len(chosen)) < eps / (3 * s)
             if washout and max(abs(d) for d in devs_after) < eps:
                 achieved = True
                 break
     final = deviations(len(chosen))
-    if fixed_blocks is not None:
+    if fixed_horizon:
         achieved = max(abs(d) for d in final) < eps
     return ExtensionResult(
         indices=tuple(chosen),
@@ -528,13 +527,9 @@ def test_greedy_matches_pool_scan_reference(case):
     prefix = sample_uniform(spec, j0, seed) if j0 else ()
     # The prefix covers the blocks through that of its last index.
     j0 = spec.block_of(prefix[-1]) if prefix else 0
-    kwargs = {"fixed_blocks": budget} if fixed else {"max_blocks": budget}
     points = residues(x, spec, len(blocks))
-    result = greedy_extension(prefix, spec, points, partition, target, **kwargs)
-    want = pool_scan_greedy(
-        prefix, j0, spec, x, partition, target,
-        max_blocks=budget, fixed_blocks=budget if fixed else None,
-    )
+    result = greedy_extension(prefix, spec, points, partition, target, budget, fixed)
+    want = pool_scan_greedy(prefix, j0, spec, x, partition, target, budget, fixed)
     assert result == want
 
 
@@ -568,12 +563,9 @@ def test_greedy_matches_pool_scan_reference_on_long_blocks(case):
     target = ExtensionTarget(mu=mu, eps=F(1, 1000), pi=point_mass(min(lam.masses)))
     x = lambda n: F(levels[(n - 1) % len(levels)], 96)
     budget = len(blocks)
-    kwargs = {"fixed_blocks": budget} if fixed else {"max_blocks": budget}
-    result = greedy_extension([], spec, residues(x, spec, budget), partition, target, **kwargs)
-    want = pool_scan_greedy(
-        (), 0, spec, x, partition, target,
-        max_blocks=budget, fixed_blocks=budget if fixed else None,
-    )
+    result = greedy_extension([], spec, residues(x, spec, budget), partition, target, budget,
+                              fixed)
+    want = pool_scan_greedy((), 0, spec, x, partition, target, budget, fixed)
     assert result == want
 
 
@@ -605,10 +597,8 @@ def test_greedy_stopping_rule_at_its_boundaries(cuts, eps, levels, prefix, block
     target = ExtensionTarget(mu=lam, eps=eps, pi=point_mass(min(lam.masses)))
     x = lambda n: levels[(n - 1) % len(levels)]
     points = residues(x, ONE_A_BLOCK, 20)
-    result = greedy_extension(prefix, ONE_A_BLOCK, points, partition, target, max_blocks=12)
-    want = pool_scan_greedy(
-        prefix, len(prefix), ONE_A_BLOCK, x, partition, target, max_blocks=12, fixed_blocks=None
-    )
+    result = greedy_extension(prefix, ONE_A_BLOCK, points, partition, target, 12)
+    want = pool_scan_greedy(prefix, len(prefix), ONE_A_BLOCK, x, partition, target, 12, False)
     assert result == want
     assert (result.blocks, result.achieved) == (blocks, achieved)
 
@@ -665,10 +655,9 @@ def test_greedy_matches_the_chunk_search_loop(case):
     target = ExtensionTarget(mu=mu, eps=eps, pi=point_mass(min(lam.masses)))
     points = residues(lambda n: F(levels[(n - 1) % len(levels)], 96), spec, len(blocks))
     prefix = sample_uniform(spec, j0, seed) if j0 else ()
-    kwargs = {"fixed_blocks": budget} if fixed else {"max_blocks": budget}
-    result = greedy_extension(prefix, spec, points, partition, target, **kwargs)
+    result = greedy_extension(prefix, spec, points, partition, target, budget, fixed)
     assert result == chunk_search_greedy_extension(prefix, spec, points, partition, target,
-                                                   **kwargs)
+                                                   budget, fixed)
     assert all(type(entry) is BlockTrace for entry in result.trace)
 
 
@@ -715,7 +704,7 @@ def test_brute_force_matches_greedy_on_alternating():
     )
     brute = brute_force_extension([], spec, alternating, HALVES, target, j1=3)
     greedy = greedy_extension(
-        [], spec, residues(alternating, spec, 3), HALVES, target, fixed_blocks=3
+        [], spec, residues(alternating, spec, 3), HALVES, target, 3, fixed_horizon=True
     )
     assert brute.total_abs_dev == 0
     assert greedy.total_abs_dev == brute.total_abs_dev
@@ -760,7 +749,7 @@ def test_greedy_block_allocations_swap_optimal(golden_points, golden_residues):
     mu = MeasureVector((F(1, 2), F(1, 3), F(1, 6)))
     target = ExtensionTarget(mu=mu, eps=F(1, 50), pi=pi_measure(spec, 40))
     result = greedy_extension(
-        [], spec, golden_residues, partition, target, max_blocks=40
+        [], spec, golden_residues, partition, target, 40
     )
     counts = [0, 0, 0]
     chosen = set(result.indices)
@@ -802,7 +791,7 @@ def test_greedy_output_respects_envelope_at_checkpoints(golden_points, golden_re
     blocks = 48
     target = ExtensionTarget(mu=lam, eps=F(1, 20), pi=pi_measure(spec, blocks))
     result = greedy_extension(
-        [], spec, golden_residues, partition, target, fixed_blocks=blocks
+        [], spec, golden_residues, partition, target, blocks, fixed_horizon=True
     )
     cells = [cell_index(partition, p) for p in golden_points[: spec.a(blocks)]]
     block_defect = []

@@ -25,6 +25,7 @@ from tests.oracles import (
     fraction_contains,
     fraction_mul_mod1,
     frequencies,
+    hits_after_prefix,
     midpoint,
     walked_avoidance_sequence,
 )
@@ -188,7 +189,7 @@ def test_histogram_witness_rejects_bad_divisibility():
 
 def test_avoidance_5_17():
     result = avoidance_sequence(F(5, 17), F(1, 5), prefix=(1,), horizon=10_000)
-    assert result.hits_after_prefix == 0
+    assert hits_after_prefix(result) == 0
     assert set(result.gaps) <= {1, 2}
     assert len(result.indices) == 10_000
     points = [mod1(n * result.alpha) for n in result.indices]
@@ -197,7 +198,7 @@ def test_avoidance_5_17():
 
 def test_avoidance_finite_orbit():
     result = avoidance_sequence(F(1, 3), F(1, 4), prefix=(1,), horizon=500)
-    assert result.hits_after_prefix == 0
+    assert hits_after_prefix(result) == 0
 
 
 def test_avoidance_rejects_overlap():
@@ -258,7 +259,6 @@ def reference_avoidance_sequence(alpha, eps, prefix, horizon):
             value = mod1(step1 + alpha)
             assert not value < eps
             idx.append(idx[-1] + 2)
-    hits = sum(1 for n in idx[len(prefix) :] if mod1(n * alpha) < eps)
     return AvoidanceResult(
         alpha=alpha,
         eps=eps,
@@ -266,7 +266,6 @@ def reference_avoidance_sequence(alpha, eps, prefix, horizon):
         _residues=tuple(int(mod1(n * alpha) * alpha.denominator) for n in idx),
         gaps=bytes(b - a for a, b in zip(idx, idx[1:])),
         prefix_length=len(prefix),
-        hits_after_prefix=hits,
     )
 
 
@@ -288,6 +287,7 @@ def test_avoidance_matches_fraction_reference(p, q, eps, prefix_gaps, first, ext
     horizon = len(prefix) + extra
     got = avoidance_sequence(alpha, eps, prefix=prefix, horizon=horizon)
     assert got == reference_avoidance_sequence(alpha, eps, prefix, horizon)
+    assert hits_after_prefix(got) == 0
 
 
 @st.composite
@@ -332,5 +332,6 @@ def test_avoidance_takes_the_walks_indices(run):
     alpha, eps, prefix, horizon = run
     got = avoidance_sequence(alpha, eps, prefix=prefix, horizon=horizon)
     assert got == walked_avoidance_sequence(alpha, eps, prefix, horizon)
+    assert hits_after_prefix(got) == 0
     p, q = alpha.numerator, alpha.denominator
     assert got._residues == tuple(n * p % q for n in got.indices)
