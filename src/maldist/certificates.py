@@ -32,11 +32,14 @@ A list field of unbounded `_Ratio` entries (cuts) or of ones held to
 [0, 1] (mu and lambda) whose texts are all plain "p/q" (ASCII digits, no
 sign, space or leading zero), or of `_Positive` entries that are all JSON
 integers of at least 1, is read in one pass (their `plain_list`,
-`_plain_ints`), and `envelope`'s atoms as rows of four integers checked by
-map passes (`_Atoms`).  Any other list, and a list of `_Ratio` entries with
-other bounds, goes entry by entry through the one-value read, which alone
-writes refusals, so the values accepted, the typed values and every refusal
-are the same either way.
+`_plain_ints`).  So are `envelope`'s atoms (`_Atoms`) when every text is
+plain, every weight positive and every text at most 1: as rows of four
+integers, which `_ratio_atoms`, the one implementation of pi's set rules
+(locations sorted and distinct, weights summing to 1), checks in map
+passes for both reads.  Any other list, and a list of `_Ratio` entries
+with other bounds, goes entry by entry through the one-value read, which
+alone refuses an entry, so the values accepted, the typed values and every
+refusal are the same either way.
 """
 
 from __future__ import annotations
@@ -355,61 +358,57 @@ def _masses(masses: list[tuple[int, int]]) -> tuple[list[int], int]:
     return nums, den
 
 
-def _atom(pair: list[tuple[int, int]]) -> tuple[tuple[int, int], tuple[int, int]]:
+def _atom(pair: list[tuple[int, int]]) -> tuple[int, int, int, int]:
     if len(pair) != 2 or pair[1][0] == 0:
         raise ValueError("expected a location and a positive weight")
-    return pair[0], pair[1]
+    return (*pair[0], *pair[1])
 
 
-def _ratio_atoms(atoms: list) -> tuple[list[tuple[int, int]], list[int], int]:
-    """pi's atoms held to the rules of a ratio measure (locations sorted and
-    distinct, weights summing to 1): the locations, and the weights as
-    integers over their lcm."""
+def _ratio_atoms(rows: list[int]) -> tuple[list[tuple[int, int]], list[int], int]:
+    """pi's atoms, a row a, b, c, d of `rows` for each location a/b and
+    weight c/d, held to the rules of a ratio measure in map passes:
+    locations sorted and distinct, weights summing to 1.  Returns the
+    locations, and the weights as integers over their lcm."""
+    lp, lq, wp, wq = rows[::4], rows[1::4], rows[2::4], rows[3::4]
     # a/b < c/d iff a*d < c*b, as b, d > 0.
-    if any(a * d >= c * b for ((a, b), _), ((c, d), _) in zip(atoms, atoms[1:])):
+    if not all(map(lt, map(mul, lp, lq[1:]), map(mul, lp[1:], lq))):
         raise ValueError("atom locations must be sorted and distinct")
-    weights, weight_den = _over_lcm([w for _, w in atoms])
-    if sum(weights) != weight_den:
+    den = lcm(*wq)
+    weights = list(map(mul, wp, map(floordiv, repeat(den), wq)))
+    if sum(weights) != den:
         raise ValueError("atom weights must sum to exactly 1")
-    return [q for q, _ in atoms], weights, weight_den
+    return list(zip(lp, lq)), weights, den
 
 
 class _Atoms:
     """pi's atoms, [location, weight] pairs of `_Ratio("[0, 1]")` texts,
-    read into `_ratio_atoms`'s value.  When every text is plain they are
-    rows of four ints checked by map passes: weights positive, locations
-    sorted and distinct, the weights summing to 1 over their lcm, and the
-    last location at most 1, which with the rest puts every text in [0, 1].
-    Any other list, and every refusal, goes through `each`, the one-value
-    read."""
+    read into `_ratio_atoms`' value.  When every text is plain, every
+    weight positive and every text at most 1 (`plain_atoms`), they are read
+    in one pass as rows of four ints; any other list goes through `each`,
+    the one-value read, which alone refuses an entry.  Both hand their rows
+    to `_ratio_atoms`, whose refusals come after every entry has passed."""
 
-    pair = _List(_Ratio("[0, 1]"), make=_atom)
-    pair.read_plain = None  # two texts: the one-value read is the quicker
-    each = _List(pair, make=_ratio_atoms)
+    unit = _Ratio("[0, 1]")
+    pair = _List(unit, make=_atom)
+    each = _List(pair, make=lambda rows: _ratio_atoms(list(chain.from_iterable(rows))))
 
     @staticmethod
     def emit(pi) -> list:
         return pi.to_json()  # a ratio measure writes its atoms from integers
 
     def parse(self, value):
-        return self.plain_atoms(value) or self.each.parse(value)
+        rows = self.plain_atoms(value)
+        return self.each.parse(value) if rows is None else _made(_ratio_atoms, rows)
 
-    @staticmethod
-    def plain_atoms(value):
+    @classmethod
+    def plain_atoms(cls, value) -> list[int] | None:
         if (type(value) is not list or set(map(type, value)) != {list}
                 or set(map(len, value)) != {2}):
             return None
-        ints = _plain_ints(list(chain.from_iterable(value)))
-        if ints is None:
+        rows = _plain_ints(list(chain.from_iterable(value)))
+        if rows is None or not all(rows[2::4]) or not cls.unit.within(rows):
             return None
-        lp, lq, wp, wq = ints[::4], ints[1::4], ints[2::4], ints[3::4]
-        # a/b < c/d iff a*d < c*b, as b, d > 0.
-        if (not all(wp) or lp[-1] > lq[-1]
-                or not all(map(lt, map(mul, lp, lq[1:]), map(mul, lp[1:], lq)))):
-            return None
-        den = lcm(*wq)
-        weights = list(map(mul, wp, map(floordiv, repeat(den), wq)))
-        return (list(zip(lp, lq)), weights, den) if sum(weights) == den else None
+        return rows
 
 
 def _interval(ends: dict) -> tuple[Fraction, Fraction]:

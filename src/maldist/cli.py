@@ -2,15 +2,18 @@
 
 Subcommands: envelope, subspace, witness, doubling, scan, verify.  Each is
 declared once, in the `_SUBCOMMANDS` table: its help text, its option names
-and its handler.  Options may also come from a key=value config file
-(--config) whose keys are exactly the subcommand's flags; an explicit flag
-wins over the file, unknown keys are rejected, and every rational is parsed
-exactly ("p/q" or decimal string).  A plain command line, a subcommand and
-whole `--name value` pairs of its flags (and `verify`'s one certificate
-path), is read from the flag table (`_plain_args`).  argparse is imported,
-and its parser built, only for `--help`, the usage text and any other
-command line, which argparse reads or refuses; the parser is then reused
-for the rest of the process.
+and its handler.  A command line becomes one dict of the options it sets,
+keyed by flag name (and `verify`'s certificate path under "certificate").
+A plain command line, a subcommand and whole `--name value` pairs of its
+flags (and that one path), is read into it from the flag table
+(`_plain_args`).  argparse is imported, and its parser built, only for
+`--help`, the usage text and any other command line, which argparse refuses
+or reads into the same dict (`_parsed_args`); the parser is then reused for
+the rest of the process.  Options may also come from a key=value config
+file (--config) whose keys are exactly the subcommand's flags: its values
+go under the command line's (`_merge_config`), so an explicit flag wins,
+unknown keys are rejected, and every rational is parsed exactly ("p/q" or
+decimal string).
 
 At module level the CLI imports only the standard library and `exact`, which
 option parsing needs.  Each `_cmd_*` handler imports the layers it calls when
@@ -49,7 +52,6 @@ from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import mul
-from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .exact import (
@@ -81,34 +83,31 @@ class CliError(Exception):
 # option plumbing: flags + config file, flag wins, unknown keys rejected
 
 
-def _merge_config(args: argparse.Namespace | SimpleNamespace,
+def _merge_config(command: str, args: dict[str, str],
                   keys: tuple[str, ...]) -> dict[str, str]:
-    sub = args.command
+    """The options of the command line `args` put over those of its --config
+    file, whose keys must be the subcommand's flags."""
+    path = args.pop("config", None)
+    if not path:
+        return args
     values: dict[str, str] = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CliError(f"cannot read config file: {exc}")
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CliError(f"{args.config}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in keys:
-                raise CliError(f"{args.config}:{lineno}: unknown key {key!r} for {sub!r}")
-            values[key] = val
-    for key in keys:
-        flag_val = getattr(args, key.replace("-", "_"))
-        if flag_val is not None:
-            values[key] = flag_val
-    # verify's certificate path is its positional argument, not a flag.
-    if sub == "verify":
-        values["certificate"] = args.certificate
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise CliError(f"cannot read config file: {exc}")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{lineno}: expected key = value")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in keys:
+            raise CliError(f"{path}:{lineno}: unknown key {key!r} for {command!r}")
+        values[key] = val
+    values.update(args)
     return values
 
 
@@ -828,37 +827,42 @@ _SUBCOMMANDS = {
 }
 
 
-def _plain_args(argv: list[str]) -> SimpleNamespace | None:
-    """The attributes `_build_parser().parse_args(argv)` gives, read from the
-    flag table, for a plain argv: a subcommand name, then whole `--name
-    value` pairs of its flags or --config, no value starting with "-", the
-    last of a repeated flag winning, and exactly one other token, the
-    certificate path, for `verify` and none for the rest.  None for any other
-    argv, which argparse reads, or refuses with its usage text."""
+def _plain_args(argv: list[str]) -> dict[str, str] | None:
+    """The options a plain argv sets, keyed by flag name, read from the flag
+    table as `_parsed_args` reads them: a subcommand name, then whole
+    `--name value` pairs of its flags or --config, no value starting with
+    "-", the last of a repeated flag winning, and exactly one other token,
+    the certificate path, for `verify` and none for the rest.  None for any
+    other argv, which argparse reads, or refuses with its usage text."""
     if not argv or argv[0] not in _SUBCOMMANDS:
         return None
     command = argv[0]
-    dests = {"--config": "config"}
-    for key in _SUBCOMMANDS[command][1]:
-        dests["--" + key] = key.replace("-", "_")
-    attrs = dict.fromkeys(dests.values())
-    attrs["command"] = command
-    bare = []
+    flags = {"--" + key for key in ("config", *_SUBCOMMANDS[command][1])}
+    options, bare = {}, []
     tokens = iter(argv[1:])
     for token in tokens:
         if token.startswith("-"):
             # A flag with no token after it reads as one with a "-" value.
-            dest, value = dests.get(token), next(tokens, "-")
-            if dest is None or value.startswith("-"):
+            value = next(tokens, "-")
+            if token not in flags or value.startswith("-"):
                 return None
-            attrs[dest] = value
+            options[token[2:]] = value
         else:
             bare.append(token)
     if len(bare) != (command == "verify"):
         return None
     if bare:
-        attrs["certificate"] = bare[0]
-    return SimpleNamespace(**attrs)
+        options["certificate"] = bare[0]
+    return options
+
+
+def _parsed_args(argv: list[str]) -> tuple[str, dict[str, str]]:
+    """The subcommand argparse reads from argv, and the options it sets, in
+    `_plain_args`' dict."""
+    args = vars(_build_parser().parse_args(argv))
+    command = args.pop("command")
+    return command, {key.replace("_", "-"): value for key, value in args.items()
+                     if value is not None}
 
 
 @functools.cache
@@ -874,29 +878,30 @@ def _build_parser() -> argparse.ArgumentParser:
         # A flag is its whole name, as a config key is: an abbreviation such as
         # --pi would pass for --pi-blocks.
         p = subs.add_parser(name, help=help_text, allow_abbrev=False)
-        p.add_argument("--config", default=None, help="key=value option file (flags win)")
+        p.add_argument("--config", help="key=value option file (flags win)")
         if name == "verify":
             p.add_argument("certificate", help="certificate JSON file")
         for key in keys:
-            p.add_argument(f"--{key}", default=None)
+            p.add_argument(f"--{key}")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _plain_args(argv) or _build_parser().parse_args(argv)
+    plain = _plain_args(argv)
+    command, options = _parsed_args(argv) if plain is None else (argv[0], plain)
     # Integers in inputs, outputs and certificates may run past the default
     # limit on int<->str conversion digits (Python >= 3.10.7).  The limit stays
     # lifted after main returns, so that a caller in the same process can
     # read the JSON main wrote.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    _, keys, handler = _SUBCOMMANDS[args.command]
+    _, keys, handler = _SUBCOMMANDS[command]
     try:
-        return handler(_merge_config(args, keys))
+        return handler(_merge_config(command, options, keys))
     except (CliError, ValueError, IndexError) as exc:
-        print(f"maldist {args.command}: {exc}", file=sys.stderr)
+        print(f"maldist {command}: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -132,9 +132,12 @@ class CellPartition:
 
 @dataclass(frozen=True)
 class MeasureVector:
-    """Probability masses on the cells of a partition; entries sum to exactly 1."""
+    """Probability masses on the cells of a partition; entries sum to exactly 1.
+    `nums` holds them as integers over `den`, the lcm of their denominators."""
 
     masses: tuple[Fraction, ...]
+    nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         masses = tuple(Fraction(m) for m in self.masses)
@@ -145,6 +148,8 @@ class MeasureVector:
             raise ValueError("masses must be nonnegative")
         if sum(nums) != den:
             raise ValueError("masses must sum to exactly 1")
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
 
     @property
     def size(self) -> int:

@@ -37,7 +37,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .empirical import MeasureVector
-from .exact import format_ratio, over_lcm
+from .exact import format_ratio
 
 __all__ = [
     "BlockSpec",
@@ -307,8 +307,7 @@ def envelope_dominates(
     tol = Fraction(tol)
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    mu_num, mu_den = over_lcm(mu.masses)
-    lam_num, lam_den = over_lcm(lam.masses)
+    mu_num, mu_den, lam_num, lam_den = mu.nums, mu.den, lam.nums, lam.den
     tol_num, tol_den = tol.numerator, tol.denominator
     f_den = pi._wden * pi._hscale * lam_den
     mu_scale, f_scale, tol_term = f_den * tol_den, tol_den * mu_den, tol_num * f_den * mu_den

@@ -22,7 +22,6 @@ from typing import NamedTuple, Sequence
 
 from .empirical import CellPartition, MeasureVector, Residues, _cell_indices
 from .envelope import BlockSpec, RatioMeasure, envelope_dominates
-from .exact import over_lcm
 
 __all__ = [
     "ExtensionTarget",
@@ -189,7 +188,7 @@ def greedy_extension(
     eps_num, eps_den = eps.numerator, eps.denominator
     # Deficits are held as integers over den; every pick of cell c lowers
     # deficit[c] by den.
-    mu_scaled, den = over_lcm(target.mu.masses)
+    mu_scaled, den = target.mu.nums, target.mu.den
     trace: list[BlockTrace] = []
     prefix_mass = spec.M(j0)
     # The open horizon's washout, prefix_mass/M < eps/(3s), reads

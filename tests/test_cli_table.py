@@ -62,11 +62,12 @@ VALUES = ["a.json", "1/3", "0,1/2,1", "x=y", '{"b": [2], "m": [1]}', "verify", "
 HOSTILE = ["-h", "--help", "--", "-", "-1/2", "-3", "--out=x", "--pi", "second.json", "nosuch"]
 
 
-def parsed_by_argparse(argv: list[str]) -> dict | None:
-    """The attributes argparse reads from argv, or None where it exits."""
+def parsed_by_argparse(argv: list[str]) -> tuple[str, dict] | None:
+    """The subcommand and options argparse reads from argv, or None where it
+    exits."""
     try:
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            return vars(cli._build_parser().parse_args(argv))
+            return cli._parsed_args(argv)
     except SystemExit:
         return None
 
@@ -92,9 +93,9 @@ def command_lines(draw) -> list[str]:
 @given(command_lines())
 def test_table_reader_reads_as_argparse_or_defers(argv):
     # Either the reader leaves the command line to argparse, or argparse
-    # accepts it and reads the same attributes.
+    # accepts it and reads the same subcommand and options.
     plain = cli._plain_args(argv)
-    assert plain is None or vars(plain) == parsed_by_argparse(argv), argv
+    assert plain is None or (argv[0], plain) == parsed_by_argparse(argv), argv
 
 
 @settings(max_examples=300, deadline=None)
@@ -110,7 +111,7 @@ def test_table_reader_reads_every_plain_command_line(data):
         pairs.insert(data.draw(st.integers(0, len(pairs))), (data.draw(st.sampled_from(VALUES)),))
     argv = [sub, *chain.from_iterable(pairs)]
     plain = cli._plain_args(argv)
-    assert plain is not None and vars(plain) == parsed_by_argparse(argv), argv
+    assert plain is not None and (sub, plain) == parsed_by_argparse(argv), argv
 
 
 ENVELOPE = ["envelope", "--spec", '{"b": [2, 2], "m": [2, 2]}', "--blocks", "2"]
@@ -148,13 +149,12 @@ POSITIONAL = {"verify": {"certificate": "cert.json"}}
 @pytest.mark.parametrize("sub", list(cli._SUBCOMMANDS))
 def test_every_flag_is_a_config_key(tmp_path, sub):
     keys = cli._SUBCOMMANDS[sub][1]
-    parser = cli._build_parser()
     positional = POSITIONAL.get(sub, {})
     for key in keys:
         config = tmp_path / "run.conf"
         config.write_text(f"{key} = zz\n")
-        args = parser.parse_args([sub, *positional.values(), "--config", str(config)])
-        assert cli._merge_config(args, keys) == {key: "zz", **positional}
+        command, args = cli._parsed_args([sub, *positional.values(), "--config", str(config)])
+        assert cli._merge_config(command, args, keys) == {key: "zz", **positional}
 
 
 @pytest.mark.parametrize("sub", list(cli._SUBCOMMANDS))

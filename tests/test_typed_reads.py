@@ -380,13 +380,20 @@ def test_lambda_length_follows_the_entry_count_of_mu():
 # --- one-pass list reads ---------------------------------------------------------
 
 
-def one_value(field):
-    """The field's read with every list read entry by entry."""
-    if isinstance(field, certs._Atoms):
-        return field.each.parse
+def entry_by_entry(field):
     slow = copy.copy(field)
     slow.read_plain = None
-    return slow.parse
+    return slow
+
+
+def one_value(field):
+    """The field's read with every list read entry by entry: for pi, its
+    list of pairs and each pair."""
+    if isinstance(field, certs._Atoms):
+        each = copy.copy(field.each)
+        each.item = entry_by_entry(field.pair)
+        return each.parse
+    return entry_by_entry(field).parse
 
 
 def read(parse, value):
