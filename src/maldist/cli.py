@@ -34,10 +34,12 @@ Integer lists in --spec must hold JSON integers; `verify` reads a
 certificate's inputs through its kind's declared fields, so a malformed
 input exits 1 with a named failure.  Long chained integers, such as the
 multipliers n_k of `pow:b` and `squarepow:b`, cross the certificate in time
-linear in their digits both ways: the writer forms each from its
-predecessor's decimal text (`_chained_int_texts`), and `verify` reads each
-as its predecessor's value times a small quotient once their exact decimal
-product matches its text (`_chained_int_reader`).
+linear in their digits both ways: the writer forms each long term from its
+predecessor's decimal text (`_chained_int_texts`, term by term), and
+`verify` reads each as its predecessor's value times a small quotient once
+their exact decimal product matches its text (`_chained_int_reader`).  The
+JSON text is joined once from its fragments, and any other long int in it
+is written by `exact`'s split kernel.
 
 Exit codes: 0 success, 1 a certificate claim failed (or verification found a
 mismatch), 2 usage error.
@@ -55,7 +57,9 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from .exact import (
+    _SPLIT_BITS,
     RationalParseError,
+    _int_text,
     csv_text,
     decimal_row,
     format_rational,
@@ -83,12 +87,25 @@ class CliError(Exception):
 # option plumbing: flags + config file, flag wins, unknown keys rejected
 
 
+# The flags whose value names a file: an empty one is refused, not read as
+# an absent flag.
+_PATH_FLAGS = ("config", "out", "table-out", "trace-out")
+
+
+def _refuse_empty_paths(opts: dict[str, str]) -> None:
+    for key in _PATH_FLAGS:
+        if opts.get(key) == "":
+            raise CliError(f"--{key}: expected a file path, got an empty value")
+
+
 def _merge_config(command: str, args: dict[str, str],
                   keys: tuple[str, ...]) -> dict[str, str]:
     """The options of the command line `args` put over those of its --config
-    file, whose keys must be the subcommand's flags."""
+    file, whose keys must be the subcommand's flags.  An empty path, on the
+    command line or in the file, is refused by its flag."""
+    _refuse_empty_paths(args)
     path = args.pop("config", None)
-    if not path:
+    if path is None:
         return args
     values: dict[str, str] = {}
     try:
@@ -107,6 +124,7 @@ def _merge_config(command: str, args: dict[str, str],
         if key not in keys:
             raise CliError(f"{path}:{lineno}: unknown key {key!r} for {command!r}")
         values[key] = val
+    _refuse_empty_paths(values)
     values.update(args)
     return values
 
@@ -192,69 +210,95 @@ def _write_json(obj: dict, path: str | None) -> None:
     _write_text(_json_text(obj) + "\n", path)
 
 
-def _json_text(value, pad: str = "\n") -> str:
+def _json_text(value) -> str:
     """`json.dumps(value, sort_keys=True, indent=2)` of a value whose objects
-    have string keys, written here: with an indent, `json` falls back to its
-    pure-Python encoder.  Strings go through the C encoder `json` uses.
-    Plain ints and lists, most of the values written, are told by their exact
-    type first; every other value goes down the isinstance chain, whose list
-    and tuple cases join the plain lists at the end.  A list of plain ints
-    whose last term has more than `_CHAINED_BITS` bits, such as the
-    multipliers n_k, is written by `_chained_int_texts`.  A list of pairs of
-    plain ints, such as `subspace`'s runs [start, length], is written in one
-    `%` format of all its terms, with no call per pair."""
+    have string keys, written here (with an indent, `json` falls back to its
+    pure-Python encoder) as fragments appended to one list and joined once."""
+    out: list[str] = []
+    _json_parts(value, "\n", out)
+    return "".join(out)
+
+
+def _json_parts(value, pad: str, out: list[str]) -> None:
+    """Append the fragments of value's text at indent `pad` to out.  Strings
+    go through the C encoder `json` uses, and ints past `_SPLIT_BITS` bits
+    through `exact`'s split kernel.  Plain ints and lists, most of the values
+    written, are told by their exact type first; every other value goes down
+    the isinstance chain, whose list and tuple cases join the plain lists at
+    the end.  A list of plain ints whose last term has more than
+    `_CHAINED_BITS` bits, such as the multipliers n_k, is written by
+    `_chained_int_texts`.  A list of pairs of plain ints, such as
+    `subspace`'s runs [start, length], is written in one `%` format of all
+    its terms, with no call per pair."""
     kind = type(value)
     if kind is int:
-        return int.__repr__(value)
+        out.append(int.__repr__(value) if value.bit_length() <= _SPLIT_BITS
+                   else _int_text(value))
+        return
     if kind is not list:
         if isinstance(value, str):
-            return _json_string(value)
+            out.append(_json_string(value))
+            return
         if isinstance(value, dict):
             if not value:
-                return "{}"
+                out.append("{}")
+                return
             inner = pad + "  "
-            return "{" + inner + ("," + inner).join([
-                _json_string(key) + ": " + _json_text(item, inner)
-                for key, item in sorted(value.items())]) + pad + "}"
+            sep = "{" + inner
+            for key, item in sorted(value.items()):
+                out.append(sep + _json_string(key) + ": ")
+                _json_parts(item, inner, out)
+                sep = "," + inner
+            out.append(pad + "}")
+            return
         if not isinstance(value, (list, tuple)):
             if value is None:
-                return "null"
-            if value is True:
-                return "true"
-            if value is False:
-                return "false"
-            if isinstance(value, int):
-                return int.__repr__(value)
-            return json.dumps(value)  # a float, or the TypeError of a value JSON has no form for
+                out.append("null")
+            elif value is True:
+                out.append("true")
+            elif value is False:
+                out.append("false")
+            elif isinstance(value, int):
+                out.append(_int_text(value))
+            else:  # a float, or the TypeError of a value JSON has no form for
+                out.append(json.dumps(value))
+            return
     if not value:
-        return "[]"
+        out.append("[]")
+        return
     inner = pad + "  "
     last = value[-1]
     if (type(last) is int and last.bit_length() > _CHAINED_BITS
             and all(type(item) is int for item in value)):
-        texts = _chained_int_texts(value)
+        out += ("[" + inner, ("," + inner).join(_chained_int_texts(value)), pad + "]")
     elif (type(last) is list and len(last) == 2 and type(last[0]) is int
           and set(map(type, value)) == {list} and set(map(len, value)) == {2}
           and set(map(type, flat := list(chain.from_iterable(value)))) == {int}):
         deep = inner + "  "
         pair = "[" + deep + "%d," + deep + "%d" + inner + "]"
-        return "[" + inner + ("," + inner).join([pair] * len(value)) % tuple(flat) + pad + "]"
+        out.append("[" + inner + ("," + inner).join([pair] * len(value)) % tuple(flat) + pad + "]")
     else:
-        texts = [_json_text(item, inner) for item in value]
-    return "[" + inner + ("," + inner).join(texts) + pad + "]"
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _json_parts(item, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
 
 
-# Below about this many bits, int.__repr__ of every term is as fast as the chain.
-_CHAINED_BITS = 3000
+# Above about this many bits, a term formed from its predecessor's text by a
+# known ratio is written faster than by `int.__repr__` (CPython 3.11).
+_CHAINED_BITS = 1000
 
 
 def _chained_int_texts(values) -> list[str]:
-    """The decimal texts of plain ints.  Where a positive term divides the
-    next with a quotient of at most a quarter of the next's bits, the next
-    text is their exact decimal product, in time linear in the digits, not
-    quadratic as in `int.__repr__`, which writes (and restarts from) the rest.
-    The quotients are the ratios of `Multipliers`: those a rule formed the
-    terms with, or one divmod per term of any other list."""
+    """The decimal texts of plain ints, decided term by term.  A term of
+    more than `_CHAINED_BITS` bits whose positive predecessor divides it with
+    a quotient of at most a quarter of its bits is their exact decimal
+    product, in time linear in the digits; another long term is written by
+    `exact`'s split kernel, and a short one by `int.__repr__`.  The
+    quotients are the ratios of `Multipliers`: those a rule formed the terms
+    with, or one divmod per term of any other list."""
     from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 
     from .witness import Multipliers
@@ -264,21 +308,24 @@ def _chained_int_texts(values) -> list[str]:
     texts, prev, dec = [], 0, None
     for v, q in zip(values, values.ratios):
         bits = v.bit_length()
-        if q and 0 < prev and bits - prev.bit_length() <= bits >> 2:
-            # None after a term int.__repr__ wrote, else the previous term (> 0).
+        if bits <= _CHAINED_BITS:
+            dec = None
+            texts.append(int.__repr__(v))
+        elif q and 0 < prev and bits - prev.bit_length() <= bits >> 2:
+            # None after a term another path wrote, else the previous term (> 0).
             dec = ctx.multiply(dec or Decimal(texts[-1]), Decimal(q))
             texts.append(str(dec))
         else:
             dec = None
-            texts.append(int.__repr__(v))
+            texts.append(_int_text(v))
         prev = v
     return texts
 
 
-# The decimal digits of a `_CHAINED_BITS`-bit int, about: `verify` reads a
-# certificate whose longest integer text passes it (`_long_ints`) through
-# `_chained_int_reader`, whose hook call per int costs more below it.
-_CHAINED_DIGITS = _CHAINED_BITS * 3 // 10
+# `verify` reads a certificate whose longest integer text has more digits
+# (`_long_ints`) through `_chained_int_reader`, whose hook call per int costs
+# more below it.
+_CHAINED_DIGITS = 900
 _MULTIPLIERS = '"multipliers": ['
 
 
@@ -334,8 +381,8 @@ def _chained_int_reader():
 
 def _write_text(text: str, path: str | None) -> None:
     """Write the text to the file at `path` as its UTF-8 bytes, with no
-    newline translation on any platform, or to stdout."""
-    if path:
+    newline translation on any platform, or to stdout when path is None."""
+    if path is not None:
         with open(path, "wb") as fh:
             fh.write(text.encode())
     else:
@@ -421,8 +468,9 @@ def _block_spec(opts: dict) -> BlockSpec:
 def _multipliers(opts: dict, count: int) -> Multipliers:
     """The first `count` terms of --n, or of the --n-kind rule: pow:b gives
     n_k = b^k with each ratio b, squarepow:b gives n_k = b^(k^2) with ratio
-    b^(2k-1).  A rule's terms carry the ratios it forms them with; an
-    explicit list's come from one divmod per term."""
+    b^(2k-1).  A rule's terms carry the ratios it forms them with, and b as
+    their cover (every prime factor of a term divides b); an explicit list's
+    ratios come from one divmod per term, and it has no cover."""
     from .witness import Multipliers
 
     if "n" in opts:
@@ -445,7 +493,7 @@ def _multipliers(opts: dict, count: int) -> Multipliers:
         ratios = [base] * count
     else:  # b^((k+1)^2) = b^(k^2) * b^(2k+1): each ratio is b^2 times the last
         ratios = list(islice(accumulate(repeat(base * base), mul, initial=base), count))
-    return Multipliers(accumulate(ratios, mul), ratios)
+    return Multipliers(accumulate(ratios, mul), ratios, base)
 
 
 class _OrbitResidues:

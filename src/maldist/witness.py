@@ -18,7 +18,9 @@ Multipliers travel as `Multipliers`, a tuple of the terms that carries each
 ratio n_k / n_{k-1}: a rule such as `pow:b` gives its ratios as it forms its
 terms, and any other sequence gets them from one `divmod` per term.  The
 chain, the residues and the certificate writer read these ratios, so no
-builder divides two multipliers.
+builder divides two multipliers.  A rule also passes an integer whose primes
+cover every term (b for `pow:b` and `squarepow:b`), with which the chain
+reduces its alpha without a gcd over the last multiplier.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, islice, repeat
 from operator import mod, sub
+from math import gcd
 from typing import Sequence
 
 from .doubling import BinaryPoint
 from .empirical import Residues, star_discrepancy
-from .exact import binary_digits, mod1
+from .exact import _coprime_fraction, binary_digits, mod1
 from .torus import TorusInterval
 
 __all__ = [
@@ -66,13 +69,15 @@ class Multipliers(tuple):
 
     A rule passes the ratios it forms its (int) terms with; without them, the
     terms are read by `int` and the ratios come from one `divmod` per term.  A
-    slice is a `Multipliers` whose first ratio is over 1 again: a contiguous
-    slice keeps the ratios it spans, and a stepped or reversed one gets its
-    ratios by one `divmod` per term.  `Multipliers(m)` of a `Multipliers` m
-    is m.
+    rule also passes `cover`, a positive integer that every prime factor of
+    every term divides, by which `mixing_chain` reduces its alpha; it is
+    None for any other sequence.  A slice is a `Multipliers` with the same cover whose
+    first ratio is over 1 again: a contiguous slice keeps the ratios it
+    spans, and a stepped or reversed one gets its ratios by one `divmod` per
+    term.  `Multipliers(m)` of a `Multipliers` m is m.
     """
 
-    def __new__(cls, terms=(), ratios=None):
+    def __new__(cls, terms=(), ratios=None, cover=None):
         if ratios is None and type(terms) is cls:
             return terms
         self = super().__new__(cls, map(int, terms) if ratios is None else terms)
@@ -83,6 +88,7 @@ class Multipliers(tuple):
                 ratios.append(0 if rem else ratio)
                 prev = n
         self.ratios = tuple(ratios)
+        self.cover = cover
         if len(self.ratios) != len(self):
             raise ValueError("need one ratio per multiplier")
         return self
@@ -93,8 +99,8 @@ class Multipliers(tuple):
             return terms
         start, stop, step = key.indices(len(self))
         if terms and step == 1:
-            return Multipliers(terms, (terms[0], *self.ratios[start + 1 : stop]))
-        return Multipliers(terms)
+            return Multipliers(terms, (terms[0], *self.ratios[start + 1 : stop]), self.cover)
+        return Multipliers(terms, cover=self.cover)
 
 
 class MixingConfigError(ValueError):
@@ -220,8 +226,30 @@ def mixing_chain(config: MixingConfig) -> MixingChain:
         lo, lo_den = a.numerator + j * a.denominator, a.denominator
         hi, hi_den = lo * e_den + e_num * lo_den, lo_den * e_den
         prev = n_k
-    alpha = Fraction(lo * hi_den + hi * lo_den, 2 * lo_den * hi_den * prev)
+    num, den = lo * hi_den + hi * lo_den, 2 * lo_den * hi_den
+    if n.cover is None or not cells:
+        alpha = Fraction(num, den * prev)
+    else:
+        alpha = _reduced(num, den, prev, n.cover)
     return MixingChain(config=config, cells=tuple(cells), alpha=alpha)
+
+
+def _reduced(num: int, small: int, big: int, cover: int) -> Fraction:
+    """num / (small * big) in lowest terms, for positive integers whose
+    `big` has only prime factors of `cover`: the gcd is g * gcd(m, big),
+    with g = gcd(num, small) and m = num / g coprime to small / g, and
+    gcd(m, big) is that of big with m's part over cover's primes, which
+    divisions by small factors strip (each at most squaring the last).
+    So no gcd runs over two integers as large as big."""
+    g = gcd(num, small)
+    num, small = num // g, small // g
+    part, m, f = 1, num, gcd(num, cover)
+    while f > 1:
+        part *= f
+        m //= f
+        f = gcd(m, f * f)
+    g = gcd(part, big)
+    return _coprime_fraction(num // g, small * (big // g))
 
 
 def _residues(multipliers: Multipliers, alpha: Fraction):

@@ -451,6 +451,16 @@ PINNED_CERTIFICATES = {
         ["witness", "--mode", "salat3", "--n-kind", "squarepow:12", "--weights", "3,1",
          "--eta", "1/10", "--base", "8"],
         0, "58c379a630af2855dd4e35c1434ba1b76e0d1a180df44c8c941adddeb1859236"),
+    # Alphas over denominators of 16,387 and 17,402 bits, reduced by the rule's base; at
+    # b = 16 its factors of 2 meet the 2 of the interval midpoint.
+    "histogram-squarepow-16": (
+        ["witness", "--mode", "salat3", "--n-kind", "squarepow:16", "--weights", "3,1",
+         "--eta", "1/10", "--base", "8"],
+        0, "eae9357ba3e2c697618f336cf283b7c61cee94cd53905173e76957ea9c4bf650"),
+    "histogram-squarepow-19": (
+        ["witness", "--mode", "salat3", "--n-kind", "squarepow:19", "--weights", "3,1",
+         "--eta", "1/10", "--base", "8"],
+        0, "0e2d79f5a0d897ec5c89d645ee43392d757557390b28c95e34319042c14f9ecf"),
     "avoid": (
         ["witness", "--mode", "avoid", "--alpha", "832040/1346269", "--eps", "1/10",
          "--horizon", "200", "--discrepancy-floor", "1/2"],

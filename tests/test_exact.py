@@ -1,5 +1,8 @@
+import contextlib
 import csv
 import io
+import random
+import sys
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction as F
 
@@ -8,13 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maldist.exact import (
+    _SPLIT_BITS,
     RationalParseError,
+    _coprime_fraction,
+    _int_text,
+    _text_int,
     binary_digits,
     csv_text,
     decimal_row,
     format_ratio,
     format_rational,
     mod1,
+    parse_ratio,
     parse_rational,
     ratio_row,
 )
@@ -153,3 +161,90 @@ def test_binary_digits_match_repeated_doubling(pq, length):
 def test_is_dyadic():
     assert is_dyadic(F(3, 8))
     assert not is_dyadic(F(1, 3))
+
+
+# --- big integers across text: the split kernel ---------------------------------
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit):
+    # The kernel splits only with the int/str digit limit lifted (0), as the
+    # command line runs; with a limit set it gives `int`'s own conversion.
+    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
+
+
+@st.composite
+def big_ints(draw):
+    """Ints of up to 10^6 bits, sized on a log scale: random bits, 10^k and
+    10^k - 1, and values whose low digits hold a long run of zeros, so that
+    a lower part of a split needs its leading zeros; either sign."""
+    size = draw(st.integers(0, 19))
+    bits = min(10**6, draw(st.integers(1 << size, 2 << size)))
+    digits = bits * 3 // 10 + 1
+    shape = draw(st.sampled_from(["random", "ten", "ten-less-one", "zero-run"]))
+    if shape == "ten":
+        value = 10**digits
+    elif shape == "ten-less-one":
+        value = 10**digits - 1
+    else:
+        value = random.Random(draw(st.integers(0, 2**32))).getrandbits(bits) | 1 << (bits - 1)
+        if shape == "zero-run":
+            cut = draw(st.integers(0, digits))
+            value = value // 10**cut * 10**cut + draw(st.integers(0, 10**3))
+    return -value if draw(st.booleans()) else value
+
+
+@settings(max_examples=60, deadline=None)
+@given(big_ints())
+def test_split_kernel_writes_and_reads_as_int_does(value):
+    with int_digit_limit(0):
+        text = int.__repr__(value)
+        assert _int_text(value) == text
+        digits = text.lstrip("-")
+        assert _text_int(digits) == abs(value)
+        assert _text_int("000" + digits) == abs(value)
+        assert parse_ratio(text + "/" + digits) == (value, abs(value))
+        head, tail = digits[: len(digits) // 2] or "0", digits[len(digits) // 2 :]
+        assert parse_ratio(f"{head}.{tail}") == (int(head + tail), 10 ** len(tail))
+        assert format_ratio(value, abs(value) + 1) == f"{value}/{abs(value) + 1}"
+
+
+def test_split_kernel_reads_any_unicode_decimal_digit():
+    with int_digit_limit(0):
+        digits = str(random.Random(7).getrandbits(40_000))
+        arabic = digits.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+        assert _text_int(arabic) == int(digits)
+        assert parse_ratio("1/" + arabic) == (1, int(digits))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_split_kernel_gives_ints_error_with_a_digit_limit_set():
+    value = random.Random(3).getrandbits(20_000)
+    with int_digit_limit(0):
+        text = str(value)
+    with int_digit_limit(4300):
+        for ours, theirs, arg in ((_int_text, int.__repr__, value), (_text_int, int, text)):
+            with pytest.raises(ValueError) as want:
+                theirs(arg)
+            with pytest.raises(ValueError) as got:
+                ours(arg)
+            assert str(got.value) == str(want.value)
+        within = random.Random(4).getrandbits(_SPLIT_BITS + 1000)
+        assert _int_text(within) == int.__repr__(within)
+        assert _text_int(str(within)) == within
+
+
+@given(st.integers(), st.integers(1, 10**60), st.integers(0, 2**4000))
+def test_coprime_fraction_is_the_reduced_fraction(p, q, scale):
+    ref = F(p * (scale | 1), q * (scale | 1))
+    made = _coprime_fraction(ref.numerator, ref.denominator)
+    assert type(made) is F
+    assert (made.numerator, made.denominator) == (ref.numerator, ref.denominator)
+    assert made == ref and hash(made) == hash(ref) and str(made) == str(ref)

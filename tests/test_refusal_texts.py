@@ -157,6 +157,20 @@ CLI = {
                       "--mu", "1", "--x-alpha", "1/3", "--prefix", "2,1"], {},
                      "prefix must be strictly increasing"),
     "doubling-mode": (["doubling", "--mode", "tent"], {}, "--mode: unknown doubling mode 'tent'"),
+    "config-empty": (["scan", "--config", "", "--x-alpha", "1/3", "--checkpoints", "3",
+                      "--out", ""], {}, "--config: expected a file path, got an empty value"),
+    "out-empty": (["scan", "--x-alpha", "1/3", "--checkpoints", "3", "--out", ""], {},
+                  "--out: expected a file path, got an empty value"),
+    "out-empty-argparse": (["scan", "--x-alpha", "1/3", "--checkpoints", "3", "--out="], {},
+                           "--out: expected a file path, got an empty value"),
+    "out-empty-config": (["scan", "--config", "run.conf"],
+                         {"run.conf": "x-alpha = 1/3\ncheckpoints = 3\nout =\n"},
+                         "--out: expected a file path, got an empty value"),
+    "table-out-empty": ([*ENVELOPE[:3], "--table-out", "", "--spec", '{"b": [2], "m": [1]}'],
+                        {}, "--table-out: expected a file path, got an empty value"),
+    "trace-out-empty": (["subspace", "--spec", '{"b": "linear", "m": "halfceil"}', "--cuts",
+                         "0,1", "--mu", "1", "--x-alpha", "1/3", "--trace-out", ""], {},
+                        "--trace-out: expected a file path, got an empty value"),
     "certificate-missing": (["verify", "missing.json"], {},
                             "cannot read certificate: [Errno 2] No such file or directory: "
                             "'missing.json'"),

@@ -198,6 +198,17 @@ def test_json_writer_matches_json_dumps_on_squarepow_multipliers():
         assert cli._json_text(n) == json.dumps(n, sort_keys=True, indent=2)
 
 
+@settings(max_examples=300)
+@given(chained_int_lists().filter(lambda values: all(type(v) is int for v in values))
+       | st.builds(lambda kind, b, count: cli._multipliers({"n-kind": f"{kind}:{b}"}, count),
+                   st.sampled_from(["pow", "squarepow"]), st.integers(2, 1100),
+                   st.integers(1, 48)))
+def test_chained_writer_writes_each_term_as_int_repr(values):
+    # Terms on either side of `_CHAINED_BITS`, chained, split or short.
+    with no_int_digit_limit():
+        assert cli._chained_int_texts(values) == [int.__repr__(v) for v in values]
+
+
 def test_json_writer_writes_the_indented_text_and_a_newline(tmp_path):
     obj = {"b": [1, {"c": [], "a": {}}], "a": ["xé", None, True, False]}
     cli._write_json(obj, str(tmp_path / "out.json"))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from maldist import cli
 from maldist.doubling import zero_block_density
 from maldist.empirical import star_discrepancy
 from maldist.exact import mod1
@@ -13,6 +14,8 @@ from maldist.witness import (
     HistogramTarget,
     MixingConfig,
     MixingConfigError,
+    Multipliers,
+    _reduced,
     auto_plan,
     avoidance_sequence,
     histogram_witness,
@@ -335,3 +338,84 @@ def test_avoidance_takes_the_walks_indices(run):
     assert hits_after_prefix(got) == 0
     p, q = alpha.numerator, alpha.denominator
     assert got._residues == tuple(n * p % q for n in got.indices)
+
+
+# --- alpha reduced by the rule's base ---------------------------------------------
+
+BASES = st.sampled_from([2, 4, 8, 16, 32, 3, 5, 7, 11, 37]) | st.integers(2, 40)
+
+
+def fraction_in(low: F, draw_share) -> F:
+    """A rational in [low, 1): low plus a drawn share of 1 - low."""
+    return low + (1 - low) * draw_share
+
+
+@st.composite
+def rule_chains(draw):
+    """Chain configurations over the terms of pow:b or squarepow:b from a
+    drawn offset (a contiguous slice), with eps above 2 over the least ratio,
+    delta above 2/n_1, and targets and start anywhere they fit."""
+    kind = draw(st.sampled_from(["pow", "squarepow"]))
+    b = draw(BASES.filter(lambda b: b > 2 or kind == "squarepow"))
+    offset, count = draw(st.integers(1 if b == 2 else 0, 4)), draw(st.integers(1, 24))
+    n = cli._multipliers({"n-kind": f"{kind}:{b}"}, offset + count)[offset:]
+    shares = st.fractions(0, 1, max_denominator=10**4).filter(lambda x: x < 1)
+    eps = fraction_in(F(2, min(n.ratios[1:], default=b + 1)), draw(shares.filter(bool)))
+    delta = fraction_in(F(2, n[0]), draw(shares.filter(bool)))
+    start_left = (1 - delta) * draw(shares)
+    targets = tuple(TorusInterval(a, a + eps)
+                    for a in ((1 - eps) * draw(shares) for _ in range(count)))
+    return MixingConfig(n, eps, delta, TorusInterval(start_left, start_left + delta), targets)
+
+
+def as_pair(x: F) -> tuple[int, int]:
+    return x.numerator, x.denominator
+
+
+@settings(max_examples=200, deadline=None)
+@given(rule_chains())
+def test_alpha_reduced_by_the_rules_base_is_the_reduced_fraction(config):
+    assert config.multipliers.cover is not None
+    plain = MixingConfig(Multipliers(tuple(config.multipliers)), config.eps, config.delta,
+                         config.start, config.targets)
+    assert plain.multipliers.cover is None
+    chain, ref = mixing_chain(config), mixing_chain(plain)
+    assert chain.cells == ref.cells
+    assert as_pair(chain.alpha) == as_pair(ref.alpha) and chain.alpha == ref.alpha
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 10**30), st.integers(0, 200), st.integers(1, 10**6), BASES,
+       st.integers(0, 400), st.sampled_from([1, 2, 7, 30]))
+def test_reduction_strips_the_bases_primes_at_any_valuation(rest, valuation, small, b,
+                                                             power, extra):
+    # num holds b's primes to a drawn valuation; the cover may be b or a
+    # multiple of it.
+    num = rest * b**valuation
+    assert as_pair(_reduced(num, small, b**power, b * extra)) == as_pair(
+        F(num, small * b**power))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["pow", "squarepow"]), BASES, st.integers(1, 12),
+       st.fractions(0, 1, max_denominator=1000))
+def test_stepped_slices_keep_the_cover_and_the_alpha(kind, b, width_den, left_share):
+    # hit_frequency_witness subsamples the multipliers with a step.
+    ratio = F(b)
+    width = F(1, b * width_den + 1)
+    left = (1 - width) * left_share
+    n = cli._multipliers({"n-kind": f"{kind}:{b}"}, 64)
+    assert n[3:40:5].cover == n[::-1].cover == b
+    interval = TorusInterval(left, left + width)
+    try:
+        ref = hit_frequency_witness(tuple(n), interval, ratio)
+    except ValueError:
+        assume(False)
+    witness = hit_frequency_witness(n, interval, ratio)
+    assert as_pair(witness.alpha) == as_pair(ref.alpha)
+    assert witness == ref
+
+
+def test_explicit_lists_have_no_cover():
+    n = cli._multipliers({"n": "100,10000,1000000"}, 3)
+    assert n.cover is None and n[1:].cover is None and n[::2].cover is None
