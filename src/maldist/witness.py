@@ -227,7 +227,7 @@ def mixing_chain(config: MixingConfig) -> MixingChain:
         hi, hi_den = lo * e_den + e_num * lo_den, lo_den * e_den
         prev = n_k
     num, den = lo * hi_den + hi * lo_den, 2 * lo_den * hi_den
-    if n.cover is None or not cells:
+    if n.cover is None:
         alpha = Fraction(num, den * prev)
     else:
         alpha = _reduced(num, den, prev, n.cover)
