@@ -71,10 +71,10 @@ class Multipliers(tuple):
     terms are read by `int` and the ratios come from one `divmod` per term.  A
     rule also passes `cover`, a positive integer that every prime factor of
     every term divides, by which `mixing_chain` reduces its alpha; it is
-    None for any other sequence.  A slice is a `Multipliers` with the same cover whose
-    first ratio is over 1 again: a contiguous slice keeps the ratios it
-    spans, and a stepped or reversed one gets its ratios by one `divmod` per
-    term.  `Multipliers(m)` of a `Multipliers` m is m.
+    None for any other sequence.  A slice is a `Multipliers` with the same
+    cover whose first ratio is over 1 again: a contiguous slice keeps the
+    ratios it spans, and a stepped or reversed one gets its ratios by one
+    `divmod` per term.  `Multipliers(m)` of a `Multipliers` m is m.
     """
 
     def __new__(cls, terms=(), ratios=None, cover=None):
@@ -199,7 +199,9 @@ def mixing_chain(config: MixingConfig) -> MixingChain:
     lo_den * n_k and hi_den * n_k, with small denominators (the start has
     n_0 = 1).  Where the multipliers carry the ratio n_k / n_{k-1}
     (`Multipliers.ratios`), the next cell comes from it, at a cost linear in
-    the bits of n_k; the chain divides no multiplier by another.
+    the bits of n_k; the chain divides no multiplier by another.  Where
+    they carry a cover, alpha is reduced by it (`_reduced`), with no gcd
+    over n_K.
     """
     config.validate()
     e_num, e_den = config.eps.numerator, config.eps.denominator
