@@ -56,7 +56,6 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .exact import (
     _BIT_CHARS,
-    _BIT_VALUES,
     RationalParseError,
     binary_digits,
     format_ratio,
@@ -806,8 +805,13 @@ def verify_certificate(cert: object) -> VerificationResult:
     then the checker's failures of the inputs taken together (each names
     an input), then one `"{id}: {field} is {stated!r}, recomputed
     {expected!r}"` per field that differs, a field absent on one side
-    reading None.  Inputs a checker refuses outright (forced positions past
-    the horizon, say) give that failure alone.  A verdict stated false that
+    reading None.  Inputs a checker refuses outright give that failure
+    alone, and no claim is recounted: `hitfreq` forced positions past the
+    horizon, `zeroblock` digits that are not the base's with its blocks
+    zeroed, `invariance` cuts that are not dyadic, and an `avoid` floor that
+    does not read as a rational.  A `hitfreq` plan whose c exceeds the
+    number of multipliers, or whose u exceeds c + 1, is refused outright
+    after the growth and position failures.  A verdict stated false that
     recomputes false is no failure: `certificate_ok` reads it.  `margins`
     are informational and not checked."""
     if not isinstance(cert, dict):
@@ -911,6 +915,13 @@ def _verify_hitfreq(inp: dict, stated: dict):
         pos != c * (repeats + i) for i, pos in enumerate(positions)
     ):
         failures.append("inputs.forced_positions: not c*repeats .. 2*c*repeats step c")
+    # A build's horizon is 2c * repeats, and `auto_plan`'s minimal u and c
+    # give ratio^(u-3) <= 2 < ratio^(c-1): a plan past either bound is no
+    # build's, and is refused before any power of the ratio is formed.
+    if c > horizon:
+        return [*failures, f"inputs.plan.c: exceeds len(multipliers) = {horizon}"], None
+    if u > c + 1:
+        return [*failures, f"inputs.plan.u: exceeds c + 1 = {c + 1}"], None
     p, q = alpha.numerator, alpha.denominator
     count = sum(_holds(interval, r, q) for r in _chained_residues(multipliers, p, q))
     return failures, _hitfreq_claims(alpha, multipliers, interval, ratio, u, c, positions,
@@ -989,58 +1000,34 @@ def _star_discrepancy(residues: list[int], q: int) -> Fraction:
 _WINDOW_ID = re.compile(r"window-([1-9][0-9]*)")
 
 
-def _tail_order(digits: bytes, k: int, end: bytes) -> int:
-    """The sign of T - E, for T = 0.d_{k+1}...d_L the digit tail of `digits`
-    after place k, and E in [0, 1) the value with the binary digits `end`,
-    at least L - k of them.  The bytes are compared in runs that double
-    from 8, up to the run that holds their first difference; past d_L the
-    tail is 0."""
-    n, i, run = len(digits) - k, 0, 8
-    while i < n:
-        j = min(i + run, n)
-        tail, head = digits[k + i : k + j], end[i:j]
-        if tail != head:
-            return 1 if tail > head else -1
-        i, run = j, 2 * run
-    return -1 if end.find(1, n) >= 0 else 0
-
-
 def _verify_zeroblock(inp: dict, stated: dict):
     base, starts, digits = inp["base"], inp["block_starts"], inp["digits"]
     length = len(digits)
     # Digit positions j..j^2 are the slice [j - 1, j^2) of the digit bytes.
-    want = bytearray(binary_digits(base, length))
-    for j in starts:
-        want[j - 1 : j * j] = bytes(j * j - j + 1)
-    failures = [] if want == digits else ["inputs.digits: not those of base with zeroed blocks"]
+    # The blocks end in the order they start, so each is zeroed from where
+    # the one before ended: each byte once, however many starts repeat.
+    want, end = bytearray(binary_digits(base, length)), 0
+    for j in sorted(set(starts)):
+        begin = max(j - 1, end)
+        want[begin : j * j] = bytes(j * j - begin)
+        end = j * j
+    if want != digits:
+        return ["inputs.digits: not those of base with zeroed blocks"], None
+    # Step k's value (2^k + 1) * x mod 1 is s/2^L for s = ((num << k) + num)
+    # mod 2^L, and s/2^L lies in the band iff 2^L/2 < s < 3 * 2^L/4.  The
+    # last block zeroes every digit from the last start J = sqrt(L) on, so
+    # from the last 1 digit on s = num and a step has the verdict of the
+    # value itself: only the fewer than J steps before it are tested, and
+    # `flips` keeps those whose verdict differs.
     num, scale = int(digits.translate(_BIT_CHARS), 2), 1 << length
-    in_band = _holds(_BAND, num, scale)
+    lo, hi, mask = scale >> 1, 3 * scale >> 2, scale - 1
+    in_band = lo < num < hi
     ends = sorted({int(m[1]) for m in map(_WINDOW_ID.fullmatch, stated) if m})
-    windows = []
-    if ends:
-        # Step k's value (2^k + 1) * x mod 1 is (x + T_k) mod 1, for T_k =
-        # 2^k * x mod 1 the digit tail after place k.  It lies in the band
-        # iff T_k lies in the arc (U, V) of U = (1/2 - x) mod 1 and V = (3/4
-        # - x) mod 1, which passes through 0 when U > V; U and V have L + 2
-        # digits.  From the last 1 digit on the tail is 0 and a step has the
-        # verdict of the value itself: only the steps before it are tested,
-        # and `flips` keeps those whose verdict differs.
-        x = num << 2
-        u, v = ((2 << length) - x) % (4 << length), ((3 << length) - x) % (4 << length)
-        u_digits, v_digits = (format(e, f"0{length + 2}b").encode().translate(_BIT_VALUES)
-                              for e in (u, v))
-        last = min(len(digits.rstrip(b"\0")), ends[-1] + 1)
-        flips = []
-        for k in range(1, last):
-            above = _tail_order(digits, k, u_digits) > 0
-            below = _tail_order(digits, k, v_digits) < 0
-            if ((above or below) if u > v else (above and below)) != in_band:
-                flips.append(k)
-        for end in ends:
-            flipped = bisect_right(flips, end)
-            windows.append((end, end - flipped if in_band else flipped))
-    zeroed = not any(digits.count(1, j - 1, j * j) for j in starts)
-    return failures, _zeroblock_claims(num, scale, in_band, zeroed, windows)
+    last = min(len(digits.rstrip(b"\0")), ends[-1] + 1) if ends else 1
+    flips = [k for k in range(1, last) if (lo < ((num << k) + num) & mask < hi) != in_band]
+    windows = [(end, end - flipped if in_band else flipped)
+               for end in ends for flipped in (bisect_right(flips, end),)]
+    return [], _zeroblock_claims(num, scale, in_band, True, windows)
 
 
 _MINUS_TWO_APART = re.compile("1.1")

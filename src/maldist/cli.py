@@ -58,8 +58,10 @@ from typing import TYPE_CHECKING
 
 from .exact import (
     _SPLIT_BITS,
+    _SPLIT_DIGITS,
     RationalParseError,
     _int_text,
+    _text_int,
     csv_text,
     decimal_row,
     format_rational,
@@ -350,8 +352,9 @@ def _chained_int_reader():
     such text's, is read as that text's value P times q, where q is estimated
     from the leading digits of both and accepted only if the exact decimal
     product of the two is the text, character for character.  Every other
-    text is read by `int`, quadratic in the digits on CPython 3.10 and 3.11,
-    and a long one restarts the chain.  Either way the value is `int(text)`."""
+    text is read by `int`, or past `_SPLIT_DIGITS` digits by `exact`'s split
+    kernel, and a long one restarts the chain.  Either way the value is
+    `int(text)`."""
     from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
@@ -373,7 +376,8 @@ def _chained_int_reader():
             if str(product) == text:
                 prev_text, prev, dec = text, prev * q, product
                 return prev
-        prev_text, prev, dec = text, int(text), None
+        to_int = int if digits <= _SPLIT_DIGITS else _text_int
+        prev_text, prev, dec = text, -to_int(text[1:]) if text[0] == "-" else to_int(text), None
         return prev
 
     return read

@@ -35,10 +35,9 @@ program against.  None of it backs a `maldist` subcommand.
   at a time up to the last window end, the loop the zero-block verifier
   ran before it folded the steps past the last 1 digit, and the reference
   for that fold on both the build and the verify side;
-- `shift_and_mask_window_hits`: the same counts as the zero-block
-  verifier folded them before it compared digit tails, one shift and mask
-  of the whole digit integer per step before the last 1 digit, the
-  reference for the tail comparison;
+- `shift_and_mask_window_hits`: the same counts folded as the zero-block
+  verifier folds them, one shift and mask of the whole digit integer per
+  step before the last 1 digit, held to the stepwise count;
 - `walked_avoidance_sequence`: the gap-{1,2} avoidance run walked one
   index at a time on integer residues, as `avoidance_sequence` built it
   before it took the indices by their rule, with the residue of each index
@@ -302,11 +301,13 @@ def stepwise_window_hits(digits: Sequence[int], ends: Iterable[int]) -> dict[int
 
 
 def shift_and_mask_window_hits(digits: Sequence[int], ends: Iterable[int]) -> dict[int, int]:
-    """end -> the hits of steps 1..end as the zero-block verifier counted
-    them before it compared digit tails: each step before the last 1 digit
-    shifts and masks the whole digit integer, s = ((num << k) + num) mod 2^L,
-    and every later step, where the tail is 0, takes the verdict of the value
-    itself.  Quadratic in L on digits whose last 1 is near the end."""
+    """end -> the hits of steps 1..end as the zero-block verifier counts
+    them: each step before the last 1 digit shifts and masks the whole digit
+    integer, s = ((num << k) + num) mod 2^L, and every later step, where the
+    tail is 0, takes the verdict of the value itself.  On the digits a
+    certificate may hold, whose last 1 comes before the last block start J =
+    sqrt(L), that is O(J * L); quadratic in L on digits whose last 1 is near
+    the end."""
     ends = sorted(set(ends))
     length = len(digits)
     num, scale = int("".join(map(str, digits)), 2), 1 << length

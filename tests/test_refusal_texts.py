@@ -253,9 +253,13 @@ VERIFY = {
          "inputs.delta: n_1 = 4 does not exceed 2/delta"]),
     "hitfreq-positions": (edited(HITFREQ_CERT, inputs__forced_positions=[3, 7]),
                           ["inputs.forced_positions: positions must lie in 1..6"]),
-    "zeroblock-digits": (ZEROBLOCK_CERT, ["claims: missing value-in-band",
-                                          "claims: missing blocks-zeroed",
-                                          "inputs.digits: not those of base with zeroed blocks"]),
+    # A plan past what any build makes is refused after the position check.
+    "hitfreq-plan-c": (edited(HITFREQ_CERT, inputs__plan__c=7),
+                       ["inputs.forced_positions: not c*repeats .. 2*c*repeats step c",
+                        "inputs.plan.c: exceeds len(multipliers) = 6"]),
+    "hitfreq-plan-u": (edited(HITFREQ_CERT, inputs__plan__u=5),
+                       ["inputs.plan.u: exceeds c + 1 = 4"]),
+    "zeroblock-digits": (ZEROBLOCK_CERT, ["inputs.digits: not those of base with zeroed blocks"]),
     "invariance-dyadic": (edited(INVARIANCE_CERT, inputs__cuts=["0/1", "1/3", "1/1"]),
                           ["invariance-defect: partition cut points must be dyadic rationals"]),
     "cuts-order": (edited(INVARIANCE_CERT, inputs__cuts=["0/1", "1/2", "1/2", "1/1"]),

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maldist import certificates as certs
@@ -276,6 +276,9 @@ def int_types(value):
 
 @settings(max_examples=400)
 @given(json_values | near_chains())
+# Terms of 19,995 digits that do not chain: read by the split kernel.
+@example([3, 7**23_660])
+@example([-(7**23_660), 7**23_660 + 1])
 def test_chained_reader_matches_json_loads(value):
     with no_int_digit_limit():
         text = cli._json_text(value)
