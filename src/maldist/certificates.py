@@ -40,6 +40,16 @@ passes for both reads.  Any other list, and a list of `_Ratio` entries
 with other bounds, goes entry by entry through the one-value read, which
 alone refuses an entry, so the values accepted, the typed values and every
 refusal are the same either way.
+
+`maldist verify` reads a certificate's text here too (`_read_certificate`),
+so one module owns its path from text to verdict.  A text whose last
+multiplier is long is read through a `parse_int` hook that takes each long
+term as the previous long term times a small quotient q once their exact
+decimal product is its text (`_chained_int_reader`).  The certificate keeps
+each such proof, and `_chained_residues` steps r = q * r mod den by it when
+the proof names two consecutive entries of the list, checked by identity.
+Any other pair, and any dict a library caller builds, divides the two
+multipliers.
 """
 
 from __future__ import annotations
@@ -47,6 +57,7 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_right
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate, chain, repeat
@@ -56,7 +67,9 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .exact import (
     _BIT_CHARS,
+    _SPLIT_DIGITS,
     RationalParseError,
+    _text_int,
     binary_digits,
     format_ratio,
     format_rational,
@@ -742,7 +755,7 @@ def zeroblock_certificate(
     windows: Sequence[WindowDensity] = (),
 ) -> dict:
     value = point.value
-    zeroed = not any(point.digits.count(1, j - 1, j * j) for j in starts)
+    zeroed = not any(point.digits.count(1, j - 1, j * j) for j in set(starts))
     claims = _zeroblock_claims(value.numerator, value.denominator,
                                Fraction(1, 2) < value < Fraction(3, 4), zeroed,
                                [(w.window_end, w.hits) for w in windows])
@@ -782,6 +795,93 @@ def envelope_certificate(
 
 
 # ---------------------------------------------------------------------------
+# reading a certificate's text
+
+
+# `verify` reads a certificate whose longest integer text has more digits
+# (`_long_ints`) through `_chained_int_reader`, whose hook call per int costs
+# more below it.
+_CHAINED_DIGITS = 900
+_MULTIPLIERS = '"multipliers": ['
+
+
+def _long_ints(text: str) -> bool:
+    """Whether the certificate text's longest integer text, the last entry
+    of its `multipliers` list (the only integers that grow long, and they
+    grow), has more than `_CHAINED_DIGITS` characters.  Three searches find
+    it, as a scan of every digit would cost what the reader saves."""
+    at = text.find(_MULTIPLIERS)
+    if at < 0:
+        return False
+    start = at + len(_MULTIPLIERS)
+    end = text.find("]", start)
+    last = max(text.rfind(",", start, end) + 1, start)
+    return len(text[last:end].strip()) > _CHAINED_DIGITS
+
+
+def _chained_int_reader(proofs: dict):
+    """A `parse_int` hook for `json.loads` that reads what the CLI's writer
+    of chained ints writes in time linear in the digits.  A positive text of
+    more than `_CHAINED_DIGITS` digits, and at most a quarter more than the
+    previous such text's, is read as that text's value P times q, where q is
+    estimated from the leading digits of both and accepted only if the exact
+    decimal product of the two is the text, character for character; the
+    proof is kept in `proofs` as id(value) -> (value, P, q).  Every other
+    text is read by `int`, or past `_SPLIT_DIGITS` digits by `exact`'s split
+    kernel, and a long one restarts the chain.  Either way the value is
+    `int(text)`."""
+    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
+    prev_text, prev, dec = "", 0, None
+
+    def read(text: str) -> int:
+        nonlocal prev_text, prev, dec
+        digits = len(text)
+        if digits <= _CHAINED_DIGITS:
+            return int(text)
+        extra = digits - len(prev_text)
+        if prev > 0 and text[0] != "-" and 0 <= extra <= digits >> 2:
+            # Leading digits at the same scale; q < 10^(extra + 1), so 12
+            # more digits place text/prev_text within 10^-10 of q.
+            head = int(prev_text[:extra + 12])
+            q = (2 * int(text[:2 * extra + 12]) + head) // (2 * head)
+            # None after a text `int` read, else the previous text's value.
+            product = ctx.multiply(dec or Decimal(prev_text), q)
+            if str(product) == text:
+                value = prev * q
+                proofs[id(value)] = (value, prev, q)
+                prev_text, prev, dec = text, value, product
+                return value
+        to_int = int if digits <= _SPLIT_DIGITS else _text_int
+        prev_text, prev, dec = text, -to_int(text[1:]) if text[0] == "-" else to_int(text), None
+        return prev
+
+    return read
+
+
+class _Read(dict):
+    """A certificate read from its text by `_read_certificate`, with the
+    chained reader's proofs in `proofs`."""
+
+    __slots__ = ("proofs",)
+
+
+def _read_certificate(text: str):
+    """The JSON value of a certificate's text, raising `json.JSONDecodeError`
+    as `json.loads` does.  A text that passes `_long_ints` is read through
+    `_chained_int_reader`, and an object read so keeps the reader's proofs,
+    which `verify_certificate` steps the residue chain by."""
+    if not _long_ints(text):
+        return json.loads(text)
+    proofs = {}
+    cert = json.loads(text, parse_int=_chained_int_reader(proofs))
+    if type(cert) is not dict:
+        return cert
+    cert = _Read(cert)
+    cert.proofs = proofs
+    return cert
+
+
+# ---------------------------------------------------------------------------
 # verification
 
 
@@ -811,9 +911,15 @@ def verify_certificate(cert: object) -> VerificationResult:
     zeroed, `invariance` cuts that are not dyadic, and an `avoid` floor that
     does not read as a rational.  A `hitfreq` plan whose c exceeds the
     number of multipliers, or whose u exceeds c + 1, is refused outright
-    after the growth and position failures.  A verdict stated false that
+    after the growth and position failures, and so are multipliers that
+    fail the growth its ratio states.  A verdict stated false that
     recomputes false is no failure: `certificate_ok` reads it.  `margins`
-    are informational and not checked."""
+    are informational and not checked.
+
+    A certificate `_read_certificate` read from text carries the chained
+    reader's proofs, and the residues of a multiplier it proved its
+    predecessor's product by a small q are stepped by q; any other value,
+    such as a dict a library caller builds, has each quotient recomputed."""
     if not isinstance(cert, dict):
         return VerificationResult(False, ("certificate is not a JSON object",))
     if "kind" not in cert:
@@ -837,8 +943,9 @@ def verify_certificate(cert: object) -> VerificationResult:
     for claim in claims:
         if isinstance(claim.get("id"), str):
             stated.setdefault(claim["id"], claim)
+    proofs = cert.proofs if type(cert) is _Read else {}
     try:
-        input_failures, expected = checker(inputs, stated)
+        input_failures, expected = checker(inputs, stated, proofs)
     except Exception as exc:  # a checker fault is still a named failure, not a crash
         return VerificationResult(False, (f"verification error: {exc}",))
     if expected is None:
@@ -870,12 +977,14 @@ def verify_certificate(cert: object) -> VerificationResult:
     return VerificationResult(not failures, tuple(failures))
 
 
-# Each checker takes the typed inputs and the stated claims by id, and
-# returns the failures of the inputs taken together and the claims they
-# imply by id, or None in their place when it refuses the inputs outright.
+# Each checker takes the typed inputs, the stated claims by id and the
+# reader's proofs of chained terms (empty for a certificate not read from
+# text), and returns the failures of the inputs taken together and the
+# claims they imply by id, or None in their place when it refuses the inputs
+# outright.
 
 
-def _verify_mixing(inp: dict, stated: dict):
+def _verify_mixing(inp: dict, stated: dict, proofs: dict):
     alpha, eps, delta, start = inp["alpha"], inp["eps"], inp["delta"], inp["start"]
     multipliers, targets, intervals = inp["multipliers"], inp["targets"], inp["intervals"]
     failures = [] if intervals[0] == start else ["inputs.intervals[0] is not the start interval"]
@@ -887,19 +996,28 @@ def _verify_mixing(inp: dict, stated: dict):
     return failures, _mixing_claims(alpha, multipliers, eps, start, targets, intervals)
 
 
-def _chained_residues(multipliers: Sequence[int], p: int, q: int):
+def _chained_residues(multipliers: Sequence[int], p: int, q: int, proofs: dict):
     """n * p mod q for each multiplier n in order, chained as r = (n/n_prev)
     * r_prev mod q when the previous multiplier divides n (a small factor
-    for geometric growth), else one product n * p mod q."""
+    for geometric growth), else one product n * p mod q.  The factor of a
+    term the reader proved n_prev times f is that f, with no division: its
+    proof (n, n_prev, f) is keyed by id(n) and holds n, so the id names no
+    other live int, and n_prev is the previous entry only if it is the
+    same object."""
     prev, r = 1, p
+    proof = proofs.get
     for n in multipliers:
-        factor, rem = divmod(n, prev)
-        r = n * p % q if rem else factor * r % q
+        # A certificate with no proofs pays one truth test per term.
+        if proofs and (known := proof(id(n))) and known[1] is prev:
+            r = known[2] * r % q
+        else:
+            factor, rem = divmod(n, prev)
+            r = n * p % q if rem else factor * r % q
         prev = n
         yield r
 
 
-def _verify_hitfreq(inp: dict, stated: dict):
+def _verify_hitfreq(inp: dict, stated: dict, proofs: dict):
     alpha, multipliers, interval, ratio = (inp["alpha"], inp["multipliers"], inp["interval"],
                                            inp["ratio"])
     u, c, repeats = inp["plan"]["u"], inp["plan"]["c"], inp["plan"]["repeats"]
@@ -909,6 +1027,7 @@ def _verify_hitfreq(inp: dict, stated: dict):
         return [f"inputs.forced_positions: positions must lie in 1..{horizon}"], None
     failures = [f"inputs.multipliers: growth fails at step {j + 1}" for j in range(horizon - 1)
                 if multipliers[j + 1] * ratio.denominator < ratio.numerator * multipliers[j]]
+    grows = not failures
     # Position i of the plan is c * (repeats + i), i = 0..repeats: compared
     # by length first, so no plan list is built from the echoed numbers.
     if len(positions) != repeats + 1 or any(
@@ -922,24 +1041,31 @@ def _verify_hitfreq(inp: dict, stated: dict):
         return [*failures, f"inputs.plan.c: exceeds len(multipliers) = {horizon}"], None
     if u > c + 1:
         return [*failures, f"inputs.plan.u: exceeds c + 1 = {c + 1}"], None
+    # Nor does a build's horizon fail the growth its ratio states: refused
+    # before the claims raise a ratio of any length to u - 2 and c.
+    if not grows:
+        return failures, None
     p, q = alpha.numerator, alpha.denominator
-    count = sum(_holds(interval, r, q) for r in _chained_residues(multipliers, p, q))
+    count = sum(_holds(interval, r, q) for r in _chained_residues(multipliers, p, q, proofs))
     return failures, _hitfreq_claims(alpha, multipliers, interval, ratio, u, c, positions,
                                      count, horizon)
 
 
-def _verify_histogram(inp: dict, stated: dict):
+def _verify_histogram(inp: dict, stated: dict, proofs: dict):
     (p, q), multipliers = inp["alpha"], inp["multipliers"]
     weights, eta = inp["weights"], inp["eta"]
     ell, horizon = len(weights), len(multipliers)
-    # The cell of n*alpha mod 1 = r/q is r*ell // q, for alpha = p/q as written.
+    # The cell of n*alpha mod 1 = r/q is r*ell // q, for alpha = p/q as written:
+    # the number of the residues ceil(i*q/ell), i = 1..ell-1, at or below r,
+    # found with no long division per term.
+    cuts = [-(-i * q // ell) for i in range(1, ell)]
     counts = [0] * ell
-    for r in _chained_residues(multipliers, p, q):
-        counts[r * ell // q] += 1
+    for r in _chained_residues(multipliers, p, q, proofs):
+        counts[bisect_right(cuts, r)] += 1
     return [], _histogram_claims(counts, horizon, weights, eta)
 
 
-def _verify_avoid(inp: dict, stated: dict):
+def _verify_avoid(inp: dict, stated: dict, proofs: dict):
     alpha, eps, prefix, gaps = inp["alpha"], inp["eps"], inp["prefix"], inp["gaps"]
     # Each residue n*p mod q is formed once, and for an integer r,
     # r/q < eps iff r < ceil(eps*q); only the D* claim sorts them.
@@ -1000,7 +1126,7 @@ def _star_discrepancy(residues: list[int], q: int) -> Fraction:
 _WINDOW_ID = re.compile(r"window-([1-9][0-9]*)")
 
 
-def _verify_zeroblock(inp: dict, stated: dict):
+def _verify_zeroblock(inp: dict, stated: dict, proofs: dict):
     base, starts, digits = inp["base"], inp["block_starts"], inp["digits"]
     length = len(digits)
     # Digit positions j..j^2 are the slice [j - 1, j^2) of the digit bytes.
@@ -1033,7 +1159,7 @@ def _verify_zeroblock(inp: dict, stated: dict):
 _MINUS_TWO_APART = re.compile("1.1")
 
 
-def _verify_fivesixth(inp: dict, stated: dict):
+def _verify_fivesixth(inp: dict, stated: dict, proofs: dict):
     alpha, horizon = inp["alpha"], inp["horizon"]
     # Independent recount via modular arithmetic on (2^k + 1) * alpha = s/q:
     # s/q lies in I' = (1/2 - alpha/3, 3/4 + alpha/3) iff 6s > 3q - 2p and
@@ -1076,7 +1202,7 @@ def _verify_fivesixth(inp: dict, stated: dict):
     return [], _fivesixth_claims(horizon, minus + plus, minus, plus, spacing_ok)
 
 
-def _verify_invariance(inp: dict, stated: dict):
+def _verify_invariance(inp: dict, stated: dict, proofs: dict):
     alpha, steps, (cuts, den) = inp["alpha"], inp["steps"], inp["cuts"]
     if den & (den - 1):
         return ["invariance-defect: partition cut points must be dyadic rationals"], None
@@ -1090,7 +1216,7 @@ def _verify_invariance(inp: dict, stated: dict):
     return [], _invariance_claims(Fraction(int(ends[0] != ends[1]), steps), steps)
 
 
-def _verify_envelope(inp: dict, stated: dict):
+def _verify_envelope(inp: dict, stated: dict, proofs: dict):
     """Re-derive the domination claim in integers from the echoed strings,
     without the construction code.
 

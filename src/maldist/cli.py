@@ -37,9 +37,12 @@ multipliers n_k of `pow:b` and `squarepow:b`, cross the certificate in time
 linear in their digits both ways: the writer forms each long term from its
 predecessor's decimal text (`_chained_int_texts`, term by term), and
 `verify` reads each as its predecessor's value times a small quotient once
-their exact decimal product matches its text (`_chained_int_reader`).  The
-JSON text is joined once from its fragments, and any other long int in it
-is written by `exact`'s split kernel.
+their exact decimal product matches its text.  That reader lives in
+`certificates` (`_read_certificate`), with the checks it serves: the
+certificate it reads keeps each quotient so proved, and the residues of the
+multipliers step by those quotients with no division.  The JSON text is
+joined once from its fragments, and any other long int in it is written by
+`exact`'s split kernel.
 
 Exit codes: 0 success, 1 a certificate claim failed (or verification found a
 mismatch), 2 usage error.
@@ -58,10 +61,8 @@ from typing import TYPE_CHECKING
 
 from .exact import (
     _SPLIT_BITS,
-    _SPLIT_DIGITS,
     RationalParseError,
     _int_text,
-    _text_int,
     csv_text,
     decimal_row,
     format_rational,
@@ -322,65 +323,6 @@ def _chained_int_texts(values) -> list[str]:
             texts.append(_int_text(v))
         prev = v
     return texts
-
-
-# `verify` reads a certificate whose longest integer text has more digits
-# (`_long_ints`) through `_chained_int_reader`, whose hook call per int costs
-# more below it.
-_CHAINED_DIGITS = 900
-_MULTIPLIERS = '"multipliers": ['
-
-
-def _long_ints(text: str) -> bool:
-    """Whether the certificate text's longest integer text, the last entry
-    of its `multipliers` list (the only integers that grow long, and they
-    grow), has more than `_CHAINED_DIGITS` characters.  Three searches find
-    it, as a scan of every digit would cost what the reader saves."""
-    at = text.find(_MULTIPLIERS)
-    if at < 0:
-        return False
-    start = at + len(_MULTIPLIERS)
-    end = text.find("]", start)
-    last = max(text.rfind(",", start, end) + 1, start)
-    return len(text[last:end].strip()) > _CHAINED_DIGITS
-
-
-def _chained_int_reader():
-    """A `parse_int` hook for `json.loads` that reads what `_chained_int_texts`
-    writes in time linear in the digits.  A positive text of more than
-    `_CHAINED_DIGITS` digits, and at most a quarter more than the previous
-    such text's, is read as that text's value P times q, where q is estimated
-    from the leading digits of both and accepted only if the exact decimal
-    product of the two is the text, character for character.  Every other
-    text is read by `int`, or past `_SPLIT_DIGITS` digits by `exact`'s split
-    kernel, and a long one restarts the chain.  Either way the value is
-    `int(text)`."""
-    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
-
-    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
-    prev_text, prev, dec = "", 0, None
-
-    def read(text: str) -> int:
-        nonlocal prev_text, prev, dec
-        digits = len(text)
-        if digits <= _CHAINED_DIGITS:
-            return int(text)
-        extra = digits - len(prev_text)
-        if prev > 0 and text[0] != "-" and 0 <= extra <= digits >> 2:
-            # Leading digits at the same scale; q < 10^(extra + 1), so 12
-            # more digits place text/prev_text within 10^-10 of q.
-            head = int(prev_text[:extra + 12])
-            q = (2 * int(text[:2 * extra + 12]) + head) // (2 * head)
-            # None after a text `int` read, else the previous text's value.
-            product = ctx.multiply(dec or Decimal(prev_text), q)
-            if str(product) == text:
-                prev_text, prev, dec = text, prev * q, product
-                return prev
-        to_int = int if digits <= _SPLIT_DIGITS else _text_int
-        prev_text, prev, dec = text, -to_int(text[1:]) if text[0] == "-" else to_int(text), None
-        return prev
-
-    return read
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -783,7 +725,7 @@ def _cmd_doubling(opts: dict) -> int:
         windows = (
             _int_list(opts["windows"], "windows")
             if opts.get("windows")
-            else [j * j for j in sorted(starts)]
+            else [j * j for j in sorted(set(starts))]
         )
         densities = zero_block_density(point, windows)
         cert = certs.zeroblock_certificate(point, base, starts, densities)
@@ -820,8 +762,7 @@ def _cmd_verify(opts: dict) -> int:
     try:
         with open(opts["certificate"], "r", encoding="utf-8") as fh:
             text = fh.read()
-        reader = _chained_int_reader() if _long_ints(text) else None
-        cert = json.loads(text, parse_int=reader)
+        cert = certs._read_certificate(text)
     except OSError as exc:
         raise CliError(f"cannot read certificate: {exc}")
     except json.JSONDecodeError as exc:

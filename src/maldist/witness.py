@@ -207,7 +207,6 @@ def mixing_chain(config: MixingConfig) -> MixingChain:
     e_num, e_den = config.eps.numerator, config.eps.denominator
     start = config.start
     lo, lo_den = start.left.numerator, start.left.denominator
-    hi, hi_den = start.right.numerator, start.right.denominator
     n = config.multipliers
     prev = 1
     cells = []
@@ -226,8 +225,12 @@ def mixing_chain(config: MixingConfig) -> MixingChain:
         # the preimage in cell j of the target's leading eps.
         a = target.left
         lo, lo_den = a.numerator + j * a.denominator, a.denominator
-        hi, hi_den = lo * e_den + e_num * lo_den, lo_den * e_den
         prev = n_k
+    if cells:
+        # The last interval's right end lies eps past its left end.
+        hi, hi_den = lo * e_den + e_num * lo_den, lo_den * e_den
+    else:
+        hi, hi_den = start.right.numerator, start.right.denominator
     num, den = lo * hi_den + hi * lo_den, 2 * lo_den * hi_den
     if n.cover is None:
         alpha = Fraction(num, den * prev)
@@ -585,7 +588,7 @@ def zero_block_alpha(
     base = Fraction(base)
     if not Fraction(1, 2) < base < Fraction(3, 4):
         raise ValueError("base must lie strictly inside (1/2, 3/4)")
-    starts = sorted(int(j) for j in block_starts)
+    starts = sorted({int(j) for j in block_starts})  # each distinct start zeroes once
     if not starts:
         raise ValueError("need at least one block start")
     if starts[0] < 3:

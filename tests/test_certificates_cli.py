@@ -530,14 +530,14 @@ def test_chained_reads_give_the_reports_of_plain_reads(tmp_path, monkeypatch):
     # changed in n_41 leaves its point in its cell; changed in n_63, it moves
     # the point to the other cell.
     text = salat3_text(tmp_path, *PINNED_CERTIFICATES["histogram-squarepow"][0])
-    assert maldist.cli._long_ints(text)
+    assert certs._long_ints(text)
     n = json.loads(text)["inputs"]["multipliers"]
-    assert len(str(n[40])) > maldist.cli._CHAINED_DIGITS
+    assert len(str(n[40])) > certs._CHAINED_DIGITS
     texts = [text, change_a_digit(text, n[40]), change_a_digit(text, n[62])]
-    reader, readers = maldist.cli._chained_int_reader, []
-    monkeypatch.setattr(maldist.cli, "_chained_int_reader", lambda: readers.append(1) or reader())
+    reader, readers = certs._chained_int_reader, []
+    monkeypatch.setattr(certs, "_chained_int_reader", lambda *a: readers.append(1) or reader(*a))
     chained = [verify_text(tmp_path, t) for t in texts]
-    monkeypatch.setattr(maldist.cli, "_long_ints", lambda text: False)
+    monkeypatch.setattr(certs, "_long_ints", lambda text: False)
     assert chained == [verify_text(tmp_path, t) for t in texts]
     assert readers == [1, 1, 1]
     assert chained[:2] == [(0, {"ok": True, "failures": []})] * 2
@@ -554,16 +554,16 @@ def test_certificates_either_side_of_the_size_gate_verify_alike(tmp_path, monkey
     text = salat3_text(tmp_path, "witness", "--mode", "salat3", "--n-kind", "squarepow:12",
                        "--weights", "1,1", "--eta", "1/11", "--base", "6")
     n = json.loads(text)["inputs"]["multipliers"]
-    assert len(str(n[-8])) > maldist.cli._CHAINED_DIGITS
+    assert len(str(n[-8])) > certs._CHAINED_DIGITS
     if tamper:
         text = change_a_digit(text, n[-3])
     unspaced = text.replace('"multipliers": [', '"multipliers":[')
     assert json.loads(unspaced) == json.loads(text)
-    reader, readers = maldist.cli._chained_int_reader, []
-    monkeypatch.setattr(maldist.cli, "_chained_int_reader", lambda: readers.append(1) or reader())
+    reader, readers = certs._chained_int_reader, []
+    monkeypatch.setattr(certs, "_chained_int_reader", lambda *a: readers.append(1) or reader(*a))
     reports = [verify_text(tmp_path, t) for t in (unspaced, text)]
     assert len(text) < 25_000 and readers == [1]
-    assert not maldist.cli._long_ints(unspaced) and maldist.cli._long_ints(text)
+    assert not certs._long_ints(unspaced) and certs._long_ints(text)
     assert reports[0] == reports[1] and reports[0][0] == (1 if tamper else 0)
 
 
@@ -573,10 +573,10 @@ def test_long_certificates_of_short_integers_skip_the_chained_reader(tmp_path, m
     text = salat3_text(tmp_path, "witness", "--mode", "salat3", "--n-kind", "pow:1000",
                        "--weights", "1,1", "--eta", "1/15", "--base", "16")
     n = json.loads(text)["inputs"]["multipliers"]
-    assert len(text) > 100_000 and not maldist.cli._long_ints(text)
-    assert max(len(str(v)) for v in n) == len(str(n[-1])) <= maldist.cli._CHAINED_DIGITS
-    reader, readers = maldist.cli._chained_int_reader, []
-    monkeypatch.setattr(maldist.cli, "_chained_int_reader", lambda: readers.append(1) or reader())
+    assert len(text) > 100_000 and not certs._long_ints(text)
+    assert max(len(str(v)) for v in n) == len(str(n[-1])) <= certs._CHAINED_DIGITS
+    reader, readers = certs._chained_int_reader, []
+    monkeypatch.setattr(certs, "_chained_int_reader", lambda *a: readers.append(1) or reader(*a))
     assert verify_text(tmp_path, text) == (0, {"ok": True, "failures": []})
     assert readers == []
 

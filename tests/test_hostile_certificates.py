@@ -1,12 +1,13 @@
 """Hostile edits of the pinned `hitfreq` and `zeroblock` certificates fail
 by name, and what `verify` refuses outright it refuses before any recount.
 
-A plan's u, c or repeats, or one block start, is raised up to 10**12, or
-one digit is flipped.  No build makes a plan whose c exceeds the number of
-multipliers or whose u exceeds c + 1, nor digits other than the base's with
-its blocks zeroed; spies on the claim writers `_hitfreq_claims` and
-`_zeroblock_claims`, which every recount ends in, show that those inputs
-run none.  No wall time is asserted.
+A plan's u, c or repeats, or one block start, is raised up to 10**12, one
+digit is flipped, or the ratio is raised to a 47,713-digit integer.  No
+build makes a plan whose c exceeds the number of multipliers or whose u
+exceeds c + 1, nor multipliers that fail the growth of their ratio, nor
+digits other than the base's with its blocks zeroed; spies on the claim
+writers `_hitfreq_claims` and `_zeroblock_claims`, which every recount ends
+in, show that those inputs run none.  No wall time is asserted.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from maldist import certificates as certs
 from maldist import cli
 from tests.test_certificates_cli import PINNED_CERTIFICATES
+from tests.test_typed_reads import no_int_digit_limit
 
 TRILLION = 10**12
 NAMED = re.compile(r"(inputs\.[a-z_]+(\.[a-z_]+)?|[a-z]+(-[0-9a-z]+)*): \S")
@@ -79,6 +81,19 @@ def test_hitfreq_plan_past_any_build_is_refused_after_the_position_check(
     failures, recounts = verified(cert, "_hitfreq_claims")
     positions = ["inputs.forced_positions: not c*repeats .. 2*c*repeats step c"] * (field == "c")
     assert (failures, recounts) == ((*positions, last), 0)
+
+
+def test_long_ratio_that_the_multipliers_fail_is_refused_before_any_power(pinned):
+    # ratio = 3^100000, a 47,713-digit text: every step of the 16 multipliers
+    # 2^k fails its growth, and no power of it is formed or written.
+    cert = json.loads(pinned["hitfreq"])
+    horizon = len(cert["inputs"]["multipliers"])
+    with no_int_digit_limit():
+        cert["inputs"]["ratio"] = f"{3**100_000}/1"
+        failures, recounts = verified(cert, "_hitfreq_claims")
+    assert failures == tuple(f"inputs.multipliers: growth fails at step {j}"
+                             for j in range(1, horizon))
+    assert recounts == 0
 
 
 @pytest.mark.parametrize("name", ["zeroblock", "zeroblock-windows"])

@@ -480,12 +480,15 @@ def test_hitfreq_verifier_recount_matches_fraction_reference(case, data):
     alpha, n = case
     iv = data.draw(unit_intervals())
     count = fraction_hits(n, alpha, iv)
+    # The multipliers grow by 1/max(n), as any list of them does: multipliers
+    # that fail the stated growth are refused before the hits are recounted.
     cert = {
         "format": certs.FORMAT,
         "kind": "hitfreq",
         "inputs": {
             "alpha": format_rational(alpha), "multipliers": n, "interval": interval_json(iv),
-            "ratio": "1/1", "plan": {"u": 1, "c": 1, "repeats": 1}, "forced_positions": [],
+            "ratio": f"1/{max(n)}", "plan": {"u": 1, "c": 1, "repeats": 1},
+            "forced_positions": [],
         },
         "claims": [{
             "id": "hit-frequency", "kind": "hit-count-frequency", "count": count,

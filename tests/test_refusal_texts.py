@@ -259,6 +259,9 @@ VERIFY = {
                         "inputs.plan.c: exceeds len(multipliers) = 6"]),
     "hitfreq-plan-u": (edited(HITFREQ_CERT, inputs__plan__u=5),
                        ["inputs.plan.u: exceeds c + 1 = 4"]),
+    # So are multipliers that fail the ratio's growth, before any power of it.
+    "hitfreq-growth": (edited(HITFREQ_CERT, inputs__multipliers=[4, 16, 48, 256, 1024, 4096]),
+                       ["inputs.multipliers: growth fails at step 2"]),
     "zeroblock-digits": (ZEROBLOCK_CERT, ["inputs.digits: not those of base with zeroed blocks"]),
     "invariance-dyadic": (edited(INVARIANCE_CERT, inputs__cuts=["0/1", "1/3", "1/1"]),
                           ["invariance-defect: partition cut points must be dyadic rationals"]),

@@ -1,8 +1,9 @@
 """Inputs read straight into the form their checks compute with: the one-pass
 rational parser against the regular-expression parser it replaced, the JSON
 writer against `json.dumps`, digit strings as bytes, envelope inputs and
-cuts as integers over their lcm (cuts against `CellPartition`), and one-pass
-list reads against the one-value read."""
+cuts as integers over their lcm (cuts against `CellPartition`), one-pass
+list reads against the one-value read, and a certificate read from text,
+whose proved quotients step the residue chain, against its plain parse."""
 
 import contextlib
 import copy
@@ -233,14 +234,14 @@ def near(x: int):
 
 @st.composite
 def near_chains(draw):
-    """Lists of long ints (past `cli._CHAINED_DIGITS` digits) that a reader
+    """Lists of long ints (past `certs._CHAINED_DIGITS` digits) that a reader
     of chained products could misread: a chain b^k or b^(k^2), where a term
     P*q may be replaced by an int `near` it, by one shorter than P, or by
     P^2 (whose quotient is above the quarter bound), or may follow an int
     near P, an unrelated long int, or an int near it and the product of that
     int and b."""
     b = draw(st.integers(2, 1100))
-    need = cli._CHAINED_DIGITS * 10 // 3 // (b.bit_length() - 1) + 1  # b^need has enough digits
+    need = certs._CHAINED_DIGITS * 10 // 3 // (b.bit_length() - 1) + 1  # b^need has enough digits
     if draw(st.booleans()):
         chain = [b ** k for k in range(need, need + draw(st.integers(2, 12)))]
     else:
@@ -256,7 +257,7 @@ def near_chains(draw):
         if how == "after-near":
             values.append(draw(near(p)))
         elif how == "after-unrelated":
-            digits = cli._CHAINED_DIGITS
+            digits = certs._CHAINED_DIGITS
             values.append(draw(st.integers(10**digits, 10 ** (2 * digits))))
         elif how == "after-product":
             m = draw(near(v))
@@ -282,7 +283,7 @@ def int_types(value):
 def test_chained_reader_matches_json_loads(value):
     with no_int_digit_limit():
         text = cli._json_text(value)
-        loaded = json.loads(text, parse_int=cli._chained_int_reader())
+        loaded = json.loads(text, parse_int=certs._chained_int_reader({}))
         # In a list, as a NaN equals itself only as the same object.
         assert [loaded] == [json.loads(text)]
     assert set(int_types(loaded)) <= {int}
@@ -295,16 +296,106 @@ def test_chained_reader_reads_squarepow_multipliers_as_products(monkeypatch):
     long_reads = []
 
     def counting_int(text):
-        if len(text) > cli._CHAINED_DIGITS:
+        if len(text) > certs._CHAINED_DIGITS:
             long_reads.append(text)
         return int(text)
 
     with no_int_digit_limit():
         texts, text = [str(v) for v in n], cli._json_text(n)
-        monkeypatch.setattr(cli, "int", counting_int, raising=False)
-        assert json.loads(text, parse_int=cli._chained_int_reader()) == list(n)
-    long_texts = [text for text in texts if len(text) > cli._CHAINED_DIGITS]
+        monkeypatch.setattr(certs, "int", counting_int, raising=False)
+        assert json.loads(text, parse_int=certs._chained_int_reader({})) == list(n)
+    long_texts = [text for text in texts if len(text) > certs._CHAINED_DIGITS]
     assert len(long_texts) > 30 and long_reads == long_texts[:1]
+
+
+# --- the read's proofs in the residue chain --------------------------------------
+
+# Makes every term of a chained list long enough for the reader, keeping its quotients.
+LONG = 7**1100
+
+
+@st.composite
+def edited_chains(draw):
+    """The positive terms of a `chained_int_lists` list times `LONG`, with
+    one edit the reader must not misread: a term replaced by the text of
+    prev*q +- 1, a term repeated (q = 1), an unchained long term or a short
+    term put mid-list, or a term negated."""
+    values = [v * LONG for v in draw(chained_int_lists()) if type(v) is int and v > 0] or [LONG]
+    i = draw(st.integers(0, len(values) - 1))
+    edit = draw(st.sampled_from(["none", "tamper", "repeat", "unchained", "short", "negate"]))
+    if edit == "tamper":
+        values[i] += draw(st.sampled_from([-1, 1]))
+    elif edit == "repeat":
+        values.insert(i, values[i])
+    elif edit == "unchained":
+        values.insert(i, draw(st.integers(10**certs._CHAINED_DIGITS, LONG)))
+    elif edit == "short":
+        values.insert(i, draw(st.integers(1, 10**6)))
+    elif edit == "negate":
+        values[i] = -values[i]
+    return values
+
+
+# A ratio every list of the edited chains grows by, so that each reaches the recount.
+SLOW = "1/1" + "0" * 6000
+
+
+def stated_claims(kind: str, inputs: dict) -> list:
+    """The claims a plain read of the inputs implies, so that a verify that
+    recounts otherwise fails by name; none for inputs the read refuses."""
+    try:
+        typed = certs._INPUTS[kind].parse(inputs)
+    except certs._Refused:
+        return []
+    expected = certs._CHECKERS[kind](typed, {}, {})[1]
+    return [] if expected is None else [{"id": cid, **claim} for cid, claim in expected.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_chains(), st.sampled_from(["histogram", "hitfreq"]),
+       st.integers(1, 10**40), st.integers(2, 10**40), st.integers(1, 4))
+def test_a_certificate_read_from_text_verifies_as_its_plain_parse(values, kind, p, q, cells):
+    if kind == "histogram":
+        side = math.isqrt(len(values))
+        inputs = {"alpha": f"{p}/{q}", "multipliers": values[len(values) - side * side:],
+                  "weights": [1] * cells, "eta": "1/10", "base": side}
+    else:
+        inputs = {"alpha": f"{p}/{q}", "multipliers": values,
+                  "interval": {"left": "1/3", "right": "2/3", "wraps": False}, "ratio": SLOW,
+                  "plan": {"u": 2, "c": 1, "repeats": 1}, "forced_positions": [1, 2]}
+    with no_int_digit_limit():
+        cert = {"format": certs.FORMAT, "kind": kind, "inputs": inputs,
+                "claims": stated_claims(kind, copy.deepcopy(inputs))}
+        text = cli._json_text(cert)
+        read = certs._read_certificate(text)
+        assert certs.verify_certificate(read) == certs.verify_certificate(json.loads(text))
+
+
+def test_a_proof_steps_the_residue_only_from_the_entry_it_names():
+    # The reader proves the third term 3 times the first, across the short
+    # second term: its residue is 3 times the first's, not the second's.
+    values, proofs = [LONG, 5, 3 * LONG], {}
+    with no_int_digit_limit():
+        read = json.loads(cli._json_text(values), parse_int=certs._chained_int_reader(proofs))
+    assert read == values and list(proofs.values()) == [(read[2], read[0], 3)]
+    q = 10**6 + 3
+    assert list(certs._chained_residues(read, 1, q, proofs)) == [n % q for n in values]
+
+
+def test_proved_terms_step_the_residue_chain_with_no_division(monkeypatch):
+    # Of the 64 terms 12^(k^2), every one past the digit bound but the first
+    # is proved its predecessor's product, and only the others divide.
+    n = cli._multipliers({"n-kind": "squarepow:12"}, 64)
+    with no_int_digit_limit():
+        cert = certs._read_certificate(cli._json_text({"multipliers": n}))
+        long_terms = [v for v in n if len(str(v)) > certs._CHAINED_DIGITS]
+    read, divisions = cert["multipliers"], []
+    monkeypatch.setattr(certs, "divmod", lambda a, b: divisions.append(a) or divmod(a, b),
+                        raising=False)
+    p, q = 1, 2**127 - 1
+    assert list(certs._chained_residues(read, p, q, cert.proofs)) == [v % q for v in n]
+    assert len(cert.proofs) == len(long_terms) - 1 > 30
+    assert divisions == read[:len(n) - len(cert.proofs)]
 
 
 # --- digit strings as bytes ------------------------------------------------------

@@ -10,12 +10,13 @@ starts (the only digits it accepts), with values on and off the band
 
 import json
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from maldist import certificates as certs
-from maldist import cli
+from maldist import cli, witness
 from maldist.doubling import BinaryPoint, zero_block_density
 from maldist.exact import binary_digits, format_rational
 from tests.oracles import shift_and_mask_window_hits, stepwise_window_hits
@@ -133,3 +134,36 @@ def test_window_three_hundred_million_on_1521_digits(tmp_path):
     cert["claims"][-1]["hits"] -= 1
     failures = certs.verify_certificate(cert).failures
     assert failures and all(f.startswith(f"window-{end}: hits is ") for f in failures)
+
+
+
+def test_repeated_starts_build_as_their_distinct_starts(tmp_path):
+    # The default windows are the squares of the distinct starts, and the
+    # certificate echoes the starts as given: only that echo differs from
+    # the build of the distinct starts.
+    built = {}
+    for starts in ("13,18", "13,18,18", "18,13,18,13"):
+        out = tmp_path / "zb.json"
+        assert cli.main([*ZEROBLOCK[:-1], starts, "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        assert cert["inputs"].pop("block_starts") == [int(j) for j in starts.split(",")]
+        built[starts] = cert
+    assert built["13,18,18"] == built["18,13,18,13"] == built["13,18"]
+
+
+def test_each_distinct_start_is_zeroed_and_counted_once(monkeypatch):
+    zeroed, counted = [], []
+    monkeypatch.setattr(witness, "bytes", lambda n: zeroed.append(n) or bytes(n), raising=False)
+    base, starts = F(1417, 2169), [39, 13, 18] + [39] * 2000
+    point = witness.zero_block_alpha(base, starts)
+    assert zeroed == [j * j - j + 1 for j in (13, 18, 39)]
+
+    class Counting(bytes):
+        def count(self, *args):
+            counted.append(args)
+            return super().count(*args)
+
+    spied = SimpleNamespace(digits=Counting(point.digits), value=point.value)
+    cert = certs.zeroblock_certificate(spied, base, starts)
+    assert sorted(counted) == [(1, j - 1, j * j) for j in (13, 18, 39)]
+    assert cert["inputs"]["block_starts"] == starts and certs.verify_certificate(cert).ok
