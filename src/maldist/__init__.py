@@ -16,11 +16,11 @@ _EXPORTS = {
     "doubling": (
         "BinaryPoint",
         "OrbitHitReport",
-        "WindowDensity",
         "doubling_orbit",
         "doubling_period",
         "five_sixth_check",
         "invariance_defect",
+        "zero_block_alpha",
         "zero_block_density",
     ),
     "empirical": (
@@ -68,7 +68,6 @@ _EXPORTS = {
         "histogram_witness",
         "hit_frequency_witness",
         "mixing_chain",
-        "zero_block_alpha",
     ),
 }
 

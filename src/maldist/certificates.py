@@ -78,7 +78,7 @@ from .exact import (
 )
 
 if TYPE_CHECKING:  # builders' argument types, read by attribute; the verifiers use none
-    from .doubling import BinaryPoint, OrbitHitReport, WindowDensity
+    from .doubling import BinaryPoint, OrbitHitReport
     from .empirical import CellPartition, MeasureVector
     from .envelope import DominationResult, RatioMeasure
     from .witness import (
@@ -752,13 +752,12 @@ def zeroblock_certificate(
     point: BinaryPoint,
     base: Fraction,
     starts: Sequence[int],
-    windows: Sequence[WindowDensity] = (),
+    windows: Sequence[tuple[int, int]] = (),
 ) -> dict:
     value = point.value
     zeroed = not any(point.digits.count(1, j - 1, j * j) for j in set(starts))
     claims = _zeroblock_claims(value.numerator, value.denominator,
-                               Fraction(1, 2) < value < Fraction(3, 4), zeroed,
-                               [(w.window_end, w.hits) for w in windows])
+                               Fraction(1, 2) < value < Fraction(3, 4), zeroed, windows)
     return _certificate("zeroblock", claims, base=Fraction(base), block_starts=starts,
                         digits=point.digits)
 
@@ -911,10 +910,11 @@ def verify_certificate(cert: object) -> VerificationResult:
     zeroed, `invariance` cuts that are not dyadic, and an `avoid` floor that
     does not read as a rational.  A `hitfreq` plan whose c exceeds the
     number of multipliers, or whose u exceeds c + 1, is refused outright
-    after the growth and position failures, and so are multipliers that
-    fail the growth its ratio states.  A verdict stated false that
-    recomputes false is no failure: `certificate_ok` reads it.  `margins`
-    are informational and not checked.
+    after the growth and position failures, and so are a ratio whose c-th
+    power cannot exceed 2 and multipliers that fail the growth its ratio
+    states.  A verdict stated false that recomputes false is no failure:
+    `certificate_ok` reads it.  `margins` are informational and not
+    checked.
 
     A certificate `_read_certificate` read from text carries the chained
     reader's proofs, and the residues of a multiplier it proved its
@@ -1041,6 +1041,12 @@ def _verify_hitfreq(inp: dict, stated: dict, proofs: dict):
         return [*failures, f"inputs.plan.c: exceeds len(multipliers) = {horizon}"], None
     if u > c + 1:
         return [*failures, f"inputs.plan.u: exceeds c + 1 = {c + 1}"], None
+    # A build's ratio^c exceeds 2/eps > 2, while ratio = a/b with 3c(a - b)
+    # <= 2b gives ratio^c < e^(2/3) < 2: such a ratio, however long, is no
+    # build's either.
+    a, b = ratio.numerator, ratio.denominator
+    if 3 * c * (a - b) <= 2 * b:
+        return [*failures, f"inputs.ratio: ratio^c cannot exceed 2 for c = {c}"], None
     # Nor does a build's horizon fail the growth its ratio states: refused
     # before the claims raise a ratio of any length to u - 2 and c.
     if not grows:

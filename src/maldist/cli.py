@@ -604,7 +604,7 @@ def _cmd_subspace(opts: dict) -> int:
 
 def _zero_block_point(opts: dict):
     """The zero-block point of --base and --starts, with the two read."""
-    from .witness import zero_block_alpha
+    from .doubling import zero_block_alpha
 
     base = _rational(opts, "base")
     starts = _int_list(_require(opts, "starts"), "starts")

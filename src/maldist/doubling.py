@@ -4,8 +4,9 @@ facts about their empirical measures.
 Covers dyadic points given by their binary digits, orbits as residues over
 one denominator, checkpoint scans of their prefix measures, exact invariance
 defects of orbit segments, the 5/6 density cap for hits of the widened
-middle interval along (2^k + 1)-orbits of small points, and the density-1
-hitting counts for points whose binary expansion carries long zero blocks.
+middle interval along (2^k + 1)-orbits of small points, and the zero-block
+points, whose binary expansions carry long zero blocks, with their density-1
+window counts along the same orbits.
 
 The orbit of alpha = p/q is r_k = 2^k p mod q over q.  With q = 2^a q' and
 q' odd it is periodic from k = max(a, 1) on, with period ord_{q'}(2), so
@@ -22,7 +23,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import _BIT_CHARS, mod1
+from .exact import _BIT_CHARS, binary_digits, mod1
 from .empirical import (
     CellPartition,
     CheckpointScan,
@@ -34,11 +35,11 @@ from .empirical import (
 __all__ = [
     "BinaryPoint",
     "OrbitHitReport",
-    "WindowDensity",
     "doubling_orbit",
     "doubling_scan",
     "invariance_defect",
     "five_sixth_check",
+    "zero_block_alpha",
     "zero_block_density",
     "doubling_period",
 ]
@@ -83,12 +84,9 @@ def doubling_orbit(alpha: Fraction, steps: int) -> Residues:
 
 def doubling_period(alpha: Fraction) -> tuple[int, int]:
     """(preperiod, period) of the doubling orbit of a rational point."""
-    alpha = mod1(Fraction(alpha))
-    den = alpha.denominator
-    pre = 0
-    while den % 2 == 0:
-        den //= 2
-        pre += 1
+    den = mod1(Fraction(alpha)).denominator
+    pre = (den & -den).bit_length() - 1  # the exponent of 2 in den
+    den >>= pre
     if den == 1:
         return (pre, 1)
     k, p = 2 % den, 1
@@ -276,16 +274,40 @@ def five_sixth_check(alpha: Fraction, horizon: int) -> OrbitHitReport:
     )
 
 
-@dataclass(frozen=True)
-class WindowDensity:
-    window_end: int
-    hits: int
+def zero_block_alpha(
+    base: Fraction,
+    block_starts: Sequence[int],
+) -> BinaryPoint:
+    """Binary point equal to `base` except that digits j..j^2 are forced to 0
+    for each block start j; the result must stay strictly inside (1/2, 3/4).
+
+    The digit string runs to the square of the last block start, and the
+    returned point is the exact dyadic rational it denotes.  Block starts
+    must leave the two leading digits (1, 0) untouched, and zeroing must not
+    push the value onto or below 1/2.
+    """
+    base = Fraction(base)
+    if not Fraction(1, 2) < base < Fraction(3, 4):
+        raise ValueError("base must lie strictly inside (1/2, 3/4)")
+    starts = sorted({int(j) for j in block_starts})  # each distinct start zeroes once
+    if not starts:
+        raise ValueError("need at least one block start")
+    if starts[0] < 3:
+        raise ValueError("blocks must not overlap the two leading digits")
+    length = starts[-1] ** 2
+    digits = bytearray(binary_digits(base, length))
+    for j in starts:
+        digits[j - 1 : j * j] = bytes(j * j - j + 1)  # digit positions j..j^2
+    point = BinaryPoint(digits)
+    if not Fraction(1, 2) < point.value < Fraction(3, 4):
+        raise ValueError("zeroing the blocks pushed the value out of (1/2, 3/4)")
+    return point
 
 
-def zero_block_density(point: BinaryPoint, windows: list[int]) -> list[WindowDensity]:
+def zero_block_density(point: BinaryPoint, windows: list[int]) -> list[tuple[int, int]]:
     """Per-window hit counts of (2^k + 1)*point mod 1 in the target arc
-    (1/2, 3/4) for k = 1..N, N running over the window ends; the window's
-    density is hits/N.
+    (1/2, 3/4) for k = 1..N, N running over the window ends, as the pairs
+    (N, hits); the window's density is hits/N.
 
     Inside a zero block of the expansion the shifted point vanishes, so the
     sum collapses to the point itself, which lies in the target; the window
@@ -310,5 +332,4 @@ def zero_block_density(point: BinaryPoint, windows: list[int]) -> list[WindowDen
     # steps before it (none past the last window) can miss, and are tested.
     last = min(len(digits.rstrip(b"\0")), windows[-1] + 1)
     misses = [k for k in range(1, last) if not lo < ((num << k) + num) & (scale - 1) < hi]
-    return [WindowDensity(window_end=end, hits=end - bisect_right(misses, end))
-            for end in windows]
+    return [(end, end - bisect_right(misses, end)) for end in windows]

@@ -1,12 +1,14 @@
 """Empirical measures over finite partitions of [0, 1).
 
-Covers the cell partition and its integer thresholds (the one cell lookup),
-measure vectors, points held as integer residues over one denominator, exact
-star discrepancy, and checkpoint scans of the prefix cell counts along a
-sequence with their CSV form: from a list of points, or for a rotation
-n*p/q mod 1 in closed form by floor sums, with no point list.  A rotation
-scan forms the Euclid expansion of p/q once and walks it for every floor
-sum; a scan's CSV row is printed from its integer counts over N.
+Covers the cell partition and its integer thresholds (the construction
+layers' cell lookup, but for `histogram_witness`, which finds its uniform
+cells by `r * ell // q`), measure vectors, points held as integer residues
+over one denominator, exact star discrepancy, and checkpoint scans of the
+prefix cell counts along a sequence with their CSV form: from a list of
+points, or for a rotation n*p/q mod 1 in closed form by floor sums, with no
+point list.  A rotation scan forms the Euclid expansion of p/q once and
+walks it for every floor sum; a scan's CSV row is printed from its integer
+counts over N.
 """
 
 from __future__ import annotations
@@ -116,7 +118,9 @@ class CellPartition:
 
         T_0 = 0 and the last threshold is den, so `bisect_right(T[1:], r)` is
         the cell index itself: one integer bisect per point, with no
-        multiplication or division.  This is the package's only cell lookup.
+        multiplication or division.  The construction layers look cells up
+        by it, but for `histogram_witness`, whose cells are uniform and found
+        by `r * ell // q`; the verifiers keep their own lookups.
         """
         if den < 1:
             raise ValueError("denominator must be positive")

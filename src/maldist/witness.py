@@ -6,9 +6,10 @@ down a nested chain of rational intervals forcing n_k * alpha mod 1 into a
 prescribed target interval for every k, and returns the midpoint of the last
 interval.  On top of it sit two witness constructions (one forcing a short
 interval to be hit with frequency above 1/(2c) along a geometric-growth
-sequence, one forcing an entire histogram shape at horizon N0^2), the
+sequence, one forcing an entire histogram shape at horizon N0^2) and the
 gap-{1,2} avoidance extension that keeps an orbit out of a fixed interval
-forever, and the zero-block digit surgery used by the doubling-map analysis.
+forever.  The zero-block points of the doubling-map analysis are built in
+`maldist.doubling`, beside their window counts.
 
 Each result ships in a certificate (`maldist.certificates`) whose claims
 carry the checks, and `verify` rechecks them on its own code; so the builders
@@ -33,9 +34,8 @@ from operator import mod, sub
 from math import gcd
 from typing import Sequence
 
-from .doubling import BinaryPoint
 from .empirical import Residues, star_discrepancy
-from .exact import _coprime_fraction, binary_digits, mod1
+from .exact import _coprime_fraction, mod1
 from .torus import TorusInterval
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "histogram_witness",
     "AvoidanceResult",
     "avoidance_sequence",
-    "zero_block_alpha",
 ]
 
 _ZERO = Fraction(0)
@@ -571,33 +570,3 @@ def avoidance_sequence(
         gaps=bytes(map(sub, islice(idx, 1, None), idx)),
         prefix_length=prefix_length,
     )
-
-
-def zero_block_alpha(
-    base: Fraction,
-    block_starts: Sequence[int],
-) -> BinaryPoint:
-    """Binary point equal to `base` except that digits j..j^2 are forced to 0
-    for each block start j; the result must stay strictly inside (1/2, 3/4).
-
-    The digit string runs to the square of the last block start, and the
-    returned point is the exact dyadic rational it denotes.  Block starts
-    must leave the two leading digits (1, 0) untouched, and zeroing must not
-    push the value onto or below 1/2.
-    """
-    base = Fraction(base)
-    if not Fraction(1, 2) < base < Fraction(3, 4):
-        raise ValueError("base must lie strictly inside (1/2, 3/4)")
-    starts = sorted({int(j) for j in block_starts})  # each distinct start zeroes once
-    if not starts:
-        raise ValueError("need at least one block start")
-    if starts[0] < 3:
-        raise ValueError("blocks must not overlap the two leading digits")
-    length = starts[-1] ** 2
-    digits = bytearray(binary_digits(base, length))
-    for j in starts:
-        digits[j - 1 : j * j] = bytes(j * j - j + 1)  # digit positions j..j^2
-    point = BinaryPoint(digits)
-    if not Fraction(1, 2) < point.value < Fraction(3, 4):
-        raise ValueError("zeroing the blocks pushed the value out of (1/2, 3/4)")
-    return point

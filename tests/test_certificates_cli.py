@@ -18,6 +18,7 @@ from maldist import certificates as certs
 from maldist.doubling import (
     five_sixth_check,
     invariance_defect,
+    zero_block_alpha,
     zero_block_density,
 )
 from maldist.empirical import CellPartition, MeasureVector
@@ -32,7 +33,6 @@ from maldist.witness import (
     histogram_witness,
     hit_frequency_witness,
     mixing_chain,
-    zero_block_alpha,
 )
 from tests.oracles import fraction_star_discrepancy, interval_json, point_mass, shift_value
 

@@ -189,6 +189,25 @@ def test_readme_commands_exit_zero(tmp_path, monkeypatch, capsys):
         assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
 
 
+def test_readme_tolerance_example_holds_only_within_its_tolerance(tmp_path, monkeypatch):
+    # Within --tol 1/10 cell 0's excess of 1/20 is allowed; without --tol
+    # the run exits 1 on cell 0, mu = 1/2 against F(lambda) = 9/20, and
+    # `verify` recomputes that false verdict: ok false with no failures.
+    [argv] = [argv for argv in readme_commands() if "--tol" in argv]
+    at = argv.index("--tol")
+    violation = {"bound": "9/20", "union_mass": "1/2", "verdict": False, "violation": [0]}
+    runs = [(argv, 0, "1/10", {"verdict": True}), (argv[:at] + argv[at + 2:], 1, "0/1", violation)]
+    monkeypatch.chdir(tmp_path)
+    for run, code, tol, claim in runs:
+        assert cli.main(run) == code
+        cert = json.loads(Path("verdict.json").read_text())["certificate"]
+        assert cert["inputs"]["tol"] == tol
+        assert cert["claims"] == [{"id": "domination", "kind": "envelope-domination", **claim}]
+        Path("cert.json").write_text(json.dumps(cert))
+        assert cli.main(["verify", "cert.json", "--out", "report.json"]) == code
+        assert json.loads(Path("report.json").read_text()) == {"ok": code == 0, "failures": []}
+
+
 def test_environment_seed_changes_no_output(tmp_path, monkeypatch, capsys):
     """An exported MALDIST_SEED, integer or not, changes no output byte and
     no exit code: every output comes from the command line."""

@@ -21,7 +21,7 @@ EXPORTS = [
     "ExtensionTarget", "HistogramTarget", "HistogramWitness",
     "HitFrequencyWitness", "MeasureVector", "MixingChain", "MixingConfig",
     "MixingConfigError", "OrbitHitReport", "RatioMeasure", "RationalParseError",
-    "Residues", "TorusInterval", "WindowDensity", "WitnessPlan",
+    "Residues", "TorusInterval", "WitnessPlan",
     "auto_plan", "avoidance_sequence", "check_admissible", "checkpoint_scan",
     "doubling_orbit", "doubling_period", "envelope_dominates",
     "five_sixth_check", "format_rational", "greedy_extension",
@@ -106,11 +106,24 @@ def test_scan_rotation_loads_no_certificate_or_construction_layer(tmp_path):
                          "maldist.envelope"}
 
 
+def test_zero_block_loads_no_witness_layer_and_mixing_no_doubling(tmp_path):
+    # Zero-block points are built in `doubling`, beside their window counts;
+    # the chain witnesses need nothing of it.
+    zeroblock = ["doubling", "--mode", "zeroblock", "--base", "2/3", "--starts", "4,10",
+                 "--out", str(tmp_path / "zb.json")]
+    loaded = loaded_modules(main_call(zeroblock))
+    assert "maldist.doubling" in loaded
+    assert not loaded & {"maldist.witness", "maldist.torus"}
+    mixing = [*PINNED_CERTIFICATES["mixing"][0], "--out", str(tmp_path / "mixing.json")]
+    loaded = loaded_modules(main_call(mixing))
+    assert "maldist.witness" in loaded and "maldist.doubling" not in loaded
+
+
 # --- the lazy package API --------------------------------------------------------
 
 
 def test_all_is_the_pinned_export_set():
-    assert len(EXPORTS) == 45
+    assert len(EXPORTS) == 44
     assert sorted(maldist.__all__) == EXPORTS
 
 

@@ -149,16 +149,14 @@ def test_five_sixth_rejects_large_alpha():
 def test_zero_block_density_short_block():
     # Hand-built digits 10001: positions 2..4 zero, value 17/32.
     point = BinaryPoint((1, 0, 0, 0, 1))
-    densities = zero_block_density(point, [4])
-    assert densities[0].hits == 2
-    assert F(densities[0].hits, densities[0].window_end) == F(1, 2)
+    assert zero_block_density(point, [4]) == [(4, 2)]
 
 
 def test_zero_block_density_no_blocks_stays_low():
     # 0.101010... pattern: no long zero runs, density stays away from 1.
     point = BinaryPoint(tuple([1, 0] * 20))
-    densities = zero_block_density(point, [39])
-    assert F(densities[0].hits, 39) <= F(3, 5)
+    [(end, hits)] = zero_block_density(point, [39])
+    assert end == 39 and F(hits, 39) <= F(3, 5)
 
 
 def test_zero_block_density_requires_target_membership():
@@ -281,9 +279,8 @@ def test_zero_block_density_matches_fraction_reference(digits, data):
     windows = sorted(
         data.draw(st.sets(st.integers(min_value=1, max_value=limit), min_size=1, max_size=5))
     )
-    got = zero_block_density(point, windows)
-    assert [w.hits for w in got] == reference_zero_block_hits(point, windows)
-    assert [w.window_end for w in got] == windows
+    want = reference_zero_block_hits(point, windows)
+    assert zero_block_density(point, windows) == list(zip(windows, want))
 
 
 # --- period folding against the step-by-step references -----------------------

@@ -2,12 +2,13 @@
 by name, and what `verify` refuses outright it refuses before any recount.
 
 A plan's u, c or repeats, or one block start, is raised up to 10**12, one
-digit is flipped, or the ratio is raised to a 47,713-digit integer.  No
-build makes a plan whose c exceeds the number of multipliers or whose u
-exceeds c + 1, nor multipliers that fail the growth of their ratio, nor
-digits other than the base's with its blocks zeroed; spies on the claim
-writers `_hitfreq_claims` and `_zeroblock_claims`, which every recount ends
-in, show that those inputs run none.  No wall time is asserted.
+digit is flipped, or the ratio is raised to a 47,713-digit integer or set to
+a 50,001-digit one near 1 or below it.  No build makes a plan whose c
+exceeds the number of multipliers or whose u exceeds c + 1, nor a ratio
+whose c-th power cannot exceed 2, nor multipliers that fail the growth of
+their ratio, nor digits other than the base's with its blocks zeroed; spies
+on the claim writers `_hitfreq_claims` and `_zeroblock_claims`, which every
+recount ends in, show that those inputs run none.  No wall time is asserted.
 """
 
 import hashlib
@@ -94,6 +95,20 @@ def test_long_ratio_that_the_multipliers_fail_is_refused_before_any_power(pinned
     assert failures == tuple(f"inputs.multipliers: growth fails at step {j}"
                              for j in range(1, horizon))
     assert recounts == 0
+
+
+@pytest.mark.parametrize("numerator", ["near-one", "below-one"])
+def test_long_ratio_whose_power_cannot_exceed_two_is_refused_before_any_power(pinned, numerator):
+    # (10^50000 + 1)/10^50000 or 1/10^50000: the 16 multipliers 2^k grow by
+    # either, but its 8th power stays below 2, so no build states it, and no
+    # power of it is formed or written.
+    cert = json.loads(pinned["hitfreq"])
+    assert cert["inputs"]["plan"]["c"] == 8
+    den = 10**50_000
+    with no_int_digit_limit():
+        cert["inputs"]["ratio"] = f"{den + 1 if numerator == 'near-one' else 1}/{den}"
+        failures, recounts = verified(cert, "_hitfreq_claims")
+    assert (failures, recounts) == (("inputs.ratio: ratio^c cannot exceed 2 for c = 8",), 0)
 
 
 @pytest.mark.parametrize("name", ["zeroblock", "zeroblock-windows"])

@@ -475,24 +475,35 @@ def residue_cases(draw):
     return alpha, n
 
 
-@given(residue_cases(), st.data())
+@st.composite
+def growing_residue_cases(draw):
+    """residue_cases' alphas with two or more multipliers, each above 4 times
+    the one before and an exact multiple of it or not (`grow`)."""
+    alpha, n = draw(residue_cases())
+    n = n[:1]
+    for _ in range(draw(st.integers(1, 24))):
+        n.append(grow(draw, n[-1], F(4)))
+    return alpha, n
+
+
+@given(growing_residue_cases(), st.data())
 def test_hitfreq_verifier_recount_matches_fraction_reference(case, data):
     alpha, n = case
     iv = data.draw(unit_intervals())
     count = fraction_hits(n, alpha, iv)
-    # The multipliers grow by 1/max(n), as any list of them does: multipliers
-    # that fail the stated growth are refused before the hits are recounted.
+    # Ratio 4 with u = 3 and c = 2, the plan `auto_plan` makes for it and eps
+    # in (1/8, 1/4): multipliers that fail the stated growth, and a ratio no
+    # build states, are refused before the hits are recounted.
     cert = {
         "format": certs.FORMAT,
         "kind": "hitfreq",
         "inputs": {
             "alpha": format_rational(alpha), "multipliers": n, "interval": interval_json(iv),
-            "ratio": f"1/{max(n)}", "plan": {"u": 1, "c": 1, "repeats": 1},
-            "forced_positions": [],
+            "ratio": "4/1", "plan": {"u": 3, "c": 2, "repeats": 1}, "forced_positions": [],
         },
         "claims": [{
             "id": "hit-frequency", "kind": "hit-count-frequency", "count": count,
-            "horizon": len(n), "threshold": "1/2", "verdict": F(count, len(n)) > F(1, 2),
+            "horizon": len(n), "threshold": "1/4", "verdict": F(count, len(n)) > F(1, 4),
         }],
     }
     assert claim_failures(cert, "hit-frequency") == []

@@ -16,6 +16,7 @@ from maldist.doubling import (
     doubling_orbit,
     five_sixth_check,
     invariance_defect,
+    zero_block_alpha,
     zero_block_density,
 )
 from maldist.empirical import CellPartition, MeasureVector
@@ -36,7 +37,6 @@ from maldist.witness import (
     avoidance_sequence,
     hit_frequency_witness,
     histogram_witness,
-    zero_block_alpha,
 )
 
 SPEC = BlockSpec([2, 2], [1, 1])
@@ -259,6 +259,9 @@ VERIFY = {
                         "inputs.plan.c: exceeds len(multipliers) = 6"]),
     "hitfreq-plan-u": (edited(HITFREQ_CERT, inputs__plan__u=5),
                        ["inputs.plan.u: exceeds c + 1 = 4"]),
+    # And a ratio whose c-th power cannot exceed 2, before any power of it.
+    "hitfreq-ratio-near-one": (edited(HITFREQ_CERT, inputs__ratio="11/10"),
+                               ["inputs.ratio: ratio^c cannot exceed 2 for c = 3"]),
     # So are multipliers that fail the ratio's growth, before any power of it.
     "hitfreq-growth": (edited(HITFREQ_CERT, inputs__multipliers=[4, 16, 48, 256, 1024, 4096]),
                        ["inputs.multipliers: growth fails at step 2"]),

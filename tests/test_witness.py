@@ -5,7 +5,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from maldist import cli
-from maldist.doubling import zero_block_density
+from maldist.doubling import zero_block_alpha, zero_block_density
 from maldist.empirical import star_discrepancy
 from maldist.exact import mod1
 from maldist.torus import TorusInterval
@@ -21,7 +21,6 @@ from maldist.witness import (
     histogram_witness,
     hit_frequency_witness,
     mixing_chain,
-    zero_block_alpha,
 )
 from tests.oracles import (
     as_residues,
@@ -231,8 +230,8 @@ def test_zero_block_basic():
 def test_zero_block_density_windows():
     point = zero_block_alpha(F(2, 3), (4, 20))
     assert len(point.digits) == 400
-    densities = zero_block_density(point, [400])
-    assert F(densities[0].hits, 400) >= F(9, 10)
+    [(end, hits)] = zero_block_density(point, [400])
+    assert end == 400 and F(hits, 400) >= F(9, 10)
 
 
 def test_zero_block_rejects_leading_overlap():
