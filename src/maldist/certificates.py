@@ -42,14 +42,21 @@ alone refuses an entry, so the values accepted, the typed values and every
 refusal are the same either way.
 
 `maldist verify` reads a certificate's text here too (`_read_certificate`),
-so one module owns its path from text to verdict.  A text whose last
-multiplier is long is read through a `parse_int` hook that takes each long
-term as the previous long term times a small quotient q once their exact
-decimal product is its text (`_chained_int_reader`).  The certificate keeps
-each such proof, and `_chained_residues` steps r = q * r mod den by it when
-the proof names two consecutive entries of the list, checked by identity.
-Any other pair, and any dict a library caller builds, divides the two
-multipliers.
+so one module owns its path from text to verdict.  Multipliers cross the
+text as a chain, written and read in time linear in their digits.  A
+sequence that carries its `ratios` (`witness.Multipliers`: n_{k+1} / n_k
+where n_k divides it, else 0), as the CLI writes a build's multipliers, has
+each long term written as the exact decimal product of its predecessor's
+text and its ratio (`cli._chained_int_texts`); any other list is written
+term by term.  A text whose last multiplier is long is read through a
+`parse_int` hook that takes each long term as the previous long term times
+a small quotient once their exact decimal product is its text
+(`_chained_int_reader`).  `_read_certificate` keeps such a quotient as the
+ratio of an `inputs.multipliers` entry when the term it multiplies is the
+entry before, checked by identity, and 0 elsewhere (`_Terms`).
+`_chained_residues` steps each residue by a nonzero ratio, and divides only
+where a ratio is 0 or the list, such as one a library caller builds,
+carries no ratios.
 """
 
 from __future__ import annotations
@@ -67,7 +74,6 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .exact import (
     _BIT_CHARS,
-    _SPLIT_DIGITS,
     RationalParseError,
     _text_int,
     binary_digits,
@@ -240,9 +246,10 @@ class _Positive:
 
     def plain_list(self, values: list) -> list[int] | None:
         """A list of JSON integers of at least 1, read by one type test and
-        `min`; None for a list the one-value read must see."""
+        `min` and kept as it is (a `_Terms` with its ratios); None for a
+        list the one-value read must see."""
         if values and set(map(type, values)) == {int} and min(values) >= 1:
-            return list(values)
+            return values
         return None
 
 
@@ -292,7 +299,7 @@ class _List:
         self.read_plain = getattr(item, "plain_list", None)
 
     def parse(self, value):
-        if type(value) is not list:
+        if type(value) is not list and type(value) is not _Terms:
             _expect(value, list, "a list")
         if self.nonempty and not value:
             raise _Refused("expected at least one entry")
@@ -826,9 +833,9 @@ def _chained_int_reader(proofs: dict):
     estimated from the leading digits of both and accepted only if the exact
     decimal product of the two is the text, character for character; the
     proof is kept in `proofs` as id(value) -> (value, P, q).  Every other
-    text is read by `int`, or past `_SPLIT_DIGITS` digits by `exact`'s split
-    kernel, and a long one restarts the chain.  Either way the value is
-    `int(text)`."""
+    text is read by `int`, past `_CHAINED_DIGITS` digits through `exact`'s
+    `_text_int`, and a long one restarts the chain.  Either way the value
+    is `int(text)`."""
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
     prev_text, prev, dec = "", 0, None
 
@@ -850,33 +857,38 @@ def _chained_int_reader(proofs: dict):
                 proofs[id(value)] = (value, prev, q)
                 prev_text, prev, dec = text, value, product
                 return value
-        to_int = int if digits <= _SPLIT_DIGITS else _text_int
-        prev_text, prev, dec = text, -to_int(text[1:]) if text[0] == "-" else to_int(text), None
+        prev = -_text_int(text[1:]) if text[0] == "-" else _text_int(text)
+        prev_text, dec = text, None
         return prev
 
     return read
 
 
-class _Read(dict):
-    """A certificate read from its text by `_read_certificate`, with the
-    chained reader's proofs in `proofs`."""
+class _Terms(list):
+    """A certificate's multipliers as `_read_certificate` read them, with
+    `ratios[k]` the quotient by which the chained reader proved entry k the
+    product of entry k - 1, or 0 where it proved none."""
 
-    __slots__ = ("proofs",)
+    __slots__ = ("ratios",)
 
 
 def _read_certificate(text: str):
     """The JSON value of a certificate's text, raising `json.JSONDecodeError`
     as `json.loads` does.  A text that passes `_long_ints` is read through
-    `_chained_int_reader`, and an object read so keeps the reader's proofs,
-    which `verify_certificate` steps the residue chain by."""
+    `_chained_int_reader`, and its `inputs.multipliers` list becomes `_Terms`
+    with the quotients the reader proved."""
     if not _long_ints(text):
         return json.loads(text)
     proofs = {}
     cert = json.loads(text, parse_int=_chained_int_reader(proofs))
-    if type(cert) is not dict:
-        return cert
-    cert = _Read(cert)
-    cert.proofs = proofs
+    inputs = cert.get("inputs") if type(cert) is dict else None
+    if type(inputs) is dict and type(inputs.get("multipliers")) is list:
+        terms = inputs["multipliers"] = _Terms(inputs["multipliers"])
+        # A proof holds its value, so no other live int has its id: the
+        # lookups find the proved entries, and each one whose proof names
+        # the entry before it gets its quotient.
+        terms.ratios = [proof[2] if (proof := proofs.get(id(n))) and proof[1] is before else 0
+                        for before, n in zip(chain((None,), terms), terms)]
     return cert
 
 
@@ -914,12 +926,8 @@ def verify_certificate(cert: object) -> VerificationResult:
     power cannot exceed 2 and multipliers that fail the growth its ratio
     states.  A verdict stated false that recomputes false is no failure:
     `certificate_ok` reads it.  `margins` are informational and not
-    checked.
-
-    A certificate `_read_certificate` read from text carries the chained
-    reader's proofs, and the residues of a multiplier it proved its
-    predecessor's product by a small q are stepped by q; any other value,
-    such as a dict a library caller builds, has each quotient recomputed."""
+    checked.  Multipliers that carry the ratios `_read_certificate` proved
+    step their residues by them."""
     if not isinstance(cert, dict):
         return VerificationResult(False, ("certificate is not a JSON object",))
     if "kind" not in cert:
@@ -943,9 +951,8 @@ def verify_certificate(cert: object) -> VerificationResult:
     for claim in claims:
         if isinstance(claim.get("id"), str):
             stated.setdefault(claim["id"], claim)
-    proofs = cert.proofs if type(cert) is _Read else {}
     try:
-        input_failures, expected = checker(inputs, stated, proofs)
+        input_failures, expected = checker(inputs, stated)
     except Exception as exc:  # a checker fault is still a named failure, not a crash
         return VerificationResult(False, (f"verification error: {exc}",))
     if expected is None:
@@ -977,14 +984,12 @@ def verify_certificate(cert: object) -> VerificationResult:
     return VerificationResult(not failures, tuple(failures))
 
 
-# Each checker takes the typed inputs, the stated claims by id and the
-# reader's proofs of chained terms (empty for a certificate not read from
-# text), and returns the failures of the inputs taken together and the
-# claims they imply by id, or None in their place when it refuses the inputs
-# outright.
+# Each checker takes the typed inputs and the stated claims by id, and
+# returns the failures of the inputs taken together and the claims they
+# imply by id, or None in their place when it refuses the inputs outright.
 
 
-def _verify_mixing(inp: dict, stated: dict, proofs: dict):
+def _verify_mixing(inp: dict, stated: dict):
     alpha, eps, delta, start = inp["alpha"], inp["eps"], inp["delta"], inp["start"]
     multipliers, targets, intervals = inp["multipliers"], inp["targets"], inp["intervals"]
     failures = [] if intervals[0] == start else ["inputs.intervals[0] is not the start interval"]
@@ -996,20 +1001,16 @@ def _verify_mixing(inp: dict, stated: dict, proofs: dict):
     return failures, _mixing_claims(alpha, multipliers, eps, start, targets, intervals)
 
 
-def _chained_residues(multipliers: Sequence[int], p: int, q: int, proofs: dict):
-    """n * p mod q for each multiplier n in order, chained as r = (n/n_prev)
-    * r_prev mod q when the previous multiplier divides n (a small factor
-    for geometric growth), else one product n * p mod q.  The factor of a
-    term the reader proved n_prev times f is that f, with no division: its
-    proof (n, n_prev, f) is keyed by id(n) and holds n, so the id names no
-    other live int, and n_prev is the previous entry only if it is the
-    same object."""
+def _chained_residues(terms: Sequence[int], p: int, q: int):
+    """n * p mod q for each multiplier n in order, chained as r = f * r_prev
+    mod q where n = f * n_prev: f is the term's ratio when `terms` carries
+    nonzero `ratios` (`_Terms`), else the quotient of one division when
+    n_prev divides n (a small factor for geometric growth); any other term
+    is one product n * p mod q."""
     prev, r = 1, p
-    proof = proofs.get
-    for n in multipliers:
-        # A certificate with no proofs pays one truth test per term.
-        if proofs and (known := proof(id(n))) and known[1] is prev:
-            r = known[2] * r % q
+    for n, ratio in zip(terms, getattr(terms, "ratios", repeat(0))):
+        if ratio:
+            r = ratio * r % q
         else:
             factor, rem = divmod(n, prev)
             r = n * p % q if rem else factor * r % q
@@ -1017,7 +1018,7 @@ def _chained_residues(multipliers: Sequence[int], p: int, q: int, proofs: dict):
         yield r
 
 
-def _verify_hitfreq(inp: dict, stated: dict, proofs: dict):
+def _verify_hitfreq(inp: dict, stated: dict):
     alpha, multipliers, interval, ratio = (inp["alpha"], inp["multipliers"], inp["interval"],
                                            inp["ratio"])
     u, c, repeats = inp["plan"]["u"], inp["plan"]["c"], inp["plan"]["repeats"]
@@ -1052,12 +1053,12 @@ def _verify_hitfreq(inp: dict, stated: dict, proofs: dict):
     if not grows:
         return failures, None
     p, q = alpha.numerator, alpha.denominator
-    count = sum(_holds(interval, r, q) for r in _chained_residues(multipliers, p, q, proofs))
+    count = sum(_holds(interval, r, q) for r in _chained_residues(multipliers, p, q))
     return failures, _hitfreq_claims(alpha, multipliers, interval, ratio, u, c, positions,
                                      count, horizon)
 
 
-def _verify_histogram(inp: dict, stated: dict, proofs: dict):
+def _verify_histogram(inp: dict, stated: dict):
     (p, q), multipliers = inp["alpha"], inp["multipliers"]
     weights, eta = inp["weights"], inp["eta"]
     ell, horizon = len(weights), len(multipliers)
@@ -1066,12 +1067,12 @@ def _verify_histogram(inp: dict, stated: dict, proofs: dict):
     # found with no long division per term.
     cuts = [-(-i * q // ell) for i in range(1, ell)]
     counts = [0] * ell
-    for r in _chained_residues(multipliers, p, q, proofs):
+    for r in _chained_residues(multipliers, p, q):
         counts[bisect_right(cuts, r)] += 1
     return [], _histogram_claims(counts, horizon, weights, eta)
 
 
-def _verify_avoid(inp: dict, stated: dict, proofs: dict):
+def _verify_avoid(inp: dict, stated: dict):
     alpha, eps, prefix, gaps = inp["alpha"], inp["eps"], inp["prefix"], inp["gaps"]
     # Each residue n*p mod q is formed once, and for an integer r,
     # r/q < eps iff r < ceil(eps*q); only the D* claim sorts them.
@@ -1132,7 +1133,7 @@ def _star_discrepancy(residues: list[int], q: int) -> Fraction:
 _WINDOW_ID = re.compile(r"window-([1-9][0-9]*)")
 
 
-def _verify_zeroblock(inp: dict, stated: dict, proofs: dict):
+def _verify_zeroblock(inp: dict, stated: dict):
     base, starts, digits = inp["base"], inp["block_starts"], inp["digits"]
     length = len(digits)
     # Digit positions j..j^2 are the slice [j - 1, j^2) of the digit bytes.
@@ -1165,7 +1166,7 @@ def _verify_zeroblock(inp: dict, stated: dict, proofs: dict):
 _MINUS_TWO_APART = re.compile("1.1")
 
 
-def _verify_fivesixth(inp: dict, stated: dict, proofs: dict):
+def _verify_fivesixth(inp: dict, stated: dict):
     alpha, horizon = inp["alpha"], inp["horizon"]
     # Independent recount via modular arithmetic on (2^k + 1) * alpha = s/q:
     # s/q lies in I' = (1/2 - alpha/3, 3/4 + alpha/3) iff 6s > 3q - 2p and
@@ -1208,7 +1209,7 @@ def _verify_fivesixth(inp: dict, stated: dict, proofs: dict):
     return [], _fivesixth_claims(horizon, minus + plus, minus, plus, spacing_ok)
 
 
-def _verify_invariance(inp: dict, stated: dict, proofs: dict):
+def _verify_invariance(inp: dict, stated: dict):
     alpha, steps, (cuts, den) = inp["alpha"], inp["steps"], inp["cuts"]
     if den & (den - 1):
         return ["invariance-defect: partition cut points must be dyadic rationals"], None
@@ -1222,7 +1223,7 @@ def _verify_invariance(inp: dict, stated: dict, proofs: dict):
     return [], _invariance_claims(Fraction(int(ends[0] != ends[1]), steps), steps)
 
 
-def _verify_envelope(inp: dict, stated: dict, proofs: dict):
+def _verify_envelope(inp: dict, stated: dict):
     """Re-derive the domination claim in integers from the echoed strings,
     without the construction code.
 

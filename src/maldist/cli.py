@@ -32,17 +32,11 @@ subcommand draws a random number.  The `rng` field of every JSON output but
 in an envelope output and 0 in every other, and changes nothing else.
 Integer lists in --spec must hold JSON integers; `verify` reads a
 certificate's inputs through its kind's declared fields, so a malformed
-input exits 1 with a named failure.  Long chained integers, such as the
-multipliers n_k of `pow:b` and `squarepow:b`, cross the certificate in time
-linear in their digits both ways: the writer forms each long term from its
-predecessor's decimal text (`_chained_int_texts`, term by term), and
-`verify` reads each as its predecessor's value times a small quotient once
-their exact decimal product matches its text.  That reader lives in
-`certificates` (`_read_certificate`), with the checks it serves: the
-certificate it reads keeps each quotient so proved, and the residues of the
-multipliers step by those quotients with no division.  The JSON text is
-joined once from its fragments, and any other long int in it is written by
-`exact`'s split kernel.
+input exits 1 with a named failure.  The JSON text is joined once from its
+fragments.  A witness's multipliers cross it as a chain, each long term
+written from its predecessor's text and ratio (`_chained_int_texts`), as the
+`certificates` module describes; any other long int is written by `exact`'s
+split kernel.
 
 Exit codes: 0 success, 1 a certificate claim failed (or verification found a
 mismatch), 2 usage error.
@@ -228,11 +222,10 @@ def _json_parts(value, pad: str, out: list[str]) -> None:
     through `exact`'s split kernel.  Plain ints and lists, most of the values
     written, are told by their exact type first; every other value goes down
     the isinstance chain, whose list and tuple cases join the plain lists at
-    the end.  A list of plain ints whose last term has more than
-    `_CHAINED_BITS` bits, such as the multipliers n_k, is written by
-    `_chained_int_texts`.  A list of pairs of plain ints, such as
-    `subspace`'s runs [start, length], is written in one `%` format of all
-    its terms, with no call per pair."""
+    the end.  A sequence that carries its `ratios`, such as the multipliers
+    n_k, is written by `_chained_int_texts`.  A list of pairs of plain ints,
+    such as `subspace`'s runs [start, length], is written in one `%` format
+    of all its terms, with no call per pair."""
     kind = type(value)
     if kind is int:
         out.append(int.__repr__(value) if value.bit_length() <= _SPLIT_BITS
@@ -271,8 +264,7 @@ def _json_parts(value, pad: str, out: list[str]) -> None:
         return
     inner = pad + "  "
     last = value[-1]
-    if (type(last) is int and last.bit_length() > _CHAINED_BITS
-            and all(type(item) is int for item in value)):
+    if hasattr(value, "ratios"):
         out += ("[" + inner, ("," + inner).join(_chained_int_texts(value)), pad + "]")
     elif (type(last) is list and len(last) == 2 and type(last[0]) is int
           and set(map(type, value)) == {list} and set(map(len, value)) == {2}
@@ -294,22 +286,18 @@ def _json_parts(value, pad: str, out: list[str]) -> None:
 _CHAINED_BITS = 1000
 
 
-def _chained_int_texts(values) -> list[str]:
-    """The decimal texts of plain ints, decided term by term.  A term of
-    more than `_CHAINED_BITS` bits whose positive predecessor divides it with
-    a quotient of at most a quarter of its bits is their exact decimal
-    product, in time linear in the digits; another long term is written by
-    `exact`'s split kernel, and a short one by `int.__repr__`.  The
-    quotients are the ratios of `Multipliers`: those a rule formed the terms
-    with, or one divmod per term of any other list."""
+def _chained_int_texts(terms: Multipliers) -> list[str]:
+    """The decimal texts of ints that carry their `ratios` (terms[k] =
+    ratios[k] * terms[k - 1], or ratios[k] = 0), decided term by term.  A
+    term of more than `_CHAINED_BITS` bits whose positive predecessor times
+    a nonzero ratio of at most a quarter of its bits gives it is their exact
+    decimal product, in time linear in the digits; another long term is
+    written by `exact`'s split kernel, and a short one by `int.__repr__`."""
     from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 
-    from .witness import Multipliers
-
-    values = Multipliers(values)
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
     texts, prev, dec = [], 0, None
-    for v, q in zip(values, values.ratios):
+    for v, q in zip(terms, terms.ratios):
         bits = v.bit_length()
         if bits <= _CHAINED_BITS:
             dec = None

@@ -119,6 +119,17 @@ def test_zero_block_loads_no_witness_layer_and_mixing_no_doubling(tmp_path):
     assert "maldist.witness" in loaded and "maldist.doubling" not in loaded
 
 
+def test_json_writer_writes_plain_long_int_lists_without_the_witness_layer():
+    # Only a sequence that carries its ratios is chained: a plain list of long
+    # ints, here a chain 7^k past the chained and split bounds, is written
+    # term by term with nothing of `witness`.
+    code = ("import json\nimport maldist.cli as cli\n"
+            "values = [7**k for k in range(1400, 1530)] + [3**5000]\n"
+            "assert values[-2].bit_length() > cli._SPLIT_BITS\n"
+            "assert cli._json_text(values) == json.dumps(values, sort_keys=True, indent=2)")
+    assert loaded_modules(code) == {"maldist", "maldist.cli", "maldist.exact"}
+
+
 # --- the lazy package API --------------------------------------------------------
 
 

@@ -3,7 +3,8 @@ rational parser against the regular-expression parser it replaced, the JSON
 writer against `json.dumps`, digit strings as bytes, envelope inputs and
 cuts as integers over their lcm (cuts against `CellPartition`), one-pass
 list reads against the one-value read, and a certificate read from text,
-whose proved quotients step the residue chain, against its plain parse."""
+whose multipliers carry the ratios its reader proved, against its plain
+parse."""
 
 import contextlib
 import copy
@@ -22,6 +23,7 @@ from maldist import certificates as certs
 from maldist import cli
 from maldist.empirical import CellPartition
 from maldist.exact import RationalParseError, parse_ratio, parse_rational
+from maldist.witness import Multipliers
 from tests.oracles import regex_parse_rational
 from tests.test_input_sweep import CERTIFICATES
 
@@ -106,13 +108,14 @@ scalars = (st.none() | st.booleans() | INTS | st.text() | TRICKY | st.floats()
 
 
 @st.composite
-def chained_int_lists(draw):
+def chained_int_lists(draw, off_types: bool = True):
     """Lists whose last term is a plain int past `cli._CHAINED_BITS` bits: the
     terms b^k or b^(k^2) of a stretch of k, or products of small factors of
     either sign, each term a multiple of the one before; then perhaps a term
     off the chain, a square (whose quotient is above the small-quotient
-    bound), a prefix from 0 and negative values, all terms negated, or a
-    bool, a nested list or an int subclass before the last term."""
+    bound), a prefix from 0 and negative values, all terms negated, or, with
+    `off_types`, a bool, a nested list or an int subclass before the last
+    term."""
     b = draw(st.integers(2, 1100))
     count = draw(st.integers(1, 24))
     need = cli._CHAINED_BITS // (b.bit_length() - 1) + 1  # b^need passes the bound
@@ -137,7 +140,7 @@ def chained_int_lists(draw):
     values = draw(st.lists(st.integers(-(10**30), 0), max_size=2)) + values
     if draw(st.booleans()):
         values = [-v for v in values]
-    if draw(st.booleans()):
+    if off_types and draw(st.booleans()):
         off_type = st.booleans() | st.lists(INTS, max_size=2) | st.builds(Int, INTS)
         values.insert(draw(st.integers(0, len(values) - 1)), draw(off_type))
     return values
@@ -158,13 +161,22 @@ def near_pairs(draw):
     return pairs
 
 
+# `Multipliers` as a build holds them: a rule's terms with the ratios it forms
+# them with, or the terms of a chained list with their ratios by divmod.
+multipliers = (chained_int_lists(off_types=False).map(Multipliers)
+               | st.builds(lambda rule, count: cli._multipliers({"n-kind": rule}, count),
+                           st.builds("{}:{}".format, st.sampled_from(["pow", "squarepow"]),
+                                     st.integers(2, 1100)),
+                           st.integers(1, 48)))
+
 # The shapes the type-first path takes: flat int lists, bools among ints (a
 # bool is an int that must print as true/false), runs of [n, len] pairs and
 # lists that are almost such runs (one of them a one-list and a three-list,
-# as many ints as two pairs), and lists of chained multipliers.
+# as many ints as two pairs), plain lists of chained ints, written term by
+# term, and `Multipliers`, written as a chain.
 int_lists = (st.lists(INTS, max_size=30) | st.lists(INTS | st.booleans(), max_size=10)
              | st.lists(st.lists(INTS, min_size=2, max_size=2), max_size=10)
-             | near_pairs() | st.just([[1], [2, 3, 4]]) | chained_int_lists())
+             | near_pairs() | st.just([[1], [2, 3, 4]]) | chained_int_lists() | multipliers)
 json_values = st.recursive(
     scalars | int_lists,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
@@ -202,10 +214,7 @@ def test_json_writer_matches_json_dumps_on_squarepow_multipliers():
 
 
 @settings(max_examples=300)
-@given(chained_int_lists().filter(lambda values: all(type(v) is int for v in values))
-       | st.builds(lambda kind, b, count: cli._multipliers({"n-kind": f"{kind}:{b}"}, count),
-                   st.sampled_from(["pow", "squarepow"]), st.integers(2, 1100),
-                   st.integers(1, 48)))
+@given(multipliers)
 def test_chained_writer_writes_each_term_as_int_repr(values):
     # Terms on either side of `_CHAINED_BITS`, chained, split or short.
     with no_int_digit_limit():
@@ -305,12 +314,13 @@ def test_chained_reader_reads_squarepow_multipliers_as_products(monkeypatch):
     with no_int_digit_limit():
         texts, text = [str(v) for v in n], cli._json_text(n)
         monkeypatch.setattr(certs, "int", counting_int, raising=False)
+        monkeypatch.setattr(certs, "_text_int", counting_int)
         assert json.loads(text, parse_int=certs._chained_int_reader({})) == list(n)
     long_texts = [text for text in texts if len(text) > certs._CHAINED_DIGITS]
     assert len(long_texts) > 30 and long_reads == long_texts[:1]
 
 
-# --- the read's proofs in the residue chain --------------------------------------
+# --- the read's ratios in the residue chain --------------------------------------
 
 # Makes every term of a chained list long enough for the reader, keeping its quotients.
 LONG = 7**1100
@@ -363,7 +373,7 @@ def stated_claims(kind: str, inputs: dict) -> list:
         typed = certs._INPUTS[kind].parse(inputs)
     except certs._Refused:
         return []
-    expected = certs._CHECKERS[kind](typed, {}, {})[1]
+    expected = certs._CHECKERS[kind](typed, {})[1]
     return [] if expected is None else [{"id": cid, **claim} for cid, claim in expected.items()]
 
 
@@ -391,31 +401,68 @@ def test_a_certificate_read_from_text_verifies_as_its_plain_parse(kind, data, p,
         assert certs.verify_certificate(read) == certs.verify_certificate(json.loads(text))
 
 
+def read_terms(values) -> list:
+    """The multipliers `_read_certificate` reads from the text of a
+    certificate whose inputs hold `values`."""
+    with no_int_digit_limit():
+        cert = certs._read_certificate(cli._json_text({"inputs": {"multipliers": values}}))
+    return cert["inputs"]["multipliers"]
+
+
 def test_a_proof_steps_the_residue_only_from_the_entry_it_names():
     # The reader proves the third term 3 times the first, across the short
-    # second term: its residue is 3 times the first's, not the second's.
+    # second term: no entry gets a ratio, and every residue is recounted.
     values, proofs = [LONG, 5, 3 * LONG], {}
     with no_int_digit_limit():
         read = json.loads(cli._json_text(values), parse_int=certs._chained_int_reader(proofs))
     assert read == values and list(proofs.values()) == [(read[2], read[0], 3)]
+    terms = read_terms(values)
+    assert terms == values and terms.ratios == [0, 0, 0]
     q = 10**6 + 3
-    assert list(certs._chained_residues(read, 1, q, proofs)) == [n % q for n in values]
+    assert list(certs._chained_residues(terms, 1, q)) == [n % q for n in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(10**certs._CHAINED_DIGITS, LONG), st.integers(2, 10**6),
+       st.lists(st.integers(2, 10**6), max_size=4), st.lists(st.integers(1, 10**6), max_size=2),
+       st.integers(1, 10**40), st.integers(2, 10**40))
+def test_a_long_int_outside_the_list_gives_no_entry_a_ratio(m, f, factors, shorts, p, q):
+    # A claim's `multiplier` m sorts before `inputs` in the text, so the
+    # reader proves the list's first long entry m * f against it; that
+    # entry, after any short ones, still gets no ratio.
+    values = [*shorts, *accumulate(factors, mul, initial=m * f)]
+    cert = {"claims": [{"id": "containment-1", "multiplier": m}],
+            "inputs": {"multipliers": values}}
+    proofs = {}
+    with no_int_digit_limit():
+        text = cli._json_text(cert)
+        json.loads(text, parse_int=certs._chained_int_reader(proofs))
+        terms = certs._read_certificate(text)["inputs"]["multipliers"]
+    assert (m * f, m, f) in proofs.values()
+    assert terms == values and terms.ratios == [0] * (len(shorts) + 1) + factors
+    assert list(certs._chained_residues(terms, p, q)) == [n * p % q for n in values]
 
 
 def test_proved_terms_step_the_residue_chain_with_no_division(monkeypatch):
     # Of the 64 terms 12^(k^2), every one past the digit bound but the first
-    # is proved its predecessor's product, and only the others divide.
+    # is proved its predecessor's product by the rule's own ratio, the typed
+    # read keeps the list that carries those ratios, and only the entries
+    # left at 0 divide.
     n = cli._multipliers({"n-kind": "squarepow:12"}, 64)
+    terms = read_terms(n)
     with no_int_digit_limit():
-        cert = certs._read_certificate(cli._json_text({"multipliers": n}))
         long_terms = [v for v in n if len(str(v)) > certs._CHAINED_DIGITS]
-    read, divisions = cert["multipliers"], []
+    proved = [k for k, f in enumerate(terms.ratios) if f]
+    assert len(proved) == len(long_terms) - 1 > 30
+    assert [terms.ratios[k] for k in proved] == [n.ratios[k] for k in proved]
+    assert certs._INPUTS["hitfreq"].fields["multipliers"].parse(terms) is terms
+    divisions = []
     monkeypatch.setattr(certs, "divmod", lambda a, b: divisions.append(a) or divmod(a, b),
                         raising=False)
-    p, q = 1, 2**127 - 1
-    assert list(certs._chained_residues(read, p, q, cert.proofs)) == [v % q for v in n]
-    assert len(cert.proofs) == len(long_terms) - 1 > 30
-    assert divisions == read[:len(n) - len(cert.proofs)]
+    p, q = 3**80, 2**127 - 1
+    assert list(certs._chained_residues(terms, p, q)) == [v * p % q for v in n]
+    assert divisions == [v for v, f in zip(terms, terms.ratios) if not f]
+    assert len(divisions) == len(n) - len(proved)
 
 
 # --- digit strings as bytes ------------------------------------------------------
