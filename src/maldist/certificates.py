@@ -54,9 +54,11 @@ a small quotient once their exact decimal product is its text
 (`_chained_int_reader`).  `_read_certificate` keeps such a quotient as the
 ratio of an `inputs.multipliers` entry when the term it multiplies is the
 entry before, checked by identity, and 0 elsewhere (`_Terms`).
-`_chained_residues` steps each residue by a nonzero ratio, and divides only
-where a ratio is 0 or the list, such as one a library caller builds,
-carries no ratios.
+The residues n_k * p mod q (alpha = p/q) of `mixing`'s writer, on both
+sides, and of the `hitfreq` and `histogram` recounts come from
+`_chained_residues`, which steps each residue by a nonzero ratio, and
+divides only where a ratio is 0 or the list, such as one a library caller
+builds, carries no ratios.
 """
 
 from __future__ import annotations
@@ -588,8 +590,9 @@ def _mixing_claims(alpha: Fraction, multipliers: Sequence[int], eps: Fraction,
     spans = [_interval_json(iv) for iv in intervals]
     claims = {"alpha-in-start": _claim("point-in-interval", 1, a, _interval_json(start), a,
                                        _holds(start, p, q))}
-    for k, (n, target) in enumerate(zip(multipliers, targets), start=1):
-        r, length = n * p % q, eps / n
+    residues = _chained_residues(multipliers, p, q)
+    for k, (n, target, r) in enumerate(zip(multipliers, targets, residues), start=1):
+        length = eps / n
         left, right = intervals[k]
         claims[f"containment-{k}"] = _claim("point-in-interval", n, a, _interval_json(target),
                                             format_ratio(r, q), _holds(target, r, q))

@@ -658,7 +658,7 @@ def _cmd_witness(opts: dict) -> int:
         alpha = _rational(opts, "alpha")
         eps = _rational(opts, "eps")
         horizon = _int(opts, "horizon", 10_000, low=1)
-        prefix = _int_list(opts["prefix"], "prefix") if opts.get("prefix") else [1]
+        prefix = _int_list(opts["prefix"], "prefix") if "prefix" in opts else [1]
         floor = _rational(opts, "discrepancy-floor", "0/1")
         if floor < 0:
             raise CliError("--discrepancy-floor: expected a nonnegative rational, "
@@ -712,7 +712,7 @@ def _cmd_doubling(opts: dict) -> int:
         point, base, starts = _zero_block_point(opts)
         windows = (
             _int_list(opts["windows"], "windows")
-            if opts.get("windows")
+            if "windows" in opts
             else [j * j for j in sorted(set(starts))]
         )
         densities = zero_block_density(point, windows)

@@ -10,7 +10,6 @@ from maldist.doubling import (
     BinaryPoint,
     OrbitHitReport,
     _fold,
-    _spacing_ok,
     doubling_orbit,
     doubling_period,
     doubling_scan,
@@ -339,6 +338,34 @@ def test_five_sixth_check_and_verifier_fold_periods(alpha, data):
     fivesixth_agrees_with_reference(alpha, horizons(alpha, data))
 
 
+LEMMA_STEPS = 300
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=17, max_value=10**12), st.data())
+def test_five_sixth_spacing_lemma(q, data):
+    """The lemma `five_sixth_check` states its `spacing_ok` by: for alpha in
+    (0, 1/16), along 2^k alpha mod 1 no hit of I- or I+ is followed by a
+    hit, and no two hits of I- lie two steps apart.  Half the draws take
+    the largest p with p/q < 1/16.  The verifier's own walk of the
+    certificate reads the spacing true."""
+    top = (q - 1) // 16
+    p = data.draw(st.one_of(st.just(top), st.integers(min_value=1, max_value=top)))
+    alpha = F(p, q)
+    left, right = F(1, 2) - 4 * alpha / 3, F(3, 4) - 2 * alpha / 3
+    minus, hit = [], []
+    v = alpha
+    for _ in range(LEMMA_STEPS):
+        v = mod1(2 * v)
+        minus.append(left < v <= F(1, 2))
+        hit.append(left < v < right)
+    assert not any(a and b for a, b in zip(hit, hit[1:]))
+    assert not any(a and b for a, b in zip(minus, minus[2:]))
+    cert = certs.fivesixth_certificate(five_sixth_check(alpha, LEMMA_STEPS), alpha)
+    assert [c["verdict"] for c in cert["claims"] if c["id"] == "spacing"] == [True]
+    assert certs.verify_certificate(cert).failures == ()
+
+
 @settings(max_examples=150, deadline=None)
 @given(periodic_denominators(), st.data())
 def test_invariance_defect_and_verifier_over_several_periods(q, data):
@@ -385,23 +412,14 @@ def test_short_periods_at_every_horizon(alpha, pre, period):
     st.data(),
 )
 def test_spacing_and_counts_fold_from_one_period(pre_codes, period_codes, data):
-    """On any code sequence, a preperiod then a repeating period, the spacing
-    read over the walk and its wrap and the counts folded from the walk
-    equal those of the sequence written out to the horizon.  Real orbits
-    never break the spacing (the 5/6 lemma), so this is where a broken wrap
-    shows."""
+    """On any code sequence, a preperiod then a repeating period, the counts
+    folded from the walk equal those of the sequence written out to the
+    horizon."""
     walk = bytes(pre_codes + period_codes)
     pre = len(pre_codes)
     horizon = data.draw(st.integers(min_value=1, max_value=len(walk) + 5 * len(period_codes)))
     walk = walk[:horizon]
     full = (pre_codes + period_codes * horizon)[:horizon]
-    flags = [(c == 1, c == 2) for c in full]
-    want = all(
-        not (flags[k][0] and any(m for m, _ in flags[k + 1:k + 3]))
-        and not (flags[k][1] and k + 1 < horizon and flags[k + 1][1])
-        for k in range(horizon)
-    )
-    assert _spacing_ok(walk, pre, horizon) == want
     whole, end = _fold(len(walk), pre, horizon)
     for code in (0, 1, 2):
         assert walk[:end].count(code) + whole * walk[pre:].count(code) == full.count(code)

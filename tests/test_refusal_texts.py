@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from maldist import certificates as certs
 from maldist import cli
 from maldist.certificates import FORMAT, verify_certificate
 from maldist.doubling import (
@@ -19,7 +20,7 @@ from maldist.doubling import (
     zero_block_alpha,
     zero_block_density,
 )
-from maldist.empirical import CellPartition, MeasureVector
+from maldist.empirical import CellPartition, MeasureVector, Residues, star_discrepancy
 from maldist.envelope import (
     BlockSpec,
     RatioMeasure,
@@ -28,10 +29,11 @@ from maldist.envelope import (
     pi_measure,
 )
 from maldist.exact import binary_digits
-from maldist.subspace import ExtensionTarget, validate_membership
+from maldist.subspace import ExtensionTarget, greedy_extension, validate_membership
 from maldist.torus import TorusInterval
 from maldist.witness import (
     HistogramTarget,
+    MixingConfig,
     Multipliers,
     auto_plan,
     avoidance_sequence,
@@ -44,6 +46,9 @@ HALVES = MeasureVector((F(1, 2), F(1, 2)))
 POINT = RatioMeasure([((1, 2), 1)], 1)
 TENTH, HALF_ARC = TorusInterval(F(0), F(1, 10)), TorusInterval(F(0), F(1, 2))
 GEOMETRIC = [4**k for k in range(1, 41)]
+TWO_CELLS = CellPartition.uniform(2)
+HALF_TARGET = ExtensionTarget(HALVES, F(1, 10), POINT)
+START = TorusInterval(F(0), F(1, 2))
 
 LIBRARY = {
     "auto-plan-ratio": (lambda: auto_plan(F(1), F(1, 10)), "ratio must exceed 1"),
@@ -109,6 +114,27 @@ LIBRARY = {
     "membership-order": (lambda: validate_membership([2, 1], SPEC, 2),
                          "indices must be strictly increasing"),
     "target-eps": (lambda: ExtensionTarget(HALVES, F(0), POINT), "eps must be positive"),
+    "greedy-sizes": (
+        lambda: greedy_extension([], SPEC, Residues([0, 1, 2, 3], 5), TWO_CELLS,
+                                 ExtensionTarget(MeasureVector((F(1),)), F(1, 10), POINT), 2),
+        "partition and target sizes disagree"),
+    "greedy-points": (
+        lambda: greedy_extension([], SPEC, Residues([0, 1, 2], 5), TWO_CELLS, HALF_TARGET, 2),
+        "x lists 3 points, fewer than the 4 the blocks need"),
+    "greedy-prefix": (
+        lambda: greedy_extension([1, 2, 3], BlockSpec([2, 2], [1, 2]), Residues([0, 1, 2, 3], 5),
+                                 TWO_CELLS, HALF_TARGET, 2),
+        "prefix is not a valid member through its blocks"),
+    "membership-positive": (lambda: validate_membership([0, 1], BlockSpec([2], [2]), 1),
+                            "indices must be positive"),
+    "discrepancy-empty": (lambda: star_discrepancy(Residues([], 5)),
+                          "star discrepancy of an empty list is undefined"),
+    "mixing-eps": (lambda: MixingConfig([4], F(2), F(1, 2), START, [START]).validate(),
+                   "mixing hypothesis fails at k=0: eps and delta must lie in (0, 1)"),
+    "mixing-targets": (lambda: MixingConfig([4], F(1, 10), F(1, 2), START, []).validate(),
+                       "mixing hypothesis fails at k=0: need one target interval per multiplier"),
+    "mixing-start": (lambda: MixingConfig([4], F(1, 10), F(3, 4), START, [START]).validate(),
+                     "mixing hypothesis fails at k=0: start interval shorter than delta=3/4"),
 }
 
 
@@ -177,6 +203,12 @@ CLI = {
     "certificate-json": (["verify", "bad.json"], {"bad.json": "{"},
                          "certificate is not valid JSON: Expecting property name enclosed in "
                          "double quotes: line 1 column 2 (char 1)"),
+    "prefix-empty": (["witness", "--mode", "avoid", "--alpha", "5/17", "--eps", "1/5",
+                      "--horizon", "5", "--prefix", ""], {},
+                     "prefix must contain at least one index"),
+    "windows-empty": (["doubling", "--mode", "zeroblock", "--base", "2/3", "--starts", "4",
+                       "--windows", ""], {},
+                      "window ends must be strictly increasing and nonempty"),
 }
 
 
@@ -314,3 +346,19 @@ VERIFY = {
 @pytest.mark.parametrize("cert, failures", VERIFY.values(), ids=VERIFY.keys())
 def test_verifier_failure_texts(cert, failures):
     assert verify_certificate(json.loads(json.dumps(cert))) == (False, tuple(failures))
+
+
+def test_checker_fault_is_one_named_failure(tmp_path, monkeypatch, capsys):
+    """A checker that raises gives the one failure `verification error:
+    <text>`, and `maldist verify` exits 1 on it."""
+    def fault(inputs, stated):
+        raise ArithmeticError("checker fault")
+
+    monkeypatch.setitem(certs._CHECKERS, "envelope", fault)
+    assert verify_certificate(copy.deepcopy(ENVELOPE_CERT)) == (
+        False, ("verification error: checker fault",))
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(ENVELOPE_CERT), encoding="utf-8")
+    assert cli.main(["verify", str(path)]) == cli.CLAIM_ERROR == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "ok": False, "failures": ["verification error: checker fault"]}
