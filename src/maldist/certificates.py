@@ -926,8 +926,9 @@ def verify_certificate(cert: object) -> VerificationResult:
     does not read as a rational.  A `hitfreq` plan whose c exceeds the
     number of multipliers, or whose u exceeds c + 1, is refused outright
     after the growth and position failures, and so are a ratio whose c-th
-    power cannot exceed 2 and multipliers that fail the growth its ratio
-    states.  A verdict stated false that recomputes false is no failure:
+    power cannot exceed 2, multipliers that fail the growth its ratio
+    states, and then a ratio with a term above the largest multiplier.  A
+    verdict stated false that recomputes false is no failure:
     `certificate_ok` reads it.  `margins` are informational and not
     checked.  Multipliers that carry the ratios `_read_certificate` proved
     step their residues by them."""
@@ -1055,6 +1056,11 @@ def _verify_hitfreq(inp: dict, stated: dict):
     # before the claims raise a ratio of any length to u - 2 and c.
     if not grows:
         return failures, None
+    # Nor has a build's ratio a term above its largest multiplier, which the
+    # growth makes the last one (a > b here): a longer ratio is refused
+    # before any power of it is formed.
+    if a > multipliers[-1]:
+        return [*failures, "inputs.ratio: a term exceeds the largest multiplier"], None
     p, q = alpha.numerator, alpha.denominator
     count = sum(_holds(interval, r, q) for r in _chained_residues(multipliers, p, q))
     return failures, _hitfreq_claims(alpha, multipliers, interval, ratio, u, c, positions,

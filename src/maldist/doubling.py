@@ -10,10 +10,11 @@ window counts along the same orbits.
 
 The orbit of alpha = p/q is r_k = 2^k p mod q over q.  With q = 2^a q' and
 q' odd it is periodic from k = max(a, 1) on, with period ord_{q'}(2), so
-the scan and the 5/6 check walk at most one preperiod and one period and
-fold the counts of any horizon from them; the invariance defect needs only
-the first point and the one past the horizon.  Their cost follows the
-period, not the horizon.
+the listing and the scan walk one preperiod and one period at most, and
+so does the 5/6 check, which keeps one code per step and no residue; each
+folds its listing or its counts for any horizon from that walk, so that no
+walk costs more than the period, whatever the horizon.  The invariance
+defect needs only the first point and the one past the horizon.
 """
 
 from __future__ import annotations
@@ -70,16 +71,17 @@ class BinaryPoint:
 
 def doubling_orbit(alpha: Fraction, steps: int) -> Residues:
     """T^k(alpha) for k = 1..steps, exact, as the residues over q: with
-    alpha = p/q mod 1 they iterate by modular doubling r -> 2r mod q."""
+    alpha = p/q mod 1 they iterate by modular doubling r -> 2r mod q.
+
+    The orbit is walked over its preperiod and one period at most
+    (`_orbit_to_cycle`), and the listing repeats that period up to the
+    step count (`_fold`)."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     v = mod1(Fraction(alpha))
-    r, q = v.numerator, v.denominator
-    out = []
-    for _ in range(steps):
-        r = 2 * r % q
-        out.append(r)
-    return Residues(out, q)
+    walk, pre = _orbit_to_cycle(v.numerator, v.denominator, steps)
+    whole, end = _fold(len(walk), pre, steps)
+    return Residues(walk[:pre] + walk[pre:] * whole + walk[pre:end], v.denominator)
 
 
 def doubling_period(alpha: Fraction) -> tuple[int, int]:
@@ -226,8 +228,10 @@ def five_sixth_check(alpha: Fraction, horizon: int) -> OrbitHitReport:
     caps the count at 5/6 * horizon + O(1); the report gives the density
     and the bound 5/6 + 3/horizon.
 
-    The orbit is walked over its preperiod and one period at most, for the
-    counts alone: those at the horizon are folded from its steps (`_fold`).
+    The orbit is walked over its preperiod and one period at most, as
+    `_orbit_to_cycle` walks it, for the counts alone: each step leaves one
+    code byte and no residue, and the counts at the horizon are folded from
+    those codes (`_fold`).
     Its `fivesixth` certificate's verifier recounts the hits through I'
     itself and reads the spacing along its own walk.
     """
@@ -242,10 +246,17 @@ def five_sixth_check(alpha: Fraction, horizon: int) -> OrbitHitReport:
     p, q = alpha.numerator, alpha.denominator
     half = q // 2
     minus_lo, plus_hi = (3 * q - 8 * p) // 6, (9 * q - 8 * p - 1) // 12
-    residues, pre = _orbit_to_cycle(p, q, horizon)
-    # Per step: 1 a hit of I-, 2 a hit of I+, 0 a miss.
-    codes = bytes(1 if minus_lo < r <= half else 2 if half < r <= plus_hi else 0
-                  for r in residues)
+    # The walk of `_orbit_to_cycle`, keeping per step its code alone: 1 a
+    # hit of I-, 2 a hit of I+, 0 a miss.
+    pre = min(max((q & -q).bit_length() - 1, 1) - 1, horizon)
+    codes, r, start = bytearray(), p, None
+    for k in range(horizon):
+        r = 2 * r % q
+        if r == start:
+            break
+        if k == pre:
+            start = r
+        codes.append(1 if minus_lo < r <= half else 2 if half < r <= plus_hi else 0)
     whole, end = _fold(len(codes), pre, horizon)
     minus_hits = codes[:end].count(1) + whole * codes[pre:].count(1)
     plus_hits = codes[:end].count(2) + whole * codes[pre:].count(2)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import mod, sub
 from math import gcd
 from typing import Sequence
@@ -337,13 +337,15 @@ def hit_frequency_witness(
     ratio = Fraction(ratio)
     n = Multipliers(multipliers)
     eps = interval.length
-    if not eps < 1 / ratio:
+    if not eps * ratio < 1:  # eps < 1/ratio; a ratio of 0 reaches auto_plan's refusal
         raise ValueError("interval length must be below 1/ratio")
     if any(v < 1 for v in n):
         raise ValueError("multiplier must be a positive integer")
     for j, (prev, nxt) in enumerate(zip(n, islice(n, 1, None)), start=1):
         if nxt * ratio.denominator < ratio.numerator * prev:
             raise ValueError(f"growth fails at step {j}: {nxt}/{prev} < {ratio}")
+    if n and max(ratio.numerator, ratio.denominator) > max(n):
+        raise ValueError("ratio has a term above the largest multiplier")
     plan = auto_plan(ratio, eps)
     c, repeats = plan.c, plan.repeats
     delta = _DEFAULT_START.length
@@ -358,8 +360,7 @@ def hit_frequency_witness(
     picked = n[repeats * c - 1 : horizon : c]  # n_p for p in positions
     config = MixingConfig(multipliers=picked, eps=eps, delta=delta, start=_DEFAULT_START,
                           targets=(interval,) * len(picked))
-    chain = mixing_chain(config)
-    alpha = chain.alpha
+    alpha = mixing_chain(config).alpha
     q = alpha.denominator
     hits = sum(1 for r in _residues(n[:horizon], alpha) if interval.contains_residue(r, q))
     return HitFrequencyWitness(
@@ -424,8 +425,10 @@ def histogram_witness(
     off the target share by at most (share) * base/base^2, so the worst-case
     deviation is max(share, 1 - share) / base, which must be below eta
     (checked upfront; this is the sharp form of the crude base > 1/eta
-    requirement).  Requires total | base and n_{j+1}/n_j > 2*cells along the
-    steered range.
+    requirement).  Requires total | base, n_{j+1}/n_j > 2*cells along the
+    steered range, and every one of the first base^2 multipliers positive.
+    One cell needs no chain, nor the eta check: its alpha is the start
+    interval's midpoint, the alpha a chain of no steps returns.
 
     The counts of the steered positions are those of the assignment: the
     chain puts each n_j * alpha mod 1 inside its open target cell.  Residues
@@ -450,33 +453,23 @@ def histogram_witness(
     n = Multipliers(multipliers)
     if len(n) < horizon:
         raise ValueError(f"need at least {horizon} multipliers, got {len(n)}")
-    if ell == 1:
-        # One cell holds everything; any point in the start interval works,
-        # and its midpoint is the alpha a chain of no steps would return.
-        return HistogramWitness(
-            alpha=(_DEFAULT_START.left + _DEFAULT_START.right) / 2,
-            target=target,
-            base=base,
-            horizon=horizon,
-            counts=(horizon,),
-            deviations=(_ZERO,),
-        )
     # Steered cell counts: exact shares of the base^2 - base steered slots
     # (e_total divides base).
     steered = horizon - base
     shares = [w * steered // e_total for w in target.weights]
-    assignment: list[int] = []
-    for i, cnt in enumerate(shares):
-        assignment.extend([i] * cnt)
-    eps = Fraction(1, ell)
-    cells = [TorusInterval(Fraction(i, ell), Fraction(i + 1, ell)) for i in range(ell)]
-    targets = tuple(cells[i] for i in assignment)
-    config = MixingConfig(multipliers=n[base:horizon], eps=eps,
-                          delta=_DEFAULT_START.length, start=_DEFAULT_START, targets=targets)
-    chain = mixing_chain(config)
-    alpha = chain.alpha
-    # The chain's hypotheses covered the steered multipliers, not the first base.
-    if any(v < 1 for v in n[:base]):
+    if ell == 1:
+        # One cell holds everything: the midpoint of the start interval is
+        # the alpha a chain of no steps returns.
+        alpha = (_DEFAULT_START.left + _DEFAULT_START.right) / 2
+    else:
+        cells = [TorusInterval(Fraction(i, ell), Fraction(i + 1, ell)) for i in range(ell)]
+        targets = tuple(chain.from_iterable(map(repeat, cells, shares)))
+        config = MixingConfig(multipliers=n[base:horizon], eps=Fraction(1, ell),
+                              delta=_DEFAULT_START.length, start=_DEFAULT_START, targets=targets)
+        alpha = mixing_chain(config).alpha
+    # Every echoed multiplier must be positive; the chain's refusals, which
+    # cover the steered ones, come first.
+    if min(islice(n, horizon)) < 1:
         raise ValueError("multiplier must be a positive integer")
     # Each steered n_j * alpha mod 1 lies inside its open target cell, so the
     # steered positions count as assigned; the first `base` are recounted.

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from maldist import certificates as certs
@@ -240,6 +240,29 @@ def test_doubling_orbit_matches_fraction_reference(alpha, digits, steps):
     assert fractions_of(doubling_orbit(point.value, steps)) == [
         shift_value(point, k) for k in range(1, steps + 1)
     ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=10**6),
+    st.data(),
+)
+@example(a=0, odd=0, p=1, data=None)
+@example(a=5, odd=8, p=3, data=None)
+def test_doubling_orbit_repeats_its_period_like_a_fraction_walk(a, odd, p, data):
+    # q = 2^a * q' with q' = 2 * odd + 1: the orbit has preperiod a (1 at
+    # least for q' > 1) and period ord_{q'}(2).  The step counts run from 0
+    # through the preperiod and up to several periods past it.
+    q = (1 << a) * (2 * odd + 1)
+    alpha = F(p % q, q)
+    pre, period = doubling_period(alpha)
+    counts = {0, pre // 2, pre, pre + period - 1, pre + 3 * period, pre + 5 * period + period // 2}
+    if data is not None:
+        counts.add(data.draw(st.integers(0, pre + 6 * period), label="steps"))
+    for steps in sorted(counts):
+        assert fractions_of(doubling_orbit(alpha, steps)) == reference_doubling_orbit(alpha, steps)
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,10 +3,11 @@ by name, and what `verify` refuses outright it refuses before any recount.
 
 A plan's u, c or repeats, or one block start, is raised up to 10**12, one
 digit is flipped, or the ratio is raised to a 47,713-digit integer or set to
-a 50,001-digit one near 1 or below it.  No build makes a plan whose c
-exceeds the number of multipliers or whose u exceeds c + 1, nor a ratio
-whose c-th power cannot exceed 2, nor multipliers that fail the growth of
-their ratio, nor digits other than the base's with its blocks zeroed; spies
+a 50,001-digit one near 1, below it or just below 2.  No build makes a plan
+whose c exceeds the number of multipliers or whose u exceeds c + 1, nor a
+ratio whose c-th power cannot exceed 2 or that has a term above the largest
+multiplier, nor multipliers that fail the growth of their ratio, nor digits
+other than the base's with its blocks zeroed; spies
 on the claim writers `_hitfreq_claims` and `_zeroblock_claims`, which every
 recount ends in, show that those inputs run none.  No wall time is asserted.
 """
@@ -109,6 +110,18 @@ def test_long_ratio_whose_power_cannot_exceed_two_is_refused_before_any_power(pi
         cert["inputs"]["ratio"] = f"{den + 1 if numerator == 'near-one' else 1}/{den}"
         failures, recounts = verified(cert, "_hitfreq_claims")
     assert (failures, recounts) == (("inputs.ratio: ratio^c cannot exceed 2 for c = 8",), 0)
+
+
+def test_long_ratio_with_a_term_above_the_multipliers_is_refused_before_any_power(pinned):
+    # (2 * 10^50000 - 1)/10^50000: the 16 multipliers 2^k grow by it, and its
+    # 8th power exceeds 2, but both its terms exceed the last multiplier 2^16,
+    # so no build states it, and no power of it is formed or written.
+    cert = json.loads(pinned["hitfreq"])
+    den = 10**50_000
+    with no_int_digit_limit():
+        cert["inputs"]["ratio"] = f"{2 * den - 1}/{den}"
+        failures, recounts = verified(cert, "_hitfreq_claims")
+    assert (failures, recounts) == (("inputs.ratio: a term exceeds the largest multiplier",), 0)
 
 
 @pytest.mark.parametrize("name", ["zeroblock", "zeroblock-windows"])

@@ -61,6 +61,11 @@ LIBRARY = {
                        "growth fails at step 1: 8/4 < 4"),
     "hitfreq-count": (lambda: hit_frequency_witness(GEOMETRIC[:3], TENTH, F(4)),
                       "need at least 6 multipliers, got 3"),
+    # 4^k grows by (4^41 - 1)/4^40, whose numerator exceeds the last term 4^40.
+    "hitfreq-ratio-term": (lambda: hit_frequency_witness(GEOMETRIC, TENTH, F(4**41 - 1, 4**40)),
+                           "ratio has a term above the largest multiplier"),
+    "hitfreq-ratio-zero": (lambda: hit_frequency_witness(GEOMETRIC, TENTH, F(0)),
+                           "ratio must exceed 1"),
     "multipliers-ratios": (lambda: Multipliers((1, 2), (1,)), "need one ratio per multiplier"),
     "histogram-weights": (lambda: HistogramTarget((1, 0), F(1, 2)),
                           "weights must be positive integers"),
@@ -75,6 +80,9 @@ LIBRARY = {
     "histogram-count": (
         lambda: histogram_witness(GEOMETRIC[:5], HistogramTarget((1, 1), F(1, 2)), 4),
         "need at least 16 multipliers, got 5"),
+    "histogram-one-cell-multiplier": (
+        lambda: histogram_witness([2, 3, 0, 4], HistogramTarget((1,), F(1, 10)), 2),
+        "multiplier must be a positive integer"),
     "avoid-eps": (lambda: avoidance_sequence(F(5, 17), F(1), [1], 5), "eps must lie in (0, 1)"),
     "avoid-overlap": (lambda: avoidance_sequence(F(1, 17), F(1, 5), [1], 5),
                       "[0, 1/5) and [1/17, 22/85) overlap mod 1; pick a smaller eps"),
@@ -174,6 +182,8 @@ CLI = {
     "n-kind": ([*SALAT2, "--n-kind", "fib"], {},
                "--n-kind: unknown generator 'fib' (use pow:b or squarepow:b)"),
     "n-count": ([*SALAT2, "--n", "4,16,64"], {}, "--n: need at least 64 values"),
+    "n-one-cell": (["witness", "--mode", "salat3", "--n", "0,2,3,4", "--weights", "1", "--eta",
+                    "1/10", "--base", "2"], {}, "multiplier must be a positive integer"),
     "n-integers": ([*SALAT2, "--n", "4,x"], {}, "--n: expected comma-separated integers"),
     "interval-ends": (["witness", "--mode", "salat2", "--n-kind", "pow:4", "--ratio", "4",
                        "--interval", "0,1/10,1/5"], {}, "--interval: expected 'left,right'"),
@@ -297,6 +307,10 @@ VERIFY = {
     # So are multipliers that fail the ratio's growth, before any power of it.
     "hitfreq-growth": (edited(HITFREQ_CERT, inputs__multipliers=[4, 16, 48, 256, 1024, 4096]),
                        ["inputs.multipliers: growth fails at step 2"]),
+    # And last a ratio with a term above the largest multiplier: 4^k grows by
+    # 8191/2048, whose numerator exceeds 4096.
+    "hitfreq-ratio-term": (edited(HITFREQ_CERT, inputs__ratio="8191/2048"),
+                           ["inputs.ratio: a term exceeds the largest multiplier"]),
     "zeroblock-digits": (ZEROBLOCK_CERT, ["inputs.digits: not those of base with zeroed blocks"]),
     "invariance-dyadic": (edited(INVARIANCE_CERT, inputs__cuts=["0/1", "1/3", "1/1"]),
                           ["invariance-defect: partition cut points must be dyadic rationals"]),
