@@ -20,7 +20,7 @@ defect needs only the first point and the one past the horizon.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,9 +79,10 @@ def doubling_orbit(alpha: Fraction, steps: int) -> Residues:
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     v = mod1(Fraction(alpha))
-    walk, pre = _orbit_to_cycle(v.numerator, v.denominator, steps)
+    q = v.denominator
+    walk, pre = list(_orbit_to_cycle(v.numerator, q, steps)), _pre(q, steps)
     whole, end = _fold(len(walk), pre, steps)
-    return Residues(walk[:pre] + walk[pre:] * whole + walk[pre:end], v.denominator)
+    return Residues(walk[:pre] + walk[pre:] * whole + walk[pre:end], q)
 
 
 def doubling_period(alpha: Fraction) -> tuple[int, int]:
@@ -98,30 +99,31 @@ def doubling_period(alpha: Fraction) -> tuple[int, int]:
     return (pre, p)
 
 
-def _orbit_to_cycle(r: int, q: int, horizon: int) -> tuple[list[int], int]:
+def _pre(q: int, horizon: int) -> int:
+    """The number of steps of `_orbit_to_cycle`'s walk over q before the
+    start of its cycle: max(a, 1) - 1 for q = 2^a q' with q' odd, capped at
+    the horizon."""
+    return min(max((q & -q).bit_length() - 1, 1) - 1, horizon)
+
+
+def _orbit_to_cycle(r: int, q: int, horizon: int) -> Iterator[int]:
     """The residues r_k = 2^k r mod q for k = 1, 2, ... up to the horizon or
     until the orbit returns to the start of its cycle, whichever comes
-    first, and the number `pre` of them before that start.
+    first; `_pre(q, horizon)` of them come before that start.
 
     With q = 2^a q' and q' odd, r_k = r_{k+P} for every k >= a once q'
     divides 2^P - 1, so r_k is on the cycle from k = max(a, 1) on.  When the
-    list is shorter than the horizon, its entries from `pre` on are one
-    whole period.
+    walk is shorter than the horizon, its residues from the start of the
+    cycle on are one whole period.
     """
-    pre = min(max((q & -q).bit_length() - 1, 1) - 1, horizon)
-    out = []
-    for _ in range(pre):
+    pre, start = _pre(q, horizon), None
+    for k in range(horizon):
         r = 2 * r % q
-        out.append(r)
-    if horizon > pre:
-        r = start = 2 * r % q
-        out.append(r)
-        for _ in range(horizon - pre - 1):
-            r = 2 * r % q
-            if r == start:
-                break
-            out.append(r)
-    return out, pre
+        if r == start:
+            return
+        if k == pre:
+            start = r
+        yield r
 
 
 def _fold(n: int, pre: int, horizon: int) -> tuple[int, int]:
@@ -155,7 +157,7 @@ def doubling_scan(
     cps = _checked_checkpoints(checkpoints)
     v = mod1(Fraction(alpha))
     q = v.denominator
-    residues, pre = _orbit_to_cycle(v.numerator, q, cps[-1])
+    residues, pre = list(_orbit_to_cycle(v.numerator, q, cps[-1])), _pre(q, cps[-1])
     n = len(residues)
     folds = [_fold(n, pre, N) for N in cps]
     ends = sorted({pre, n, *(end for _, end in folds)} - {0})
@@ -228,10 +230,10 @@ def five_sixth_check(alpha: Fraction, horizon: int) -> OrbitHitReport:
     caps the count at 5/6 * horizon + O(1); the report gives the density
     and the bound 5/6 + 3/horizon.
 
-    The orbit is walked over its preperiod and one period at most, as
-    `_orbit_to_cycle` walks it, for the counts alone: each step leaves one
-    code byte and no residue, and the counts at the horizon are folded from
-    those codes (`_fold`).
+    The orbit is walked over its preperiod and one period at most
+    (`_orbit_to_cycle`), for the counts alone: each residue it yields leaves
+    one code byte and is dropped, and the counts at the horizon are folded
+    from those codes (`_fold`).
     Its `fivesixth` certificate's verifier recounts the hits through I'
     itself and reads the spacing along its own walk.
     """
@@ -246,17 +248,10 @@ def five_sixth_check(alpha: Fraction, horizon: int) -> OrbitHitReport:
     p, q = alpha.numerator, alpha.denominator
     half = q // 2
     minus_lo, plus_hi = (3 * q - 8 * p) // 6, (9 * q - 8 * p - 1) // 12
-    # The walk of `_orbit_to_cycle`, keeping per step its code alone: 1 a
-    # hit of I-, 2 a hit of I+, 0 a miss.
-    pre = min(max((q & -q).bit_length() - 1, 1) - 1, horizon)
-    codes, r, start = bytearray(), p, None
-    for k in range(horizon):
-        r = 2 * r % q
-        if r == start:
-            break
-        if k == pre:
-            start = r
-        codes.append(1 if minus_lo < r <= half else 2 if half < r <= plus_hi else 0)
+    # Per step of the walk its code alone: 1 a hit of I-, 2 a hit of I+, 0 a miss.
+    codes = bytes(1 if minus_lo < r <= half else 2 if half < r <= plus_hi else 0
+                  for r in _orbit_to_cycle(p, q, horizon))
+    pre = _pre(q, horizon)
     whole, end = _fold(len(codes), pre, horizon)
     minus_hits = codes[:end].count(1) + whole * codes[pre:].count(1)
     plus_hits = codes[:end].count(2) + whole * codes[pre:].count(2)

@@ -344,7 +344,7 @@ def hit_frequency_witness(
     for j, (prev, nxt) in enumerate(zip(n, islice(n, 1, None)), start=1):
         if nxt * ratio.denominator < ratio.numerator * prev:
             raise ValueError(f"growth fails at step {j}: {nxt}/{prev} < {ratio}")
-    if n and max(ratio.numerator, ratio.denominator) > max(n):
+    if ratio > 1 and n and ratio.numerator > n[-1]:  # the growth makes n[-1] the largest
         raise ValueError("ratio has a term above the largest multiplier")
     plan = auto_plan(ratio, eps)
     c, repeats = plan.c, plan.repeats

@@ -66,6 +66,10 @@ LIBRARY = {
                            "ratio has a term above the largest multiplier"),
     "hitfreq-ratio-zero": (lambda: hit_frequency_witness(GEOMETRIC, TENTH, F(0)),
                            "ratio must exceed 1"),
+    # A ratio below 1 whose denominator exceeds the last term 4^40 is refused
+    # as a ratio at or below 1, not for its term.
+    "hitfreq-ratio-below-one": (lambda: hit_frequency_witness(GEOMETRIC, TENTH, F(1, 4**41)),
+                                "ratio must exceed 1"),
     "multipliers-ratios": (lambda: Multipliers((1, 2), (1,)), "need one ratio per multiplier"),
     "histogram-weights": (lambda: HistogramTarget((1, 0), F(1, 2)),
                           "weights must be positive integers"),
